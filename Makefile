@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race faultinject fuzz bench bench-kernels profile-kernels cover experiments examples serve-smoke cluster-smoke chaos-smoke clean
+.PHONY: all build vet test test-race faultinject fuzz bench bench-kernels bench-check bench-e2e profile-kernels cover experiments examples serve-smoke cluster-smoke chaos-smoke clean
 
 all: build vet test
 
@@ -40,12 +40,14 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzCompressDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
+	$(GO) test -fuzz=FuzzOutlierDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/outlier/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-kernel micro-benchmarks: cache-blocked wavelet passes, integer
-# bit-plane SPECK, word-batched bit I/O, the end-to-end single-thread
+# bit-plane SPECK, the outlier coder at production density (a 64^3 chunk
+# with 10% and 2.5% outliers), word-batched bit I/O, the end-to-end single-thread
 # and intra-chunk-threaded pipelines, and the streaming engine (which
 # also reports peak-inflight-bytes, its bounded-memory witness).
 # BENCH_KERNELS.json records the before/after table for these.
@@ -53,12 +55,24 @@ bench-kernels:
 	$(GO) test -run='TestParallelCoderMatchesSerialGolden' -count=1 .
 	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchmem ./internal/wavelet/
 	$(GO) test -run='^$$' -bench='SpeckEncode|SpeckDecode' -benchmem ./internal/speck/
+	$(GO) test -run='^$$' -bench='OutlierEncode|OutlierDecode|OutlierApply' -benchmem ./internal/outlier/
 	$(GO) test -run='^$$' -bench='BitsReadWrite' -benchmem ./internal/bits/
 	$(GO) test -run='^$$' -bench='CompressPWE64|CompressPWEIntra64|Decompress64' -benchmem .
 	$(GO) test -run='^$$' -bench='StreamCompress|StreamDecompress' -benchmem .
 	$(GO) test -run='^$$' -bench='RegionCached|RegionUncached' -benchmem ./internal/store/
 	$(GO) test -run='^$$' -bench='AdaptiveSelect' -benchmem .
 	$(GO) test -run='^$$' -bench='ProfileChunk' -benchmem ./internal/codec/
+
+# The end-to-end benchmark is its own module (bench/, which imports this
+# one through a replace), so `go build ./... && go test ./...` at the root
+# never compiles it: a changed internal signature can break it unseen.
+# bench-check vets it and runs its tiny-configuration tests (~5 s);
+# bench-e2e is the full run the driver makes (see bench/README.md).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e:
+	bash bench/run.sh
 
 bench-log:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt

@@ -3,7 +3,8 @@ package bits
 import "testing"
 
 // BenchmarkBitsReadWrite measures the raw bit layer: single-bit writes,
-// word writes (the refinement-pass fast path), and the matching reads.
+// word writes (the refinement-pass fast path), and the matching reads,
+// bit by bit and shifted out of a ReadWindow.
 func BenchmarkBitsReadWrite(b *testing.B) {
 	const nbits = 1 << 20
 
@@ -47,6 +48,25 @@ func BenchmarkBitsReadWrite(b *testing.B) {
 			for j := 0; j < nbits; j++ {
 				if r.ReadBit() {
 					ones++
+				}
+			}
+			if ones == 0 {
+				b.Fatal("no bits set")
+			}
+		}
+	})
+
+	b.Run("ReadWindow", func(b *testing.B) {
+		var r Reader
+		b.SetBytes(nbits / 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Reset(stream, nbits)
+			ones := 0
+			for win, n := r.ReadWindow(); n > 0; win, n = r.ReadWindow() {
+				for ; n > 0; n-- {
+					ones += int(win & 1)
+					win >>= 1
 				}
 			}
 			if ones == 0 {

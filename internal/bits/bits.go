@@ -269,6 +269,44 @@ func (r *Reader) ReadBits(n uint) uint64 {
 	return v
 }
 
+// WindowBits is the most bits one ReadWindow call delivers: what is left of
+// an unaligned 64-bit load after dropping the up to seven bits in front of
+// the read position.
+const WindowBits = 57
+
+// ReadWindow consumes the next n = min(WindowBits, Remaining()) bits and
+// returns them LSB-first in the low bits of win; bits of win above n are
+// unspecified. A decoder shifts decisions out of the window in registers
+// and comes back once per n bits, so the refill's budget clamp is the only
+// budget check its hot loop makes — and because the window never reaches
+// past the budget, running it dry is exactly ReadBit's exhaustion: with
+// nothing left, n is 0 and the reader is marked exhausted. Bits taken but
+// not used go back with Unread.
+func (r *Reader) ReadWindow() (win uint64, n uint) {
+	left := r.Remaining()
+	if left == 0 {
+		r.over = true
+		return 0, 0
+	}
+	if left > WindowBits {
+		left = WindowBits
+	}
+	if i := r.pos >> 3; i+8 <= uint64(len(r.buf)) {
+		win = binary.LittleEndian.Uint64(r.buf[i:])
+	} else {
+		for j, sh := i, uint(0); j < uint64(len(r.buf)); j, sh = j+1, sh+8 {
+			win |= uint64(r.buf[j]) << sh
+		}
+	}
+	win >>= r.pos & 7
+	r.pos += left
+	return win, uint(left)
+}
+
+// Unread returns the last n bits of the most recent ReadWindow to the
+// stream.
+func (r *Reader) Unread(n uint) { r.pos -= uint64(n) }
+
 // Exhausted reports whether a read past the budget was attempted.
 func (r *Reader) Exhausted() bool { return r.over }
 

@@ -266,3 +266,49 @@ func TestWordFastPathsMatchPerBit(t *testing.T) {
 		}
 	}
 }
+
+// ReadWindow must hand out exactly the bits ReadBit would, at every byte
+// alignment, across the end of the buffer (where the 8-byte load gives way
+// to a byte loop), and never one bit beyond the budget: the first empty
+// window marks the reader exhausted just as the failing ReadBit does.
+func TestReadWindowMatchesReadBit(t *testing.T) {
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, next()%40)
+		for i := range data {
+			data[i] = byte(next())
+		}
+		budget := next() % uint64(len(data)*8+9) // sometimes past the data: clamps
+		ref, win := NewReaderBits(data, budget), NewReaderBits(data, budget)
+		for !ref.Exhausted() {
+			w, n := win.ReadWindow()
+			if want := min(ref.Remaining(), WindowBits); uint64(n) != want {
+				t.Fatalf("trial %d: window of %d bits with %d left", trial, n, ref.Remaining())
+			}
+			// Use only some of the window, as a decoder ending a pass does.
+			use := n
+			if n > 0 && next()%3 == 0 {
+				use = uint(next() % uint64(n+1))
+				win.Unread(n - use)
+			}
+			for i := uint(0); i < use; i++ {
+				if got, want := w>>i&1 != 0, ref.ReadBit(); got != want {
+					t.Fatalf("trial %d: bit %d of the stream is %v, ReadBit says %v", trial, ref.Pos()-1, got, want)
+				}
+			}
+			if n == 0 {
+				ref.ReadBit() // the read that fails
+			}
+			if win.Pos() != ref.Pos() || win.Exhausted() != ref.Exhausted() {
+				t.Fatalf("trial %d: window reader at %d (exhausted %v), per-bit at %d (%v)",
+					trial, win.Pos(), win.Exhausted(), ref.Pos(), ref.Exhausted())
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -403,6 +404,10 @@ func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, op
 sweep:
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
+			// A replica sweep that delivered everything owes no backoff.
+			if !slices.ContainsFunc(hits, func(h chunkHit) bool { return !sink.has(h.index) }) {
+				break
+			}
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,6 +175,11 @@ func testCluster(t testing.TB, n int) ([]*Cluster, []*fakePeer) {
 
 // testClusterR is testCluster with an explicit replica count.
 func testClusterR(t testing.TB, n, replicas int) ([]*Cluster, []*fakePeer) {
+	return testClusterHooks(t, n, replicas, Hooks{})
+}
+
+// testClusterHooks is testClusterR with every node reporting to hooks.
+func testClusterHooks(t testing.TB, n, replicas int, hooks Hooks) ([]*Cluster, []*fakePeer) {
 	t.Helper()
 	peers := make([]*fakePeer, n)
 	roster := make(map[string]string, n)
@@ -189,6 +195,7 @@ func testClusterR(t testing.TB, n, replicas int) ([]*Cluster, []*fakePeer) {
 			Timeout:    5 * time.Second,
 			HedgeAfter: time.Second,
 			Replicas:   replicas,
+			Hooks:      hooks,
 		}, peers[i].st)
 		if err != nil {
 			t.Fatal(err)
@@ -402,21 +409,7 @@ func TestRegionFailoverSurvivesPeerDeath(t *testing.T) {
 		}
 	}
 
-	// Kill a non-coordinator peer that is the primary owner of at least
-	// one chunk, so the read must actually fail over.
-	victim := -1
-	for ci := 0; ci < meta.NumChunks && victim < 0; ci++ {
-		for ni := 1; ni < 3; ni++ {
-			if c.Owner(meta.ID, ci) == fmt.Sprintf("node-%c", 'a'+ni) {
-				victim = ni
-				break
-			}
-		}
-	}
-	if victim < 0 {
-		t.Skip("placement made the coordinator primary for every chunk")
-	}
-	peers[victim].srv.Close()
+	victim := killPrimary(t, c, meta, peers)
 
 	want, err := sperr.DecompressRegionWorkers(container, [3]int{0, 0, 0}, dims, 1)
 	if err != nil {
@@ -443,6 +436,48 @@ func TestRegionFailoverSurvivesPeerDeath(t *testing.T) {
 		if math.Float64bits(want[k]) != math.Float64bits(got[k]) {
 			t.Fatalf("sample %d differs from single-node decode after failover", k)
 		}
+	}
+}
+
+// killPrimary stops a peer other than the coordinator c (node-a) that is
+// the primary owner of at least one chunk, so that a read through c must
+// fail over, and returns its index.
+func killPrimary(t *testing.T, c *Cluster, meta *store.Meta, peers []*fakePeer) int {
+	t.Helper()
+	for ci := 0; ci < meta.NumChunks; ci++ {
+		for ni := 1; ni < len(peers); ni++ {
+			if c.Owner(meta.ID, ci) == fmt.Sprintf("node-%c", 'a'+ni) {
+				peers[ni].srv.Close()
+				return ni
+			}
+		}
+	}
+	t.Skip("placement made the coordinator primary for every chunk")
+	return -1
+}
+
+// A read whose replica sweep delivered every chunk is complete: it is not
+// a retry, so it must neither sleep the first-retry backoff (50 ms, which
+// used to be taken before noticing that nothing was missing) nor ask any
+// peer again.
+func TestRegionFailoverNeedsNoRetry(t *testing.T) {
+	dims := [3]int{24, 17, 9}
+	container := makeContainer(t, dims, [3]int{8, 8, 4}, 11)
+	var retried atomic.Int32
+	clusters, peers := testClusterHooks(t, 3, 2, Hooks{OnRetry: func(string) { retried.Add(1) }})
+	c := clusters[0]
+	meta, _, err := c.Ingest(context.Background(), container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killPrimary(t, c, meta, peers)
+	retried.Store(0) // ingest may retry; only the read is under test
+	_, rep := gather(t, c, meta.ID, [3]int{0, 0, 0}, dims, math.NaN())
+	if rep.FailedOver == 0 || len(rep.Skipped) != 0 {
+		t.Fatalf("FailedOver = %d, Skipped = %v: the read did not fail over cleanly", rep.FailedOver, rep.Skipped)
+	}
+	if n := retried.Load(); n != 0 {
+		t.Fatalf("OnRetry fired %d times on a read the first sweep completed", n)
 	}
 }
 

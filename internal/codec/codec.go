@@ -529,10 +529,7 @@ func DecodeChunkScratchThreads(stream []byte, dims grid.Dims, s *Scratch, thread
 		if h.outlierBits > uint64(len(obytes))*8 {
 			return nil, fmt.Errorf("%w: outlier stream truncated", ErrCorrupt)
 		}
-		outs := outlier.DecodeScratch(obytes, h.outlierBits, dims.Len(), h.tol, int(h.opasses), &s.outl)
-		for _, o := range outs {
-			coeffs[o.Pos] += o.Corr
-		}
+		outlier.ApplyScratch(coeffs, obytes, h.outlierBits, h.tol, int(h.opasses), &s.outl)
 	}
 	return coeffs, nil
 }

@@ -66,10 +66,7 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64) ([]floa
 		if h.outlierBits > uint64(len(obytes))*8 {
 			return nil, fmt.Errorf("%w: outlier stream truncated", ErrCorrupt)
 		}
-		outs := outlier.Decode(obytes, h.outlierBits, dims.Len(), h.tol, int(h.opasses))
-		for _, o := range outs {
-			coeffs[o.Pos] += o.Corr
-		}
+		outlier.ApplyScratch(coeffs, obytes, h.outlierBits, h.tol, int(h.opasses), nil)
 	}
 	return coeffs, nil
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sperr/internal/bits"
 	"sperr/internal/elias"
@@ -177,6 +177,6 @@ func quantCorr(corr, tol float64) int64 {
 
 func sortedByPos(outliers []Outlier) []Outlier {
 	out := append([]Outlier(nil), outliers...)
-	sort.Slice(out, func(a, b int) bool { return out[a].Pos < out[b].Pos })
+	slices.SortFunc(out, byPos)
 	return out
 }
