@@ -46,11 +46,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-kernel micro-benchmarks: cache-blocked wavelet passes, integer
-# bit-plane SPECK, the outlier coder at production density (a 64^3 chunk
-# with 10% and 2.5% outliers), word-batched bit I/O, the end-to-end single-thread
-# and intra-chunk-threaded pipelines, and the streaming engine (which
-# also reports peak-inflight-bytes, its bounded-memory witness).
-# BENCH_KERNELS.json records the before/after table for these.
+# bit-plane SPECK (serial rows plus SpeckEncodeWorkers, the guard that a
+# second worker on one chunk is never a slowdown), the outlier coder at
+# production density (a 64^3 chunk with 10% and 2.5% outliers),
+# word-batched bit I/O, the end-to-end single-thread and
+# surplus-worker pipelines (CompressPWE64 vs CompressPWEIntra64), and the
+# streaming engine (which also reports peak-inflight-bytes, its
+# bounded-memory witness). The determinism smoke runs first. Compare rows
+# only at a stated -cpu; BENCH_KERNELS.json records host and method.
 bench-kernels:
 	$(GO) test -run='TestParallelCoderMatchesSerialGolden' -count=1 .
 	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchmem ./internal/wavelet/
@@ -64,9 +67,10 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='ProfileChunk' -benchmem ./internal/codec/
 
 # The end-to-end benchmark is its own module (bench/, which imports this
-# one through a replace), so `go build ./... && go test ./...` at the root
-# never compiles it: a changed internal signature can break it unseen.
-# bench-check vets it and runs its tiny-configuration tests (~5 s);
+# one through a replace), so `go build ./...` at the root never compiles
+# it; the root test TestBenchModuleCompiles vets it so a changed internal
+# signature fails tier-1. bench-check additionally runs its
+# tiny-configuration tests (~5 s);
 # bench-e2e is the full run the driver makes (see bench/README.md).
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

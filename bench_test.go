@@ -92,9 +92,6 @@ func BenchmarkAblationEntropy(b *testing.B) { runExperiment(b, experiments.Ablat
 // BenchmarkAblationBitGroom compares SPERR with the bit-grooming floor.
 func BenchmarkAblationBitGroom(b *testing.B) { runExperiment(b, experiments.AblationBitGroom) }
 
-// BenchmarkAblationPartition compares root-octree and classic S/I SPECK.
-func BenchmarkAblationPartition(b *testing.B) { runExperiment(b, experiments.AblationPartition) }
-
 // --- end-to-end micro-benchmarks of the public API --------------------
 
 func benchVolume(n int) []float64 {

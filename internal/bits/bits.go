@@ -104,34 +104,6 @@ func (w *Writer) WriteZeros(n int) {
 	w.fill = total & 63
 }
 
-// WriteStream appends every bit written to src so far, preserving order,
-// as if each had been passed to w.WriteBit individually. The source
-// buffer is always whole little-endian words, so splicing moves 64 bits
-// per step regardless of the destination's alignment. src is not
-// modified.
-func (w *Writer) WriteStream(src *Writer) {
-	if src.n == 0 {
-		return
-	}
-	if w.fill == 0 {
-		// Word-aligned destination: a straight copy of src's whole words
-		// plus adoption of its partial word.
-		w.buf = append(w.buf, src.buf...)
-		w.cur = src.cur
-		w.fill = src.fill
-		w.n += src.n
-		return
-	}
-	b := src.buf
-	for len(b) >= 8 {
-		w.WriteBits(binary.LittleEndian.Uint64(b), 64)
-		b = b[8:]
-	}
-	if src.fill > 0 {
-		w.WriteBits(src.cur, src.fill)
-	}
-}
-
 // Len returns the number of bits written so far.
 func (w *Writer) Len() uint64 { return w.n }
 

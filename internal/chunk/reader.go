@@ -73,24 +73,11 @@ func NewReader(r io.Reader, workers int) (*Reader, error) {
 			}
 		}
 	}
-	switch {
-	case [8]byte(hdr[:8]) == magicV1:
-		d.version = 1
-	case [8]byte(hdr[:8]) == magicV2:
-		d.version = 2
-	case [8]byte(hdr[:8]) == magicV3:
-		d.version = 3
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(hdr[off:])) }
-	d.volDims = grid.Dims{NX: u32(8), NY: u32(12), NZ: u32(16)}
-	d.chunkDims = grid.Dims{NX: u32(20), NY: u32(24), NZ: u32(28)}
-	chunks, err := validateGeometry(d.volDims, d.chunkDims, u32(32))
+	var err error
+	d.version, d.volDims, d.chunkDims, d.chunks, err = parseFixedHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	d.chunks = chunks
 	return d, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sperr/internal/grid"
+	"sperr/internal/speck"
 )
 
 // smoothField builds a realistic smooth-plus-noise scientific field.
@@ -298,6 +299,51 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.OutlierPercent() < 0 || st.OutlierPercent() > 100 {
 		t.Errorf("OutlierPercent = %g", st.OutlierPercent())
+	}
+}
+
+// TestPWELocateWithoutReplay covers the outlier-locate branch that real
+// decodes the SPECK stream because the encode could not take the integer
+// path (speck.ReplayScratch refuses): a field wholly inside the dead zone
+// (planes == 0), a tolerance so tight the coefficients need more than 52
+// planes, and a subnormal q. The PWE bound must hold on that branch too.
+func TestPWELocateWithoutReplay(t *testing.T) {
+	d := grid.D3(17, 23, 9)
+	for _, tc := range []struct {
+		name  string
+		scale float64 // multiplies smoothField's ~150-amplitude field
+		tol   float64
+	}{
+		{"dead zone", 1e-5, 1},
+		{"over 52 planes", 1, 1e-13},
+		{"subnormal q", 0x1p-1000, 0x1p-1030},
+	} {
+		data := smoothField(d, 5)
+		for i := range data {
+			data[i] *= tc.scale
+		}
+		s := NewScratch()
+		stream, st, err := EncodeChunkScratch(data, d, Params{Mode: ModePWE, Tol: tc.tol}, s)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		meta, err := DescribeChunk(stream)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The SPECK scratch still holds the encode's replay state unless
+		// the locate stage had to decode through it.
+		if _, ok := speck.ReplayScratch(d, meta.Q, &s.speck); ok {
+			t.Fatalf("%s: encode took the replay branch (planes=%d q=%g)", tc.name, meta.Planes, meta.Q)
+		}
+		rec, err := DecodeChunk(stream, d)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if e := maxErr(data, rec); e > tc.tol*(1+1e-9) {
+			t.Errorf("%s: max error %g exceeds tolerance %g (planes=%d outliers=%d)",
+				tc.name, e, tc.tol, meta.Planes, st.NumOutliers)
+		}
 	}
 }
 

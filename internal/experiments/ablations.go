@@ -8,9 +8,7 @@ import (
 	"sperr/internal/codec"
 	"sperr/internal/metrics"
 	"sperr/internal/outlier"
-	"sperr/internal/speck"
 	"sperr/internal/sz"
-	"sperr/internal/wavelet"
 )
 
 // This file holds ablation experiments for the design choices DESIGN.md
@@ -180,33 +178,6 @@ func AblationEntropy(cfg Config) *Result {
 		br := float64(len(raw)*8) / n
 		ba := float64(len(ac)*8) / n
 		r.AddRow(e.abbrev, f3(br), f3(ba), f2(100*(br-ba)/br))
-	}
-	return r
-}
-
-// AblationPartition compares SPERR's root-octree SPECK partitioning with
-// the classic S/I initialization of Pearlman et al. on transformed fields
-// at the Table II settings: the two differ only in a handful of set-test
-// bits at the top of the hierarchy, which justifies SPERR's simpler root
-// partitioning.
-func AblationPartition(cfg Config) *Result {
-	r := &Result{
-		ID:     "abl-partition",
-		Title:  "ablation: root-octree SPECK (SPERR) vs classic S/I partitioning",
-		Header: []string{"case", "root bits", "S/I bits", "diff %"},
-	}
-	for _, e := range figure9Entries(cfg.Quick) {
-		f := fieldByName(e.field, cfg.dims(), cfg.seed())
-		tol := f.tol(e.idx)
-		q := codec.DefaultQFactor * tol
-		coeffs := append([]float64(nil), f.vol.Data...)
-		plan := wavelet.NewPlan(f.vol.Dims)
-		plan.Forward(coeffs)
-		root := speck.Encode(coeffs, f.vol.Dims, q, 0)
-		si := speck.EncodeSI(coeffs, f.vol.Dims, q)
-		diff := 100 * (float64(si.Bits) - float64(root.Bits)) / float64(root.Bits)
-		r.AddRow(e.abbrev, fmt.Sprintf("%d", root.Bits), fmt.Sprintf("%d", si.Bits),
-			f2(diff))
 	}
 	return r
 }

@@ -287,7 +287,7 @@ func All(cfg Config) []*Result {
 		Figure5(cfg), Figure6(cfg), Figure7(cfg),
 		Figure8(cfg), Figure9(cfg), Figure10(cfg), Figure11(cfg),
 		AblationLossless(cfg), AblationOutlierCoder(cfg), AblationPredictor(cfg),
-		AblationEntropy(cfg), AblationBitGroom(cfg), AblationPartition(cfg),
+		AblationEntropy(cfg), AblationBitGroom(cfg),
 	}
 }
 
@@ -330,8 +330,6 @@ func ByID(id string) func(Config) *Result {
 		return AblationEntropy
 	case "abl-bitgroom":
 		return AblationBitGroom
-	case "abl-partition":
-		return AblationPartition
 	default:
 		return nil
 	}

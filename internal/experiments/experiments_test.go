@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -285,20 +284,10 @@ func TestAblationBitGroom(t *testing.T) {
 	}
 }
 
-func TestAblationPartitionNearIdentical(t *testing.T) {
-	r := AblationPartition(quickCfg())
-	for _, row := range r.Rows {
-		if d := parseF(t, row[3]); math.Abs(d) > 5 {
-			t.Errorf("%s: S/I vs root diff %g%%; expected near-identical", row[0], d)
-		}
-	}
-}
-
 func TestByIDCoversAll(t *testing.T) {
 	ids := []string{"tab1", "tab2", "fig1", "fig2", "fig3", "fig4", "fig5",
 		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"abl-lossless", "abl-outlier", "abl-predictor", "abl-entropy", "abl-bitgroom",
-		"abl-partition"}
+		"abl-lossless", "abl-outlier", "abl-predictor", "abl-entropy", "abl-bitgroom"}
 	for _, id := range ids {
 		if ByID(id) == nil {
 			t.Errorf("ByID(%q) = nil", id)

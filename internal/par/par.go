@@ -42,30 +42,6 @@ func Spans(total, threads int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// Split appends to dst the cut points of the exact partition Spans uses
-// for (total, threads) and returns the extended slice: worker w owns the
-// half-open range [cuts[w], cuts[w+1]), and len(cuts)-1 is the number of
-// spans actually run (which may be fewer than threads). Callers that must
-// merge per-span results in deterministic order use Split to know the
-// boundaries without duplicating the partition arithmetic.
-func Split(dst []int, total, threads int) []int {
-	if total <= 0 {
-		return append(dst, 0)
-	}
-	if threads > total {
-		threads = total
-	}
-	if threads <= 1 {
-		return append(dst, 0, total)
-	}
-	span := (total + threads - 1) / threads
-	dst = append(dst, 0)
-	for lo := span; lo < total; lo += span {
-		dst = append(dst, lo)
-	}
-	return append(dst, total)
-}
-
 // Workers clamps a requested thread count for a task of elems elements:
 // below minElems the spawn-and-barrier overhead outweighs the work and
 // the task stays serial.

@@ -326,10 +326,12 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", dims[0], dims[1], dims[2]))
 
 	out := bufio.NewWriterSize(w, 256<<10)
-	sa := newSlabAssembler(out, dims, chunkDims, width)
-	err = dec.ForEachChunk(sa.add)
+	ra := newRegionAssembler(out, [3]int{}, dims, dims, chunkDims, width)
+	err = dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
+		return ra.add(ch.Origin, ch.Dims, ch.Data)
+	})
 	if err == nil {
-		err = sa.done()
+		err = ra.done()
 	}
 	if err == nil {
 		err = out.Flush()

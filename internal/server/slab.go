@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"sync"
-
-	"sperr"
 )
 
 // regionAssembler turns out-of-order chunk-piece deliveries into an
@@ -20,8 +18,9 @@ import (
 // spanned by the in-flight piece set, never the region.
 //
 // The full-volume decompress path is the special case origin = (0,0,0),
-// dims = volume dims (see slabAssembler); the cluster scatter-gather
-// path feeds it chunk∩region intersections as peers answer.
+// dims = volume dims, fed whole chunks by the streaming Decoder; the
+// cluster scatter-gather path feeds it chunk∩region intersections as
+// peers answer.
 //
 // add is safe for concurrent use; the float narrowing/serialization
 // into the band buffer runs outside the lock, in parallel, on disjoint
@@ -137,22 +136,6 @@ func (ra *regionAssembler) done() error {
 	}
 	return nil
 }
-
-// slabAssembler is the full-volume specialization of regionAssembler,
-// fed by the streaming Decoder's out-of-order chunk deliveries.
-type slabAssembler struct {
-	ra *regionAssembler
-}
-
-func newSlabAssembler(w io.Writer, dims, chunkDims [3]int, width int) *slabAssembler {
-	return &slabAssembler{ra: newRegionAssembler(w, [3]int{}, dims, dims, chunkDims, width)}
-}
-
-func (sa *slabAssembler) add(ch sperr.DecodedChunk) error {
-	return sa.ra.add(ch.Origin, ch.Dims, ch.Data)
-}
-
-func (sa *slabAssembler) done() error { return sa.ra.done() }
 
 // putRow serializes a row of samples as little-endian floats of the given
 // width (4 narrows to float32).

@@ -1,6 +1,7 @@
 package speck
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -66,18 +67,27 @@ func BenchmarkSpeckDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeckEncodePar is the speculative subband coder at four
-// workers; its stream is byte-identical to BenchmarkSpeckEncode's.
-func BenchmarkSpeckEncodePar(b *testing.B) {
-	coeffs, dims := benchCoeffs(64)
+// BenchmarkSpeckEncodeWorkers is the surplus-thread guard: the same
+// volume coded with one and two workers at 64^3 and 128^3. The second
+// worker splits only quantize and fillTops (the traversal is serial), so
+// its row must sit within run-to-run spread of the serial one — giving a
+// chunk more workers is never a slowdown.
+func BenchmarkSpeckEncodeWorkers(b *testing.B) {
 	const q = 1.5e-3
-	var s Scratch
-	b.SetBytes(int64(len(coeffs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := EncodeScratchWorkers(coeffs, dims, q, 0, 4, &s)
-		if r.Bits == 0 {
-			b.Fatal("no output bits")
+	for _, n := range []int{64, 128} {
+		coeffs, dims := benchCoeffs(n)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				var s Scratch
+				b.SetBytes(int64(len(coeffs) * 8))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r := EncodeScratchWorkers(coeffs, dims, q, 0, workers, &s)
+					if r.Bits == 0 {
+						b.Fatal("no output bits")
+					}
+				}
+			})
 		}
 	}
 }
@@ -107,38 +117,6 @@ func BenchmarkSpeckDecodeAC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := DecodeEntropyScratch(res.Stream, dims, q, res.NumPlanes, 1, &s)
-		if len(out) != dims.Len() {
-			b.Fatal("short decode")
-		}
-		if i == 0 {
-			b.SetBytes(int64(len(out) * 8))
-		}
-	}
-}
-
-// BenchmarkSpeckEncodeSI / DecodeSI cover the classic S/I-initialized
-// traversal (si.go), which shares none of the octree fast path and keeps
-// the historical coder honest in the same table.
-func BenchmarkSpeckEncodeSI(b *testing.B) {
-	coeffs, dims := benchCoeffs(64)
-	const q = 1.5e-3
-	b.SetBytes(int64(len(coeffs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := EncodeSI(coeffs, dims, q)
-		if r.Bits == 0 {
-			b.Fatal("no output bits")
-		}
-	}
-}
-
-func BenchmarkSpeckDecodeSI(b *testing.B) {
-	coeffs, dims := benchCoeffs(64)
-	const q = 1.5e-3
-	res := EncodeSI(coeffs, dims, q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := DecodeSI(res.Stream, res.Bits, dims, q, res.NumPlanes)
 		if len(out) != dims.Len() {
 			b.Fatal("short decode")
 		}

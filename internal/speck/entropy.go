@@ -51,8 +51,6 @@ type source interface {
 // rawSink writes bits verbatim.
 type rawSink struct{ w *bits.Writer }
 
-func newRawSink(hint int) *rawSink { return &rawSink{w: bits.NewWriter(hint)} }
-
 func (s *rawSink) put(_ int, b bool) { s.w.WriteBit(b) }
 func (s *rawSink) bits() uint64      { return s.w.Len() }
 

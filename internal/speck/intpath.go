@@ -54,38 +54,6 @@ func intPathEligible(q float64, planes int) bool {
 	return planes > 0 && planes <= 52 && q >= 0x1p-1022
 }
 
-// uset is a set box with an integer magnitude cache; the octree build
-// uses it transiently to enumerate the topology.
-type uset struct {
-	x, y, z    int32
-	nx, ny, nz int32
-	umax       uint64
-}
-
-func (s *uset) single() bool { return s.nx == 1 && s.ny == 1 && s.nz == 1 }
-
-// splitSetU is splitSet for integer sets.
-func splitSetU(s *uset, dst *[8]uset) int {
-	var xs, ys, zs [2][2]int32
-	nx := splitAxis(s.x, s.nx, &xs)
-	ny := splitAxis(s.y, s.ny, &ys)
-	nz := splitAxis(s.z, s.nz, &zs)
-	k := 0
-	for zi := 0; zi < nz; zi++ {
-		for yi := 0; yi < ny; yi++ {
-			for xi := 0; xi < nx; xi++ {
-				dst[k] = uset{
-					x: xs[xi][0], nx: xs[xi][1],
-					y: ys[yi][0], ny: ys[yi][1],
-					z: zs[zi][0], nz: zs[zi][1],
-				}
-				k++
-			}
-		}
-	}
-	return k
-}
-
 // cpix is one coefficient's per-pixel record for the integer path: the
 // signed coefficient and its quantized magnitude floor(|c|/q), packed
 // side by side so pixel discovery reads one cache line instead of
@@ -121,17 +89,6 @@ type intEncoder struct {
 	insigE2   float64
 	planeBits []uint64
 	planeErr2 []float64
-	// Serial refinement folds the plane-record error sum into its vals
-	// sweep (same additions, same order); recordPlane then only covers the
-	// entries promoted after the pass. refFused marks refErr2/refN valid.
-	refFused bool
-	refErr2  float64
-	refN     int
-
-	// Speculative-pass scratch (see intpar.go).
-	items []uint64
-	cuts  []int
-	spans []encSpan
 }
 
 // resetLISI truncates the pooled node-id LIS buckets and their parallel
@@ -172,9 +129,6 @@ func (e *intEncoder) setup(s *Scratch, n int) {
 	e.vals = s.valsI[:0]
 	e.planeBits = s.planeBits[:0]
 	e.planeErr2 = s.planeErr2[:0]
-	e.items = s.itemsI[:0]
-	e.cuts = s.cutsI[:0]
-	e.spans = s.spansI
 }
 
 func (e *intEncoder) save(s *Scratch) {
@@ -185,9 +139,6 @@ func (e *intEncoder) save(s *Scratch) {
 	s.valsI = e.vals
 	s.planeBits = e.planeBits
 	s.planeErr2 = e.planeErr2
-	s.itemsI = e.items
-	s.cutsI = e.cuts
-	s.spansI = e.spans
 }
 
 // quantize fills the pixel records from coeffs and accumulates insigE2 in
@@ -285,8 +236,9 @@ func quantizeOne(m, q, r float64) uint64 {
 // intPathEligible. With entropy set the same decision sequence goes
 // through the adaptive range coder (SPECK-AC) instead of the raw writer;
 // entropy excludes size-bounded mode (enforced by encode). workers > 1
-// enables the speculative parallel passes in quality-bounded raw mode;
-// output is byte-identical at any worker count.
+// splits only the disjoint-write maps around the traversal (quantize,
+// fillTops); the sorting and refinement passes are serial, so output is
+// byte-identical at any worker count.
 func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, planes int, maxMag float64, entropy bool, workers int, s *Scratch) *Result {
 	n := dims.Len()
 	e := &intEncoder{
@@ -422,17 +374,12 @@ func (e *intEncoder) run(planes int) {
 	for n := planes - 1; n >= 0; n-- {
 		thr := e.q * math.Pow(2, float64(n))
 		n0 := len(e.ulsp) // LSP size before this plane's discoveries
-		if !e.sortingPassPar(n, thr) {
-			e.sortingPass(n, thr)
-		}
+		e.sortingPass(n, thr)
 		e.gatherNew(thr)
 		if e.bits() >= e.budget {
 			return
 		}
-		if !e.refinementPassPar(n, thr, n0) {
-			e.refinementPass(n, thr, n0)
-		}
-		e.recordPlane(thr)
+		e.recordPlane(thr, e.refinementPass(n, thr, n0), n0)
 		if e.bits() >= e.budget {
 			return
 		}
@@ -440,19 +387,13 @@ func (e *intEncoder) run(planes int) {
 }
 
 // recordPlane mirrors the float encoder's plane record exactly: vals holds
-// the same exact residuals, accumulated in the same LSP order. When the
-// serial refinement pass already folded the pre-promotion prefix into
-// refErr2, only the newly promoted tail remains; the addition sequence
-// (insigE2 first, then r*r in index order) is identical either way.
-func (e *intEncoder) recordPlane(thr float64) {
+// the same exact residuals, accumulated in the same LSP order. err2 is
+// refinementPass's sum over the first n0 entries, so only the tail
+// promoted on this plane remains; the addition sequence (insigE2 first,
+// then r*r in index order) is the float path's.
+func (e *intEncoder) recordPlane(thr, err2 float64, n0 int) {
 	half := thr / 2
-	err2 := e.insigE2
-	start := 0
-	if e.refFused {
-		err2, start = e.refErr2, e.refN
-		e.refFused = false
-	}
-	for _, v := range e.vals[start:] {
+	for _, v := range e.vals[n0:] {
 		r := v - half
 		err2 += r * r
 	}
@@ -664,9 +605,7 @@ outer:
 // subtraction, in discovery order (the float path's order, so the
 // accumulation stays bitwise identical). As a dependence-free batch loop
 // the random pixel-record loads overlap instead of stalling the
-// traversal one miss at a time. The speculative parallel pass gathers
-// inline (span merge already appends these), so the tail is empty after
-// it runs.
+// traversal one miss at a time.
 func (e *intEncoder) gatherNew(thr float64) {
 	newPos := e.lsp[len(e.ulsp):]
 	for _, pos := range newPos {
@@ -720,8 +659,10 @@ func (e *intEncoder) descendAC(node int32, depth int, p1 uint8, thr float64) {
 // the magnitude volume. The residual update is branch-free: thr*1 and
 // thr*0 are exact, and val-0 returns val unchanged, so the arithmetic is
 // identical to the float path's conditional subtraction. The float path
-// checks no budget mid-pass, so neither do we.
-func (e *intEncoder) refinementPass(n int, thr float64, n0 int) {
+// checks no budget mid-pass, so neither do we. The same sweep folds the
+// plane record's error sum over those n0 entries (insigE2 first, then r*r
+// in index order) and returns it for recordPlane to finish.
+func (e *intEncoder) refinementPass(n int, thr float64, n0 int) float64 {
 	shift := uint(n)
 	half := thr / 2
 	acc := e.insigE2
@@ -734,8 +675,7 @@ func (e *intEncoder) refinementPass(n int, thr float64, n0 int) {
 			r := v - half
 			acc += r * r
 		}
-		e.refErr2, e.refN, e.refFused = acc, n0, true
-		return
+		return acc
 	}
 	// Whole 64-entry blocks with constant inner bounds (no per-bit word
 	// flush check), then the tail.
@@ -767,8 +707,8 @@ func (e *intEncoder) refinementPass(n int, thr float64, n0 int) {
 		r := v - half
 		acc += r * r
 	}
-	e.refErr2, e.refN, e.refFused = acc, n0, true
 	if nb > 0 {
 		e.w.WriteBits(word, nb)
 	}
+	return acc
 }

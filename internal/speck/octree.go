@@ -57,7 +57,7 @@ type octree struct {
 }
 
 // buildOctree materializes the set-partitioning topology for dims by
-// breadth-first splitting from the root box, children in splitSetU order
+// breadth-first splitting from the root box, children in splitSet order
 // so node order matches the recursive traversal's sibling order.
 func buildOctree(dims grid.Dims) *octree {
 	n := dims.Len()
@@ -65,8 +65,8 @@ func buildOctree(dims grid.Dims) *octree {
 	t := &octree{dims: dims}
 	t.nod = make([]onode, 1, est)
 	t.leafOf = make([]int32, n)
-	boxes := make([]uset, 1, est)
-	boxes[0] = uset{nx: int32(dims.NX), ny: int32(dims.NY), nz: int32(dims.NZ)}
+	boxes := make([]set, 1, est)
+	boxes[0] = set{nx: int32(dims.NX), ny: int32(dims.NY), nz: int32(dims.NZ)}
 	t.levels = append(t.levels, 0, 1)
 	nextEnd := 1
 	for head := 0; head < len(boxes); head++ {
@@ -81,8 +81,8 @@ func buildOctree(dims grid.Dims) *octree {
 			t.leafOf[pos] = int32(head)
 			continue
 		}
-		var ch [8]uset
-		k := splitSetU(&b, &ch)
+		var ch [8]set
+		k := splitSet(&b, &ch)
 		t.nod[head] = internalNode(len(boxes), k)
 		boxes = append(boxes, ch[:k]...)
 		for j := 0; j < k; j++ {

@@ -100,8 +100,8 @@ func TestOctreeTopsMatchBruteForce(t *testing.T) {
 				}
 			}
 			// Replay the BFS: box j here must be node j there.
-			boxes := make([]uset, 1, tr.nodes())
-			boxes[0] = uset{nx: int32(dims.NX), ny: int32(dims.NY), nz: int32(dims.NZ)}
+			boxes := make([]set, 1, tr.nodes())
+			boxes[0] = set{nx: int32(dims.NX), ny: int32(dims.NY), nz: int32(dims.NZ)}
 			seenLeaf := make([]bool, dims.Len())
 			for head := 0; head < len(boxes); head++ {
 				b := boxes[head]
@@ -145,8 +145,8 @@ func TestOctreeTopsMatchBruteForce(t *testing.T) {
 				if nd.leaf() {
 					t.Fatalf("node %d: %+v box marked leaf", head, b)
 				}
-				var ch [8]uset
-				k := splitSetU(&b, &ch)
+				var ch [8]set
+				k := splitSet(&b, &ch)
 				first, gotK := nd.kids()
 				if int(first) != len(boxes) || gotK != k {
 					t.Fatalf("node %d: children (%d,%d), want (%d,%d)", head, first, gotK, len(boxes), k)

@@ -103,21 +103,16 @@ type Scratch struct {
 	planeBits []uint64
 	planeErr2 []float64
 	out       []float64
-	// Integer-path pools (see intpath.go, intpar.go, intdec.go).
-	pixI     []cpix
-	lisI     [][]int32
-	lisTI    [][]uint8
-	lspI     []int32
-	ulsp     []uint64
-	valsI    []float64
-	negI     []bool
-	negINew  []bool
-	trees    []*octree
-	topsT    []uint8
-	itemsI   []uint64
-	cutsI    []int
-	spansI   []encSpan
-	reconT   []float64
+	// Integer-path pools (see intpath.go, intdec.go).
+	pixI   []cpix
+	lisI   [][]int32
+	lisTI  [][]uint8
+	lspI   []int32
+	ulsp   []uint64
+	valsI  []float64
+	trees  []*octree
+	topsT  []uint8
+	reconT []float64
 	// Pooled arithmetic-coder endpoints (see entropy.go).
 	acs   *acSink
 	acsrc *acSource
@@ -160,10 +155,11 @@ func EncodeScratch(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, 
 }
 
 // EncodeScratchWorkers is EncodeScratch with up to workers threads
-// driving the octree max fill and the speculative sorting/refinement
-// passes. The stream is byte-identical to the serial coder's at any
-// worker count (the speculative merge is deterministic); extra threads
-// only engage in quality-bounded mode on passes with enough work.
+// splitting the integer path's two disjoint-write maps — quantization and
+// the octree tops fill — when a volume is large enough to pay for the
+// spawn. The bit-plane traversal itself is serial (DESIGN.md 4h records
+// the parallel passes that were measured and removed), so the stream is
+// byte-identical at any worker count; the float path ignores workers.
 func EncodeScratchWorkers(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, workers int, s *Scratch) *Result {
 	return encode(coeffs, dims, q, maxBits, false, workers, s)
 }
@@ -193,9 +189,11 @@ func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy
 	return encodeFloat(coeffs, dims, q, maxBits, entropy, maxMag, planes, s)
 }
 
-// encodeFloat is the reference float-residual traversal, used for entropy
-// coding and whenever the integer path's exactness preconditions fail. It
-// is also the oracle the integer path is tested against.
+// encodeFloat is the reference float-residual traversal. encode reaches
+// it only when the integer path cannot run: planes == 0 (everything in the
+// dead zone), planes > 52 or subnormal q (intPathEligible's exactness
+// preconditions), or a volume above maxOctreeLen. It is also the oracle
+// the integer path is tested against, in raw and SPECK-AC mode alike.
 func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy bool, maxMag float64, planes int, s *Scratch) *Result {
 	n := dims.Len()
 	var snk sink
@@ -507,8 +505,11 @@ func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes i
 	}
 	s.canReplay = false // the out buffer is being repurposed
 	if planes > 0 && planes <= 64 && dims.Len() <= maxOctreeLen {
-		// Phase-separated fast path (intdec.go); falls back here for
-		// streams needing partial-pass semantics.
+		// Phase-separated fast path (intdec.go). The general decoder below
+		// is the only path for planes <= 0, more than 64 planes, volumes
+		// above maxOctreeLen, and streams that run out mid-pass (size-bounded
+		// chunks, DecompressPartial, corrupt input), whose half-applied
+		// plane the fast path cannot represent.
 		if out, ok := decodeFast(stream, bitsAvail, dims, q, planes, entropy, workers, s); ok {
 			return out
 		}

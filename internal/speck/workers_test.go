@@ -10,8 +10,7 @@ import (
 )
 
 // parTestField builds a mixed smooth+noise volume with a wide magnitude
-// spread so mid planes carry LIS populations past the speculative-pass
-// work thresholds.
+// spread, so every plane carries real LIS and LSP populations.
 func parTestField(dims grid.Dims, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	v := make([]float64, dims.Len())
@@ -29,11 +28,12 @@ func parTestField(dims grid.Dims, seed int64) []float64 {
 }
 
 // TestEncodeIdenticalAcrossWorkers is the determinism contract of the
-// speculative subband coder: the stream, its exact bit count, and the
-// plane records (bit offsets and float error sums, compared bitwise) must
-// be byte-for-byte identical at every worker count. The 32^3 and 40^3
-// cases carry enough per-pass work to actually engage the parallel
-// sorting and refinement passes.
+// workers argument: the stream, its exact bit count, and the plane
+// records (bit offsets and float error sums, compared bitwise) must be
+// byte-for-byte identical at every worker count. The traversal is serial;
+// what the extra workers split is quantize (whose float energy sum must
+// keep its index order), octree.fillTops and the decoder's reconstruct,
+// and the 32^3 and 40^3 cases are large enough to engage all three.
 func TestEncodeIdenticalAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		dims grid.Dims
