@@ -45,7 +45,7 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-kernel micro-benchmarks: cache-blocked wavelet passes, integer
+# Hot-kernel micro-benchmarks: fused-lifting wavelet passes, integer
 # bit-plane SPECK (serial rows plus SpeckEncodeWorkers, the guard that a
 # second worker on one chunk is never a slowdown), the outlier coder at
 # production density (a 64^3 chunk with 10% and 2.5% outliers),

@@ -11,6 +11,33 @@ import (
 	"sperr/internal/wavelet"
 )
 
+// openChunk undoes the lossless layer (or strips the raw marker) of a
+// chunk stream, parses and validates its header against dims, and returns
+// the header, the body after it, and the byte length of the SPECK stream
+// at the front of the body.
+func openChunk(stream []byte, dims grid.Dims) (h *header, body []byte, speckBytes int, err error) {
+	if len(stream) < 1 {
+		return nil, nil, 0, fmt.Errorf("%w: empty stream", ErrCorrupt)
+	}
+	payload := stream[1:]
+	if stream[0] != 0xFF {
+		if payload, err = lossless.Decompress(stream); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if h, err = parseHeader(payload); err != nil {
+		return nil, nil, 0, err
+	}
+	if err = h.checkPoints(dims); err != nil {
+		return nil, nil, 0, err
+	}
+	body = payload[headerSize:]
+	if h.speckBits > uint64(len(body))*8 {
+		return nil, nil, 0, fmt.Errorf("%w: SPECK stream truncated", ErrCorrupt)
+	}
+	return h, body, int((h.speckBits + 7) / 8), nil
+}
+
 // DecodeChunkPartial reconstructs a chunk from a prefix of its embedded
 // SPECK bitstream: fraction in (0, 1] selects how many of the coded bits
 // to use. This exercises the embedded property of SPECK streams the paper
@@ -24,31 +51,10 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64) ([]floa
 	if !(fraction > 0 && fraction <= 1) {
 		return nil, fmt.Errorf("codec: fraction must be in (0, 1], got %g", fraction)
 	}
-	if len(stream) < 1 {
-		return nil, fmt.Errorf("%w: empty stream", ErrCorrupt)
-	}
-	var payload []byte
-	if stream[0] == 0xFF {
-		payload = stream[1:]
-	} else {
-		var err error
-		payload, err = lossless.Decompress(stream)
-		if err != nil {
-			return nil, err
-		}
-	}
-	h, err := parseHeader(payload)
+	h, body, speckBytes, err := openChunk(stream, dims)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.checkPoints(dims); err != nil {
-		return nil, err
-	}
-	body := payload[headerSize:]
-	if h.speckBits > uint64(len(body))*8 {
-		return nil, fmt.Errorf("%w: SPECK stream truncated", ErrCorrupt)
-	}
-	speckBytes := int((h.speckBits + 7) / 8)
 	if h.entropy && fraction < 1 {
 		return nil, errors.New("codec: entropy-coded streams do not support partial decode")
 	}
@@ -82,31 +88,10 @@ func DecodeChunkLowRes(stream []byte, dims grid.Dims, drop int) ([]float64, grid
 	if drop < 0 {
 		return nil, grid.Dims{}, fmt.Errorf("codec: negative drop %d", drop)
 	}
-	if len(stream) < 1 {
-		return nil, grid.Dims{}, fmt.Errorf("%w: empty stream", ErrCorrupt)
-	}
-	var payload []byte
-	if stream[0] == 0xFF {
-		payload = stream[1:]
-	} else {
-		var err error
-		payload, err = lossless.Decompress(stream)
-		if err != nil {
-			return nil, grid.Dims{}, err
-		}
-	}
-	h, err := parseHeader(payload)
+	h, body, speckBytes, err := openChunk(stream, dims)
 	if err != nil {
 		return nil, grid.Dims{}, err
 	}
-	if err := h.checkPoints(dims); err != nil {
-		return nil, grid.Dims{}, err
-	}
-	body := payload[headerSize:]
-	if h.speckBits > uint64(len(body))*8 {
-		return nil, grid.Dims{}, fmt.Errorf("%w: SPECK stream truncated", ErrCorrupt)
-	}
-	speckBytes := int((h.speckBits + 7) / 8)
 	var coeffs []float64
 	if h.entropy {
 		coeffs = speck.DecodeEntropy(body[:speckBytes], dims, h.q, int(h.planes))

@@ -26,10 +26,15 @@ func benchField(d grid.Dims) []float64 {
 	return data
 }
 
+// benchCubes are the transform benchmarks' edge lengths: 64 is the
+// pipeline's default chunk, 128 spills L2, and 100 (levels 100/50/25/13)
+// keeps odd lengths and tile remainders from becoming a cliff.
+var benchCubes = []int{64, 100, 128}
+
 // BenchmarkWaveletForward3D measures the full multi-level forward CDF 9/7
 // transform — the chunk pipeline's stage 1 (paper Figure 6).
 func BenchmarkWaveletForward3D(b *testing.B) {
-	for _, n := range []int{64, 128} {
+	for _, n := range benchCubes {
 		b.Run(fmt.Sprintf("%dcube", n), func(b *testing.B) {
 			dims := grid.D3(n, n, n)
 			src := benchField(dims)
@@ -49,17 +54,20 @@ func BenchmarkWaveletForward3D(b *testing.B) {
 // BenchmarkWaveletInverse3D is the synthesis-side counterpart, exercised
 // by both the decoder and the encoder's outlier-locate stage.
 func BenchmarkWaveletInverse3D(b *testing.B) {
-	const n = 64
-	dims := grid.D3(n, n, n)
-	src := benchField(dims)
-	plan := NewPlan(dims)
-	var s Scratch
-	plan.ForwardScratch(src, &s)
-	data := make([]float64, len(src))
-	b.SetBytes(int64(len(src) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(data, src)
-		plan.InverseScratch(data, &s)
+	for _, n := range benchCubes {
+		b.Run(fmt.Sprintf("%dcube", n), func(b *testing.B) {
+			dims := grid.D3(n, n, n)
+			src := benchField(dims)
+			plan := NewPlan(dims)
+			var s Scratch
+			plan.ForwardScratch(src, &s)
+			data := make([]float64, len(src))
+			b.SetBytes(int64(len(src) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(data, src)
+				plan.InverseScratch(data, &s)
+			}
+		})
 	}
 }

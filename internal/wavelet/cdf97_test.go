@@ -161,6 +161,20 @@ func TestPlanSchedule(t *testing.T) {
 			t.Errorf("level %d: all axes should be active", i)
 		}
 	}
+	for n := 1; n <= 300; n++ {
+		assertActiveLengths(t, NewPlan(grid.D3(n, n, n)))
+	}
+}
+
+// Every pass a plan schedules runs on lines of at least 8 samples — the
+// invariant NewPlan states and the fused kernels rely on.
+func assertActiveLengths(t *testing.T, p *Plan) {
+	t.Helper()
+	for i, st := range p.steps {
+		if st.ax && st.nx < 8 || st.ay && st.ny < 8 || st.az && st.nz < 8 {
+			t.Fatalf("%v level %d: active axis shorter than 8 in box %dx%dx%d", p.Dims(), i, st.nx, st.ny, st.nz)
+		}
+	}
 }
 
 func TestPlanAnisotropic(t *testing.T) {
@@ -177,6 +191,12 @@ func TestPlanAnisotropic(t *testing.T) {
 		if p.steps[i].az {
 			t.Errorf("level %d should not transform z", i)
 		}
+	}
+	// Axes that go inactive at different depths, in every position.
+	for n := 1; n <= 300; n++ {
+		assertActiveLengths(t, NewPlan(grid.D3(n, 301-n, 8)))
+		assertActiveLengths(t, NewPlan(grid.D3(64, n, 301-n)))
+		assertActiveLengths(t, NewPlan(grid.D3(301-n, 7, n)))
 	}
 }
 

@@ -1,14 +1,18 @@
 package wavelet
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"sperr/internal/grid"
 )
 
-// panelTestDims stresses the blocked passes across tile-boundary and
+// panelTestDims stresses the tiled passes across tile-boundary and
 // degenerate shapes: 1-thick axes, odd/prime extents, exact panelW
-// multiples, panelW remainders, and lengths below the transform minimum.
+// multiples, panelW remainders, lengths below the transform minimum, the
+// minimum itself, and 100 cubed, whose levels 100/50/25/13 reach odd
+// lengths at depth.
 var panelTestDims = []grid.Dims{
 	{NX: 1, NY: 37, NZ: 1},
 	{NX: 1, NY: 1, NZ: 29},
@@ -21,19 +25,14 @@ var panelTestDims = []grid.Dims{
 	{NX: 48, NY: 5, NZ: 23},
 	{NX: 3, NY: 41, NZ: 2},
 	{NX: 64, NY: 7, NZ: 1},
+	{NX: 8, NY: 8, NZ: 8},
+	{NX: 19, NY: 24, NZ: 10},
+	{NX: 130, NY: 9, NZ: 8},
+	{NX: 100, NY: 100, NZ: 100},
 }
 
 func panelTestField(d grid.Dims, seed uint64) []float64 {
-	data := make([]float64, d.NX*d.NY*d.NZ)
-	s := seed | 1
-	for i := range data {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		// Mix magnitudes so every lifting step sees non-trivial rounding.
-		data[i] = (float64(int64(s))/float64(1<<62))*1e3 + float64(i%17)
-	}
-	return data
+	return kernelField(d.Len(), seed)
 }
 
 func assertBitIdentical(t *testing.T, got, want []float64, what string) {
@@ -45,8 +44,8 @@ func assertBitIdentical(t *testing.T, got, want []float64, what string) {
 	}
 }
 
-// The blocked panel passes must reproduce the scalar gather/scatter
-// reference bit-for-bit on every shape.
+// The fused passes must reproduce the scalar gather/scatter reference
+// bit-for-bit on every shape, forward and at every inverse depth.
 func TestBlockedMatchesScalarReference(t *testing.T) {
 	for _, d := range panelTestDims {
 		p := NewPlan(d)
@@ -59,11 +58,52 @@ func TestBlockedMatchesScalarReference(t *testing.T) {
 		p.ForwardScratch(got, nil)
 		assertBitIdentical(t, got, want, d.String()+" forward")
 
-		wantInv := append([]float64(nil), want...)
-		p.inverseScalarRef(wantInv)
-		gotInv := append([]float64(nil), want...)
-		p.InverseScratch(gotInv, nil)
-		assertBitIdentical(t, gotInv, wantInv, d.String()+" inverse")
+		for drop := 0; drop <= p.NumLevels(); drop++ {
+			wantInv := append([]float64(nil), want...)
+			p.inverseToLevelScalarRef(wantInv, drop)
+			gotInv := append([]float64(nil), want...)
+			p.InverseToLevel(gotInv, drop)
+			assertBitIdentical(t, gotInv, wantInv, fmt.Sprintf("%v inverse to level %d", d, drop))
+		}
+	}
+}
+
+// One field of the values where a dropped, reordered or reassociated
+// operation shows: subnormals and signed zeros throughout, and a sparse
+// scatter of magnitudes around MaxFloat64/2, beyond which the mirrored
+// boundary form c*(x+x) overflows where 2*c*x does not (the kernel tests
+// place such a value at every boundary position; here they cross levels
+// and axes).
+func TestEdgeValuesMatchScalarReference(t *testing.T) {
+	small := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, -0x1p-1030, 1, -1}
+	huge := []float64{math.MaxFloat64 / 2, -math.MaxFloat64 / 2, math.MaxFloat64 * 0.6, -math.MaxFloat64 * 0.3}
+	for _, d := range []grid.Dims{{NX: 19, NY: 24, NZ: 10}, {NX: 16, NY: 9, NZ: 8}} {
+		p := NewPlan(d)
+		orig := make([]float64, d.Len())
+		s := uint64(d.NX)
+		for i := range orig {
+			s = s*6364136223846793005 + 1442695040888963407
+			if r := s >> 33; r%16 == 0 {
+				orig[i] = huge[r/16%uint64(len(huge))]
+			} else {
+				orig[i] = small[r/16%uint64(len(small))]
+			}
+		}
+		want := append([]float64(nil), orig...)
+		p.forwardScalarRef(want)
+		got := append([]float64(nil), orig...)
+		p.Forward(got)
+		assertBitIdentical(t, got, want, d.String()+" edge forward")
+
+		// The raw field as inverse input too: the forward output has
+		// lost most of the huge values to overflow.
+		for _, in := range [][]float64{orig, want} {
+			wantInv := append([]float64(nil), in...)
+			p.inverseToLevelScalarRef(wantInv, 0)
+			gotInv := append([]float64(nil), in...)
+			p.Inverse(gotInv)
+			assertBitIdentical(t, gotInv, wantInv, d.String()+" edge inverse")
+		}
 	}
 }
 
@@ -111,5 +151,13 @@ func TestScratchThreadedSteadyState(t *testing.T) {
 	}
 	if g := s.TotalGrows(); g != before {
 		t.Fatalf("scratch grew after warm-up: %d -> %d", before, g)
+	}
+	// The serial path on a warmed scratch allocates nothing at all.
+	work := append([]float64(nil), data...)
+	if a := testing.AllocsPerRun(5, func() {
+		p.ForwardScratch(work, s)
+		p.InverseScratch(work, s)
+	}); a != 0 {
+		t.Fatalf("serial transform allocates %v times per run, want 0", a)
 	}
 }

@@ -25,7 +25,10 @@ type Plan struct {
 
 // NewPlan builds the transform schedule for dims. Axes of different length
 // receive different numbers of passes: an axis is active at level i while
-// i < Levels(axis length).
+// i < Levels(axis length). Since Levels(N) = floor(log2 N) - 2, an active
+// axis has N >= 2^(i+3), and i ceil-halvings leave its current length at
+// least 8: every scheduled pass transforms lines of 8 or more samples,
+// which is the only case the fused kernels handle.
 func NewPlan(dims grid.Dims) *Plan {
 	lx, ly, lz := Levels(dims.NX), Levels(dims.NY), Levels(dims.NZ)
 	total := lx
@@ -60,44 +63,34 @@ func (p *Plan) Dims() grid.Dims { return p.dims }
 func (p *Plan) NumLevels() int { return len(p.steps) }
 
 // Scratch holds the per-call temporaries of a multi-dimensional transform
-// — 1D line buffers plus the panel tiles of the blocked Y/Z passes — so
-// repeated transforms (one per chunk in the parallel pipeline) reuse
-// buffers instead of allocating. The zero value is ready; buffers grow on
-// demand and are retained across calls. A Scratch is not safe for
-// concurrent use — give each worker its own; the threaded transform entry
-// points draw per-goroutine sub-scratches from the same arena. Plans stay
-// immutable and shareable.
+// — the fused kernels' pipeline state and half-line side buffer — so
+// repeated transforms (one per chunk in the parallel pipeline) reuse them
+// instead of allocating. The zero value is ready; the buffer grows on
+// demand and is retained across calls. A Scratch is not safe for concurrent use —
+// give each worker its own; the threaded transform entry points draw
+// per-goroutine sub-scratches from the same arena. Plans stay immutable
+// and shareable.
 type Scratch struct {
-	line, tmp   []float64
-	panel, ptmp []float64
-	subs        []*Scratch  // lazily grown per-extra-goroutine arenas
-	ws          []*Scratch  // pooled worker-set slice handed to the passes
+	state [panelW]lift
+	side  []float64
+	subs  []*Scratch // lazily grown per-extra-goroutine arenas
+	ws    []*Scratch // pooled worker-set slice handed to the passes
 	// Grows counts how many times this scratch's buffers had to be
 	// (re)allocated; a warmed-up steady state stops growing. Sub-scratch
 	// growth is reported by TotalGrows.
 	Grows int
 }
 
-// buffers returns the line and deinterleave temporaries, each of length n.
-func (s *Scratch) buffers(n int) (line, tmp []float64) {
-	if cap(s.line) < n || cap(s.tmp) < n {
-		s.line = make([]float64, n)
-		s.tmp = make([]float64, n)
+// sideRows returns the side buffer for lines of up to n samples: the half
+// of a tile (or, at its front, of one contiguous X line) that a kernel
+// must set aside.
+func (s *Scratch) sideRows(n int) []float64 {
+	need := (n + 1) / 2 * panelW
+	if cap(s.side) < need {
+		s.side = make([]float64, need)
 		s.Grows++
 	}
-	return s.line[:n], s.tmp[:n]
-}
-
-// panels returns the panel tile and its deinterleave twin, each sized for
-// n rows of panelW columns.
-func (s *Scratch) panels(n int) (panel, ptmp []float64) {
-	need := n * panelW
-	if cap(s.panel) < need || cap(s.ptmp) < need {
-		s.panel = make([]float64, need)
-		s.ptmp = make([]float64, need)
-		s.Grows++
-	}
-	return s.panel[:need], s.ptmp[:need]
+	return s.side[:need]
 }
 
 // workerSet returns [threads] scratches with s itself as worker 0,
@@ -168,13 +161,13 @@ func (p *Plan) ForwardScratchThreads(data []float64, s *Scratch, threads int) {
 	}
 	ws := s.workerSet(threads)
 	for _, st := range p.steps {
-		if st.ax && st.nx >= 4 {
+		if st.ax {
 			p.passX(data, st, true, ws)
 		}
-		if st.ay && st.ny >= 4 {
+		if st.ay {
 			p.passY(data, st, true, ws)
 		}
-		if st.az && st.nz >= 4 {
+		if st.az {
 			p.passZ(data, st, true, ws)
 		}
 	}
@@ -229,13 +222,13 @@ func (p *Plan) InverseToLevelScratchThreads(data []float64, drop int, s *Scratch
 	ws := s.workerSet(threads)
 	for i := len(p.steps) - 1; i >= drop; i-- {
 		st := p.steps[i]
-		if st.az && st.nz >= 4 {
+		if st.az {
 			p.passZ(data, st, false, ws)
 		}
-		if st.ay && st.ny >= 4 {
+		if st.ay {
 			p.passY(data, st, false, ws)
 		}
-		if st.ax && st.nx >= 4 {
+		if st.ax {
 			p.passX(data, st, false, ws)
 		}
 	}
@@ -294,177 +287,76 @@ func maxLine(d grid.Dims) int {
 }
 
 // passX transforms every x-line of the approximation box; lines are
-// contiguous in memory, so no panel tiling is needed. The line slice is
-// three-index capped once per line so the 1D kernels' inner loops carry
-// no aliasing or bounds re-checks.
+// contiguous in memory, so the fused line kernel runs on them in place.
 func (p *Plan) passX(data []float64, st step, fwd bool, ws []*Scratch) {
 	lines := st.nz * st.ny
-	nx, ny, stride := st.nx, st.ny, p.dims.NX
-	par.Spans(lines, spanWorkers(len(ws), lines*nx), func(w, lo, hi int) {
-		_, tmp := ws[w].buffers(maxLine(p.dims))
-		for li := lo; li < hi; li++ {
-			z, y := li/ny, li%ny
-			off := (z*p.dims.NY + y) * stride
-			s := data[off : off+nx : off+nx]
-			if fwd {
-				Forward1D(s, tmp)
-			} else {
-				Inverse1D(s, tmp)
-			}
-		}
-	})
+	if nw := spanWorkers(len(ws), lines*st.nx); nw > 1 {
+		par.Spans(lines, nw, func(w, lo, hi int) { p.spanX(data, st, fwd, ws[w], lo, hi) })
+		return
+	}
+	p.spanX(data, st, fwd, ws[0], 0, lines) // no closure: the serial path allocates nothing
 }
 
-// passY transforms every y-line of the approximation box with the blocked
-// panel kernels: panelW x-adjacent lines are gathered into a dense ny×w
-// panel (contiguous w-element row copies), lifted with unit-stride inner
-// loops, and scattered back.
+// spanX runs the fused line kernel over x-lines [lo, hi).
+func (p *Plan) spanX(data []float64, st step, fwd bool, s *Scratch, lo, hi int) {
+	side := s.sideRows(maxLine(p.dims))
+	for li := lo; li < hi; li++ {
+		off := (li/st.ny*p.dims.NY + li%st.ny) * p.dims.NX
+		if line := data[off : off+st.nx : off+st.nx]; fwd {
+			forwardLine(line, side)
+		} else {
+			inverseLine(line, side)
+		}
+	}
+}
+
+// passY transforms every y-line of the approximation box and passZ every
+// z-line, both in tiles of panelW x-adjacent lines (see spanTiles).
 func (p *Plan) passY(data []float64, st step, fwd bool, ws []*Scratch) {
-	ny := st.ny
-	nblk := (st.nx + panelW - 1) / panelW
-	tiles := st.nz * nblk
-	par.Spans(tiles, spanWorkers(len(ws), st.nx*st.ny*st.nz), func(wk, lo, hi int) {
-		panel, ptmp := ws[wk].panels(ny)
-		for ti := lo; ti < hi; ti++ {
-			z, b := ti/nblk, ti%nblk
-			x0 := b * panelW
-			w := st.nx - x0
-			if w > panelW {
-				w = panelW
-			}
-			base := z*p.dims.NY*p.dims.NX + x0
-			for y := 0; y < ny; y++ {
-				copy(panel[y*w:(y+1)*w], data[base+y*p.dims.NX:])
-			}
-			if fwd {
-				forwardPanel(panel, ptmp, ny, w)
-			} else {
-				inversePanel(panel, ptmp, ny, w)
-			}
-			for y := 0; y < ny; y++ {
-				copy(data[base+y*p.dims.NX:base+y*p.dims.NX+w], panel[y*w:])
-			}
-		}
-	})
+	p.passTiles(data, st, false, fwd, ws)
 }
 
-// passZ transforms every z-line of the approximation box with the blocked
-// panel kernels, tiling over x within each y-row.
 func (p *Plan) passZ(data []float64, st step, fwd bool, ws []*Scratch) {
-	nz := st.nz
+	p.passTiles(data, st, true, fwd, ws)
+}
+
+// passTiles splits the tiles of a strided pass over the workers. Tiles are
+// independent, so the split cannot change results.
+func (p *Plan) passTiles(data []float64, st step, zAxis, fwd bool, ws []*Scratch) {
+	tiles := (st.nx + panelW - 1) / panelW
+	if zAxis {
+		tiles *= st.ny
+	} else {
+		tiles *= st.nz
+	}
+	if nw := spanWorkers(len(ws), st.nx*st.ny*st.nz); nw > 1 {
+		par.Spans(tiles, nw, func(w, lo, hi int) { p.spanTiles(data, st, zAxis, fwd, ws[w], lo, hi) })
+		return
+	}
+	p.spanTiles(data, st, zAxis, fwd, ws[0], 0, tiles)
+}
+
+// spanTiles runs the fused tile kernel over tiles [lo, hi). A y-pass tile
+// is up to panelW x-adjacent lines of one z-plane, samples a row apart; a
+// z-pass tile is the same within one y-row, samples a plane apart.
+func (p *Plan) spanTiles(data []float64, st step, zAxis, fwd bool, s *Scratch, lo, hi int) {
 	plane := p.dims.NY * p.dims.NX
+	n, stride, gstride := st.ny, p.dims.NX, plane
+	if zAxis {
+		n, stride, gstride = st.nz, plane, p.dims.NX
+	}
 	nblk := (st.nx + panelW - 1) / panelW
-	tiles := st.ny * nblk
-	par.Spans(tiles, spanWorkers(len(ws), st.nx*st.ny*st.nz), func(wk, lo, hi int) {
-		panel, ptmp := ws[wk].panels(nz)
-		for ti := lo; ti < hi; ti++ {
-			y, b := ti/nblk, ti%nblk
-			x0 := b * panelW
-			w := st.nx - x0
-			if w > panelW {
-				w = panelW
-			}
-			off := y*p.dims.NX + x0
-			for z := 0; z < nz; z++ {
-				copy(panel[z*w:(z+1)*w], data[off+z*plane:])
-			}
-			if fwd {
-				forwardPanel(panel, ptmp, nz, w)
-			} else {
-				inversePanel(panel, ptmp, nz, w)
-			}
-			for z := 0; z < nz; z++ {
-				copy(data[off+z*plane:off+z*plane+w], panel[z*w:])
-			}
+	side := s.sideRows(maxLine(p.dims))
+	for ti := lo; ti < hi; ti++ {
+		x0 := ti % nblk * panelW
+		w := st.nx - x0
+		if w > panelW {
+			w = panelW
 		}
-	})
-}
-
-// --- scalar reference path ---------------------------------------------
-//
-// The pre-blocking gather/scatter passes are retained as the bit-exactness
-// oracle for the panel kernels: transform tests assert the blocked passes
-// reproduce these results exactly on every dimension shape.
-
-// forwardScalarRef applies the analysis transform with per-line
-// gather/scatter passes (the reference implementation).
-func (p *Plan) forwardScalarRef(data []float64) {
-	line := make([]float64, maxLine(p.dims))
-	tmp := make([]float64, maxLine(p.dims))
-	ws := []*Scratch{{}}
-	for _, st := range p.steps {
-		if st.ax && st.nx >= 4 {
-			p.passX(data, st, true, ws)
-		}
-		if st.ay && st.ny >= 4 {
-			p.passYScalar(data, st, true, line, tmp)
-		}
-		if st.az && st.nz >= 4 {
-			p.passZScalar(data, st, true, line, tmp)
-		}
-	}
-}
-
-// inverseScalarRef inverts forwardScalarRef.
-func (p *Plan) inverseScalarRef(data []float64) {
-	line := make([]float64, maxLine(p.dims))
-	tmp := make([]float64, maxLine(p.dims))
-	ws := []*Scratch{{}}
-	for i := len(p.steps) - 1; i >= 0; i-- {
-		st := p.steps[i]
-		if st.az && st.nz >= 4 {
-			p.passZScalar(data, st, false, line, tmp)
-		}
-		if st.ay && st.ny >= 4 {
-			p.passYScalar(data, st, false, line, tmp)
-		}
-		if st.ax && st.nx >= 4 {
-			p.passX(data, st, false, ws)
-		}
-	}
-}
-
-// passYScalar transforms every y-line via per-element gather/scatter.
-func (p *Plan) passYScalar(data []float64, st step, fwd bool, line, scratch []float64) {
-	ny := st.ny
-	s := line[:ny]
-	for z := 0; z < st.nz; z++ {
-		base := z * p.dims.NY * p.dims.NX
-		for x := 0; x < st.nx; x++ {
-			for y := 0; y < ny; y++ {
-				s[y] = data[base+y*p.dims.NX+x]
-			}
-			if fwd {
-				Forward1D(s, scratch)
-			} else {
-				Inverse1D(s, scratch)
-			}
-			for y := 0; y < ny; y++ {
-				data[base+y*p.dims.NX+x] = s[y]
-			}
-		}
-	}
-}
-
-// passZScalar transforms every z-line via per-element gather/scatter.
-func (p *Plan) passZScalar(data []float64, st step, fwd bool, line, scratch []float64) {
-	nz := st.nz
-	plane := p.dims.NY * p.dims.NX
-	s := line[:nz]
-	for y := 0; y < st.ny; y++ {
-		for x := 0; x < st.nx; x++ {
-			off := y*p.dims.NX + x
-			for z := 0; z < nz; z++ {
-				s[z] = data[off+z*plane]
-			}
-			if fwd {
-				Forward1D(s, scratch)
-			} else {
-				Inverse1D(s, scratch)
-			}
-			for z := 0; z < nz; z++ {
-				data[off+z*plane] = s[z]
-			}
+		if base := ti/nblk*gstride + x0; fwd {
+			forwardTile(data, base, stride, n, w, &s.state, side)
+		} else {
+			inverseTile(data, base, stride, n, w, &s.state, side)
 		}
 	}
 }
