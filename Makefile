@@ -2,15 +2,20 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race faultinject fuzz bench bench-kernels bench-check bench-e2e profile-kernels cover experiments examples serve-smoke cluster-smoke chaos-smoke clean
+.PHONY: all build vet fmt-check test test-race faultinject fuzz bench bench-kernels bench-check bench-e2e profile-kernels cover experiments examples serve-smoke cluster-smoke chaos-smoke clean
 
-all: build vet test
+all: build vet fmt-check test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate; bench/ is excluded because a PR that claims a gain may not
+# edit it, so its formatting is fixed only by a benchmark PR.
+fmt-check:
+	test -z "$$(gofmt -l . | grep -v '^bench/')"
 
 test:
 	$(GO) test ./...

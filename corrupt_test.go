@@ -42,7 +42,7 @@ func TestCorruptStreamsErrorNotPanic(t *testing.T) {
 		// Claimed chunk count cannot fit in the remaining bytes.
 		"chunk count beyond stream": append(containerHeader(16, 16, 16, 8, 8, 8, 0xFFFFFF), 0, 0, 0, 0),
 		// Chunk count disagrees with the declared geometry.
-		"wrong chunk count": append(containerHeader(16, 16, 16, 8, 8, 8, 3), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"wrong chunk count":     append(containerHeader(16, 16, 16, 8, 8, 8, 3), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 		"truncated first frame": valid[:8+4*7+2],
 		"truncated payload":     valid[:len(valid)-3],
 		// v2-specific header damage: right magic, hostile fields.

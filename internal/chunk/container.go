@@ -17,9 +17,9 @@ type container struct {
 	volDims   grid.Dims
 	chunkDims grid.Dims
 	chunks    []grid.Chunk
-	payloads  [][]byte          // one compressed stream per chunk, aliasing the input
-	crcs      []uint32          // v2+: expected payload crc32c, verified lazily
-	codecs    []codec.CodecID   // v3: per-chunk codec map from the footer
+	payloads  [][]byte        // one compressed stream per chunk, aliasing the input
+	crcs      []uint32        // v2+: expected payload crc32c, verified lazily
+	codecs    []codec.CodecID // v3: per-chunk codec map from the footer
 	agg       aggregates
 	hasAgg    bool
 }

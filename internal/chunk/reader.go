@@ -174,8 +174,8 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 	maxFrame := maxFrameBytesFor(maxChunkLen)
 
 	var (
-		failed  atomic.Bool
-		mu      sync.Mutex
+		failed   atomic.Bool
+		mu       sync.Mutex
 		firstErr error
 	)
 	fail := func(err error) {

@@ -139,11 +139,11 @@ func TestRegionDecodesMinimalChunks(t *testing.T) {
 		d          grid.Dims
 		want       int
 	}{
-		{0, 0, 0, grid.D3(4, 4, 4), 1},     // corner cutout: 1 of 8
-		{20, 20, 20, grid.D3(4, 4, 4), 1},  // interior of the last chunk
-		{8, 8, 8, grid.D3(16, 16, 16), 8},  // center straddles all 8
-		{0, 0, 0, grid.D3(32, 32, 1), 4},   // one XY plane: a z-layer of 4
-		{14, 0, 0, grid.D3(4, 4, 4), 2},    // crosses one x boundary
+		{0, 0, 0, grid.D3(4, 4, 4), 1},    // corner cutout: 1 of 8
+		{20, 20, 20, grid.D3(4, 4, 4), 1}, // interior of the last chunk
+		{8, 8, 8, grid.D3(16, 16, 16), 8}, // center straddles all 8
+		{0, 0, 0, grid.D3(32, 32, 1), 4},  // one XY plane: a z-layer of 4
+		{14, 0, 0, grid.D3(4, 4, 4), 2},   // crosses one x boundary
 	}
 	for _, c := range cases {
 		_, decoded, err := decompressRegionCounted(stream, c.x0, c.y0, c.z0, c.d, 0)

@@ -135,10 +135,10 @@ func Campaign(stream []byte) ([]Mutant, error) {
 	// degenerate boundary cases.
 	cutSet := map[int]bool{0: true, 1: true, 8: true, 20: true, 35: true}
 	for _, fr := range l.frames {
-		cutSet[fr[0]] = true                 // before the frame
-		cutSet[fr[0]+4] = true               // after its length prefix
-		cutSet[(fr[0]+fr[1])/2] = true       // mid-payload
-		cutSet[fr[1]] = true                 // after the frame
+		cutSet[fr[0]] = true                // before the frame
+		cutSet[fr[0]+4] = true              // after its length prefix
+		cutSet[(fr[0]+fr[1])/2] = true      // mid-payload
+		cutSet[fr[1]] = true                // after the frame
 		if l.version >= 2 && fr[1]-1 >= 0 { // inside the trailing CRC
 			cutSet[fr[1]-2] = true
 		}
@@ -185,11 +185,11 @@ func Campaign(stream []byte) ([]Mutant, error) {
 	}
 	if l.footer[1] > l.footer[0] {
 		fo := l.footer[0]
-		flips = append(flips, pos{fo, "footer"})                       // first index entry
-		flips = append(flips, pos{(fo + l.footer[1]) / 2, "footer"})   // aggregates region
-		flips = append(flips, pos{l.size - 20, "footer"})              // tail CRC
-		flips = append(flips, pos{l.size - 16, "footer"})              // tail indexOffset
-		flips = append(flips, pos{l.size - 4, "footer"})               // tail magic
+		flips = append(flips, pos{fo, "footer"})                     // first index entry
+		flips = append(flips, pos{(fo + l.footer[1]) / 2, "footer"}) // aggregates region
+		flips = append(flips, pos{l.size - 20, "footer"})            // tail CRC
+		flips = append(flips, pos{l.size - 16, "footer"})            // tail indexOffset
+		flips = append(flips, pos{l.size - 4, "footer"})             // tail magic
 	}
 	for _, p := range flips {
 		for _, mask := range []byte{0x01, 0x80} {

@@ -124,12 +124,12 @@ func (c Config) withDefaults() Config {
 
 // Server is one sperrd instance: handlers plus the shared service state.
 type Server struct {
-	cfg      Config
-	adm      *Admission
-	reg      *obs.Registry
-	log      *slog.Logger
-	mux      *http.ServeMux
-	hs       *http.Server
+	cfg       Config
+	adm       *Admission
+	reg       *obs.Registry
+	log       *slog.Logger
+	mux       *http.ServeMux
+	hs        *http.Server
 	store     *store.Store
 	cluster   *cluster.Cluster
 	stopScrub func()
