@@ -51,8 +51,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-kernel micro-benchmarks: fused-lifting wavelet passes, integer
-# bit-plane SPECK (serial rows plus SpeckEncodeWorkers, the guard that a
-# second worker on one chunk is never a slowdown), the outlier coder at
+# bit-plane SPECK (serial rows at two steps — 6.5 bit/pt, and the ...Tight
+# rows at 16.5 bit/pt, where refinement bits dominate — SpeckReplay, plus
+# SpeckEncodeWorkers, the guard that a second worker on one chunk is
+# never a slowdown), the outlier coder at
 # production density (a 64^3 chunk with 10% and 2.5% outliers),
 # word-batched bit I/O, the end-to-end single-thread and
 # surplus-worker pipelines (CompressPWE64 vs CompressPWEIntra64), and the
@@ -62,7 +64,7 @@ bench:
 bench-kernels:
 	$(GO) test -run='TestParallelCoderMatchesSerialGolden' -count=1 .
 	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchmem ./internal/wavelet/
-	$(GO) test -run='^$$' -bench='SpeckEncode|SpeckDecode' -benchmem ./internal/speck/
+	$(GO) test -run='^$$' -bench='SpeckEncode|SpeckDecode|SpeckReplay' -benchmem ./internal/speck/
 	$(GO) test -run='^$$' -bench='OutlierEncode|OutlierDecode|OutlierApply' -benchmem ./internal/outlier/
 	$(GO) test -run='^$$' -bench='BitsReadWrite' -benchmem ./internal/bits/
 	$(GO) test -run='^$$' -bench='CompressPWE64|CompressPWEIntra64|Decompress64' -benchmem .

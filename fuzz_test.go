@@ -52,6 +52,20 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bpp)
+	// Stream-resident refinement coverage: a 17-plane chunk (one plane past
+	// the fast decoder's two byte lanes, so the per-bit lane runs), and an
+	// RMSE-mode stream, which is cut exactly at a plane boundary and so
+	// reconstructs with a floor above plane 0.
+	p17, _, err := CompressPWE(multiData, [3]int{20, 13, 9}, 1e-3, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(p17)
+	cutAtPlane, _, err := CompressRMSE(multiData, [3]int{20, 13, 9}, 0.05, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cutAtPlane)
 	// SPECK-AC coverage: an arith-coded container, truncated arith tails
 	// (the range decoder must treat byte exhaustion as stream end, not
 	// read past it), and flips in the chunk-header region where the

@@ -556,13 +556,22 @@ func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []chunkH
 // Reports whether every requested chunk was delivered.
 func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) bool {
 	cctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
 	results := make(chan error, 2)
+	inflight := 0
+	// The request that lost the race may be inside sink.deliver, writing
+	// a piece it claimed first into the caller's response; cancel it and
+	// wait it out, so nothing is emitted after the caller has moved on.
+	defer func() {
+		cancel()
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+	}()
 	launch := func() {
+		inflight++
 		go func() { results <- c.fetchChunks(cctx, peer, id, hs, sink) }()
 	}
 	launch()
-	inflight := 1
 	var hedgeC <-chan time.Time
 	if c.hedgeAfter > 0 {
 		t := time.NewTimer(c.hedgeAfter)
@@ -585,7 +594,6 @@ func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHi
 				c.hooks.OnHedge(peer)
 			}
 			launch()
-			inflight++
 		case <-cctx.Done():
 			return false
 		}

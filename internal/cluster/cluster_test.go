@@ -627,3 +627,46 @@ func TestIngestRejectsV1(t *testing.T) {
 		t.Fatal("v1 container accepted for sharding")
 	}
 }
+
+// TestHedgedFetchWaitsForTheLoser: when a hedge and its primary race, the
+// request that claimed a chunk first may still be inside the emit
+// callback — writing into the coordinator's HTTP response — at the moment
+// the other one reports the whole set delivered. fetchHedged must not
+// return until that emit has finished; returning early let the handler
+// complete and the late write hit a dead ResponseWriter (a nil-pointer
+// panic in bufio seen under the cluster_r2 benchmark on a busy host).
+func TestHedgedFetchWaitsForTheLoser(t *testing.T) {
+	var calls atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			time.Sleep(150 * time.Millisecond) // the primary is slow: the hedge claims the chunk
+		}
+		var frame [16]byte
+		binary.LittleEndian.PutUint32(frame[4:8], 1) // chunk 0, one sample
+		binary.LittleEndian.PutUint64(frame[8:], math.Float64bits(42))
+		w.Write(frame[:])
+	}))
+	defer peer.Close()
+	c, err := New(Config{
+		Self:       "node-a",
+		Peers:      map[string]string{"node-a": "http://self.invalid", "node-b": peer.URL},
+		Timeout:    5 * time.Second,
+		HedgeAfter: 20 * time.Millisecond,
+	}, newFakePeer(t).st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var emitted atomic.Bool
+	sink := newChunkSink(func(p ChunkPiece) error {
+		time.Sleep(400 * time.Millisecond) // a slow client socket
+		emitted.Store(true)
+		return nil
+	})
+	ok := c.fetchHedged(context.Background(), "node-b", "vol", []chunkHit{{index: 0, dims: [3]int{1, 1, 1}}}, sink)
+	if !ok || calls.Load() != 2 {
+		t.Fatalf("fetchHedged ok=%v after %d requests, want success after a hedge", ok, calls.Load())
+	}
+	if !emitted.Load() {
+		t.Fatal("fetchHedged returned while the losing request was still emitting its piece")
+	}
+}

@@ -30,11 +30,21 @@ func benchCoeffs(n int) ([]float64, grid.Dims) {
 	return data, dims
 }
 
+// benchQ codes benchCoeffs(64) in 16 planes at 6.5 bit/pt; benchQTight in
+// 26 planes at 16.5 bit/pt — the regime of the codec_tight workload
+// (15 bit/pt), where refinement bits are most of the stream.
+const (
+	benchQ      = 1.5e-3
+	benchQTight = 1.5e-6
+)
+
 // BenchmarkSpeckEncode measures quality-bounded SPECK coding of a 64^3
 // coefficient volume — the chunk pipeline's stage 2 (paper Figure 6).
-func BenchmarkSpeckEncode(b *testing.B) {
+func BenchmarkSpeckEncode(b *testing.B)      { benchEncode(b, benchQ) }
+func BenchmarkSpeckEncodeTight(b *testing.B) { benchEncode(b, benchQTight) }
+
+func benchEncode(b *testing.B, q float64) {
 	coeffs, dims := benchCoeffs(64)
-	const q = 1.5e-3
 	var s Scratch
 	b.SetBytes(int64(len(coeffs) * 8))
 	b.ResetTimer()
@@ -46,34 +56,59 @@ func BenchmarkSpeckEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeckDecode is the decoder-side counterpart, also exercised by
-// the encoder's outlier-locate stage. MB/s is reported over the decoded
-// sample bytes (dims.Len() float64s), the same denominator the encode
-// benchmark uses for its input, so the two rows are directly comparable.
-func BenchmarkSpeckDecode(b *testing.B) {
+// BenchmarkSpeckDecode is the decoder-side counterpart. MB/s is reported
+// over the decoded sample bytes (dims.Len() float64s), the same
+// denominator the encode benchmark uses for its input, so the rows are
+// directly comparable.
+func BenchmarkSpeckDecode(b *testing.B)      { benchDecode(b, benchQ) }
+func BenchmarkSpeckDecodeTight(b *testing.B) { benchDecode(b, benchQTight) }
+
+func benchDecode(b *testing.B, q float64) {
 	coeffs, dims := benchCoeffs(64)
-	const q = 1.5e-3
 	res := Encode(coeffs, dims, q, 0)
 	var s Scratch
+	b.SetBytes(int64(len(coeffs) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := DecodeScratch(res.Stream, res.Bits, dims, q, res.NumPlanes, &s)
 		if len(out) != dims.Len() {
 			b.Fatal("short decode")
 		}
-		if i == 0 {
-			b.SetBytes(int64(len(out) * 8))
-		}
+	}
+}
+
+// BenchmarkSpeckReplay is the encoder's outlier-locate shortcut: the
+// decoder's reconstruction synthesized from the last encode's pixel
+// records (one table load per coefficient), at both regimes.
+func BenchmarkSpeckReplay(b *testing.B) {
+	coeffs, dims := benchCoeffs(64)
+	for _, tc := range []struct {
+		name string
+		q    float64
+	}{{"loose", benchQ}, {"tight", benchQTight}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var s Scratch
+			EncodeScratch(coeffs, dims, tc.q, 0, &s)
+			b.SetBytes(int64(len(coeffs) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := ReplayScratch(dims, tc.q, &s); !ok {
+					b.Fatal("replay declined")
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkSpeckEncodeWorkers is the surplus-thread guard: the same
 // volume coded with one and two workers at 64^3 and 128^3. The second
-// worker splits only quantize and fillTops (the traversal is serial), so
-// its row must sit within run-to-run spread of the serial one — giving a
-// chunk more workers is never a slowdown.
+// worker splits only quantize and fillTops — both now disjoint-write maps
+// with no serial tail — while the traversal stays serial, so the
+// workers=2 row must not read above the serial one (BENCH_KERNELS.json:
+// 0.89x at 64^3, 0.90x at 128^3 on two shared CPUs). It guards against a
+// slowdown; it is not a scaling claim.
 func BenchmarkSpeckEncodeWorkers(b *testing.B) {
-	const q = 1.5e-3
+	const q = benchQ
 	for _, n := range []int{64, 128} {
 		coeffs, dims := benchCoeffs(n)
 		for _, workers := range []int{1, 2} {
@@ -97,7 +132,7 @@ func BenchmarkSpeckEncodeWorkers(b *testing.B) {
 // adaptive range coder's contexts.
 func BenchmarkSpeckEncodeAC(b *testing.B) {
 	coeffs, dims := benchCoeffs(64)
-	const q = 1.5e-3
+	const q = benchQ
 	var s Scratch
 	b.SetBytes(int64(len(coeffs) * 8))
 	b.ResetTimer()
@@ -111,7 +146,7 @@ func BenchmarkSpeckEncodeAC(b *testing.B) {
 
 func BenchmarkSpeckDecodeAC(b *testing.B) {
 	coeffs, dims := benchCoeffs(64)
-	const q = 1.5e-3
+	const q = benchQ
 	res := EncodeEntropy(coeffs, dims, q)
 	var s Scratch
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package speck
 
 import (
+	"encoding/binary"
 	"math"
 	mbits "math/bits"
 
@@ -10,23 +11,26 @@ import (
 
 // Fast phase-separated decoder. The general decoder (speck.go) interleaves
 // float reconstruction updates with bit reads through a source interface;
-// this path instead accumulates each discovered pixel's quantized
-// magnitude u as integer bits — the discovery plane sets bit n, each
-// refinement bit ORs into place — and materializes the float values once
-// at the end with the same expressions, in the same per-pixel order, the
-// general decoder would have used (discovery at 1.5*thr, then +-thr/2 per
-// plane, descending). The final reconstruction is therefore bit-identical
-// while the per-bit hot loop touches only the octree tables and two flat
-// arrays, with no interface dispatch, and the final scatter parallelizes
-// over disjoint output positions.
+// this path runs the sorting passes alone — one list of discovered
+// positions and signs — and leaves every refinement bit where it lies. A
+// refinement pass at plane p carries one bit per pixel discovered on an
+// earlier plane, in discovery order, so pixel i of the list owns stream
+// bit refStart[p]+i, and plane p's discoveries are the index range
+// [cnt[p+1], cnt[p]) of post-sorting list sizes. A raw refinement pass is
+// therefore a budget check, two recorded numbers and a skip; SPECK-AC,
+// whose bits must be range-decoded in order, writes them to a pooled
+// buffer laid out the same way. reconstruct then rebuilds the quantized
+// magnitudes 64 pixels at a time from those bits and takes the float
+// values from reconTab — the very values the general decoder's per-bit
+// updates produce — so the result is bit-identical, and no per-pixel
+// array is swept once per plane (DESIGN.md 4h).
 //
 // The path covers complete streams and streams truncated exactly at a
 // plane boundary (quality-bounded and ModeRMSE chunks). A stream that
 // runs out mid-pass (arbitrary bit budgets, corrupt input) aborts and the
 // caller re-runs the general decoder, whose partial-plane semantics are
-// the contract; u accumulation cannot represent a half-applied plane.
-// Streams with more than 64 planes exceed uint64 magnitudes and use the
-// general decoder as well.
+// the contract and have no place in this layout; so do streams of more
+// than 64 planes, which exceed uint64 magnitudes.
 
 type intDecoder struct {
 	tree *octree
@@ -40,7 +44,13 @@ type intDecoder struct {
 	// bit 31 (positions are volume indexes, well under 2^31); one append
 	// per leaf and a branch-free sign apply in reconstruct.
 	lspPos []int32
-	lspU   []uint64
+
+	// refStart[p] is the bit position in r.buf of plane p's refinement
+	// pass, cnt[p] the list size after its sorting pass (cnt[planes] = 0).
+	// In SPECK-AC mode r ends up pointed at acBits, the range-decoded copy.
+	refStart [64]uint64
+	cnt      [65]int32
+	acBits   []byte
 }
 
 // rawCursor is an inline bit reader over the stream: a budget compare and
@@ -62,42 +72,37 @@ func (c *rawCursor) bit() bool {
 	return b
 }
 
-// peek returns at least the next 57 readable bits (zero-padded past the
-// data) without advancing. One unaligned load plus a shift in the common
-// case; the caller must not consume more than 57 of them.
-func (c *rawCursor) peek() uint64 {
-	i := c.pos >> 3
-	if i+8 <= uint64(len(c.buf)) {
-		b := c.buf[i : i+8 : i+8]
-		v := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		return v >> (c.pos & 7)
-	}
+// window returns the stream bits from absolute bit position pos up, LSB
+// first — at least 57 of them, zero-padded past the data. One unaligned
+// load and a shift; only a position inside the buffer's last 8 bytes is
+// assembled bytewise.
+func (c *rawCursor) window(pos uint64) uint64 {
+	i := pos >> 3
 	var v uint64
-	sh := uint(0)
-	for j := i; j < uint64(len(c.buf)); j++ {
-		v |= uint64(c.buf[j]) << sh
-		sh += 8
+	if i+8 <= uint64(len(c.buf)) {
+		v = binary.LittleEndian.Uint64(c.buf[i:])
+	} else {
+		for j, k := i, uint(0); j < uint64(len(c.buf)); j, k = j+1, k+8 {
+			v |= uint64(c.buf[j]) << k
+		}
 	}
-	return v >> (c.pos & 7)
+	return v >> (pos & 7)
 }
 
-// bits64 reads nb bits LSB-first; the caller has checked the budget.
-func (c *rawCursor) bits64(nb uint) uint64 {
-	pos := c.pos
-	c.pos += uint64(nb)
-	var v uint64
-	got := uint(0)
-	for got < nb {
-		b := uint64(c.buf[pos>>3] >> (pos & 7))
-		take := 8 - uint(pos&7)
-		if take > nb-got {
-			take = nb - got
-			b &= (uint64(1) << take) - 1
-		}
-		v |= b << got
-		got += take
-		pos += uint64(take)
+// peek returns the next readable bits without advancing; the caller must
+// not consume more than window's 57.
+func (c *rawCursor) peek() uint64 { return c.window(c.pos) }
+
+// load returns the nb <= 64 bits at pos without moving the cursor. The
+// caller guarantees pos+nb <= 8*len(buf), so when the field straddles the
+// window's eight bytes the ninth exists.
+func (c *rawCursor) load(pos uint64, nb uint) uint64 {
+	v := c.window(pos)
+	if sh := uint(pos & 7); sh+nb > 64 {
+		v |= uint64(c.buf[pos>>3+8]) << (64 - sh)
+	}
+	if nb < 64 {
+		v &= 1<<nb - 1
 	}
 	return v
 }
@@ -120,7 +125,7 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 	d.lis, _ = s.resetLISI()
 	d.nd = 1
 	d.lspPos = s.lspI[:0]
-	d.lspU = s.ulsp[:0]
+	d.acBits = s.refBits[:0]
 	d.lis[0] = append(d.lis[0], 0)
 	floor := 0
 	for p := planes - 1; p >= 0; p-- {
@@ -132,10 +137,13 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 			break
 		}
 		n0 := len(d.lspPos)
-		if !d.sortingPass(p) || !d.refinementPass(p, n0) {
+		if !d.sortingPass() || !d.refinementPass(p, n0) {
 			d.save(s)
 			return nil, false
 		}
+	}
+	if d.ac != nil {
+		d.r.buf = d.acBits
 	}
 	out := d.reconstruct(n, q, floor, planes, workers, s)
 	d.save(s)
@@ -145,7 +153,10 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 func (d *intDecoder) save(s *Scratch) {
 	s.lisI = d.lis
 	s.lspI = d.lspPos
-	s.ulsp = d.lspU
+	if cap(d.acBits) > cap(s.refBits) {
+		s.Grows++
+	}
+	s.refBits = d.acBits
 }
 
 func (d *intDecoder) ensureDepth(depth int) {
@@ -162,7 +173,7 @@ func (d *intDecoder) ensureDepth(depth int) {
 // general decoder for partial-pass semantics. Raw mode consumes runs of
 // zero decisions — the common case on every plane — a word-peek at a
 // time: trailing-zero counts turn per-bit reads into bulk keeps.
-func (d *intDecoder) sortingPass(n int) bool {
+func (d *intDecoder) sortingPass() bool {
 	for depth := d.nd - 1; depth >= 0; depth-- {
 		bucket := d.lis[depth]
 		kept := bucket[:0]
@@ -191,7 +202,7 @@ func (d *intDecoder) sortingPass(n int) bool {
 					d.r.pos++ // the significance 1-bit
 					node := bucket[i]
 					i++
-					if !d.descend(node, depth, n) {
+					if !d.descend(node, depth) {
 						return false
 					}
 				}
@@ -199,7 +210,7 @@ func (d *intDecoder) sortingPass(n int) bool {
 		} else {
 			for _, node := range bucket {
 				if d.ac.get(sigCtx(depth)) {
-					d.descendAC(node, depth, n)
+					d.descendAC(node, depth)
 				} else {
 					kept = append(kept, node)
 				}
@@ -218,7 +229,7 @@ func (d *intDecoder) sortingPass(n int) bool {
 // k-1-i bits are guaranteed present (the last child's bit is implied when
 // it is the sole significant one), so the peek is capped accordingly and
 // the implied case falls out as an all-zeros run.
-func (d *intDecoder) descend(node int32, depth, n int) bool {
+func (d *intDecoder) descend(node int32, depth int) bool {
 	t := d.tree
 	nd := t.nod[node]
 outer:
@@ -271,7 +282,7 @@ outer:
 				continue outer
 			}
 			anySig = true
-			if !d.descend(first+int32(i), childDepth, n) {
+			if !d.descend(first+int32(i), childDepth) {
 				return false
 			}
 			i++
@@ -286,13 +297,12 @@ outer:
 		pos |= 1 << 31
 	}
 	d.lspPos = append(d.lspPos, int32(pos))
-	d.lspU = append(d.lspU, uint64(1)<<uint(n))
 	return true
 }
 
 // descendAC mirrors descend through the range decoder, which never
 // exhausts (reads past the end synthesize zero bytes).
-func (d *intDecoder) descendAC(node int32, depth, n int) {
+func (d *intDecoder) descendAC(node int32, depth int) {
 	t := d.tree
 	nd := t.nod[node]
 	if nd.leaf() {
@@ -301,7 +311,6 @@ func (d *intDecoder) descendAC(node int32, depth, n int) {
 			pos |= 1 << 31
 		}
 		d.lspPos = append(d.lspPos, int32(pos))
-		d.lspU = append(d.lspU, uint64(1)<<uint(n))
 		return
 	}
 	first, k := nd.kids()
@@ -311,131 +320,217 @@ func (d *intDecoder) descendAC(node int32, depth, n int) {
 	for i := 0; i < k; i++ {
 		c := first + int32(i)
 		if i == k-1 && !anySig {
-			d.descendAC(c, childDepth, n)
+			d.descendAC(c, childDepth)
 			return
 		}
 		if d.ac.get(sigCtx(childDepth)) {
 			anySig = true
-			d.descendAC(c, childDepth, n)
+			d.descendAC(c, childDepth)
 		} else {
 			d.lis[childDepth] = append(d.lis[childDepth], c)
 		}
 	}
 }
 
-// refinementPass ORs plane n's refinement bits into the first n0 pixels'
-// magnitudes (the pixels discovered before this plane), word-batched in
-// raw mode.
-func (d *intDecoder) refinementPass(n, n0 int) bool {
-	shift := uint(n)
-	if d.ac != nil {
-		for i := 0; i < n0; i++ {
-			if d.ac.get(ctxRefine) {
-				d.lspU[i] |= 1 << shift
-			}
+// refinementPass closes plane p's sorting pass (cnt) and locates its n0
+// refinement bits without applying them. Raw mode records where they start
+// and skips them; a pass the budget cuts short is general-decoder
+// territory. SPECK-AC decodes them into acBits, each plane on a fresh word
+// so load never reads past the end.
+func (d *intDecoder) refinementPass(p, n0 int) bool {
+	d.cnt[p] = int32(len(d.lspPos))
+	if d.ac == nil {
+		if d.r.budget-d.r.pos < uint64(n0) {
+			return false
 		}
+		d.refStart[p] = d.r.pos
+		d.r.pos += uint64(n0)
 		return true
 	}
-	if d.r.budget-d.r.pos < uint64(n0) {
-		return false // plane cut mid-refinement: general decoder territory
-	}
-	i := 0
-	for ; i+64 <= n0; i += 64 {
-		word := d.r.bits64(64)
-		for j := 0; j < 64; j++ {
-			d.lspU[i+j] |= (word & 1) << shift
-			word >>= 1
+	d.refStart[p] = uint64(len(d.acBits)) * 8
+	for i := 0; i < n0; i += 64 {
+		var w uint64
+		for k := 0; k < 64 && i+k < n0; k++ {
+			if d.ac.get(ctxRefine) {
+				w |= 1 << uint(k)
+			}
 		}
-	}
-	if rem := n0 - i; rem > 0 {
-		word := d.r.bits64(uint(rem))
-		for j := 0; j < rem; j++ {
-			d.lspU[i+j] |= (word & 1) << shift
-			word >>= 1
-		}
+		d.acBits = binary.LittleEndian.AppendUint64(d.acBits, w)
 	}
 	return true
 }
 
-// reconstruct materializes the output: zeros everywhere, and for each
-// discovered pixel the decoder's float value rebuilt from its magnitude
-// bits in the decoder's op order (1.5*thr at the top plane, +-thr/2 per
-// refined plane descending to floor). Pixels scatter to disjoint
-// positions, so the loop splits across workers.
-func (d *intDecoder) reconstruct(n int, q float64, floor, planes, workers int, s *Scratch) []float64 {
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
+// reconTab turns a quantized magnitude u into the decoder's float value
+// for one (q, floor): the per-plane thresholds and a table of the values'
+// bit patterns for small u. val(u) — 1.5*thr at u's top plane, then
+// +-thr/2 per lower plane down to floor, the general decoder's update
+// sequence — depends only on u's bits and obeys
+// val(u) = fl(2*val(u>>1) +- halfs[floor]): doubling every intermediate of
+// the shorter chain is exact and commutes with each addition's rounding as
+// long as no intermediate at either scale is subnormal, so a table entry
+// is bit-identical to the scalar chain. A table over u < 2^min(planes,16)
+// covers almost every pixel with one load; the few larger magnitudes take
+// chain. It is built only when the deepest half-scale chain stays normal
+// (values stay above halfs[floor]*2^-17 through 16 halvings) and is kept
+// on the Scratch: it depends on nothing but (q, floor), so decode and
+// ReplayScratch share it and a worker coding many chunks at one q fills it
+// once. tab[0] is +0: an insignificant pixel.
+type reconTab struct {
+	q           float64
+	floor       int
+	thrs, halfs [64]float64
+	tab         []uint64
+}
+
+// reconFor returns the scratch's table for (q, floor), reset on a key
+// change and extended to u < 2^min(planes,16) — less for few pixels.
+func (s *Scratch) reconFor(q float64, floor, planes, npix int) *reconTab {
+	rc := &s.recon
+	if rc.q != q || rc.floor != floor {
+		rc.q, rc.floor, rc.tab = q, floor, rc.tab[:0]
+		for p := range rc.thrs {
+			rc.thrs[p] = q * math.Pow(2, float64(p))
+			rc.halfs[p] = rc.thrs[p] / 2
+		}
+	}
+	size := 1 << uint(min(planes, 16, mbits.Len(uint(npix))+3))
+	hb := rc.halfs[floor]
+	if hb < 0x1p-1000 || size <= len(rc.tab) {
+		return rc
+	}
+	if cap(rc.tab) < size {
+		rc.tab = append(make([]uint64, 0, size), rc.tab...)
 		s.Grows++
 	}
-	out := s.out[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	var thrs, halfs [64]float64
-	for p := floor; p < planes; p++ {
-		thr := q * math.Pow(2, float64(p))
-		thrs[p] = thr
-		halfs[p] = thr / 2
-	}
-	sign := [2]float64{-1, 1}
-	npix := len(d.lspPos)
-
-	// Memoized reconstruction: val(u) depends only on u's bit pattern (and
-	// floor), and obeys val(u) = fl(2*val(u>>1) +- halfs[floor]) — doubling
-	// every intermediate of the shorter chain is exact and commutes with
-	// each addition's rounding as long as no intermediate at either scale
-	// is subnormal, so the table entry is bit-identical to the scalar
-	// chain. Wavelet coefficients concentrate at small magnitudes, so a
-	// table over u < 2^min(planes,16) covers almost every pixel with one
-	// load instead of a serial FP add chain; larger magnitudes (the few
-	// early discoveries) take the scalar loop. The subnormal guard keeps
-	// the deepest half-scale chain normal (values stay above
-	// halfs[floor]*2^-17 through 16 halvings).
-	tb := planes
-	if tb > 16 {
-		tb = 16
-	}
-	tsize := 0
-	var tab []float64
-	if halfs[floor] >= 0x1p-1000 && npix >= 1<<uint(tb-4) {
-		tsize = 1 << uint(tb)
-		if cap(s.reconT) < tsize {
-			s.reconT = make([]float64, tsize)
-			s.Grows++
+	w := max(len(rc.tab), 1)
+	rc.tab = rc.tab[:size]
+	rc.tab[0] = 0
+	for ; w < size; w++ {
+		var v float64
+		if t := mbits.Len64(uint64(w)) - 1; t <= floor {
+			v = 1.5 * rc.thrs[t]
+		} else if prev := math.Float64frombits(rc.tab[w>>1]); (w>>uint(floor))&1 != 0 {
+			v = 2*prev + hb
+		} else {
+			v = 2*prev - hb
 		}
-		tab = s.reconT[:tsize]
-		hb := halfs[floor]
-		for w := 1; w < tsize; w++ {
-			if t := mbits.Len64(uint64(w)) - 1; t <= floor {
-				tab[w] = 1.5 * thrs[t]
-			} else if (w>>uint(floor))&1 != 0 {
-				tab[w] = 2*tab[w>>1] + hb
-			} else {
-				tab[w] = 2*tab[w>>1] - hb
-			}
+		rc.tab[w] = math.Float64bits(v)
+	}
+	return rc
+}
+
+// chain is val(u) by the general decoder's own update sequence.
+func (rc *reconTab) chain(u uint64) float64 {
+	if u == 0 {
+		return 0
+	}
+	top := mbits.Len64(u) - 1
+	val := 1.5 * rc.thrs[top]
+	sign := [2]float64{-1, 1} // exact +-1 multipliers: branch-free refinement
+	for p := top - 1; p >= rc.floor; p-- {
+		val += rc.halfs[p] * sign[(u>>uint(p))&1]
+	}
+	return val
+}
+
+// spread8[b] holds bit j of b in the low bit of byte j: the 8-bit to
+// 8-byte spread that transposes refinement words into per-pixel bytes.
+var spread8 = func() (t [256]uint64) {
+	for b := range t {
+		for j := 0; j < 8; j++ {
+			t[b] |= uint64(b>>uint(j)&1) << uint(8*j)
 		}
 	}
+	return
+}()
 
+// reconstruct materializes the output: zeros, then each discovered
+// pixel's signed value. Pixels scatter to disjoint positions, so 64-pixel
+// blocks split across workers.
+func (d *intDecoder) reconstruct(n int, q float64, floor, planes, workers int, s *Scratch) []float64 {
+	s.out = pooled(s.out, n, &s.Grows)
+	out := s.out
+	clear(out)
+	npix := int(d.cnt[floor])
+	rc := s.reconFor(q, floor, planes, npix)
 	th := par.Workers(workers, npix, 1<<13)
-	par.Spans(npix, th, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := d.lspU[i]
-			var val float64
-			if u < uint64(tsize) {
-				val = tab[u]
-			} else {
-				top := mbits.Len64(u) - 1
-				val = 1.5 * thrs[top]
-				for p := top - 1; p >= floor; p-- {
-					val += halfs[p] * sign[(u>>uint(p))&1]
-				}
-			}
-			// val > 0 always, so ORing the packed sign bit into the float
-			// is an exact branch-free negate.
-			pe := uint32(d.lspPos[i])
-			vb := math.Float64bits(val) | uint64(pe>>31)<<63
-			out[pe&0x7fffffff] = math.Float64frombits(vb)
-		}
+	par.Spans((npix+63)/64, th, func(_, lo, hi int) {
+		d.reconBlocks(out, rc, lo*64, min(hi*64, npix), planes)
 	})
 	return out
+}
+
+// reconBlocks rebuilds pixels [lo, hi) of the discovery list, lo a
+// multiple of 64. Per block, each plane below the block's first (highest)
+// discovery plane contributes one <= 64-bit load of refinement bits —
+// pixels it does not refine yet lie past its pass's end and read as zero —
+// which spread8 transposes into byte lanes: byte j&7 of lanes[j>>3] gets
+// pixel j's bits for planes 0-7, of lanes[8+j>>3] planes 8-15; planes >=
+// 16 reach only a deep stream's first pixels and go bit by bit into wide.
+// The block is then walked in runs of equal discovery plane tp (the cnt
+// boundaries): u is bit tp plus the gathered bits, and a run at the floor
+// has none, so it stores one constant — about half of all pixels at loose
+// tolerances, which is what keeps low-rate streams at the old speed.
+func (d *intDecoder) reconBlocks(out []float64, rc *reconTab, lo, hi, planes int) {
+	floor, tab := rc.floor, rc.tab
+	tp := planes - 1
+	var wide [64]uint64
+	for b := lo; b < hi; b += 64 {
+		for int(d.cnt[tp]) <= b {
+			tp--
+		}
+		var lanes [16]uint64
+		for p := floor; p < tp; p++ {
+			w := d.r.load(d.refStart[p]+uint64(b), uint(min(64, int(d.cnt[p+1])-b)))
+			if p < 16 {
+				l := lanes[p&8 : p&8+8 : p&8+8]
+				for g := range l {
+					l[g] |= spread8[uint8(w>>uint(8*g))] << uint(p&7)
+				}
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
+				wide[mbits.TrailingZeros64(w)] |= 1 << uint(p)
+			}
+		}
+		end := min(b+64, hi)
+		for i := b; i < end; {
+			for int(d.cnt[tp]) <= i {
+				tp--
+			}
+			runEnd := min(end, int(d.cnt[tp]))
+			top := uint64(1) << uint(tp)
+			if tp == floor {
+				vb := math.Float64bits(1.5 * rc.thrs[tp])
+				for ; i < runEnd; i++ {
+					pe := uint32(d.lspPos[i])
+					out[pe&0x7fffffff] = math.Float64frombits(vb | uint64(pe>>31)<<63)
+				}
+				continue
+			}
+			for i < runEnd {
+				j := i - b
+				sh := uint(j&7) * 8
+				l, h := lanes[j>>3]>>sh, lanes[8+(j>>3)]>>sh
+				for ge := min(runEnd, i+8-(j&7)); i < ge; i++ {
+					u := top | (l & 0xff) | (h&0xff)<<8
+					l, h = l>>8, h>>8
+					if tp > 16 {
+						u |= wide[i-b]
+						wide[i-b] = 0
+					}
+					var vb uint64
+					if u < uint64(len(tab)) {
+						vb = tab[u]
+					} else {
+						vb = math.Float64bits(rc.chain(u))
+					}
+					// val > 0 always, so ORing the packed sign bit into the
+					// float is an exact branch-free negate.
+					pe := uint32(d.lspPos[i])
+					out[pe&0x7fffffff] = math.Float64frombits(vb | uint64(pe>>31)<<63)
+				}
+			}
+		}
+	}
 }

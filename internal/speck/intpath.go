@@ -21,7 +21,10 @@ import (
 // re-scanning coefficient boxes — O(coeffs) preprocessing replaces the
 // former O(planes x coeffs) scan. Decision bits go straight to the bit writer in
 // raw mode (no sink indirection) or through the adaptive range coder's
-// contexts in SPECK-AC mode; refinement bits are emitted word-at-a-time.
+// contexts in SPECK-AC mode. Refinement bits are transposed once, when a
+// pixel is discovered, into one bit slice per plane in discovery order
+// (gatherNew); a refinement pass then copies its slice's prefix to the
+// writer a word at a time and no per-pixel array is swept per plane.
 //
 // The raw streams are bit-identical to the float path's. In the float
 // path every residual subtraction val -= thr happens when val is in [thr,
@@ -41,12 +44,11 @@ import (
 // decisions through the range coder, since the decision sequence and
 // context ids are identical.
 //
-// For the PlaneErr2 record the integer path maintains the same exact
-// residuals the float path does (val = |c| - thr at discovery, val -= thr
-// on refinement, both Sterbenz-exact), driven by the integer decisions,
-// so plane records — and with them ModeRMSE truncation points — match
-// bitwise. Mid-riser reconstruction is unaffected: the decoder sees the
-// same bits.
+// The traversal keeps no residuals and no error ledger: only ModeRMSE
+// reads the per-plane error record, so PlaneErr2Scratch derives it after
+// the fact from the pixel records and the discovery list, with the float
+// path's additions in the float path's order — plane records, and with
+// them ModeRMSE truncation points, match bitwise.
 
 // intPathEligible reports whether the integer path reproduces the float
 // path exactly for this (q, planes) pair.
@@ -77,18 +79,14 @@ type intEncoder struct {
 	lis  [][]int32 // LIS buckets of octree node ids, indexed by depth
 	lisT [][]uint8 // per-entry top bytes parallel to lis (sequential scans)
 	nd   int
-	// The LSP arrays share one index space: positions in discovery order,
-	// with ulsp/vals lagging lsp during a sorting pass (descend appends
-	// positions only; gatherNew fills the tail in afterwards, so the
-	// traversal never waits on a pixel-record load and nothing is staged
-	// through separate "new" arrays).
-	lsp  []int32   // positions of significant pixels, in discovery order
-	ulsp []uint64  // quantized magnitudes parallel to lsp (sequential refinement reads)
-	vals []float64 // residuals parallel to lsp (the float path's pixel.val)
+	lsp  []int32 // positions of significant pixels, in discovery order
+	// ref holds the refinement bits as bit-plane slices: bit i of the
+	// stride words at ref[p*stride:] is bit p of pixel lsp[i]'s magnitude,
+	// filled by gatherNew after each sorting pass.
+	ref    []uint64
+	stride int
 
-	insigE2   float64
 	planeBits []uint64
-	planeErr2 []float64
 }
 
 // resetLISI truncates the pooled node-id LIS buckets and their parallel
@@ -110,47 +108,37 @@ func (s *Scratch) resetLISI() ([][]int32, [][]uint8) {
 	return s.lisI, s.lisTI[:len(s.lisI)]
 }
 
-func (e *intEncoder) setup(s *Scratch, n int) {
-	if cap(s.pixI) < n {
-		s.pixI = make([]cpix, n)
-		s.Grows++
-	}
-	e.pix = s.pixI[:n]
+func (e *intEncoder) setup(s *Scratch, n, planes int) {
+	s.pixI = pooled(s.pixI, n, &s.Grows)
+	e.pix = s.pixI
 	e.tree = s.octreeFor(e.dims)
-	if cap(s.topsT) < e.tree.nodes() {
-		s.topsT = make([]uint8, e.tree.nodes())
-		s.Grows++
-	}
-	e.tops = s.topsT[:e.tree.nodes()]
+	s.topsT = pooled(s.topsT, e.tree.nodes(), &s.Grows)
+	e.tops = s.topsT
 	e.lis, e.lisT = s.resetLISI()
 	e.nd = 1
 	e.lsp = s.lspI[:0]
-	e.ulsp = s.ulsp[:0]
-	e.vals = s.valsI[:0]
+	// planes-1 slices (the top plane refines nothing) of a bit per coefficient.
+	e.stride = (n + 63) / 64
+	s.refI = pooled(s.refI, (planes-1)*e.stride, &s.Grows)
+	e.ref = s.refI
+	clear(e.ref)
 	e.planeBits = s.planeBits[:0]
-	e.planeErr2 = s.planeErr2[:0]
+	s.planeErr2 = s.planeErr2[:0]
 }
 
 func (e *intEncoder) save(s *Scratch) {
 	s.lisI = e.lis
 	s.lisTI = e.lisT
 	s.lspI = e.lsp
-	s.ulsp = e.ulsp
-	s.valsI = e.vals
 	s.planeBits = e.planeBits
-	s.planeErr2 = e.planeErr2
 }
 
-// quantize fills the pixel records from coeffs and accumulates insigE2 in
-// the float path's order (index order, sum of m*m — bitwise the same as
-// the magnitudes' squares). It also scatters each coefficient's leaf top
-// byte (bits.Len64 of u, sign in bit 7) through tree.leafOf while the
-// value is in registers — stores retire without stalling, where a
-// separate leaf pass would take a cache miss per gather. With surplus
-// workers the fills run on parallel spans (each element independent;
-// leafOf is a bijection so the scatters are disjoint) and the float
-// accumulation stays a serial index-order loop, so the sum is bitwise the
-// same as the single-thread fused loop.
+// quantize fills the pixel records from coeffs. It also scatters each
+// coefficient's leaf top byte (bits.Len64 of u, sign in bit 7) through
+// tree.leafOf while the value is in registers — stores retire without
+// stalling, where a separate leaf pass would take a cache miss per
+// gather. Each element is independent and leafOf is a bijection, so with
+// surplus workers the fills run on parallel spans.
 func (e *intEncoder) quantize(coeffs []float64) {
 	r := quantizeRecip(e.q)
 	var leafOf []int32
@@ -158,19 +146,6 @@ func (e *intEncoder) quantize(coeffs []float64) {
 		leafOf = e.tree.leafOf
 	}
 	th := par.Workers(e.workers, len(coeffs), 1<<14)
-	if th <= 1 {
-		q := e.q
-		for i, c := range coeffs {
-			m := math.Abs(c)
-			u := quantizeOne(m, q, r)
-			e.pix[i] = cpix{c: c, u: u}
-			if leafOf != nil {
-				e.tops[leafOf[i]] = leafTop(c, u)
-			}
-			e.insigE2 += m * m
-		}
-		return
-	}
 	par.Spans(len(coeffs), th, func(_, lo, hi int) {
 		q := e.q
 		for i := lo; i < hi; i++ {
@@ -182,10 +157,6 @@ func (e *intEncoder) quantize(coeffs []float64) {
 			}
 		}
 	})
-	for i := range e.pix {
-		m := math.Abs(e.pix[i].c)
-		e.insigE2 += m * m
-	}
 }
 
 // leafTop is the tops-table byte for one coefficient: the 1-based top bit
@@ -260,17 +231,13 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 	if maxBits == 0 {
 		e.budget = math.MaxUint64
 	}
-	e.setup(s, n)
+	e.setup(s, n, planes)
 	e.quantize(coeffs)
 	e.run(planes)
 	e.save(s)
-	if maxBits == 0 {
-		// Untruncated stream: the full decode is reproducible from umags.
-		s.canReplay = true
-		s.replayQ = q
-		s.replayN = n
-		s.replayPlanes = planes
-	}
+	// pixI and lspI now describe this encode; untruncated, they replay it.
+	s.intEnc, s.canReplay = true, maxBits == 0
+	s.encQ, s.encN, s.encPlanes = q, n, planes
 	var stream []byte
 	var bitsUsed uint64
 	if entropy {
@@ -286,7 +253,7 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 	}
 	return &Result{
 		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag,
-		PlaneBits: e.planeBits, PlaneErr2: e.planeErr2,
+		PlaneBits: e.planeBits,
 	}
 }
 
@@ -294,52 +261,86 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 // res.Bits, dims, q, planes) would produce for the full stream of the
 // immediately preceding EncodeScratch call on s, without touching the
 // stream: every pixel with u = floor(|c|/q) > 0 is exactly the set the
-// decoder discovers, and its value is rebuilt by replaying the decoder's
-// float updates (1.5*thr at the discovery plane, then +-thr/2 per
-// refinement bit) in the decoder's order, so the result is bit-identical
-// to an actual decode. It reports ok=false — and the caller must fall
-// back to a real decode — when the preceding encode did not take the
-// integer path, was size-truncated, or does not match (dims, q). The
-// decoder's reconstruction depends only on the decision sequence, not on
-// how the bits were entropy-coded, so replay covers SPECK-AC encodes too.
+// decoder discovers, and its value is the decoder's val(u) — the reconTab
+// entry or chain the fast decoder itself uses — so the result is
+// bit-identical to an actual decode. It reports ok=false — and the caller
+// must fall back to a real decode — when the preceding encode did not take
+// the integer path, was size-truncated, or does not match (dims, q). The
+// reconstruction depends only on the decision sequence, not on how the
+// bits were entropy-coded, so replay covers SPECK-AC encodes too.
 //
 // This is what makes the encoder-side outlier-location stage cheap: the
 // pipeline needs "exactly what the decoder will see" and gets it here
 // without re-running the set-partitioning traversal or the bit reads.
 func ReplayScratch(dims grid.Dims, q float64, s *Scratch) ([]float64, bool) {
 	n := dims.Len()
-	if !s.canReplay || s.replayQ != q || s.replayN != n {
+	if !s.canReplay || s.encQ != q || s.encN != n {
 		return nil, false
 	}
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
-		s.Grows++
-	}
-	out := s.out[:n]
-	// thr and half per plane, computed with the decoder's expressions.
-	var thrs, halfs [53]float64
-	for p := 0; p < s.replayPlanes; p++ {
-		thr := q * math.Pow(2, float64(p))
-		thrs[p] = thr
-		halfs[p] = thr / 2
-	}
-	sign := [2]float64{-1, 1} // exact +-1 multipliers: branch-free refinement
+	s.out = pooled(s.out, n, &s.Grows)
+	out := s.out
+	rc := s.reconFor(q, 0, s.encPlanes, n)
+	tab := rc.tab
 	for i, px := range s.pixI[:n] {
-		if px.u == 0 {
-			out[i] = 0
-			continue
+		var vb uint64
+		if px.u < uint64(len(tab)) {
+			vb = tab[px.u]
+		} else {
+			vb = math.Float64bits(rc.chain(px.u))
 		}
-		top := mbits.Len64(px.u) - 1 // discovery plane
-		val := 1.5 * thrs[top]
-		for p := top - 1; p >= 0; p-- {
-			val += halfs[p] * sign[(px.u>>uint(p))&1]
-		}
-		if math.Signbit(px.c) {
-			val = -val
-		}
-		out[i] = val
+		// c's sign bit, masked off where u == 0 (vb == 0): those are +0.
+		out[i] = math.Float64frombits(vb | (math.Float64bits(px.c)&-vb)>>63<<63)
 	}
 	return out, true
+}
+
+// PlaneErr2Scratch returns the plane-error record of the immediately
+// preceding encode on s: entry i is the summed squared coefficient-domain
+// error of the reconstruction a decoder would produce from the prefix
+// ending at PlaneBits[i]. The float traversal records it inline; the
+// integer path derives it here, on demand, with the float path's additions
+// in the float path's order — the index-order sum of m*m less each
+// discovery's m*m in discovery order is a plane's insignificant energy,
+// then every pixel found so far adds r*r in discovery order — so the two
+// agree bitwise (pixel-major keeps that order within each plane's
+// accumulator). A pixel's residual at plane p is m - q*(u>>p<<p); the
+// float path reaches it by Sterbenz-exact subtractions, so it is
+// representable and one FMA yields it exactly.
+func PlaneErr2Scratch(s *Scratch) []float64 {
+	k := len(s.planeBits)
+	if !s.intEnc || len(s.planeErr2) == k {
+		return s.planeErr2
+	}
+	s.planeErr2 = pooled(s.planeErr2, k, &s.Grows)
+	acc := s.planeErr2
+	q, planes, pix := s.encQ, s.encPlanes, s.pixI[:s.encN]
+	var e2 float64
+	for i := range pix {
+		m := math.Abs(pix[i].c)
+		e2 += m * m
+	}
+	// Recorded planes are planes-1 down to planes-k; a pixel discovered
+	// below them (a size-truncated encode) is in no record.
+	npix := 0
+	for p := planes - 1; p >= planes-k; p-- {
+		for ; npix < len(s.lspI) && mbits.Len64(pix[s.lspI[npix]].u) == p+1; npix++ {
+			m := math.Abs(pix[s.lspI[npix]].c)
+			e2 -= m * m
+		}
+		acc[planes-1-p] = e2
+	}
+	var halfs [53]float64
+	for p := range halfs {
+		halfs[p] = q * math.Pow(2, float64(p)) / 2
+	}
+	for _, pos := range s.lspI[:npix] {
+		m, u := math.Abs(pix[pos].c), pix[pos].u
+		for p := mbits.Len64(u) - 1; p >= planes-k; p-- {
+			r := math.FMA(-q, float64(u>>uint(p)<<uint(p)), m) - halfs[p]
+			acc[planes-1-p] += r * r
+		}
+	}
+	return acc
 }
 
 func (e *intEncoder) ensureDepth(d int) {
@@ -372,33 +373,18 @@ func (e *intEncoder) run(planes int) {
 	e.lis[0] = append(e.lis[0], 0)
 	e.lisT[0] = append(e.lisT[0], e.tops[0]&0x7f)
 	for n := planes - 1; n >= 0; n-- {
-		thr := e.q * math.Pow(2, float64(n))
-		n0 := len(e.ulsp) // LSP size before this plane's discoveries
-		e.sortingPass(n, thr)
-		e.gatherNew(thr)
+		n0 := len(e.lsp) // LSP size before this plane's discoveries
+		e.sortingPass(n)
 		if e.bits() >= e.budget {
 			return
 		}
-		e.recordPlane(thr, e.refinementPass(n, thr, n0), n0)
+		e.gatherNew(n, n0)
+		e.refinementPass(n, n0)
+		e.planeBits = append(e.planeBits, e.bits())
 		if e.bits() >= e.budget {
 			return
 		}
 	}
-}
-
-// recordPlane mirrors the float encoder's plane record exactly: vals holds
-// the same exact residuals, accumulated in the same LSP order. err2 is
-// refinementPass's sum over the first n0 entries, so only the tail
-// promoted on this plane remains; the addition sequence (insigE2 first,
-// then r*r in index order) is the float path's.
-func (e *intEncoder) recordPlane(thr, err2 float64, n0 int) {
-	half := thr / 2
-	for _, v := range e.vals[n0:] {
-		r := v - half
-		err2 += r * r
-	}
-	e.planeBits = append(e.planeBits, e.bits())
-	e.planeErr2 = append(e.planeErr2, err2)
 }
 
 // sortingPass dispatches to the raw-specialized or AC traversal; the two
@@ -406,7 +392,7 @@ func (e *intEncoder) recordPlane(thr, err2 float64, n0 int) {
 // In raw mode runs of insignificant entries — the common case on every
 // plane — are emitted as batched zero bits, and a bucket's untouched
 // prefix is kept in place rather than recopied.
-func (e *intEncoder) sortingPass(n int, thr float64) {
+func (e *intEncoder) sortingPass(n int) {
 	p1 := uint8(n + 1) // tops value of a set significant at this plane
 	for depth := e.nd - 1; depth >= 0; depth-- {
 		if e.bits() >= e.budget {
@@ -438,7 +424,7 @@ func (e *intEncoder) sortingPass(n int, thr float64) {
 				}
 				node := bucket[i]
 				i++
-				e.descend(node, depth, p1, thr)
+				e.descend(node, depth, p1)
 				// Dense planes mostly have run length 0-2 between
 				// significant entries, where IndexByte's call overhead
 				// loses to inline compares; probe a couple of bytes first
@@ -475,7 +461,7 @@ func (e *intEncoder) sortingPass(n int, thr float64) {
 			for bi, node := range bucket {
 				if bt[bi] == p1 {
 					e.ac.put(sigCtx(depth), true)
-					e.descendAC(node, depth, p1, thr)
+					e.descendAC(node, depth, p1)
 				} else {
 					e.ac.put(sigCtx(depth), false)
 					kept = append(kept, node)
@@ -539,7 +525,7 @@ func childMask(tops []uint8, first int32, k int, p1 uint8) uint32 {
 // and both the implied-significance shortcut (sole significant last
 // child, whose bit the stream omits) and a significant last child iterate
 // into the child instead of recursing.
-func (e *intEncoder) descend(node int32, depth int, p1 uint8, thr float64) {
+func (e *intEncoder) descend(node int32, depth int, p1 uint8) {
 	t := e.tree
 	nd := t.nod[node]
 outer:
@@ -587,7 +573,7 @@ outer:
 				e.lsp = append(e.lsp, cn.pos())
 			} else {
 				e.w.WriteBits(1<<uint(z), uint(z+1))
-				e.descend(c, depth, p1, thr)
+				e.descend(c, depth, p1)
 			}
 			i++
 		}
@@ -599,27 +585,44 @@ outer:
 	e.lsp = append(e.lsp, nd.pos())
 }
 
-// gatherNew fills in the per-pixel bookkeeping for the positions the
-// sorting pass just discovered — the lsp tail past ulsp's length:
-// quantized magnitude, the float path's exact residual, and the insigE2
-// subtraction, in discovery order (the float path's order, so the
-// accumulation stays bitwise identical). As a dependence-free batch loop
-// the random pixel-record loads overlap instead of stalling the
-// traversal one miss at a time.
-func (e *intEncoder) gatherNew(thr float64) {
-	newPos := e.lsp[len(e.ulsp):]
-	for _, pos := range newPos {
-		px := e.pix[pos]
-		m := math.Abs(px.c)
-		e.ulsp = append(e.ulsp, px.u)
-		e.vals = append(e.vals, m-thr) // m in [thr, 2*thr): exact
-		e.insigE2 -= m * m
+// gatherNew transposes the magnitudes of the pixels plane tp's sorting
+// pass just discovered — lsp[n0:] — into the refinement slices of the
+// planes below tp, one 64-aligned block of the discovery index at a time.
+// Each u's low two bytes go into byte lanes (the layout the decoder's
+// spread8 produces: byte j&7 of lanes[j>>3] for planes 0-7, of
+// lanes[8+j>>3] for 8-15); one plane's 64 bits are then eight SWAR
+// gathers: mask the plane's bit in every byte and multiply, which collects
+// the eight marker bits in the top byte (the partial products land on
+// distinct bits, so nothing carries). Planes >= 16 take the few early
+// discoveries bit by bit. As a dependence-free batch loop the random
+// pixel-record loads overlap instead of stalling the traversal one miss at
+// a time; plane 0's discoveries are never refined and cost nothing.
+func (e *intEncoder) gatherNew(tp, n0 int) {
+	for i := n0; tp > 0 && i < len(e.lsp); {
+		blk := i >> 6
+		var lanes [16]uint64
+		for end := min(len(e.lsp), (blk+1)<<6); i < end; i++ {
+			u := e.pix[e.lsp[i]].u
+			j := uint(i & 63)
+			lanes[j>>3] |= (u & 0xff) << (j & 7 * 8)
+			lanes[8+j>>3] |= (u >> 8 & 0xff) << (j & 7 * 8)
+			for p := 16; p < tp; p++ {
+				e.ref[p*e.stride+blk] |= (u >> uint(p) & 1) << j
+			}
+		}
+		for p := 0; p < min(tp, 16); p++ {
+			var w uint64
+			for g, l := range lanes[p&8 : p&8+8] {
+				w |= (l >> uint(p&7) & 0x0101010101010101) * 0x0102040810204080 >> 56 << uint(8*g)
+			}
+			e.ref[p*e.stride+blk] |= w
+		}
 	}
 }
 
 // descendAC mirrors descend with decisions routed through the range
 // coder's contexts (SPECK-AC).
-func (e *intEncoder) descendAC(node int32, depth int, p1 uint8, thr float64) {
+func (e *intEncoder) descendAC(node int32, depth int, p1 uint8) {
 	t := e.tree
 	nd := t.nod[node]
 	if nd.leaf() {
@@ -635,13 +638,13 @@ func (e *intEncoder) descendAC(node int32, depth int, p1 uint8, thr float64) {
 		c := first + int32(i)
 		sig := e.tops[c]&0x7f == p1
 		if i == k-1 && !anySig {
-			e.descendAC(c, childDepth, p1, thr)
+			e.descendAC(c, childDepth, p1)
 			return
 		}
 		if sig {
 			anySig = true
 			e.ac.put(sigCtx(childDepth), true)
-			e.descendAC(c, childDepth, p1, thr)
+			e.descendAC(c, childDepth, p1)
 		} else {
 			e.ac.put(sigCtx(childDepth), false)
 			e.lis[childDepth] = append(e.lis[childDepth], c)
@@ -652,63 +655,18 @@ func (e *intEncoder) descendAC(node int32, depth int, p1 uint8, thr float64) {
 
 // refinementPass emits bit n of the first n0 significant magnitudes —
 // the ones discovered on earlier planes; this plane's discoveries sit
-// past n0 and get their first refinement next plane — batched into
-// 64-bit words in raw mode, and applies the float path's exact residual
-// updates. The magnitudes are read from ulsp — gathered once at discovery
-// — so the pass streams two flat arrays instead of chasing positions into
-// the magnitude volume. The residual update is branch-free: thr*1 and
-// thr*0 are exact, and val-0 returns val unchanged, so the arithmetic is
-// identical to the float path's conditional subtraction. The float path
-// checks no budget mid-pass, so neither do we. The same sweep folds the
-// plane record's error sum over those n0 entries (insigE2 first, then r*r
-// in index order) and returns it for recordPlane to finish.
-func (e *intEncoder) refinementPass(n int, thr float64, n0 int) float64 {
-	shift := uint(n)
-	half := thr / 2
-	acc := e.insigE2
+// past n0 and get their first refinement next plane — which is the first
+// n0 bits of plane n's slice, whole words at a time in raw mode. The float
+// path checks no budget mid-pass, so neither do we.
+func (e *intEncoder) refinementPass(n, n0 int) {
+	words := e.ref[n*e.stride:]
 	if e.ac != nil {
-		for i, u := range e.ulsp[:n0] {
-			bit := (u >> shift) & 1
-			e.ac.put(ctxRefine, bit != 0)
-			v := e.vals[i] - thr*float64(bit)
-			e.vals[i] = v
-			r := v - half
-			acc += r * r
+		for i := 0; i < n0; i++ {
+			e.ac.put(ctxRefine, words[i>>6]>>uint(i&63)&1 != 0)
 		}
-		return acc
+		return
 	}
-	// Whole 64-entry blocks with constant inner bounds (no per-bit word
-	// flush check), then the tail.
-	ulsp := e.ulsp[:n0]
-	vals := e.vals[:n0]
-	base := 0
-	for ; base+64 <= n0; base += 64 {
-		var word uint64
-		ub := ulsp[base : base+64 : base+64]
-		vb := vals[base : base+64 : base+64]
-		for k := 0; k < 64; k++ {
-			bit := (ub[k] >> shift) & 1
-			word |= bit << uint(k)
-			v := vb[k] - thr*float64(bit)
-			vb[k] = v
-			r := v - half
-			acc += r * r
-		}
-		e.w.WriteBits(word, 64)
+	for i := 0; i < n0; i += 64 {
+		e.w.WriteBits(words[i>>6], uint(min(64, n0-i)))
 	}
-	var word uint64
-	var nb uint
-	for i := base; i < n0; i++ {
-		bit := (ulsp[i] >> shift) & 1
-		word |= bit << nb
-		nb++
-		v := vals[i] - thr*float64(bit)
-		vals[i] = v
-		r := v - half
-		acc += r * r
-	}
-	if nb > 0 {
-		e.w.WriteBits(word, nb)
-	}
-	return acc
 }

@@ -55,8 +55,15 @@ func TestIntPathMatchesFloatPath(t *testing.T) {
 			t.Fatalf("case %d: expected int-path eligibility (planes=%d)", ci, planes)
 		}
 
-		ref := encodeFloat(coeffs, tc.dims, tc.q, tc.bits, false, maxMag, planes, &Scratch{})
-		got := encodeInt(coeffs, tc.dims, tc.q, tc.bits, planes, maxMag, false, 1, &Scratch{})
+		var sf, si Scratch
+		ref := encodeFloat(coeffs, tc.dims, tc.q, tc.bits, false, maxMag, planes, &sf)
+		got := encodeInt(coeffs, tc.dims, tc.q, tc.bits, planes, maxMag, false, 1, &si)
+		// The float path records plane errors inline; the integer path
+		// derives them on demand. Both come through the same call.
+		refErr2, gotErr2 := PlaneErr2Scratch(&sf), PlaneErr2Scratch(&si)
+		if len(refErr2) != len(ref.PlaneBits) || len(gotErr2) != len(got.PlaneBits) {
+			t.Fatalf("case %d: %d/%d error records for %d/%d planes", ci, len(refErr2), len(gotErr2), len(ref.PlaneBits), len(got.PlaneBits))
+		}
 
 		if got.Bits != ref.Bits || got.NumPlanes != ref.NumPlanes || got.MaxMag != ref.MaxMag {
 			t.Fatalf("case %d: header mismatch: bits %d/%d planes %d/%d max %v/%v",
@@ -77,8 +84,8 @@ func TestIntPathMatchesFloatPath(t *testing.T) {
 			if got.PlaneBits[i] != ref.PlaneBits[i] {
 				t.Fatalf("case %d: PlaneBits[%d] = %d, want %d", ci, i, got.PlaneBits[i], ref.PlaneBits[i])
 			}
-			if got.PlaneErr2[i] != ref.PlaneErr2[i] {
-				t.Fatalf("case %d: PlaneErr2[%d] = %x, want %x", ci, i, got.PlaneErr2[i], ref.PlaneErr2[i])
+			if math.Float64bits(gotErr2[i]) != math.Float64bits(refErr2[i]) {
+				t.Fatalf("case %d: PlaneErr2[%d] = %x, want %x", ci, i, gotErr2[i], refErr2[i])
 			}
 		}
 	}
@@ -197,7 +204,9 @@ func TestIntPathDecodeRoundTrip(t *testing.T) {
 	dims := grid.Dims{NX: 24, NY: 17, NZ: 9}
 	coeffs := intTestField(dims.Len(), 99, 5.0)
 	q := 1e-4
-	res := Encode(coeffs, dims, q, 0)
+	var s Scratch
+	res := EncodeScratch(coeffs, dims, q, 0, &s)
+	planeErr2 := PlaneErr2Scratch(&s)
 	var totalE2 float64
 	for _, c := range coeffs {
 		totalE2 += c * c
@@ -219,8 +228,8 @@ func TestIntPathDecodeRoundTrip(t *testing.T) {
 		// PlaneErr2 is bit-identical to the float path (tested separately);
 		// against a freshly summed err2 the encoder's running subtraction
 		// accumulates cancellation error proportional to the field energy.
-		if err2 > res.PlaneErr2[pi]*(1+1e-6)+1e-9*totalE2 {
-			t.Fatalf("plane %d: err2 %g exceeds recorded %g", pi, err2, res.PlaneErr2[pi])
+		if err2 > planeErr2[pi]*(1+1e-6)+1e-9*totalE2 {
+			t.Fatalf("plane %d: err2 %g exceeds recorded %g", pi, err2, planeErr2[pi])
 		}
 	}
 }

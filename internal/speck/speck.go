@@ -72,15 +72,13 @@ type Result struct {
 	NumPlanes int    // bitplanes encoded (decoder needs this to align)
 	MaxMag    float64
 
-	// PlaneBits[i] is the bit position after plane i completed, and
-	// PlaneErr2[i] the summed squared coefficient-domain error of the
-	// reconstruction a decoder would produce from that prefix. Because
-	// the scaled CDF 9/7 basis is near-orthogonal, this estimates the
-	// data-domain L2 error without an inverse transform — the property
-	// the paper's Section VII flags as enabling average-error-targeted
-	// compression.
+	// PlaneBits[i] is the bit position after plane i completed;
+	// PlaneErr2Scratch gives the summed squared coefficient-domain error
+	// of the reconstruction a decoder would produce from that prefix.
+	// The scaled CDF 9/7 basis is near-orthogonal, so this estimates the
+	// data-domain L2 error without an inverse transform — what the paper's
+	// Section VII flags as enabling average-error-targeted compression.
 	PlaneBits []uint64
-	PlaneErr2 []float64
 }
 
 // Scratch pools the reusable per-call state of SPECK encoders and
@@ -104,26 +102,37 @@ type Scratch struct {
 	planeErr2 []float64
 	out       []float64
 	// Integer-path pools (see intpath.go, intdec.go).
-	pixI   []cpix
-	lisI   [][]int32
-	lisTI  [][]uint8
-	lspI   []int32
-	ulsp   []uint64
-	valsI  []float64
-	trees  []*octree
-	topsT  []uint8
-	reconT []float64
+	pixI    []cpix
+	lisI    [][]int32
+	lisTI   [][]uint8
+	lspI    []int32
+	refI    []uint64 // encoder: refinement bit-plane slices
+	refBits []byte   // SPECK-AC decoder: range-decoded refinement bits
+	trees   []*octree
+	topsT   []uint8
+	recon   reconTab
 	// Pooled arithmetic-coder endpoints (see entropy.go).
 	acs   *acSink
 	acsrc *acSource
-	// Replay state of the last integer-path encode (see ReplayScratch).
-	canReplay    bool
-	replayQ      float64
-	replayN      int
-	replayPlanes int
+	// The last encode, if it took the integer path and nothing has reused
+	// pixI/lspI since (intEnc), and whether its stream was untruncated
+	// (canReplay); see ReplayScratch and PlaneErr2Scratch.
+	intEnc, canReplay bool
+	encQ              float64
+	encN, encPlanes   int
 	// Grows counts buffer (re)allocations; a warmed-up scratch stops
 	// growing.
 	Grows int
+}
+
+// pooled returns buf resized to n, contents stale, reallocating — and
+// counting the growth — only when its capacity falls short.
+func pooled[T any](buf []T, n int, grows *int) []T {
+	if cap(buf) < n {
+		*grows++
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // resetLIS truncates every pooled LIS bucket, keeping capacity, and
@@ -175,7 +184,7 @@ func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy
 	if s == nil {
 		s = &Scratch{}
 	}
-	s.canReplay = false
+	s.intEnc, s.canReplay = false, false
 	var maxMag float64
 	for _, c := range coeffs {
 		if m := math.Abs(c); m > maxMag {
@@ -236,7 +245,7 @@ func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, en
 	}
 	return &Result{
 		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag,
-		PlaneBits: e.planeBits, PlaneErr2: e.planeErr2,
+		PlaneBits: e.planeBits,
 	}
 }
 
@@ -503,7 +512,7 @@ func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes i
 	if s == nil {
 		s = &Scratch{}
 	}
-	s.canReplay = false // the out buffer is being repurposed
+	s.intEnc, s.canReplay = false, false // lspI and the out buffer are being repurposed
 	if planes > 0 && planes <= 64 && dims.Len() <= maxOctreeLen {
 		// Phase-separated fast path (intdec.go). The general decoder below
 		// is the only path for planes <= 0, more than 64 planes, volumes
@@ -529,15 +538,9 @@ func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes i
 	d.nd = 1
 	d.lsp = s.lsp[:0]
 	d.lspNew = s.lspNew[:0]
-	n := dims.Len()
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
-		s.Grows++
-	}
-	out := s.out[:n]
-	for i := range out {
-		out[i] = 0
-	}
+	s.out = pooled(s.out, dims.Len(), &s.Grows)
+	out := s.out
+	clear(out)
 	defer func() {
 		s.lis = d.lis
 		s.lsp = d.lsp

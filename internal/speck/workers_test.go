@@ -45,7 +45,9 @@ func TestEncodeIdenticalAcrossWorkers(t *testing.T) {
 		{grid.D3(33, 31, 29), 1e-4},
 	}
 	for _, tc := range cases {
-		base := EncodeScratchWorkers(parTestField(tc.dims, 7), tc.dims, tc.q, 0, 1, nil)
+		var sb Scratch
+		base := EncodeScratchWorkers(parTestField(tc.dims, 7), tc.dims, tc.q, 0, 1, &sb)
+		baseErr2 := PlaneErr2Scratch(&sb)
 		for _, workers := range []int{2, 3, 8} {
 			var s Scratch
 			coeffs := parTestField(tc.dims, 7)
@@ -61,7 +63,8 @@ func TestEncodeIdenticalAcrossWorkers(t *testing.T) {
 					t.Fatalf("%v workers=%d: bits/planes (%d,%d) vs serial (%d,%d)",
 						tc.dims, workers, r.Bits, r.NumPlanes, base.Bits, base.NumPlanes)
 				}
-				if len(r.PlaneBits) != len(base.PlaneBits) {
+				err2 := PlaneErr2Scratch(&s)
+				if len(r.PlaneBits) != len(base.PlaneBits) || len(err2) != len(baseErr2) {
 					t.Fatalf("%v workers=%d: %d plane records vs %d",
 						tc.dims, workers, len(r.PlaneBits), len(base.PlaneBits))
 				}
@@ -70,9 +73,9 @@ func TestEncodeIdenticalAcrossWorkers(t *testing.T) {
 						t.Fatalf("%v workers=%d: PlaneBits[%d] %d vs %d",
 							tc.dims, workers, i, r.PlaneBits[i], base.PlaneBits[i])
 					}
-					if math.Float64bits(r.PlaneErr2[i]) != math.Float64bits(base.PlaneErr2[i]) {
+					if math.Float64bits(err2[i]) != math.Float64bits(baseErr2[i]) {
 						t.Fatalf("%v workers=%d: PlaneErr2[%d] %x vs %x",
-							tc.dims, workers, i, r.PlaneErr2[i], base.PlaneErr2[i])
+							tc.dims, workers, i, err2[i], baseErr2[i])
 					}
 				}
 			}
