@@ -39,13 +39,15 @@ test-race:
 faultinject:
 	$(GO) test -race -count=1 -v -run 'TestCampaign' ./internal/faultinject/
 
-# Short fuzz smoke over the decoder-facing targets; raise FUZZTIME for a
-# longer exploration.
+# Short fuzz smoke over the targets that take bytes from outside — the
+# container decoders, the outlier decoder, and a peer's chunk-stream answer
+# as the coordinator parses it; raise FUZZTIME for a longer exploration.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzCompressDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzOutlierDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/outlier/
+	$(GO) test -fuzz=FuzzChunkFrames -fuzztime=$(FUZZTIME) -run=^$$ ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -59,8 +61,11 @@ bench:
 # word-batched bit I/O, the end-to-end single-thread and
 # surplus-worker pipelines (CompressPWE64 vs CompressPWEIntra64), and the
 # streaming engine (which also reports peak-inflight-bytes, its
-# bounded-memory witness). The determinism smoke runs first. Compare rows
-# only at a stated -cpu; BENCH_KERNELS.json records host and method.
+# bounded-memory witness), and the hot cluster read (ClusterRegionHot:
+# three in-process peers, two replicas, warm caches, 48^3 boxes of a 128^3
+# volume — B/op is its allocation guard, about one response). The
+# determinism smoke runs first. Compare rows only at a stated -cpu;
+# BENCH_KERNELS.json records host and method.
 bench-kernels:
 	$(GO) test -run='TestParallelCoderMatchesSerialGolden' -count=1 .
 	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchmem ./internal/wavelet/
@@ -70,6 +75,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='CompressPWE64|CompressPWEIntra64|Decompress64' -benchmem .
 	$(GO) test -run='^$$' -bench='StreamCompress|StreamDecompress' -benchmem .
 	$(GO) test -run='^$$' -bench='RegionCached|RegionUncached' -benchmem ./internal/store/
+	$(GO) test -run='^$$' -bench='ClusterRegionHot' -benchmem ./internal/server/
 	$(GO) test -run='^$$' -bench='AdaptiveSelect' -benchmem .
 	$(GO) test -run='^$$' -bench='ProfileChunk' -benchmem ./internal/codec/
 

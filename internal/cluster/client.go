@@ -13,7 +13,18 @@ package cluster
 // hand each chunk to the assembler the moment it arrives; a peer that
 // cannot serve a requested chunk simply omits its frame (the
 // coordinator retries, then fills). Samples are raw float64 bits, so a
-// gathered region is bit-identical to a local decode.
+// gathered region is bit-identical to a local decode. A frame answers a
+// requested index at most once and carries exactly the intersection's
+// sample count; anything else is a protocol error that fails the fetch.
+//
+// Consumer contract. A frame's samples are not buffered here: the
+// PieceSink reads them off the connection (PieceSink.Wire), so it must
+// read exactly 8·count bytes before returning. If the connection dies
+// first, what the sink has written is garbage-in-progress, not a piece:
+// the chunk is un-claimed, the fetch attempt fails, and the failover
+// sweep asks the next replica, which rewrites the whole piece. A frame
+// for a chunk some other request already claimed is drained, never
+// delivered twice.
 
 import (
 	"bufio"
@@ -27,6 +38,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -138,30 +150,32 @@ func (c *Cluster) deleteShard(ctx context.Context, peer, id string) error {
 	return nil
 }
 
+// frameReaders recycles the 64 KiB buffers peer responses are read
+// through; a hot region read would otherwise allocate one per peer.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // fetchChunks GETs the listed chunks' region intersections from a peer
-// and delivers each frame to the sink as it arrives. Returns an error
-// if the stream dies or if any requested chunk is missing from the
-// response (short stream — peer could not serve it).
-func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) (err error) {
+// and hands each frame to the sink as it arrives. Returns an error if
+// the stream dies, breaks protocol, or lacks a requested chunk (short
+// stream — peer could not serve it).
+func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) (err error) {
 	defer func() { c.onPeerRequest(peer, outcomeOf(ctx, err)) }()
 
-	want := make(map[int]chunkHit, len(hs))
 	var list strings.Builder
 	// The region box sent to the peer is the bounding box of the
 	// requested intersections; the peer re-intersects per chunk, so any
 	// box covering them is equivalent.
 	var bo, bhi [3]int
 	for i, h := range hs {
-		want[h.index] = h
 		if i > 0 {
 			list.WriteByte(',')
 		}
-		list.WriteString(strconv.Itoa(h.index))
+		list.WriteString(strconv.Itoa(h.Index))
 		for a := 0; a < 3; a++ {
-			if i == 0 || h.origin[a] < bo[a] {
-				bo[a] = h.origin[a]
+			if i == 0 || h.Origin[a] < bo[a] {
+				bo[a] = h.Origin[a]
 			}
-			if hi := h.origin[a] + h.dims[a]; i == 0 || hi > bhi[a] {
+			if hi := h.Origin[a] + h.Dims[a]; i == 0 || hi > bhi[a] {
 				bhi[a] = hi
 			}
 		}
@@ -180,9 +194,24 @@ func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []chunkHi
 	if resp.StatusCode != http.StatusOK {
 		return httpError(resp)
 	}
+	return readFrames(resp.Body, peer, hs, sink)
+}
 
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	served := 0
+// readFrames parses a peer's chunk stream against the request hs that
+// produced it. Every byte of body is untrusted: an index that was not
+// requested or already answered, or a count other than the intersection's,
+// ends the fetch before the sink sees the frame.
+func readFrames(body io.Reader, peer string, hs []Hit, sink *chunkSink) error {
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(body)
+	defer func() {
+		br.Reset(nil)
+		frameReaders.Put(br)
+	}()
+	want := make(map[int]Hit, len(hs))
+	for _, h := range hs {
+		want[h.Index] = h
+	}
 	var hdr [chunkFrameHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -195,20 +224,18 @@ func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []chunkHi
 		n := int(binary.LittleEndian.Uint32(hdr[4:8]))
 		h, ok := want[ci]
 		if !ok {
-			return fmt.Errorf("cluster: peer %s sent unrequested chunk %d", peer, ci)
+			return fmt.Errorf("cluster: peer %s sent chunk %d, which was not requested or already sent", peer, ci)
 		}
-		if wantN := h.dims[0] * h.dims[1] * h.dims[2]; n != wantN {
-			return fmt.Errorf("cluster: peer %s chunk %d: %d samples, want %d", peer, ci, n, wantN)
+		if n != h.samples() {
+			return fmt.Errorf("cluster: peer %s chunk %d: %d samples, want %d", peer, ci, n, h.samples())
 		}
-		samples := make([]float64, n)
-		if err := readSamples(br, samples); err != nil {
+		delete(want, ci)
+		if err := sink.wire(h, br); err != nil {
 			return fmt.Errorf("cluster: peer %s chunk %d: %w", peer, ci, err)
 		}
-		sink.deliver(ChunkPiece{Index: ci, Origin: h.origin, Dims: h.dims, Samples: samples})
-		served++
 	}
-	if served < len(hs) {
-		return fmt.Errorf("cluster: peer %s served %d of %d chunks", peer, served, len(hs))
+	if len(want) > 0 {
+		return fmt.Errorf("cluster: peer %s served %d of %d chunks", peer, len(hs)-len(want), len(hs))
 	}
 	return nil
 }
@@ -217,12 +244,16 @@ func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []chunkHi
 // bit-for-bit round trip is what keeps a gathered region identical to a
 // local decode.
 func readSamples(r io.Reader, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	var buf [4096]byte
+	for len(dst) > 0 {
+		k := min(len(dst), len(buf)/8)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return err
+		}
+		for i := range dst[:k] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
+		dst = dst[k:]
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -177,13 +178,13 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 
 // Owner returns the peer primarily owning chunk ci of volume id.
 func (c *Cluster) Owner(id string, ci int) string {
-	return c.ring.Owner(ChunkKey(id, ci))
+	return c.ring.ChunkOwners(nil, id, ci, 1)[0]
 }
 
 // Owners returns the ordered replica set for chunk ci of volume id: the
 // primary owner first, then the failover order reads follow.
 func (c *Cluster) Owners(id string, ci int) []string {
-	return c.ring.Owners(ChunkKey(id, ci), c.replicas)
+	return c.ring.ChunkOwners(nil, id, ci, c.replicas)
 }
 
 // Replicas returns the effective per-chunk replica count.
@@ -292,6 +293,41 @@ func (c *Cluster) Delete(ctx context.Context, id string) error {
 	return nil
 }
 
+// Hit is one chunk's intersection with the requested region, in volume
+// coordinates. Filled marks a chunk no replica could serve: the piece a
+// sink receives for it carries the fill value.
+type Hit struct {
+	Index  int
+	Origin [3]int
+	Dims   [3]int
+	Filled bool
+}
+
+func (h Hit) samples() int { return h.Dims[0] * h.Dims[1] * h.Dims[2] }
+
+// PieceSink receives a region read's pieces where they are, so a consumer
+// can move each sample once — from a cached slab or a peer's socket
+// straight into its output. Methods are called concurrently for different
+// chunks. Every intersecting chunk completes exactly once, but a chunk's
+// Wire can run more than once: an attempt that dies part-way is abandoned
+// and the chunk is asked of its next replica, whose delivery must
+// overwrite whatever the dead one wrote.
+type PieceSink interface {
+	// Slab delivers a piece whose samples are in memory: data is the
+	// x-fastest slab of the box slabOrigin+slabDims, which contains hit's
+	// box (it is hit's box exactly for a filled piece). data may be the
+	// decoded cache's own memory, shared with other readers: never write
+	// to it.
+	Slab(hit Hit, slabOrigin, slabDims [3]int, data []float64) error
+	// Wire delivers a piece off a peer connection: r yields exactly 8·n
+	// bytes, the n little-endian float64 samples of hit's box, x-fastest.
+	// Wire must read all of them before it returns nil, and must return
+	// the error if r fails. A failure of r is the transport's, not the
+	// sink's: the chunk is un-claimed and fetched again elsewhere. Any
+	// other error fails the whole read.
+	Wire(hit Hit, r io.Reader) error
+}
+
 // ChunkPiece is one chunk's contribution to a region read: the
 // intersection of the chunk's box with the requested region, in volume
 // coordinates, samples x-fastest. Filled marks a chunk whose owner
@@ -302,6 +338,29 @@ type ChunkPiece struct {
 	Dims    [3]int
 	Samples []float64
 	Filled  bool
+}
+
+// emitSink adapts a ChunkPiece callback to PieceSink by materialising each
+// piece's Samples, which the callback then owns.
+type emitSink func(ChunkPiece) error
+
+func (emit emitSink) Slab(h Hit, so, sd [3]int, data []float64) error {
+	samples := make([]float64, 0, h.samples())
+	for z := h.Origin[2] - so[2]; z < h.Origin[2]-so[2]+h.Dims[2]; z++ {
+		for y := h.Origin[1] - so[1]; y < h.Origin[1]-so[1]+h.Dims[1]; y++ {
+			off := (z*sd[1]+y)*sd[0] + h.Origin[0] - so[0]
+			samples = append(samples, data[off:off+h.Dims[0]]...)
+		}
+	}
+	return emit(ChunkPiece{Index: h.Index, Origin: h.Origin, Dims: h.Dims, Samples: samples, Filled: h.Filled})
+}
+
+func (emit emitSink) Wire(h Hit, r io.Reader) error {
+	samples := make([]float64, h.samples())
+	if err := readSamples(r, samples); err != nil {
+		return err
+	}
+	return emit(ChunkPiece{Index: h.Index, Origin: h.Origin, Dims: h.Dims, Samples: samples})
 }
 
 // RegionReport summarizes a scatter-gather read.
@@ -332,19 +391,25 @@ type RegionOptions struct {
 	Fill float64
 }
 
-// Region performs a scatter-gather read: intersect the request box with
+// Region is RegionTo for callers that want each piece as a []float64 of
+// their own: emit may be called concurrently, and each intersecting chunk
+// is emitted exactly once.
+func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, opts RegionOptions, emit func(ChunkPiece) error) (*RegionReport, error) {
+	return c.RegionTo(ctx, id, origin, dims, opts, emitSink(emit))
+}
+
+// RegionTo performs a scatter-gather read: intersect the request box with
 // the volume's chunk geometry (known locally — every shard carries the
-// full footer), fan out to owning peers, and emit each chunk's
-// intersection as it arrives. emit may be called concurrently; each
-// intersecting chunk is emitted exactly once. Peer failure fails the
+// full footer), fan out to owning peers, and hand each chunk's
+// intersection to out as it arrives. Peer failure fails the
 // affected chunks over to the next replica in ring order; only after
 // every replica has been exhausted (across retries and hedging) does a
 // chunk degrade to the fill value — with Replicas > 1 a single dead
 // peer therefore costs nothing but latency, and the gathered bytes stay
 // identical to a single-node decode. The read itself only fails for a
-// local reason (unknown volume, bad box, canceled context, or an emit
+// local reason (unknown volume, bad box, canceled context, or a sink
 // error).
-func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, opts RegionOptions, emit func(ChunkPiece) error) (*RegionReport, error) {
+func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, opts RegionOptions, out PieceSink) (*RegionReport, error) {
 	meta, ok := c.st.Describe(id)
 	if !ok {
 		return nil, store.ErrNotFound
@@ -353,10 +418,10 @@ func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, op
 		return nil, err
 	}
 
-	var hits []chunkHit
+	var hits []Hit
 	for i, cg := range meta.Chunks {
 		if o, d, ok := Intersect(origin, dims, cg.Origin, cg.Dims); ok {
-			hits = append(hits, chunkHit{index: i, origin: o, dims: d})
+			hits = append(hits, Hit{Index: i, Origin: o, Dims: d})
 		}
 	}
 	rep := &RegionReport{Chunks: len(hits)}
@@ -365,14 +430,17 @@ func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, op
 	}
 
 	owners := make([][]string, len(hits))
+	flat := make([]string, 0, len(hits)*c.replicas) // every replica set, back to back
 	for i, h := range hits {
-		owners[i] = c.Owners(id, h.index)
+		at := len(flat)
+		flat = c.ring.ChunkOwners(flat, id, h.Index, c.replicas)
+		owners[i] = flat[at:len(flat):len(flat)]
 		if owners[i][0] != c.self {
 			rep.Remote++
 		}
 	}
 
-	sink := newChunkSink(emit)
+	sink := newChunkSink(out)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = 1
@@ -405,7 +473,7 @@ sweep:
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			// A replica sweep that delivered everything owes no backoff.
-			if !slices.ContainsFunc(hits, func(h chunkHit) bool { return !sink.has(h.index) }) {
+			if !slices.ContainsFunc(hits, func(h Hit) bool { return !sink.has(h.Index) }) {
 				break
 			}
 			select {
@@ -418,9 +486,9 @@ sweep:
 			}
 		}
 		for rank := 0; rank < c.replicas; rank++ {
-			groups := make(map[string][]chunkHit)
+			groups := make(map[string][]Hit)
 			for i, h := range hits {
-				if sink.has(h.index) {
+				if sink.has(h.Index) {
 					continue
 				}
 				if rank < len(owners[i]) {
@@ -434,13 +502,13 @@ sweep:
 			for peer, hs := range groups {
 				wg.Add(1)
 				if peer == c.self {
-					go func(hs []chunkHit) {
+					go func(hs []Hit) {
 						defer wg.Done()
-						c.decodeLocal(ctx, id, hs, sem, sink)
+						c.decodeLocal(ctx, meta, hs, sem, sink)
 					}(hs)
 					continue
 				}
-				go func(peer string, hs []chunkHit) {
+				go func(peer string, hs []Hit) {
 					defer wg.Done()
 					if attempt > 0 && c.hooks.OnRetry != nil {
 						c.hooks.OnRetry(peer)
@@ -453,7 +521,7 @@ sweep:
 				// Anything a non-primary rank delivered is a failover save.
 				for _, hs := range groups {
 					for _, h := range hs {
-						if sink.has(h.index) {
+						if sink.has(h.Index) {
 							rep.FailedOver++
 						}
 					}
@@ -485,18 +553,18 @@ sweep:
 	// Whatever is still missing degrades to the fill value — the cluster
 	// analogue of the salvage fill policy.
 	for _, h := range hits {
-		if sink.has(h.index) {
+		if sink.has(h.Index) {
 			continue
 		}
-		rep.Skipped = append(rep.Skipped, h.index)
-		n := h.dims[0] * h.dims[1] * h.dims[2]
-		buf := make([]float64, n)
+		rep.Skipped = append(rep.Skipped, h.Index)
+		buf := make([]float64, h.samples())
 		if opts.Fill != 0 || math.IsNaN(opts.Fill) {
 			for i := range buf {
 				buf[i] = opts.Fill
 			}
 		}
-		sink.deliver(ChunkPiece{Index: h.index, Origin: h.origin, Dims: h.dims, Samples: buf, Filled: true})
+		h.Filled = true
+		sink.slab(h, h.Origin, h.Dims, buf)
 	}
 	sort.Ints(rep.Skipped)
 	if len(rep.Skipped) > 0 && c.hooks.OnFilled != nil {
@@ -509,21 +577,23 @@ sweep:
 }
 
 // decodeLocal serves chunk hits from this node's own shard, bounded by
-// the worker semaphore. A chunk whose local frame is damaged or stubbed
-// simply stays undelivered — the failover sweep asks its next replica.
-func (c *Cluster) decodeLocal(ctx context.Context, id string, hs []chunkHit, sem chan struct{}, sink *chunkSink) {
+// the worker semaphore, handing the sink each chunk's cached slab as it
+// is. A chunk whose local frame is damaged or stubbed simply stays
+// undelivered — the failover sweep asks its next replica.
+func (c *Cluster) decodeLocal(ctx context.Context, meta *store.Meta, hs []Hit, sem chan struct{}, sink *chunkSink) {
 	var wg sync.WaitGroup
 	for _, h := range hs {
 		wg.Add(1)
-		go func(h chunkHit) {
+		go func(h Hit) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			data, _, err := c.st.Region(ctx, id, h.origin, h.dims, 1)
+			data, err := c.st.ChunkSlab(ctx, meta.ID, h.Index)
 			if err != nil {
 				return
 			}
-			sink.deliver(ChunkPiece{Index: h.index, Origin: h.origin, Dims: h.dims, Samples: data})
+			cg := meta.Chunks[h.Index]
+			sink.slab(h, cg.Origin, cg.Dims, data)
 		}(h)
 	}
 	wg.Wait()
@@ -533,7 +603,7 @@ func (c *Cluster) decodeLocal(ctx context.Context, id string, hs []chunkHit, sem
 // circuit breaker: an open breaker refuses immediately (outcome "open")
 // so the sweep short-circuits to the chunk's next replica instead of
 // burning a timeout on a peer that is almost certainly still down.
-func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) bool {
+func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) bool {
 	br := c.breakerFor(peer)
 	if !br.allow(time.Now()) {
 		c.onPeerRequest(peer, "open")
@@ -551,16 +621,17 @@ func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []chunkH
 
 // fetchHedged runs one (possibly duplicated) fetch attempt against a
 // peer. If the primary has not completed within hedgeAfter, an
-// identical request is launched alongside it; the sink deduplicates
-// deliveries, so whichever connection produces a chunk first wins.
+// identical request is launched alongside it; the sink lets only one of
+// them claim a chunk and the other drains its copy of the frame.
 // Reports whether every requested chunk was delivered.
-func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) bool {
+func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) bool {
 	cctx, cancel := context.WithTimeout(ctx, c.timeout)
 	results := make(chan error, 2)
 	inflight := 0
-	// The request that lost the race may be inside sink.deliver, writing
-	// a piece it claimed first into the caller's response; cancel it and
-	// wait it out, so nothing is emitted after the caller has moved on.
+	// A request still running at return holds none of these chunks (they
+	// are all done, or the attempt is over), but it may be inside the sink
+	// finishing another write into the caller's response; cancel it and
+	// wait it out, so nothing is written after the caller has moved on.
 	defer func() {
 		cancel()
 		for ; inflight > 0; inflight-- {
@@ -580,9 +651,13 @@ func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHi
 	}
 	for {
 		select {
-		case err := <-results:
+		case <-results:
 			inflight--
-			if err == nil {
+			// A request that finished cleanly may have drained frames whose
+			// chunks the other one had claimed and is still reading. Those
+			// are not delivered yet, and cancelling their reader now would
+			// un-claim them: wait for it instead.
+			if sink.allDone(hs) {
 				return true
 			}
 			if inflight == 0 {
@@ -600,49 +675,137 @@ func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHi
 	}
 }
 
-// chunkHit is one chunk's intersection with the requested region.
-type chunkHit struct {
-	index        int
-	origin, dims [3]int
-}
-
-// chunkSink deduplicates chunk deliveries across hedged and retried
-// fetches: each chunk index is emitted exactly once, whichever source
-// lands first.
+// chunkSink is the gate between the sweep and the caller's PieceSink: it
+// lets exactly one source at a time write a chunk (claimed), and exactly
+// one finish it (done), whichever hedged, retried or failed-over fetch
+// gets there first.
 type chunkSink struct {
-	mu   sync.Mutex
-	got  map[int]bool
-	emit func(ChunkPiece) error
-	err  error
+	mu    sync.Mutex
+	state map[int]pieceState // absent: unclaimed
+	out   PieceSink
+	err   error
 }
 
-func newChunkSink(emit func(ChunkPiece) error) *chunkSink {
-	return &chunkSink{got: make(map[int]bool), emit: emit}
+type pieceState uint8
+
+const (
+	pieceClaimed pieceState = iota + 1 // one source is writing it
+	pieceDone
+)
+
+func newChunkSink(out PieceSink) *chunkSink {
+	return &chunkSink{state: make(map[int]pieceState), out: out}
 }
 
-// deliver emits the piece unless its chunk was already delivered. The
-// emit callback runs outside the sink lock (it serializes internally).
-func (s *chunkSink) deliver(p ChunkPiece) {
+// claim reserves chunk ci for the caller unless it is claimed or done.
+func (s *chunkSink) claim(ci int) bool {
 	s.mu.Lock()
-	if s.got[p.Index] {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if s.state[ci] != 0 {
+		return false
 	}
-	s.got[p.Index] = true
+	s.state[ci] = pieceClaimed
+	return true
+}
+
+// unclaim gives chunk ci back after a transport failure, so that the
+// sweep asks its next replica.
+func (s *chunkSink) unclaim(ci int) {
+	s.mu.Lock()
+	delete(s.state, ci)
 	s.mu.Unlock()
-	if err := s.emit(p); err != nil {
-		s.mu.Lock()
-		if s.err == nil {
-			s.err = err
-		}
-		s.mu.Unlock()
+}
+
+// finish marks a claimed chunk done. A sink error also ends the chunk —
+// the read as a whole fails with it, so nothing should fetch it again.
+func (s *chunkSink) finish(ci int, err error) {
+	s.mu.Lock()
+	s.state[ci] = pieceDone
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
+}
+
+// slab delivers an in-memory piece unless its chunk is already taken. The
+// sink runs outside the lock (it serializes internally).
+func (s *chunkSink) slab(h Hit, slabOrigin, slabDims [3]int, data []float64) {
+	if s.claim(h.Index) {
+		s.finish(h.Index, s.out.Slab(h, slabOrigin, slabDims, data))
 	}
 }
 
+// wire delivers the piece whose 8·n sample bytes are next on r, or drains
+// them if the chunk is already taken, so r is left at the next frame
+// either way. The returned error means r is out of step or dead: a short
+// read un-claims the chunk (the next replica rewrites every row of it), a
+// sink error keeps it.
+func (s *chunkSink) wire(h Hit, r io.Reader) error {
+	n := 8 * int64(h.samples())
+	if !s.claim(h.Index) {
+		_, err := io.CopyN(io.Discard, r, n)
+		return err
+	}
+	fr := frameReader{r: r, left: n}
+	err := s.out.Wire(h, &fr)
+	if fr.err != nil {
+		s.unclaim(h.Index)
+		return fr.err
+	}
+	if err == nil && fr.left > 0 {
+		err = fmt.Errorf("cluster: sink left %d bytes of chunk %d unread", fr.left, h.Index)
+	}
+	s.finish(h.Index, err)
+	return err
+}
+
+// frameReader hands a PieceSink exactly one frame's sample bytes and
+// remembers whether the transport, rather than the sink, failed.
+type frameReader struct {
+	r    io.Reader
+	left int64
+	err  error // first error of r with bytes still owed
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
+	if f.left == 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.r.Read(p)
+	f.left -= int64(n)
+	if err != nil && f.left > 0 {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		f.err = err
+		return n, err
+	}
+	return n, nil
+}
+
+// has reports whether chunk ci is spoken for. Between sweeps no fetch is
+// running, so that means delivered.
 func (s *chunkSink) has(ci int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.got[ci]
+	return s.state[ci] != 0
+}
+
+func (s *chunkSink) allDone(hs []Hit) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, h := range hs {
+		if s.state[h.Index] != pieceDone {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *chunkSink) emitErr() error {

@@ -156,11 +156,7 @@ func (p *fakePeer) serve(w http.ResponseWriter, r *http.Request) {
 			binary.LittleEndian.PutUint32(hdr[0:4], uint32(ci))
 			binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(data)))
 			w.Write(hdr[:])
-			raw := make([]byte, 8*len(data))
-			for i, v := range data {
-				binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-			}
-			w.Write(raw)
+			binary.Write(w, binary.LittleEndian, data)
 		}
 	default:
 		http.Error(w, "method", http.StatusMethodNotAllowed)
@@ -635,8 +631,10 @@ func TestIngestRejectsV1(t *testing.T) {
 // return until that emit has finished; returning early let the handler
 // complete and the late write hit a dead ResponseWriter (a nil-pointer
 // panic in bufio seen under the cluster_r2 benchmark on a busy host).
+// The request that lost the claim drains its copy of the frame — its
+// stream stays in step and ends "ok" — and delivers nothing.
 func TestHedgedFetchWaitsForTheLoser(t *testing.T) {
-	var calls atomic.Int32
+	var calls, drained atomic.Int32
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			time.Sleep(150 * time.Millisecond) // the primary is slow: the hedge claims the chunk
@@ -652,21 +650,29 @@ func TestHedgedFetchWaitsForTheLoser(t *testing.T) {
 		Peers:      map[string]string{"node-a": "http://self.invalid", "node-b": peer.URL},
 		Timeout:    5 * time.Second,
 		HedgeAfter: 20 * time.Millisecond,
+		Hooks: Hooks{OnPeerRequest: func(_, outcome string) {
+			if outcome == "ok" {
+				drained.Add(1)
+			}
+		}},
 	}, newFakePeer(t).st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var emitted atomic.Bool
-	sink := newChunkSink(func(p ChunkPiece) error {
+	var emitted atomic.Int32
+	sink := newChunkSink(emitSink(func(p ChunkPiece) error {
 		time.Sleep(400 * time.Millisecond) // a slow client socket
-		emitted.Store(true)
+		emitted.Add(1)
 		return nil
-	})
-	ok := c.fetchHedged(context.Background(), "node-b", "vol", []chunkHit{{index: 0, dims: [3]int{1, 1, 1}}}, sink)
+	}))
+	ok := c.fetchHedged(context.Background(), "node-b", "vol", []Hit{{Index: 0, Dims: [3]int{1, 1, 1}}}, sink)
 	if !ok || calls.Load() != 2 {
 		t.Fatalf("fetchHedged ok=%v after %d requests, want success after a hedge", ok, calls.Load())
 	}
-	if !emitted.Load() {
-		t.Fatal("fetchHedged returned while the losing request was still emitting its piece")
+	if emitted.Load() != 1 {
+		t.Fatalf("piece emitted %d times by the time fetchHedged returned, want once: it must wait for the request still emitting, and the other must not deliver", emitted.Load())
+	}
+	if drained.Load() != 2 {
+		t.Fatalf("%d of 2 requests ended ok; the one that lost the claim must drain its frame, not fail", drained.Load())
 	}
 }

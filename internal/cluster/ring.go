@@ -13,7 +13,9 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // DefaultVirtualNodes is the number of ring points per peer. 64 points
@@ -21,17 +23,33 @@ import (
 // rosters while the ring stays tiny (a 16-peer ring is 1024 points).
 const DefaultVirtualNodes = 64
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // fnv64 is FNV-1a over s. Inlined rather than hash/fnv so ring hashing
 // allocates nothing and can be called per chunk on the read path.
-func fnv64(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+func fnv64(s string) uint64 { return fnvAdd(fnvOffset64, s) }
+
+// fnvAdd continues an FNV-1a hash h over the bytes of s.
+func fnvAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// chunkKeyHash is fnv64(ChunkKey(id, ci)) without building the key: the
+// same bytes (id, '/', the decimal index) hashed in the same order, so
+// placement is exactly what the string key gives.
+func chunkKeyHash(id string, ci int) uint64 {
+	h := fnvAdd(fnvOffset64, id)
+	h = (h ^ '/') * fnvPrime64
+	var dec [20]byte
+	for _, b := range strconv.AppendInt(dec[:0], int64(ci), 10) {
+		h = (h ^ uint64(b)) * fnvPrime64
 	}
 	return h
 }
@@ -98,7 +116,7 @@ func (r *Ring) Peers() []string { return append([]string(nil), r.peers...) }
 // ChunkKey is the canonical placement key for chunk index ci of the
 // volume with content address id.
 func ChunkKey(id string, ci int) string {
-	return fmt.Sprintf("%s/%d", id, ci)
+	return id + "/" + strconv.Itoa(ci)
 }
 
 // Owner returns the peer ID owning key: the first ring point clockwise
@@ -126,25 +144,35 @@ func (r *Ring) ownerIndex(key string) int {
 // removing a member shifts only the members after it (consistent
 // hashing, extended to replica lists).
 func (r *Ring) Owners(key string, n int) []string {
+	return r.appendOwners(nil, fnv64(key), n)
+}
+
+// ChunkOwners is Owners(ChunkKey(id, ci), n) appended to dst, for the read
+// path: no key string is built, and a dst with room makes the lookup
+// allocation-free.
+func (r *Ring) ChunkOwners(dst []string, id string, ci, n int) []string {
+	return r.appendOwners(dst, chunkKeyHash(id, ci), n)
+}
+
+// appendOwners appends the replica set of the key hashing to h to dst.
+func (r *Ring) appendOwners(dst []string, h uint64, n int) []string {
 	if n <= 0 {
 		n = 1
 	}
 	if n > len(r.peers) {
 		n = len(r.peers)
 	}
-	h := fnv64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for step := 0; step < len(r.points) && len(out) < n; step++ {
-		p := r.points[(start+step)%len(r.points)].peer
-		if seen[p] {
-			continue
+	base := len(dst)
+	for step := 0; step < len(r.points) && len(dst)-base < n; step++ {
+		id := r.peers[r.points[(start+step)%len(r.points)].peer]
+		// Replica sets are a handful of peers: scanning what is already
+		// chosen beats a set.
+		if !slices.Contains(dst[base:], id) {
+			dst = append(dst, id)
 		}
-		seen[p] = true
-		out = append(out, r.peers[p])
 	}
-	return out
+	return dst
 }
 
 // Placement maps each of n chunks of volume id to its owning peer,
@@ -160,8 +188,10 @@ func (r *Ring) Placement(id string, n int) map[string][]int {
 // replica set; peers owning no chunks of this volume are absent.
 func (r *Ring) PlacementReplicas(id string, n, replicas int) map[string][]int {
 	out := make(map[string][]int)
+	var owners []string
 	for ci := 0; ci < n; ci++ {
-		for _, p := range r.Owners(ChunkKey(id, ci), replicas) {
+		owners = r.ChunkOwners(owners[:0], id, ci, replicas)
+		for _, p := range owners {
 			out[p] = append(out[p], ci)
 		}
 	}

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -284,5 +287,53 @@ func TestPlacementCoversAllChunks(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Fatalf("placement covers %d of %d chunks", len(seen), n)
+	}
+}
+
+// TestChunkOwnersMatchesStringKey pins placement across the move from
+// fmt.Sprintf keys and a per-lookup set to incremental hashing: for 16
+// content addresses of 640 chunks each (10 240 keys) the key-free lookup
+// hashes exactly what the string key hashes, names the same replica sets
+// in the same order, and PlacementReplicas lists the same chunks per peer
+// — and with room in dst it allocates nothing.
+func TestChunkOwnersMatchesStringKey(t *testing.T) {
+	r, err := NewRing([]string{"node-a", "node-b", "node-c", "node-d", "node-e"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunks = 640
+	for v := 0; v < 16; v++ {
+		sum := sha256.Sum256([]byte{byte(v)})
+		id := hex.EncodeToString(sum[:]) // a real content address: 64 hex digits
+		for _, replicas := range []int{1, 2, 3} {
+			want := make(map[string][]int)
+			for ci := 0; ci < chunks; ci++ {
+				key := fmt.Sprintf("%s/%d", id, ci) // how keys were built before
+				if ChunkKey(id, ci) != key {
+					t.Fatalf("ChunkKey = %q, want %q", ChunkKey(id, ci), key)
+				}
+				if chunkKeyHash(id, ci) != fnv64(key) {
+					t.Fatalf("chunkKeyHash(%s, %d) differs from fnv64 of the string key", id[:8], ci)
+				}
+				byKey := r.Owners(key, replicas)
+				if got := r.ChunkOwners(nil, id, ci, replicas); fmt.Sprint(got) != fmt.Sprint(byKey) {
+					t.Fatalf("chunk %d of %s: ChunkOwners %v, Owners(key) %v", ci, id[:8], got, byKey)
+				}
+				if byKey[0] != r.Owner(key) {
+					t.Fatalf("chunk %d of %s: primary %s, Owner %s", ci, id[:8], byKey[0], r.Owner(key))
+				}
+				for _, p := range byKey {
+					want[p] = append(want[p], ci)
+				}
+			}
+			if got := r.PlacementReplicas(id, chunks, replicas); !reflect.DeepEqual(got, want) {
+				t.Fatalf("PlacementReplicas(%s, %d, %d) moved", id[:8], chunks, replicas)
+			}
+		}
+	}
+	dst := make([]string, 0, 3)
+	id := hex.EncodeToString(make([]byte, 32))
+	if n := testing.AllocsPerRun(100, func() { dst = r.ChunkOwners(dst[:0], id, 123456, 3) }); n != 0 {
+		t.Fatalf("ChunkOwners allocates %v times per lookup with room in dst", n)
 	}
 }

@@ -14,10 +14,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sperr"
 	"sperr/internal/cluster"
@@ -137,11 +140,11 @@ func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqSt
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rdims[0], rdims[1], rdims[2]))
 
-	out := bufio.NewWriterSize(w, 256<<10)
+	out := getStreamWriter(w)
+	defer putStreamWriter(out) // RegionTo returns only once nothing can write a piece any more
 	ra := newRegionAssembler(out, origin, rdims, meta.Dims, meta.ChunkDims, width)
-	rep, err := s.cluster.Region(r.Context(), id, origin, rdims,
-		cluster.RegionOptions{Workers: workers, Fill: fill},
-		func(p cluster.ChunkPiece) error { return ra.add(p.Origin, p.Dims, p.Samples) })
+	rep, err := s.cluster.RegionTo(r.Context(), id, origin, rdims,
+		cluster.RegionOptions{Workers: workers, Fill: fill}, pieceSink{ra})
 	if err == nil {
 		err = ra.done()
 	}
@@ -168,6 +171,36 @@ func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqSt
 		return
 	}
 	finish(nil)
+}
+
+// streamWriters recycles the 256 KiB buffers region and peer-chunk
+// responses are written through; a hot read would otherwise allocate and
+// zero one per request on both sides of the wire.
+var streamWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
+
+func getStreamWriter(w io.Writer) *bufio.Writer {
+	bw := streamWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+// putStreamWriter returns bw to the pool. Nothing may write to it after.
+func putStreamWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	streamWriters.Put(bw)
+}
+
+// pieceSink lands a scatter-gather read's pieces in the response bands:
+// the sample bytes go from the cached slab or the peer's socket into the
+// band once, with no slice of samples in between.
+type pieceSink struct{ ra *regionAssembler }
+
+func (p pieceSink) Slab(h cluster.Hit, slabOrigin, slabDims [3]int, data []float64) error {
+	return p.ra.addSlab(h.Origin, h.Dims, slabOrigin, slabDims, data)
+}
+
+func (p pieceSink) Wire(h cluster.Hit, r io.Reader) error {
+	return p.ra.addWire(h.Origin, h.Dims, r)
 }
 
 // handleClusterDelete removes the volume's shard from every peer.
@@ -230,8 +263,10 @@ func (s *Server) handleInternalPut(w *statusWriter, r *http.Request, st *reqStat
 // the region box as length-prefixed float64 frames (u32 index, u32
 // count, samples LE). A chunk this peer cannot serve — a stub, or a
 // damaged frame — is simply omitted; the coordinator retries elsewhere
-// in time, then fills. Decodes go through the store's slab cache, so a
-// hot chunk costs no decode work here either.
+// in time, then fills. Each chunk is read in place from the store's slab
+// cache (decoded first if it is not resident) and its intersection goes
+// onto the wire row by row, so a hot chunk costs neither decode work nor
+// a copy of its samples here.
 func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqStats) {
 	id := r.PathValue("id")
 	meta, ok := s.store.Describe(id)
@@ -251,6 +286,12 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 			badRequest(w, st, fmt.Errorf("bad chunk index %q", f))
 			return
 		}
+		// A frame answers an index once; asking twice is asking for a
+		// stream the coordinator's own parser rejects.
+		if slices.Contains(chunks, ci) {
+			badRequest(w, st, fmt.Errorf("chunk index %d listed twice", ci))
+			return
+		}
 		chunks = append(chunks, ci)
 	}
 	if len(chunks) == 0 {
@@ -267,14 +308,16 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 
 	finish := trailerStatus(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	out := bufio.NewWriterSize(w, 256<<10)
+	out := getStreamWriter(w)
+	defer putStreamWriter(out)
+	row := make([]byte, 8*meta.ChunkDims[0]) // no chunk has longer rows
 	for _, ci := range chunks {
 		cg := meta.Chunks[ci]
 		o, d, ok := cluster.Intersect(origin, rdims, cg.Origin, cg.Dims)
 		if !ok {
 			continue
 		}
-		data, _, err := s.store.Region(r.Context(), id, o, d, 1)
+		slab, err := s.store.ChunkSlab(r.Context(), id, ci)
 		if err != nil {
 			if r.Context().Err() != nil {
 				s.streamFail(w, r, st, finish, err)
@@ -282,16 +325,7 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 			}
 			continue // unservable chunk (stub or damage): omit its frame
 		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(ci))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(data)))
-		if _, err := out.Write(hdr[:]); err != nil {
-			s.streamFail(w, r, st, finish, err)
-			return
-		}
-		buf := make([]byte, 8*len(data))
-		putRow(buf, data, 8)
-		if _, err := out.Write(buf); err != nil {
+		if err := writeChunkFrame(out, ci, o, d, cg.Origin, cg.Dims, slab, row); err != nil {
 			s.streamFail(w, r, st, finish, err)
 			return
 		}
@@ -301,6 +335,30 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 		return
 	}
 	finish(nil)
+}
+
+// writeChunkFrame writes one peer-protocol frame: chunk index ci, the
+// sample count of the box o+d, then that box's samples read out of the
+// slab so+sd and serialised one row at a time through row (at least 8·d[0]
+// bytes). The slab is only read.
+func writeChunkFrame(out *bufio.Writer, ci int, o, d, so, sd [3]int, slab []float64, row []byte) error {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ci))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(d[0]*d[1]*d[2]))
+	if _, err := out.Write(hdr[:]); err != nil {
+		return err
+	}
+	row = row[:8*d[0]]
+	for z := o[2] - so[2]; z < o[2]-so[2]+d[2]; z++ {
+		for y := o[1] - so[1]; y < o[1]-so[1]+d[1]; y++ {
+			src := (z*sd[1]+y)*sd[0] + o[0] - so[0]
+			putRow(row, slab[src:src+d[0]], 8)
+			if _, err := out.Write(row); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // handleInternalRepair answers an anti-entropy repair request: slice

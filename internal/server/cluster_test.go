@@ -29,7 +29,7 @@ type clusterNode struct {
 // newClusterNodes boots n sperrd instances wired into one roster. The
 // listeners are created before the servers so every node's config can
 // name every peer's URL.
-func newClusterNodes(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clusterNode {
+func newClusterNodes(t testing.TB, n int, mutate func(i int, cfg *Config)) []*clusterNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	var roster []string

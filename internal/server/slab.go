@@ -88,9 +88,64 @@ func (ra *regionAssembler) bandBounds(b int) (zlo, zhi int) {
 // already clipped to the region) into its band and flushes any bands
 // that just became contiguous with the output cursor.
 func (ra *regionAssembler) add(o, d [3]int, samples []float64) error {
+	return ra.addSlab(o, d, o, d, samples)
+}
+
+// addSlab is add for a piece that is still inside a larger slab: the box
+// o+d of the x-fastest slab so+sd, which is only read (it may be the
+// decoded cache's own memory).
+func (ra *regionAssembler) addSlab(o, d, so, sd [3]int, slab []float64) error {
+	b, buf := ra.band(o)
+	line := ra.dims[0] * ra.width
+	for z := 0; z < d[2]; z++ {
+		for y := 0; y < d[1]; y++ {
+			src := ((o[2]-so[2]+z)*sd[1]+o[1]-so[1]+y)*sd[0] + o[0] - so[0]
+			putRow(buf[(z*ra.dims[1]+y)*line:], slab[src:src+d[0]], ra.width)
+		}
+	}
+	return ra.pieceDone(b)
+}
+
+// addWire is add for a piece still on a peer connection: r yields the
+// piece's 8·n little-endian float64 bytes, which land in the band row by
+// row — as they are at width 8, narrowed through one row buffer at width
+// 4. A read error leaves the band's piece count alone, so a band holding
+// a half-written piece cannot flush; whoever delivers the piece next
+// rewrites every row of it.
+func (ra *regionAssembler) addWire(o, d [3]int, r io.Reader) error {
+	b, buf := ra.band(o)
+	line := ra.dims[0] * ra.width
+	var row []byte
+	if ra.width == 4 {
+		row = make([]byte, 8*d[0])
+	}
+	for z := 0; z < d[2]; z++ {
+		for y := 0; y < d[1]; y++ {
+			off := (z*ra.dims[1] + y) * line
+			if ra.width == 8 {
+				if _, err := io.ReadFull(r, buf[off:off+8*d[0]]); err != nil {
+					return err
+				}
+				continue
+			}
+			if _, err := io.ReadFull(r, row); err != nil {
+				return err
+			}
+			for x := 0; x < d[0]; x++ {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(row[8*x:]))
+				binary.LittleEndian.PutUint32(buf[off+4*x:], math.Float32bits(float32(v)))
+			}
+		}
+	}
+	return ra.pieceDone(b)
+}
+
+// band returns the index of the band a piece at origin o belongs to and
+// the band's buffer from the piece's first sample on, allocating the
+// buffer on the band's first piece.
+func (ra *regionAssembler) band(o [3]int) (int, []byte) {
 	b := o[2]/ra.cz - ra.gz0
 	zlo, zhi := ra.bandBounds(b)
-
 	ra.mu.Lock()
 	buf, ok := ra.bufs[b]
 	if !ok {
@@ -99,17 +154,12 @@ func (ra *regionAssembler) add(o, d [3]int, samples []float64) error {
 		ra.left[b] = ra.perBand
 	}
 	ra.mu.Unlock()
+	return b, buf[(((o[2]-zlo)*ra.dims[1]+o[1]-ra.origin[1])*ra.dims[0]+o[0]-ra.origin[0])*ra.width:]
+}
 
-	nx, ny := d[0], d[1]
-	for z := 0; z < d[2]; z++ {
-		zl := o[2] + z - zlo
-		for y := 0; y < ny; y++ {
-			row := samples[(z*ny+y)*nx : (z*ny+y+1)*nx]
-			off := ((zl*ra.dims[1]+o[1]+y-ra.origin[1])*ra.dims[0] + o[0] - ra.origin[0]) * ra.width
-			putRow(buf[off:], row, ra.width)
-		}
-	}
-
+// pieceDone counts one completed piece of band b and flushes every band
+// that is now contiguous with the output cursor.
+func (ra *regionAssembler) pieceDone(b int) error {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
 	ra.left[b]--

@@ -46,7 +46,7 @@ func newStoreServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // do issues a method/URL/body request under the standard test deadline.
-func do(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
+func do(t testing.TB, method, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
@@ -71,7 +71,7 @@ func do(t *testing.T, method, url string, body []byte) (*http.Response, []byte) 
 }
 
 // ingest PUTs a container and returns its content address.
-func ingest(t *testing.T, ts *httptest.Server, container []byte, wantCode int) string {
+func ingest(t testing.TB, ts *httptest.Server, container []byte, wantCode int) string {
 	t.Helper()
 	res, body := do(t, "PUT", ts.URL+"/v1/volumes", container)
 	if res.StatusCode != wantCode {

@@ -169,29 +169,15 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		sem <- struct{}{}
 		go func(ci int) {
 			defer func() { <-sem; wg.Done() }()
-			g := m.Chunks[ci]
-			// A region equal to exactly one chunk's box decodes exactly
-			// that frame (chunks tile the volume disjointly), so the
-			// existing seekable region path is the single-chunk decoder.
-			data, err := sperr.DecompressRegionWorkers(blob, g.Origin, g.Dims, 1)
+			data, err := s.decodeChunk(blob, id, m, ci)
 			if err != nil {
-				setErr(fmt.Errorf("store: chunk %d of %s: %w", ci, shortID(id), err))
+				setErr(err)
 				return
 			}
-			s.decodes.Add(1)
 			decoded.Add(1)
-			if s.opts.Hooks.OnDecode != nil {
-				s.opts.Hooks.OnDecode(1)
-			}
 			// Chunks are disjoint, so concurrent copies write disjoint
 			// ranges of out.
-			copyIntersect(out, origin, dims, g.Origin, g.Dims, data)
-			s.cache.Insert(&slabEntry{
-				key:    chunkKey{ID: id, Chunk: ci},
-				origin: g.Origin,
-				dims:   g.Dims,
-				data:   data,
-			})
+			copyIntersect(out, origin, dims, m.Chunks[ci].Origin, m.Chunks[ci].Dims, data)
 		}(ci)
 	}
 	wg.Wait()
@@ -200,6 +186,65 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		return nil, nil, first
 	}
 	return out, st, nil
+}
+
+// decodeChunk is the one miss path: decode chunk ci of the volume's blob,
+// count it, and offer the slab to the cache. The returned slab may now be
+// shared with other readers, so it is read-only from here on.
+func (s *Store) decodeChunk(blob []byte, id string, m *Meta, ci int) ([]float64, error) {
+	g := m.Chunks[ci]
+	// A region equal to exactly one chunk's box decodes exactly that frame
+	// (chunks tile the volume disjointly), so the existing seekable region
+	// path is the single-chunk decoder.
+	data, err := sperr.DecompressRegionWorkers(blob, g.Origin, g.Dims, 1)
+	if err != nil {
+		return nil, fmt.Errorf("store: chunk %d of %s: %w", ci, shortID(id), err)
+	}
+	s.decodes.Add(1)
+	if s.opts.Hooks.OnDecode != nil {
+		s.opts.Hooks.OnDecode(1)
+	}
+	s.cache.Insert(&slabEntry{
+		key:    chunkKey{ID: id, Chunk: ci},
+		origin: g.Origin,
+		dims:   g.Dims,
+		data:   data,
+	})
+	return data, nil
+}
+
+// ChunkSlab returns chunk ci's whole decoded slab (x-fastest over the
+// chunk's own box, which Describe's geometry gives) without copying it: on
+// a cache hit it is the resident slab itself, on a miss the slab that
+// decodeChunk has just offered to the cache. Either way other readers may
+// hold the same memory, so the caller must not write to it; it stays valid
+// after eviction (the cache drops slabs, it never recycles them). Hit, miss
+// and decode hooks fire as for a one-chunk Region.
+func (s *Store) ChunkSlab(ctx context.Context, id string, ci int) ([]float64, error) {
+	m, ok := s.Describe(id)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	if ci < 0 || ci >= len(m.Chunks) {
+		return nil, fmt.Errorf("store: chunk %d outside volume %s (%d chunks)", ci, shortID(id), len(m.Chunks))
+	}
+	if e := s.cache.Get(chunkKey{ID: id, Chunk: ci}); e != nil {
+		if s.opts.Hooks.OnHit != nil {
+			s.opts.Hooks.OnHit(1)
+		}
+		return e.data, nil
+	}
+	if s.opts.Hooks.OnMiss != nil {
+		s.opts.Hooks.OnMiss(1)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	blob, err := os.ReadFile(s.blobPath(id))
+	if err != nil {
+		return nil, fmt.Errorf("store: blob for %s: %w", shortID(id), err)
+	}
+	return s.decodeChunk(blob, id, m, ci)
 }
 
 // copyIntersect copies the overlap of the chunk box (cOrigin, cDims) into

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sperr"
@@ -303,6 +304,72 @@ func TestRegionMatchesDecompressRegion(t *testing.T) {
 		}
 	}
 	mustClean(t, s)
+}
+
+// TestChunkSlabSharesTheCachedSlab: ChunkSlab is Region's cache without
+// the copy. A miss decodes through the same path (one decode, counted by
+// the same hooks, offered to the cache); a hit returns the resident slab
+// itself; both are the chunk's box of the library decode; and with the
+// cache off every call decodes and still answers.
+func TestChunkSlabSharesTheCachedSlab(t *testing.T) {
+	var hits, misses, decodes atomic.Int64
+	hooks := Hooks{
+		OnHit:    func(n int) { hits.Add(int64(n)) },
+		OnMiss:   func(n int) { misses.Add(int64(n)) },
+		OnDecode: func(n int) { decodes.Add(int64(n)) },
+	}
+	dims := [3]int{24, 17, 9}
+	c := makeContainer(t, dims, [3]int{8, 8, 8}, 1e-4, 5)
+	for _, cacheSamples := range []int64{1 << 20, 0} {
+		hits.Store(0)
+		misses.Store(0)
+		decodes.Store(0)
+		s := openTestStore(t, Options{CacheSamples: cacheSamples, Hooks: hooks})
+		meta, _, err := s.Put(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for ci, g := range meta.Chunks {
+			want, err := sperr.DecompressRegion(c, g.Origin, g.Dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := s.ChunkSlab(ctx, meta.ID, ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := s.ChunkSlab(ctx, meta.ID, ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalFloats(first, want) || !equalFloats(second, want) {
+				t.Fatalf("cache %d: chunk %d differs from the library decode", cacheSamples, ci)
+			}
+			if shared := &first[0] == &second[0]; shared != (cacheSamples > 0) {
+				t.Fatalf("cache %d: chunk %d: second call shares the first's slab = %v", cacheSamples, ci, shared)
+			}
+			viaRegion, _, err := s.Region(ctx, meta.ID, g.Origin, g.Dims, 1)
+			if err != nil || !equalFloats(viaRegion, want) {
+				t.Fatalf("cache %d: chunk %d: Region after ChunkSlab: %v", cacheSamples, ci, err)
+			}
+		}
+		n := int64(len(meta.Chunks))
+		wantHits, wantDecodes := 2*n, n // second ChunkSlab and Region hit what the first decoded
+		if cacheSamples == 0 {
+			wantHits, wantDecodes = 0, 3*n
+		}
+		if hits.Load() != wantHits || misses.Load() != wantDecodes || decodes.Load() != wantDecodes || s.Decodes() != wantDecodes {
+			t.Fatalf("cache %d: hits %d misses %d decodes %d (store %d), want %d/%d/%d", cacheSamples,
+				hits.Load(), misses.Load(), decodes.Load(), s.Decodes(), wantHits, wantDecodes, wantDecodes)
+		}
+		if _, err := s.ChunkSlab(ctx, meta.ID, len(meta.Chunks)); err == nil {
+			t.Fatal("chunk index past the end accepted")
+		}
+		if _, err := s.ChunkSlab(ctx, "no-such-volume", 0); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("unknown volume: %v", err)
+		}
+	}
 }
 
 // equalFloats compares bit patterns (NaN-safe, sign-of-zero-exact).
