@@ -40,14 +40,18 @@ faultinject:
 	$(GO) test -race -count=1 -v -run 'TestCampaign' ./internal/faultinject/
 
 # Short fuzz smoke over the targets that take bytes from outside — the
-# container decoders, the outlier decoder, and a peer's chunk-stream answer
-# as the coordinator parses it; raise FUZZTIME for a longer exploration.
+# container decoders, the outlier decoder, a peer's chunk-stream answer
+# as the coordinator parses it, and a peer's shard as MergeShards folds it
+# in (two whole containers per input, so its minimisation is capped or one
+# interesting input eats the whole budget); raise FUZZTIME for a longer
+# exploration.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzCompressDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzOutlierDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/outlier/
 	$(GO) test -fuzz=FuzzChunkFrames -fuzztime=$(FUZZTIME) -run=^$$ ./internal/cluster/
+	$(GO) test -fuzz=FuzzMergeShards -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run=^$$ ./internal/chunk/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -132,7 +132,7 @@ func (s *Stats) BPP() float64 {
 }
 
 // Compress compresses vol chunk-by-chunk in parallel and returns the
-// container stream (format v2). It is a thin in-memory wrapper over the
+// container stream (format v2, or v3 when frames carry codec tags). It is a thin in-memory wrapper over the
 // streaming Writer engine: the whole volume is fed at once, so chunks cut
 // straight from vol with no accumulation copies, and the output is
 // byte-identical at every worker count.
@@ -152,8 +152,8 @@ func Compress(vol *grid.Volume, opts Options) ([]byte, *Stats, error) {
 	return buf.Bytes(), w.Stats(), nil
 }
 
-// Decompress reconstructs a volume from a container stream (format v1 or
-// v2), decoding chunks in parallel on up to workers goroutines (<= 0
+// Decompress reconstructs a volume from a container stream (any format
+// version), decoding chunks in parallel on up to workers goroutines (<= 0
 // means GOMAXPROCS). It is a thin wrapper over the streaming Reader
 // engine with the whole container in memory.
 func Decompress(stream []byte, workers int) (*grid.Volume, error) {
@@ -175,16 +175,9 @@ func Decompress(stream []byte, workers int) (*grid.Volume, error) {
 	return vol, nil
 }
 
-// forEachChunkParallel runs fn(i) for i in [0, n) on up to workers
-// goroutines (<= 0 means GOMAXPROCS) and returns the first error.
-func forEachChunkParallel(n, workers int, fn func(i int) error) error {
-	return forEachChunkScratch(n, workers, func(i int, _ *workerScratch) error {
-		return fn(i)
-	})
-}
-
-// forEachChunkScratch is forEachChunkParallel handing each worker
-// goroutine a pooled arena for the duration of its run.
+// forEachChunkScratch runs fn(i, arena) for i in [0, n) on up to workers
+// goroutines (<= 0 means GOMAXPROCS), each holding a pooled arena for the
+// duration of its run, and returns the first error.
 func forEachChunkScratch(n, workers int, fn func(i int, ws *workerScratch) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -8,20 +8,19 @@ import (
 	"sperr/internal/grid"
 )
 
-// container is a parsed SPERR-Go container stream (format v1, v2, or v3).
-// For v2+, payload checksums are deferred to payload(): parse walks only
-// the header and index footer, so random-access consumers (Describe,
-// DecompressRegion) never touch the frames they skip.
+// container is a parsed SPERR-Go container stream of any generation. On
+// indexed layouts, payload checksums are deferred to payload(): parse
+// walks only the header and index footer, so random-access consumers
+// (Describe, DecompressRegion) never touch the frames they skip.
 type container struct {
-	version   int
+	layout
 	volDims   grid.Dims
 	chunkDims grid.Dims
 	chunks    []grid.Chunk
 	payloads  [][]byte        // one compressed stream per chunk, aliasing the input
-	crcs      []uint32        // v2+: expected payload crc32c, verified lazily
-	codecs    []codec.CodecID // v3: per-chunk codec map from the footer
-	agg       aggregates
-	hasAgg    bool
+	crcs      []uint32        // indexed: expected payload crc32c, verified lazily
+	codecs    []codec.CodecID // tagged: per-chunk codec map from the footer
+	agg       aggregates      // indexed: the footer's aggregates
 }
 
 // MaxDecodePoints, when positive, bounds the number of points a container
@@ -72,36 +71,28 @@ func validateGeometry(volDims, chunkDims grid.Dims, nchunks int) ([]grid.Chunk, 
 	return grid.SplitChunks(volDims, chunkDims), nil
 }
 
-// parseFixedHeader decodes and validates the 36-byte fixed header shared
-// by v1 and v2, returning the declared geometry and the chunk split. It is
-// the common entry of the strict parser (parseContainer) and the salvage
-// path, which must keep going on streams whose frame region is damaged.
-func parseFixedHeader(stream []byte) (version int, volDims, chunkDims grid.Dims, chunks []grid.Chunk, err error) {
+// parseFixedHeader decodes and validates the 36-byte fixed header every
+// generation shares, returning the generation's layout, the declared
+// geometry and the chunk split. It is the common entry of the strict
+// parser (parseContainer), the streaming Reader, and the salvage path,
+// which must keep going on streams whose frame region is damaged.
+func parseFixedHeader(stream []byte) (l layout, volDims, chunkDims grid.Dims, chunks []grid.Chunk, err error) {
 	if len(stream) < fixedHeaderSize {
-		return 0, volDims, chunkDims, nil, fmt.Errorf("%w: short header", ErrCorrupt)
+		return l, volDims, chunkDims, nil, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
-	switch {
-	case [8]byte(stream[:8]) == magicV1:
-		version = 1
-	case [8]byte(stream[:8]) == magicV2:
-		version = 2
-	case [8]byte(stream[:8]) == magicV3:
-		version = 3
-	default:
-		return 0, volDims, chunkDims, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	l, ok := layoutOfMagic([8]byte(stream[:8]))
+	if !ok {
+		return l, volDims, chunkDims, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(stream[off:])) }
 	volDims = grid.Dims{NX: u32(8), NY: u32(12), NZ: u32(16)}
 	chunkDims = grid.Dims{NX: u32(20), NY: u32(24), NZ: u32(28)}
 	chunks, err = validateGeometry(volDims, chunkDims, u32(32))
-	if err != nil {
-		return 0, volDims, chunkDims, nil, err
-	}
-	return version, volDims, chunkDims, chunks, nil
+	return l, volDims, chunkDims, chunks, err
 }
 
 // parseContainer validates and indexes a container stream without
-// decoding (or, for v2, even checksumming) any chunk payloads.
+// decoding (or, on indexed layouts, even checksumming) any chunk payloads.
 func parseContainer(stream []byte) (*container, error) {
 	if len(stream) < fixedHeaderSize {
 		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
@@ -114,13 +105,13 @@ func parseContainer(stream []byte) (*container, error) {
 	if nchunks > (len(stream)-fixedHeaderSize)/4 {
 		return nil, fmt.Errorf("%w: chunk count %d exceeds stream capacity", ErrCorrupt, nchunks)
 	}
-	version, volDims, chunkDims, chunks, err := parseFixedHeader(stream)
+	l, volDims, chunkDims, chunks, err := parseFixedHeader(stream)
 	if err != nil {
 		return nil, err
 	}
-	c := &container{version: version, volDims: volDims, chunkDims: chunkDims, chunks: chunks}
-	if c.version >= 2 {
-		return c, c.parseV2(stream, nchunks)
+	c := &container{layout: l, volDims: volDims, chunkDims: chunkDims, chunks: chunks}
+	if c.indexed {
+		return c, c.parseIndexed(stream)
 	}
 	c.payloads = make([][]byte, nchunks)
 	off := fixedHeaderSize
@@ -139,24 +130,19 @@ func parseContainer(stream []byte) (*container, error) {
 	return c, nil
 }
 
-// parseV2 indexes a v2/v3 stream from its footer alone: the frames are
+// parseIndexed indexes the stream from its footer alone: the frames are
 // located by the index entries, not by walking length prefixes, so this
 // is O(nchunks) in the footer and touches no frame bytes.
-func (c *container) parseV2(stream []byte, nchunks int) error {
-	idxOff, err := locateIndex(stream, c.version)
+func (c *container) parseIndexed(stream []byte) error {
+	entries, codecs, agg, err := readIndex(stream, c.layout, len(c.chunks))
 	if err != nil {
 		return err
 	}
-	entries, codecs, agg, err := parseIndex(stream[idxOff:], c.version, nchunks, idxOff, len(stream))
-	if err != nil {
-		return err
-	}
-	c.agg, c.hasAgg = agg, true
-	c.codecs = codecs
-	c.payloads = make([][]byte, nchunks)
-	c.crcs = make([]uint32, nchunks)
+	c.agg, c.codecs = agg, codecs
+	c.payloads = make([][]byte, len(entries))
+	c.crcs = make([]uint32, len(entries))
 	for i, e := range entries {
-		// parseIndex proved offset+4+length+4 <= indexOffset <= len(stream).
+		// parseIndex proved offset+overhead+length <= indexOffset <= len(stream).
 		start := int(e.offset) + 4
 		c.payloads[i] = stream[start : start+int(e.length)]
 		c.crcs[i] = e.crc
@@ -165,9 +151,10 @@ func (c *container) parseV2(stream []byte, nchunks int) error {
 }
 
 // payload returns chunk i's compressed stream, verifying its checksum
-// first on v2+ containers. Verification happens here — at access time —
-// rather than at parse time, so consumers pay only for the frames they
-// actually open. On v3 the returned bytes include the leading codec tag.
+// first on indexed containers. Verification happens here — at access time
+// — rather than at parse time, so consumers pay only for the frames they
+// actually open. On tagged layouts the returned bytes include the leading
+// codec tag.
 func (c *container) payload(i int) ([]byte, error) {
 	p := c.payloads[i]
 	if c.crcs != nil {
@@ -178,58 +165,30 @@ func (c *container) payload(i int) ([]byte, error) {
 	return p, nil
 }
 
-// decodeTaggedPayload decodes a v3 frame payload — codec tag byte plus
-// backend stream — dispatching on the tag. A tag outside the registry
-// fails as ErrCorrupt; it must never fall through to some backend's
-// decoder.
-func decodeTaggedPayload(payload []byte, dims grid.Dims, s *codec.Scratch, threads int) ([]float64, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: empty frame payload", ErrCorrupt)
-	}
-	b, ok := codec.Lookup(codec.CodecID(payload[0]))
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown codec tag %d", ErrCorrupt, payload[0])
-	}
-	data, err := b.Decode(payload[1:], dims, s, threads)
-	if err != nil {
-		// A CRC-valid frame whose tagged backend rejects the stream is
-		// corruption evidence (e.g. a consistently forged tag): surface it
-		// under the container's error identity, keeping the backend's too.
-		return nil, fmt.Errorf("%w: codec %s: %w", ErrCorrupt, b.Name(), err)
-	}
-	return data, nil
-}
-
-// decodeChunk decodes chunk i of the container with the version-correct
-// dispatch: pre-v3 payloads are SPERR streams; v3 payloads carry a codec
-// tag that must also agree with the footer's codec map.
+// decodeChunk decodes chunk i of the container after verifying its
+// checksum; a tagged frame's codec tag must also agree with the footer's
+// codec map.
 func (c *container) decodeChunk(i int, dims grid.Dims, s *codec.Scratch, threads int) ([]float64, error) {
 	payload, err := c.payload(i)
 	if err != nil {
 		return nil, err
 	}
-	if c.version < 3 {
-		return codec.DecodeChunkScratchThreads(payload, dims, s, threads)
-	}
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: chunk %d frame empty", ErrCorrupt, i)
-	}
-	if c.codecs != nil && codec.CodecID(payload[0]) != c.codecs[i] {
+	if c.tagged && len(payload) > 0 && codec.CodecID(payload[0]) != c.codecs[i] {
 		return nil, fmt.Errorf("%w: chunk %d frame tag %d disagrees with index codec %d",
 			ErrCorrupt, i, payload[0], c.codecs[i])
 	}
-	return decodeTaggedPayload(payload, dims, s, threads)
+	return c.decode(payload, dims, s, threads)
 }
 
 // sperrPayload returns chunk i's SPERR stream for the progressive-access
 // paths (partial and low-resolution decode), which are SPERR-specific: on
-// a v3 container the chunk must be SPERR-coded and the tag is stripped.
+// a tagged container the chunk must be SPERR-coded and the tag is stripped.
 func (c *container) sperrPayload(i int) ([]byte, error) {
 	payload, err := c.payload(i)
 	if err != nil {
 		return nil, err
 	}
-	if c.version < 3 {
+	if !c.tagged {
 		return payload, nil
 	}
 	if len(payload) < 1 {

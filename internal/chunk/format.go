@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"sperr/internal/codec"
@@ -55,20 +56,106 @@ import (
 // The map lets `sperr inspect` and Describe report the per-chunk codec
 // without opening any frame, and gives readers a cross-check against the
 // frame tags. Everything else is identical to v2.
-var (
-	magicV1  = [8]byte{'S', 'P', 'R', 'R', 'G', 'O', '0', '1'}
-	magicV2  = [8]byte{'S', 'P', 'R', 'R', 'G', 'O', '0', '2'}
-	magicV3  = [8]byte{'S', 'P', 'R', 'R', 'G', 'O', '0', '3'}
-	magicIx  = [8]byte{'S', 'P', 'R', 'R', 'I', 'X', '0', '2'}
-	magicIx3 = [8]byte{'S', 'P', 'R', 'R', 'I', 'X', '0', '3'}
-)
+
+// layout is everything that differs between the container generations.
+// This file is the only one that names a generation: parseFixedHeader
+// turns the magic into a layout, and the rest of the package asks it
+// indexed / tagged / overhead or calls its methods, never a number.
+type layout struct {
+	version  int
+	magic    [8]byte // opens the fixed header
+	ixMagic  [8]byte // closes the index footer (indexed generations only)
+	overhead int     // frame bytes beyond the payload: the length prefix, plus the CRC when indexed
+	indexed  bool    // frames end in their CRC-32C and the stream ends in an index footer
+	tagged   bool    // payloads lead with a codec tag byte and the footer carries the codec map
+}
+
+var layouts = [...]layout{
+	{version: 1, magic: magicOf("SPRRGO01"), overhead: 4},
+	{version: 2, magic: magicOf("SPRRGO02"), ixMagic: magicOf("SPRRIX02"), overhead: 8, indexed: true},
+	{version: 3, magic: magicOf("SPRRGO03"), ixMagic: magicOf("SPRRIX03"), overhead: 8, indexed: true, tagged: true},
+}
+
+func magicOf(s string) [8]byte { return [8]byte([]byte(s)) }
+
+// layoutOfMagic identifies the generation a fixed header announces.
+func layoutOfMagic(magic [8]byte) (layout, bool) {
+	for _, l := range layouts {
+		if l.magic == magic {
+			return l, true
+		}
+	}
+	return layout{}, false
+}
+
+// writeLayout returns the generation new containers are written in: v3
+// exists for streams whose frames need codec tags; everything else keeps
+// emitting v2 byte-for-byte. v1 is read-only, so a rewrite of a v1
+// container (Repair) upgrades it to v2.
+func writeLayout(tagged bool) layout {
+	if tagged {
+		return layouts[2]
+	}
+	return layouts[1]
+}
+
+// indexSize returns the exact footer size for nchunks chunks; the codec
+// map costs one more byte per chunk.
+func (l layout) indexSize(nchunks int) int {
+	size := nchunks*indexEntrySize + aggregateSize + tailSize
+	if l.tagged {
+		size += nchunks
+	}
+	return size
+}
+
+// decode reconstructs one chunk from its frame payload: an untagged
+// payload is a SPERR stream; a tagged one dispatches on its codec tag. A
+// tag outside the registry fails as ErrCorrupt; it must never fall
+// through to some backend's decoder.
+func (l layout) decode(payload []byte, dims grid.Dims, s *codec.Scratch, threads int) ([]float64, error) {
+	if !l.tagged {
+		return codec.DecodeChunkScratchThreads(payload, dims, s, threads)
+	}
+	if len(payload) < 1 {
+		return nil, fmt.Errorf("%w: empty frame payload", ErrCorrupt)
+	}
+	b, ok := codec.Lookup(codec.CodecID(payload[0]))
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown codec tag %d", ErrCorrupt, payload[0])
+	}
+	data, err := b.Decode(payload[1:], dims, s, threads)
+	if err != nil {
+		// A CRC-valid frame whose tagged backend rejects the stream is
+		// corruption evidence (e.g. a consistently forged tag): surface it
+		// under the container's error identity, keeping the backend's too.
+		return nil, fmt.Errorf("%w: codec %s: %w", ErrCorrupt, b.Name(), err)
+	}
+	return data, nil
+}
+
+// describe parses a frame payload's self-description without decoding it.
+func (l layout) describe(payload []byte) (*codec.StreamMeta, error) {
+	if l.tagged {
+		return codec.DescribeTagged(payload)
+	}
+	return codec.DescribeChunk(payload)
+}
+
+// stub returns the payload of a placeholder frame for a chunk coded by id:
+// empty, or the bare codec tag so the frame still agrees with the codec
+// map. Appending a backend stream to it yields that backend's frame.
+func (l layout) stub(id codec.CodecID) []byte {
+	if l.tagged {
+		return []byte{byte(id)}
+	}
+	return nil
+}
 
 const (
 	// fixedHeaderSize covers the magic and the seven u32 geometry fields,
-	// identical in v1 and v2.
+	// identical in every generation.
 	fixedHeaderSize = 8 + 4*7
-	// frameOverheadV2 is the per-frame cost beyond the payload.
-	frameOverheadV2 = 4 + 4
 	// indexEntrySize is one footer entry: offset u64, length u32, crc u32.
 	indexEntrySize = 8 + 4 + 4
 	// aggregateSize is the footer's aggregate block.
@@ -82,8 +169,8 @@ const (
 // checksums (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameCRC is the checksum stored after each v2 frame payload and in the
-// matching index entry.
+// frameCRC is the checksum stored after each indexed frame's payload and
+// in the matching index entry.
 func frameCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
 // indexEntry locates one chunk's frame within the container.
@@ -104,9 +191,9 @@ type aggregates struct {
 	outlierBits uint64
 }
 
-// appendFixedHeader marshals the 36-byte fixed header shared by v1 and v2.
-func appendFixedHeader(dst []byte, magic [8]byte, volDims, chunkDims grid.Dims, nchunks int) []byte {
-	dst = append(dst, magic[:]...)
+// appendFixedHeader marshals the 36-byte fixed header.
+func appendFixedHeader(dst []byte, l layout, volDims, chunkDims grid.Dims, nchunks int) []byte {
+	dst = append(dst, l.magic[:]...)
 	for _, v := range []int{volDims.NX, volDims.NY, volDims.NZ,
 		chunkDims.NX, chunkDims.NY, chunkDims.NZ, nchunks} {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
@@ -114,35 +201,17 @@ func appendFixedHeader(dst []byte, magic [8]byte, volDims, chunkDims grid.Dims, 
 	return dst
 }
 
-// indexMagicFor returns the footer end magic of a container version.
-func indexMagicFor(version int) [8]byte {
-	if version >= 3 {
-		return magicIx3
-	}
-	return magicIx
-}
-
-// indexSizeFor returns the exact footer size of a container version: v3
-// inserts the nchunks-byte codec map.
-func indexSizeFor(version, nchunks int) int {
-	size := nchunks*indexEntrySize + aggregateSize + tailSize
-	if version >= 3 {
-		size += nchunks
-	}
-	return size
-}
-
-// appendIndex marshals the footer (entries, v3 codec map, aggregates,
-// tail) given the byte offset at which the footer will be written. codecs
-// must be nil exactly when version < 3.
-func appendIndex(dst []byte, version int, entries []indexEntry, codecs []codec.CodecID, agg aggregates, indexOffset uint64) []byte {
+// appendIndex marshals the footer (entries, codec map when tagged,
+// aggregates, tail) given the byte offset at which the footer will be
+// written.
+func appendIndex(dst []byte, l layout, entries []indexEntry, codecs []codec.CodecID, agg aggregates, indexOffset uint64) []byte {
 	start := len(dst)
 	for _, e := range entries {
 		dst = binary.LittleEndian.AppendUint64(dst, e.offset)
 		dst = binary.LittleEndian.AppendUint32(dst, e.length)
 		dst = binary.LittleEndian.AppendUint32(dst, e.crc)
 	}
-	if version >= 3 {
+	if l.tagged {
 		for _, id := range codecs {
 			dst = append(dst, byte(id))
 		}
@@ -159,27 +228,22 @@ func appendIndex(dst []byte, version int, entries []indexEntry, codecs []codec.C
 	crc := crc32.Checksum(dst[start:], castagnoli)
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	dst = binary.LittleEndian.AppendUint64(dst, indexOffset)
-	magic := indexMagicFor(version)
-	dst = append(dst, magic[:]...)
-	return dst
+	return append(dst, l.ixMagic[:]...)
 }
 
-// parseIndex validates and decodes the footer region of a v2/v3
+// parseIndex validates and decodes the footer region of an indexed
 // container. indexBytes must span [indexOffset, end) of the stream;
 // streamLen is the total container length, used to bound the entries. The
-// returned codec map is non-nil exactly for v3.
-func parseIndex(indexBytes []byte, version, nchunks int, indexOffset uint64, streamLen int) ([]indexEntry, []codec.CodecID, aggregates, error) {
+// returned codec map is non-nil exactly for tagged layouts.
+func parseIndex(indexBytes []byte, l layout, nchunks int, indexOffset uint64, streamLen int) ([]indexEntry, []codec.CodecID, aggregates, error) {
 	var agg aggregates
-	want := indexSizeFor(version, nchunks)
+	want := l.indexSize(nchunks)
 	if len(indexBytes) != want {
 		return nil, nil, agg, fmt.Errorf("%w: index footer is %d bytes, want %d", ErrCorrupt, len(indexBytes), want)
 	}
 	tail := indexBytes[len(indexBytes)-tailSize:]
-	magic := indexMagicFor(version)
-	for i := range magic {
-		if tail[12+i] != magic[i] {
-			return nil, nil, agg, fmt.Errorf("%w: bad index magic", ErrCorrupt)
-		}
+	if [8]byte(tail[12:]) != l.ixMagic {
+		return nil, nil, agg, fmt.Errorf("%w: bad index magic", ErrCorrupt)
 	}
 	if got := binary.LittleEndian.Uint64(tail[4:12]); got != indexOffset {
 		return nil, nil, agg, fmt.Errorf("%w: index offset %d, tail says %d", ErrCorrupt, indexOffset, got)
@@ -202,7 +266,7 @@ func parseIndex(indexBytes []byte, version, nchunks int, indexOffset uint64, str
 		if e.offset != next {
 			return nil, nil, agg, fmt.Errorf("%w: frame %d at offset %d, want %d", ErrCorrupt, i, e.offset, next)
 		}
-		end := e.offset + 4 + uint64(e.length) + 4
+		end := e.offset + uint64(l.overhead) + uint64(e.length)
 		if end > indexOffset || end > uint64(streamLen) {
 			return nil, nil, agg, fmt.Errorf("%w: frame %d overruns index", ErrCorrupt, i)
 		}
@@ -214,7 +278,7 @@ func parseIndex(indexBytes []byte, version, nchunks int, indexOffset uint64, str
 	}
 	var codecs []codec.CodecID
 	ab := body[nchunks*indexEntrySize:]
-	if version >= 3 {
+	if l.tagged {
 		codecs = make([]codec.CodecID, nchunks)
 		for i := 0; i < nchunks; i++ {
 			id := codec.CodecID(ab[i])
@@ -229,8 +293,8 @@ func parseIndex(indexBytes []byte, version, nchunks int, indexOffset uint64, str
 	switch agg.mode {
 	case codec.ModePWE, codec.ModeBPP, codec.ModeRMSE:
 	case codec.ModeAdaptive:
-		if version < 3 {
-			return nil, nil, agg, fmt.Errorf("%w: adaptive mode in pre-v3 index", ErrCorrupt)
+		if !l.tagged {
+			return nil, nil, agg, fmt.Errorf("%w: adaptive mode in an untagged index", ErrCorrupt)
 		}
 	default:
 		return nil, nil, agg, fmt.Errorf("%w: unknown mode %d in index", ErrCorrupt, agg.mode)
@@ -242,22 +306,78 @@ func parseIndex(indexBytes []byte, version, nchunks int, indexOffset uint64, str
 	return entries, codecs, agg, nil
 }
 
-// locateIndex reads the fixed tail of a v2/v3 stream and returns the
+// locateIndex reads the fixed tail of an indexed stream and returns the
 // index footer's offset.
-func locateIndex(stream []byte, version int) (uint64, error) {
+func locateIndex(stream []byte, l layout) (uint64, error) {
 	if len(stream) < fixedHeaderSize+tailSize {
 		return 0, fmt.Errorf("%w: stream too short for index tail", ErrCorrupt)
 	}
 	tail := stream[len(stream)-tailSize:]
-	magic := indexMagicFor(version)
-	for i := range magic {
-		if tail[12+i] != magic[i] {
-			return 0, fmt.Errorf("%w: missing index magic", ErrCorrupt)
-		}
+	if [8]byte(tail[12:]) != l.ixMagic {
+		return 0, fmt.Errorf("%w: missing index magic", ErrCorrupt)
 	}
 	off := binary.LittleEndian.Uint64(tail[4:12])
 	if off < fixedHeaderSize || off > uint64(len(stream)-tailSize) {
 		return 0, fmt.Errorf("%w: index offset %d out of range", ErrCorrupt, off)
 	}
 	return off, nil
+}
+
+// readIndex locates and parses the index footer of a whole indexed
+// container held in memory — the random-access entry every seekable
+// consumer (strict parse, salvage, repair) shares.
+func readIndex(stream []byte, l layout, nchunks int) ([]indexEntry, []codec.CodecID, aggregates, error) {
+	off, err := locateIndex(stream, l)
+	if err != nil {
+		return nil, nil, aggregates{}, err
+	}
+	return parseIndex(stream[off:], l, nchunks, off, len(stream))
+}
+
+// frameWriter is the one emitter of container bytes: the fixed header on
+// construction, then one length|payload|crc frame per chunk in container
+// order, then the index footer. It only writes indexed generations (see
+// writeLayout).
+type frameWriter struct {
+	layout
+	w       io.Writer
+	off     uint64 // container bytes written so far
+	entries []indexEntry
+	next    int     // index of the next frame
+	words   [8]byte // the frame's length prefix and CRC as written
+}
+
+func newFrameWriter(w io.Writer, l layout, volDims, chunkDims grid.Dims, nchunks int) (*frameWriter, error) {
+	hdr := appendFixedHeader(make([]byte, 0, fixedHeaderSize), l, volDims, chunkDims, nchunks)
+	if _, err := w.Write(hdr); err != nil {
+		return nil, fmt.Errorf("chunk: write header: %w", err)
+	}
+	return &frameWriter{layout: l, w: w, off: fixedHeaderSize, entries: make([]indexEntry, nchunks)}, nil
+}
+
+// frame writes the next chunk's frame and records its index entry. crc is
+// passed in rather than recomputed so that a frame copied from another
+// container travels verbatim, recorded checksum included.
+func (fw *frameWriter) frame(payload []byte, crc uint32) error {
+	pre, post := fw.words[:4], fw.words[4:]
+	binary.LittleEndian.PutUint32(pre, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(post, crc)
+	for _, b := range [][]byte{pre, payload, post} {
+		if _, err := fw.w.Write(b); err != nil {
+			return fmt.Errorf("chunk: write frame %d: %w", fw.next, err)
+		}
+	}
+	fw.entries[fw.next] = indexEntry{offset: fw.off, length: uint32(len(payload)), crc: crc}
+	fw.off += uint64(fw.overhead + len(payload))
+	fw.next++
+	return nil
+}
+
+// finish writes the index footer and returns the container's total length.
+func (fw *frameWriter) finish(codecs []codec.CodecID, agg aggregates) (int, error) {
+	footer := appendIndex(make([]byte, 0, fw.indexSize(len(fw.entries))), fw.layout, fw.entries, codecs, agg, fw.off)
+	if _, err := fw.w.Write(footer); err != nil {
+		return 0, fmt.Errorf("chunk: write index: %w", err)
+	}
+	return int(fw.off) + len(footer), nil
 }

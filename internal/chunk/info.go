@@ -72,10 +72,6 @@ func Describe(stream []byte) (*Info, error) {
 		CodecCounts: make(map[string]int, 1),
 		Chunks:      make([]ChunkInfo, 0, len(c.chunks)),
 	}
-	overhead := 4
-	if c.version >= 2 {
-		overhead = frameOverheadV2
-	}
 	off := fixedHeaderSize
 	for i, ch := range c.chunks {
 		ci := ChunkInfo{
@@ -88,11 +84,11 @@ func Describe(stream []byte) (*Info, error) {
 			ci.Codec = c.codecs[i]
 		}
 		info.CodecCounts[ci.Codec.String()]++
-		off += overhead + len(c.payloads[i])
-		if c.version >= 2 {
+		off += c.overhead + len(c.payloads[i])
+		if c.indexed {
 			ci.Meta = codec.StreamMeta{Codec: ci.Codec, Mode: c.agg.mode, Tol: c.agg.tol, Entropy: c.agg.entropy}
 		} else {
-			meta, err := codec.DescribeChunk(c.payloads[i])
+			meta, err := c.describe(c.payloads[i])
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +101,7 @@ func Describe(stream []byte) (*Info, error) {
 		}
 		info.Chunks = append(info.Chunks, ci)
 	}
-	if c.version >= 2 {
+	if c.indexed {
 		info.Mode, info.Tol, info.Entropy = c.agg.mode, c.agg.tol, c.agg.entropy
 		info.SpeckBits, info.OutlierBits = c.agg.speckBits, c.agg.outlierBits
 	}

@@ -12,10 +12,7 @@ package chunk
 // copy of the same chunk, which is exactly the self-healing property the
 // scrubber relies on.
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // frameState classifies one chunk's frame within a shard being merged.
 type frameState int
@@ -60,7 +57,7 @@ func MergeShards(a, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("merge: second shard: %w", err)
 	}
-	if ca.version < 2 || cb.version < 2 {
+	if !ca.indexed || !cb.indexed {
 		return nil, fmt.Errorf("chunk: cannot merge v1 containers (no index footer)")
 	}
 	if ca.version != cb.version || ca.volDims != cb.volDims ||
@@ -75,54 +72,18 @@ func MergeShards(a, b []byte) ([]byte, error) {
 		}
 	}
 
-	magic := magicV2
-	if ca.version >= 3 {
-		magic = magicV3
-	}
-	// Pick each chunk's source, then size and build exactly like SliceShard.
+	// Each chunk comes from the first input holding it intact; nil leaves
+	// a stub.
 	pick := make([]*container, len(ca.chunks))
-	for i := range ca.chunks {
+	for i := range pick {
 		switch {
 		case classifyFrame(ca, i) == frameIntact:
 			pick[i] = ca
 		case classifyFrame(cb, i) == frameIntact:
 			pick[i] = cb
-		default:
-			pick[i] = nil // stub
 		}
 	}
-	size := fixedHeaderSize + indexSizeFor(ca.version, len(ca.chunks))
-	for i := range ca.chunks {
-		size += frameOverheadV2
-		if pick[i] != nil {
-			size += len(pick[i].payloads[i])
-		} else if ca.version >= 3 {
-			size += StubFrameMaxLen
-		}
-	}
-	out := appendFixedHeader(make([]byte, 0, size), magic, ca.volDims, ca.chunkDims, len(ca.chunks))
-	entries := make([]indexEntry, len(ca.chunks))
-	for i := range ca.chunks {
-		var payload []byte
-		var crc uint32
-		if src := pick[i]; src != nil {
-			payload = src.payloads[i]
-			crc = src.crcs[i]
-		} else {
-			// The codec map survives the footer round trip, so a v3 stub can
-			// always be synthesized from it even when both inputs' frames for
-			// this chunk are damaged beyond carrying a trustworthy tag byte.
-			if ca.version >= 3 {
-				payload = []byte{byte(ca.codecs[i])}
-			}
-			crc = frameCRC(payload)
-		}
-		entries[i] = indexEntry{offset: uint64(len(out)), length: uint32(len(payload)), crc: crc}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc)
-	}
-	return appendIndex(out, ca.version, entries, ca.codecs, ca.agg, uint64(len(out))), nil
+	return ca.rebuild(pick), nil
 }
 
 // OwnedChunks scans a v2+ container and returns the sorted indices of
@@ -134,7 +95,7 @@ func OwnedChunks(shard []byte) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.version < 2 {
+	if !c.indexed {
 		return nil, fmt.Errorf("chunk: v1 containers carry no ownership evidence")
 	}
 	owned := make([]int, 0, len(c.chunks))

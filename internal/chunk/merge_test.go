@@ -8,7 +8,12 @@ package chunk
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"sperr/internal/codec"
 )
 
 func TestMergeShardsSelfIsIdentity(t *testing.T) {
@@ -138,4 +143,114 @@ func mustOwned(t *testing.T, shard []byte) ([]int, map[int]bool) {
 		set[ci] = true
 	}
 	return owned, set
+}
+
+// FuzzMergeShards feeds MergeShards the bytes a peer could send: it must
+// never panic, and whenever it accepts a pair the result must parse, own
+// at least every chunk either input owns, carry each owned chunk's frame
+// so that it decodes exactly as from its source, and be a fixed point of
+// merging with either input again.
+func FuzzMergeShards(f *testing.F) {
+	testdata := filepath.Join("..", "..", "testdata")
+	var clean [][]byte
+	for _, fx := range sliceFixtures {
+		stream, err := os.ReadFile(fx.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		even, err := SliceShard(stream, func(i int) bool { return i%2 == 0 })
+		if err != nil {
+			f.Fatal(err)
+		}
+		odd, err := SliceShard(stream, func(i int) bool { return i%2 == 1 })
+		if err != nil {
+			f.Fatal(err)
+		}
+		clean = append(clean, stream, even, odd)
+		f.Add(stream, stream)
+		f.Add(even, odd)
+		f.Add(odd, stream)
+	}
+	f.Add(clean[0], clean[3]) // shards of different volumes
+	mutants, err := filepath.Glob(filepath.Join(testdata, "mutant_*.sperr"))
+	if err != nil || len(mutants) == 0 {
+		f.Fatalf("no mutant seeds under %s (err %v)", testdata, err)
+	}
+	for _, path := range mutants {
+		m, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// The mutants derive from the v2 fixture, so they pair with it and
+		// with its slices as damaged replicas of the same volume.
+		f.Add(m, clean[0])
+		f.Add(clean[1], m)
+		f.Add(m, m)
+	}
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		old := MaxDecodePoints
+		MaxDecodePoints = 1 << 20
+		defer func() { MaxDecodePoints = old }()
+
+		merged, err := MergeShards(a, b)
+		if err != nil {
+			return
+		}
+		cm, err := parseContainer(merged)
+		if err != nil {
+			t.Fatalf("merged container does not parse: %v", err)
+		}
+		owned, err := OwnedChunks(merged)
+		if err != nil {
+			t.Fatalf("OwnedChunks(merged): %v", err)
+		}
+		has := make(map[int]bool, len(owned))
+		for _, i := range owned {
+			has[i] = true
+		}
+		for _, in := range [][]byte{a, b} {
+			inOwned, err := OwnedChunks(in)
+			if err != nil {
+				t.Fatalf("merge accepted an input OwnedChunks rejects: %v", err)
+			}
+			for _, i := range inOwned {
+				if !has[i] {
+					t.Fatalf("merge lost chunk %d, intact in an input", i)
+				}
+			}
+		}
+		ca, _ := parseContainer(a) // both parsed inside MergeShards
+		cb, _ := parseContainer(b)
+		scratch := codec.NewScratch()
+		for _, i := range owned {
+			src := ca
+			if classifyFrame(ca, i) != frameIntact {
+				src = cb
+			}
+			if classifyFrame(src, i) != frameIntact {
+				t.Fatalf("merge owns chunk %d, intact in neither input", i)
+			}
+			if !bytes.Equal(cm.payloads[i], src.payloads[i]) || cm.crcs[i] != src.crcs[i] {
+				t.Fatalf("chunk %d's frame did not travel verbatim", i)
+			}
+			dims := cm.chunks[i].Dims
+			want, werr := src.decodeChunk(i, dims, nil, 1)
+			got, gerr := cm.decodeChunk(i, dims, scratch, 1)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("chunk %d decodes differently after the merge: %v vs %v", i, gerr, werr)
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("chunk %d sample %d differs after the merge", i, k)
+				}
+			}
+		}
+		for _, in := range [][]byte{a, b} {
+			again, err := MergeShards(merged, in)
+			if err != nil || !bytes.Equal(again, merged) {
+				t.Fatalf("re-merging an input is not a fixed point (err %v)", err)
+			}
+		}
+	})
 }

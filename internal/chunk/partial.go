@@ -21,17 +21,18 @@ func DecompressPartial(stream []byte, fraction float64, workers int) (*grid.Volu
 		return nil, err
 	}
 	vol := grid.NewVolume(c.volDims)
-	err = forEachChunkParallel(len(c.chunks), workers, func(i int) error {
+	err = forEachChunkScratch(len(c.chunks), workers, func(i int, ws *workerScratch) error {
 		ch := c.chunks[i]
 		payload, err := c.sperrPayload(i)
 		if err != nil {
 			return err
 		}
-		data, err := codec.DecodeChunkPartial(payload, ch.Dims, fraction)
+		data, err := codec.DecodeChunkPartial(payload, ch.Dims, fraction, ws.codec)
 		if err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
-		vol.Insert(grid.FromSlice(ch.Dims, data), ch.X0, ch.Y0, ch.Z0)
+		// data aliases the worker's arena; the copy-out completes here.
+		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
 		return nil
 	})
 	if err != nil {
@@ -81,20 +82,20 @@ func DecompressLowRes(stream []byte, drop, workers int) (*grid.Volume, error) {
 		NZ: coarseOrigin(c.volDims.NZ, clampTile(c.chunkDims.NZ, c.volDims.NZ), c.volDims.NZ),
 	}
 	vol := grid.NewVolume(coarseVol)
-	err = forEachChunkParallel(len(c.chunks), workers, func(i int) error {
+	err = forEachChunkScratch(len(c.chunks), workers, func(i int, ws *workerScratch) error {
 		ch := c.chunks[i]
 		payload, err := c.sperrPayload(i)
 		if err != nil {
 			return err
 		}
-		data, low, err := codec.DecodeChunkLowRes(payload, ch.Dims, drop)
+		data, low, err := codec.DecodeChunkLowRes(payload, ch.Dims, drop, ws.codec)
 		if err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		x0 := coarseOrigin(ch.X0, clampTile(c.chunkDims.NX, c.volDims.NX), c.volDims.NX)
 		y0 := coarseOrigin(ch.Y0, clampTile(c.chunkDims.NY, c.volDims.NY), c.volDims.NY)
 		z0 := coarseOrigin(ch.Z0, clampTile(c.chunkDims.NZ, c.volDims.NZ), c.volDims.NZ)
-		vol.Insert(grid.FromSlice(low, data), x0, y0, z0)
+		vol.InsertSlice(data, low, x0, y0, z0)
 		return nil
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package chunk
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,13 +15,17 @@ import (
 	"sperr/internal/grid"
 )
 
-// maxFrameBytesFor bounds how large a single frame payload may claim to
-// be, as a function of the largest chunk the container geometry allows. A
+// maxFrameBytes bounds how large a single frame payload may claim to be,
+// as a function of the largest chunk the container geometry allows. A
 // corrupt length prefix must not be able to demand an allocation out of
 // proportion to the data it could possibly carry.
-func maxFrameBytesFor(chunkLen int) int {
+func maxFrameBytes(chunks []grid.Chunk) int {
 	const slack = 64 << 10
-	return 256*chunkLen + slack
+	maxChunkLen := 0
+	for _, ch := range chunks {
+		maxChunkLen = max(maxChunkLen, ch.Dims.Len())
+	}
+	return 256*maxChunkLen + slack
 }
 
 // readChunkMax caps each allocation step while reading a frame payload,
@@ -33,8 +38,8 @@ const readChunkMax = 1 << 20
 // a worker pool, and hands each decoded chunk to a callback. Peak decoded
 // data in flight is bounded by workers x chunk size — never the volume.
 type Reader struct {
-	r       io.Reader
-	version int
+	layout
+	r io.Reader
 
 	volDims   grid.Dims
 	chunkDims grid.Dims
@@ -47,7 +52,8 @@ type Reader struct {
 	policy Policy
 	fill   float64
 	report *SalvageReport
-	remain int64 // input bytes past the header when seekable, else -1
+	remain int64   // input bytes past the header when seekable, else -1
+	word   [4]byte // nextFrame's length-prefix / checksum read buffer
 
 	inFlight     atomic.Int64
 	peakInFlight atomic.Int64
@@ -74,7 +80,7 @@ func NewReader(r io.Reader, workers int) (*Reader, error) {
 		}
 	}
 	var err error
-	d.version, d.volDims, d.chunkDims, d.chunks, err = parseFixedHeader(hdr[:])
+	d.layout, d.volDims, d.chunkDims, d.chunks, err = parseFixedHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +140,10 @@ func (d *Reader) SetFill(v float64) { d.fill = v }
 // PolicyFailFast.
 func (d *Reader) Report() *SalvageReport { return d.report }
 
-// decJob is one compressed frame payload awaiting decode.
+// decJob is one compressed frame payload awaiting decode. A nil payload
+// is a fill-synthesis job, queued under PolicyFill for a chunk whose frame
+// was damaged; payloads read from the stream are never nil (see
+// readFrame).
 type decJob struct {
 	index   int
 	payload []byte
@@ -165,13 +174,7 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		intra = workers / n
 		workers = n
 	}
-	maxChunkLen := 0
-	for _, ch := range d.chunks {
-		if n := ch.Dims.Len(); n > maxChunkLen {
-			maxChunkLen = n
-		}
-	}
-	maxFrame := maxFrameBytesFor(maxChunkLen)
+	maxFrame := maxFrameBytes(d.chunks)
 
 	var (
 		failed   atomic.Bool
@@ -204,19 +207,12 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 					ch := d.chunks[job.index]
 					n := int64(ch.Dims.Len())
 					raisePeak(&d.peakInFlight, d.inFlight.Add(n))
-					// A nil payload is a fill-synthesis job queued by the
-					// producer for a chunk whose frame was damaged
-					// (PolicyFill only).
 					var (
 						data []float64
 						err  error
 					)
 					if job.payload != nil {
-						if d.version >= 3 {
-							data, err = decodeTaggedPayload(job.payload, ch.Dims, ws.codec, intra)
-						} else {
-							data, err = codec.DecodeChunkScratchThreads(job.payload, ch.Dims, ws.codec, intra)
-						}
+						data, err = d.decode(job.payload, ch.Dims, ws.codec, intra)
 					}
 					switch {
 					case job.payload != nil && err == nil:
@@ -276,17 +272,17 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 	}
 
 	// Producer: read frames sequentially, recording what the index footer
-	// must later corroborate (v2+): entries always, and for v3 the frame
-	// codec tags the footer's codec map must mirror.
+	// must later corroborate (indexed layouts): entries always, and on
+	// tagged layouts the frame codec tags the footer's codec map must
+	// mirror.
 	entries := make([]indexEntry, len(d.chunks))
 	var tags []codec.CodecID
 	var tagSeen []bool
-	if d.version >= 3 {
+	if d.tagged {
 		tags = make([]codec.CodecID, len(d.chunks))
 		tagSeen = make([]bool, len(d.chunks))
 	}
 	off := uint64(fixedHeaderSize)
-	var prefix [4]byte
 	for i := range d.chunks {
 		if err := d.ctxErr(); err != nil {
 			fail(err)
@@ -294,96 +290,37 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		if failed.Load() {
 			break
 		}
-		if _, err := io.ReadFull(d.r, prefix[:]); err != nil {
-			if tolerant {
-				degradeRest(i, ReasonTruncated)
-			} else {
-				fail(fmt.Errorf("%w: truncated at frame %d: %v", ErrCorrupt, i, err))
-			}
-			break
-		}
-		if d.remain >= 0 {
-			d.remain -= 4
-		}
-		n := int(binary.LittleEndian.Uint32(prefix[:]))
-		if n > maxFrame {
-			if tolerant {
-				degradeRest(i, ReasonFramingLost)
-			} else {
-				fail(fmt.Errorf("%w: frame %d claims %d bytes (cap %d)", ErrCorrupt, i, n, maxFrame))
-			}
-			break
-		}
-		if d.remain >= 0 && int64(n) > d.remain {
-			// The input's size is known and the claim exceeds it: reject
-			// before allocating anything (a forged prefix must not drive a
-			// large up-front allocation just to fail the read).
-			if tolerant {
-				degradeRest(i, ReasonTruncated)
-			} else {
-				fail(fmt.Errorf("%w: frame %d claims %d bytes with %d remaining",
-					ErrCorrupt, i, n, d.remain))
-			}
-			break
-		}
 		bp := bufPool.Get().(*[]byte)
-		payload, err := readFrame(d.r, *bp, n)
-		if err != nil {
+		payload, crc, reason, err := d.nextFrame(*bp, maxFrame)
+		if tolerant && payload != nil {
+			d.report.Chunks[i].Offset = int64(off)
+			d.report.Chunks[i].Length = len(payload)
+		}
+		// The one place a frame-read failure meets the policy. A checksum
+		// mismatch alone leaves framing plausibly intact — the frame's
+		// bytes were all read — so a tolerant decode records the loss and
+		// keeps going; if the length prefix itself was the damaged byte,
+		// the next frame fails too and the stream degrades from there.
+		if err != nil && !(tolerant && reason == ReasonBadCRC) {
 			if tolerant {
-				degradeRest(i, ReasonTruncated)
+				degradeRest(i, reason)
 			} else {
-				fail(fmt.Errorf("%w: frame %d payload: %v", ErrCorrupt, i, err))
+				fail(fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err))
 			}
 			break
 		}
-		if d.remain >= 0 {
-			d.remain -= int64(n)
-		}
-		if tolerant {
-			d.report.Chunks[i].Offset = int64(off)
-			d.report.Chunks[i].Length = n
-		}
-		crc := frameCRC(payload)
-		if d.version >= 2 {
-			var post [4]byte
-			if _, err := io.ReadFull(d.r, post[:]); err != nil {
-				if tolerant {
-					degradeRest(i, ReasonTruncated)
-				} else {
-					fail(fmt.Errorf("%w: frame %d checksum truncated: %v", ErrCorrupt, i, err))
-				}
-				break
+		entries[i] = indexEntry{offset: off, length: uint32(len(payload)), crc: crc}
+		off += uint64(d.overhead + len(payload))
+		if err != nil {
+			d.report.Chunks[i].Reason = ReasonBadCRC
+			if d.policy == PolicyFill {
+				jobs <- decJob{index: i, payload: nil}
 			}
-			if d.remain >= 0 {
-				d.remain -= 4
-			}
-			if got := binary.LittleEndian.Uint32(post[:]); got != crc {
-				if tolerant {
-					// The frame's bytes were all read, so framing plausibly
-					// survives: record the loss and keep going. If the
-					// length prefix itself was the damaged byte, the next
-					// frame fails too and the stream degrades from there.
-					d.report.Chunks[i].Reason = ReasonBadCRC
-					if d.policy == PolicyFill {
-						jobs <- decJob{index: i, payload: nil}
-					}
-					buf := payload[:0]
-					bufPool.Put(&buf)
-					entries[i] = indexEntry{offset: off, length: uint32(n), crc: crc}
-					off += 4 + uint64(n) + 4
-					continue
-				}
-				fail(fmt.Errorf("%w: frame %d checksum mismatch", ErrCorrupt, i))
-				break
-			}
+			buf := payload[:0]
+			bufPool.Put(&buf)
+			continue
 		}
-		entries[i] = indexEntry{offset: off, length: uint32(n), crc: crc}
-		if d.version >= 2 {
-			off += 4 + uint64(n) + 4
-		} else {
-			off += 4 + uint64(n)
-		}
-		if d.version >= 3 && len(payload) > 0 {
+		if d.tagged && len(payload) > 0 {
 			tags[i] = codec.CodecID(payload[0])
 			tagSeen[i] = true
 		}
@@ -398,25 +335,33 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		return firstErr
 	}
 
-	if d.version >= 2 {
+	if d.indexed {
 		// Consume and corroborate the index footer: every entry must match
 		// the frames just decoded. Under a tolerant policy a damaged or
 		// unreachable footer is recorded, not fatal — the frames already
-		// vouched for themselves via their own CRCs.
+		// vouched for themselves via their own CRCs. A frame that failed
+		// its own checksum is matched on offset and length only: which of
+		// its payload and its two recorded CRCs is the damaged one cannot
+		// be told, and the verdict here is on the footer, not the frame.
 		corroborate := func() error {
 			if framingLost {
 				return fmt.Errorf("%w: footer unreachable after framing loss", ErrCorrupt)
 			}
-			idxLen := indexSizeFor(d.version, len(d.chunks))
+			idxLen := d.indexSize(len(d.chunks))
 			idx := make([]byte, idxLen)
 			if _, err := io.ReadFull(d.r, idx); err != nil {
 				return fmt.Errorf("%w: truncated index footer: %v", ErrCorrupt, err)
 			}
-			got, codecs, _, err := parseIndex(idx, d.version, len(d.chunks), off, int(off)+idxLen)
+			got, codecs, _, err := parseIndex(idx, d.layout, len(d.chunks), off, int(off)+idxLen)
 			if err != nil {
 				return err
 			}
 			for i := range got {
+				// Only a tolerant run gets here past a bad frame, and no
+				// worker rewrites the reason of a frame it was never given.
+				if tolerant && d.report.Chunks[i].Reason == ReasonBadCRC {
+					got[i].crc = entries[i].crc
+				}
 				if got[i] != entries[i] {
 					return fmt.Errorf("%w: index entry %d disagrees with frame", ErrCorrupt, i)
 				}
@@ -450,10 +395,59 @@ func raisePeak(peak *atomic.Int64, cur int64) {
 	}
 }
 
+// nextFrame reads the next frame from the input into buf (grown as
+// needed): length prefix, payload, and on indexed layouts the trailing
+// checksum. On failure reason classifies the damage for the salvage
+// report, and payload is non-nil exactly when the payload bytes were all
+// read — framing survived at least that far. A checksum mismatch returns
+// the payload's actual CRC alongside ReasonBadCRC.
+func (d *Reader) nextFrame(buf []byte, maxFrame int) (payload []byte, crc uint32, reason string, err error) {
+	took := func(n int) {
+		if d.remain >= 0 {
+			d.remain -= int64(n)
+		}
+	}
+	word := d.word[:]
+	if _, err := io.ReadFull(d.r, word); err != nil {
+		return nil, 0, ReasonTruncated, fmt.Errorf("truncated length prefix: %v", err)
+	}
+	took(4)
+	n := int(binary.LittleEndian.Uint32(word))
+	if n > maxFrame {
+		return nil, 0, ReasonFramingLost, fmt.Errorf("claims %d bytes (cap %d)", n, maxFrame)
+	}
+	if d.remain >= 0 && int64(n) > d.remain {
+		// The input's size is known and the claim exceeds it: reject
+		// before allocating anything (a forged prefix must not drive a
+		// large up-front allocation just to fail the read).
+		return nil, 0, ReasonTruncated, fmt.Errorf("claims %d bytes with %d remaining", n, d.remain)
+	}
+	if payload, err = readFrame(d.r, buf, n); err != nil {
+		return nil, 0, ReasonTruncated, fmt.Errorf("payload: %v", err)
+	}
+	took(n)
+	if !d.indexed {
+		return payload, 0, "", nil
+	}
+	crc = frameCRC(payload)
+	if _, err := io.ReadFull(d.r, word); err != nil {
+		return payload, crc, ReasonTruncated, fmt.Errorf("checksum truncated: %v", err)
+	}
+	took(4)
+	if binary.LittleEndian.Uint32(word) != crc {
+		return payload, crc, ReasonBadCRC, errors.New("checksum mismatch")
+	}
+	return payload, crc, "", nil
+}
+
 // readFrame reads exactly n payload bytes into buf (grown as needed),
 // allocating in bounded steps so a lying length prefix on a truncated
-// stream cannot demand the full claim up front.
+// stream cannot demand the full claim up front. The result is never nil,
+// even for n = 0: a nil payload means "fill job" to the decode workers.
 func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if buf == nil {
+		buf = []byte{}
+	}
 	buf = buf[:0]
 	for len(buf) < n {
 		step := n - len(buf)

@@ -35,15 +35,8 @@ func decompressRegionCounted(stream []byte, x0, y0, z0 int, dims grid.Dims, work
 		return nil, 0, fmt.Errorf("chunk: region %v@(%d,%d,%d) exceeds volume %v",
 			dims, x0, y0, z0, c.volDims)
 	}
-	// Select intersecting chunks.
-	var hit []int
-	for i, ch := range c.chunks {
-		if ch.X0 < x0+dims.NX && ch.X0+ch.Dims.NX > x0 &&
-			ch.Y0 < y0+dims.NY && ch.Y0+ch.Dims.NY > y0 &&
-			ch.Z0 < z0+dims.NZ && ch.Z0+ch.Dims.NZ > z0 {
-			hit = append(hit, i)
-		}
-	}
+	ro, rd := [3]int{x0, y0, z0}, [3]int{dims.NX, dims.NY, dims.NZ}
+	hit := hitChunks(c.chunks, ro, rd)
 	out := grid.NewVolume(dims)
 	err = forEachChunkScratch(len(hit), workers, func(k int, ws *workerScratch) error {
 		i := hit[k]
@@ -52,23 +45,28 @@ func decompressRegionCounted(stream []byte, x0, y0, z0 int, dims grid.Dims, work
 		if err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
-		// Intersection of the chunk box with the region, in volume coords.
-		ix0, ix1 := maxInt(ch.X0, x0), minInt(ch.X0+ch.Dims.NX, x0+dims.NX)
-		iy0, iy1 := maxInt(ch.Y0, y0), minInt(ch.Y0+ch.Dims.NY, y0+dims.NY)
-		iz0, iz1 := maxInt(ch.Z0, z0), minInt(ch.Z0+ch.Dims.NZ, z0+dims.NZ)
-		for z := iz0; z < iz1; z++ {
-			for y := iy0; y < iy1; y++ {
-				srcOff := ch.Dims.Index(ix0-ch.X0, y-ch.Y0, z-ch.Z0)
-				dstOff := dims.Index(ix0-x0, y-y0, z-z0)
-				copy(out.Data[dstOff:dstOff+(ix1-ix0)], data[srcOff:srcOff+(ix1-ix0)])
-			}
-		}
+		co, cd := ch.Box()
+		o, d, _ := grid.Intersect(ro, rd, co, cd)
+		grid.CopyBox(out.Data, ro, rd, data, co, cd, o, d)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	return out, len(hit), nil
+}
+
+// hitChunks returns the indices of the chunks that intersect the box
+// (ro, rd), in container order.
+func hitChunks(chunks []grid.Chunk, ro, rd [3]int) []int {
+	var hit []int
+	for i, ch := range chunks {
+		co, cd := ch.Box()
+		if _, _, ok := grid.Intersect(ro, rd, co, cd); ok {
+			hit = append(hit, i)
+		}
+	}
+	return hit
 }
 
 // TouchedChunks reports how many chunks a region decode would visit (for
@@ -78,26 +76,6 @@ func TouchedChunks(stream []byte, x0, y0, z0 int, dims grid.Dims) (touched, tota
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, ch := range c.chunks {
-		if ch.X0 < x0+dims.NX && ch.X0+ch.Dims.NX > x0 &&
-			ch.Y0 < y0+dims.NY && ch.Y0+ch.Dims.NY > y0 &&
-			ch.Z0 < z0+dims.NZ && ch.Z0+ch.Dims.NZ > z0 {
-			touched++
-		}
-	}
-	return touched, len(c.chunks), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	hit := hitChunks(c.chunks, [3]int{x0, y0, z0}, [3]int{dims.NX, dims.NY, dims.NZ})
+	return len(hit), len(c.chunks), nil
 }

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -145,41 +146,27 @@ type scannedFrame struct {
 
 // frameValidAt reports whether a verified frame starts at off, returning
 // its payload and recorded sample count. Validity means: a plausible
-// length prefix, in-bounds payload, a matching CRC-32C (v2), and a chunk
-// header that parses. v1 frames carry no checksum, so the header parse is
-// the only self-check — decode failures catch what it cannot.
-func frameValidAt(stream []byte, off, maxFrame, version int) (payload []byte, points int, ok bool) {
-	overhead := 4
-	if version >= 2 {
-		overhead = frameOverheadV2
-	}
-	if off+overhead > len(stream) {
+// length prefix, in-bounds payload, a matching CRC-32C (indexed layouts),
+// and a chunk header that parses. v1 frames carry no checksum, so the
+// header parse is the only self-check — decode failures catch what it
+// cannot.
+func frameValidAt(stream []byte, off, maxFrame int, l layout) (payload []byte, points int, ok bool) {
+	if off+l.overhead > len(stream) {
 		return nil, 0, false
 	}
 	n := int(binary.LittleEndian.Uint32(stream[off:]))
-	if n <= 0 || n > maxFrame || off+overhead+n > len(stream) {
+	if n <= 0 || n > maxFrame || off+l.overhead+n > len(stream) {
 		return nil, 0, false
 	}
 	payload = stream[off+4 : off+4+n]
-	if version >= 2 {
-		if frameCRC(payload) != binary.LittleEndian.Uint32(stream[off+4+n:]) {
-			return nil, 0, false
-		}
+	if l.indexed && frameCRC(payload) != binary.LittleEndian.Uint32(stream[off+4+n:]) {
+		return nil, 0, false
 	}
-	meta, err := describePayload(payload, version)
+	meta, err := l.describe(payload)
 	if err != nil {
 		return nil, 0, false
 	}
 	return payload, meta.Points, true
-}
-
-// describePayload parses a frame payload's self-description with the
-// version-correct dispatch: v3 payloads lead with a codec tag.
-func describePayload(payload []byte, version int) (*codec.StreamMeta, error) {
-	if version >= 3 {
-		return codec.DescribeTagged(payload)
-	}
-	return codec.DescribeChunk(payload)
 }
 
 // scanFrames walks the byte range after the fixed header looking for
@@ -189,11 +176,7 @@ func describePayload(payload []byte, version int) (*codec.StreamMeta, error) {
 // impossible (the index footer's bytes, scanned when the footer itself is
 // damaged, never checksum as frames); for v1 the chunk-header parse is the
 // filter and the decode stage backstops it.
-func scanFrames(stream []byte, version, maxFrame int) (frames []scannedFrame, lost [][2]int64, resynced bool) {
-	overhead := 4
-	if version >= 2 {
-		overhead = frameOverheadV2
-	}
+func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, lost [][2]int64, resynced bool) {
 	off := fixedHeaderSize
 	lostStart := int64(-1)
 	flush := func(upto int64) {
@@ -203,11 +186,11 @@ func scanFrames(stream []byte, version, maxFrame int) (frames []scannedFrame, lo
 		}
 	}
 	for off < len(stream) {
-		payload, points, ok := frameValidAt(stream, off, maxFrame, version)
+		payload, points, ok := frameValidAt(stream, off, maxFrame, l)
 		if ok {
 			flush(int64(off))
 			frames = append(frames, scannedFrame{off: int64(off), payload: payload, points: points})
-			off += overhead + len(payload)
+			off += l.overhead + len(payload)
 			continue
 		}
 		if lostStart < 0 {
@@ -226,12 +209,8 @@ func scanFrames(stream []byte, version, maxFrame int) (frames []scannedFrame, lo
 // matches the frame header's recorded points (older streams without the
 // field claim the cursor position directly). Frames matching no remaining
 // chunk are unattributable and their bytes counted lost.
-func assignFrames(frames []scannedFrame, chunks []grid.Chunk, version int, rep *SalvageReport) [][]byte {
+func assignFrames(frames []scannedFrame, chunks []grid.Chunk, l layout, rep *SalvageReport) [][]byte {
 	payloads := make([][]byte, len(chunks))
-	overhead := 4
-	if version >= 2 {
-		overhead = frameOverheadV2
-	}
 	cursor := 0
 	for fi := range frames {
 		fr := &frames[fi]
@@ -248,7 +227,7 @@ func assignFrames(frames []scannedFrame, chunks []grid.Chunk, version int, rep *
 		}
 		if idx < 0 {
 			rep.LostRanges = append(rep.LostRanges,
-				[2]int64{fr.off, fr.off + int64(overhead) + int64(len(fr.payload))})
+				[2]int64{fr.off, fr.off + int64(l.overhead+len(fr.payload))})
 			continue
 		}
 		payloads[idx] = fr.payload
@@ -261,70 +240,61 @@ func assignFrames(frames []scannedFrame, chunks []grid.Chunk, version int, rep *
 }
 
 // locateFrames finds each chunk's candidate frame payload: through the
-// index footer when the stream is v2 and the footer is intact (frames
-// then verify individually against their indexed CRC), otherwise through
-// the resynchronizing scan. Chunks without a verified candidate keep
-// their seeded "missing frame" reason; chunks whose indexed frame fails
+// index footer when the layout has one and it is intact (frames then
+// verify individually against their indexed CRC), otherwise through the
+// resynchronizing scan. Chunks without a verified candidate keep their
+// seeded "missing frame" reason; chunks whose indexed frame fails
 // verification get a specific reason. The returned slice holds one
-// payload per chunk, nil where none verified.
-func locateFrames(stream []byte, version int, chunks []grid.Chunk, rep *SalvageReport) [][]byte {
-	maxChunkLen := 0
-	for _, ch := range chunks {
-		if n := ch.Dims.Len(); n > maxChunkLen {
-			maxChunkLen = n
-		}
-	}
-	maxFrame := maxFrameBytesFor(maxChunkLen)
-
-	if version >= 2 {
-		if idxOff, err := locateIndex(stream, version); err == nil {
-			if entries, codecIDs, _, err := parseIndex(stream[idxOff:], version, len(chunks), idxOff, len(stream)); err == nil {
-				rep.IndexIntact = true
-				payloads := make([][]byte, len(chunks))
-				for i, e := range entries {
-					p := stream[e.offset+4 : e.offset+4+uint64(e.length)]
-					rep.Chunks[i].Offset = int64(e.offset)
-					rep.Chunks[i].Length = int(e.length)
-					lostRange := [2]int64{int64(e.offset), int64(e.offset) + frameOverheadV2 + int64(e.length)}
-					if frameCRC(p) != e.crc {
-						rep.Chunks[i].Reason = ReasonBadCRC
-						rep.LostRanges = append(rep.LostRanges, lostRange)
-						continue
-					}
-					meta, err := describePayload(p, version)
-					if err != nil || (meta.Points != 0 && meta.Points != chunks[i].Dims.Len()) ||
-						(codecIDs != nil && (len(p) < 1 || codec.CodecID(p[0]) != codecIDs[i])) {
-						rep.Chunks[i].Reason = ReasonBadHeader
-						rep.LostRanges = append(rep.LostRanges, lostRange)
-						continue
-					}
-					payloads[i] = p
-					rep.Chunks[i].Reason = ""
+// payload per chunk, nil where none verified; the aggregates are the
+// footer's, meaningful only when rep.IndexIntact.
+func locateFrames(stream []byte, l layout, chunks []grid.Chunk, rep *SalvageReport) ([][]byte, aggregates) {
+	if l.indexed {
+		if entries, codecIDs, agg, err := readIndex(stream, l, len(chunks)); err == nil {
+			rep.IndexIntact = true
+			payloads := make([][]byte, len(chunks))
+			for i, e := range entries {
+				p := stream[e.offset+4 : e.offset+4+uint64(e.length)]
+				rep.Chunks[i].Offset = int64(e.offset)
+				rep.Chunks[i].Length = int(e.length)
+				lostRange := [2]int64{int64(e.offset), int64(e.offset) + int64(l.overhead) + int64(e.length)}
+				if frameCRC(p) != e.crc {
+					rep.Chunks[i].Reason = ReasonBadCRC
+					rep.LostRanges = append(rep.LostRanges, lostRange)
+					continue
 				}
-				return payloads
+				meta, err := l.describe(p)
+				if err != nil || (meta.Points != 0 && meta.Points != chunks[i].Dims.Len()) ||
+					(codecIDs != nil && (len(p) < 1 || codec.CodecID(p[0]) != codecIDs[i])) {
+					rep.Chunks[i].Reason = ReasonBadHeader
+					rep.LostRanges = append(rep.LostRanges, lostRange)
+					continue
+				}
+				payloads[i] = p
+				rep.Chunks[i].Reason = ""
 			}
+			return payloads, agg
 		}
 	}
-	frames, lost, resynced := scanFrames(stream, version, maxFrame)
+	frames, lost, resynced := scanFrames(stream, l, maxFrameBytes(chunks))
 	rep.LostRanges = append(rep.LostRanges, lost...)
 	rep.Resynced = resynced
-	return assignFrames(frames, chunks, version, rep)
+	return assignFrames(frames, chunks, l, rep), aggregates{}
 }
 
 // Audit verifies a container without decoding any samples: every frame is
-// checked against its CRC (v2) and its chunk header cross-checked against
+// checked against its CRC (v2+) and its chunk header cross-checked against
 // the geometry, through the index footer or — when the footer or framing
 // is damaged — the resynchronizing scan. In the returned report,
 // Recovered means "verified recoverable"; the fsck tool prints it as a
 // damage map. The error is non-nil only when the fixed header itself is
 // unusable (nothing attributable without the geometry).
 func Audit(stream []byte) (*SalvageReport, error) {
-	version, _, _, chunks, err := parseFixedHeader(stream)
+	l, _, _, chunks, err := parseFixedHeader(stream)
 	if err != nil {
 		return nil, err
 	}
-	rep := newSalvageReport(version, chunks)
-	payloads := locateFrames(stream, version, chunks, rep)
+	rep := newSalvageReport(l.version, chunks)
+	payloads, _ := locateFrames(stream, l, chunks, rep)
 	for i := range payloads {
 		if payloads[i] != nil {
 			rep.Chunks[i].Recovered = true
@@ -341,12 +311,12 @@ func Audit(stream []byte) (*SalvageReport, error) {
 // the fixed header is unusable; all frame- and footer-level damage is
 // absorbed into the report.
 func Salvage(stream []byte, fill float64, workers int) (*grid.Volume, *SalvageReport, error) {
-	version, volDims, _, chunks, err := parseFixedHeader(stream)
+	l, volDims, _, chunks, err := parseFixedHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := newSalvageReport(version, chunks)
-	payloads := locateFrames(stream, version, chunks, rep)
+	rep := newSalvageReport(l.version, chunks)
+	payloads, _ := locateFrames(stream, l, chunks, rep)
 
 	vol := grid.NewVolume(volDims)
 	for i := range vol.Data {
@@ -359,13 +329,7 @@ func Salvage(stream []byte, fill float64, workers int) (*grid.Volume, *SalvageRe
 			return nil
 		}
 		ch := chunks[i]
-		var data []float64
-		var err error
-		if version >= 3 {
-			data, err = decodeTaggedPayload(payloads[i], ch.Dims, ws.codec, 1)
-		} else {
-			data, err = codec.DecodeChunkScratch(payloads[i], ch.Dims, ws.codec)
-		}
+		data, err := l.decode(payloads[i], ch.Dims, ws.codec, 1)
 		if err != nil {
 			rep.Chunks[i].Reason = ReasonDecode
 			return nil
@@ -388,24 +352,24 @@ func Salvage(stream []byte, fill float64, workers int) (*grid.Volume, *SalvageRe
 // only when the fixed header is unusable or no frame at all verified
 // (there is nothing to anchor the coding parameters to).
 func Repair(stream []byte) ([]byte, *SalvageReport, error) {
-	version, volDims, chunkDims, chunks, err := parseFixedHeader(stream)
+	l, volDims, chunkDims, chunks, err := parseFixedHeader(stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := newSalvageReport(version, chunks)
-	payloads := locateFrames(stream, version, chunks, rep)
+	rep := newSalvageReport(l.version, chunks)
+	payloads, agg := locateFrames(stream, l, chunks, rep)
 
-	// v1 frames carry no checksum, so a payload with undetectably damaged
-	// bytes can pass the header-level checks. A repaired container must
-	// strict-decode, so prove each kept frame by decoding it; failures
-	// become placeholders like any other lost chunk.
-	if version < 2 {
+	// Unchecksummed frames can carry undetectably damaged bytes past the
+	// header-level checks. A repaired container must strict-decode, so
+	// prove each kept frame by decoding it; failures become placeholders
+	// like any other lost chunk.
+	if !l.indexed {
 		scratch := codec.NewScratch()
 		for i := range payloads {
 			if payloads[i] == nil {
 				continue
 			}
-			if _, err := codec.DecodeChunkScratch(payloads[i], chunks[i].Dims, scratch); err != nil {
+			if _, err := l.decode(payloads[i], chunks[i].Dims, scratch, 1); err != nil {
 				payloads[i] = nil
 				rep.Chunks[i].Reason = ReasonDecode
 			}
@@ -414,25 +378,14 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 
 	// Anchor the container-wide coding parameters: the intact footer's
 	// aggregates when available, else the first verified frame's header.
-	var agg aggregates
-	haveAgg := false
-	if rep.IndexIntact {
-		if idxOff, err := locateIndex(stream, version); err == nil {
-			if _, _, a, err := parseIndex(stream[idxOff:], version, len(chunks), idxOff, len(stream)); err == nil {
-				agg, haveAgg = a, true
-			}
+	haveAgg := rep.IndexIntact
+	for _, p := range payloads {
+		if haveAgg || p == nil {
+			continue
 		}
-	}
-	if !haveAgg {
-		for _, p := range payloads {
-			if p == nil {
-				continue
-			}
-			if meta, err := describePayload(p, version); err == nil {
-				agg = aggregates{mode: meta.Mode, entropy: meta.Entropy, tol: meta.Tol}
-				haveAgg = true
-				break
-			}
+		if meta, err := l.describe(p); err == nil {
+			agg = aggregates{mode: meta.Mode, entropy: meta.Entropy, tol: meta.Tol}
+			haveAgg = true
 		}
 	}
 	if !haveAgg {
@@ -460,49 +413,35 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 		}
 	}
 
-	outVersion := 2
-	magic := magicV2
-	if version >= 3 {
-		outVersion = 3
-		magic = magicV3
-	}
-	out := appendFixedHeader(make([]byte, 0, len(stream)), magic, volDims, chunkDims, len(chunks))
-	entries := make([]indexEntry, len(chunks))
-	var codecIDs []codec.CodecID
-	if outVersion >= 3 {
-		codecIDs = make([]codec.CodecID, len(chunks))
-	}
+	out := writeLayout(l.tagged)
+	buf := bytes.NewBuffer(make([]byte, 0, len(stream)))
+	// Writes to a bytes.Buffer cannot fail, so the emitter's errors are
+	// unreachable here.
+	fw, _ := newFrameWriter(buf, out, volDims, chunkDims, len(chunks))
+	codecIDs := make([]codec.CodecID, len(chunks))
 	agg.speckBits, agg.outlierBits = 0, 0
-	off := uint64(fixedHeaderSize)
 	for i, ch := range chunks {
 		payload := payloads[i]
 		if payload == nil {
 			zero := make([]float64, ch.Dims.Len())
-			payload, _, err = codec.EncodeChunk(zero, ch.Dims, params)
+			sperr, _, err := codec.EncodeChunk(zero, ch.Dims, params)
 			if err != nil {
 				return nil, rep, fmt.Errorf("chunk: repair placeholder %d: %w", i, err)
 			}
-			if outVersion >= 3 {
-				payload = append([]byte{byte(codec.CodecSPERR)}, payload...)
-			}
+			payload = append(out.stub(codec.CodecSPERR), sperr...)
 		} else {
 			rep.Chunks[i].Recovered = true
 		}
-		if codecIDs != nil {
+		if out.tagged {
 			codecIDs[i] = codec.CodecID(payload[0])
 		}
-		if meta, err := describePayload(payload, outVersion); err == nil {
+		if meta, err := out.describe(payload); err == nil {
 			agg.speckBits += meta.SpeckBits
 			agg.outlierBits += meta.OutlierBits
 		}
-		crc := frameCRC(payload)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc)
-		entries[i] = indexEntry{offset: off, length: uint32(len(payload)), crc: crc}
-		off += frameOverheadV2 + uint64(len(payload))
+		_ = fw.frame(payload, frameCRC(payload))
 	}
-	out = appendIndex(out, outVersion, entries, codecIDs, agg, off)
+	_, _ = fw.finish(codecIDs, agg)
 	rep.tally()
-	return out, rep, nil
+	return buf.Bytes(), rep, nil
 }

@@ -11,8 +11,10 @@ package chunk
 // is precisely the contract the shard store records as ownership.
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
+
+	"sperr/internal/codec"
 )
 
 // StubFrameMaxLen is the largest payload a shard stub frame may carry
@@ -37,51 +39,54 @@ func SliceShard(stream []byte, keep func(int) bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.version < 2 {
+	if !c.indexed {
 		return nil, fmt.Errorf("chunk: cannot slice a v1 container (no index footer); repair upgrades it to v2")
 	}
-	magic := magicV2
-	if c.version >= 3 {
-		magic = magicV3
-	}
-	// Size the output: header + kept frames + stub frames + footer.
-	size := fixedHeaderSize + indexSizeFor(c.version, len(c.chunks))
-	for i := range c.chunks {
-		size += frameOverheadV2
-		if keep(i) {
-			size += len(c.payloads[i])
-		} else if c.version >= 3 {
-			size += StubFrameMaxLen
+	pick := make([]*container, len(c.chunks))
+	for i := range pick {
+		if !keep(i) {
+			continue
 		}
+		// payload() verifies the frame checksum, so a shard can never
+		// launder a damaged frame into a "kept" chunk.
+		if _, err := c.payload(i); err != nil {
+			return nil, err
+		}
+		pick[i] = c
 	}
-	out := appendFixedHeader(make([]byte, 0, size), magic, c.volDims, c.chunkDims, len(c.chunks))
-	entries := make([]indexEntry, len(c.chunks))
-	for i := range c.chunks {
-		var payload []byte
-		var crc uint32
-		if keep(i) {
-			// payload() verifies the frame checksum, so a shard can never
-			// launder a damaged frame into a "kept" chunk.
-			payload, err = c.payload(i)
-			if err != nil {
-				return nil, err
-			}
-			crc = c.crcs[i]
+	return c.rebuild(pick), nil
+}
+
+// rebuild re-emits c with chunk i carrying pick[i]'s frame verbatim —
+// payload bytes and recorded checksum — or, where pick[i] is nil, a stub.
+// Every picked container must share c's layout, geometry and codec map.
+// The codec map and aggregates survive the footer round trip, so a tagged
+// stub can always be synthesized from the map even when no input's frame
+// for that chunk carries a trustworthy tag byte.
+func (c *container) rebuild(pick []*container) []byte {
+	payloads := make([][]byte, len(pick))
+	crcs := make([]uint32, len(pick))
+	size := fixedHeaderSize + c.indexSize(len(pick))
+	for i, src := range pick {
+		if src != nil {
+			payloads[i], crcs[i] = src.payloads[i], src.crcs[i]
 		} else {
-			if c.version >= 3 {
-				if len(c.payloads[i]) < 1 {
-					return nil, fmt.Errorf("%w: chunk %d frame empty", ErrCorrupt, i)
-				}
-				// Keep the codec tag so the stub still agrees with the
-				// footer's codec map.
-				payload = c.payloads[i][:1]
+			var id codec.CodecID
+			if c.tagged {
+				id = c.codecs[i]
 			}
-			crc = frameCRC(payload)
+			payloads[i] = c.stub(id)
+			crcs[i] = frameCRC(payloads[i])
 		}
-		entries[i] = indexEntry{offset: uint64(len(out)), length: uint32(len(payload)), crc: crc}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc)
+		size += c.overhead + len(payloads[i])
 	}
-	return appendIndex(out, c.version, entries, c.codecs, c.agg, uint64(len(out))), nil
+	// Writes to a bytes.Buffer cannot fail, so the emitter's errors are
+	// unreachable here.
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	fw, _ := newFrameWriter(buf, c.layout, c.volDims, c.chunkDims, len(pick))
+	for i := range payloads {
+		_ = fw.frame(payloads[i], crcs[i])
+	}
+	_, _ = fw.finish(c.codecs, c.agg)
+	return buf.Bytes()
 }

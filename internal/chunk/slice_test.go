@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sperr/internal/codec"
@@ -174,5 +175,11 @@ func TestSliceShardKeepNone(t *testing.T) {
 	}
 	if rep.Recovered != 0 || !rep.IndexIntact {
 		t.Fatalf("all-stub shard: recovered %d, index intact %v", rep.Recovered, rep.IndexIntact)
+	}
+	// A strict sequential decode reads each stub as a frame and must fail
+	// on its empty payload with a cause; the streaming reader once took
+	// the empty payload for its own fill request and wrapped a nil error.
+	if _, err := Decompress(shard, 1); err == nil || strings.Contains(err.Error(), "%!") {
+		t.Fatalf("strict decode of an all-stub shard: %v", err)
 	}
 }

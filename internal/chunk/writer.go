@@ -2,7 +2,6 @@ package chunk
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -28,7 +27,7 @@ func loadCtx(p *atomic.Pointer[ctxBox]) context.Context {
 // Writer is the streaming encoder engine: it accepts a volume's samples
 // incrementally in row-major order (x fastest, any Write granularity),
 // compresses chunks on a worker pool as soon as their samples are
-// complete, and emits container-v2 frames to the underlying io.Writer in
+// complete, and emits container frames to the underlying io.Writer in
 // chunk-index order — out-of-order completions wait in a reorder buffer,
 // so the byte stream is identical at every worker count. Close writes the
 // index footer.
@@ -40,9 +39,9 @@ func loadCtx(p *atomic.Pointer[ctxBox]) context.Context {
 // A Writer is not safe for concurrent use. After Close (or an error) it
 // can be rearmed with Reset, reusing its buffers and parameters.
 type Writer struct {
-	w     io.Writer
-	opts  Options
-	start time.Time
+	layout // generation written, see writeLayout
+	opts   Options
+	start  time.Time
 
 	volDims   grid.Dims
 	chunkDims grid.Dims // clamped tiling actually used
@@ -50,7 +49,6 @@ type Writer struct {
 	perSlab   int // chunks per z-slab of the tiling
 	params    codec.Params
 	workers   int
-	version   int // container version written: 3 when frames carry codec tags, else 2
 
 	// Producer-side accumulation.
 	fed      int // samples received so far
@@ -86,7 +84,7 @@ type encJob struct {
 
 // encResult is one compressed chunk awaiting its turn in the emitter.
 type encResult struct {
-	frame []byte // v3: leading codec tag byte, then the backend stream
+	frame []byte // the frame payload: codec tag byte when tagged, then the backend stream
 	id    codec.CodecID
 	stats codec.Stats
 	wall  time.Duration
@@ -95,15 +93,13 @@ type encResult struct {
 }
 
 // frameEmitter sequences compressed chunks into the output stream in
-// index order and accumulates the index footer entries.
+// index order, through the frameWriter that accumulates the index footer.
 type frameEmitter struct {
 	mu      sync.Mutex
-	w       io.Writer
+	fw      *frameWriter
 	next    int
-	off     uint64 // current container write offset
 	pending map[int]encResult
-	entries []indexEntry
-	codecs  []codec.CodecID // per-chunk winners, the v3 footer codec map
+	codecs  []codec.CodecID // per-chunk winners, the tagged footer's codec map
 	stats   []codec.Stats
 	walls   []time.Duration
 	grows   []int
@@ -152,19 +148,9 @@ func (em *frameEmitter) deliver(i int, res encResult) {
 }
 
 func (em *frameEmitter) writeLocked(i int, res encResult) {
-	var pre [4]byte
-	binary.LittleEndian.PutUint32(pre[:], uint32(len(res.frame)))
-	crc := frameCRC(res.frame)
-	var post [4]byte
-	binary.LittleEndian.PutUint32(post[:], crc)
-	for _, b := range [][]byte{pre[:], res.frame, post[:]} {
-		if _, err := em.w.Write(b); err != nil {
-			em.err = fmt.Errorf("chunk: write frame %d: %w", i, err)
-			return
-		}
+	if em.err = em.fw.frame(res.frame, frameCRC(res.frame)); em.err != nil {
+		return
 	}
-	em.entries[i] = indexEntry{offset: em.off, length: uint32(len(res.frame)), crc: crc}
-	em.off += 4 + uint64(len(res.frame)) + 4
 	em.codecs[i] = res.id
 	em.stats[i] = res.stats
 	em.walls[i] = res.wall
@@ -184,7 +170,7 @@ func (em *frameEmitter) writeLocked(i int, res encResult) {
 }
 
 // NewWriter starts a streaming compression of a volume with extent
-// volDims into w: it writes the container-v2 fixed header immediately and
+// volDims into w: it writes the container's fixed header immediately and
 // launches the worker pool. Feed the samples with Write, then Close.
 func NewWriter(w io.Writer, volDims grid.Dims, opts Options) (*Writer, error) {
 	cw := &Writer{}
@@ -211,7 +197,6 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 	if err := opts.Params.Validate(); err != nil {
 		return err
 	}
-	cw.w = w
 	cw.opts = opts
 	cw.start = time.Now()
 	cw.volDims = volDims
@@ -227,12 +212,7 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 	cw.closed = false
 	cw.err = nil
 	cw.stats = nil
-	// v3 exists for streams whose frames need codec tags; everything else
-	// keeps emitting v2 byte-for-byte.
-	cw.version = 2
-	if opts.Params.Mode == codec.ModeAdaptive || opts.Params.Codec != codec.CodecSPERR {
-		cw.version = 3
-	}
+	cw.layout = writeLayout(opts.Params.Mode == codec.ModeAdaptive || opts.Params.Codec != codec.CodecSPERR)
 	cw.inFlight.Store(0)
 	cw.peakInFlight.Store(0)
 	cw.ctx.Store(nil)
@@ -252,10 +232,13 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 	if hook := cw.opts.Instrument; hook != nil {
 		seq = hook
 	}
+	fw, err := newFrameWriter(w, cw.layout, volDims, cw.opts.chunkDims(), len(cw.chunks))
+	if err != nil {
+		return err
+	}
 	cw.em = &frameEmitter{
-		w:       w,
+		fw:      fw,
 		pending: make(map[int]encResult),
-		entries: make([]indexEntry, len(cw.chunks)),
 		codecs:  make([]codec.CodecID, len(cw.chunks)),
 		stats:   make([]codec.Stats, len(cw.chunks)),
 		walls:   make([]time.Duration, len(cw.chunks)),
@@ -263,17 +246,6 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 		seq:     seq,
 		chunks:  cw.chunks,
 	}
-
-	magic := magicV2
-	if cw.version >= 3 {
-		magic = magicV3
-	}
-	hdr := appendFixedHeader(make([]byte, 0, fixedHeaderSize), magic,
-		volDims, cw.opts.chunkDims(), len(cw.chunks))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("chunk: write header: %w", err)
-	}
-	cw.em.off = fixedHeaderSize
 
 	cw.jobs = make(chan encJob, cw.workers)
 	cw.wg = sync.WaitGroup{}
@@ -325,11 +297,12 @@ func (cw *Writer) encodeWorker() {
 	}
 }
 
-// encodeChunk runs the version-correct encode of one chunk: the SPERR
-// fast path for v2 streams, and the adaptive or fixed-backend dispatch
-// for v3, where the returned frame carries the codec tag byte.
+// encodeChunk runs the layout-correct encode of one chunk: the SPERR
+// fast path for untagged streams, and the adaptive or fixed-backend
+// dispatch for tagged ones, where the returned frame carries the codec
+// tag byte.
 func (cw *Writer) encodeChunk(data []float64, dims grid.Dims, s *codec.Scratch) ([]byte, codec.CodecID, *codec.Stats, error) {
-	if cw.version < 3 {
+	if !cw.tagged {
 		stream, st, err := codec.EncodeChunkScratch(data, dims, cw.params, s)
 		return stream, codec.CodecSPERR, st, err
 	}
@@ -485,21 +458,16 @@ func (cw *Writer) Close() error {
 		agg.speckBits += cw.em.stats[i].SpeckBits
 		agg.outlierBits += cw.em.stats[i].OutlierBits
 	}
-	var codecs []codec.CodecID
-	if cw.version >= 3 {
-		codecs = cw.em.codecs
-	}
-	footer := appendIndex(make([]byte, 0, indexSizeFor(cw.version, len(cw.chunks))),
-		cw.version, cw.em.entries, codecs, agg, cw.em.off)
-	if _, err := cw.w.Write(footer); err != nil {
-		cw.err = fmt.Errorf("chunk: write index: %w", err)
-		return cw.err
+	total, err := cw.em.fw.finish(cw.em.codecs, agg)
+	if err != nil {
+		cw.err = err
+		return err
 	}
 
 	st := &Stats{
 		Chunks:      cw.em.stats,
 		WallTime:    time.Since(cw.start),
-		TotalBytes:  int(cw.em.off) + len(footer),
+		TotalBytes:  total,
 		NumPoints:   cw.volDims.Len(),
 		CodecCounts: make(map[string]int, 1),
 	}

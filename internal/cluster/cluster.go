@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sperr"
+	"sperr/internal/grid"
 	"sperr/internal/store"
 )
 
@@ -420,7 +421,7 @@ func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, 
 
 	var hits []Hit
 	for i, cg := range meta.Chunks {
-		if o, d, ok := Intersect(origin, dims, cg.Origin, cg.Dims); ok {
+		if o, d, ok := grid.Intersect(origin, dims, cg.Origin, cg.Dims); ok {
 			hits = append(hits, Hit{Index: i, Origin: o, Dims: d})
 		}
 	}
@@ -822,27 +823,6 @@ func validBox(origin, dims, vol [3]int) error {
 		}
 	}
 	return nil
-}
-
-// Intersect returns the intersection of box (ro, rd) with box (co, cd)
-// as (origin, dims) and whether it is non-empty. Peers use it to clip
-// each requested chunk against the region box.
-func Intersect(ro, rd, co [3]int, cd [3]int) (o, d [3]int, ok bool) {
-	for a := 0; a < 3; a++ {
-		lo := ro[a]
-		if co[a] > lo {
-			lo = co[a]
-		}
-		hi := ro[a] + rd[a]
-		if c := co[a] + cd[a]; c < hi {
-			hi = c
-		}
-		if hi <= lo {
-			return o, d, false
-		}
-		o[a], d[a] = lo, hi-lo
-	}
-	return o, d, true
 }
 
 // shortID abbreviates a content address for error messages.

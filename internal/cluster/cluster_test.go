@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sperr"
+	"sperr/internal/grid"
 	"sperr/internal/store"
 )
 
@@ -144,7 +145,7 @@ func (p *fakePeer) serve(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			cg := meta.Chunks[ci]
-			o, d, ok := Intersect(ro, rd, cg.Origin, cg.Dims)
+			o, d, ok := grid.Intersect(ro, rd, cg.Origin, cg.Dims)
 			if !ok {
 				continue
 			}

@@ -106,14 +106,14 @@ func TestEntropyModePartialDecodeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeChunkPartial(stream, d, 0.5); err == nil {
+	if _, err := DecodeChunkPartial(stream, d, 0.5, nil); err == nil {
 		t.Error("partial decode of an entropy stream should fail")
 	}
 	// Full-fraction partial decode and low-res decode must still work.
-	if _, err := DecodeChunkPartial(stream, d, 1.0); err != nil {
+	if _, err := DecodeChunkPartial(stream, d, 1.0, nil); err != nil {
 		t.Errorf("fraction=1: %v", err)
 	}
-	rec, low, err := DecodeChunkLowRes(stream, d, 1)
+	rec, low, err := DecodeChunkLowRes(stream, d, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,8 @@ func TestDecodeChunkRandomNoise(t *testing.T) {
 				}
 			}()
 			_, _ = DecodeChunk(noise, d)
-			_, _ = DecodeChunkPartial(noise, d, 0.5)
-			_, _, _ = DecodeChunkLowRes(noise, d, 1)
+			_, _ = DecodeChunkPartial(noise, d, 0.5, nil)
+			_, _, _ = DecodeChunkLowRes(noise, d, 1, nil)
 		}()
 	}
 }

@@ -8,22 +8,22 @@ import (
 	"sperr/internal/lossless"
 	"sperr/internal/outlier"
 	"sperr/internal/speck"
-	"sperr/internal/wavelet"
 )
 
 // openChunk undoes the lossless layer (or strips the raw marker) of a
 // chunk stream, parses and validates its header against dims, and returns
 // the header, the body after it, and the byte length of the SPECK stream
-// at the front of the body.
-func openChunk(stream []byte, dims grid.Dims) (h *header, body []byte, speckBytes int, err error) {
+// at the front of the body. An inflated body lives in the arena s.
+func openChunk(stream []byte, dims grid.Dims, s *Scratch) (h *header, body []byte, speckBytes int, err error) {
 	if len(stream) < 1 {
 		return nil, nil, 0, fmt.Errorf("%w: empty stream", ErrCorrupt)
 	}
 	payload := stream[1:]
 	if stream[0] != 0xFF {
-		if payload, err = lossless.Decompress(stream); err != nil {
+		if payload, err = lossless.DecompressInto(s.payload, stream); err != nil {
 			return nil, nil, 0, err
 		}
+		s.payload = payload
 	}
 	if h, err = parseHeader(payload); err != nil {
 		return nil, nil, 0, err
@@ -47,11 +47,18 @@ func openChunk(stream []byte, dims grid.Dims) (h *header, body []byte, speckByte
 // Outlier corrections apply only to the full-precision reconstruction, so
 // they are skipped whenever fraction < 1 (the corrections are relative to
 // the complete SPECK decode).
-func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64) ([]float64, error) {
+//
+// Every temporary comes from the arena s (nil means fresh buffers), and
+// with a non-nil scratch the returned slice aliases it: copy out before
+// the arena's next use, as with DecodeChunkScratch.
+func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64, s *Scratch) ([]float64, error) {
 	if !(fraction > 0 && fraction <= 1) {
 		return nil, fmt.Errorf("codec: fraction must be in (0, 1], got %g", fraction)
 	}
-	h, body, speckBytes, err := openChunk(stream, dims)
+	if s == nil {
+		s = &Scratch{}
+	}
+	h, body, speckBytes, err := openChunk(stream, dims, s)
 	if err != nil {
 		return nil, err
 	}
@@ -60,19 +67,18 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64) ([]floa
 	}
 	var coeffs []float64
 	if h.entropy {
-		coeffs = speck.DecodeEntropy(body[:speckBytes], dims, h.q, int(h.planes))
+		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), 1, &s.speck)
 	} else {
 		useBits := uint64(float64(h.speckBits) * fraction)
-		coeffs = speck.Decode(body[:speckBytes], useBits, dims, h.q, int(h.planes))
+		coeffs = speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
 	}
-	plan := wavelet.NewPlan(dims)
-	plan.Inverse(coeffs)
+	s.planFor(dims).InverseScratch(coeffs, &s.wav)
 	if fraction == 1 && h.mode == ModePWE && h.outlierBits > 0 {
 		obytes := body[speckBytes:]
 		if h.outlierBits > uint64(len(obytes))*8 {
 			return nil, fmt.Errorf("%w: outlier stream truncated", ErrCorrupt)
 		}
-		outlier.ApplyScratch(coeffs, obytes, h.outlierBits, h.tol, int(h.opasses), nil)
+		outlier.ApplyScratch(coeffs, obytes, h.outlierBits, h.tol, int(h.opasses), &s.outl)
 	}
 	return coeffs, nil
 }
@@ -83,26 +89,31 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64) ([]floa
 // resemble the full-resolution data (paper Section VII, multi-level
 // reconstruction). The returned slice has the extent of the level-drop
 // approximation band, rescaled to data magnitude. drop = 0 is a full
-// decode (without outlier corrections).
-func DecodeChunkLowRes(stream []byte, dims grid.Dims, drop int) ([]float64, grid.Dims, error) {
+// decode (without outlier corrections). Temporaries come from the arena s
+// (nil means fresh buffers); the returned slice is always freshly
+// allocated.
+func DecodeChunkLowRes(stream []byte, dims grid.Dims, drop int, s *Scratch) ([]float64, grid.Dims, error) {
 	if drop < 0 {
 		return nil, grid.Dims{}, fmt.Errorf("codec: negative drop %d", drop)
 	}
-	h, body, speckBytes, err := openChunk(stream, dims)
+	if s == nil {
+		s = &Scratch{}
+	}
+	h, body, speckBytes, err := openChunk(stream, dims, s)
 	if err != nil {
 		return nil, grid.Dims{}, err
 	}
 	var coeffs []float64
 	if h.entropy {
-		coeffs = speck.DecodeEntropy(body[:speckBytes], dims, h.q, int(h.planes))
+		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), 1, &s.speck)
 	} else {
-		coeffs = speck.Decode(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes))
+		coeffs = speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
 	}
-	plan := wavelet.NewPlan(dims)
+	plan := s.planFor(dims)
 	if drop > plan.NumLevels() {
 		drop = plan.NumLevels()
 	}
-	low := plan.InverseToLevel(coeffs, drop)
+	low := plan.InverseToLevelScratch(coeffs, drop, &s.wav)
 	scale := plan.LevelScale(drop)
 	out := make([]float64, low.Len())
 	for z := 0; z < low.NZ; z++ {

@@ -17,7 +17,7 @@ func TestDecodeChunkPartialProgressive(t *testing.T) {
 	}
 	prev := math.Inf(1)
 	for _, frac := range []float64{0.05, 0.2, 0.5, 1.0} {
-		rec, err := DecodeChunkPartial(stream, d, frac)
+		rec, err := DecodeChunkPartial(stream, d, frac, nil)
 		if err != nil {
 			t.Fatalf("frac=%g: %v", frac, err)
 		}
@@ -28,7 +28,7 @@ func TestDecodeChunkPartialProgressive(t *testing.T) {
 		prev = rmse
 	}
 	// Full fraction must equal the regular decode (including outliers).
-	full, err := DecodeChunkPartial(stream, d, 1.0)
+	full, err := DecodeChunkPartial(stream, d, 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestDecodeChunkPartialValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frac := range []float64{0, -1, 1.5} {
-		if _, err := DecodeChunkPartial(stream, d, frac); err == nil {
+		if _, err := DecodeChunkPartial(stream, d, frac, nil); err == nil {
 			t.Errorf("fraction %g should fail", frac)
 		}
 	}
-	if _, err := DecodeChunkPartial(nil, d, 0.5); err == nil {
+	if _, err := DecodeChunkPartial(nil, d, 0.5, nil); err == nil {
 		t.Error("empty stream should fail")
 	}
 }
@@ -118,7 +118,7 @@ func TestDecodeChunkLowRes(t *testing.T) {
 	}
 	// drop=0: full resolution, matches regular decode up to outlier
 	// corrections (low-res path skips them).
-	rec0, low0, err := DecodeChunkLowRes(stream, d, 0)
+	rec0, low0, err := DecodeChunkLowRes(stream, d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDecodeChunkLowRes(t *testing.T) {
 	// Each drop halves every axis (ceil) and shrinks the payload.
 	prevLen := d.Len()
 	for drop := 1; drop <= 3; drop++ {
-		_, low, err := DecodeChunkLowRes(stream, d, drop)
+		_, low, err := DecodeChunkLowRes(stream, d, drop, nil)
 		if err != nil {
 			t.Fatalf("drop=%d: %v", drop, err)
 		}
@@ -148,10 +148,10 @@ func TestDecodeChunkLowRes(t *testing.T) {
 		prevLen = low.Len()
 	}
 	// Excessive drop clamps to the plan depth rather than failing.
-	if _, _, err := DecodeChunkLowRes(stream, d, 99); err != nil {
+	if _, _, err := DecodeChunkLowRes(stream, d, 99, nil); err != nil {
 		t.Errorf("oversized drop should clamp: %v", err)
 	}
-	if _, _, err := DecodeChunkLowRes(stream, d, -1); err == nil {
+	if _, _, err := DecodeChunkLowRes(stream, d, -1, nil); err == nil {
 		t.Error("negative drop should fail")
 	}
 }
@@ -176,7 +176,7 @@ func TestDecodeChunkLowResRamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for drop := 1; drop <= 2; drop++ {
-		rec, low, err := DecodeChunkLowRes(stream, d, drop)
+		rec, low, err := DecodeChunkLowRes(stream, d, drop, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +197,57 @@ func TestDecodeChunkLowResRamp(t *testing.T) {
 		}
 		if worst > 0.5 {
 			t.Errorf("drop=%d: interior ramp deviates by %g", drop, worst)
+		}
+	}
+}
+
+// TestProgressiveDecodeOnArena: one warm arena reused across chunks of
+// different shapes, modes and access kinds must reproduce the fresh-buffer
+// decode bit for bit — the contract chunk.DecompressPartial/LowRes rely on
+// when they run on the worker arenas.
+func TestProgressiveDecodeOnArena(t *testing.T) {
+	s := NewScratch()
+	for _, tc := range []struct {
+		d grid.Dims
+		p Params
+	}{
+		{grid.D3(24, 17, 9), Params{Mode: ModePWE, Tol: 1e-4}},
+		{grid.D3(8, 17, 30), Params{Mode: ModeBPP, BitsPerPoint: 3}},
+		{grid.D3(24, 17, 9), Params{Mode: ModePWE, Tol: 1e-3, DisableLossless: true}},
+	} {
+		stream, _, err := EncodeChunk(smoothField(tc.d, 7), tc.d, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range []float64{0.3, 1} {
+			want, err := DecodeChunkPartial(stream, tc.d, frac, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeChunkPartial(stream, tc.d, frac, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v frac %g: arena decode differs at %d", tc.d, frac, i)
+				}
+			}
+		}
+		for drop := 0; drop <= 2; drop++ {
+			want, wlow, err := DecodeChunkLowRes(stream, tc.d, drop, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, glow, err := DecodeChunkLowRes(stream, tc.d, drop, s)
+			if err != nil || glow != wlow {
+				t.Fatalf("%v drop %d: dims %v want %v, err %v", tc.d, drop, glow, wlow, err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v drop %d: arena decode differs at %d", tc.d, drop, i)
+				}
+			}
 		}
 	}
 }

@@ -135,18 +135,7 @@ func (v *Volume) CutoutInto(dst []float64, x0, y0, z0 int, dims Dims) []float64 
 
 // Insert writes src into the volume with its origin at (x0, y0, z0).
 func (v *Volume) Insert(src *Volume, x0, y0, z0 int) {
-	d := src.Dims
-	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+d.NX > v.Dims.NX || y0+d.NY > v.Dims.NY || z0+d.NZ > v.Dims.NZ {
-		panic(fmt.Sprintf("grid: insert %v@(%d,%d,%d) exceeds volume %v", d, x0, y0, z0, v.Dims))
-	}
-	for z := 0; z < d.NZ; z++ {
-		for y := 0; y < d.NY; y++ {
-			srcOff := d.Index(0, y, z)
-			dstOff := v.Dims.Index(x0, y0+y, z0+z)
-			copy(v.Data[dstOff:dstOff+d.NX], src.Data[srcOff:srcOff+d.NX])
-		}
-	}
+	v.InsertSlice(src.Data, src.Dims, x0, y0, z0)
 }
 
 // InsertSlice writes the row-major box data (extent d) into the volume
@@ -223,9 +212,37 @@ func clampChunk(c, n int) int {
 	return c
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Box returns the chunk's origin and extent as the arrays Intersect and
+// CopyBox take.
+func (c Chunk) Box() (origin, dims [3]int) {
+	return [3]int{c.X0, c.Y0, c.Z0}, [3]int{c.Dims.NX, c.Dims.NY, c.Dims.NZ}
+}
+
+// Intersect returns the intersection of box (o1, d1) with box (o2, d2)
+// as (origin, dims) and whether it is non-empty. Every region read uses
+// it to clip a chunk against the requested box.
+func Intersect(o1, d1, o2, d2 [3]int) (o, d [3]int, ok bool) {
+	for a := 0; a < 3; a++ {
+		lo := max(o1[a], o2[a])
+		hi := min(o1[a]+d1[a], o2[a]+d2[a])
+		if hi <= lo {
+			return o, d, false
+		}
+		o[a], d[a] = lo, hi-lo
 	}
-	return b
+	return o, d, true
+}
+
+// CopyBox copies the box (o, d) row by row from src, a row-major slab
+// covering the box (srcO, srcD), into dst, which covers (dstO, dstD). All
+// three boxes are in the same (volume) coordinates, and (o, d) must lie
+// inside the other two.
+func CopyBox(dst []float64, dstO, dstD [3]int, src []float64, srcO, srcD [3]int, o, d [3]int) {
+	for z := o[2]; z < o[2]+d[2]; z++ {
+		for y := o[1]; y < o[1]+d[1]; y++ {
+			s := ((z-srcO[2])*srcD[1]+y-srcO[1])*srcD[0] + o[0] - srcO[0]
+			t := ((z-dstO[2])*dstD[1]+y-dstO[1])*dstD[0] + o[0] - dstO[0]
+			copy(dst[t:t+d[0]], src[s:s+d[0]])
+		}
+	}
 }

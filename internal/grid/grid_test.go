@@ -159,3 +159,35 @@ func TestClone(t *testing.T) {
 		t.Fatal("Clone did not deep-copy")
 	}
 }
+
+// TestIntersectCopyBoxMatchesCutout assembles an odd interior box of a
+// volume from its chunks with Intersect + CopyBox and requires exactly the
+// samples Cutout reads directly; disjoint boxes must not intersect.
+func TestIntersectCopyBoxMatchesCutout(t *testing.T) {
+	v := NewVolume(D3(11, 7, 5))
+	for i := range v.Data {
+		v.Data[i] = float64(i)
+	}
+	ro, rd := [3]int{3, 1, 2}, [3]int{7, 5, 3}
+	got := make([]float64, rd[0]*rd[1]*rd[2])
+	hits := 0
+	for _, ch := range SplitChunks(v.Dims, D3(4, 3, 2)) {
+		co, cd := ch.Box()
+		o, d, ok := Intersect(ro, rd, co, cd)
+		if !ok {
+			continue
+		}
+		hits++
+		slab := v.Cutout(ch.X0, ch.Y0, ch.Z0, ch.Dims).Data
+		CopyBox(got, ro, rd, slab, co, cd, o, d)
+	}
+	want := v.Cutout(ro[0], ro[1], ro[2], D3(rd[0], rd[1], rd[2])).Data
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d = %v, want %v (%d chunks hit)", i, got[i], want[i], hits)
+		}
+	}
+	if _, _, ok := Intersect(ro, rd, [3]int{0, 0, 0}, [3]int{3, 7, 5}); ok {
+		t.Fatal("boxes sharing only a face intersect")
+	}
+}

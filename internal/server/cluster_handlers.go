@@ -24,6 +24,7 @@ import (
 
 	"sperr"
 	"sperr/internal/cluster"
+	"sperr/internal/grid"
 	"sperr/internal/store"
 )
 
@@ -120,7 +121,7 @@ func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqSt
 	// cost on their side of the wire.
 	touched := 0
 	for _, cg := range meta.Chunks {
-		if _, _, ok := cluster.Intersect(origin, rdims, cg.Origin, cg.Dims); ok {
+		if _, _, ok := grid.Intersect(origin, rdims, cg.Origin, cg.Dims); ok {
 			touched++
 		}
 	}
@@ -313,7 +314,7 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 	row := make([]byte, 8*meta.ChunkDims[0]) // no chunk has longer rows
 	for _, ci := range chunks {
 		cg := meta.Chunks[ci]
-		o, d, ok := cluster.Intersect(origin, rdims, cg.Origin, cg.Dims)
+		o, d, ok := grid.Intersect(origin, rdims, cg.Origin, cg.Dims)
 		if !ok {
 			continue
 		}

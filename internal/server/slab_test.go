@@ -10,7 +10,7 @@ import (
 	"slices"
 	"testing"
 
-	"sperr/internal/cluster"
+	"sperr/internal/grid"
 	"sperr/internal/rawio"
 )
 
@@ -42,7 +42,7 @@ func TestRegionAssemblerOrdersBands(t *testing.T) {
 					min(chunkDims[1], volDims[1]-cy),
 					min(chunkDims[2], volDims[2]-cz),
 				}
-				o, d, ok := cluster.Intersect(origin, dims, [3]int{cx, cy, cz}, cd)
+				o, d, ok := grid.Intersect(origin, dims, [3]int{cx, cy, cz}, cd)
 				if !ok {
 					continue
 				}
@@ -124,7 +124,7 @@ func gridPieces(volDims, chunkDims, origin, dims [3]int) []gridPiece {
 			for cx := 0; cx < volDims[0]; cx += chunkDims[0] {
 				so := [3]int{cx, cy, cz}
 				sd := [3]int{min(chunkDims[0], volDims[0]-cx), min(chunkDims[1], volDims[1]-cy), min(chunkDims[2], volDims[2]-cz)}
-				o, d, ok := cluster.Intersect(origin, dims, so, sd)
+				o, d, ok := grid.Intersect(origin, dims, so, sd)
 				if !ok {
 					continue
 				}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"sperr"
+	"sperr/internal/grid"
 )
 
 // RegionStats describes how one Region call was served.
@@ -40,12 +41,8 @@ type RegionPlan struct {
 
 // intersects reports whether chunk box g overlaps the cutout.
 func intersects(g ChunkGeom, origin, dims [3]int) bool {
-	for a := 0; a < 3; a++ {
-		if g.Origin[a] >= origin[a]+dims[a] || g.Origin[a]+g.Dims[a] <= origin[a] {
-			return false
-		}
-	}
-	return true
+	_, _, ok := grid.Intersect(origin, dims, g.Origin, g.Dims)
+	return ok
 }
 
 // checkRegion validates a cutout against a volume's extent.
@@ -250,31 +247,7 @@ func (s *Store) ChunkSlab(ctx context.Context, id string, ci int) ([]float64, er
 // copyIntersect copies the overlap of the chunk box (cOrigin, cDims) into
 // the destination cutout (dOrigin, dDims), both in volume coordinates.
 func copyIntersect(dst []float64, dOrigin, dDims [3]int, cOrigin, cDims [3]int, src []float64) {
-	x0, x1 := maxInt(cOrigin[0], dOrigin[0]), minInt(cOrigin[0]+cDims[0], dOrigin[0]+dDims[0])
-	y0, y1 := maxInt(cOrigin[1], dOrigin[1]), minInt(cOrigin[1]+cDims[1], dOrigin[1]+dDims[1])
-	z0, z1 := maxInt(cOrigin[2], dOrigin[2]), minInt(cOrigin[2]+cDims[2], dOrigin[2]+dDims[2])
-	if x1 <= x0 || y1 <= y0 || z1 <= z0 {
-		return
+	if o, d, ok := grid.Intersect(dOrigin, dDims, cOrigin, cDims); ok {
+		grid.CopyBox(dst, dOrigin, dDims, src, cOrigin, cDims, o, d)
 	}
-	for z := z0; z < z1; z++ {
-		for y := y0; y < y1; y++ {
-			srcOff := ((z-cOrigin[2])*cDims[1]+(y-cOrigin[1]))*cDims[0] + (x0 - cOrigin[0])
-			dstOff := ((z-dOrigin[2])*dDims[1]+(y-dOrigin[1]))*dDims[0] + (x0 - dOrigin[0])
-			copy(dst[dstOff:dstOff+(x1-x0)], src[srcOff:srcOff+(x1-x0)])
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

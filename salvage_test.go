@@ -2,8 +2,13 @@ package sperr
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"sperr/internal/chunk"
 )
 
 // Property: salvage never reports a chunk recovered when its frame's
@@ -130,5 +135,93 @@ func TestSalvageTrailerCRCDamageRecoversThroughFooter(t *testing.T) {
 		if math.Float64bits(data[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("sample %d differs after trailer-CRC damage", i)
 		}
+	}
+}
+
+// TestStreamingAndSalvageReportsAgree pins that the two fault-tolerant
+// read paths tell the same story about the same bytes: the sequential
+// Decoder under either tolerant policy and the random-access
+// DecompressSalvage agree on every chunk the sequential walk could still
+// frame, and — when the footer's own bytes are untouched — on whether the
+// index footer is intact. A damaged frame must never be blamed on the
+// footer.
+func TestStreamingAndSalvageReportsAgree(t *testing.T) {
+	type input struct {
+		name         string
+		data, origin []byte // origin: the undamaged container data derives from
+	}
+	readFixture := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var inputs []input
+	v2 := readFixture("golden_pwe_24x17x9_v2.sperr")
+	mutants, err := filepath.Glob(filepath.Join("testdata", "mutant_*.sperr"))
+	if err != nil || len(mutants) == 0 {
+		t.Fatalf("no mutant fixtures (err %v)", err)
+	}
+	for _, path := range mutants {
+		inputs = append(inputs, input{filepath.Base(path), readFixture(filepath.Base(path)), v2})
+	}
+	for _, name := range []string{"golden_pwe_24x17x9_v2.sperr", "golden_adaptive_48x32x32_v3.sperr"} {
+		clean := readFixture(name)
+		for i, fr := range frameRanges(t, clean) {
+			flipped := append([]byte(nil), clean...)
+			flipped[(fr[0]+4+fr[1]-4)/2] ^= 0x20 // mid-payload
+			inputs = append(inputs, input{fmt.Sprintf("%s/flip-frame-%d", name, i), flipped, clean})
+		}
+	}
+
+	compared := 0
+	for _, in := range inputs {
+		_, _, sal, err := DecompressSalvage(in.data)
+		if err != nil {
+			continue // fixed header unusable: nothing to compare
+		}
+		info, err := Describe(in.origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := frameRanges(t, in.origin)
+		footerStart := frames[info.NumChunks-1][1]
+		footerUntouched := len(in.data) == len(in.origin) && bytes.Equal(in.data[footerStart:], in.origin[footerStart:])
+		for _, pol := range []ErrorPolicy{SkipChunk, FillChunk} {
+			dec, err := NewDecoder(bytes.NewReader(in.data))
+			if err != nil {
+				continue
+			}
+			dec.SetErrorPolicy(pol)
+			if _, _, err := dec.DecodeAll(); err != nil {
+				t.Fatalf("%s: tolerant decode failed: %v", in.name, err)
+			}
+			str := dec.SalvageReport()
+			compared++
+			framed := true
+			for i, c := range str.Chunks {
+				// Framing survived for chunk i when the sequential walk read
+				// the whole frame exactly where the undamaged container has
+				// it; past a damaged length prefix it attributes bytes to
+				// the wrong chunks and only the footer could know better.
+				if c.Reason == chunk.ReasonTruncated || c.Reason == chunk.ReasonFramingLost ||
+					c.Offset != int64(frames[i][0]) || c.Length != frames[i][1]-frames[i][0]-8 {
+					framed = false
+					continue
+				}
+				if c.Recovered != sal.Chunks[i].Recovered || c.Reason != sal.Chunks[i].Reason {
+					t.Errorf("%s policy %d chunk %d: streaming says recovered=%v %q, salvage says recovered=%v %q",
+						in.name, pol, i, c.Recovered, c.Reason, sal.Chunks[i].Recovered, sal.Chunks[i].Reason)
+				}
+			}
+			if footerUntouched && framed && str.IndexIntact != sal.IndexIntact {
+				t.Errorf("%s policy %d: streaming IndexIntact=%v, salvage IndexIntact=%v on an untouched footer",
+					in.name, pol, str.IndexIntact, sal.IndexIntact)
+			}
+		}
+	}
+	if compared < len(mutants) {
+		t.Fatalf("only %d comparisons ran", compared)
 	}
 }

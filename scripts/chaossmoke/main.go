@@ -25,21 +25,17 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"sperr"
 	"sperr/internal/cluster"
 	"sperr/internal/rawio"
+	"sperr/scripts/internal/smoke"
 )
 
 var nodeIDs = []string{"node-a", "node-b", "node-c"}
@@ -58,13 +54,13 @@ func main() {
 	fmt.Println("chaos-smoke: OK")
 }
 
-type node struct {
-	id       string
-	url      string
-	addr     string
-	storeDir string
-	cmd      *exec.Cmd
-	done     chan error
+// startNode forks a peer of the replicated, fast-scrubbing cluster this
+// harness exercises.
+func startNode(bin, storeDir, id, addr, peers string) (*smoke.Node, error) {
+	return smoke.StartNode(bin, id, addr, storeDir, peers,
+		"-peer-retries", "1",
+		"-replicas", fmt.Sprint(replicas),
+		"-scrub-interval", scrubEvery.String())
 }
 
 func run() error {
@@ -76,13 +72,11 @@ func run() error {
 	bin := filepath.Join(tmp, "sperrd")
 
 	fmt.Println("chaos-smoke: building sperrd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sperrd")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build sperrd: %w", err)
+	if err := smoke.BuildDaemon(bin); err != nil {
+		return err
 	}
 
-	addrs, err := reservePorts(len(nodeIDs))
+	addrs, err := smoke.ReservePorts(len(nodeIDs))
 	if err != nil {
 		return err
 	}
@@ -92,17 +86,17 @@ func run() error {
 	}
 	peersFlag := strings.Join(roster, ",")
 
-	nodes := make([]*node, len(nodeIDs))
+	nodes := make([]*smoke.Node, len(nodeIDs))
 	for i, id := range nodeIDs {
 		n, err := startNode(bin, filepath.Join(tmp, "store-"+id), id, addrs[i], peersFlag)
 		if err != nil {
 			return err
 		}
 		nodes[i] = n
-		defer n.cmd.Process.Kill()
+		defer n.Cmd.Process.Kill()
 	}
 	for _, n := range nodes {
-		if err := waitHealthy(n); err != nil {
+		if err := smoke.WaitHealthy(n); err != nil {
 			return err
 		}
 	}
@@ -117,7 +111,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	id, err := ingest(nodes[0].url, container)
+	id, err := smoke.Ingest(nodes[0].URL, container)
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
@@ -160,7 +154,7 @@ func run() error {
 	victim := -1
 	for i := 1; i < len(nodes) && victim < 0; i++ { // never the coordinator
 		for ci := 0; ci < info.NumChunks; ci++ {
-			if ring.Owners(cluster.ChunkKey(id, ci), replicas)[0] == nodes[i].id {
+			if ring.Owners(cluster.ChunkKey(id, ci), replicas)[0] == nodes[i].ID {
 				victim = i
 				break
 			}
@@ -170,7 +164,7 @@ func run() error {
 		return fmt.Errorf("placement put every primary on the coordinator")
 	}
 	regionURL := fmt.Sprintf("%s/v1/volumes/%s/region?region=0,0,0,%d,%d,%d",
-		nodes[0].url, id, info.Dims[0], info.Dims[1], info.Dims[2])
+		nodes[0].URL, id, info.Dims[0], info.Dims[1], info.Dims[2])
 
 	t0 := time.Now()
 	var wg sync.WaitGroup
@@ -184,11 +178,11 @@ func run() error {
 	}
 	time.Sleep(10 * time.Millisecond)
 	fmt.Printf("chaos-smoke: SIGKILL %s (primary for some chunks) with 4 reads in flight\n",
-		nodes[victim].id)
-	if err := nodes[victim].cmd.Process.Kill(); err != nil {
-		return fmt.Errorf("kill %s: %w", nodes[victim].id, err)
+		nodes[victim].ID)
+	if err := nodes[victim].Cmd.Process.Kill(); err != nil {
+		return fmt.Errorf("kill %s: %w", nodes[victim].ID, err)
 	}
-	<-nodes[victim].done
+	<-nodes[victim].Done
 	wg.Wait()
 	errs <- checkRead(regionURL, wantRaw, "post-kill read")
 	close(errs)
@@ -198,39 +192,39 @@ func run() error {
 		}
 	}
 
-	metrics, err := scrape(nodes[0].url)
+	metrics, err := smoke.Scrape(nodes[0].URL)
 	if err != nil {
 		return err
 	}
-	if v := metricValue(metrics, "sperrd_replica_failover_chunks_total"); v < 1 {
+	if v := smoke.MetricValue(metrics, "sperrd_replica_failover_chunks_total"); v < 1 {
 		return fmt.Errorf("sperrd_replica_failover_chunks_total is %g, want >= 1", v)
 	}
-	if v := metricValue(metrics, "sperrd_cluster_degraded_total"); v != 0 {
+	if v := smoke.MetricValue(metrics, "sperrd_cluster_degraded_total"); v != 0 {
 		return fmt.Errorf("sperrd_cluster_degraded_total is %g after failover, want 0", v)
 	}
 	fmt.Printf("chaos-smoke: failover ok in %v (reads 200, trailer ok, bit-identical, %g chunks rerouted)\n",
 		time.Since(t0).Round(time.Millisecond),
-		metricValue(metrics, "sperrd_replica_failover_chunks_total"))
+		smoke.MetricValue(metrics, "sperrd_replica_failover_chunks_total"))
 
 	// ---- Act 2: the victim rejoins as a replacement peer with an empty
 	// store; its scrubber must converge to full ring ownership.
 	t0 = time.Now()
-	rejoined, err := startNode(bin, filepath.Join(tmp, "store-"+nodes[victim].id+"-rejoin"),
-		nodes[victim].id, nodes[victim].addr, peersFlag)
+	rejoined, err := startNode(bin, filepath.Join(tmp, "store-"+nodes[victim].ID+"-rejoin"),
+		nodes[victim].ID, nodes[victim].Addr, peersFlag)
 	if err != nil {
-		return fmt.Errorf("restart %s: %w", nodes[victim].id, err)
+		return fmt.Errorf("restart %s: %w", nodes[victim].ID, err)
 	}
 	nodes[victim] = rejoined
-	defer rejoined.cmd.Process.Kill()
-	if err := waitHealthy(rejoined); err != nil {
+	defer rejoined.Cmd.Process.Kill()
+	if err := smoke.WaitHealthy(rejoined); err != nil {
 		return err
 	}
-	wantOwned := desired(rejoined.id)
+	wantOwned := desired(rejoined.ID)
 	if err := waitOwned(rejoined, id, wantOwned); err != nil {
 		return fmt.Errorf("rejoin did not converge: %w", err)
 	}
 	fmt.Printf("chaos-smoke: replacement peer %s converged to %d owned chunks in %v\n",
-		rejoined.id, len(wantOwned), time.Since(t0).Round(time.Millisecond))
+		rejoined.ID, len(wantOwned), time.Since(t0).Round(time.Millisecond))
 
 	// ---- Act 3: corrupt a shard blob on a live peer's disk; its
 	// scrubber must detect and heal it with no client read in between.
@@ -238,44 +232,44 @@ func run() error {
 	if victim == 1 {
 		target = nodes[2]
 	}
-	before, err := scrape(target.url)
+	before, err := smoke.Scrape(target.URL)
 	if err != nil {
 		return err
 	}
-	d0 := metricValue(before, "sperrd_scrub_damaged_chunks_total")
-	r0 := metricValue(before, "sperrd_scrub_repaired_chunks_total")
-	if metricValue(before, "sperrd_scrub_runs_total") < 1 {
-		return fmt.Errorf("%s scrubber has not run (sperrd_scrub_runs_total 0)", target.id)
+	d0 := smoke.MetricValue(before, "sperrd_scrub_damaged_chunks_total")
+	r0 := smoke.MetricValue(before, "sperrd_scrub_repaired_chunks_total")
+	if smoke.MetricValue(before, "sperrd_scrub_runs_total") < 1 {
+		return fmt.Errorf("%s scrubber has not run (sperrd_scrub_runs_total 0)", target.ID)
 	}
 
-	blobPath := filepath.Join(target.storeDir, "volumes", id+".sperr")
+	blobPath := filepath.Join(target.StoreDir, "volumes", id+".sperr")
 	lost, err := corruptOwnedFrame(blobPath)
 	if err != nil {
-		return fmt.Errorf("corrupt %s shard: %w", target.id, err)
+		return fmt.Errorf("corrupt %s shard: %w", target.ID, err)
 	}
 	fmt.Printf("chaos-smoke: flipped bytes in %s's shard blob (chunks %v now fail CRC)\n",
-		target.id, lost)
+		target.ID, lost)
 
 	t0 = time.Now()
 	deadline := time.Now().Add(scrubDeadline)
 	for {
-		m, err := scrape(target.url)
+		m, err := smoke.Scrape(target.URL)
 		if err != nil {
 			return err
 		}
-		if metricValue(m, "sperrd_scrub_damaged_chunks_total") > d0 &&
-			metricValue(m, "sperrd_scrub_repaired_chunks_total") >= r0+float64(len(lost)) {
+		if smoke.MetricValue(m, "sperrd_scrub_damaged_chunks_total") > d0 &&
+			smoke.MetricValue(m, "sperrd_scrub_repaired_chunks_total") >= r0+float64(len(lost)) {
 			break
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("scrubber did not heal within %v (damaged %g->%g, repaired %g->%g)",
-				scrubDeadline, d0, metricValue(m, "sperrd_scrub_damaged_chunks_total"),
-				r0, metricValue(m, "sperrd_scrub_repaired_chunks_total"))
+				scrubDeadline, d0, smoke.MetricValue(m, "sperrd_scrub_damaged_chunks_total"),
+				r0, smoke.MetricValue(m, "sperrd_scrub_repaired_chunks_total"))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	conv := time.Since(t0).Round(time.Millisecond)
-	if err := waitOwned(target, id, desired(target.id)); err != nil {
+	if err := waitOwned(target, id, desired(target.ID)); err != nil {
 		return fmt.Errorf("healed shard still missing chunks: %w", err)
 	}
 	fmt.Printf("chaos-smoke: scrub convergence time %v (%d chunks re-fetched from replicas, no client read involved)\n",
@@ -285,8 +279,8 @@ func run() error {
 	// non-degraded and bit-identical.
 	for _, n := range nodes {
 		url := fmt.Sprintf("%s/v1/volumes/%s/region?region=0,0,0,%d,%d,%d",
-			n.url, id, info.Dims[0], info.Dims[1], info.Dims[2])
-		if err := checkRead(url, wantRaw, "post-heal read via "+n.id); err != nil {
+			n.URL, id, info.Dims[0], info.Dims[1], info.Dims[2])
+		if err := checkRead(url, wantRaw, "post-heal read via "+n.ID); err != nil {
 			return err
 		}
 	}
@@ -294,16 +288,8 @@ func run() error {
 
 	// Everyone drains cleanly.
 	for _, n := range nodes {
-		if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("signal %s: %w", n.id, err)
-		}
-		select {
-		case err := <-n.done:
-			if err != nil {
-				return fmt.Errorf("%s exited non-zero after SIGTERM: %v", n.id, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("%s did not exit within 15s of SIGTERM", n.id)
+		if err := smoke.Drain(n); err != nil {
+			return err
 		}
 	}
 	fmt.Println("chaos-smoke: graceful shutdown ok")
@@ -313,26 +299,14 @@ func run() error {
 // checkRead fetches a region and requires 200 + "ok" trailer + bytes
 // identical to the reference decode.
 func checkRead(url string, wantRaw []byte, what string) error {
-	res, err := http.Get(url)
+	reg, err := smoke.GetRegion(url)
 	if err != nil {
 		return fmt.Errorf("%s: %w", what, err)
 	}
-	defer res.Body.Close()
-	body, err := io.ReadAll(res.Body)
-	if err != nil {
-		return fmt.Errorf("%s: %w", what, err)
+	if reg.Status != "ok" {
+		return fmt.Errorf("%s: trailer %q, want ok (read must not degrade)", what, reg.Status)
 	}
-	if res.StatusCode != 200 {
-		return fmt.Errorf("%s: status %d: %s", what, res.StatusCode, body)
-	}
-	tr := res.Trailer.Get("X-Sperr-Status")
-	if tr == "" {
-		tr = res.Header.Get("X-Sperr-Status")
-	}
-	if tr != "ok" {
-		return fmt.Errorf("%s: trailer %q, want ok (read must not degrade)", what, tr)
-	}
-	if !bytes.Equal(body, wantRaw) {
+	if !bytes.Equal(reg.Body, wantRaw) {
 		return fmt.Errorf("%s: bytes differ from single-node decode", what)
 	}
 	return nil
@@ -340,8 +314,8 @@ func checkRead(url string, wantRaw []byte, what string) error {
 
 // waitOwned polls a node's shard blob on disk until it holds (at least)
 // every chunk the ring assigns that node.
-func waitOwned(n *node, id string, want []int) error {
-	blobPath := filepath.Join(n.storeDir, "volumes", id+".sperr")
+func waitOwned(n *smoke.Node, id string, want []int) error {
+	blobPath := filepath.Join(n.StoreDir, "volumes", id+".sperr")
 	deadline := time.Now().Add(scrubDeadline)
 	for {
 		blob, err := os.ReadFile(blobPath)
@@ -354,7 +328,7 @@ func waitOwned(n *node, id string, want []int) error {
 		if time.Now().After(deadline) {
 			blob, _ := os.ReadFile(blobPath)
 			owned, _ := sperr.OwnedChunks(blob)
-			return fmt.Errorf("%s owns %v after %v, want ⊇ %v", n.id, owned, scrubDeadline, want)
+			return fmt.Errorf("%s owns %v after %v, want ⊇ %v", n.ID, owned, scrubDeadline, want)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -418,111 +392,4 @@ func containsAll(have, want []int) bool {
 		}
 	}
 	return true
-}
-
-func reservePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startNode(bin, storeDir, id, addr, peers string) (*node, error) {
-	cmd := exec.Command(bin,
-		"-addr", addr,
-		"-store-dir", storeDir,
-		"-node-id", id,
-		"-peers", peers,
-		"-peer-timeout", "2s",
-		"-hedge-after", "100ms",
-		"-peer-retries", "1",
-		"-replicas", fmt.Sprint(replicas),
-		"-scrub-interval", scrubEvery.String(),
-		"-budget-mb", "64",
-		"-quiet")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", id, err)
-	}
-	n := &node{id: id, url: "http://" + addr, addr: addr, storeDir: storeDir,
-		cmd: cmd, done: make(chan error, 1)}
-	go func() { n.done <- cmd.Wait() }()
-	return n, nil
-}
-
-func waitHealthy(n *node) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case err := <-n.done:
-			return fmt.Errorf("%s exited before healthy: %v", n.id, err)
-		default:
-		}
-		res, err := http.Get(n.url + "/healthz")
-		if err == nil {
-			res.Body.Close()
-			if res.StatusCode == 200 {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy", n.id)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func ingest(base string, container []byte) (string, error) {
-	req, err := http.NewRequest("PUT", base+"/v1/volumes", bytes.NewReader(container))
-	if err != nil {
-		return "", err
-	}
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer res.Body.Close()
-	out, _ := io.ReadAll(res.Body)
-	if res.StatusCode != 201 && res.StatusCode != 200 {
-		return "", fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	id := res.Header.Get("X-Sperr-Volume-Id")
-	if id == "" {
-		return "", fmt.Errorf("missing X-Sperr-Volume-Id header")
-	}
-	return id, nil
-}
-
-func scrape(base string) (string, error) {
-	res, err := http.Get(base + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer res.Body.Close()
-	text, err := io.ReadAll(res.Body)
-	return string(text), err
-}
-
-// metricValue extracts one series' value from scraped metrics text
-// (zero when absent).
-func metricValue(metrics, name string) float64 {
-	for _, line := range strings.Split(metrics, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			var v float64
-			fmt.Sscanf(fields[1], "%g", &v)
-			return v
-		}
-	}
-	return 0
 }

@@ -14,21 +14,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
-	"time"
 
 	"sperr"
 	"sperr/internal/cluster"
 	"sperr/internal/rawio"
+	"sperr/scripts/internal/smoke"
 )
 
 var nodeIDs = []string{"node-a", "node-b", "node-c"}
@@ -41,13 +36,6 @@ func main() {
 	fmt.Println("cluster-smoke: OK")
 }
 
-type node struct {
-	id   string
-	url  string
-	cmd  *exec.Cmd
-	done chan error
-}
-
 func run() error {
 	tmp, err := os.MkdirTemp("", "sperrd-cluster-smoke")
 	if err != nil {
@@ -57,15 +45,13 @@ func run() error {
 	bin := filepath.Join(tmp, "sperrd")
 
 	fmt.Println("cluster-smoke: building sperrd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sperrd")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build sperrd: %w", err)
+	if err := smoke.BuildDaemon(bin); err != nil {
+		return err
 	}
 
 	// The roster must be known before any peer boots, so reserve three
 	// kernel-assigned ports up front and release them just before use.
-	addrs, err := reservePorts(len(nodeIDs))
+	addrs, err := smoke.ReservePorts(len(nodeIDs))
 	if err != nil {
 		return err
 	}
@@ -75,17 +61,20 @@ func run() error {
 	}
 	peersFlag := strings.Join(roster, ",")
 
-	nodes := make([]*node, len(nodeIDs))
+	nodes := make([]*smoke.Node, len(nodeIDs))
 	for i, id := range nodeIDs {
-		n, err := startNode(bin, tmp, id, addrs[i], peersFlag)
+		// This smoke pins the single-replica degradation contract; the
+		// replicated failover path has its own harness (chaossmoke).
+		n, err := smoke.StartNode(bin, id, addrs[i], filepath.Join(tmp, "store-"+id), peersFlag,
+			"-replicas", "1", "-scrub-interval", "-1s")
 		if err != nil {
 			return err
 		}
 		nodes[i] = n
-		defer n.cmd.Process.Kill()
+		defer n.Cmd.Process.Kill()
 	}
 	for _, n := range nodes {
-		if err := waitHealthy(n); err != nil {
+		if err := smoke.WaitHealthy(n); err != nil {
 			return err
 		}
 	}
@@ -113,12 +102,12 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("describe %s: %w", fx.path, err)
 		}
-		id, err := ingest(nodes[fx.coordinator].url, container)
+		id, err := smoke.Ingest(nodes[fx.coordinator].URL, container)
 		if err != nil {
-			return fmt.Errorf("ingest %s via %s: %w", fx.path, nodes[fx.coordinator].id, err)
+			return fmt.Errorf("ingest %s via %s: %w", fx.path, nodes[fx.coordinator].ID, err)
 		}
 		fmt.Printf("cluster-smoke: ingested %s as %s.. via %s (%d chunks)\n",
-			filepath.Base(fx.path), id[:12], nodes[fx.coordinator].id, info.NumChunks)
+			filepath.Base(fx.path), id[:12], nodes[fx.coordinator].ID, info.NumChunks)
 		if strings.Contains(fx.path, "_v3") {
 			v3id, v3info = id, info
 		}
@@ -142,20 +131,20 @@ func run() error {
 			}
 			for _, n := range nodes {
 				url := fmt.Sprintf("%s/v1/volumes/%s/region?region=%d,%d,%d,%d,%d,%d",
-					n.url, id, origin[0], origin[1], origin[2], dims[0], dims[1], dims[2])
-				got, trailer, answeredBy, err := getRegion(url)
+					n.URL, id, origin[0], origin[1], origin[2], dims[0], dims[1], dims[2])
+				reg, err := smoke.GetRegion(url)
 				if err != nil {
-					return fmt.Errorf("region via %s: %w", n.id, err)
+					return fmt.Errorf("region via %s: %w", n.ID, err)
 				}
-				if trailer != "ok" {
-					return fmt.Errorf("region via %s: trailer %q, want ok", n.id, trailer)
+				if reg.Status != "ok" {
+					return fmt.Errorf("region via %s: trailer %q, want ok", n.ID, reg.Status)
 				}
-				if answeredBy != n.id {
-					return fmt.Errorf("region via %s: X-Sperr-Node says %q", n.id, answeredBy)
+				if reg.Node != n.ID {
+					return fmt.Errorf("region via %s: X-Sperr-Node says %q", n.ID, reg.Node)
 				}
-				if !bytes.Equal(got, wantRaw) {
+				if !bytes.Equal(reg.Body, wantRaw) {
 					return fmt.Errorf("region %v+%v via %s: %d bytes differ from single-node decode",
-						origin, dims, n.id, len(got))
+						origin, dims, n.ID, len(reg.Body))
 				}
 			}
 		}
@@ -165,7 +154,7 @@ func run() error {
 
 	// Every coordinator has done remote fetches by now; its per-peer
 	// request counters must show them.
-	metrics, err := scrape(nodes[0].url)
+	metrics, err := smoke.Scrape(nodes[0].URL)
 	if err != nil {
 		return err
 	}
@@ -188,7 +177,7 @@ func run() error {
 	placement := ring.Placement(v3id, v3info.NumChunks)
 	victim := -1
 	for i := 1; i < len(nodes); i++ { // never the coordinator we read through
-		if len(placement[nodes[i].id]) > 0 {
+		if len(placement[nodes[i].ID]) > 0 {
 			victim = i
 			break
 		}
@@ -196,19 +185,20 @@ func run() error {
 	if victim < 0 {
 		return fmt.Errorf("no non-coordinator peer owns v3 chunks (placement %v)", placement)
 	}
-	lost := placement[nodes[victim].id]
-	fmt.Printf("cluster-smoke: SIGKILL %s (owns v3 chunks %v)\n", nodes[victim].id, lost)
-	if err := nodes[victim].cmd.Process.Kill(); err != nil {
-		return fmt.Errorf("kill %s: %w", nodes[victim].id, err)
+	lost := placement[nodes[victim].ID]
+	fmt.Printf("cluster-smoke: SIGKILL %s (owns v3 chunks %v)\n", nodes[victim].ID, lost)
+	if err := nodes[victim].Cmd.Process.Kill(); err != nil {
+		return fmt.Errorf("kill %s: %w", nodes[victim].ID, err)
 	}
-	<-nodes[victim].done
+	<-nodes[victim].Done
 
 	url := fmt.Sprintf("%s/v1/volumes/%s/region?region=0,0,0,%d,%d,%d",
-		nodes[0].url, v3id, v3info.Dims[0], v3info.Dims[1], v3info.Dims[2])
-	got, trailer, _, err := getRegion(url)
+		nodes[0].URL, v3id, v3info.Dims[0], v3info.Dims[1], v3info.Dims[2])
+	reg, err := smoke.GetRegion(url)
 	if err != nil {
 		return fmt.Errorf("degraded read must not fail: %w", err)
 	}
+	got, trailer := reg.Body, reg.Status
 	if !strings.HasPrefix(trailer, "degraded: skipped ") {
 		return fmt.Errorf("post-kill read trailer %q, want degraded status", trailer)
 	}
@@ -255,22 +245,22 @@ func run() error {
 		len(skipped), nans)
 
 	// The casualty must be visible on the coordinator's metrics surface.
-	metrics, err = scrape(nodes[0].url)
+	metrics, err = smoke.Scrape(nodes[0].URL)
 	if err != nil {
 		return err
 	}
-	if v := metricValue(metrics, "sperrd_cluster_degraded_total"); v < 1 {
+	if v := smoke.MetricValue(metrics, "sperrd_cluster_degraded_total"); v < 1 {
 		return fmt.Errorf("sperrd_cluster_degraded_total is %g, want >= 1", v)
 	}
-	if v := metricValue(metrics, "sperrd_cluster_filled_chunks_total"); v < float64(len(skipped)) {
+	if v := smoke.MetricValue(metrics, "sperrd_cluster_filled_chunks_total"); v < float64(len(skipped)) {
 		return fmt.Errorf("sperrd_cluster_filled_chunks_total is %g, want >= %d", v, len(skipped))
 	}
 	failSeries := []string{
-		fmt.Sprintf(`sperrd_cluster_requests_total{peer="%s",outcome="error"}`, nodes[victim].id),
-		fmt.Sprintf(`sperrd_cluster_requests_total{peer="%s",outcome="timeout"}`, nodes[victim].id),
+		fmt.Sprintf(`sperrd_cluster_requests_total{peer="%s",outcome="error"}`, nodes[victim].ID),
+		fmt.Sprintf(`sperrd_cluster_requests_total{peer="%s",outcome="timeout"}`, nodes[victim].ID),
 	}
 	if !strings.Contains(metrics, failSeries[0]) && !strings.Contains(metrics, failSeries[1]) {
-		return fmt.Errorf("/metrics missing a failed-peer outcome counter for %s", nodes[victim].id)
+		return fmt.Errorf("/metrics missing a failed-peer outcome counter for %s", nodes[victim].ID)
 	}
 	fmt.Println("cluster-smoke: cluster counters account for the killed peer")
 
@@ -279,152 +269,12 @@ func run() error {
 		if i == victim {
 			continue
 		}
-		if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("signal %s: %w", n.id, err)
-		}
-		select {
-		case err := <-n.done:
-			if err != nil {
-				return fmt.Errorf("%s exited non-zero after SIGTERM: %v", n.id, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("%s did not exit within 15s of SIGTERM", n.id)
+		if err := smoke.Drain(n); err != nil {
+			return err
 		}
 	}
 	fmt.Println("cluster-smoke: graceful shutdown ok")
 	return nil
-}
-
-// reservePorts grabs n kernel-assigned localhost ports and releases
-// them, returning the addresses for the daemons to re-bind. The tiny
-// reuse race is acceptable in a smoke harness.
-func reservePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startNode(bin, tmp, id, addr, peers string) (*node, error) {
-	cmd := exec.Command(bin,
-		"-addr", addr,
-		"-store-dir", filepath.Join(tmp, "store-"+id),
-		"-node-id", id,
-		"-peers", peers,
-		"-peer-timeout", "2s",
-		"-hedge-after", "100ms",
-		"-budget-mb", "64",
-		// This smoke pins the single-replica degradation contract; the
-		// replicated failover path has its own harness (chaossmoke).
-		"-replicas", "1",
-		"-scrub-interval", "-1s",
-		"-quiet")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", id, err)
-	}
-	n := &node{id: id, url: "http://" + addr, cmd: cmd, done: make(chan error, 1)}
-	go func() { n.done <- cmd.Wait() }()
-	return n, nil
-}
-
-func waitHealthy(n *node) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case err := <-n.done:
-			return fmt.Errorf("%s exited before healthy: %v", n.id, err)
-		default:
-		}
-		res, err := http.Get(n.url + "/healthz")
-		if err == nil {
-			res.Body.Close()
-			if res.StatusCode == 200 {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy", n.id)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func ingest(base string, container []byte) (string, error) {
-	req, err := http.NewRequest("PUT", base+"/v1/volumes", bytes.NewReader(container))
-	if err != nil {
-		return "", err
-	}
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer res.Body.Close()
-	out, _ := io.ReadAll(res.Body)
-	if res.StatusCode != 201 && res.StatusCode != 200 {
-		return "", fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	id := res.Header.Get("X-Sperr-Volume-Id")
-	if id == "" {
-		return "", fmt.Errorf("missing X-Sperr-Volume-Id header")
-	}
-	return id, nil
-}
-
-// getRegion fetches a region URL, returning the body, the X-Sperr-Status
-// trailer, and the X-Sperr-Node header.
-func getRegion(url string) (body []byte, trailer, nodeID string, err error) {
-	res, err := http.Get(url)
-	if err != nil {
-		return nil, "", "", err
-	}
-	defer res.Body.Close()
-	out, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, "", "", err
-	}
-	if res.StatusCode != 200 {
-		return nil, "", "", fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	ts := res.Trailer.Get("X-Sperr-Status")
-	if ts == "" {
-		ts = res.Header.Get("X-Sperr-Status")
-	}
-	return out, ts, res.Header.Get("X-Sperr-Node"), nil
-}
-
-func scrape(base string) (string, error) {
-	res, err := http.Get(base + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer res.Body.Close()
-	text, err := io.ReadAll(res.Body)
-	return string(text), err
-}
-
-// metricValue extracts one series' value from scraped metrics text
-// (zero when absent).
-func metricValue(metrics, name string) float64 {
-	for _, line := range strings.Split(metrics, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			var v float64
-			fmt.Sscanf(fields[1], "%g", &v)
-			return v
-		}
-	}
-	return 0
 }
 
 // parseSkipped pulls the chunk indices out of a

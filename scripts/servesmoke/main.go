@@ -21,6 +21,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"sperr/scripts/internal/smoke"
 )
 
 const (
@@ -45,10 +47,8 @@ func run() error {
 	bin := filepath.Join(tmp, "sperrd")
 
 	fmt.Println("serve-smoke: building sperrd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sperrd")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build sperrd: %w", err)
+	if err := smoke.BuildDaemon(bin); err != nil {
+		return err
 	}
 
 	addrFile := filepath.Join(tmp, "addr")
@@ -127,13 +127,13 @@ func run() error {
 	// Content-addressed serving: ingest the container, then read the same
 	// region twice. The first read decodes and warms the cache; the repeat
 	// must be a full hit that moves no decode work.
-	id, err := ingest(base, stream)
+	id, err := smoke.Ingest(base, stream)
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
 	fmt.Println("serve-smoke: ingested volume", id[:12])
 	regionURL := fmt.Sprintf("%s/v1/volumes/%s/region?region=4,3,2,24,16,8", base, id)
-	cut1, outcome1, err := getRegion(regionURL)
+	cold, err := smoke.GetRegion(regionURL)
 	if err != nil {
 		return fmt.Errorf("cold region: %w", err)
 	}
@@ -141,7 +141,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cut2, outcome2, err := getRegion(regionURL)
+	warm, err := smoke.GetRegion(regionURL)
 	if err != nil {
 		return fmt.Errorf("warm region: %w", err)
 	}
@@ -149,14 +149,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if outcome2 != "hit" {
-		return fmt.Errorf("repeat region read was %q, want hit (first was %q)", outcome2, outcome1)
+	if warm.Cache != "hit" {
+		return fmt.Errorf("repeat region read was %q, want hit (first was %q)", warm.Cache, cold.Cache)
 	}
 	if decodesAfterWarm != decodesAfterCold {
 		return fmt.Errorf("chunk decode counter moved %g -> %g across a cache hit",
 			decodesAfterCold, decodesAfterWarm)
 	}
-	if !bytes.Equal(cut1, cut2) {
+	if !bytes.Equal(cold.Body, warm.Body) {
 		return fmt.Errorf("cached region bytes differ from the decoded read")
 	}
 	if decodesAfterCold == 0 {
@@ -170,18 +170,16 @@ func run() error {
 		return fmt.Errorf("sperrd_cache_hits_total stayed zero after a hit")
 	}
 	fmt.Printf("serve-smoke: cached region ok (%s then %s, %g decodes, %g slab hits)\n",
-		outcome1, outcome2, decodesAfterCold, hits)
+		cold.Cache, warm.Cache, decodesAfterCold, hits)
 
 	// Metrics must be non-empty and carry the request counters.
-	res, err := http.Get(base + "/metrics")
+	mt, err := smoke.Scrape(base)
 	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	mt, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if !strings.Contains(string(mt), "sperrd_requests_total") ||
-		!strings.Contains(string(mt), "sperrd_admission_inuse_samples") ||
-		!strings.Contains(string(mt), "sperrd_cache_resident_samples") {
+	if !strings.Contains(mt, "sperrd_requests_total") ||
+		!strings.Contains(mt, "sperrd_admission_inuse_samples") ||
+		!strings.Contains(mt, "sperrd_cache_resident_samples") {
 		return fmt.Errorf("/metrics missing expected series:\n%s", mt)
 	}
 	fmt.Printf("serve-smoke: /metrics ok (%d bytes)\n", len(mt))
@@ -249,66 +247,11 @@ func get(url, want string) error {
 	return nil
 }
 
-// ingest PUTs a container into the volume store and returns its content
-// address.
-func ingest(base string, container []byte) (string, error) {
-	req, err := http.NewRequest("PUT", base+"/v1/volumes", bytes.NewReader(container))
-	if err != nil {
-		return "", err
-	}
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer res.Body.Close()
-	out, _ := io.ReadAll(res.Body)
-	if res.StatusCode != 201 && res.StatusCode != 200 {
-		return "", fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	id := res.Header.Get("X-Sperr-Volume-Id")
-	if id == "" {
-		return "", fmt.Errorf("missing X-Sperr-Volume-Id header")
-	}
-	return id, nil
-}
-
-// getRegion fetches a cached-region URL, returning the body and the
-// X-Sperr-Cache outcome.
-func getRegion(url string) ([]byte, string, error) {
-	res, err := http.Get(url)
-	if err != nil {
-		return nil, "", err
-	}
-	defer res.Body.Close()
-	out, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if res.StatusCode != 200 {
-		return nil, "", fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	return out, res.Header.Get("X-Sperr-Cache"), nil
-}
-
-// metricValue scrapes one un-labelled series from /metrics.
+// metricValue scrapes one series from /metrics. An absent series reads
+// zero, which every use here then rejects.
 func metricValue(base, name string) (float64, error) {
-	res, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer res.Body.Close()
-	text, _ := io.ReadAll(res.Body)
-	for _, line := range strings.Split(string(text), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			var v float64
-			if _, err := fmt.Sscanf(fields[1], "%g", &v); err != nil {
-				return 0, fmt.Errorf("metric %s: bad value %q", name, fields[1])
-			}
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("metric %s not found in /metrics", name)
+	text, err := smoke.Scrape(base)
+	return smoke.MetricValue(text, name), err
 }
 
 func post(url string, body []byte) ([]byte, error) {
