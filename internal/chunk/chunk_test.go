@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,6 +164,72 @@ func TestCorruptContainer(t *testing.T) {
 	}
 	if _, err := Decompress(stream[:len(stream)/2], 0); err == nil {
 		t.Error("truncated container should fail")
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failOnce fails exactly one Write call, its nth, and accepts every other:
+// a disk that is full for one large frame and has room for the next.
+type failOnce struct{ n, calls int }
+
+func (w *failOnce) Write(p []byte) (int, error) {
+	if w.calls++; w.calls == w.n {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+// A frame write that fails while later frames wait in the reorder buffer
+// must stay failed: nothing more reaches the stream, and Close reports it
+// instead of writing a footer over a container with a hole in it.
+func TestWriterKeepsFrameWriteError(t *testing.T) {
+	opts := Options{
+		Params:    codec.Params{Mode: codec.ModePWE, Tol: 1e-3},
+		ChunkDims: grid.Dims{NX: 8, NY: 8, NZ: 8},
+		Workers:   3,
+	}
+	// Write 1 is the fixed header, 2 frame 0's prefix, 3 its payload.
+	w := &failOnce{n: 3}
+	cw, err := NewWriter(w, grid.Dims{NX: 24, NY: 8, NZ: 8}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := encResult{frame: []byte{1, 2, 3}}
+	cw.em.deliver(2, res)
+	cw.em.deliver(1, res)
+	cw.em.deliver(0, res)
+	if err := cw.em.error(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("emitter error after the failed frame: %v", err)
+	}
+	if w.calls != 3 {
+		t.Fatalf("%d Write calls, want 3: frames followed the failed one", w.calls)
+	}
+	if err := cw.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close: %v, want the write error", err)
+	}
+
+	// End to end: whichever single Write fails, the caller hears of it.
+	vol := testVolume(grid.Dims{NX: 24, NY: 16, NZ: 8}, 3)
+	for n := 1; ; n++ {
+		w := &failOnce{n: n}
+		cw, err := NewWriter(w, vol.Dims, opts)
+		if err == nil {
+			if _, err = cw.Write(vol.Data); err == nil {
+				err = cw.Close()
+			} else {
+				cw.Close()
+			}
+		}
+		if w.calls < n {
+			if err != nil {
+				t.Fatalf("no Write failed, yet: %v", err)
+			}
+			break
+		}
+		if !errors.Is(err, errDiskFull) {
+			t.Fatalf("Write call %d of %d failed, Writer reported: %v", n, w.calls, err)
+		}
 	}
 }
 

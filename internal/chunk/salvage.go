@@ -379,13 +379,16 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 	// Anchor the container-wide coding parameters: the intact footer's
 	// aggregates when available, else the first verified frame's header.
 	haveAgg := rep.IndexIntact
-	for _, p := range payloads {
-		if haveAgg || p == nil {
-			continue
-		}
-		if meta, err := l.describe(p); err == nil {
-			agg = aggregates{mode: meta.Mode, entropy: meta.Entropy, tol: meta.Tol}
-			haveAgg = true
+	if !haveAgg {
+		for _, p := range payloads {
+			if p == nil {
+				continue
+			}
+			if meta, err := l.describe(p); err == nil {
+				agg = aggregates{mode: meta.Mode, entropy: meta.Entropy, tol: meta.Tol}
+				haveAgg = true
+				break
+			}
 		}
 	}
 	if !haveAgg {

@@ -45,6 +45,11 @@ func SliceShard(stream []byte, keep func(int) bool) ([]byte, error) {
 	pick := make([]*container, len(c.chunks))
 	for i := range pick {
 		if !keep(i) {
+			// A tagged frame always carries at least its tag, stubs
+			// included; an empty one is damage, even if it is not kept.
+			if c.tagged && len(c.payloads[i]) < 1 {
+				return nil, fmt.Errorf("%w: chunk %d frame empty", ErrCorrupt, i)
+			}
 			continue
 		}
 		// payload() verifies the frame checksum, so a shard can never

@@ -7,6 +7,7 @@ package chunk
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -141,6 +142,53 @@ func TestSliceShardRejectsV1(t *testing.T) {
 	stream := readFixtureFile(t, filepath.Join("..", "..", "testdata", "golden_pwe_24x17x9.sperr"))
 	if _, err := SliceShard(stream, func(int) bool { return true }); err == nil {
 		t.Fatal("slicing a v1 container succeeded; want error")
+	}
+}
+
+// A v3 frame the shard does not keep is still looked at: an empty one (no
+// tag byte at all) is damage and fails the slice, while one whose tag
+// disagrees with the footer's codec map becomes a stub carrying the map's
+// tag, so shard stubs always agree with their own index.
+func TestSliceShardTaggedNonKeptFrames(t *testing.T) {
+	c, err := parseContainer(readFixtureFile(t, sliceFixtures[1].path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 1
+	reframe := func(payload []byte) []byte {
+		var buf bytes.Buffer
+		fw, _ := newFrameWriter(&buf, c.layout, c.volDims, c.chunkDims, len(c.chunks))
+		for i, p := range c.payloads {
+			if i == victim {
+				p = payload
+			}
+			_ = fw.frame(p, frameCRC(p))
+		}
+		_, _ = fw.finish(c.codecs, c.agg)
+		return buf.Bytes()
+	}
+	others := func(i int) bool { return i != victim }
+
+	if _, err := SliceShard(reframe(nil), others); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty non-kept v3 frame: %v, want ErrCorrupt", err)
+	}
+
+	forged := append([]byte(nil), c.payloads[victim]...)
+	forged[0] ^= 1
+	shard, err := SliceShard(reframe(forged), others)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := parseContainer(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{byte(c.codecs[victim])}; !bytes.Equal(sc.payloads[victim], want) {
+		t.Fatalf("stub of a mis-tagged frame is %v, want the codec map's tag %v", sc.payloads[victim], want)
+	}
+	want, err := SliceShard(reframe(c.payloads[victim]), others)
+	if err != nil || !bytes.Equal(shard, want) {
+		t.Fatalf("shard of the mis-tagged container differs from the clean container's (err %v)", err)
 	}
 }
 

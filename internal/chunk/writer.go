@@ -136,7 +136,9 @@ func (em *frameEmitter) deliver(i int, res encResult) {
 	}
 	em.writeLocked(i, res)
 	em.next++
-	for {
+	// A failed write ends the run: em.err is sticky, and nothing may follow
+	// a frame the stream is missing or holds half of.
+	for em.err == nil {
 		res, ok := em.pending[em.next]
 		if !ok {
 			return
@@ -148,7 +150,8 @@ func (em *frameEmitter) deliver(i int, res encResult) {
 }
 
 func (em *frameEmitter) writeLocked(i int, res encResult) {
-	if em.err = em.fw.frame(res.frame, frameCRC(res.frame)); em.err != nil {
+	if err := em.fw.frame(res.frame, frameCRC(res.frame)); err != nil {
+		em.err = err
 		return
 	}
 	em.codecs[i] = res.id

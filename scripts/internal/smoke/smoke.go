@@ -188,16 +188,26 @@ func Scrape(base string) (string, error) {
 	return string(text), err
 }
 
-// MetricValue extracts one series' value from scraped metrics text (zero
-// when absent).
-func MetricValue(metrics, name string) float64 {
+// LookupMetric extracts one series' value from scraped metrics text; a
+// series that is absent or does not parse is an error, so a renamed
+// counter is not mistaken for one that stayed at zero.
+func LookupMetric(metrics, name string) (float64, error) {
 	for _, line := range strings.Split(metrics, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) == 2 && fields[0] == name {
 			var v float64
-			fmt.Sscanf(fields[1], "%g", &v)
-			return v
+			if _, err := fmt.Sscanf(fields[1], "%g", &v); err != nil {
+				return 0, fmt.Errorf("metric %s: bad value %q", name, fields[1])
+			}
+			return v, nil
 		}
 	}
-	return 0
+	return 0, fmt.Errorf("metric %s not found in /metrics", name)
+}
+
+// MetricValue is LookupMetric for counters a daemon only exports once
+// they have moved: zero when absent.
+func MetricValue(metrics, name string) float64 {
+	v, _ := LookupMetric(metrics, name)
+	return v
 }

@@ -247,11 +247,14 @@ func get(url, want string) error {
 	return nil
 }
 
-// metricValue scrapes one series from /metrics. An absent series reads
-// zero, which every use here then rejects.
+// metricValue scrapes one series from /metrics; an absent or unparsable
+// series is an error.
 func metricValue(base, name string) (float64, error) {
 	text, err := smoke.Scrape(base)
-	return smoke.MetricValue(text, name), err
+	if err != nil {
+		return 0, err
+	}
+	return smoke.LookupMetric(text, name)
 }
 
 func post(url string, body []byte) ([]byte, error) {
