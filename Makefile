@@ -57,18 +57,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-kernel micro-benchmarks: fused-lifting wavelet passes, integer
-# bit-plane SPECK (serial rows at two steps — 6.5 bit/pt, and the ...Tight
-# rows at 16.5 bit/pt, where refinement bits dominate — SpeckReplay, plus
-# SpeckEncodeWorkers, the guard that a second worker on one chunk is
-# never a slowdown), the outlier coder at
-# production density (a 64^3 chunk with 10% and 2.5% outliers),
-# word-batched bit I/O, the end-to-end single-thread and
-# surplus-worker pipelines (CompressPWE64 vs CompressPWEIntra64), and the
-# streaming engine (which also reports peak-inflight-bytes, its
-# bounded-memory witness), and the hot cluster read (ClusterRegionHot:
-# three in-process peers, two replicas, warm caches, 48^3 boxes of a 128^3
-# volume — B/op is its allocation guard, about one response). The
-# determinism smoke runs first. Compare rows only at a stated -cpu;
+# bit-plane SPECK (rows at two steps — 6.5 bit/pt, and the ...Tight rows
+# at 16.5 bit/pt, where refinement bits dominate — and SpeckReplay), the
+# outlier coder at production density (a 64^3 chunk with 10% and 2.5%
+# outliers), word-batched bit I/O, the end-to-end one-chunk pipeline
+# (CompressPWE64, Decompress64), the streaming engine (which also reports
+# peak-inflight-bytes, its bounded-memory witness), and the hot cluster
+# read (ClusterRegionHot: three in-process peers, two replicas, warm
+# caches, 48^3 boxes of a 128^3 volume — B/op is its allocation guard,
+# about one response). The determinism smoke runs first. Compare rows only at a stated -cpu;
 # BENCH_KERNELS.json records host and method.
 bench-kernels:
 	$(GO) test -run='TestParallelCoderMatchesSerialGolden' -count=1 .
@@ -76,7 +73,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='SpeckEncode|SpeckDecode|SpeckReplay' -benchmem ./internal/speck/
 	$(GO) test -run='^$$' -bench='OutlierEncode|OutlierDecode|OutlierApply' -benchmem ./internal/outlier/
 	$(GO) test -run='^$$' -bench='BitsReadWrite' -benchmem ./internal/bits/
-	$(GO) test -run='^$$' -bench='CompressPWE64|CompressPWEIntra64|Decompress64' -benchmem .
+	$(GO) test -run='^$$' -bench='CompressPWE64|Decompress64' -benchmem .
 	$(GO) test -run='^$$' -bench='StreamCompress|StreamDecompress' -benchmem .
 	$(GO) test -run='^$$' -bench='RegionCached|RegionUncached' -benchmem ./internal/store/
 	$(GO) test -run='^$$' -bench='ClusterRegionHot' -benchmem ./internal/server/

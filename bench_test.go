@@ -99,29 +99,12 @@ func benchVolume(n int) []float64 {
 	return v.Data
 }
 
-// BenchmarkCompressPWE64 measures the single-threaded pipeline: Workers
-// is pinned to 1 so surplus workers do not silently turn on intra-chunk
-// threading (BenchmarkCompressPWEIntra64 measures that).
+// BenchmarkCompressPWE64 measures the single-threaded pipeline on one
+// chunk.
 func BenchmarkCompressPWE64(b *testing.B) {
 	const n = 64
 	data := benchVolume(n)
 	opts := &Options{Workers: 1}
-	b.SetBytes(int64(len(data) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := CompressPWE(data, [3]int{n, n, n}, 1e-3, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompressPWEIntra64 is the same volume as a single chunk with a
-// worker budget of 4: all parallelism is intra-chunk (threaded wavelet
-// passes and outlier scan around the serial SPECK stage).
-func BenchmarkCompressPWEIntra64(b *testing.B) {
-	const n = 64
-	data := benchVolume(n)
-	opts := &Options{Workers: 4}
 	b.SetBytes(int64(len(data) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -70,10 +70,11 @@ func TestStreamsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// With more workers than chunks, surplus workers split the passes inside
-// each chunk (intra-chunk threads). The streams must stay byte-identical
-// to the serial encode, and round-trip decodes (which also go threaded)
-// must reproduce the same data.
+// With more workers than chunks, the surplus workers idle: Workers counts
+// chunks in flight and nothing else. The test and its comments predate
+// that, when surplus workers split the passes inside each chunk; it now
+// pins that a budget above the chunk count changes neither the stream nor
+// the decode.
 func TestStreamsIdenticalWithIntraChunkThreads(t *testing.T) {
 	dims := [3]int{40, 33, 21}
 	data := demoField(dims[0], dims[1], dims[2], 5)

@@ -168,7 +168,7 @@ func (c *container) payload(i int) ([]byte, error) {
 // decodeChunk decodes chunk i of the container after verifying its
 // checksum; a tagged frame's codec tag must also agree with the footer's
 // codec map.
-func (c *container) decodeChunk(i int, dims grid.Dims, s *codec.Scratch, threads int) ([]float64, error) {
+func (c *container) decodeChunk(i int, dims grid.Dims, s *codec.Scratch) ([]float64, error) {
 	payload, err := c.payload(i)
 	if err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func (c *container) decodeChunk(i int, dims grid.Dims, s *codec.Scratch, threads
 		return nil, fmt.Errorf("%w: chunk %d frame tag %d disagrees with index codec %d",
 			ErrCorrupt, i, payload[0], c.codecs[i])
 	}
-	return c.decode(payload, dims, s, threads)
+	return c.decode(payload, dims, s)
 }
 
 // sperrPayload returns chunk i's SPERR stream for the progressive-access

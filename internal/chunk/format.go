@@ -113,9 +113,9 @@ func (l layout) indexSize(nchunks int) int {
 // payload is a SPERR stream; a tagged one dispatches on its codec tag. A
 // tag outside the registry fails as ErrCorrupt; it must never fall
 // through to some backend's decoder.
-func (l layout) decode(payload []byte, dims grid.Dims, s *codec.Scratch, threads int) ([]float64, error) {
+func (l layout) decode(payload []byte, dims grid.Dims, s *codec.Scratch) ([]float64, error) {
 	if !l.tagged {
-		return codec.DecodeChunkScratchThreads(payload, dims, s, threads)
+		return codec.DecodeChunkScratch(payload, dims, s)
 	}
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("%w: empty frame payload", ErrCorrupt)
@@ -124,7 +124,7 @@ func (l layout) decode(payload []byte, dims grid.Dims, s *codec.Scratch, threads
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown codec tag %d", ErrCorrupt, payload[0])
 	}
-	data, err := b.Decode(payload[1:], dims, s, threads)
+	data, err := b.Decode(payload[1:], dims, s)
 	if err != nil {
 		// A CRC-valid frame whose tagged backend rejects the stream is
 		// corruption evidence (e.g. a consistently forged tag): surface it

@@ -235,8 +235,8 @@ func FuzzMergeShards(f *testing.F) {
 				t.Fatalf("chunk %d's frame did not travel verbatim", i)
 			}
 			dims := cm.chunks[i].Dims
-			want, werr := src.decodeChunk(i, dims, nil, 1)
-			got, gerr := cm.decodeChunk(i, dims, scratch, 1)
+			want, werr := src.decodeChunk(i, dims, nil)
+			got, gerr := cm.decodeChunk(i, dims, scratch)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("chunk %d decodes differently after the merge: %v vs %v", i, gerr, werr)
 			}

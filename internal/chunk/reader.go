@@ -169,11 +169,7 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	intra := 1
-	if n := len(d.chunks); workers > n {
-		intra = workers / n
-		workers = n
-	}
+	workers = min(workers, len(d.chunks))
 	maxFrame := maxFrameBytes(d.chunks)
 
 	var (
@@ -212,7 +208,7 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 						err  error
 					)
 					if job.payload != nil {
-						data, err = d.decode(job.payload, ch.Dims, ws.codec, intra)
+						data, err = d.decode(job.payload, ch.Dims, ws.codec)
 					}
 					switch {
 					case job.payload != nil && err == nil:

@@ -41,7 +41,7 @@ func decompressRegionCounted(stream []byte, x0, y0, z0 int, dims grid.Dims, work
 	err = forEachChunkScratch(len(hit), workers, func(k int, ws *workerScratch) error {
 		i := hit[k]
 		ch := c.chunks[i]
-		data, err := c.decodeChunk(i, ch.Dims, ws.codec, 1)
+		data, err := c.decodeChunk(i, ch.Dims, ws.codec)
 		if err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}

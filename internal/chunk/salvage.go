@@ -329,7 +329,7 @@ func Salvage(stream []byte, fill float64, workers int) (*grid.Volume, *SalvageRe
 			return nil
 		}
 		ch := chunks[i]
-		data, err := l.decode(payloads[i], ch.Dims, ws.codec, 1)
+		data, err := l.decode(payloads[i], ch.Dims, ws.codec)
 		if err != nil {
 			rep.Chunks[i].Reason = ReasonDecode
 			return nil
@@ -369,7 +369,7 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 			if payloads[i] == nil {
 				continue
 			}
-			if _, err := l.decode(payloads[i], chunks[i].Dims, scratch, 1); err != nil {
+			if _, err := l.decode(payloads[i], chunks[i].Dims, scratch); err != nil {
 				payloads[i] = nil
 				rep.Chunks[i].Reason = ReasonDecode
 			}

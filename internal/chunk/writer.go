@@ -47,7 +47,6 @@ type Writer struct {
 	chunkDims grid.Dims // clamped tiling actually used
 	chunks    []grid.Chunk
 	perSlab   int // chunks per z-slab of the tiling
-	params    codec.Params
 	workers   int
 
 	// Producer-side accumulation.
@@ -220,16 +219,8 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 	cw.peakInFlight.Store(0)
 	cw.ctx.Store(nil)
 
-	// Mirror the historical scheduling policy: surplus workers beyond the
-	// chunk count become intra-chunk threads (a pure runtime knob — the
-	// output bytes are identical at every split).
-	workers := cw.opts.workers()
-	cw.params = cw.opts.Params
-	if workers > len(cw.chunks) {
-		cw.params.Threads = workers / len(cw.chunks)
-		workers = len(cw.chunks)
-	}
-	cw.workers = workers
+	// Workers beyond the chunk count would have nothing to encode.
+	cw.workers = min(cw.opts.workers(), len(cw.chunks))
 
 	var seq func(Event)
 	if hook := cw.opts.Instrument; hook != nil {
@@ -306,7 +297,7 @@ func (cw *Writer) encodeWorker() {
 // tag byte.
 func (cw *Writer) encodeChunk(data []float64, dims grid.Dims, s *codec.Scratch) ([]byte, codec.CodecID, *codec.Stats, error) {
 	if !cw.tagged {
-		stream, st, err := codec.EncodeChunkScratch(data, dims, cw.params, s)
+		stream, st, err := codec.EncodeChunkScratch(data, dims, cw.opts.Params, s)
 		return stream, codec.CodecSPERR, st, err
 	}
 	var (
@@ -315,15 +306,15 @@ func (cw *Writer) encodeChunk(data []float64, dims grid.Dims, s *codec.Scratch) 
 		st     *codec.Stats
 		err    error
 	)
-	if cw.params.Mode == codec.ModeAdaptive {
-		id, stream, st, err = codec.EncodeAdaptive(data, dims, cw.params, s)
+	if cw.opts.Params.Mode == codec.ModeAdaptive {
+		id, stream, st, err = codec.EncodeAdaptive(data, dims, cw.opts.Params, s)
 	} else {
-		b, ok := codec.Lookup(cw.params.Codec)
+		b, ok := codec.Lookup(cw.opts.Params.Codec)
 		if !ok {
-			return nil, 0, nil, fmt.Errorf("chunk: unknown codec id %d", cw.params.Codec)
+			return nil, 0, nil, fmt.Errorf("chunk: unknown codec id %d", cw.opts.Params.Codec)
 		}
 		id = b.ID()
-		stream, st, err = b.Encode(data, dims, cw.params, s)
+		stream, st, err = b.Encode(data, dims, cw.opts.Params, s)
 	}
 	if err != nil {
 		return nil, 0, nil, err
@@ -453,9 +444,9 @@ func (cw *Writer) Close() error {
 	}
 
 	agg := aggregates{
-		mode:    cw.params.Mode,
-		entropy: cw.params.Entropy,
-		tol:     cw.params.Tol,
+		mode:    cw.opts.Params.Mode,
+		entropy: cw.opts.Params.Entropy,
+		tol:     cw.opts.Params.Tol,
 	}
 	for i := range cw.em.stats {
 		agg.speckBits += cw.em.stats[i].SpeckBits

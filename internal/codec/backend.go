@@ -81,9 +81,8 @@ type Backend interface {
 	Encode(data []float64, dims grid.Dims, p Params, s *Scratch) ([]byte, *Stats, error)
 	// Decode reconstructs a chunk. dims must match the encoding call; a
 	// stream whose embedded geometry disagrees fails as ErrCorrupt before
-	// any decode-sized allocation. threads bounds intra-chunk parallelism
-	// for backends that support it; output is identical at every value.
-	Decode(stream []byte, dims grid.Dims, s *Scratch, threads int) ([]float64, error)
+	// any decode-sized allocation.
+	Decode(stream []byte, dims grid.Dims, s *Scratch) ([]float64, error)
 	// Describe parses the stream's header without reconstructing data.
 	Describe(stream []byte) (*StreamMeta, error)
 }
@@ -136,8 +135,8 @@ func (sperrBackend) Encode(data []float64, dims grid.Dims, p Params, s *Scratch)
 	return out, st, err
 }
 
-func (sperrBackend) Decode(stream []byte, dims grid.Dims, s *Scratch, threads int) ([]float64, error) {
-	return DecodeChunkScratchThreads(stream, dims, s, threads)
+func (sperrBackend) Decode(stream []byte, dims grid.Dims, s *Scratch) ([]float64, error) {
+	return DecodeChunkScratch(stream, dims, s)
 }
 
 func (sperrBackend) Describe(stream []byte) (*StreamMeta, error) {

@@ -41,7 +41,7 @@ func (mgardBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratch)
 	return stream, baselineStats(CodecMGARD, len(data), len(stream)), nil
 }
 
-func (b mgardBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch, _ int) ([]float64, error) {
+func (b mgardBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch) ([]float64, error) {
 	meta, err := b.Describe(stream)
 	if err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func (szBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratch) ([
 	return stream, baselineStats(CodecSZ, len(data), len(stream)), nil
 }
 
-func (b szBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch, _ int) ([]float64, error) {
+func (b szBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch) ([]float64, error) {
 	// Header check first: a stream coding different geometry must fail
 	// before the full inflate and its decode-sized allocations.
 	meta, err := b.Describe(stream)

@@ -92,7 +92,7 @@ func TestBackendContract(t *testing.T) {
 					b.Name(), len(again), len(stream))
 			}
 		}
-		rec, err := b.Decode(stream, dims, s, 1)
+		rec, err := b.Decode(stream, dims, s)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", b.Name(), err)
 		}
@@ -145,7 +145,7 @@ func TestBackendDecodeMalformed(t *testing.T) {
 						t.Fatalf("%s case %d: panic: %v", b.Name(), ci, r)
 					}
 				}()
-				rec, err := b.Decode(in, dims, s, 1)
+				rec, err := b.Decode(in, dims, s)
 				if err == nil && len(rec) != dims.Len() {
 					t.Fatalf("%s case %d: nil error with %d values", b.Name(), ci, len(rec))
 				}
@@ -258,7 +258,7 @@ func TestEncodeAdaptiveContract(t *testing.T) {
 	if !ok {
 		t.Fatalf("winner %d not in registry", id)
 	}
-	rec, err := b.Decode(stream, dims, s, 1)
+	rec, err := b.Decode(stream, dims, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (tthreshBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratc
 	return out, st, nil
 }
 
-func (b tthreshBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch, _ int) ([]float64, error) {
+func (b tthreshBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch) ([]float64, error) {
 	meta, err := b.Describe(stream)
 	if err != nil {
 		return nil, err

@@ -40,7 +40,7 @@ func (zfpBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratch) (
 	return stream, baselineStats(CodecZFP, len(data), len(stream)), nil
 }
 
-func (b zfpBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch, _ int) ([]float64, error) {
+func (b zfpBackend) Decode(stream []byte, dims grid.Dims, _ *Scratch) ([]float64, error) {
 	meta, err := b.Describe(stream)
 	if err != nil {
 		return nil, err

@@ -84,25 +84,11 @@ type Params struct {
 	// progressive paths keep the paper's raw-bit layer.
 	Entropy bool
 
-	// Threads splits the data-parallel pipeline stages (wavelet passes and
-	// the outlier scan) of this one chunk over up to Threads goroutines;
-	// <= 1 runs serial. A pure runtime knob: it is not serialized and the
-	// output stream is byte-identical at every value. The chunk pipeline
-	// sets it when there are more workers than pending chunks.
-	Threads int
-
 	// Codec pins every chunk to one backend (see backend.go). The zero
 	// value is CodecSPERR, the pipeline this package implements; any other
 	// backend requires ModePWE and a v3 container. Ignored under
 	// ModeAdaptive, which picks the backend per chunk.
 	Codec CodecID
-}
-
-func (p Params) threads() int {
-	if p.Threads < 1 {
-		return 1
-	}
-	return p.Threads
 }
 
 // Validate checks that the mode and its controlling knob are coherent,
@@ -343,7 +329,7 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 	coeffs := s.coeffs(len(data))
 	copy(coeffs, data)
 	plan := s.planFor(dims)
-	plan.ForwardScratchThreads(coeffs, &s.wav, p.threads())
+	plan.ForwardScratch(coeffs, &s.wav)
 	st.TransformTime = time.Since(t0)
 
 	// Stage 2: SPECK coding.
@@ -382,7 +368,7 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 	if p.Entropy {
 		sres = speck.EncodeEntropyScratch(coeffs, dims, q, &s.speck)
 	} else {
-		sres = speck.EncodeScratchWorkers(coeffs, dims, q, maxBits, p.threads(), &s.speck)
+		sres = speck.EncodeScratch(coeffs, dims, q, maxBits, &s.speck)
 	}
 	if p.Mode == ModeRMSE {
 		// Truncate the embedded stream at the first plane boundary whose
@@ -424,15 +410,15 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 			// quantized magnitudes, skipping the decode traversal entirely.
 			recon = r
 		} else if p.Entropy {
-			recon = speck.DecodeEntropyScratch(sres.Stream, dims, q, sres.NumPlanes, p.threads(), &s.speck)
+			recon = speck.DecodeEntropyScratch(sres.Stream, dims, q, sres.NumPlanes, &s.speck)
 		} else {
 			// The SPECK scratch is shared between the encode above and this
 			// decode: the decoder resets only the list state, leaving the
 			// encoder's finished stream (aliased by sres) untouched.
 			recon = speck.DecodeScratch(sres.Stream, sres.Bits, dims, q, sres.NumPlanes, &s.speck)
 		}
-		plan.InverseScratchThreads(recon, &s.wav, p.threads())
-		outs := s.scanOutliers(data, recon, p.Tol, p.threads())
+		plan.InverseScratch(recon, &s.wav)
+		outs := s.scanOutliers(data, recon, p.Tol)
 		st.NumOutliers = len(outs)
 		st.LocateTime = time.Since(t0)
 
@@ -474,16 +460,6 @@ func DecodeChunk(stream []byte, dims grid.Dims) ([]float64, error) {
 // returned slice aliases the arena and is valid only until its next use —
 // copy out (e.g. into the destination volume) before reusing s.
 func DecodeChunkScratch(stream []byte, dims grid.Dims, s *Scratch) ([]float64, error) {
-	return DecodeChunkScratchThreads(stream, dims, s, 1)
-}
-
-// DecodeChunkScratchThreads is DecodeChunkScratch with the inverse
-// transform split over up to threads goroutines. Output is bit-identical
-// at every thread count.
-func DecodeChunkScratchThreads(stream []byte, dims grid.Dims, s *Scratch, threads int) ([]float64, error) {
-	if threads < 1 {
-		threads = 1
-	}
 	if len(stream) < 1 {
 		return nil, fmt.Errorf("%w: empty stream", ErrCorrupt)
 	}
@@ -518,11 +494,11 @@ func DecodeChunkScratchThreads(stream []byte, dims grid.Dims, s *Scratch, thread
 	speckBytes := int((h.speckBits + 7) / 8)
 	var coeffs []float64
 	if h.entropy {
-		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), threads, &s.speck)
+		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)
 	} else {
-		coeffs = speck.DecodeScratchWorkers(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), threads, &s.speck)
+		coeffs = speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
 	}
-	s.planFor(dims).InverseScratchThreads(coeffs, &s.wav, threads)
+	s.planFor(dims).InverseScratch(coeffs, &s.wav)
 
 	if h.mode == ModePWE && h.outlierBits > 0 {
 		obytes := body[speckBytes:]

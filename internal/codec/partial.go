@@ -67,7 +67,7 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64, s *Scra
 	}
 	var coeffs []float64
 	if h.entropy {
-		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), 1, &s.speck)
+		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)
 	} else {
 		useBits := uint64(float64(h.speckBits) * fraction)
 		coeffs = speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
@@ -105,7 +105,7 @@ func DecodeChunkLowRes(stream []byte, dims grid.Dims, drop int, s *Scratch) ([]f
 	}
 	var coeffs []float64
 	if h.entropy {
-		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), 1, &s.speck)
+		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)
 	} else {
 		coeffs = speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
 	}

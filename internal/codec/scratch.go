@@ -5,7 +5,6 @@ import (
 
 	"sperr/internal/grid"
 	"sperr/internal/outlier"
-	"sperr/internal/par"
 	"sperr/internal/speck"
 	"sperr/internal/wavelet"
 )
@@ -30,7 +29,6 @@ type Scratch struct {
 	speck     speck.Scratch
 	outl      outlier.Scratch
 	outs      []outlier.Outlier
-	outsW     [][]outlier.Outlier // per-worker lists of the threaded scan
 	payload   []byte
 	grows     int
 }
@@ -58,47 +56,14 @@ func (s *Scratch) planFor(dims grid.Dims) *wavelet.Plan {
 	return s.plan
 }
 
-// scanMinElems is the chunk size below which the outlier scan stays
-// serial; the comparison loop is too cheap to amortize goroutine spawns
-// on small chunks.
-const scanMinElems = 1 << 15
-
 // scanOutliers compares data against recon and collects every point whose
-// error exceeds tol, splitting the scan over up to threads goroutines.
-// Per-span lists are concatenated in span order, so the result is
-// identical to the serial scan at every thread count. The returned slice
-// aliases the arena.
-func (s *Scratch) scanOutliers(data, recon []float64, tol float64, threads int) []outlier.Outlier {
-	threads = par.Workers(threads, len(data), scanMinElems)
-	if threads <= 1 {
-		outs := s.outs[:0]
-		for i := range data {
-			if diff := data[i] - recon[i]; math.Abs(diff) > tol {
-				outs = append(outs, outlier.Outlier{Pos: i, Corr: diff})
-			}
-		}
-		s.outs = outs
-		return outs
-	}
-	if cap(s.outsW) < threads {
-		grown := make([][]outlier.Outlier, threads)
-		copy(grown, s.outsW)
-		s.outsW = grown
-		s.grows++
-	}
-	ws := s.outsW[:threads]
-	par.Spans(len(data), threads, func(w, lo, hi int) {
-		outs := ws[w][:0]
-		for i := lo; i < hi; i++ {
-			if diff := data[i] - recon[i]; math.Abs(diff) > tol {
-				outs = append(outs, outlier.Outlier{Pos: i, Corr: diff})
-			}
-		}
-		ws[w] = outs
-	})
+// error exceeds tol. The returned slice aliases the arena.
+func (s *Scratch) scanOutliers(data, recon []float64, tol float64) []outlier.Outlier {
 	outs := s.outs[:0]
-	for _, w := range ws {
-		outs = append(outs, w...)
+	for i := range data {
+		if diff := data[i] - recon[i]; math.Abs(diff) > tol {
+			outs = append(outs, outlier.Outlier{Pos: i, Corr: diff})
+		}
 	}
 	s.outs = outs
 	return outs
@@ -112,5 +77,5 @@ func (s *Scratch) Grows() int {
 	if s == nil {
 		return 0
 	}
-	return s.grows + s.wav.TotalGrows() + s.speck.Grows + s.outl.Grows
+	return s.grows + s.wav.Grows + s.speck.Grows + s.outl.Grows
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sperr/internal/grid"
+	"sperr/internal/synth"
 )
 
 // The arena is an optimization, not a format change: the pooled path must
@@ -83,6 +84,46 @@ func TestScratchWarmsUp(t *testing.T) {
 	}
 	if g := s.Grows(); g != base {
 		t.Errorf("warm arena grew: %d -> %d over 5 identical chunks", base, g)
+	}
+}
+
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// items at random, so the pooled DEFLATE coders reallocate and allocation
+// counts stop being exact.
+var raceEnabled bool
+
+// A warm arena's per-chunk allocations, pinned on the benchmark volume
+// (its payloads are stored, not deflated, so no DEFLATE state is counted).
+// A rise means a per-chunk allocation crept into a stage; a drop means the
+// pin can come down.
+func TestScratchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	d := grid.D3(64, 64, 64)
+	data := synth.MirandaVelocityX(d, 1).Data
+	lo, hi := data[0], data[0]
+	for _, v := range data {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	for _, rel := range []float64{1e-2, 1e-6} {
+		p := Params{Mode: ModePWE, Tol: (hi - lo) * rel}
+		s := NewScratch()
+		var stream []byte
+		for warm := 0; warm < 2; warm++ {
+			var err error
+			if stream, _, err = EncodeChunkScratch(data, d, p, s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeChunkScratch(stream, d, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc := testing.AllocsPerRun(5, func() { _, _, _ = EncodeChunkScratch(data, d, p, s) })
+		dec := testing.AllocsPerRun(5, func() { _, _ = DecodeChunkScratch(stream, d, s) })
+		if enc != 7 || dec != 1 {
+			t.Errorf("tol = range*%g: %v allocs per encode, %v per decode; want 7 and 1", rel, enc, dec)
+		}
 	}
 }
 

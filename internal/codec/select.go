@@ -113,7 +113,7 @@ func trialBlock(data []float64, dims grid.Dims) ([]float64, grid.Dims, bool) {
 // candidate runs ModePWE at the same tolerance; SPERR-specific knobs pass
 // through to the SPERR candidate only.
 func trialParams(id CodecID, p Params) Params {
-	q := Params{Mode: ModePWE, Tol: p.Tol, Threads: p.Threads}
+	q := Params{Mode: ModePWE, Tol: p.Tol}
 	if id == CodecSPERR {
 		q.QFactor = p.QFactor
 		q.Q = p.Q

@@ -1,7 +1,6 @@
 package speck
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -100,33 +99,6 @@ func BenchmarkSpeckReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeckEncodeWorkers is the surplus-thread guard: the same
-// volume coded with one and two workers at 64^3 and 128^3. The second
-// worker splits only quantize and fillTops — both now disjoint-write maps
-// with no serial tail — while the traversal stays serial, so the
-// workers=2 row must not read above the serial one (BENCH_KERNELS.json:
-// 0.89x at 64^3, 0.90x at 128^3 on two shared CPUs). It guards against a
-// slowdown; it is not a scaling claim.
-func BenchmarkSpeckEncodeWorkers(b *testing.B) {
-	const q = benchQ
-	for _, n := range []int{64, 128} {
-		coeffs, dims := benchCoeffs(n)
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				var s Scratch
-				b.SetBytes(int64(len(coeffs) * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r := EncodeScratchWorkers(coeffs, dims, q, 0, workers, &s)
-					if r.Bits == 0 {
-						b.Fatal("no output bits")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSpeckEncodeAC / DecodeAC measure the SPECK-AC entropy mode:
 // the same decision sequence as the raw coder, routed through the
 // adaptive range coder's contexts.
@@ -151,7 +123,7 @@ func BenchmarkSpeckDecodeAC(b *testing.B) {
 	var s Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := DecodeEntropyScratch(res.Stream, dims, q, res.NumPlanes, 1, &s)
+		out := DecodeEntropyScratch(res.Stream, dims, q, res.NumPlanes, &s)
 		if len(out) != dims.Len() {
 			b.Fatal("short decode")
 		}

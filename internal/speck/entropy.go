@@ -150,7 +150,7 @@ func (s *Scratch) acSourceReset(data []byte) *acSource {
 // Quality-bounded mode only: entropy-coded streams are not bit-exactly
 // truncatable, so there is no size-bounded variant.
 func EncodeEntropy(coeffs []float64, dims grid.Dims, q float64) *Result {
-	return encode(coeffs, dims, q, 0, true, 1, nil)
+	return encode(coeffs, dims, q, 0, true, nil)
 }
 
 // EncodeEntropyScratch is EncodeEntropy with pooled buffers. On the
@@ -158,17 +158,16 @@ func EncodeEntropy(coeffs []float64, dims grid.Dims, q float64) *Result {
 // octree-driven traversal, so SPECK-AC encode shares the raw path's
 // preprocessing; the output is byte-identical to EncodeEntropy's.
 func EncodeEntropyScratch(coeffs []float64, dims grid.Dims, q float64, s *Scratch) *Result {
-	return encode(coeffs, dims, q, 0, true, 1, s)
+	return encode(coeffs, dims, q, 0, true, s)
 }
 
 // DecodeEntropy decodes a stream produced by EncodeEntropy.
 func DecodeEntropy(stream []byte, dims grid.Dims, q float64, planes int) []float64 {
-	return decode(stream, 0, dims, q, planes, true, 1, nil)
+	return decode(stream, 0, dims, q, planes, true, nil)
 }
 
 // DecodeEntropyScratch is DecodeEntropy with pooled buffers; the returned
-// slice aliases s. workers splits the final reconstruction scatter (the
-// range decode itself is a serial chain).
-func DecodeEntropyScratch(stream []byte, dims grid.Dims, q float64, planes int, workers int, s *Scratch) []float64 {
-	return decode(stream, 0, dims, q, planes, true, workers, s)
+// slice aliases s.
+func DecodeEntropyScratch(stream []byte, dims grid.Dims, q float64, planes int, s *Scratch) []float64 {
+	return decode(stream, 0, dims, q, planes, true, s)
 }

@@ -71,7 +71,7 @@ func TestEntropyPanicsOnSizeBounded(t *testing.T) {
 			t.Fatal("expected panic for entropy + maxBits")
 		}
 	}()
-	encode(make([]float64, 8), grid.D3(2, 2, 2), 1, 10, true, 1, nil)
+	encode(make([]float64, 8), grid.D3(2, 2, 2), 1, 10, true, nil)
 }
 
 func TestEntropyZeroInput(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	mbits "math/bits"
 
 	"sperr/internal/grid"
-	"sperr/internal/par"
 )
 
 // Fast phase-separated decoder. The general decoder (speck.go) interleaves
@@ -110,7 +109,7 @@ func (c *rawCursor) load(pos uint64, nb uint) uint64 {
 // decodeFast reconstructs from the stream with the phase-separated path.
 // It reports ok=false — with scratch state safe to reuse — when the
 // stream requires the general decoder's partial-pass semantics.
-func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool, workers int, s *Scratch) ([]float64, bool) {
+func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool, s *Scratch) ([]float64, bool) {
 	n := dims.Len()
 	d := &intDecoder{dims: dims, tree: s.octreeFor(dims)}
 	if entropy {
@@ -145,7 +144,7 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 	if d.ac != nil {
 		d.r.buf = d.acBits
 	}
-	out := d.reconstruct(n, q, floor, planes, workers, s)
+	out := d.reconstruct(n, q, floor, planes, s)
 	d.save(s)
 	return out, true
 }
@@ -445,18 +444,13 @@ var spread8 = func() (t [256]uint64) {
 }()
 
 // reconstruct materializes the output: zeros, then each discovered
-// pixel's signed value. Pixels scatter to disjoint positions, so 64-pixel
-// blocks split across workers.
-func (d *intDecoder) reconstruct(n int, q float64, floor, planes, workers int, s *Scratch) []float64 {
+// pixel's signed value.
+func (d *intDecoder) reconstruct(n int, q float64, floor, planes int, s *Scratch) []float64 {
 	s.out = pooled(s.out, n, &s.Grows)
 	out := s.out
 	clear(out)
 	npix := int(d.cnt[floor])
-	rc := s.reconFor(q, floor, planes, npix)
-	th := par.Workers(workers, npix, 1<<13)
-	par.Spans((npix+63)/64, th, func(_, lo, hi int) {
-		d.reconBlocks(out, rc, lo*64, min(hi*64, npix), planes)
-	})
+	d.reconBlocks(out, s.reconFor(q, floor, planes, npix), 0, npix, planes)
 	return out
 }
 

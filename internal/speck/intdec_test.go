@@ -2,10 +2,29 @@ package speck
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"sperr/internal/grid"
 )
+
+// parTestField builds a mixed smooth+noise volume with a wide magnitude
+// spread, so every plane carries real LIS and LSP populations.
+func parTestField(dims grid.Dims, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	v := make([]float64, dims.Len())
+	i := 0
+	for z := 0; z < dims.NZ; z++ {
+		for y := 0; y < dims.NY; y++ {
+			for x := 0; x < dims.NX; x++ {
+				v[i] = math.Sin(0.2*float64(x))*math.Cos(0.15*float64(y)+0.1*float64(z)) +
+					0.03*rng.NormFloat64()
+				i++
+			}
+		}
+	}
+	return v
+}
 
 // decodeGeneralRef runs the reference list-based decoder — the general
 // path decode() falls back to — directly, bypassing decodeFast's

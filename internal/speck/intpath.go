@@ -7,7 +7,6 @@ import (
 
 	"sperr/internal/bits"
 	"sperr/internal/grid"
-	"sperr/internal/par"
 )
 
 // Integer bit-plane path. The quality-bounded encoder quantizes every
@@ -66,15 +65,14 @@ type cpix struct {
 }
 
 type intEncoder struct {
-	dims    grid.Dims
-	q       float64
-	tree    *octree
-	tops    []uint8 // per-node significance tops (octree.fillTops)
-	pix     []cpix
-	w       *bits.Writer // raw mode: direct writer, no sink indirection
-	ac      *acSink      // SPECK-AC mode: adaptive range coder (nil = raw)
-	budget  uint64
-	workers int
+	dims   grid.Dims
+	q      float64
+	tree   *octree
+	tops   []uint8 // per-node significance tops (octree.fillTops)
+	pix    []cpix
+	w      *bits.Writer // raw mode: direct writer, no sink indirection
+	ac     *acSink      // SPECK-AC mode: adaptive range coder (nil = raw)
+	budget uint64
 
 	lis  [][]int32 // LIS buckets of octree node ids, indexed by depth
 	lisT [][]uint8 // per-entry top bytes parallel to lis (sequential scans)
@@ -137,26 +135,20 @@ func (e *intEncoder) save(s *Scratch) {
 // coefficient's leaf top byte (bits.Len64 of u, sign in bit 7) through
 // tree.leafOf while the value is in registers — stores retire without
 // stalling, where a separate leaf pass would take a cache miss per
-// gather. Each element is independent and leafOf is a bijection, so with
-// surplus workers the fills run on parallel spans.
+// gather.
 func (e *intEncoder) quantize(coeffs []float64) {
-	r := quantizeRecip(e.q)
+	q, r := e.q, quantizeRecip(e.q)
 	var leafOf []int32
 	if e.tree != nil {
 		leafOf = e.tree.leafOf
 	}
-	th := par.Workers(e.workers, len(coeffs), 1<<14)
-	par.Spans(len(coeffs), th, func(_, lo, hi int) {
-		q := e.q
-		for i := lo; i < hi; i++ {
-			c := coeffs[i]
-			u := quantizeOne(math.Abs(c), q, r)
-			e.pix[i] = cpix{c: c, u: u}
-			if leafOf != nil {
-				e.tops[leafOf[i]] = leafTop(c, u)
-			}
+	for i, c := range coeffs {
+		u := quantizeOne(math.Abs(c), q, r)
+		e.pix[i] = cpix{c: c, u: u}
+		if leafOf != nil {
+			e.tops[leafOf[i]] = leafTop(c, u)
 		}
-	})
+	}
 }
 
 // leafTop is the tops-table byte for one coefficient: the 1-based top bit
@@ -206,17 +198,10 @@ func quantizeOne(m, q, r float64) uint64 {
 // encodeInt runs the integer traversal; (q, planes) must satisfy
 // intPathEligible. With entropy set the same decision sequence goes
 // through the adaptive range coder (SPECK-AC) instead of the raw writer;
-// entropy excludes size-bounded mode (enforced by encode). workers > 1
-// splits only the disjoint-write maps around the traversal (quantize,
-// fillTops); the sorting and refinement passes are serial, so output is
-// byte-identical at any worker count.
-func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, planes int, maxMag float64, entropy bool, workers int, s *Scratch) *Result {
+// entropy excludes size-bounded mode (enforced by encode).
+func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, planes int, maxMag float64, entropy bool, s *Scratch) *Result {
 	n := dims.Len()
-	e := &intEncoder{
-		dims: dims, q: q,
-		budget:  maxBits,
-		workers: workers,
-	}
+	e := &intEncoder{dims: dims, q: q, budget: maxBits}
 	if entropy {
 		e.ac = s.acSinkReset()
 	} else {
@@ -363,7 +348,7 @@ func (e *intEncoder) bits() uint64 {
 }
 
 func (e *intEncoder) run(planes int) {
-	e.tree.fillTops(e.tops, e.workers)
+	e.tree.fillTops(e.tops)
 	// The root top == planes always: NumPlanes picks the nmax with
 	// q*2^nmax <= maxMag < q*2^(nmax+1), i.e. 2^nmax <= floor(maxMag/q) <
 	// 2^(nmax+1).

@@ -1,9 +1,6 @@
 package speck
 
-import (
-	"sperr/internal/grid"
-	"sperr/internal/par"
-)
+import "sperr/internal/grid"
 
 // The significance octree. SPECK's set-partitioning topology is a pure
 // function of the volume dims: every set the traversal can ever visit is
@@ -108,31 +105,24 @@ func (t *octree) nodes() int { return len(t.nod) }
 // of the full 8-byte maxima keeps the whole table cache-resident during
 // traversal, and significance at plane p collapses to the equality
 // tops[node]&0x7f == p+1: an LIS entry was insignificant at every earlier
-// (higher) plane, so its top is at most p+1. Levels are processed with up
-// to threads parallel spans; writes are disjoint and each value depends
-// only on deeper levels, so the result is independent of scheduling.
-func (t *octree) fillTops(tops []uint8, threads int) {
+// (higher) plane, so its top is at most p+1. Children always follow their
+// parent in BFS order, so one descending sweep sees every child first.
+func (t *octree) fillTops(tops []uint8) {
 	// The deepest BFS level is all leaves — already written by quantize.
-	for lv := len(t.levels) - 3; lv >= 0; lv-- {
-		lo, hi := int(t.levels[lv]), int(t.levels[lv+1])
-		th := par.Workers(threads, hi-lo, 4096)
-		par.Spans(hi-lo, th, func(_, a, b int) {
-			for i := lo + a; i < lo+b; i++ {
-				nd := t.nod[i]
-				if nd.leaf() {
-					continue // mid-tree leaf: written by quantize
-				}
-				f, k := nd.kids()
-				first := int(f)
-				m := tops[first] & 0x7f
-				for j := 1; j < k; j++ {
-					if v := tops[first+j] & 0x7f; v > m {
-						m = v
-					}
-				}
-				tops[i] = m
+	for i := int(t.levels[len(t.levels)-2]) - 1; i >= 0; i-- {
+		nd := t.nod[i]
+		if nd.leaf() {
+			continue // mid-tree leaf: written by quantize
+		}
+		f, k := nd.kids()
+		first := int(f)
+		m := tops[first] & 0x7f
+		for j := 1; j < k; j++ {
+			if v := tops[first+j] & 0x7f; v > m {
+				m = v
 			}
-		})
+		}
+		tops[i] = m
 	}
 }
 

@@ -12,14 +12,14 @@ import (
 // octreeTestTops fills a tops table for coeffs exactly the way encodeInt
 // does: quantized leaf bytes scattered through leafOf, then the bottom-up
 // internal fill.
-func octreeTestTops(tr *octree, coeffs []float64, q float64, workers int) []uint8 {
+func octreeTestTops(tr *octree, coeffs []float64, q float64) []uint8 {
 	tops := make([]uint8, tr.nodes())
 	r := quantizeRecip(q)
 	for i, c := range coeffs {
 		u := quantizeOne(math.Abs(c), q, r)
 		tops[tr.leafOf[i]] = leafTop(c, u)
 	}
-	tr.fillTops(tops, workers)
+	tr.fillTops(tops)
 	return tops
 }
 
@@ -90,15 +90,7 @@ func TestOctreeTopsMatchBruteForce(t *testing.T) {
 			for i, c := range coeffs {
 				umag[i] = quantizeOne(math.Abs(c), q, r)
 			}
-			// The parallel fill must agree with the serial one (writes are
-			// disjoint, values depend only on deeper levels).
-			tops := octreeTestTops(tr, coeffs, q, 1)
-			topsPar := octreeTestTops(tr, coeffs, q, 3)
-			for i := range tops {
-				if tops[i] != topsPar[i] {
-					t.Fatalf("node %d: serial fill %#x != parallel fill %#x", i, tops[i], topsPar[i])
-				}
-			}
+			tops := octreeTestTops(tr, coeffs, q)
 			// Replay the BFS: box j here must be node j there.
 			boxes := make([]set, 1, tr.nodes())
 			boxes[0] = set{nx: int32(dims.NX), ny: int32(dims.NY), nz: int32(dims.NZ)}

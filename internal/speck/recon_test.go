@@ -77,11 +77,11 @@ func TestReconstructPlaneCounts(t *testing.T) {
 		prev := uint64(0)
 		for pi, pb := range bounds {
 			var sd Scratch
-			if _, ok := decodeFast(stream, pb, dims, q, planes, false, 1, &sd); !ok {
+			if _, ok := decodeFast(stream, pb, dims, q, planes, false, &sd); !ok {
 				t.Fatalf("planes=%d: cut at plane boundary %d fell back", planes, pi)
 			}
 			if pb-1 > prev {
-				if _, ok := decodeFast(stream, pb-1, dims, q, planes, false, 1, &sd); ok {
+				if _, ok := decodeFast(stream, pb-1, dims, q, planes, false, &sd); ok {
 					t.Fatalf("planes=%d: mid-pass cut %d did not fall back", planes, pb-1)
 				}
 			}
@@ -104,9 +104,8 @@ func TestReconstructPlaneCounts(t *testing.T) {
 }
 
 // TestReconstructListSizes pins the block edges: discovery lists of 1,
-// 63, 64, 65 and 64k+-1 pixels, decoded with 1, 2 and 3 workers (the
-// 64-aligned span split engages at the large sizes), raw and SPECK-AC,
-// full and cut at a plane boundary.
+// 63, 64, 65 and 64k+-1 pixels, raw and SPECK-AC, full and cut at a plane
+// boundary.
 func TestReconstructListSizes(t *testing.T) {
 	dims := grid.D3(48, 40, 36)
 	const q, planes = 1e-3, 17
@@ -138,21 +137,17 @@ func TestReconstructListSizes(t *testing.T) {
 			if ci == 0 {
 				sameBits(t, fmt.Sprintf("npix=%d replay", npix), replay, want)
 			}
-			for workers := 1; workers <= 3; workers++ {
-				var sd Scratch
-				got, ok := decodeFast(stream, cut, dims, q, res.NumPlanes, false, workers, &sd)
-				if !ok {
-					t.Fatalf("npix=%d cut=%d: fast decoder fell back", npix, cut)
-				}
-				sameBits(t, fmt.Sprintf("npix=%d cut=%d workers=%d", npix, cut, workers), got, want)
+			var sd Scratch
+			got, ok := decodeFast(stream, cut, dims, q, res.NumPlanes, false, &sd)
+			if !ok {
+				t.Fatalf("npix=%d cut=%d: fast decoder fell back", npix, cut)
 			}
+			sameBits(t, fmt.Sprintf("npix=%d cut=%d", npix, cut), got, want)
 		}
 		ac := EncodeEntropy(coeffs, dims, q)
 		want := decodeGeneralRef(ac.Stream, 0, dims, q, ac.NumPlanes, true)
-		for workers := 1; workers <= 3; workers++ {
-			got := DecodeEntropyScratch(ac.Stream, dims, q, ac.NumPlanes, workers, &Scratch{})
-			sameBits(t, fmt.Sprintf("npix=%d SPECK-AC workers=%d", npix, workers), got, want)
-		}
+		got := DecodeEntropyScratch(ac.Stream, dims, q, ac.NumPlanes, &Scratch{})
+		sameBits(t, fmt.Sprintf("npix=%d SPECK-AC", npix), got, want)
 	}
 }
 
@@ -188,7 +183,7 @@ func TestReconstructStreamTail(t *testing.T) {
 			default:
 				continue
 			}
-			got, ok := decodeFast(res.Stream, res.Bits, dims, q, res.NumPlanes, false, 1, &Scratch{})
+			got, ok := decodeFast(res.Stream, res.Bits, dims, q, res.NumPlanes, false, &Scratch{})
 			if !ok {
 				t.Fatalf("extra=%d refined=%d: fast decoder fell back", extra, refined)
 			}
@@ -274,7 +269,7 @@ func TestScratchSteadyStateMixed(t *testing.T) {
 			}
 			sameBits(t, what+" replay at the other q", replay, other.full)
 			sameBits(t, what+" truncated decode", DecodeScratch(r.stream, r.cut, dims, r.q, r.planes, &s), r.trunc)
-			sameBits(t, what+" SPECK-AC decode", DecodeEntropyScratch(r.ac, dims, r.q, r.acPlanes, 1, &s), r.full)
+			sameBits(t, what+" SPECK-AC decode", DecodeEntropyScratch(r.ac, dims, r.q, r.acPlanes, &s), r.full)
 			res := EncodeEntropyScratch(coeffs, dims, r.q, &s)
 			if !bytes.Equal(res.Stream, r.ac) {
 				t.Fatalf("%s: SPECK-AC stream differs on the warmed scratch", what)

@@ -153,27 +153,24 @@ func (s *Scratch) resetLIS() [][]set {
 // (size-bounded mode); otherwise every bitplane down to threshold q is
 // emitted (quality-bounded mode, max coefficient error q/2 plus dead zone).
 func Encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64) *Result {
-	return encode(coeffs, dims, q, maxBits, false, 1, nil)
+	return encode(coeffs, dims, q, maxBits, false, nil)
 }
 
 // EncodeScratch is Encode with pooled buffers. The returned Result aliases
 // s (stream, plane records) and is valid until the next use of s. Output
 // is byte-identical to Encode's.
 func EncodeScratch(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, s *Scratch) *Result {
-	return encode(coeffs, dims, q, maxBits, false, 1, s)
+	return encode(coeffs, dims, q, maxBits, false, s)
 }
 
-// EncodeScratchWorkers is EncodeScratch with up to workers threads
-// splitting the integer path's two disjoint-write maps — quantization and
-// the octree tops fill — when a volume is large enough to pay for the
-// spawn. The bit-plane traversal itself is serial (DESIGN.md 4h records
-// the parallel passes that were measured and removed), so the stream is
-// byte-identical at any worker count; the float path ignores workers.
+// EncodeScratchWorkers is EncodeScratch; workers is ignored. It remains
+// only because bench/trace.go calls it by name, and goes when ROADMAP
+// item 1 rewrites that caller. Production code calls EncodeScratch.
 func EncodeScratchWorkers(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, workers int, s *Scratch) *Result {
-	return encode(coeffs, dims, q, maxBits, false, workers, s)
+	return EncodeScratch(coeffs, dims, q, maxBits, s)
 }
 
-func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy bool, workers int, s *Scratch) *Result {
+func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy bool, s *Scratch) *Result {
 	n := dims.Len()
 	if len(coeffs) != n {
 		panic("speck: coefficient count does not match dims")
@@ -193,7 +190,7 @@ func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy
 	}
 	planes := NumPlanes(maxMag, q)
 	if intPathEligible(q, planes) && dims.Len() <= maxOctreeLen {
-		return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, entropy, workers, s)
+		return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, entropy, s)
 	}
 	return encodeFloat(coeffs, dims, q, maxBits, entropy, maxMag, planes, s)
 }
@@ -492,23 +489,23 @@ func splitAxis(o, n int32, dst *[2][2]int32) int {
 // progressive reconstruction of a truncated stream); planes must equal the
 // encoder's Result.NumPlanes. The returned slice has dims.Len() entries.
 func Decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int) []float64 {
-	return decode(stream, bitsAvail, dims, q, planes, false, 1, nil)
+	return decode(stream, bitsAvail, dims, q, planes, false, nil)
 }
 
 // DecodeScratch is Decode with pooled buffers. The returned slice aliases
 // s and is valid until the next use of s.
 func DecodeScratch(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) []float64 {
-	return decode(stream, bitsAvail, dims, q, planes, false, 1, s)
+	return decode(stream, bitsAvail, dims, q, planes, false, s)
 }
 
-// DecodeScratchWorkers is DecodeScratch with up to workers threads
-// splitting the final reconstruction scatter. The result is bit-identical
-// at any worker count (pixel writes are disjoint).
+// DecodeScratchWorkers is DecodeScratch; workers is ignored. It remains
+// only because bench/trace.go calls it by name, and goes when ROADMAP
+// item 1 rewrites that caller. Production code calls DecodeScratch.
 func DecodeScratchWorkers(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, workers int, s *Scratch) []float64 {
-	return decode(stream, bitsAvail, dims, q, planes, false, workers, s)
+	return DecodeScratch(stream, bitsAvail, dims, q, planes, s)
 }
 
-func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool, workers int, s *Scratch) []float64 {
+func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool, s *Scratch) []float64 {
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -519,7 +516,7 @@ func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes i
 		// above maxOctreeLen, and streams that run out mid-pass (size-bounded
 		// chunks, DecompressPartial, corrupt input), whose half-applied
 		// plane the fast path cannot represent.
-		if out, ok := decodeFast(stream, bitsAvail, dims, q, planes, entropy, workers, s); ok {
+		if out, ok := decodeFast(stream, bitsAvail, dims, q, planes, entropy, s); ok {
 			return out
 		}
 	}

@@ -107,57 +107,23 @@ func TestEdgeValuesMatchScalarReference(t *testing.T) {
 	}
 }
 
-// Threaded passes must be bit-identical to serial at every worker count,
-// including counts far above the tile count.
-func TestThreadedMatchesSerial(t *testing.T) {
-	for _, d := range panelTestDims {
-		p := NewPlan(d)
-		orig := panelTestField(d, 42)
-
-		serial := append([]float64(nil), orig...)
-		p.ForwardScratch(serial, nil)
-
-		for _, threads := range []int{2, 3, 8, 64} {
-			got := append([]float64(nil), orig...)
-			s := &Scratch{}
-			p.ForwardScratchThreads(got, s, threads)
-			assertBitIdentical(t, got, serial, d.String()+" threaded forward")
-
-			back := append([]float64(nil), got...)
-			p.InverseToLevelScratchThreads(back, 0, s, threads)
-			ref := append([]float64(nil), serial...)
-			p.InverseScratch(ref, nil)
-			assertBitIdentical(t, back, ref, d.String()+" threaded inverse")
-		}
-	}
-}
-
-// A warmed scratch must stop growing across repeated threaded calls.
-func TestScratchThreadedSteadyState(t *testing.T) {
+// A warmed scratch must stop growing, and the transform on it allocates
+// nothing at all.
+func TestScratchSteadyState(t *testing.T) {
 	d := grid.Dims{NX: 40, NY: 33, NZ: 21}
 	p := NewPlan(d)
 	s := &Scratch{}
-	data := panelTestField(d, 7)
-	for i := 0; i < 3; i++ {
-		work := append([]float64(nil), data...)
-		p.ForwardScratchThreads(work, s, 4)
-		p.InverseToLevelScratchThreads(work, 0, s, 4)
-	}
-	before := s.TotalGrows()
-	for i := 0; i < 5; i++ {
-		work := append([]float64(nil), data...)
-		p.ForwardScratchThreads(work, s, 4)
-		p.InverseToLevelScratchThreads(work, 0, s, 4)
-	}
-	if g := s.TotalGrows(); g != before {
-		t.Fatalf("scratch grew after warm-up: %d -> %d", before, g)
-	}
-	// The serial path on a warmed scratch allocates nothing at all.
-	work := append([]float64(nil), data...)
+	work := panelTestField(d, 7)
+	p.ForwardScratch(work, s)
+	p.InverseScratch(work, s)
+	before := s.Grows
 	if a := testing.AllocsPerRun(5, func() {
 		p.ForwardScratch(work, s)
 		p.InverseScratch(work, s)
 	}); a != 0 {
 		t.Fatalf("serial transform allocates %v times per run, want 0", a)
+	}
+	if s.Grows != before {
+		t.Fatalf("scratch grew after warm-up: %d -> %d", before, s.Grows)
 	}
 }

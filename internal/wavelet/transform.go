@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"sperr/internal/grid"
-	"sperr/internal/par"
 )
 
 // step is one level of the dyadic decomposition: the extent of the current
@@ -66,18 +65,14 @@ func (p *Plan) NumLevels() int { return len(p.steps) }
 // — the fused kernels' pipeline state and half-line side buffer — so
 // repeated transforms (one per chunk in the parallel pipeline) reuse them
 // instead of allocating. The zero value is ready; the buffer grows on
-// demand and is retained across calls. A Scratch is not safe for concurrent use —
-// give each worker its own; the threaded transform entry points draw
-// per-goroutine sub-scratches from the same arena. Plans stay immutable
-// and shareable.
+// demand and is retained across calls. A Scratch is not safe for
+// concurrent use — give each worker its own. Plans stay immutable and
+// shareable.
 type Scratch struct {
 	state [panelW]lift
 	side  []float64
-	subs  []*Scratch // lazily grown per-extra-goroutine arenas
-	ws    []*Scratch // pooled worker-set slice handed to the passes
 	// Grows counts how many times this scratch's buffers had to be
-	// (re)allocated; a warmed-up steady state stops growing. Sub-scratch
-	// growth is reported by TotalGrows.
+	// (re)allocated; a warmed-up steady state stops growing.
 	Grows int
 }
 
@@ -93,52 +88,6 @@ func (s *Scratch) sideRows(n int) []float64 {
 	return s.side[:need]
 }
 
-// workerSet returns [threads] scratches with s itself as worker 0,
-// growing (and retaining) sub-scratches as needed. Called before
-// goroutines spawn, so all arena mutation happens on the caller.
-func (s *Scratch) workerSet(threads int) []*Scratch {
-	if threads < 1 {
-		threads = 1
-	}
-	if cap(s.ws) < threads {
-		s.ws = make([]*Scratch, 0, threads)
-		s.Grows++
-	}
-	ws := s.ws[:0]
-	ws = append(ws, s)
-	for len(ws) < threads {
-		if len(ws)-1 >= len(s.subs) {
-			s.subs = append(s.subs, &Scratch{})
-			s.Grows++
-		}
-		ws = append(ws, s.subs[len(ws)-1])
-	}
-	s.ws = ws
-	return ws
-}
-
-// TotalGrows reports Grows summed over this scratch and every
-// sub-scratch the threaded passes have drawn from it.
-func (s *Scratch) TotalGrows() int {
-	g := s.Grows
-	for _, sub := range s.subs {
-		g += sub.Grows
-	}
-	return g
-}
-
-// parallelMinElems is the approximation-box volume below which a pass
-// stays serial: the goroutine spawn + barrier cost must stay negligible
-// against the pass work, and deep (small) levels run serial either way.
-const parallelMinElems = 1 << 15
-
-// spanWorkers decides how many goroutines a pass over elems elements
-// uses. The split never changes results — lines are independent — only
-// which goroutine computes them.
-func spanWorkers(threads, elems int) int {
-	return par.Workers(threads, elems, parallelMinElems)
-}
-
 // Forward applies the full multi-level analysis transform to data in place.
 // data is row-major with extent p.Dims().
 func (p *Plan) Forward(data []float64) {
@@ -148,29 +97,27 @@ func (p *Plan) Forward(data []float64) {
 // ForwardScratch is Forward with caller-provided scratch space; s may be
 // nil, which allocates temporaries for this call only.
 func (p *Plan) ForwardScratch(data []float64, s *Scratch) {
-	p.ForwardScratchThreads(data, s, 1)
-}
-
-// ForwardScratchThreads is ForwardScratch with each pass split over up to
-// threads goroutines (intra-chunk parallelism; threads <= 1 is serial).
-// Lines within a pass are independent, so the output is bit-identical at
-// every thread count.
-func (p *Plan) ForwardScratchThreads(data []float64, s *Scratch, threads int) {
 	if s == nil {
 		s = &Scratch{}
 	}
-	ws := s.workerSet(threads)
 	for _, st := range p.steps {
 		if st.ax {
-			p.passX(data, st, true, ws)
+			p.passX(data, st, true, s)
 		}
 		if st.ay {
-			p.passY(data, st, true, ws)
+			p.passTiles(data, st, false, true, s)
 		}
 		if st.az {
-			p.passZ(data, st, true, ws)
+			p.passTiles(data, st, true, true, s)
 		}
 	}
+}
+
+// ForwardScratchThreads is ForwardScratch; threads is ignored. It remains
+// only because bench/trace.go calls it by name, and goes when ROADMAP
+// item 1 rewrites that caller. Production code calls ForwardScratch.
+func (p *Plan) ForwardScratchThreads(data []float64, s *Scratch, threads int) {
+	p.ForwardScratch(data, s)
 }
 
 // Inverse applies the full synthesis transform to data in place, exactly
@@ -184,9 +131,11 @@ func (p *Plan) InverseScratch(data []float64, s *Scratch) {
 	p.InverseToLevelScratch(data, 0, s)
 }
 
-// InverseScratchThreads is InverseScratch with threaded passes.
+// InverseScratchThreads is InverseScratch; threads is ignored. It remains
+// only because bench/trace.go calls it by name, and goes when ROADMAP
+// item 1 rewrites that caller. Production code calls InverseScratch.
 func (p *Plan) InverseScratchThreads(data []float64, s *Scratch, threads int) {
-	p.InverseToLevelScratchThreads(data, 0, s, threads)
+	p.InverseScratch(data, s)
 }
 
 // InverseToLevel undoes the transform only down to decomposition level
@@ -204,12 +153,6 @@ func (p *Plan) InverseToLevel(data []float64, drop int) grid.Dims {
 // InverseToLevelScratch is InverseToLevel with caller-provided scratch
 // space; s may be nil.
 func (p *Plan) InverseToLevelScratch(data []float64, drop int, s *Scratch) grid.Dims {
-	return p.InverseToLevelScratchThreads(data, drop, s, 1)
-}
-
-// InverseToLevelScratchThreads is InverseToLevelScratch with threaded
-// passes; output is bit-identical at every thread count.
-func (p *Plan) InverseToLevelScratchThreads(data []float64, drop int, s *Scratch, threads int) grid.Dims {
 	if drop < 0 {
 		drop = 0
 	}
@@ -219,17 +162,16 @@ func (p *Plan) InverseToLevelScratchThreads(data []float64, drop int, s *Scratch
 	if s == nil {
 		s = &Scratch{}
 	}
-	ws := s.workerSet(threads)
 	for i := len(p.steps) - 1; i >= drop; i-- {
 		st := p.steps[i]
 		if st.az {
-			p.passZ(data, st, false, ws)
+			p.passTiles(data, st, true, false, s)
 		}
 		if st.ay {
-			p.passY(data, st, false, ws)
+			p.passTiles(data, st, false, false, s)
 		}
 		if st.ax {
-			p.passX(data, st, false, ws)
+			p.passX(data, st, false, s)
 		}
 	}
 	return p.LevelDims(drop)
@@ -288,19 +230,9 @@ func maxLine(d grid.Dims) int {
 
 // passX transforms every x-line of the approximation box; lines are
 // contiguous in memory, so the fused line kernel runs on them in place.
-func (p *Plan) passX(data []float64, st step, fwd bool, ws []*Scratch) {
-	lines := st.nz * st.ny
-	if nw := spanWorkers(len(ws), lines*st.nx); nw > 1 {
-		par.Spans(lines, nw, func(w, lo, hi int) { p.spanX(data, st, fwd, ws[w], lo, hi) })
-		return
-	}
-	p.spanX(data, st, fwd, ws[0], 0, lines) // no closure: the serial path allocates nothing
-}
-
-// spanX runs the fused line kernel over x-lines [lo, hi).
-func (p *Plan) spanX(data []float64, st step, fwd bool, s *Scratch, lo, hi int) {
+func (p *Plan) passX(data []float64, st step, fwd bool, s *Scratch) {
 	side := s.sideRows(maxLine(p.dims))
-	for li := lo; li < hi; li++ {
+	for li := 0; li < st.nz*st.ny; li++ {
 		off := (li/st.ny*p.dims.NY + li%st.ny) * p.dims.NX
 		if line := data[off : off+st.nx : off+st.nx]; fwd {
 			forwardLine(line, side)
@@ -310,44 +242,19 @@ func (p *Plan) spanX(data []float64, st step, fwd bool, s *Scratch, lo, hi int) 
 	}
 }
 
-// passY transforms every y-line of the approximation box and passZ every
-// z-line, both in tiles of panelW x-adjacent lines (see spanTiles).
-func (p *Plan) passY(data []float64, st step, fwd bool, ws []*Scratch) {
-	p.passTiles(data, st, false, fwd, ws)
-}
-
-func (p *Plan) passZ(data []float64, st step, fwd bool, ws []*Scratch) {
-	p.passTiles(data, st, true, fwd, ws)
-}
-
-// passTiles splits the tiles of a strided pass over the workers. Tiles are
-// independent, so the split cannot change results.
-func (p *Plan) passTiles(data []float64, st step, zAxis, fwd bool, ws []*Scratch) {
-	tiles := (st.nx + panelW - 1) / panelW
-	if zAxis {
-		tiles *= st.ny
-	} else {
-		tiles *= st.nz
-	}
-	if nw := spanWorkers(len(ws), st.nx*st.ny*st.nz); nw > 1 {
-		par.Spans(tiles, nw, func(w, lo, hi int) { p.spanTiles(data, st, zAxis, fwd, ws[w], lo, hi) })
-		return
-	}
-	p.spanTiles(data, st, zAxis, fwd, ws[0], 0, tiles)
-}
-
-// spanTiles runs the fused tile kernel over tiles [lo, hi). A y-pass tile
-// is up to panelW x-adjacent lines of one z-plane, samples a row apart; a
-// z-pass tile is the same within one y-row, samples a plane apart.
-func (p *Plan) spanTiles(data []float64, st step, zAxis, fwd bool, s *Scratch, lo, hi int) {
+// passTiles transforms every y-line (zAxis false) or z-line (zAxis true)
+// of the approximation box in tiles of up to panelW x-adjacent lines: a
+// y-pass tile lies in one z-plane, samples a row apart; a z-pass tile
+// lies in one y-row, samples a plane apart.
+func (p *Plan) passTiles(data []float64, st step, zAxis, fwd bool, s *Scratch) {
 	plane := p.dims.NY * p.dims.NX
-	n, stride, gstride := st.ny, p.dims.NX, plane
+	n, stride, gstride, groups := st.ny, p.dims.NX, plane, st.nz
 	if zAxis {
-		n, stride, gstride = st.nz, plane, p.dims.NX
+		n, stride, gstride, groups = st.nz, plane, p.dims.NX, st.ny
 	}
 	nblk := (st.nx + panelW - 1) / panelW
 	side := s.sideRows(maxLine(p.dims))
-	for ti := lo; ti < hi; ti++ {
+	for ti := 0; ti < nblk*groups; ti++ {
 		x0 := ti % nblk * panelW
 		w := st.nx - x0
 		if w > panelW {

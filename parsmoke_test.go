@@ -1,12 +1,10 @@
 package sperr
 
-// Benchmark-tier smoke for intra-chunk threading: a worker budget is a
-// pure runtime knob — surplus workers split only disjoint-write maps
-// (wavelet spans, SPECK quantize/fillTops/reconstruct, the outlier scan)
-// — so the compressed bytes at any worker count must hash identically to
-// the serial coder's, pinned here on both golden fixtures. `make
-// bench-kernels` runs this before the timing rows, so a determinism break
-// can never hide behind a speedup number.
+// Benchmark-tier smoke for the worker budget: Workers only sets how many
+// chunks are coded at once, so the compressed bytes at any worker count
+// must hash identically to the serial coder's, pinned here on both golden
+// fixtures. `make bench-kernels` runs this before the timing rows, so a
+// determinism break can never hide behind a speedup number.
 
 import (
 	"crypto/sha256"

@@ -50,11 +50,11 @@ type Options struct {
 	// default to DefaultChunkDim. Chunk dims need not divide the volume
 	// dims.
 	ChunkDims [3]int
-	// Workers is the parallelism budget; <= 0 means GOMAXPROCS. Up to
-	// Workers chunks compress concurrently, and when the budget exceeds
-	// the number of chunks the surplus splits the data-parallel stages
-	// (wavelet passes, outlier scans) inside each chunk. Output streams
-	// are byte-identical at every value.
+	// Workers is the number of chunks compressed concurrently; <= 0 means
+	// GOMAXPROCS. Each chunk is coded on one goroutine, so a budget above
+	// the chunk count leaves the surplus idle: split a volume into at
+	// least Workers chunks (ChunkDims) to use them. Output streams are
+	// byte-identical at every value.
 	Workers int
 	// QFactor sets the SPECK quantization step to QFactor*Tol in PWE mode;
 	// zero means DefaultQFactor. Larger values shift storage from
@@ -285,8 +285,9 @@ func Decompress(stream []byte) ([]float64, [3]int, error) {
 }
 
 // DecompressWorkers is Decompress with an explicit worker budget (<= 0
-// means GOMAXPROCS). Workers beyond the chunk count split the inverse
-// transform inside each chunk; the output is identical at every count.
+// means GOMAXPROCS): up to workers chunks decode concurrently, each on
+// one goroutine, so workers beyond the chunk count idle. The output is
+// identical at every count.
 func DecompressWorkers(stream []byte, workers int) ([]float64, [3]int, error) {
 	vol, err := chunk.Decompress(stream, workers)
 	if err != nil {

@@ -180,7 +180,8 @@ func (d *Decoder) NumChunks() int { return d.r.NumChunks() }
 func (d *Decoder) FormatVersion() int { return d.r.Version() }
 
 // SetWorkers adjusts the decode worker budget before ForEachChunk (<= 0
-// means GOMAXPROCS).
+// means GOMAXPROCS): how many chunks decode concurrently, each on one
+// goroutine.
 func (d *Decoder) SetWorkers(n int) { d.r.SetWorkers(n) }
 
 // SetContext attaches a cancellation context to the Decoder: once ctx is
