@@ -251,6 +251,7 @@ func (s *Server) storeHooks() store.Hooks {
 	misses := s.reg.Counter("sperrd_cache_misses_total")
 	decodes := s.reg.Counter("sperrd_store_chunk_decodes_total")
 	evictions := s.reg.Counter("sperrd_cache_evictions_total")
+	declined := s.reg.Counter("sperrd_cache_declined_total")
 	resident := s.reg.Gauge("sperrd_cache_resident_samples")
 	peak := s.reg.Gauge("sperrd_cache_peak_samples")
 	return store.Hooks{
@@ -260,12 +261,13 @@ func (s *Server) storeHooks() store.Hooks {
 				ingestBytes.Observe(float64(bytes))
 			}
 		},
-		OnReject: func() { rejected.Inc() },
-		OnDelete: func() { deletes.Inc() },
-		OnHit:    func(chunks int) { hits.Add(int64(chunks)) },
-		OnMiss:   func(chunks int) { misses.Add(int64(chunks)) },
-		OnDecode: func(chunks int) { decodes.Add(int64(chunks)) },
-		OnEvict:  func(samples int64) { evictions.Inc() },
+		OnReject:  func() { rejected.Inc() },
+		OnDelete:  func() { deletes.Inc() },
+		OnHit:     func(chunks int) { hits.Add(int64(chunks)) },
+		OnMiss:    func(chunks int) { misses.Add(int64(chunks)) },
+		OnDecode:  func(chunks int) { decodes.Add(int64(chunks)) },
+		OnEvict:   func(samples int64) { evictions.Inc() },
+		OnDecline: func(samples int64) { declined.Inc() },
 		OnResident: func(samples int64) {
 			resident.Set(samples)
 			peak.RaiseTo(samples)

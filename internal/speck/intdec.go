@@ -201,7 +201,11 @@ func (d *intDecoder) sortingPass() bool {
 					d.r.pos++ // the significance 1-bit
 					node := bucket[i]
 					i++
-					if !d.descend(node, depth) {
+					if nd := d.tree.nod[node]; nd.leaf() {
+						if !d.leaf(nd, word>>uint(tz+1)) {
+							return false
+						}
+					} else if !d.descend(node, depth) {
 						return false
 					}
 				}
@@ -281,21 +285,33 @@ outer:
 				continue outer
 			}
 			anySig = true
-			if !d.descend(first+int32(i), childDepth) {
+			c := first + int32(i)
+			if cn := t.nod[c]; cn.leaf() {
+				// A significant leaf's sign follows its 1-bit at once, as
+				// the encoder writes both in one step: take it from the
+				// same peek, with no call.
+				if !d.leaf(cn, word>>uint(tz+1)) {
+					return false
+				}
+			} else if !d.descend(c, childDepth) {
 				return false
 			}
 			i++
 		}
 	}
-	neg := d.r.bit()
-	if d.r.over {
+	return d.leaf(nd, d.r.peek())
+}
+
+// leaf records significant leaf nd, whose sign bit is the low bit of
+// next, the stream from the cursor on. Like bit, it reports false with
+// over set when the budget ends before the sign.
+func (d *intDecoder) leaf(nd onode, next uint64) bool {
+	if d.r.pos >= d.r.budget {
+		d.r.over = true
 		return false
 	}
-	pos := uint32(nd.pos())
-	if neg {
-		pos |= 1 << 31
-	}
-	d.lspPos = append(d.lspPos, int32(pos))
+	d.r.pos++
+	d.lspPos = append(d.lspPos, nd.pos()|int32(next&1)<<31)
 	return true
 }
 

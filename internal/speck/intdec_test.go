@@ -69,15 +69,23 @@ func decodeGeneralRef(stream []byte, bitsAvail uint64, dims grid.Dims, q float64
 // TestFastDecodeMatchesGeneral sweeps truncation points — plane
 // boundaries, their neighbors, mid-pass cuts, and the degenerate 0/1-bit
 // prefixes — asserting the phase-separated fast decoder reconstructs
-// bit-identically to the reference traversal at every one.
+// bit-identically to the reference traversal at every one. The small
+// streams are cut at every bit 0..Bits, so some cut falls between each
+// significant leaf's 1-bit and its sign bit: there the fast decoder must
+// decline exactly as a per-bit read would.
 func TestFastDecodeMatchesGeneral(t *testing.T) {
 	for _, tc := range []struct {
-		dims grid.Dims
-		q    float64
+		dims  grid.Dims
+		q     float64
+		every bool
 	}{
-		{grid.D3(16, 16, 16), 1e-3},
-		{grid.D3(24, 17, 9), 1e-4},
-		{grid.D2(31, 13), 1e-3},
+		{grid.D3(16, 16, 16), 1e-3, false},
+		{grid.D3(24, 17, 9), 1e-4, false},
+		{grid.D2(31, 13), 1e-3, false},
+		{grid.D3(8, 8, 8), 1e-2, true},
+		{grid.D3(8, 8, 8), 1e-3, true},
+		{grid.D3(5, 3, 2), 1e-2, true},
+		{grid.D3(5, 3, 2), 1e-3, true},
 	} {
 		coeffs := parTestField(tc.dims, 11)
 		res := Encode(coeffs, tc.dims, tc.q, 0)
@@ -93,12 +101,15 @@ func TestFastDecodeMatchesGeneral(t *testing.T) {
 		for f := 1; f < 8; f++ {
 			cuts[res.Bits*uint64(f)/8] = true
 		}
+		for c := uint64(0); tc.every && c <= res.Bits; c++ {
+			cuts[c] = true
+		}
 		for cut := range cuts {
 			got := Decode(res.Stream, cut, tc.dims, tc.q, res.NumPlanes)
 			want := decodeGeneralRef(res.Stream, cut, tc.dims, tc.q, res.NumPlanes, false)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%v cut=%d: out[%d]=%x, want %x", tc.dims, cut, i, got[i], want[i])
+					t.Fatalf("%v q=%g cut=%d of %d: out[%d]=%x, want %x", tc.dims, tc.q, cut, res.Bits, i, got[i], want[i])
 				}
 			}
 		}

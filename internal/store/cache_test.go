@@ -44,6 +44,39 @@ func TestSlabCacheLRUOrder(t *testing.T) {
 	}
 }
 
+// TestSlabCacheScanResistant: a hot set read over and over survives a
+// one-pass scan of more slabs than the cap holds. Each scanned slab is
+// asked for once, less often than any hot one, so the admission gate
+// declines it instead of evicting; a plain LRU would end the scan holding
+// only scanned slabs.
+func TestSlabCacheScanResistant(t *testing.T) {
+	const hot, scan = 4, 12
+	var declined int64
+	c := newSlabCache(hot*100, nil, nil, nil, nil)
+	c.onDecline = func(n int64) { declined += n }
+	read := func(chunk int) {
+		if c.Get(chunkKey{ID: "v", Chunk: chunk}) == nil {
+			c.Insert(slab("v", chunk, 100))
+		}
+	}
+	for round := 0; round < 5; round++ {
+		for i := 0; i < hot; i++ {
+			read(i)
+		}
+	}
+	for i := 0; i < scan; i++ {
+		read(100 + i)
+	}
+	for i := 0; i < hot; i++ {
+		if !c.Contains(chunkKey{ID: "v", Chunk: i}) {
+			t.Fatalf("hot chunk %d flushed by a one-pass scan", i)
+		}
+	}
+	if c.Evictions() != 0 || c.Declined() != scan || declined != scan*100 {
+		t.Fatalf("evictions %d declined %d (%d samples), want 0 and %d", c.Evictions(), c.Declined(), declined, scan)
+	}
+}
+
 func TestSlabCacheRejectsOversized(t *testing.T) {
 	c := newSlabCache(100, nil, nil, nil, nil)
 	if c.Insert(slab("v", 0, 101)) {

@@ -157,13 +157,22 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		}
 		errMu.Unlock()
 	}
+	failed := func() bool {
+		errMu.Lock()
+		defer errMu.Unlock()
+		return first != nil
+	}
 	for _, ci := range missIdx {
+		sem <- struct{}{}
 		if ctx != nil && ctx.Err() != nil {
 			setErr(ctx.Err())
+		}
+		// Once any decode has failed the read fails: dispatch no more.
+		if failed() {
+			<-sem
 			break
 		}
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(ci int) {
 			defer func() { <-sem; wg.Done() }()
 			data, err := s.decodeChunk(blob, id, m, ci)

@@ -17,8 +17,9 @@
 // coalesce into one atomic manifest rewrite, and Put/Delete block until
 // their entry is durably flushed.
 //
-// The decoded tier is in memory: a chunk-granularity LRU (SlabCache) of
-// decoded float64 slabs. Region reads assemble their cutout from cached
+// The decoded tier is in memory: a chunk-granularity cache (SlabCache) of
+// decoded float64 slabs, LRU behind a frequency-gated admission rule.
+// Region reads assemble their cutout from cached
 // chunks and decode only the intersecting frames that are missing, via
 // the container's seekable index footer (sperr.DecompressRegion on
 // exactly one chunk's box). Cache residency is charged through the
@@ -153,6 +154,10 @@ type Hooks struct {
 	OnDecode func(chunks int)
 	// OnEvict fires per evicted slab with its sample count.
 	OnEvict func(samples int64)
+	// OnDecline fires per decoded slab the cache turned away (its
+	// admission gate kept the resident slabs, or the shared budget was
+	// busy), with its sample count; the read still serves the slab.
+	OnDecline func(samples int64)
 	// OnResident observes the cache residency gauge after every change.
 	OnResident func(samples int64)
 }
@@ -179,7 +184,7 @@ type Options struct {
 }
 
 // Store is a content-addressed volume store: a verified on-disk
-// compressed tier plus an in-memory decoded-slab LRU. All methods are
+// compressed tier plus an in-memory decoded-slab cache. All methods are
 // safe for concurrent use.
 type Store struct {
 	dir   string
@@ -223,6 +228,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.cache = newSlabCache(opts.CacheSamples, opts.Charge, opts.Release,
 		opts.Hooks.OnEvict, opts.Hooks.OnResident)
+	s.cache.onDecline = opts.Hooks.OnDecline
 
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {

@@ -372,6 +372,38 @@ func TestChunkSlabSharesTheCachedSlab(t *testing.T) {
 	}
 }
 
+// TestRegionStopsAfterDecodeError: a frame damaged on disk after ingest
+// fails the read, and once it has failed Region dispatches no further
+// decodes. At one worker the damaged first missing chunk is decoded
+// before any other, so nothing decodes at all.
+func TestRegionStopsAfterDecodeError(t *testing.T) {
+	dims := [3]int{24, 17, 9}
+	c := makeContainer(t, dims, [3]int{8, 8, 8}, 1e-4, 6)
+	s := openTestStore(t, Options{CacheSamples: 1 << 20})
+	meta, _, err := s.Put(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sperr.Audit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunk 0 is the first missing chunk of a whole-volume read from a
+	// cold cache; its payload follows the frame's u32 length prefix.
+	f := rep.Chunks[0]
+	blob := append([]byte(nil), c...)
+	blob[f.Offset+4+int64(f.Length)/2] ^= 0x40
+	if err := os.WriteFile(s.blobPath(meta.ID), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Region(context.Background(), meta.ID, [3]int{}, dims, 1); err == nil {
+		t.Fatal("region over a damaged frame succeeded")
+	}
+	if n := s.Decodes(); n != 0 {
+		t.Fatalf("%d chunks decoded after the first decode failed", n)
+	}
+}
+
 // equalFloats compares bit patterns (NaN-safe, sign-of-zero-exact).
 func equalFloats(a, b []float64) bool {
 	if len(a) != len(b) {
