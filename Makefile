@@ -65,9 +65,11 @@ bench:
 # peak-inflight-bytes, its bounded-memory witness), and the hot cluster
 # read (ClusterRegionHot: three in-process peers, two replicas, warm
 # caches, 48^3 boxes of a 128^3 volume — B/op is its allocation guard,
-# about one response), and the cold-cache witness (RegionColdSkewed: a
-# cache of an eighth of the volume under a replayed box sequence, whose
-# decodes/op and hit-ratio are exact counts at its fixed -benchtime). The
+# about one response) and its single-node twin (StoreRegionHot:
+# serve_hot's read phase, same boxes, a cache of twice the volume), and
+# the cold-cache witness (RegionColdSkewed: a cache of an eighth of the
+# volume under a replayed box sequence, whose decodes/op and hit-ratio
+# are exact counts at its fixed -benchtime). The
 # determinism smoke runs first. Compare rows only at a stated -cpu;
 # BENCH_KERNELS.json records host and method.
 bench-kernels:
@@ -80,7 +82,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='StreamCompress|StreamDecompress' -benchmem .
 	$(GO) test -run='^$$' -bench='RegionCached|RegionUncached' -benchmem ./internal/store/
 	$(GO) test -run='^$$' -bench='RegionColdSkewed' -benchtime=200x -benchmem ./internal/store/
-	$(GO) test -run='^$$' -bench='ClusterRegionHot' -benchmem ./internal/server/
+	$(GO) test -run='^$$' -bench='ClusterRegionHot|StoreRegionHot' -benchmem ./internal/server/
 	$(GO) test -run='^$$' -bench='AdaptiveSelect' -benchmem .
 	$(GO) test -run='^$$' -bench='ProfileChunk' -benchmem ./internal/codec/
 

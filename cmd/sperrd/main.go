@@ -22,7 +22,8 @@
 //	DELETE /v1/volumes/{id}        drop blob, manifest entry, cached slabs
 //	GET    /v1/volumes/{id}/region cutout served through the decoded-slab
 //	                               cache (?region=..., ?f32, ?workers;
-//	                               X-Sperr-Cache: hit|partial|miss)
+//	                               X-Sperr-Cache: hit|partial|miss),
+//	                               streamed with an X-Sperr-Status trailer
 //
 // With -peers and -node-id set (on top of -store-dir), the daemon joins
 // a sharded cluster: a volume PUT against any node splits the container

@@ -23,19 +23,14 @@ func DecompressRegion(stream []byte, x0, y0, z0 int, dims grid.Dims, workers int
 // bytes of non-intersecting frames are never touched (not even for
 // checksumming; frame CRCs verify lazily at payload access).
 func decompressRegionCounted(stream []byte, x0, y0, z0 int, dims grid.Dims, workers int) (*grid.Volume, int, error) {
-	if !dims.Valid() {
-		return nil, 0, fmt.Errorf("chunk: invalid region dims %v", dims)
-	}
 	c, err := parseContainer(stream)
 	if err != nil {
 		return nil, 0, err
 	}
-	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+dims.NX > c.volDims.NX || y0+dims.NY > c.volDims.NY || z0+dims.NZ > c.volDims.NZ {
-		return nil, 0, fmt.Errorf("chunk: region %v@(%d,%d,%d) exceeds volume %v",
-			dims, x0, y0, z0, c.volDims)
-	}
 	ro, rd := [3]int{x0, y0, z0}, [3]int{dims.NX, dims.NY, dims.NZ}
+	if err := grid.CheckBox(ro, rd, [3]int{c.volDims.NX, c.volDims.NY, c.volDims.NZ}); err != nil {
+		return nil, 0, fmt.Errorf("chunk: %w", err)
+	}
 	hit := hitChunks(c.chunks, ro, rd)
 	out := grid.NewVolume(dims)
 	err = forEachChunkScratch(len(hit), workers, func(k int, ws *workerScratch) error {

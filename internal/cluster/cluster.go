@@ -415,8 +415,8 @@ func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, 
 	if !ok {
 		return nil, store.ErrNotFound
 	}
-	if err := validBox(origin, dims, meta.Dims); err != nil {
-		return nil, err
+	if err := grid.CheckBox(origin, dims, meta.Dims); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	var hits []Hit
@@ -446,7 +446,6 @@ func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, 
 	if workers <= 0 {
 		workers = 1
 	}
-	sem := make(chan struct{}, workers)
 
 	// Peers whose every fetch failed, minus those that later answered.
 	var (
@@ -505,7 +504,7 @@ sweep:
 				if peer == c.self {
 					go func(hs []Hit) {
 						defer wg.Done()
-						c.decodeLocal(ctx, meta, hs, sem, sink)
+						c.decodeLocal(ctx, meta, hs, workers, sink)
 					}(hs)
 					continue
 				}
@@ -577,27 +576,30 @@ sweep:
 	return rep, nil
 }
 
-// decodeLocal serves chunk hits from this node's own shard, bounded by
-// the worker semaphore, handing the sink each chunk's cached slab as it
-// is. A chunk whose local frame is damaged or stubbed simply stays
-// undelivered — the failover sweep asks its next replica.
-func (c *Cluster) decodeLocal(ctx context.Context, meta *store.Meta, hs []Hit, sem chan struct{}, sink *chunkSink) {
-	var wg sync.WaitGroup
-	for _, h := range hs {
-		wg.Add(1)
-		go func(h Hit) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			data, err := c.st.ChunkSlab(ctx, meta.ID, h.Index)
-			if err != nil {
-				return
-			}
-			cg := meta.Chunks[h.Index]
-			sink.slab(h, cg.Origin, cg.Dims, data)
-		}(h)
+// decodeLocal serves chunk hits from this node's own shard through the
+// store's read step — resident slabs with no decode, misses decoded up to
+// workers at a time from one read of the blob — handing the sink each
+// chunk's slab as it is. A chunk whose local frame is damaged or stubbed
+// simply stays undelivered: the failover sweep asks its next replica.
+func (c *Cluster) decodeLocal(ctx context.Context, meta *store.Meta, hs []Hit, workers int, sink *chunkSink) {
+	chunks := make([]int, len(hs))
+	for i, h := range hs {
+		chunks[i] = h.Index
 	}
-	wg.Wait()
+	l, err := c.st.Lookup(meta.ID, chunks)
+	if err != nil {
+		return
+	}
+	// Every chunk error is skipped, so Read can only fail on ctx, which
+	// the sweep checks after each rank.
+	_ = l.Read(ctx, workers, func(ci int, slab []float64, err error) error {
+		if err == nil {
+			h := hs[slices.IndexFunc(hs, func(h Hit) bool { return h.Index == ci })]
+			cg := meta.Chunks[ci]
+			sink.slab(h, cg.Origin, cg.Dims, slab)
+		}
+		return nil
+	})
 }
 
 // fetchGuarded runs one hedged fetch attempt against a peer behind its
@@ -813,16 +815,6 @@ func (s *chunkSink) emitErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// validBox checks a region box against the volume extent.
-func validBox(origin, dims, vol [3]int) error {
-	for a := 0; a < 3; a++ {
-		if dims[a] <= 0 || origin[a] < 0 || origin[a]+dims[a] > vol[a] {
-			return fmt.Errorf("cluster: region %v+%v outside volume %v", origin, dims, vol)
-		}
-	}
-	return nil
 }
 
 // shortID abbreviates a content address for error messages.

@@ -233,6 +233,19 @@ func Intersect(o1, d1, o2, d2 [3]int) (o, d [3]int, ok bool) {
 	return o, d, true
 }
 
+// CheckBox reports an error unless the box (origin, dims) is non-empty and
+// lies inside a volume of extent vol. It compares each extent with the room
+// left past the origin, so no sum of untrusted coordinates can wrap. Every
+// region read validates its request box here.
+func CheckBox(origin, dims, vol [3]int) error {
+	for a := 0; a < 3; a++ {
+		if dims[a] <= 0 || origin[a] < 0 || dims[a] > vol[a]-origin[a] {
+			return fmt.Errorf("region %v+%v outside volume %v", origin, dims, vol)
+		}
+	}
+	return nil
+}
+
 // CopyBox copies the box (o, d) row by row from src, a row-major slab
 // covering the box (srcO, srcD), into dst, which covers (dstO, dstD). All
 // three boxes are in the same (volume) coordinates, and (o, d) must lie

@@ -191,3 +191,31 @@ func TestIntersectCopyBoxMatchesCutout(t *testing.T) {
 		t.Fatal("boxes sharing only a face intersect")
 	}
 }
+
+// TestCheckBoxOverflow: boxes whose origin plus extent wraps int are
+// refused on every axis, as are empty, negative and overhanging boxes;
+// the whole volume and its last voxel are accepted.
+func TestCheckBoxOverflow(t *testing.T) {
+	const big = int(^uint(0) >> 1)
+	vol := [3]int{24, 17, 9}
+	for _, c := range []struct {
+		origin, dims [3]int
+		ok           bool
+	}{
+		{[3]int{0, 0, 0}, vol, true},
+		{[3]int{23, 16, 8}, [3]int{1, 1, 1}, true},
+		{[3]int{1, 0, 0}, [3]int{big, 1, 1}, false},
+		{[3]int{0, 1, 0}, [3]int{1, big, 1}, false},
+		{[3]int{0, 0, 1}, [3]int{1, 1, big}, false},
+		{[3]int{big, 0, 0}, [3]int{1, 1, 1}, false},
+		{[3]int{0, big, 0}, [3]int{1, 1, 1}, false},
+		{[3]int{0, 0, big}, [3]int{1, 1, 1}, false},
+		{[3]int{1, 0, 0}, vol, false},
+		{[3]int{0, 0, 0}, [3]int{0, 1, 1}, false},
+		{[3]int{-1, 0, 0}, [3]int{1, 1, 1}, false},
+	} {
+		if err := CheckBox(c.origin, c.dims, vol); (err == nil) != c.ok {
+			t.Errorf("CheckBox(%v, %v, %v) = %v, want ok %v", c.origin, c.dims, vol, err, c.ok)
+		}
+	}
+}

@@ -83,84 +83,36 @@ func (s *Server) handleClusterPut(w *statusWriter, r *http.Request, st *reqStats
 	}
 }
 
-// handleClusterRegion scatter-gathers a region read: intersect the box
-// with the chunk geometry (known locally from the shard footer), fan
-// out to owning peers, merge arriving pieces into ordered z-bands, and
-// stream them. A peer that cannot answer after retries and hedging
-// degrades its chunks to the fill value — the response is then complete
-// but carries the "degraded: skipped i,j,..." trailer, never a 500.
-func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqStats) {
-	id := r.PathValue("id")
-	origin, rdims, err := parseRegionSpec(param(r, "region"))
-	if err != nil {
-		badRequest(w, st, err)
-		return
-	}
-	workersReq, err := paramInt(r, "workers")
-	if err != nil {
-		badRequest(w, st, err)
-		return
-	}
+// handleClusterRegion scatter-gathers a region read (fill= sets the
+// value of chunks no replica could serve): the chunk geometry is known
+// locally from the shard footer, the intersecting chunks are fetched from
+// their owning peers, and the arriving pieces stream through streamRegion.
+// A peer that cannot answer after retries and hedging degrades its chunks
+// to the fill value — the response is then complete but carries the
+// "degraded: skipped i,j,..." trailer, never a 500.
+func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqStats, rq volumeRegion) {
 	fill, err := parseFill(r)
 	if err != nil {
 		badRequest(w, st, err)
 		return
 	}
-	workers := s.effWorkers(workersReq)
-	width := widthOf(r)
-
-	meta, ok := s.store.Describe(id)
-	if !ok {
-		notFound(w, st, store.ErrNotFound)
-		return
-	}
-
 	// Cluster-level admission: the coordinator charges its worst case
 	// before fanning out — concurrent local decodes plus remote pieces in
 	// flight, bounded by the region itself. Peers charge their own decode
 	// cost on their side of the wire.
-	touched := 0
-	for _, cg := range meta.Chunks {
-		if _, _, ok := grid.Intersect(origin, rdims, cg.Origin, cg.Dims); ok {
-			touched++
-		}
-	}
-	if touched > 0 {
-		cost := int64(min(workers, touched)) * maxChunkSamples(meta)
-		if points := int64(rdims[0]) * int64(rdims[1]) * int64(rdims[2]); cost > points {
-			cost = points
-		}
-		release := s.admit(w, r, st, cost)
-		if release == nil {
-			return
-		}
-		defer release()
-	}
-
-	finish := trailerStatus(w)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rdims[0], rdims[1], rdims[2]))
-
-	out := getStreamWriter(w)
-	defer putStreamWriter(out) // RegionTo returns only once nothing can write a piece any more
-	ra := newRegionAssembler(out, origin, rdims, meta.Dims, meta.ChunkDims, width)
-	rep, err := s.cluster.RegionTo(r.Context(), id, origin, rdims,
-		cluster.RegionOptions{Workers: workers, Fill: fill}, pieceSink{ra})
-	if err == nil {
-		err = ra.done()
-	}
-	if err == nil {
-		err = out.Flush()
-	}
-	switch {
-	case errors.Is(err, store.ErrNotFound): // deleted between describe and read
-		notFound(w, st, err)
-		return
-	case err != nil:
-		s.streamFail(w, r, st, finish, err)
+	cost := int64(min(rq.workers, len(rq.chunks))) * maxChunkSamples(rq.meta)
+	release := s.admit(w, r, st, min(cost, int64(rq.dims[0])*int64(rq.dims[1])*int64(rq.dims[2])))
+	if release == nil {
 		return
 	}
-	if len(rep.Skipped) > 0 {
+	defer release()
+
+	s.streamRegion(w, r, st, rq, func(ra *regionAssembler) (string, error) {
+		rep, err := s.cluster.RegionTo(r.Context(), rq.meta.ID, rq.origin, rq.dims,
+			cluster.RegionOptions{Workers: rq.workers, Fill: fill}, pieceSink{ra})
+		if err != nil || len(rep.Skipped) == 0 {
+			return "", err
+		}
 		s.reg.Counter("sperrd_cluster_degraded_total").Inc()
 		status := "degraded: skipped " + intList(rep.Skipped)
 		if len(rep.Unreachable) > 0 {
@@ -168,10 +120,8 @@ func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqSt
 			// "which node do I go look at" and not just "what did I lose".
 			status += "; unreachable " + strings.Join(rep.Unreachable, ",")
 		}
-		w.Header().Set("X-Sperr-Status", status)
-		return
-	}
-	finish(nil)
+		return status, nil
+	})
 }
 
 // streamWriters recycles the 256 KiB buffers region and peer-chunk
@@ -264,10 +214,10 @@ func (s *Server) handleInternalPut(w *statusWriter, r *http.Request, st *reqStat
 // the region box as length-prefixed float64 frames (u32 index, u32
 // count, samples LE). A chunk this peer cannot serve — a stub, or a
 // damaged frame — is simply omitted; the coordinator retries elsewhere
-// in time, then fills. Each chunk is read in place from the store's slab
-// cache (decoded first if it is not resident) and its intersection goes
-// onto the wire row by row, so a hot chunk costs neither decode work nor
-// a copy of its samples here.
+// in time, then fills. The chunks come through the store's read step —
+// resident slabs in place, misses decoded one at a time from one read of
+// the blob — and each intersection goes onto the wire row by row, so a
+// hot chunk costs neither decode work nor a copy of its samples here.
 func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqStats) {
 	id := r.PathValue("id")
 	meta, ok := s.store.Describe(id)
@@ -280,7 +230,7 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 		badRequest(w, st, err)
 		return
 	}
-	var chunks []int
+	var chunks, touched []int
 	for _, f := range strings.Split(param(r, "chunks"), ",") {
 		ci, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || ci < 0 || ci >= len(meta.Chunks) {
@@ -294,6 +244,10 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 			return
 		}
 		chunks = append(chunks, ci)
+		cg := meta.Chunks[ci]
+		if _, _, ok := grid.Intersect(origin, rdims, cg.Origin, cg.Dims); ok {
+			touched = append(touched, ci)
+		}
 	}
 	if len(chunks) == 0 {
 		badRequest(w, st, errors.New("chunks parameter required"))
@@ -307,31 +261,28 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 	}
 	defer release()
 
+	l, err := s.store.Lookup(id, touched)
+	if err != nil { // deleted since Describe
+		notFound(w, st, err)
+		return
+	}
 	finish := trailerStatus(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	out := getStreamWriter(w)
 	defer putStreamWriter(out)
 	row := make([]byte, 8*meta.ChunkDims[0]) // no chunk has longer rows
-	for _, ci := range chunks {
-		cg := meta.Chunks[ci]
-		o, d, ok := grid.Intersect(origin, rdims, cg.Origin, cg.Dims)
-		if !ok {
-			continue
-		}
-		slab, err := s.store.ChunkSlab(r.Context(), id, ci)
+	err = l.Read(r.Context(), 1, func(ci int, slab []float64, err error) error {
 		if err != nil {
-			if r.Context().Err() != nil {
-				s.streamFail(w, r, st, finish, err)
-				return
-			}
-			continue // unservable chunk (stub or damage): omit its frame
+			return nil // unservable chunk (stub or damage): omit its frame
 		}
-		if err := writeChunkFrame(out, ci, o, d, cg.Origin, cg.Dims, slab, row); err != nil {
-			s.streamFail(w, r, st, finish, err)
-			return
-		}
+		cg := meta.Chunks[ci]
+		o, d, _ := grid.Intersect(origin, rdims, cg.Origin, cg.Dims)
+		return writeChunkFrame(out, ci, o, d, cg.Origin, cg.Dims, slab, row)
+	})
+	if err == nil {
+		err = out.Flush()
 	}
-	if err := out.Flush(); err != nil {
+	if err != nil {
 		s.streamFail(w, r, st, finish, err)
 		return
 	}

@@ -30,44 +30,54 @@ import (
 // returns the body's length; every read must be a 200 with an ok trailer.
 func hotCluster(tb testing.TB, edge, chunk, box int) (nodes []*clusterNode, read func(node *clusterNode, origin [3]int) int64) {
 	tb.Helper()
-	dims := [3]int{edge, edge, edge}
+	container := hotContainer(tb, edge, chunk)
+	nodes = newClusterNodes(tb, 3, func(_ int, cfg *Config) {
+		cfg.Replicas = 2
+		cfg.CacheSamples = int64(2 * edge * edge * edge)
+		cfg.ScrubInterval = -1
+	})
+	id := ingest(tb, nodes[0].ts, container, http.StatusCreated)
+	if n := hotRead(tb, nodes[0].url, id, [3]int{}, [3]int{edge, edge, edge}, ""); n != int64(8*edge*edge*edge) {
+		tb.Fatalf("warming read returned %d bytes, want %d", n, 8*edge*edge*edge)
+	}
+	return nodes, func(node *clusterNode, origin [3]int) int64 {
+		return hotRead(tb, node.url, id, origin, [3]int{box, box, box}, "")
+	}
+}
+
+// hotContainer compresses a smooth edge³ field in chunk³ chunks.
+func hotContainer(tb testing.TB, edge, chunk int) []byte {
+	tb.Helper()
 	field := make([]float64, edge*edge*edge)
 	for i := range field {
 		x, y, z := i%edge, (i/edge)%edge, i/(edge*edge)
 		field[i] = math.Sin(0.11*float64(x))*math.Cos(0.07*float64(y)) + 0.5*math.Sin(0.05*float64(z))
 	}
-	container, _, err := sperr.CompressPWE(field, dims, 1e-2, &sperr.Options{ChunkDims: [3]int{chunk, chunk, chunk}})
+	container, _, err := sperr.CompressPWE(field, [3]int{edge, edge, edge}, 1e-2, &sperr.Options{ChunkDims: [3]int{chunk, chunk, chunk}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	nodes = newClusterNodes(tb, 3, func(_ int, cfg *Config) {
-		cfg.Replicas = 2
-		cfg.CacheSamples = int64(2 * len(field))
-		cfg.ScrubInterval = -1
-	})
+	return container
+}
 
-	id := ingest(tb, nodes[0].ts, container, http.StatusCreated)
-
-	get := func(node *clusterNode, origin, rd [3]int) int64 {
-		url := fmt.Sprintf("%s/v1/volumes/%s/region?region=%d,%d,%d,%d,%d,%d", node.url, id,
-			origin[0], origin[1], origin[2], rd[0], rd[1], rd[2])
-		res, err := http.Get(url)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		n, err := io.Copy(io.Discard, res.Body)
-		res.Body.Close()
-		if err != nil || res.StatusCode != http.StatusOK || res.Trailer.Get("X-Sperr-Status") != "ok" {
-			tb.Fatalf("region read: status %d, trailer %q, err %v", res.StatusCode, res.Trailer.Get("X-Sperr-Status"), err)
-		}
-		return n
+// hotRead reads the box rd at origin of volume id through the node at
+// base and returns the body's length. The read must be a 200 with an ok
+// trailer and, unless cache is "", that X-Sperr-Cache outcome.
+func hotRead(tb testing.TB, base, id string, origin, rd [3]int, cache string) int64 {
+	url := fmt.Sprintf("%s/v1/volumes/%s/region?region=%d,%d,%d,%d,%d,%d", base, id,
+		origin[0], origin[1], origin[2], rd[0], rd[1], rd[2])
+	res, err := http.Get(url)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if n := get(nodes[0], [3]int{}, dims); n != int64(8*len(field)) {
-		tb.Fatalf("warming read returned %d bytes, want %d", n, 8*len(field))
+	n, err := io.Copy(io.Discard, res.Body)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusOK || res.Trailer.Get("X-Sperr-Status") != "ok" ||
+		(cache != "" && res.Header.Get("X-Sperr-Cache") != cache) {
+		tb.Fatalf("region read: status %d, trailer %q, cache %q, err %v", res.StatusCode,
+			res.Trailer.Get("X-Sperr-Status"), res.Header.Get("X-Sperr-Cache"), err)
 	}
-	return nodes, func(node *clusterNode, origin [3]int) int64 {
-		return get(node, origin, [3]int{box, box, box})
-	}
+	return n
 }
 
 // hotOrigin is the i-th box origin of a fixed walk through the volume that

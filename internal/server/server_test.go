@@ -35,7 +35,7 @@ func field(nx, ny, nz int, seed int64) []float64 {
 	return data
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

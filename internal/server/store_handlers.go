@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
-	"sperr/internal/rawio"
+	"sperr/internal/grid"
 	"sperr/internal/store"
 )
 
@@ -116,24 +115,30 @@ func (s *Server) handleVolumeDelete(w *statusWriter, r *http.Request, st *reqSta
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleVolumeRegion serves a cutout of an ingested volume from the
-// two-tier store (region=x,y,z,nx,ny,nz, optional f32, workers). Chunks
-// resident in the decoded cache are copied out with zero decode work;
-// only missing intersecting frames are decoded (and offered to the
-// cache). A fully cached read skips admission entirely — its memory is
-// the cache's residency, already charged; a read with misses is admitted
-// for its worst-case decode arena like any other decode. The
-// X-Sperr-Cache header reports hit, partial or miss.
+// volumeRegion is a validated volume-region request.
+type volumeRegion struct {
+	meta         *store.Meta
+	origin, dims [3]int
+	chunks       []int // the chunks the box intersects
+	workers      int
+}
+
+// handleVolumeRegion serves a cutout of an ingested volume
+// (region=x,y,z,nx,ny,nz, optional f32 and workers). On a single node the
+// pieces are this store's slabs: chunks resident in the decoded cache cost
+// no decode work, and only missing intersecting frames are decoded (and
+// offered to the cache). A fully cached read skips admission entirely —
+// its memory is the cache's residency, already charged; a read with misses
+// is admitted for its worst-case decode arena like any other decode. The
+// read's own cache pass sets X-Sperr-Cache (hit, partial or miss) before a
+// byte is written. In cluster mode the pieces are scatter-gathered from
+// the owning peers instead (handleClusterRegion); either way the response
+// streams through streamRegion.
 func (s *Server) handleVolumeRegion(w *statusWriter, r *http.Request, st *reqStats) {
 	if s.store == nil {
 		s.storeUnavailable(w, st)
 		return
 	}
-	if s.cluster != nil {
-		s.handleClusterRegion(w, r, st)
-		return
-	}
-	id := r.PathValue("id")
 	origin, rdims, err := parseRegionSpec(param(r, "region"))
 	if err != nil {
 		badRequest(w, st, err)
@@ -144,62 +149,82 @@ func (s *Server) handleVolumeRegion(w *statusWriter, r *http.Request, st *reqSta
 		badRequest(w, st, err)
 		return
 	}
-	workers := s.effWorkers(workersReq)
-	width := widthOf(r)
-
-	plan, err := s.store.PlanRegion(id, origin, rdims)
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		notFound(w, st, err)
+	meta, ok := s.store.Describe(r.PathValue("id"))
+	if !ok {
+		notFound(w, st, store.ErrNotFound)
 		return
-	case err != nil:
+	}
+	if err := grid.CheckBox(origin, rdims, meta.Dims); err != nil {
 		badRequest(w, st, err)
 		return
 	}
-	if plan.MissingChunks > 0 {
-		cost := int64(min(workers, plan.MissingChunks)) * plan.MaxChunkSamples
-		if cost > plan.MissingSamples {
-			cost = plan.MissingSamples
-		}
-		release := s.admit(w, r, st, cost)
+	rq := volumeRegion{meta, origin, rdims, meta.Intersecting(origin, rdims), s.effWorkers(workersReq)}
+	if s.cluster != nil {
+		s.handleClusterRegion(w, r, st, rq)
+		return
+	}
+
+	if plan := s.store.PlanRegion(meta, rq.chunks); plan.MissingChunks > 0 {
+		cost := int64(min(rq.workers, plan.MissingChunks)) * plan.MaxChunkSamples
+		release := s.admit(w, r, st, min(cost, plan.MissingSamples))
 		if release == nil {
 			return
 		}
 		defer release()
 	}
-
-	data, stats, err := s.store.Region(r.Context(), id, origin, rdims, workers)
-	switch {
-	case errors.Is(err, store.ErrNotFound): // deleted between plan and read
-		notFound(w, st, err)
-		return
-	case err != nil:
-		st.err = err
-		if r.Context().Err() != nil {
-			st.canceled = true
-			http.Error(w, err.Error(), 499)
-			return
+	s.streamRegion(w, r, st, rq, func(ra *regionAssembler) (string, error) {
+		l, err := s.store.Lookup(meta.ID, rq.chunks)
+		if err != nil {
+			return "", err
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	raw, err := rawio.EncodeFloats(data, width)
-	if err != nil {
-		badRequest(w, st, err)
-		return
-	}
-	outcome := "miss"
-	switch {
-	case stats.Cached():
-		outcome = "hit"
-	case stats.Hits > 0:
-		outcome = "partial"
-	}
+		outcome := "partial"
+		switch {
+		case l.Misses == 0:
+			outcome = "hit"
+		case l.Hits == 0:
+			outcome = "miss"
+		}
+		w.Header().Set("X-Sperr-Cache", outcome)
+		return "", l.Read(r.Context(), rq.workers, func(ci int, slab []float64, err error) error {
+			if err != nil {
+				return err
+			}
+			cg := meta.Chunks[ci]
+			o, d, _ := grid.Intersect(origin, rdims, cg.Origin, cg.Dims)
+			return ra.addSlab(o, d, cg.Origin, cg.Dims, slab)
+		})
+	})
+}
+
+// streamRegion is the one volume-region response writer. It arms the
+// X-Sperr-Status trailer and runs read, which lands the region's pieces in
+// the assembler's z-bands; each band goes out as soon as it is complete,
+// so neither side holds the region. read returns the trailer's status
+// when the read completed degraded, "" when it completed whole. An error
+// before the first byte is a 4xx; after it, only the trailer carries it.
+func (s *Server) streamRegion(w *statusWriter, r *http.Request, st *reqStats, rq volumeRegion, read func(*regionAssembler) (string, error)) {
+	finish := trailerStatus(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rdims[0], rdims[1], rdims[2]))
-	w.Header().Set("X-Sperr-Cache", outcome)
-	if _, err := w.Write(raw); err != nil {
-		st.err = err
+	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rq.dims[0], rq.dims[1], rq.dims[2]))
+
+	out := getStreamWriter(w)
+	defer putStreamWriter(out) // read returns only once nothing can write a piece any more
+	ra := newRegionAssembler(out, rq.origin, rq.dims, rq.meta.Dims, rq.meta.ChunkDims, widthOf(r))
+	status, err := read(ra)
+	if err == nil {
+		err = ra.done()
+	}
+	if err == nil {
+		err = out.Flush()
+	}
+	switch {
+	case errors.Is(err, store.ErrNotFound): // deleted between describe and read
+		notFound(w, st, err)
+	case err != nil:
+		s.streamFail(w, r, st, finish, err)
+	case status != "":
+		w.Header().Set("X-Sperr-Status", status)
+	default:
+		finish(nil)
 	}
 }

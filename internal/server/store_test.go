@@ -9,6 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +40,7 @@ func readFixture(t *testing.T, path string) []byte {
 	return b
 }
 
-func newStoreServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newStoreServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.StoreDir == "" {
 		cfg.StoreDir = t.TempDir()
@@ -174,6 +177,43 @@ func TestCacheEquivalenceGolden(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("sample %d: served %g, library %g", i, got[i], want[i])
+				}
+			}
+
+			// The streamed contract at both widths: every response is the
+			// library decode (narrowed for f32=1) with an ok trailer, and the
+			// read's own cache pass names its outcome. From a purged cache:
+			// one chunk misses, the whole volume is then partial, and an
+			// interior box hits. A repeat at the other width always hits.
+			s.Store().Cache().Purge()
+			for _, step := range []struct {
+				origin, dims [3]int
+				cache        string
+			}{
+				{[3]int{0, 0, 0}, [3]int{8, 8, 8}, "miss"},
+				{[3]int{0, 0, 0}, [3]int{24, 17, 9}, "partial"},
+				{[3]int{5, 4, 3}, [3]int{12, 8, 4}, "hit"},
+			} {
+				lib, err := sperr.DecompressRegion(container, step.origin, step.dims)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cache := step.cache
+				for _, width := range []int{4, 8} {
+					want, _ := rawio.EncodeFloats(lib, width)
+					url := cachedRegionURL(ts, id, step.origin, step.dims)
+					if width == 4 {
+						url += "&f32=1"
+					}
+					res, got := do(t, "GET", url, nil)
+					if res.StatusCode != 200 || res.Trailer.Get("X-Sperr-Status") != "ok" || !bytes.Equal(got, want) {
+						t.Fatalf("%v+%v width %d: status %d, trailer %q, bytes equal %v", step.origin, step.dims, width,
+							res.StatusCode, res.Trailer.Get("X-Sperr-Status"), bytes.Equal(got, want))
+					}
+					if hdr := res.Header.Get("X-Sperr-Cache"); hdr != cache {
+						t.Fatalf("%v+%v width %d: X-Sperr-Cache=%q, want %q", step.origin, step.dims, width, hdr, cache)
+					}
+					cache = "hit"
 				}
 			}
 		})
@@ -405,5 +445,136 @@ func TestCacheShedsUnderPressure(t *testing.T) {
 	res, got := do(t, "GET", cachedRegionURL(ts, id, [3]int{0, 0, 0}, [3]int{24, 17, 9}), nil)
 	if res.StatusCode != 200 || !bytes.Equal(got, want) {
 		t.Fatal("post-shed region read wrong")
+	}
+}
+
+// hotStore boots one node whose cache holds twice an edge³ volume in
+// chunk³ chunks, ingests it and reads it whole once, so every chunk is
+// resident. The returned function reads one box³ region, which must be a
+// cache hit, and returns the body's length.
+func hotStore(tb testing.TB, edge, chunk, box int) func(origin [3]int) int64 {
+	tb.Helper()
+	_, ts := newStoreServer(tb, Config{CacheSamples: int64(2 * edge * edge * edge)})
+	id := ingest(tb, ts, hotContainer(tb, edge, chunk), http.StatusCreated)
+	if n := hotRead(tb, ts.URL, id, [3]int{}, [3]int{edge, edge, edge}, "miss"); n != int64(8*edge*edge*edge) {
+		tb.Fatalf("warming read returned %d bytes, want %d", n, 8*edge*edge*edge)
+	}
+	return func(origin [3]int) int64 {
+		return hotRead(tb, ts.URL, id, origin, [3]int{box, box, box}, "hit")
+	}
+}
+
+// BenchmarkStoreRegionHot is the serve_hot read phase without the
+// benchmark harness around it: one node, 48³ boxes of a 128³ volume in 32³
+// chunks, a cache of twice the volume, every read a hit. B/op is its
+// allocation guard, about one response.
+func BenchmarkStoreRegionHot(b *testing.B) {
+	const edge, chunk, box = 128, 32, 48
+	read := hotStore(b, edge, chunk, box)
+	b.SetBytes(8 * box * box * box)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(hotOrigin(i, edge, box))
+	}
+}
+
+// TestStoreHotReadAllocBudget is TestClusterHotReadAllocBudget's
+// single-node twin: a hot read streams its slabs into the response bands,
+// so it allocates the response about once. Cutting the region into a
+// []float64 and then encoding it into a []byte cost twice that.
+// Everything in the process counts, this test's HTTP client included.
+func TestStoreHotReadAllocBudget(t *testing.T) {
+	const edge, chunk, box, reads = 64, 32, 48, 24
+	read := hotStore(t, edge, chunk, box)
+	read(hotOrigin(0, edge, box)) // fill connection and buffer pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var body int64
+	for i := 0; i < reads; i++ {
+		body += read(hotOrigin(i, edge, box))
+	}
+	runtime.ReadMemStats(&after)
+	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d hot reads: %d bytes allocated for %d response bytes (%.2fx)", reads, allocated, body, float64(allocated)/float64(body))
+	if allocated > body*5/4 {
+		t.Fatalf("hot single-node reads allocated %d bytes for %d response bytes: more than 1.25x", allocated, body)
+	}
+}
+
+// TestStreamedRegionDamagedFrame: a frame damaged on disk after ingest
+// fails a streamed read whose response is larger than the stream buffer.
+// Depending on whether a band went out before the damaged chunk was
+// reached, the answer is a 400 carrying no samples or a 200 whose trailer
+// is an error and whose body is short — never an ok trailer, never the
+// whole body.
+func TestStreamedRegionDamagedFrame(t *testing.T) {
+	const edge, chunk = 64, 32 // two z-bands of 1 MiB each
+	container := hotContainer(t, edge, chunk)
+	rep, err := sperr.Audit(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 8 * edge * edge * edge
+	for _, bad := range []int{0, len(rep.Chunks) - 1} {
+		for _, workers := range []int{1, 2} {
+			s, ts := newStoreServer(t, Config{})
+			id := ingest(t, ts, container, http.StatusCreated)
+			f := rep.Chunks[bad]
+			blob := append([]byte(nil), container...)
+			blob[f.Offset+4+int64(f.Length)/2] ^= 0x40
+			if err := os.WriteFile(filepath.Join(s.Store().Dir(), "volumes", id+".sperr"), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, body := do(t, "GET", cachedRegionURL(ts, id, [3]int{}, [3]int{edge, edge, edge})+fmt.Sprintf("&workers=%d", workers), nil)
+			trailer := res.Trailer.Get("X-Sperr-Status")
+			t.Logf("chunk %d damaged, workers %d: status %d, trailer %q, %d body bytes", bad, workers, res.StatusCode, trailer, len(body))
+			switch {
+			case res.StatusCode == http.StatusBadRequest && len(body) < 8*chunk:
+			case res.StatusCode == http.StatusOK && strings.HasPrefix(trailer, "error:") && len(body) < full:
+			default:
+				t.Fatalf("chunk %d damaged, workers %d: status %d, trailer %q, %d of %d body bytes",
+					bad, workers, res.StatusCode, trailer, len(body), full)
+			}
+		}
+	}
+}
+
+// TestRegionBoxOverflowRefused: a region whose origin plus extent wraps
+// int used to pass every bounds check — panicking in makeslice, or
+// answering 200 with a fabricated sample. Every region path refuses it:
+// single-node, stateless and cluster requests answer 400, and the library
+// returns an error.
+func TestRegionBoxOverflowRefused(t *testing.T) {
+	const big = "9223372036854775807"
+	specs := []string{
+		"1,0,0," + big + ",1,1", "0,1,0,1," + big + ",1", "0,0,1,1,1," + big,
+		big + ",0,0,1,1,1", "0," + big + ",0,1,1,1", "0,0," + big + ",1,1,1",
+	}
+	container := readFixture(t, goldenFixtures[1].path)
+	_, ts := newStoreServer(t, Config{})
+	id := ingest(t, ts, container, http.StatusCreated)
+	nodes := newClusterNodes(t, 2, nil)
+	cid := ingest(t, nodes[0].ts, container, http.StatusCreated)
+	for _, spec := range specs {
+		origin, dims, err := parseRegionSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if _, err := sperr.DecompressRegion(container, origin, dims); err == nil {
+			t.Errorf("%s: DecompressRegion accepted the box", spec)
+		}
+		for name, req := range map[string]func() *http.Response{
+			"single-node": func() *http.Response {
+				res, _ := do(t, "GET", ts.URL+"/v1/volumes/"+id+"/region?region="+spec, nil)
+				return res
+			},
+			"stateless": func() *http.Response { res, _ := postRaw(t, ts.URL+"/v1/region?region="+spec, container); return res },
+			"cluster":   func() *http.Response { res, _ := getClusterRegion(t, nodes[1], cid, spec, ""); return res },
+		} {
+			if res := req(); res.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", name, spec, res.StatusCode)
+			}
+		}
 	}
 }

@@ -306,12 +306,33 @@ func TestRegionMatchesDecompressRegion(t *testing.T) {
 	mustClean(t, s)
 }
 
-// TestChunkSlabSharesTheCachedSlab: ChunkSlab is Region's cache without
+// readOne looks chunk ci of volume id up and reads it alone, returning
+// its slab.
+func readOne(t *testing.T, s *Store, id string, ci int) []float64 {
+	t.Helper()
+	l, err := s.Lookup(id, []int{ci})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slab []float64
+	if err := l.Read(context.Background(), 1, func(got int, data []float64, err error) error {
+		if got != ci {
+			t.Fatalf("read handed chunk %d for a lookup of %d", got, ci)
+		}
+		slab = data
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return slab
+}
+
+// TestLookupSharesTheCachedSlab: the read step is Region's cache without
 // the copy. A miss decodes through the same path (one decode, counted by
-// the same hooks, offered to the cache); a hit returns the resident slab
+// the same hooks, offered to the cache); a hit hands out the resident slab
 // itself; both are the chunk's box of the library decode; and with the
-// cache off every call decodes and still answers.
-func TestChunkSlabSharesTheCachedSlab(t *testing.T) {
+// cache off every read decodes and still answers.
+func TestLookupSharesTheCachedSlab(t *testing.T) {
 	var hits, misses, decodes atomic.Int64
 	hooks := Hooks{
 		OnHit:    func(n int) { hits.Add(int64(n)) },
@@ -329,33 +350,25 @@ func TestChunkSlabSharesTheCachedSlab(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
 		for ci, g := range meta.Chunks {
 			want, err := sperr.DecompressRegion(c, g.Origin, g.Dims)
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := s.ChunkSlab(ctx, meta.ID, ci)
-			if err != nil {
-				t.Fatal(err)
-			}
-			second, err := s.ChunkSlab(ctx, meta.ID, ci)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first, second := readOne(t, s, meta.ID, ci), readOne(t, s, meta.ID, ci)
 			if !equalFloats(first, want) || !equalFloats(second, want) {
 				t.Fatalf("cache %d: chunk %d differs from the library decode", cacheSamples, ci)
 			}
 			if shared := &first[0] == &second[0]; shared != (cacheSamples > 0) {
-				t.Fatalf("cache %d: chunk %d: second call shares the first's slab = %v", cacheSamples, ci, shared)
+				t.Fatalf("cache %d: chunk %d: second read shares the first's slab = %v", cacheSamples, ci, shared)
 			}
-			viaRegion, _, err := s.Region(ctx, meta.ID, g.Origin, g.Dims, 1)
+			viaRegion, _, err := s.Region(context.Background(), meta.ID, g.Origin, g.Dims, 1)
 			if err != nil || !equalFloats(viaRegion, want) {
-				t.Fatalf("cache %d: chunk %d: Region after ChunkSlab: %v", cacheSamples, ci, err)
+				t.Fatalf("cache %d: chunk %d: Region after the read step: %v", cacheSamples, ci, err)
 			}
 		}
 		n := int64(len(meta.Chunks))
-		wantHits, wantDecodes := 2*n, n // second ChunkSlab and Region hit what the first decoded
+		wantHits, wantDecodes := 2*n, n // the second read and Region hit what the first decoded
 		if cacheSamples == 0 {
 			wantHits, wantDecodes = 0, 3*n
 		}
@@ -363,12 +376,91 @@ func TestChunkSlabSharesTheCachedSlab(t *testing.T) {
 			t.Fatalf("cache %d: hits %d misses %d decodes %d (store %d), want %d/%d/%d", cacheSamples,
 				hits.Load(), misses.Load(), decodes.Load(), s.Decodes(), wantHits, wantDecodes, wantDecodes)
 		}
-		if _, err := s.ChunkSlab(ctx, meta.ID, len(meta.Chunks)); err == nil {
-			t.Fatal("chunk index past the end accepted")
+		for _, bad := range []int{len(meta.Chunks), -1} {
+			if _, err := s.Lookup(meta.ID, []int{0, bad}); err == nil {
+				t.Fatalf("chunk index %d accepted", bad)
+			}
 		}
-		if _, err := s.ChunkSlab(ctx, "no-such-volume", 0); !errors.Is(err, ErrNotFound) {
+		if hits.Load() != wantHits || misses.Load() != wantDecodes {
+			t.Fatal("a refused lookup counted cache outcomes")
+		}
+		if _, err := s.Lookup("no-such-volume", []int{0}); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("unknown volume: %v", err)
 		}
+	}
+}
+
+// TestReadChunkErrorPolicy: a chunk whose frame is damaged on disk reaches
+// the callback as that chunk's error, and the callback's answer is the
+// policy. Returning nil skips the chunk and every other chunk is still
+// delivered, decoded from the one blob read; returning the error stops
+// the read with it, and nothing more is dispatched.
+func TestReadChunkErrorPolicy(t *testing.T) {
+	dims := [3]int{24, 17, 9}
+	c := makeContainer(t, dims, [3]int{8, 8, 8}, 1e-4, 6)
+	s := openTestStore(t, Options{CacheSamples: 1 << 20})
+	meta, _, err := s.Put(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sperr.Audit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2
+	f := rep.Chunks[bad]
+	blob := append([]byte(nil), c...)
+	blob[f.Offset+4+int64(f.Length)/2] ^= 0x40
+	if err := os.WriteFile(s.blobPath(meta.ID), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	all := meta.Intersecting([3]int{}, dims)
+	for _, workers := range []int{1, 3} {
+		s.Cache().Purge()
+		l, err := s.Lookup(meta.ID, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int]bool{}
+		var failed []int
+		if err := l.Read(context.Background(), workers, func(ci int, slab []float64, err error) error {
+			if seen[ci] {
+				t.Fatalf("workers %d: chunk %d handed out twice", workers, ci)
+			}
+			seen[ci] = true
+			if err != nil {
+				failed = append(failed, ci)
+				return nil
+			}
+			g := meta.Chunks[ci]
+			want, werr := sperr.DecompressRegion(c, g.Origin, g.Dims)
+			if werr != nil || !equalFloats(slab, want) {
+				t.Fatalf("workers %d: chunk %d differs from the library decode", workers, ci)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("workers %d: a skipping read failed: %v", workers, err)
+		}
+		if len(seen) != len(all) || len(failed) != 1 || failed[0] != bad {
+			t.Fatalf("workers %d: %d of %d chunks handed out, failed %v, want only %d", workers, len(seen), len(all), failed, bad)
+		}
+	}
+
+	// Stopping: at one worker the chunks before the damaged one are
+	// decoded, and nothing after it.
+	s.Cache().Purge()
+	before := s.Decodes()
+	l, err := s.Lookup(meta.ID, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	err = l.Read(context.Background(), 1, func(ci int, slab []float64, err error) error {
+		calls++
+		return err
+	})
+	if err == nil || calls != bad+1 || s.Decodes()-before != bad {
+		t.Fatalf("stopping read: err %v after %d calls and %d decodes, want an error after %d and %d", err, calls, s.Decodes()-before, bad+1, bad)
 	}
 }
 
@@ -418,7 +510,7 @@ func equalFloats(a, b []float64) bool {
 }
 
 // TestPlanRegion: the admission probe reports misses before a read and
-// full residency after.
+// full residency after, and probing counts nothing.
 func TestPlanRegion(t *testing.T) {
 	s := openTestStore(t, Options{CacheSamples: 1 << 20})
 	dims := [3]int{16, 16, 8}
@@ -427,29 +519,27 @@ func TestPlanRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.PlanRegion(meta.ID, [3]int{0, 0, 0}, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := meta.Intersecting([3]int{}, dims)
+	plan := s.PlanRegion(meta, all)
 	if plan.Chunks != 4 || plan.MissingChunks != 4 || plan.MaxChunkSamples != 512 {
 		t.Fatalf("cold plan wrong: %+v", plan)
+	}
+	if s.Cache().Hits()+s.Cache().Misses() != 0 {
+		t.Fatal("planning counted cache outcomes")
 	}
 	if _, _, err := s.Region(context.Background(), meta.ID, [3]int{0, 0, 0}, dims, 0); err != nil {
 		t.Fatal(err)
 	}
-	plan, err = s.PlanRegion(meta.ID, [3]int{0, 0, 0}, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan = s.PlanRegion(meta, all)
 	if plan.MissingChunks != 0 || plan.MissingSamples != 0 {
 		t.Fatalf("warm plan wrong: %+v", plan)
 	}
-	// Out-of-bounds and unknown-volume errors.
-	if _, err := s.PlanRegion(meta.ID, [3]int{8, 0, 0}, dims); err == nil {
-		t.Fatal("out-of-bounds plan accepted")
+	// Out-of-bounds and unknown-volume reads are refused.
+	if _, _, err := s.Region(context.Background(), meta.ID, [3]int{8, 0, 0}, dims, 0); err == nil {
+		t.Fatal("out-of-bounds read accepted")
 	}
-	if _, err := s.PlanRegion("nope", [3]int{0, 0, 0}, [3]int{1, 1, 1}); err != ErrNotFound {
-		t.Fatalf("unknown id plan returned %v", err)
+	if _, _, err := s.Region(context.Background(), "nope", [3]int{0, 0, 0}, [3]int{1, 1, 1}, 0); err != ErrNotFound {
+		t.Fatalf("unknown id read returned %v", err)
 	}
 }
 
