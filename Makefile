@@ -25,9 +25,13 @@ test-log:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 
 # Race-hardened tier: the parallel chunk pipeline, scratch pooling, and
-# instrumentation delivery all run under the race detector.
+# instrumentation delivery all run under the race detector. The cluster
+# fault tests (cut and stalled peer streams, failover, degradation,
+# breakers) then run 25 more times: their races only show on some
+# schedules.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=25 -run 'Cut|Failover|Degrade|Repeated|Breaker|AfterReturn' ./internal/cluster/
 
 # Deterministic corruption campaign over the golden fixtures: every
 # frame-boundary truncation plus stratified byte flips and zeroed runs,

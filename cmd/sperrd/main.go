@@ -33,10 +33,12 @@
 // chunk lives on -replicas distinct peers (default 2), so a read
 // survives a node loss by failing over to the next replica in ring
 // order, and a background anti-entropy scrubber (-scrub-interval)
-// re-fetches damaged or missing chunks from surviving replicas. Only
-// when every replica is gone does a read degrade (fill value +
-// "degraded" status trailer naming the unreachable peers) instead of
-// failing. Peers talk over:
+// re-fetches damaged or missing chunks from surviving replicas. A peer
+// fetch that fails, or outlasts -peer-timeout, fails its chunks over; a
+// peer that keeps failing is skipped by its circuit breaker for a
+// cooldown. Only when every replica is gone does a read degrade (fill
+// value + "degraded" status trailer naming the unreachable peers)
+// instead of failing. Peers talk over:
 //
 //	PUT    /v1/internal/chunks/{id}  ingest a shard (peer-to-peer)
 //	GET    /v1/internal/chunks/{id}  stream owned chunk∩region frames
@@ -92,9 +94,7 @@ func main() {
 		cacheMB      = flag.Int64("cache-mb", 0, "decoded-slab cache residency cap, MiB (8 bytes/sample; 0 = budget/4)")
 		nodeID       = flag.String("node-id", "", "this node's name in the cluster roster (required with -peers)")
 		peersStr     = flag.String("peers", "", "cluster roster as comma-separated id=url entries, including this node (enables sharded multi-node mode; requires -node-id and -store-dir)")
-		peerTimeout  = flag.Duration("peer-timeout", 0, "max duration of one peer RPC attempt (0 = 2s)")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "duplicate a slow peer fetch after this long (0 = 250ms, negative disables)")
-		peerRetries  = flag.Int("peer-retries", 0, "extra attempts for a failed peer fetch (0 = 1, negative disables)")
+		peerTimeout  = flag.Duration("peer-timeout", 0, "max duration of one peer RPC attempt; a read fails a slow peer's chunks over to their next replica after it (0 = 2s)")
 		replicas     = flag.Int("replicas", 0, "distinct peers owning each chunk (0 = 2, clamped to roster size); with 2+, reads survive a node loss undegraded")
 		scrubEvery   = flag.Duration("scrub-interval", 0, "pause between anti-entropy scrub passes (0 = 30s, negative disables the scrubber)")
 	)
@@ -110,8 +110,6 @@ func main() {
 		CacheSamples:      *cacheMB << 20 / 8,
 		NodeID:            *nodeID,
 		PeerTimeout:       *peerTimeout,
-		HedgeAfter:        *hedgeAfter,
-		PeerRetries:       *peerRetries,
 		Replicas:          *replicas,
 		ScrubInterval:     *scrubEvery,
 	}

@@ -59,6 +59,15 @@ func (b *breaker) success() {
 	b.mu.Unlock()
 }
 
+// release returns an attempt that ended on the caller's side (its context
+// was canceled or timed out) without counting it either way, and gives
+// back a half-open probe so the next call can make one.
+func (b *breaker) release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // failure records a failed RPC and reports whether this failure opened
 // (or re-armed) the breaker.
 func (b *breaker) failure(now time.Time) (opened bool) {

@@ -12,19 +12,18 @@ package cluster
 // The GET response is streamed frame-by-frame so the coordinator can
 // hand each chunk to the assembler the moment it arrives; a peer that
 // cannot serve a requested chunk simply omits its frame (the
-// coordinator retries, then fills). Samples are raw float64 bits, so a
-// gathered region is bit-identical to a local decode. A frame answers a
-// requested index at most once and carries exactly the intersection's
-// sample count; anything else is a protocol error that fails the fetch.
+// coordinator asks the chunk's next replica, then fills). Samples are
+// raw float64 bits, so a gathered region is bit-identical to a local
+// decode. A frame answers a requested index at most once and carries
+// exactly the intersection's sample count; anything else is a protocol
+// error that fails the fetch.
 //
 // Consumer contract. A frame's samples are not buffered here: the
 // PieceSink reads them off the connection (PieceSink.Wire), so it must
 // read exactly 8·count bytes before returning. If the connection dies
 // first, what the sink has written is garbage-in-progress, not a piece:
-// the chunk is un-claimed, the fetch attempt fails, and the failover
-// sweep asks the next replica, which rewrites the whole piece. A frame
-// for a chunk some other request already claimed is drained, never
-// delivered twice.
+// the chunk stays undone, the fetch attempt fails, and the failover
+// sweep asks the next replica, which rewrites the whole piece.
 
 import (
 	"bufio"
@@ -66,55 +65,31 @@ func (c *Cluster) chunkURL(peer, id string) string {
 	return c.peers[peer] + "/v1/internal/chunks/" + id
 }
 
-// outcomeOf classifies an RPC error for the per-peer outcome counter.
-func outcomeOf(ctx context.Context, err error) string {
-	if err == nil {
+// outcomeOf classifies one peer RPC attempt for the per-peer outcome
+// counter. ctx is the caller's context and actx the attempt's (ctx under
+// the per-attempt timeout): an attempt the caller gave up on is
+// "canceled", neither the peer's error nor its timeout.
+func outcomeOf(ctx, actx context.Context, err error) string {
+	switch {
+	case err == nil:
 		return "ok"
-	}
-	if ctx.Err() == context.DeadlineExceeded {
+	case ctx.Err() != nil:
+		return "canceled"
+	case actx.Err() == context.DeadlineExceeded:
 		return "timeout"
 	}
 	return "error"
 }
 
-// shipShard PUTs a shard to a peer, retrying with capped backoff.
-// Shards can be large, so each attempt gets a generous multiple of the
-// fetch timeout.
-func (c *Cluster) shipShard(ctx context.Context, peer, id string, shard []byte) error {
-	timeout := 5 * c.timeout
-	if timeout < 10*time.Second {
-		timeout = 10 * time.Second
-	}
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if c.hooks.OnRetry != nil {
-				c.hooks.OnRetry(peer)
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if backoff *= 2; backoff > 500*time.Millisecond {
-				backoff = 500 * time.Millisecond
-			}
-		}
-		actx, cancel := context.WithTimeout(ctx, timeout)
-		err := c.putOnce(actx, peer, id, shard)
-		c.onPeerRequest(peer, outcomeOf(actx, err))
-		cancel()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-	}
-	return lastErr
-}
-
-func (c *Cluster) putOnce(ctx context.Context, peer, id string, shard []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.chunkURL(peer, id), bytes.NewReader(shard))
+// shipShard PUTs a shard to a peer, once. Shards can be large, so the
+// attempt gets a generous multiple of the fetch timeout. A failure fails
+// the ingest: re-ingest is idempotent, and the scrubber makes a peer that
+// missed its shard fetch it.
+func (c *Cluster) shipShard(ctx context.Context, peer, id string, shard []byte) (err error) {
+	actx, cancel := context.WithTimeout(ctx, max(5*c.timeout, 10*time.Second))
+	defer cancel()
+	defer func() { c.onPeerRequest(peer, outcomeOf(ctx, actx, err)) }()
+	req, err := http.NewRequestWithContext(actx, http.MethodPut, c.chunkURL(peer, id), bytes.NewReader(shard))
 	if err != nil {
 		return err
 	}
@@ -139,7 +114,7 @@ func (c *Cluster) deleteShard(ctx context.Context, peer, id string) error {
 		return err
 	}
 	resp, err := c.client.Do(req)
-	c.onPeerRequest(peer, outcomeOf(actx, err))
+	c.onPeerRequest(peer, outcomeOf(ctx, actx, err))
 	if err != nil {
 		return err
 	}
@@ -158,9 +133,7 @@ var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 6
 // and hands each frame to the sink as it arrives. Returns an error if
 // the stream dies, breaks protocol, or lacks a requested chunk (short
 // stream — peer could not serve it).
-func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) (err error) {
-	defer func() { c.onPeerRequest(peer, outcomeOf(ctx, err)) }()
-
+func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) error {
 	var list strings.Builder
 	// The region box sent to the peer is the bounding box of the
 	// requested intersections; the peer re-intersects per chunk, so any
@@ -279,7 +252,7 @@ func (c *Cluster) fetchRepair(ctx context.Context, peer, id string, chunks []int
 		return nil, err
 	}
 	resp, err := c.client.Do(req)
-	c.onPeerRequest(peer, outcomeOf(actx, err))
+	c.onPeerRequest(peer, outcomeOf(ctx, actx, err))
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +280,7 @@ func (c *Cluster) fetchManifest(ctx context.Context, peer string) ([]ManifestEnt
 		return nil, err
 	}
 	resp, err := c.client.Do(req)
-	c.onPeerRequest(peer, outcomeOf(actx, err))
+	c.onPeerRequest(peer, outcomeOf(ctx, actx, err))
 	if err != nil {
 		return nil, err
 	}

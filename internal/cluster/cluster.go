@@ -22,13 +22,10 @@ import (
 // Every field may be nil; callbacks run on request goroutines.
 type Hooks struct {
 	// OnPeerRequest fires once per peer RPC attempt with the peer id and
-	// an outcome of "ok", "error", "timeout" or "open" (refused by the
+	// an outcome of "ok", "error", "timeout", "canceled" (the caller's
+	// context ended first: not the peer's fault) or "open" (refused by the
 	// peer's circuit breaker without an attempt).
 	OnPeerRequest func(peer, outcome string)
-	// OnRetry fires when a failed peer fetch is retried.
-	OnRetry func(peer string)
-	// OnHedge fires when a slow peer fetch gets a hedged duplicate.
-	OnHedge func(peer string)
 	// OnFilled fires after a degraded region read with the number of
 	// chunks that had to be filled.
 	OnFilled func(chunks int)
@@ -56,16 +53,9 @@ type Config struct {
 	// Peers maps peer id to base URL (scheme://host:port), including
 	// this node's own entry. The roster is static per process.
 	Peers map[string]string
-	// VirtualNodes per peer on the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// Timeout bounds one peer fetch attempt (0 = 2s).
+	// Timeout bounds one peer fetch attempt (0 = 2s). A read waits this
+	// long for a slow peer before failing its chunks over.
 	Timeout time.Duration
-	// HedgeAfter launches a duplicate fetch if the primary has not
-	// completed in this long (0 = 250ms; negative disables hedging).
-	HedgeAfter time.Duration
-	// Retries is how many additional attempts a failed peer fetch gets
-	// (0 = 1; negative disables retries).
-	Retries int
 	// Replicas is how many distinct peers own each chunk (0 =
 	// DefaultReplicas; clamped to the roster size). With Replicas > 1 a
 	// single peer death costs no data: reads fail over to the next
@@ -89,17 +79,15 @@ const DefaultReplicas = 2
 // region reads back chunk-by-chunk, degrading to a fill value when a
 // peer cannot answer. All methods are safe for concurrent use.
 type Cluster struct {
-	self       string
-	peers      map[string]string // id -> base URL, no trailing slash
-	order      []string          // sorted peer ids
-	ring       *Ring
-	st         *store.Store
-	client     *http.Client
-	timeout    time.Duration
-	hedgeAfter time.Duration
-	retries    int
-	replicas   int
-	hooks      Hooks
+	self     string
+	peers    map[string]string // id -> base URL, no trailing slash
+	order    []string          // sorted peer ids
+	ring     *Ring
+	st       *store.Store
+	client   *http.Client
+	timeout  time.Duration
+	replicas int
+	hooks    Hooks
 
 	brMu     sync.Mutex
 	breakers map[string]*breaker
@@ -118,16 +106,14 @@ func New(cfg Config, st *store.Store) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: self id %q not in peer roster", cfg.Self)
 	}
 	c := &Cluster{
-		self:       cfg.Self,
-		peers:      make(map[string]string, len(cfg.Peers)),
-		st:         st,
-		client:     cfg.Client,
-		timeout:    cfg.Timeout,
-		hedgeAfter: cfg.HedgeAfter,
-		retries:    cfg.Retries,
-		replicas:   cfg.Replicas,
-		hooks:      cfg.Hooks,
-		breakers:   make(map[string]*breaker),
+		self:     cfg.Self,
+		peers:    make(map[string]string, len(cfg.Peers)),
+		st:       st,
+		client:   cfg.Client,
+		timeout:  cfg.Timeout,
+		replicas: cfg.Replicas,
+		hooks:    cfg.Hooks,
+		breakers: make(map[string]*breaker),
 	}
 	for id, u := range cfg.Peers {
 		u = strings.TrimRight(u, "/")
@@ -138,7 +124,7 @@ func New(cfg Config, st *store.Store) (*Cluster, error) {
 		c.order = append(c.order, id)
 	}
 	sort.Strings(c.order)
-	ring, err := NewRing(c.order, cfg.VirtualNodes)
+	ring, err := NewRing(c.order, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -148,15 +134,6 @@ func New(cfg Config, st *store.Store) (*Cluster, error) {
 	}
 	if c.timeout <= 0 {
 		c.timeout = 2 * time.Second
-	}
-	if c.hedgeAfter == 0 {
-		c.hedgeAfter = 250 * time.Millisecond
-	}
-	if c.retries == 0 {
-		c.retries = 1
-	}
-	if c.retries < 0 {
-		c.retries = 0
 	}
 	if c.replicas == 0 {
 		c.replicas = DefaultReplicas
@@ -201,7 +178,7 @@ func (c *Cluster) onPeerRequest(peer, outcome string) {
 // address it once, slice one shard per peer along frame boundaries with
 // each chunk's frames going to all of its replica owners, and ship each
 // shard (the local one through the store, remote ones over the peer
-// protocol, with retries). Every peer receives a shard even if it owns
+// protocol, one attempt each). Every peer receives a shard even if it owns
 // no chunks — the footer gives every node the volume's full geometry,
 // so any node can coordinate reads. Ingest is all-or-nothing in its
 // error report but idempotent in effect: shards are byte-stable for a
@@ -324,8 +301,9 @@ type PieceSink interface {
 	// bytes, the n little-endian float64 samples of hit's box, x-fastest.
 	// Wire must read all of them before it returns nil, and must return
 	// the error if r fails. A failure of r is the transport's, not the
-	// sink's: the chunk is un-claimed and fetched again elsewhere. Any
-	// other error fails the whole read.
+	// sink's: the chunk stays undelivered and is asked of its next
+	// replica. Any other error fails the whole read. No Slab or Wire call
+	// is made after RegionTo returns.
 	Wire(hit Hit, r io.Reader) error
 }
 
@@ -402,14 +380,15 @@ func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, op
 // RegionTo performs a scatter-gather read: intersect the request box with
 // the volume's chunk geometry (known locally — every shard carries the
 // full footer), fan out to owning peers, and hand each chunk's
-// intersection to out as it arrives. Peer failure fails the
-// affected chunks over to the next replica in ring order; only after
-// every replica has been exhausted (across retries and hedging) does a
-// chunk degrade to the fill value — with Replicas > 1 a single dead
-// peer therefore costs nothing but latency, and the gathered bytes stay
-// identical to a single-node decode. The read itself only fails for a
-// local reason (unknown volume, bad box, canceled context, or a sink
-// error).
+// intersection to out as it arrives. One ladder handles a failed or slow
+// peer: the per-attempt timeout bounds each fetch, the peer's circuit
+// breaker refuses a peer that keeps failing, the affected chunks fail
+// over to the next replica in ring order, and only a chunk that no
+// replica delivered degrades to the fill value — with Replicas > 1 a
+// single dead peer therefore costs nothing but latency, and the gathered
+// bytes stay identical to a single-node decode. The read itself only
+// fails for a local reason (unknown volume, bad box, canceled context,
+// or a sink error).
 func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, opts RegionOptions, out PieceSink) (*RegionReport, error) {
 	meta, ok := c.st.Describe(id)
 	if !ok {
@@ -463,73 +442,46 @@ func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, 
 		peerMu.Unlock()
 	}
 
-	// The failover sweep: rank 0 asks each missing chunk's primary owner,
-	// rank r its r-th replica, grouping chunks by peer so one RPC carries
-	// a peer's whole batch. Each full sweep is one attempt; failed chunks
-	// get retried sweeps with capped backoff before degrading to fill.
-	backoff := 50 * time.Millisecond
-	const backoffCap = 500 * time.Millisecond
-sweep:
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			// A replica sweep that delivered everything owes no backoff.
-			if !slices.ContainsFunc(hits, func(h Hit) bool { return !sink.has(h.Index) }) {
-				break
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				break sweep
-			}
-			if backoff *= 2; backoff > backoffCap {
-				backoff = backoffCap
+	// The failover sweep: rank 0 asks each undelivered chunk's primary
+	// owner, rank r its r-th replica, once, grouping chunks by peer so one
+	// RPC carries a peer's whole batch. Within a rank each chunk is asked
+	// of exactly one source and the ranks run one after another, so no two
+	// sources ever write the same chunk.
+	for rank := 0; rank < c.replicas; rank++ {
+		groups := make(map[string][]Hit)
+		for i, h := range hits {
+			if !sink.has(h.Index) {
+				groups[owners[i][rank]] = append(groups[owners[i][rank]], h)
 			}
 		}
-		for rank := 0; rank < c.replicas; rank++ {
-			groups := make(map[string][]Hit)
-			for i, h := range hits {
-				if sink.has(h.Index) {
-					continue
-				}
-				if rank < len(owners[i]) {
-					groups[owners[i][rank]] = append(groups[owners[i][rank]], h)
-				}
-			}
-			if len(groups) == 0 {
-				break sweep
-			}
-			var wg sync.WaitGroup
-			for peer, hs := range groups {
-				wg.Add(1)
+		if len(groups) == 0 {
+			break
+		}
+		var wg sync.WaitGroup
+		for peer, hs := range groups {
+			wg.Add(1)
+			go func(peer string, hs []Hit) {
+				defer wg.Done()
 				if peer == c.self {
-					go func(hs []Hit) {
-						defer wg.Done()
-						c.decodeLocal(ctx, meta, hs, workers, sink)
-					}(hs)
-					continue
-				}
-				go func(peer string, hs []Hit) {
-					defer wg.Done()
-					if attempt > 0 && c.hooks.OnRetry != nil {
-						c.hooks.OnRetry(peer)
-					}
+					c.decodeLocal(ctx, meta, hs, workers, sink)
+				} else {
 					markPeer(peer, c.fetchGuarded(ctx, peer, id, hs, sink))
-				}(peer, hs)
-			}
-			wg.Wait()
-			if rank > 0 {
-				// Anything a non-primary rank delivered is a failover save.
-				for _, hs := range groups {
-					for _, h := range hs {
-						if sink.has(h.Index) {
-							rep.FailedOver++
-						}
+				}
+			}(peer, hs)
+		}
+		wg.Wait()
+		if rank > 0 {
+			// Anything a non-primary rank delivered is a failover save.
+			for _, hs := range groups {
+				for _, h := range hs {
+					if sink.has(h.Index) {
+						rep.FailedOver++
 					}
 				}
 			}
-			if ctx.Err() != nil {
-				break sweep
-			}
+		}
+		if ctx.Err() != nil {
+			break
 		}
 	}
 
@@ -602,157 +554,77 @@ func (c *Cluster) decodeLocal(ctx context.Context, meta *store.Meta, hs []Hit, w
 	})
 }
 
-// fetchGuarded runs one hedged fetch attempt against a peer behind its
-// circuit breaker: an open breaker refuses immediately (outcome "open")
-// so the sweep short-circuits to the chunk's next replica instead of
-// burning a timeout on a peer that is almost certainly still down.
+// fetchGuarded runs one fetch attempt against a peer, under the
+// per-attempt timeout and behind the peer's circuit breaker: an open
+// breaker refuses immediately (outcome "open") so the sweep moves to the
+// chunk's next replica instead of burning a timeout on a peer that is
+// almost certainly still down. The attempt succeeded if every requested
+// chunk is done, whatever the request returned: a peer that sent every
+// frame and then reset its connection has served the read. An attempt
+// the caller's context ended is the caller's, not the peer's: it counts
+// neither way, and a half-open probe is given back.
 func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) bool {
 	br := c.breakerFor(peer)
 	if !br.allow(time.Now()) {
 		c.onPeerRequest(peer, "open")
 		return false
 	}
-	if c.fetchHedged(ctx, peer, id, hs, sink) {
+	actx, cancel := context.WithTimeout(ctx, c.timeout)
+	defer cancel()
+	err := c.fetchChunks(actx, peer, id, hs, sink)
+	c.onPeerRequest(peer, outcomeOf(ctx, actx, err))
+	if sink.allDone(hs) {
 		br.success()
 		return true
 	}
-	if br.failure(time.Now()) && c.hooks.OnBreakerOpen != nil {
+	if ctx.Err() != nil {
+		br.release()
+	} else if br.failure(time.Now()) && c.hooks.OnBreakerOpen != nil {
 		c.hooks.OnBreakerOpen(peer)
 	}
 	return false
 }
 
-// fetchHedged runs one (possibly duplicated) fetch attempt against a
-// peer. If the primary has not completed within hedgeAfter, an
-// identical request is launched alongside it; the sink lets only one of
-// them claim a chunk and the other drains its copy of the frame.
-// Reports whether every requested chunk was delivered.
-func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []Hit, sink *chunkSink) bool {
-	cctx, cancel := context.WithTimeout(ctx, c.timeout)
-	results := make(chan error, 2)
-	inflight := 0
-	// A request still running at return holds none of these chunks (they
-	// are all done, or the attempt is over), but it may be inside the sink
-	// finishing another write into the caller's response; cancel it and
-	// wait it out, so nothing is written after the caller has moved on.
-	defer func() {
-		cancel()
-		for ; inflight > 0; inflight-- {
-			<-results
-		}
-	}()
-	launch := func() {
-		inflight++
-		go func() { results <- c.fetchChunks(cctx, peer, id, hs, sink) }()
-	}
-	launch()
-	var hedgeC <-chan time.Time
-	if c.hedgeAfter > 0 {
-		t := time.NewTimer(c.hedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	for {
-		select {
-		case <-results:
-			inflight--
-			// A request that finished cleanly may have drained frames whose
-			// chunks the other one had claimed and is still reading. Those
-			// are not delivered yet, and cancelling their reader now would
-			// un-claim them: wait for it instead.
-			if sink.allDone(hs) {
-				return true
-			}
-			if inflight == 0 {
-				return false
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if c.hooks.OnHedge != nil {
-				c.hooks.OnHedge(peer)
-			}
-			launch()
-		case <-cctx.Done():
-			return false
-		}
-	}
-}
-
 // chunkSink is the gate between the sweep and the caller's PieceSink: it
-// lets exactly one source at a time write a chunk (claimed), and exactly
-// one finish it (done), whichever hedged, retried or failed-over fetch
-// gets there first.
+// records which chunks are done, and the first sink error. No two
+// sources ever write one chunk (see RegionTo), so done or not done is all
+// there is to know.
 type chunkSink struct {
-	mu    sync.Mutex
-	state map[int]pieceState // absent: unclaimed
-	out   PieceSink
-	err   error
+	mu   sync.Mutex
+	done map[int]bool
+	out  PieceSink
+	err  error
 }
-
-type pieceState uint8
-
-const (
-	pieceClaimed pieceState = iota + 1 // one source is writing it
-	pieceDone
-)
 
 func newChunkSink(out PieceSink) *chunkSink {
-	return &chunkSink{state: make(map[int]pieceState), out: out}
+	return &chunkSink{done: make(map[int]bool), out: out}
 }
 
-// claim reserves chunk ci for the caller unless it is claimed or done.
-func (s *chunkSink) claim(ci int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state[ci] != 0 {
-		return false
-	}
-	s.state[ci] = pieceClaimed
-	return true
-}
-
-// unclaim gives chunk ci back after a transport failure, so that the
-// sweep asks its next replica.
-func (s *chunkSink) unclaim(ci int) {
-	s.mu.Lock()
-	delete(s.state, ci)
-	s.mu.Unlock()
-}
-
-// finish marks a claimed chunk done. A sink error also ends the chunk —
-// the read as a whole fails with it, so nothing should fetch it again.
+// finish marks a chunk done. A sink error also ends the chunk — the read
+// as a whole fails with it, so nothing should fetch it again.
 func (s *chunkSink) finish(ci int, err error) {
 	s.mu.Lock()
-	s.state[ci] = pieceDone
+	s.done[ci] = true
 	if err != nil && s.err == nil {
 		s.err = err
 	}
 	s.mu.Unlock()
 }
 
-// slab delivers an in-memory piece unless its chunk is already taken. The
-// sink runs outside the lock (it serializes internally).
+// slab delivers an in-memory piece. The sink runs outside the lock (it
+// serializes internally).
 func (s *chunkSink) slab(h Hit, slabOrigin, slabDims [3]int, data []float64) {
-	if s.claim(h.Index) {
-		s.finish(h.Index, s.out.Slab(h, slabOrigin, slabDims, data))
-	}
+	s.finish(h.Index, s.out.Slab(h, slabOrigin, slabDims, data))
 }
 
-// wire delivers the piece whose 8·n sample bytes are next on r, or drains
-// them if the chunk is already taken, so r is left at the next frame
-// either way. The returned error means r is out of step or dead: a short
-// read un-claims the chunk (the next replica rewrites every row of it), a
-// sink error keeps it.
+// wire delivers the piece whose 8·n sample bytes are next on r. The
+// returned error means r is out of step or dead: a short read leaves the
+// chunk undone (the next replica rewrites every row of it), a sink error
+// ends it.
 func (s *chunkSink) wire(h Hit, r io.Reader) error {
-	n := 8 * int64(h.samples())
-	if !s.claim(h.Index) {
-		_, err := io.CopyN(io.Discard, r, n)
-		return err
-	}
-	fr := frameReader{r: r, left: n}
+	fr := frameReader{r: r, left: 8 * int64(h.samples())}
 	err := s.out.Wire(h, &fr)
 	if fr.err != nil {
-		s.unclaim(h.Index)
 		return fr.err
 	}
 	if err == nil && fr.left > 0 {
@@ -792,19 +664,18 @@ func (f *frameReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// has reports whether chunk ci is spoken for. Between sweeps no fetch is
-// running, so that means delivered.
+// has reports whether chunk ci is done.
 func (s *chunkSink) has(ci int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state[ci] != 0
+	return s.done[ci]
 }
 
 func (s *chunkSink) allDone(hs []Hit) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, h := range hs {
-		if s.state[h.Index] != pieceDone {
+		if !s.done[h.Index] {
 			return false
 		}
 	}

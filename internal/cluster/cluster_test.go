@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,12 +186,11 @@ func testClusterHooks(t testing.TB, n, replicas int, hooks Hooks) ([]*Cluster, [
 	clusters := make([]*Cluster, n)
 	for i := range clusters {
 		c, err := New(Config{
-			Self:       fmt.Sprintf("node-%c", 'a'+i),
-			Peers:      roster,
-			Timeout:    5 * time.Second,
-			HedgeAfter: time.Second,
-			Replicas:   replicas,
-			Hooks:      hooks,
+			Self:     fmt.Sprintf("node-%c", 'a'+i),
+			Peers:    roster,
+			Timeout:  5 * time.Second,
+			Replicas: replicas,
+			Hooks:    hooks,
 		}, peers[i].st)
 		if err != nil {
 			t.Fatal(err)
@@ -453,28 +451,22 @@ func killPrimary(t *testing.T, c *Cluster, meta *store.Meta, peers []*fakePeer) 
 	return -1
 }
 
-// A read whose replica sweep delivered every chunk is complete: it is not
-// a retry, so it must neither sleep the first-retry backoff (50 ms, which
-// used to be taken before noticing that nothing was missing) nor ask any
-// peer again.
+// A read whose replica sweep delivered every chunk is complete: the
+// replica ranks are the only second chance a chunk gets, so a dead
+// primary costs a failover and nothing else.
 func TestRegionFailoverNeedsNoRetry(t *testing.T) {
 	dims := [3]int{24, 17, 9}
 	container := makeContainer(t, dims, [3]int{8, 8, 4}, 11)
-	var retried atomic.Int32
-	clusters, peers := testClusterHooks(t, 3, 2, Hooks{OnRetry: func(string) { retried.Add(1) }})
+	clusters, peers := testClusterR(t, 3, 2)
 	c := clusters[0]
 	meta, _, err := c.Ingest(context.Background(), container)
 	if err != nil {
 		t.Fatal(err)
 	}
 	killPrimary(t, c, meta, peers)
-	retried.Store(0) // ingest may retry; only the read is under test
 	_, rep := gather(t, c, meta.ID, [3]int{0, 0, 0}, dims, math.NaN())
 	if rep.FailedOver == 0 || len(rep.Skipped) != 0 {
 		t.Fatalf("FailedOver = %d, Skipped = %v: the read did not fail over cleanly", rep.FailedOver, rep.Skipped)
-	}
-	if n := retried.Load(); n != 0 {
-		t.Fatalf("OnRetry fired %d times on a read the first sweep completed", n)
 	}
 }
 
@@ -622,58 +614,5 @@ func TestIngestRejectsV1(t *testing.T) {
 	}
 	if _, _, err := clusters[0].Ingest(context.Background(), v1); err == nil {
 		t.Fatal("v1 container accepted for sharding")
-	}
-}
-
-// TestHedgedFetchWaitsForTheLoser: when a hedge and its primary race, the
-// request that claimed a chunk first may still be inside the emit
-// callback — writing into the coordinator's HTTP response — at the moment
-// the other one reports the whole set delivered. fetchHedged must not
-// return until that emit has finished; returning early let the handler
-// complete and the late write hit a dead ResponseWriter (a nil-pointer
-// panic in bufio seen under the cluster_r2 benchmark on a busy host).
-// The request that lost the claim drains its copy of the frame — its
-// stream stays in step and ends "ok" — and delivers nothing.
-func TestHedgedFetchWaitsForTheLoser(t *testing.T) {
-	var calls, drained atomic.Int32
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			time.Sleep(150 * time.Millisecond) // the primary is slow: the hedge claims the chunk
-		}
-		var frame [16]byte
-		binary.LittleEndian.PutUint32(frame[4:8], 1) // chunk 0, one sample
-		binary.LittleEndian.PutUint64(frame[8:], math.Float64bits(42))
-		w.Write(frame[:])
-	}))
-	defer peer.Close()
-	c, err := New(Config{
-		Self:       "node-a",
-		Peers:      map[string]string{"node-a": "http://self.invalid", "node-b": peer.URL},
-		Timeout:    5 * time.Second,
-		HedgeAfter: 20 * time.Millisecond,
-		Hooks: Hooks{OnPeerRequest: func(_, outcome string) {
-			if outcome == "ok" {
-				drained.Add(1)
-			}
-		}},
-	}, newFakePeer(t).st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var emitted atomic.Int32
-	sink := newChunkSink(emitSink(func(p ChunkPiece) error {
-		time.Sleep(400 * time.Millisecond) // a slow client socket
-		emitted.Add(1)
-		return nil
-	}))
-	ok := c.fetchHedged(context.Background(), "node-b", "vol", []Hit{{Index: 0, Dims: [3]int{1, 1, 1}}}, sink)
-	if !ok || calls.Load() != 2 {
-		t.Fatalf("fetchHedged ok=%v after %d requests, want success after a hedge", ok, calls.Load())
-	}
-	if emitted.Load() != 1 {
-		t.Fatalf("piece emitted %d times by the time fetchHedged returned, want once: it must wait for the request still emitting, and the other must not deliver", emitted.Load())
-	}
-	if drained.Load() != 2 {
-		t.Fatalf("%d of 2 requests ended ok; the one that lost the claim must drain its frame, not fail", drained.Load())
 	}
 }

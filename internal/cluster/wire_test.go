@@ -14,8 +14,8 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,7 +128,7 @@ func (errReader) Read([]byte) (int, error) { return 0, errors.New("connection re
 // sample, one byte short — the read fails over that chunk to its other
 // replica, which rewrites the piece from its first row, and comes out
 // byte-identical to the single-node decode. A cut past the header means
-// the sink had started on the piece: it is un-claimed exactly once.
+// the sink had started on the piece: it is started exactly once more.
 func TestCutPeerBodyFailsOverWholePiece(t *testing.T) {
 	dims := [3]int{24, 17, 9}
 	container := makeContainer(t, dims, [3]int{8, 8, 4}, 31)
@@ -151,7 +151,7 @@ func TestCutPeerBodyFailsOverWholePiece(t *testing.T) {
 	for _, k := range []int{3, chunkFrameHeaderSize + 8, chunkFrameHeaderSize + 8*5 + 3, -1} {
 		ct := &cutTransport{frame: 1, k: k, cutChunk: -1}
 		// A cluster per cut, so that no breaker remembers the last one.
-		c, err := New(Config{Self: "node-a", Peers: roster, Timeout: 5 * time.Second, HedgeAfter: -1,
+		c, err := New(Config{Self: "node-a", Peers: roster, Timeout: 5 * time.Second,
 			Replicas: 2, Client: &http.Client{Transport: ct}}, peers[0].st)
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func TestCutPeerBodyFailsOverWholePiece(t *testing.T) {
 		for ci, n := range sink.starts {
 			wantStarts := 1
 			if ci == ct.cutChunk && ct.k >= chunkFrameHeaderSize {
-				wantStarts = 2 // started, un-claimed, started again on the replica
+				wantStarts = 2 // started, cut, started again on the replica
 			}
 			if n != wantStarts {
 				t.Fatalf("k=%d: chunk %d (cut chunk %d) was started %d times, want %d", k, ci, ct.cutChunk, n, wantStarts)
@@ -252,8 +252,7 @@ func TestRepeatedFrameIsNotCompleteness(t *testing.T) {
 // answer to a fixed request. Whatever they are: no panic; the sink is
 // offered only requested chunks, each at most until it completes, and only
 // frames whose count is the intersection's; a chunk is done only if all
-// 8·n of its bytes arrived, and no chunk stays claimed once the stream has
-// ended — short bytes always un-claim.
+// 8·n of its bytes arrived, and short bytes always leave it undone.
 func FuzzChunkFrames(f *testing.F) {
 	hs := []Hit{
 		{Index: 2, Dims: [3]int{3, 2, 1}},
@@ -275,22 +274,19 @@ func FuzzChunkFrames(f *testing.F) {
 		err := readFrames(bytes.NewReader(body), "peer", hs, sink)
 		done := 0
 		for _, h := range hs {
-			switch sink.state[h.Index] {
-			case pieceClaimed:
-				t.Fatalf("chunk %d left claimed after the stream ended (err: %v)", h.Index, err)
-			case pieceDone:
+			if sink.done[h.Index] {
 				done++
 				if rec.got[h.Index] != 8*h.samples() {
 					t.Fatalf("chunk %d done on %d bytes, want %d", h.Index, rec.got[h.Index], 8*h.samples())
 				}
 			}
 		}
-		if len(sink.state) != done {
-			t.Fatalf("sink holds state for chunks outside the request: %v", sink.state)
+		if len(sink.done) != done {
+			t.Fatalf("sink holds state for chunks outside the request: %v", sink.done)
 		}
 		for ci := range rec.got {
-			if sink.state[ci] != pieceDone && rec.got[ci] == 8*hitOf(hs, ci).samples() {
-				t.Fatalf("chunk %d arrived whole but is not done", ci)
+			if whole := rec.got[ci] == 8*hitOf(hs, ci).samples(); whole != sink.done[ci] {
+				t.Fatalf("chunk %d: %d bytes arrived but done = %v (err: %v)", ci, rec.got[ci], sink.done[ci], err)
 			}
 		}
 		if err == nil && done != len(hs) {
@@ -320,69 +316,135 @@ func (s *recordingSink) Wire(h Hit, r io.Reader) error {
 	return err
 }
 
-// TestHedgeLoserMidFrameIsWaitedFor is the other half of
-// TestHedgedFetchWaitsForTheLoser: the request that finishes first found
-// the chunk claimed by the slow one, which is still reading it off its own
-// connection. Cancelling that reader would un-claim the chunk after the
-// attempt had been reported complete; the attempt has to wait for it.
-func TestHedgeLoserMidFrameIsWaitedFor(t *testing.T) {
-	whole := frame(0, 4)
-	hedgeServed := make(chan struct{})
-	var calls sync.Mutex
-	n := 0
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Lock()
-		n++
-		first := n == 1
-		calls.Unlock()
-		if !first {
-			w.Write(whole)
-			close(hedgeServed)
+// lateSink is a rowSink that flags every delivery that starts or ends
+// after the read it belongs to has returned: a late write into a finished
+// response is what once panicked bufio under the benchmark.
+type lateSink struct {
+	*rowSink
+	returned, late atomic.Bool
+}
+
+func (s *lateSink) check() {
+	if s.returned.Load() {
+		s.late.Store(true)
+	}
+}
+
+func (s *lateSink) Slab(h Hit, so, sd [3]int, data []float64) error {
+	s.check()
+	defer s.check()
+	return s.rowSink.Slab(h, so, sd, data)
+}
+
+func (s *lateSink) Wire(h Hit, r io.Reader) error {
+	s.check()
+	defer s.check()
+	return s.rowSink.Wire(h, r)
+}
+
+// stallOnce makes the first chunk stream it serves send a frame header and
+// three samples, then hang until release is closed.
+type stallOnce struct {
+	fired   atomic.Bool
+	release chan struct{}
+	exited  chan struct{} // closed when the stalled handler returns
+}
+
+func (s *stallOnce) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !s.fired.CompareAndSwap(false, true) {
+			next.ServeHTTP(w, r)
 			return
 		}
-		w.Write(whole[:chunkFrameHeaderSize+12]) // claimed, one and a half samples in
-		w.(http.Flusher).Flush()
-		select {
-		case <-hedgeServed:
-			time.Sleep(50 * time.Millisecond) // let the hedge finish and report first
-		case <-r.Context().Done():
-			return
-		}
-		w.Write(whole[chunkFrameHeaderSize+12:])
-	}))
-	defer peer.Close()
-	var outcomes []string
-	var mu sync.Mutex
-	c, err := New(Config{
-		Self:       "node-a",
-		Peers:      map[string]string{"node-a": "http://self.invalid", "node-b": peer.URL},
-		Timeout:    5 * time.Second,
-		HedgeAfter: 40 * time.Millisecond,
-		Hooks: Hooks{OnPeerRequest: func(_, outcome string) {
-			mu.Lock()
-			outcomes = append(outcomes, outcome)
-			mu.Unlock()
-		}},
-	}, newFakePeer(t).st)
+		defer close(s.exited)
+		next.ServeHTTP(&stallWriter{ResponseWriter: w, left: chunkFrameHeaderSize + 8*3, release: s.release}, r)
+	})
+}
+
+type stallWriter struct {
+	http.ResponseWriter
+	left    int
+	release <-chan struct{}
+	stalled bool
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	if w.stalled {
+		return 0, errStalled
+	}
+	if len(p) <= w.left {
+		w.left -= len(p)
+		return w.ResponseWriter.Write(p)
+	}
+	n, _ := w.ResponseWriter.Write(p[:w.left])
+	w.ResponseWriter.(http.Flusher).Flush()
+	w.stalled = true
+	<-w.release
+	return n, errStalled
+}
+
+var errStalled = errors.New("stalled by test")
+
+// TestNoSinkWriteAfterReturn: a peer that stops mid-frame and outlasts the
+// per-attempt timeout has its chunks failed over, and RegionTo returns
+// only once nothing can write into the caller's sink any more — the
+// stalled request is over on the coordinator's side even though its
+// handler is still running on the peer's.
+func TestNoSinkWriteAfterReturn(t *testing.T) {
+	dims := [3]int{24, 17, 9}
+	container := makeContainer(t, dims, [3]int{8, 8, 4}, 37)
+	clusters, peers := testClusterR(t, 3, 2)
+	meta, _, err := clusters[0].Ingest(context.Background(), container)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pieces [][]float64
-	sink := newChunkSink(emitSink(func(p ChunkPiece) error {
-		pieces = append(pieces, p.Samples)
-		return nil
-	}))
-	hs := []Hit{{Index: 0, Dims: [3]int{4, 1, 1}}}
-	if !c.fetchHedged(context.Background(), "node-b", "vol", hs, sink) {
-		t.Fatal("fetchHedged failed although both requests were answered in full")
+	want, err := sperr.DecompressRegionWorkers(container, [3]int{}, dims, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sink.allDone(hs) || len(pieces) != 1 {
-		t.Fatalf("chunk done = %v, delivered %d times; want done, once", sink.allDone(hs), len(pieces))
+	// Coordinate from a node that is not every chunk's primary, so that
+	// rank 0 makes at least one remote fetch.
+	self := 1
+	for ci := 0; ci < meta.NumChunks; ci++ {
+		if clusters[0].Owner(meta.ID, ci) != "node-a" {
+			self = 0
+		}
 	}
-	if fmt.Sprint(pieces[0]) != fmt.Sprint([]float64{0, 1.0 / 64, 2.0 / 64, 3.0 / 64}) {
-		t.Fatalf("delivered %v", pieces[0])
+	// Warm every cache, so that only the stalled stream nears the timeout.
+	gather(t, clusters[self], meta.ID, [3]int{}, dims, math.NaN())
+
+	stall := &stallOnce{release: make(chan struct{}), exited: make(chan struct{})}
+	roster := make(map[string]string)
+	for i, p := range peers {
+		roster[fmt.Sprintf("node-%c", 'a'+i)] = p.srv.URL
+		if i != self {
+			p.srv.Config.Handler = stall.wrap(p.srv.Config.Handler)
+		}
 	}
-	if fmt.Sprint(outcomes) != "[ok ok]" {
-		t.Fatalf("peer request outcomes %v, want the drained hedge and the slow primary both ok", outcomes)
+	c, err := New(Config{Self: fmt.Sprintf("node-%c", 'a'+self), Peers: roster, Timeout: 100 * time.Millisecond, Replicas: 2}, peers[self].st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &lateSink{rowSink: newRowSink([3]int{}, dims)}
+	rep, err := c.RegionTo(context.Background(), meta.ID, [3]int{}, dims, RegionOptions{Workers: 2, Fill: math.NaN()}, sink)
+	sink.returned.Store(true)
+	close(stall.release)
+	if !stall.fired.Load() {
+		t.Fatal("no peer stream was stalled")
+	}
+	<-stall.exited
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.late.Load() {
+		t.Fatal("the sink was written after RegionTo returned")
+	}
+	if len(rep.Skipped) != 0 || rep.FailedOver == 0 {
+		t.Fatalf("Skipped %v, FailedOver %d: want a clean failover past the stalled peer", rep.Skipped, rep.FailedOver)
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(sink.out[i]) {
+			t.Fatalf("sample %d differs from the single-node decode", i)
+		}
 	}
 }

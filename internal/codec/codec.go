@@ -460,38 +460,13 @@ func DecodeChunk(stream []byte, dims grid.Dims) ([]float64, error) {
 // returned slice aliases the arena and is valid only until its next use —
 // copy out (e.g. into the destination volume) before reusing s.
 func DecodeChunkScratch(stream []byte, dims grid.Dims, s *Scratch) ([]float64, error) {
-	if len(stream) < 1 {
-		return nil, fmt.Errorf("%w: empty stream", ErrCorrupt)
-	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	var payload []byte
-	if stream[0] == 0xFF {
-		payload = stream[1:]
-	} else {
-		var err error
-		payload, err = lossless.DecompressInto(s.payload, stream)
-		if err != nil {
-			return nil, err
-		}
-		s.payload = payload
-	}
-	h, err := parseHeader(payload)
+	h, body, speckBytes, err := openChunk(stream, dims, s)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.checkPoints(dims); err != nil {
-		return nil, err
-	}
-	body := payload[headerSize:]
-	// Compare in the bit domain: a corrupt 64-bit length must not survive
-	// the bytes conversion (whose +7 could wrap) into a slice bound.
-	if h.speckBits > uint64(len(body))*8 {
-		return nil, fmt.Errorf("%w: SPECK stream truncated (%d bits > %d bytes)",
-			ErrCorrupt, h.speckBits, len(body))
-	}
-	speckBytes := int((h.speckBits + 7) / 8)
 	var coeffs []float64
 	if h.entropy {
 		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)

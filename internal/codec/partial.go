@@ -32,8 +32,11 @@ func openChunk(stream []byte, dims grid.Dims, s *Scratch) (h *header, body []byt
 		return nil, nil, 0, err
 	}
 	body = payload[headerSize:]
+	// Compare in the bit domain: a corrupt 64-bit length must not survive
+	// the bytes conversion (whose +7 could wrap) into a slice bound.
 	if h.speckBits > uint64(len(body))*8 {
-		return nil, nil, 0, fmt.Errorf("%w: SPECK stream truncated", ErrCorrupt)
+		return nil, nil, 0, fmt.Errorf("%w: SPECK stream truncated (%d bits > %d bytes)",
+			ErrCorrupt, h.speckBits, len(body))
 	}
 	return h, body, int((h.speckBits + 7) / 8), nil
 }

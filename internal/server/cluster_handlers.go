@@ -87,8 +87,8 @@ func (s *Server) handleClusterPut(w *statusWriter, r *http.Request, st *reqStats
 // value of chunks no replica could serve): the chunk geometry is known
 // locally from the shard footer, the intersecting chunks are fetched from
 // their owning peers, and the arriving pieces stream through streamRegion.
-// A peer that cannot answer after retries and hedging degrades its chunks
-// to the fill value — the response is then complete but carries the
+// A chunk that none of its replicas delivered degrades to the fill value
+// — the response is then complete but carries the
 // "degraded: skipped i,j,..." trailer, never a 500.
 func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqStats, rq volumeRegion) {
 	fill, err := parseFill(r)
@@ -213,8 +213,8 @@ func (s *Server) handleInternalPut(w *statusWriter, r *http.Request, st *reqStat
 // handleInternalChunks streams the requested chunks' intersections with
 // the region box as length-prefixed float64 frames (u32 index, u32
 // count, samples LE). A chunk this peer cannot serve — a stub, or a
-// damaged frame — is simply omitted; the coordinator retries elsewhere
-// in time, then fills. The chunks come through the store's read step —
+// damaged frame — is simply omitted; the coordinator asks the chunk's
+// next replica, then fills. The chunks come through the store's read step —
 // resident slabs in place, misses decoded one at a time from one read of
 // the blob — and each intersection goes onto the wire row by row, so a
 // hot chunk costs neither decode work nor a copy of its samples here.

@@ -179,7 +179,7 @@ func TestClusterPeerDiesMidFrame(t *testing.T) {
 	for _, width := range []int{8, 4} {
 		// Inside the header, inside the first row, and well into the frame.
 		for _, cut := range []int{5, 8 + 8*3 + 1, 8 + 8*700 + 6} {
-			nodes := newClusterNodes(t, 3, func(_ int, cfg *Config) { cfg.HedgeAfter = -1 })
+			nodes := newClusterNodes(t, 3, nil)
 			id := ingest(t, nodes[0].ts, container, http.StatusCreated)
 			var peers []*abortAfter
 			for _, nd := range nodes[1:] {

@@ -48,7 +48,6 @@ func newClusterNodes(t testing.TB, n int, mutate func(i int, cfg *Config)) []*cl
 			NodeID:      fmt.Sprintf("node-%c", 'a'+i),
 			Peers:       roster,
 			PeerTimeout: 5 * time.Second,
-			HedgeAfter:  time.Second,
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -215,8 +214,6 @@ func TestClusterOddDimsStraddle(t *testing.T) {
 func TestClusterPeerDeathDegrades(t *testing.T) {
 	nodes := newClusterNodes(t, 3, func(i int, cfg *Config) {
 		cfg.PeerTimeout = 500 * time.Millisecond
-		cfg.HedgeAfter = 100 * time.Millisecond
-		cfg.PeerRetries = 1
 		cfg.Replicas = 1
 	})
 	container := readFixture(t, "../../testdata/golden_adaptive_48x32x32_v3.sperr")
@@ -335,8 +332,6 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 func TestClusterFailoverSurvivesPeerDeath(t *testing.T) {
 	nodes := newClusterNodes(t, 3, func(i int, cfg *Config) {
 		cfg.PeerTimeout = 500 * time.Millisecond
-		cfg.HedgeAfter = 100 * time.Millisecond
-		cfg.PeerRetries = 1
 	})
 	container := readFixture(t, "../../testdata/golden_adaptive_48x32x32_v3.sperr")
 	info, err := sperr.Describe(container)

@@ -77,14 +77,10 @@ type Config struct {
 	// other peers dial). Requires StoreDir and NodeID. Volume ingest
 	// shards across the roster and region reads scatter-gather.
 	Peers []string
-	// PeerTimeout bounds one peer RPC attempt (<= 0 defaults to 2s).
+	// PeerTimeout bounds one peer RPC attempt (<= 0 defaults to 2s); a
+	// region read fails a peer's chunks over to their next replica after
+	// it.
 	PeerTimeout time.Duration
-	// HedgeAfter duplicates a peer fetch that has not completed in this
-	// long (0 defaults to 250ms; negative disables hedging).
-	HedgeAfter time.Duration
-	// PeerRetries is how many extra attempts a failed peer fetch gets
-	// (0 defaults to 1; negative disables retries).
-	PeerRetries int
 	// Replicas is how many distinct peers own each chunk (0 defaults to
 	// cluster.DefaultReplicas; clamped to the roster size).
 	Replicas int
@@ -191,13 +187,11 @@ func New(cfg Config) (*Server, error) {
 			roster[id] = u
 		}
 		cl, err := cluster.New(cluster.Config{
-			Self:       cfg.NodeID,
-			Peers:      roster,
-			Timeout:    cfg.PeerTimeout,
-			HedgeAfter: cfg.HedgeAfter,
-			Retries:    cfg.PeerRetries,
-			Replicas:   cfg.Replicas,
-			Hooks:      s.clusterHooks(),
+			Self:     cfg.NodeID,
+			Peers:    roster,
+			Timeout:  cfg.PeerTimeout,
+			Replicas: cfg.Replicas,
+			Hooks:    s.clusterHooks(),
 		}, s.store)
 		if err != nil {
 			return nil, err
@@ -279,8 +273,6 @@ func (s *Server) storeHooks() store.Hooks {
 // Every counter is created here at startup so it reports 0 before its
 // first event — the chaos harness polls some of these as witnesses.
 func (s *Server) clusterHooks() cluster.Hooks {
-	retries := s.reg.Counter("sperrd_cluster_retries_total")
-	hedges := s.reg.Counter("sperrd_cluster_hedges_total")
 	s.reg.Counter("sperrd_cluster_degraded_total")
 	filled := s.reg.Counter("sperrd_cluster_filled_chunks_total")
 	failover := s.reg.Counter("sperrd_replica_failover_chunks_total")
@@ -293,8 +285,6 @@ func (s *Server) clusterHooks() cluster.Hooks {
 			s.reg.Counter(`sperrd_cluster_requests_total{peer="` + peer +
 				`",outcome="` + outcome + `"}`).Inc()
 		},
-		OnRetry:         func(string) { retries.Inc() },
-		OnHedge:         func(string) { hedges.Inc() },
 		OnFilled:        func(chunks int) { filled.Add(int64(chunks)) },
 		OnFailover:      func(chunks int) { failover.Add(int64(chunks)) },
 		OnBreakerOpen:   func(string) { breakerOpens.Inc() },

@@ -58,7 +58,6 @@ func main() {
 // harness exercises.
 func startNode(bin, storeDir, id, addr, peers string) (*smoke.Node, error) {
 	return smoke.StartNode(bin, id, addr, storeDir, peers,
-		"-peer-retries", "1",
 		"-replicas", fmt.Sprint(replicas),
 		"-scrub-interval", scrubEvery.String())
 }

@@ -60,8 +60,8 @@ func ReservePorts(n int) ([]string, error) {
 }
 
 // StartNode forks one cluster peer with the flags every harness uses;
-// extra carries what differs between them (replication, scrubbing,
-// retries). The caller owns the process: kill or Drain it.
+// extra carries what differs between them (replication, scrubbing).
+// The caller owns the process: kill or Drain it.
 func StartNode(bin, id, addr, storeDir, peers string, extra ...string) (*Node, error) {
 	args := append([]string{
 		"-addr", addr,
@@ -69,7 +69,6 @@ func StartNode(bin, id, addr, storeDir, peers string, extra ...string) (*Node, e
 		"-node-id", id,
 		"-peers", peers,
 		"-peer-timeout", "2s",
-		"-hedge-after", "100ms",
 		"-budget-mb", "64",
 		"-quiet",
 	}, extra...)
