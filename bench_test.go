@@ -86,9 +86,6 @@ func BenchmarkAblationOutlierCoder(b *testing.B) { runExperiment(b, experiments.
 // BenchmarkAblationPredictor compares the SZ baseline's predictors.
 func BenchmarkAblationPredictor(b *testing.B) { runExperiment(b, experiments.AblationPredictor) }
 
-// BenchmarkAblationEntropy compares raw-bit SPECK with SPECK-AC.
-func BenchmarkAblationEntropy(b *testing.B) { runExperiment(b, experiments.AblationEntropy) }
-
 // BenchmarkAblationBitGroom compares SPERR with the bit-grooming floor.
 func BenchmarkAblationBitGroom(b *testing.B) { runExperiment(b, experiments.AblationBitGroom) }
 

@@ -73,7 +73,6 @@ func main() {
 		bpp        = flag.Float64("bpp", 0, "target bits per point (size-bounded mode)")
 		rmse       = flag.Float64("rmse", 0, "target root-mean-square error (average-error mode)")
 		psnr       = flag.Float64("psnr", 0, "target PSNR in dB over the data range (average-error mode)")
-		entropy    = flag.Bool("entropy", false, "arithmetic-coded SPECK (PWE mode only)")
 		codecName  = flag.String("codec", "", "coding backend: sperr (default), sz, zfp, tthresh, mgard, or adaptive (per-chunk selection; requires -tol)")
 		partial    = flag.Float64("partial", 0, "decompress from this fraction (0,1] of each chunk's embedded bits")
 		lowres     = flag.Int("lowres", 0, "decompress at a coarser resolution: drop this many wavelet levels")
@@ -143,9 +142,9 @@ func main() {
 		if *lowres < 0 {
 			usageFatal("-lowres must be non-negative, got %d", *lowres)
 		}
-		if *tol != 0 || *bpp != 0 || *rmse != 0 || *psnr != 0 || *entropy ||
+		if *tol != 0 || *bpp != 0 || *rmse != 0 || *psnr != 0 ||
 			*dimsStr != "" || *chunkStr != "" || *qfactor != 0 || *codecName != "" {
-			usageFatal("compression flags (-dims, -tol, -bpp, -rmse, -psnr, -entropy, -chunk, -q, -codec) apply only to -c")
+			usageFatal("compression flags (-dims, -tol, -bpp, -rmse, -psnr, -chunk, -q, -codec) apply only to -c")
 		}
 	}
 	if !*info && (*in == "" || *out == "") {
@@ -165,7 +164,7 @@ func main() {
 			in: *in, out: *out, dims: *dimsStr,
 			tol: *tol, bpp: *bpp, rmse: *rmse, psnr: *psnr,
 			f32: *f32, chunk: *chunkStr, workers: *workers,
-			qfactor: *qfactor, entropy: *entropy, quiet: *quiet,
+			qfactor: *qfactor, quiet: *quiet,
 			codec: *codecName,
 		})
 	} else {
@@ -231,9 +230,6 @@ func runInfo(in string) {
 	if fi.Mode == "pwe" || fi.Mode == "adaptive" {
 		fmt.Printf(" (tolerance %.6g)", fi.Tolerance)
 	}
-	if fi.Entropy {
-		fmt.Printf(", arithmetic-coded")
-	}
 	fmt.Println()
 	if fi.Version >= 3 {
 		fmt.Printf("codecs      %s\n", formatCodecCounts(fi.CodecCounts))
@@ -250,7 +246,7 @@ type compressSpec struct {
 	tol, bpp, rmse, psnr float64
 	qfactor              float64
 	workers              int
-	f32, entropy, quiet  bool
+	f32, quiet           bool
 }
 
 func fatal(format string, args ...interface{}) {
@@ -333,7 +329,7 @@ func runCompress(c compressSpec) {
 	}
 	bw := bufio.NewWriterSize(outF, 1<<20)
 
-	opts := &sperr.Options{Workers: c.workers, QFactor: c.qfactor, Entropy: c.entropy}
+	opts := &sperr.Options{Workers: c.workers, QFactor: c.qfactor}
 	if c.chunk != "" {
 		opts.ChunkDims = parseDims(c.chunk)
 	}

@@ -7,7 +7,7 @@
 //
 //	POST /v1/compress    raw floats in -> container v2 out
 //	                     (?dims=nx,ny,nz and one of ?tol/?bpp/?rmse;
-//	                      optional ?f32, ?chunk, ?workers, ?q, ?entropy)
+//	                      optional ?f32, ?chunk, ?workers, ?q, ?codec)
 //	POST /v1/decompress  container in -> raw floats out (?f32, ?workers)
 //	POST /v1/describe    container in -> JSON stream info
 //	POST /v1/region      container in -> raw floats of the cutout

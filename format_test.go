@@ -63,7 +63,6 @@ func TestStreamSelfConsistency(t *testing.T) {
 	for _, opts := range []*Options{
 		nil,
 		{ChunkDims: [3]int{8, 8, 8}},
-		{Entropy: true},
 		{QFactor: 2.0},
 		{DisableLossless: true},
 	} {

@@ -66,14 +66,16 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(cutAtPlane)
-	// SPECK-AC coverage: an arith-coded container, truncated arith tails
-	// (the range decoder must treat byte exhaustion as stream end, not
-	// read past it), and flips in the chunk-header region where the
-	// entropy-mode byte lives (a forged mode must fail as ErrCorrupt).
-	ac, _, err := CompressPWE(multiData, [3]int{20, 13, 9}, 1e-4, &Options{Entropy: true})
+	// Retired-layer coverage: a container shaped like the SPECK-AC streams
+	// older builds wrote (bit-layer byte set in the chunk header and the
+	// index footer, checksums intact), its truncations, and flips in the
+	// chunk-header region where the layer byte lives (offset 44). A set
+	// layer byte must fail as ErrCorrupt, never decode as raw bits.
+	raw, _, err := CompressPWE(multiData, [3]int{20, 13, 9}, 1e-4, &Options{DisableLossless: true})
 	if err != nil {
 		f.Fatal(err)
 	}
+	ac := forgeLayer(f, raw, true, true)
 	f.Add(ac)
 	for _, cut := range []int{len(ac) - 1, len(ac) - 3, len(ac) * 3 / 4, len(ac) / 2} {
 		if cut > 0 && cut < len(ac) {

@@ -10,9 +10,9 @@ import (
 )
 
 // TestGoldenModeHashes pins the streams no testdata/ fixture covers: the
-// RMSE-, PSNR- and rate-targeted modes and one SPECK-AC PWE stream. A
-// ModeRMSE stream is cut at the first plane boundary whose recorded
-// coefficient-domain error meets the target, so the plane-error record
+// RMSE-, PSNR- and rate-targeted modes. A ModeRMSE stream is cut at the
+// first plane boundary whose recorded coefficient-domain error meets the
+// target, so the plane-error record
 // decides bytes on disk; the hashes below were taken on the tree before
 // that record moved from an inline ledger to an on-demand call, and must
 // never be edited by a change that claims "no stream byte moves". Each
@@ -39,12 +39,6 @@ func TestGoldenModeHashes(t *testing.T) {
 	bpp := func(rate float64) compress {
 		return func(f field, o *Options) ([]byte, *Stats, error) { return CompressBPP(f.data, f.dims, rate, o) }
 	}
-	pweAC := func(tol float64) compress {
-		return func(f field, o *Options) ([]byte, *Stats, error) {
-			o.Entropy = true
-			return CompressPWE(f.data, f.dims, tol, o)
-		}
-	}
 	for _, tc := range []struct {
 		field int
 		name  string
@@ -57,7 +51,6 @@ func TestGoldenModeHashes(t *testing.T) {
 		{0, "psnr=90", psnr(90), "e4c80d67456adbc549bc0f3bcf0c2b5d1c0d796510e540cb8d0b0183d91e1f02"},
 		{0, "bpp=1", bpp(1), "4e13724e60427d0986dd1834a789f888c9789b2977cf7aff22716bd7549f9fbf"},
 		{0, "bpp=6.5", bpp(6.5), "fe29d9489fce80cb21cfee8ad7f82e760d164cbf3626c26e26ffbc5a8ff47309"},
-		{0, "pwe-ac=1e-3", pweAC(1e-3), "e493eaabbd7040da95c9a6321f172a51dddc2539d3903e37d153e8137766cd64"},
 		{1, "rmse=1e-2", rmse(1e-2), "80b363870b7b153c7a5f76f285737135e530954c289506060a9b8837fcd25852"},
 		{1, "rmse=1e-5", rmse(1e-5), "688a7e2ab4d3bc8c21801ca2944d6b87cf3bb01697491833c435a236b08a29c2"},
 		{1, "psnr=50", psnr(50), "212f182c7f0e51614aca6bc2d53b93ee01c543a1b863f4ce0f33f48ca6f68727"},

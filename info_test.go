@@ -29,9 +29,6 @@ func TestDescribe(t *testing.T) {
 	if fi.Mode != "pwe" || fi.Tolerance != tol {
 		t.Errorf("Mode/Tolerance = %q/%g", fi.Mode, fi.Tolerance)
 	}
-	if fi.Entropy {
-		t.Error("Entropy should be false by default")
-	}
 	if fi.SpeckBits != st.SpeckBits || fi.OutlierBits != st.OutlierBits {
 		t.Errorf("bit totals %d/%d, want %d/%d",
 			fi.SpeckBits, fi.OutlierBits, st.SpeckBits, st.OutlierBits)
@@ -58,13 +55,6 @@ func TestDescribeModes(t *testing.T) {
 	}
 	if fi, err = Describe(rmseStream); err != nil || fi.Mode != "rmse" {
 		t.Errorf("Mode = %q (err %v), want rmse", fi.Mode, err)
-	}
-	acStream, _, err := CompressPWE(data, dims, 0.1, &Options{Entropy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi, err = Describe(acStream); err != nil || !fi.Entropy {
-		t.Errorf("Entropy not reported (err %v)", err)
 	}
 	if _, err := Describe([]byte("nope")); err == nil {
 		t.Error("garbage should fail")

@@ -32,7 +32,7 @@ import (
 //	index footer, at indexOffset:
 //	    nchunks x { frameOffset u64 | payloadLen u32 | crc32c u32 }
 //	    aggregates (32 bytes):
-//	        mode u8 | entropy u8 | pad[6] | tol f64 | speckBits u64 | outlierBits u64
+//	        mode u8 | layer u8 (always 0) | pad[6] | tol f64 | speckBits u64 | outlierBits u64
 //	    tail (20 bytes):
 //	        indexCRC u32 (crc32c of entries + aggregates) | indexOffset u64 | magic "SPRRIX02"
 //
@@ -112,10 +112,15 @@ func (l layout) indexSize(nchunks int) int {
 // decode reconstructs one chunk from its frame payload: an untagged
 // payload is a SPERR stream; a tagged one dispatches on its codec tag. A
 // tag outside the registry fails as ErrCorrupt; it must never fall
-// through to some backend's decoder.
+// through to some backend's decoder. A payload its decoder rejects fails
+// as ErrCorrupt too, keeping the decoder's error.
 func (l layout) decode(payload []byte, dims grid.Dims, s *codec.Scratch) ([]float64, error) {
 	if !l.tagged {
-		return codec.DecodeChunkScratch(payload, dims, s)
+		data, err := codec.DecodeChunkScratch(payload, dims, s)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
+		return data, nil
 	}
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("%w: empty frame payload", ErrCorrupt)
@@ -185,7 +190,6 @@ type indexEntry struct {
 // mode, so the scalars are container-wide.
 type aggregates struct {
 	mode        codec.Mode
-	entropy     bool
 	tol         float64
 	speckBits   uint64
 	outlierBits uint64
@@ -218,9 +222,7 @@ func appendIndex(dst []byte, l layout, entries []indexEntry, codecs []codec.Code
 	}
 	var ab [aggregateSize]byte
 	ab[0] = byte(agg.mode)
-	if agg.entropy {
-		ab[1] = 1
-	}
+	// ab[1] is the retired bit-layer byte, always 0 (see parseIndex).
 	binary.LittleEndian.PutUint64(ab[8:], math.Float64bits(agg.tol))
 	binary.LittleEndian.PutUint64(ab[16:], agg.speckBits)
 	binary.LittleEndian.PutUint64(ab[24:], agg.outlierBits)
@@ -299,7 +301,11 @@ func parseIndex(indexBytes []byte, l layout, nchunks int, indexOffset uint64, st
 	default:
 		return nil, nil, agg, fmt.Errorf("%w: unknown mode %d in index", ErrCorrupt, agg.mode)
 	}
-	agg.entropy = ab[1]&1 != 0
+	// Byte 1 named the SPECK bit layer; 1 marked a container of retired
+	// arithmetic-coded (SPECK-AC) chunks, which no longer decode.
+	if ab[1] != 0 {
+		return nil, nil, agg, fmt.Errorf("%w: bit-layer byte %d in index (SPECK-AC streams are no longer decodable)", ErrCorrupt, ab[1])
+	}
 	agg.tol = math.Float64frombits(binary.LittleEndian.Uint64(ab[8:]))
 	agg.speckBits = binary.LittleEndian.Uint64(ab[16:])
 	agg.outlierBits = binary.LittleEndian.Uint64(ab[24:])

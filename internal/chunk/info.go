@@ -21,13 +21,12 @@ type Info struct {
 	// SPERR. Always non-nil.
 	CodecCounts map[string]int
 
-	// Mode, Tol and Entropy are the container-wide coding parameters (all
+	// Mode and Tol are the container-wide coding parameters (all
 	// chunks of one container share them). SpeckBits and OutlierBits total
 	// the embedded stream lengths across chunks. On v2 these come straight
 	// from the index footer; on v1 they are summed from chunk headers.
 	Mode        codec.Mode
 	Tol         float64
-	Entropy     bool
 	SpeckBits   uint64
 	OutlierBits uint64
 
@@ -47,7 +46,7 @@ type ChunkInfo struct {
 	Codec codec.CodecID
 	// Meta is the chunk's coded parameters. Describing a v2 container
 	// reads only the header and index footer — no frame payloads — so
-	// Meta carries just the container-wide fields (Mode, Tol, Entropy);
+	// Meta carries just the container-wide fields (Mode, Tol);
 	// per-chunk plane/pass counts and bit splits stay zero. v1 containers
 	// have no footer, so Meta is parsed (bounded-prefix) from each frame
 	// and is complete.
@@ -86,7 +85,7 @@ func Describe(stream []byte) (*Info, error) {
 		info.CodecCounts[ci.Codec.String()]++
 		off += c.overhead + len(c.payloads[i])
 		if c.indexed {
-			ci.Meta = codec.StreamMeta{Codec: ci.Codec, Mode: c.agg.mode, Tol: c.agg.tol, Entropy: c.agg.entropy}
+			ci.Meta = codec.StreamMeta{Codec: ci.Codec, Mode: c.agg.mode, Tol: c.agg.tol}
 		} else {
 			meta, err := c.describe(c.payloads[i])
 			if err != nil {
@@ -96,13 +95,13 @@ func Describe(stream []byte) (*Info, error) {
 			info.SpeckBits += meta.SpeckBits
 			info.OutlierBits += meta.OutlierBits
 			if i == 0 {
-				info.Mode, info.Tol, info.Entropy = meta.Mode, meta.Tol, meta.Entropy
+				info.Mode, info.Tol = meta.Mode, meta.Tol
 			}
 		}
 		info.Chunks = append(info.Chunks, ci)
 	}
 	if c.indexed {
-		info.Mode, info.Tol, info.Entropy = c.agg.mode, c.agg.tol, c.agg.entropy
+		info.Mode, info.Tol = c.agg.mode, c.agg.tol
 		info.SpeckBits, info.OutlierBits = c.agg.speckBits, c.agg.outlierBits
 	}
 	return info, nil

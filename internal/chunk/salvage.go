@@ -385,7 +385,7 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 				continue
 			}
 			if meta, err := l.describe(p); err == nil {
-				agg = aggregates{mode: meta.Mode, entropy: meta.Entropy, tol: meta.Tol}
+				agg = aggregates{mode: meta.Mode, tol: meta.Tol}
 				haveAgg = true
 				break
 			}
@@ -400,7 +400,7 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 	// matters — placeholders encode constant zero, which costs almost
 	// nothing at any setting. Placeholders are always SPERR-coded, so an
 	// adaptive container's placeholders fall back to plain PWE.
-	params := codec.Params{Mode: agg.mode, Entropy: agg.entropy}
+	params := codec.Params{Mode: agg.mode}
 	switch agg.mode {
 	case codec.ModePWE:
 		params.Tol = agg.tol

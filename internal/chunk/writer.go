@@ -443,11 +443,7 @@ func (cw *Writer) Close() error {
 		return cw.err
 	}
 
-	agg := aggregates{
-		mode:    cw.opts.Params.Mode,
-		entropy: cw.opts.Params.Entropy,
-		tol:     cw.opts.Params.Tol,
-	}
+	agg := aggregates{mode: cw.opts.Params.Mode, tol: cw.opts.Params.Tol}
 	for i := range cw.em.stats {
 		agg.speckBits += cw.em.stats[i].SpeckBits
 		agg.outlierBits += cw.em.stats[i].OutlierBits

@@ -155,9 +155,6 @@ func baselineValidate(name string, p Params) error {
 	if !(p.Tol > 0) {
 		return fmt.Errorf("codec: %s backend requires Tol > 0", name)
 	}
-	if p.Entropy {
-		return fmt.Errorf("codec: %s backend has no entropy-coded variant", name)
-	}
 	return nil
 }
 

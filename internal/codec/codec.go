@@ -78,12 +78,6 @@ type Params struct {
 	// measure raw coder output).
 	DisableLossless bool
 
-	// Entropy enables the arithmetic-coded SPECK variant (SPECK-AC) for
-	// the coefficient stream. Only valid with ModePWE: entropy-coded
-	// streams are not bit-exactly truncatable, so the size-bounded and
-	// progressive paths keep the paper's raw-bit layer.
-	Entropy bool
-
 	// Codec pins every chunk to one backend (see backend.go). The zero
 	// value is CodecSPERR, the pipeline this package implements; any other
 	// backend requires ModePWE and a v3 container. Ignored under
@@ -117,9 +111,6 @@ func (p Params) Validate() error {
 		}
 	default:
 		return fmt.Errorf("codec: unknown mode %d", p.Mode)
-	}
-	if p.Entropy && p.Mode != ModePWE && p.Mode != ModeAdaptive {
-		return errors.New("codec: Entropy requires ModePWE")
 	}
 	if p.Codec != CodecSPERR {
 		b, ok := Lookup(p.Codec)
@@ -205,7 +196,6 @@ type header struct {
 	mode        Mode
 	planes      uint8
 	opasses     uint8
-	entropy     bool
 	q           float64
 	tol         float64
 	speckBits   uint64
@@ -222,9 +212,7 @@ func (h *header) appendTo(dst []byte) []byte {
 	b[0] = byte(h.mode)
 	b[1] = h.planes
 	b[2] = h.opasses
-	if h.entropy {
-		b[3] = 1
-	}
+	// b[3] is the retired bit-layer byte, always 0 (see parseHeader).
 	binary.LittleEndian.PutUint64(b[4:], math.Float64bits(h.q))
 	binary.LittleEndian.PutUint64(b[12:], math.Float64bits(h.tol))
 	binary.LittleEndian.PutUint64(b[20:], h.speckBits)
@@ -241,7 +229,6 @@ func parseHeader(b []byte) (*header, error) {
 		mode:        Mode(b[0]),
 		planes:      b[1],
 		opasses:     b[2],
-		entropy:     b[3]&1 != 0,
 		q:           math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
 		tol:         math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
 		speckBits:   binary.LittleEndian.Uint64(b[20:]),
@@ -251,15 +238,11 @@ func parseHeader(b []byte) (*header, error) {
 	if h.mode != ModePWE && h.mode != ModeBPP && h.mode != ModeRMSE {
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, h.mode)
 	}
-	// The entropy byte is a mode enum, not a flag word: 0 (raw bits) and 1
-	// (SPECK-AC) are the only values any encoder has ever written. A forged
-	// or damaged value must fail loudly here rather than select a bit layer
-	// that does not exist; likewise AC is only ever produced under ModePWE.
-	if b[3] > 1 {
-		return nil, fmt.Errorf("%w: unknown entropy mode %d", ErrCorrupt, b[3])
-	}
-	if h.entropy && h.mode != ModePWE {
-		return nil, fmt.Errorf("%w: entropy bit set outside PWE mode", ErrCorrupt)
+	// Byte 3 named the SPECK bit layer: 0 for raw bits, 1 for the retired
+	// arithmetic-coded layer (SPECK-AC). Only raw streams decode now, so
+	// anything else fails loudly rather than being misread as raw bits.
+	if b[3] != 0 {
+		return nil, fmt.Errorf("%w: bit-layer byte %d (SPECK-AC streams are no longer decodable)", ErrCorrupt, b[3])
 	}
 	if !(h.q > 0) || math.IsInf(h.q, 0) {
 		return nil, fmt.Errorf("%w: invalid quantization step %g", ErrCorrupt, h.q)
@@ -314,10 +297,8 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 	// the error guarantee (NaN compares false against every threshold, so
 	// the outlier stage would never correct it). Reject them up front, as
 	// the reference implementation requires finite input.
-	for i, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, fmt.Errorf("codec: non-finite value %g at index %d", v, i)
-		}
+	if err := checkFinite(data); err != nil {
+		return nil, nil, err
 	}
 	if s == nil {
 		s = &Scratch{}
@@ -364,11 +345,11 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 			maxBits = 1
 		}
 	}
-	var sres *speck.Result
-	if p.Entropy {
-		sres = speck.EncodeEntropyScratch(coeffs, dims, q, &s.speck)
-	} else {
-		sres = speck.EncodeScratch(coeffs, dims, q, maxBits, &s.speck)
+	sres := speck.EncodeScratch(coeffs, dims, q, maxBits, &s.speck)
+	// The header stores the plane and outlier-pass counts in one byte each;
+	// a wrapped count would decode to garbage without an error.
+	if sres.NumPlanes > math.MaxUint8 {
+		return nil, nil, fmt.Errorf("codec: %d SPECK bitplanes exceed the chunk header's limit of %d; the tolerance is too fine for the data's range", sres.NumPlanes, math.MaxUint8)
 	}
 	if p.Mode == ModeRMSE {
 		// Truncate the embedded stream at the first plane boundary whose
@@ -391,7 +372,6 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 	h := &header{
 		mode:      p.Mode,
 		planes:    uint8(sres.NumPlanes),
-		entropy:   p.Entropy,
 		q:         q,
 		tol:       p.Tol,
 		speckBits: sres.Bits,
@@ -405,12 +385,10 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 		t0 = time.Now()
 		var recon []float64
 		if r, ok := speck.ReplayScratch(dims, q, &s.speck); ok {
-			// Integer-path encode (raw or SPECK-AC): the decoder's
-			// reconstruction is synthesized bit-identically from the
-			// quantized magnitudes, skipping the decode traversal entirely.
+			// Integer-path encode: the decoder's reconstruction is
+			// synthesized bit-identically from the quantized magnitudes,
+			// skipping the decode traversal entirely.
 			recon = r
-		} else if p.Entropy {
-			recon = speck.DecodeEntropyScratch(sres.Stream, dims, q, sres.NumPlanes, &s.speck)
 		} else {
 			// The SPECK scratch is shared between the encode above and this
 			// decode: the decoder resets only the list state, leaving the
@@ -425,6 +403,9 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 		// Stage 4: outlier coding.
 		t0 = time.Now()
 		ores = outlier.EncodeScratch(dims.Len(), p.Tol, outs, &s.outl)
+		if ores.NumPasses > math.MaxUint8 {
+			return nil, nil, fmt.Errorf("codec: %d outlier passes exceed the chunk header's limit of %d; the tolerance is too fine for the data's range", ores.NumPasses, math.MaxUint8)
+		}
 		st.OutlierBits = ores.Bits
 		st.OutlierTime = time.Since(t0)
 		h.opasses = uint8(ores.NumPasses)
@@ -467,12 +448,7 @@ func DecodeChunkScratch(stream []byte, dims grid.Dims, s *Scratch) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	var coeffs []float64
-	if h.entropy {
-		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)
-	} else {
-		coeffs = speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
-	}
+	coeffs := speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
 	s.planFor(dims).InverseScratch(coeffs, &s.wav)
 
 	if h.mode == ModePWE && h.outlierBits > 0 {

@@ -24,8 +24,6 @@ type StreamMeta struct {
 	OutlierPasses int
 	// SpeckBits and OutlierBits are the embedded stream lengths.
 	SpeckBits, OutlierBits uint64
-	// Entropy reports the arithmetic-coded (SPECK-AC) bit layer.
-	Entropy bool
 	// Points is the chunk's sample count recorded in the header; zero on
 	// streams written before the field existed.
 	Points int
@@ -64,7 +62,6 @@ func DescribeChunk(stream []byte) (*StreamMeta, error) {
 		OutlierPasses: int(h.opasses),
 		SpeckBits:     h.speckBits,
 		OutlierBits:   h.outlierBits,
-		Entropy:       h.entropy,
 		Points:        int(h.points),
 	}, nil
 }

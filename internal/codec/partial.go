@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"errors"
 	"fmt"
 
 	"sperr/internal/grid"
@@ -65,16 +64,8 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64, s *Scra
 	if err != nil {
 		return nil, err
 	}
-	if h.entropy && fraction < 1 {
-		return nil, errors.New("codec: entropy-coded streams do not support partial decode")
-	}
-	var coeffs []float64
-	if h.entropy {
-		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)
-	} else {
-		useBits := uint64(float64(h.speckBits) * fraction)
-		coeffs = speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
-	}
+	useBits := uint64(float64(h.speckBits) * fraction)
+	coeffs := speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
 	s.planFor(dims).InverseScratch(coeffs, &s.wav)
 	if fraction == 1 && h.mode == ModePWE && h.outlierBits > 0 {
 		obytes := body[speckBytes:]
@@ -106,12 +97,7 @@ func DecodeChunkLowRes(stream []byte, dims grid.Dims, drop int, s *Scratch) ([]f
 	if err != nil {
 		return nil, grid.Dims{}, err
 	}
-	var coeffs []float64
-	if h.entropy {
-		coeffs = speck.DecodeEntropyScratch(body[:speckBytes], dims, h.q, int(h.planes), &s.speck)
-	} else {
-		coeffs = speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
-	}
+	coeffs := speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
 	plan := s.planFor(dims)
 	if drop > plan.NumLevels() {
 		drop = plan.NumLevels()

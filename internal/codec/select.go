@@ -117,7 +117,6 @@ func trialParams(id CodecID, p Params) Params {
 	if id == CodecSPERR {
 		q.QFactor = p.QFactor
 		q.Q = p.Q
-		q.Entropy = p.Entropy
 		q.DisableLossless = p.DisableLossless
 	}
 	return q

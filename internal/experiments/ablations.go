@@ -149,39 +149,6 @@ func AblationBitGroom(cfg Config) *Result {
 	return r
 }
 
-// AblationEntropy compares the paper's raw-bit SPECK layer against the
-// arithmetic-coded SPECK-AC extension at the Table II settings.
-func AblationEntropy(cfg Config) *Result {
-	r := &Result{
-		ID:     "abl-entropy",
-		Title:  "ablation: raw-bit SPECK (paper default) vs arithmetic-coded SPECK-AC",
-		Header: []string{"case", "raw BPP", "AC BPP", "saving %"},
-		Notes: []string{
-			"SPECK-AC buys a few percent of rate for slower coding and loses " +
-				"bit-exact stream truncation (progressive access); the paper's SPERR keeps raw bits",
-		},
-	}
-	for _, e := range figure9Entries(cfg.Quick) {
-		f := fieldByName(e.field, cfg.dims(), cfg.seed())
-		tol := f.tol(e.idx)
-		n := float64(f.vol.Dims.Len())
-		raw, _, err := codec.EncodeChunk(f.vol.Data, f.vol.Dims,
-			codec.Params{Mode: codec.ModePWE, Tol: tol})
-		if err != nil {
-			panic(err)
-		}
-		ac, _, err := codec.EncodeChunk(f.vol.Data, f.vol.Dims,
-			codec.Params{Mode: codec.ModePWE, Tol: tol, Entropy: true})
-		if err != nil {
-			panic(err)
-		}
-		br := float64(len(raw)*8) / n
-		ba := float64(len(ac)*8) / n
-		r.AddRow(e.abbrev, f3(br), f3(ba), f2(100*(br-ba)/br))
-	}
-	return r
-}
-
 // AblationPredictor compares the SZ baseline's two predictors at the
 // Table II settings, reproducing why SZ3's interpolation superseded SZ2's
 // Lorenzo stencil.

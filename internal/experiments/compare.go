@@ -287,7 +287,7 @@ func All(cfg Config) []*Result {
 		Figure5(cfg), Figure6(cfg), Figure7(cfg),
 		Figure8(cfg), Figure9(cfg), Figure10(cfg), Figure11(cfg),
 		AblationLossless(cfg), AblationOutlierCoder(cfg), AblationPredictor(cfg),
-		AblationEntropy(cfg), AblationBitGroom(cfg),
+		AblationBitGroom(cfg),
 	}
 }
 
@@ -326,8 +326,6 @@ func ByID(id string) func(Config) *Result {
 		return AblationOutlierCoder
 	case "abl-predictor":
 		return AblationPredictor
-	case "abl-entropy":
-		return AblationEntropy
 	case "abl-bitgroom":
 		return AblationBitGroom
 	default:

@@ -259,17 +259,6 @@ func TestAblationLossless(t *testing.T) {
 	}
 }
 
-func TestAblationEntropySaves(t *testing.T) {
-	r := AblationEntropy(quickCfg())
-	for _, row := range r.Rows {
-		raw := parseF(t, row[1])
-		ac := parseF(t, row[2])
-		if ac > raw*1.01 {
-			t.Errorf("%s: SPECK-AC larger than raw: %g vs %g", row[0], ac, raw)
-		}
-	}
-}
-
 func TestAblationBitGroom(t *testing.T) {
 	r := AblationBitGroom(quickCfg())
 	for _, row := range r.Rows {
@@ -287,7 +276,7 @@ func TestAblationBitGroom(t *testing.T) {
 func TestByIDCoversAll(t *testing.T) {
 	ids := []string{"tab1", "tab2", "fig1", "fig2", "fig3", "fig4", "fig5",
 		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"abl-lossless", "abl-outlier", "abl-predictor", "abl-entropy", "abl-bitgroom"}
+		"abl-lossless", "abl-outlier", "abl-predictor", "abl-bitgroom"}
 	for _, id := range ids {
 		if ByID(id) == nil {
 			t.Errorf("ByID(%q) = nil", id)

@@ -49,7 +49,7 @@ func TestSkewedDistribution(t *testing.T) {
 		}
 	}
 	enc := Encode(symbols)
-	// Entropy is ~0.16 bits/symbol; Huffman floor is 1 bit/symbol.
+	// The entropy is ~0.16 bits/symbol; Huffman floor is 1 bit/symbol.
 	if got := float64(len(enc)*8) / float64(len(symbols)); got > 1.3 {
 		t.Errorf("skewed stream cost %g bits/symbol, want close to 1", got)
 	}

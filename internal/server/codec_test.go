@@ -109,4 +109,11 @@ func TestCompressCodecParam(t *testing.T) {
 			t.Errorf("%s: status %d %s, want 400", bad, res.StatusCode, body)
 		}
 	}
+
+	// The retired SPECK-AC layer: asking for it is a 400 naming the
+	// retirement, never a silently raw-coded stream.
+	res, body := postRaw(t, fmt.Sprintf("%s/v1/compress?dims=24,8,8&tol=1e-3&entropy=1", ts.URL), raw)
+	if res.StatusCode != 400 || !strings.Contains(string(body), "SPECK-AC") {
+		t.Errorf("entropy=1: status %d %s, want 400 naming SPECK-AC", res.StatusCode, body)
+	}
 }

@@ -106,9 +106,11 @@ func trailerStatus(w *statusWriter) func(error) {
 // through the streaming Encoder into the response as a container
 // stream. Parameters (query or X-Sperr-* header): dims (required,
 // "nx,ny,nz"); exactly one of tol / bpp / rmse; f32; chunk ("cx,cy,cz");
-// workers; q (quantization factor); entropy; codec ("sperr", "sz",
-// "zfp", "tthresh", "mgard", or "adaptive" for per-chunk selection —
-// anything but sperr requires tol and yields a container-v3 stream).
+// workers; q (quantization factor); codec ("sperr", "sz", "zfp",
+// "tthresh", "mgard", or "adaptive" for per-chunk selection — anything
+// but sperr requires tol and yields a container-v3 stream). A request for
+// the retired SPECK-AC layer (entropy=1) fails with 400 rather than being
+// coded raw behind the client's back.
 func (s *Server) handleCompress(w *statusWriter, r *http.Request, st *reqStats) {
 	dims, err := parseTriple(param(r, "dims"))
 	if err != nil {
@@ -132,6 +134,10 @@ func (s *Server) handleCompress(w *statusWriter, r *http.Request, st *reqStats) 
 	}
 	if modes != 1 {
 		badRequest(w, st, errors.New("exactly one of tol, bpp, rmse must be positive"))
+		return
+	}
+	if paramBool(r, "entropy") {
+		badRequest(w, st, errors.New("entropy: the arithmetic-coded SPECK layer (SPECK-AC) is retired; every stream is coded with raw bits"))
 		return
 	}
 	codecName := strings.ToLower(param(r, "codec"))
@@ -160,7 +166,6 @@ func (s *Server) handleCompress(w *statusWriter, r *http.Request, st *reqStats) 
 		ChunkDims:  chunkDims,
 		Workers:    workers,
 		QFactor:    qf,
-		Entropy:    paramBool(r, "entropy"),
 		Instrument: s.chunkInstrument("compress"),
 	}
 	if codecName != "" && codecName != "adaptive" {

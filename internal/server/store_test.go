@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -357,6 +359,26 @@ func TestIngestRejectsCorrupt(t *testing.T) {
 	}
 	if s.Store().Len() != 0 {
 		t.Fatal("rejected ingest left a resident volume")
+	}
+}
+
+// TestIngestRefusesSPECKAC: a container whose index footer names the
+// retired arithmetic-coded SPECK layer (as every SPECK-AC container did)
+// is refused with 422, naming SPECK-AC, even with every checksum intact.
+func TestIngestRefusesSPECKAC(t *testing.T) {
+	s, ts := newStoreServer(t, Config{})
+	ac := readFixture(t, goldenFixtures[1].path)
+	end := len(ac) - 20 // index tail: indexCRC u32 | indexOffset u64 | magic
+	ac[end-32+1] = 1    // the aggregates' layer byte
+	index := ac[binary.LittleEndian.Uint64(ac[end+4:]):end]
+	binary.LittleEndian.PutUint32(ac[end:], crc32.Checksum(index, crc32.MakeTable(crc32.Castagnoli)))
+
+	res, body := do(t, "PUT", ts.URL+"/v1/volumes", ac)
+	if res.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "SPECK-AC") {
+		t.Fatalf("SPECK-AC ingest: %d (%s), want 422 naming SPECK-AC", res.StatusCode, body)
+	}
+	if s.Store().Len() != 0 {
+		t.Fatal("refused ingest left a resident volume")
 	}
 }
 

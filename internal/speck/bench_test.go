@@ -98,37 +98,3 @@ func BenchmarkSpeckReplay(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSpeckEncodeAC / DecodeAC measure the SPECK-AC entropy mode:
-// the same decision sequence as the raw coder, routed through the
-// adaptive range coder's contexts.
-func BenchmarkSpeckEncodeAC(b *testing.B) {
-	coeffs, dims := benchCoeffs(64)
-	const q = benchQ
-	var s Scratch
-	b.SetBytes(int64(len(coeffs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := EncodeEntropyScratch(coeffs, dims, q, &s)
-		if r.Bits == 0 {
-			b.Fatal("no output bits")
-		}
-	}
-}
-
-func BenchmarkSpeckDecodeAC(b *testing.B) {
-	coeffs, dims := benchCoeffs(64)
-	const q = benchQ
-	res := EncodeEntropy(coeffs, dims, q)
-	var s Scratch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := DecodeEntropyScratch(res.Stream, dims, q, res.NumPlanes, &s)
-		if len(out) != dims.Len() {
-			b.Fatal("short decode")
-		}
-		if i == 0 {
-			b.SetBytes(int64(len(out) * 8))
-		}
-	}
-}

@@ -61,13 +61,13 @@ func TestDispatchBoundaries(t *testing.T) {
 			t.Fatalf("%s: ReplayScratch ok=%v, want %v (wrong encoder ran)", tc.name, ok, tc.wantInt)
 		}
 
-		ref := encodeFloat(coeffs, dims, tc.q, 0, false, maxMag, planes, &Scratch{})
+		ref := encodeFloat(coeffs, dims, tc.q, 0, maxMag, planes, &Scratch{})
 		if nbits != ref.Bits || !bytes.Equal(stream, ref.Stream) {
 			t.Fatalf("%s: stream differs from the float oracle (%d vs %d bits)", tc.name, nbits, ref.Bits)
 		}
 
 		got := Decode(stream, nbits, dims, tc.q, planes)
-		want := decodeGeneralRef(stream, nbits, dims, tc.q, planes, false)
+		want := decodeGeneralRef(stream, nbits, dims, tc.q, planes)
 		for i, c := range coeffs {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: Decode[%d]=%x, reference decoder %x", tc.name, i, got[i], want[i])

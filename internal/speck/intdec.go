@@ -9,16 +9,14 @@ import (
 )
 
 // Fast phase-separated decoder. The general decoder (speck.go) interleaves
-// float reconstruction updates with bit reads through a source interface;
-// this path runs the sorting passes alone — one list of discovered
-// positions and signs — and leaves every refinement bit where it lies. A
-// refinement pass at plane p carries one bit per pixel discovered on an
-// earlier plane, in discovery order, so pixel i of the list owns stream
-// bit refStart[p]+i, and plane p's discoveries are the index range
-// [cnt[p+1], cnt[p]) of post-sorting list sizes. A raw refinement pass is
-// therefore a budget check, two recorded numbers and a skip; SPECK-AC,
-// whose bits must be range-decoded in order, writes them to a pooled
-// buffer laid out the same way. reconstruct then rebuilds the quantized
+// float reconstruction updates with bit reads; this path runs the sorting
+// passes alone — one list of discovered positions and signs — and leaves
+// every refinement bit where it lies. A refinement pass at plane p carries
+// one bit per pixel discovered on an earlier plane, in discovery order, so
+// pixel i of the list owns stream bit refStart[p]+i, and plane p's
+// discoveries are the index range [cnt[p+1], cnt[p]) of post-sorting list
+// sizes. A refinement pass is therefore a budget check, two recorded
+// numbers and a skip. reconstruct then rebuilds the quantized
 // magnitudes 64 pixels at a time from those bits and takes the float
 // values from reconTab — the very values the general decoder's per-bit
 // updates produce — so the result is bit-identical, and no per-pixel
@@ -35,7 +33,6 @@ type intDecoder struct {
 	tree *octree
 	dims grid.Dims
 	r    rawCursor
-	ac   *acSource // nil = raw mode
 
 	lis [][]int32
 	nd  int
@@ -46,10 +43,8 @@ type intDecoder struct {
 
 	// refStart[p] is the bit position in r.buf of plane p's refinement
 	// pass, cnt[p] the list size after its sorting pass (cnt[planes] = 0).
-	// In SPECK-AC mode r ends up pointed at acBits, the range-decoded copy.
 	refStart [64]uint64
 	cnt      [65]int32
-	acBits   []byte
 }
 
 // rawCursor is an inline bit reader over the stream: a budget compare and
@@ -109,26 +104,21 @@ func (c *rawCursor) load(pos uint64, nb uint) uint64 {
 // decodeFast reconstructs from the stream with the phase-separated path.
 // It reports ok=false — with scratch state safe to reuse — when the
 // stream requires the general decoder's partial-pass semantics.
-func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool, s *Scratch) ([]float64, bool) {
+func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) ([]float64, bool) {
 	n := dims.Len()
 	d := &intDecoder{dims: dims, tree: s.octreeFor(dims)}
-	if entropy {
-		d.ac = s.acSourceReset(stream)
-	} else {
-		max := uint64(len(stream)) * 8
-		if bitsAvail > max {
-			bitsAvail = max
-		}
-		d.r = rawCursor{buf: stream, budget: bitsAvail}
+	max := uint64(len(stream)) * 8
+	if bitsAvail > max {
+		bitsAvail = max
 	}
+	d.r = rawCursor{buf: stream, budget: bitsAvail}
 	d.lis, _ = s.resetLISI()
 	d.nd = 1
 	d.lspPos = s.lspI[:0]
-	d.acBits = s.refBits[:0]
 	d.lis[0] = append(d.lis[0], 0)
 	floor := 0
 	for p := planes - 1; p >= 0; p-- {
-		if d.ac == nil && d.r.pos >= d.r.budget {
+		if d.r.pos >= d.r.budget {
 			// The stream ended exactly at a plane boundary: every decoded
 			// plane is complete, so u-reconstruction with this floor equals
 			// the general decoder's truncated result.
@@ -141,9 +131,6 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 			return nil, false
 		}
 	}
-	if d.ac != nil {
-		d.r.buf = d.acBits
-	}
 	out := d.reconstruct(n, q, floor, planes, s)
 	d.save(s)
 	return out, true
@@ -152,10 +139,6 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 func (d *intDecoder) save(s *Scratch) {
 	s.lisI = d.lis
 	s.lspI = d.lspPos
-	if cap(d.acBits) > cap(s.refBits) {
-		s.Grows++
-	}
-	s.refBits = d.acBits
 }
 
 func (d *intDecoder) ensureDepth(depth int) {
@@ -167,55 +150,45 @@ func (d *intDecoder) ensureDepth(depth int) {
 	}
 }
 
-// sortingPass dispatches to the raw-specialized or AC traversal. On raw
-// exhaustion it reports false with state discarded: the caller reruns the
-// general decoder for partial-pass semantics. Raw mode consumes runs of
-// zero decisions — the common case on every plane — a word-peek at a
-// time: trailing-zero counts turn per-bit reads into bulk keeps.
+// sortingPass reads one plane's LIS significance tests. On exhaustion it
+// reports false with state discarded: the caller reruns the general
+// decoder for partial-pass semantics. Runs of zero decisions — the common
+// case on every plane — are consumed a word-peek at a time: trailing-zero
+// counts turn per-bit reads into bulk keeps.
 func (d *intDecoder) sortingPass() bool {
 	for depth := d.nd - 1; depth >= 0; depth-- {
 		bucket := d.lis[depth]
 		kept := bucket[:0]
-		if d.ac == nil {
-			i, m := 0, len(bucket)
-			for i < m {
-				take := m - i
-				if take > 56 {
-					take = 56
-				}
-				if avail := d.r.budget - d.r.pos; uint64(take) > avail {
-					take = int(avail)
-					if take == 0 {
-						d.r.over = true
-						return false
-					}
-				}
-				word := d.r.peek()
-				tz := mbits.TrailingZeros64(word | 1<<uint(take))
-				if tz > 0 {
-					kept = append(kept, bucket[i:i+tz]...)
-					i += tz
-					d.r.pos += uint64(tz)
-				}
-				if tz < take {
-					d.r.pos++ // the significance 1-bit
-					node := bucket[i]
-					i++
-					if nd := d.tree.nod[node]; nd.leaf() {
-						if !d.leaf(nd, word>>uint(tz+1)) {
-							return false
-						}
-					} else if !d.descend(node, depth) {
-						return false
-					}
+		i, m := 0, len(bucket)
+		for i < m {
+			take := m - i
+			if take > 56 {
+				take = 56
+			}
+			if avail := d.r.budget - d.r.pos; uint64(take) > avail {
+				take = int(avail)
+				if take == 0 {
+					d.r.over = true
+					return false
 				}
 			}
-		} else {
-			for _, node := range bucket {
-				if d.ac.get(sigCtx(depth)) {
-					d.descendAC(node, depth)
-				} else {
-					kept = append(kept, node)
+			word := d.r.peek()
+			tz := mbits.TrailingZeros64(word | 1<<uint(take))
+			if tz > 0 {
+				kept = append(kept, bucket[i:i+tz]...)
+				i += tz
+				d.r.pos += uint64(tz)
+			}
+			if tz < take {
+				d.r.pos++ // the significance 1-bit
+				node := bucket[i]
+				i++
+				if nd := d.tree.nod[node]; nd.leaf() {
+					if !d.leaf(nd, word>>uint(tz+1)) {
+						return false
+					}
+				} else if !d.descend(node, depth) {
+					return false
 				}
 			}
 		}
@@ -224,8 +197,8 @@ func (d *intDecoder) sortingPass() bool {
 	return true
 }
 
-// descend is the raw-mode mirror of the encoder's traversal, reading the
-// inline cursor directly. A brood's zero run — every child bit up to the
+// descend is the mirror of the encoder's traversal, reading the inline
+// cursor directly. A brood's zero run — every child bit up to the
 // next significant child — is consumed from one word peek instead of
 // per-bit reads; the significant child's bits and recursive output stay
 // interleaved in stream order. Before the first significant child only
@@ -315,63 +288,16 @@ func (d *intDecoder) leaf(nd onode, next uint64) bool {
 	return true
 }
 
-// descendAC mirrors descend through the range decoder, which never
-// exhausts (reads past the end synthesize zero bytes).
-func (d *intDecoder) descendAC(node int32, depth int) {
-	t := d.tree
-	nd := t.nod[node]
-	if nd.leaf() {
-		pos := uint32(nd.pos())
-		if d.ac.get(ctxSign) {
-			pos |= 1 << 31
-		}
-		d.lspPos = append(d.lspPos, int32(pos))
-		return
-	}
-	first, k := nd.kids()
-	childDepth := depth + 1
-	d.ensureDepth(childDepth)
-	anySig := false
-	for i := 0; i < k; i++ {
-		c := first + int32(i)
-		if i == k-1 && !anySig {
-			d.descendAC(c, childDepth)
-			return
-		}
-		if d.ac.get(sigCtx(childDepth)) {
-			anySig = true
-			d.descendAC(c, childDepth)
-		} else {
-			d.lis[childDepth] = append(d.lis[childDepth], c)
-		}
-	}
-}
-
 // refinementPass closes plane p's sorting pass (cnt) and locates its n0
-// refinement bits without applying them. Raw mode records where they start
-// and skips them; a pass the budget cuts short is general-decoder
-// territory. SPECK-AC decodes them into acBits, each plane on a fresh word
-// so load never reads past the end.
+// refinement bits without applying them: it records where they start and
+// skips them. A pass the budget cuts short is general-decoder territory.
 func (d *intDecoder) refinementPass(p, n0 int) bool {
 	d.cnt[p] = int32(len(d.lspPos))
-	if d.ac == nil {
-		if d.r.budget-d.r.pos < uint64(n0) {
-			return false
-		}
-		d.refStart[p] = d.r.pos
-		d.r.pos += uint64(n0)
-		return true
+	if d.r.budget-d.r.pos < uint64(n0) {
+		return false
 	}
-	d.refStart[p] = uint64(len(d.acBits)) * 8
-	for i := 0; i < n0; i += 64 {
-		var w uint64
-		for k := 0; k < 64 && i+k < n0; k++ {
-			if d.ac.get(ctxRefine) {
-				w |= 1 << uint(k)
-			}
-		}
-		d.acBits = binary.LittleEndian.AppendUint64(d.acBits, w)
-	}
+	d.refStart[p] = d.r.pos
+	d.r.pos += uint64(n0)
 	return true
 }
 

@@ -30,16 +30,10 @@ func parTestField(dims grid.Dims, seed int64) []float64 {
 // path decode() falls back to — directly, bypassing decodeFast's
 // dispatch, so the fast path has an in-package oracle at any truncation
 // point.
-func decodeGeneralRef(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool) []float64 {
+func decodeGeneralRef(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int) []float64 {
 	s := &Scratch{}
-	var src source
-	if entropy {
-		src = newACSource(stream)
-	} else {
-		s.r.Reset(stream, bitsAvail)
-		src = &rawSource{r: &s.r}
-	}
-	d := &decoder{dims: dims, src: src}
+	s.r.Reset(stream, bitsAvail)
+	d := &decoder{dims: dims, r: &s.r}
 	d.lis = s.resetLIS()
 	d.nd = 1
 	d.lsp = s.lsp[:0]
@@ -106,28 +100,12 @@ func TestFastDecodeMatchesGeneral(t *testing.T) {
 		}
 		for cut := range cuts {
 			got := Decode(res.Stream, cut, tc.dims, tc.q, res.NumPlanes)
-			want := decodeGeneralRef(res.Stream, cut, tc.dims, tc.q, res.NumPlanes, false)
+			want := decodeGeneralRef(res.Stream, cut, tc.dims, tc.q, res.NumPlanes)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%v q=%g cut=%d of %d: out[%d]=%x, want %x", tc.dims, tc.q, cut, res.Bits, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-// TestACDecodeMatchesGeneral pins the SPECK-AC decoder against the
-// reference traversal fed by the same range-decoder source.
-func TestACDecodeMatchesGeneral(t *testing.T) {
-	dims := grid.D3(20, 20, 20)
-	const q = 1e-3
-	coeffs := parTestField(dims, 13)
-	res := EncodeEntropy(coeffs, dims, q)
-	got := DecodeEntropy(res.Stream, dims, q, res.NumPlanes)
-	want := decodeGeneralRef(res.Stream, 0, dims, q, res.NumPlanes, true)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("out[%d]=%x, want %x", i, got[i], want[i])
 		}
 	}
 }

@@ -18,14 +18,13 @@ import (
 // top table filled in a single bottom-up pass, so per-plane traversal is
 // byte-equality tests against a cache-resident table instead of
 // re-scanning coefficient boxes — O(coeffs) preprocessing replaces the
-// former O(planes x coeffs) scan. Decision bits go straight to the bit writer in
-// raw mode (no sink indirection) or through the adaptive range coder's
-// contexts in SPECK-AC mode. Refinement bits are transposed once, when a
+// former O(planes x coeffs) scan. Decision bits go straight to the bit
+// writer. Refinement bits are transposed once, when a
 // pixel is discovered, into one bit slice per plane in discovery order
 // (gatherNew); a refinement pass then copies its slice's prefix to the
 // writer a word at a time and no per-pixel array is swept per plane.
 //
-// The raw streams are bit-identical to the float path's. In the float
+// The streams are bit-identical to the float path's. In the float
 // path every residual subtraction val -= thr happens when val is in [thr,
 // 2*thr), so by Sterbenz's lemma it is exact, and the thresholds q*2^n are
 // exact power-of-two scalings of q; the float path therefore computes
@@ -38,10 +37,7 @@ import (
 // |c| - q*v is computed exactly by FMA because the real value — a
 // multiple of 2^-1074 when q is normal — never rounds across zero.
 // Eligibility therefore requires planes <= 52 and normal q; anything else
-// falls back to the float path, which doubles as the test oracle. The
-// SPECK-AC stream is likewise byte-identical to feeding the float path's
-// decisions through the range coder, since the decision sequence and
-// context ids are identical.
+// falls back to the float path, which doubles as the test oracle.
 //
 // The traversal keeps no residuals and no error ledger: only ModeRMSE
 // reads the per-plane error record, so PlaneErr2Scratch derives it after
@@ -70,8 +66,7 @@ type intEncoder struct {
 	tree   *octree
 	tops   []uint8 // per-node significance tops (octree.fillTops)
 	pix    []cpix
-	w      *bits.Writer // raw mode: direct writer, no sink indirection
-	ac     *acSink      // SPECK-AC mode: adaptive range coder (nil = raw)
+	w      *bits.Writer
 	budget uint64
 
 	lis  [][]int32 // LIS buckets of octree node ids, indexed by depth
@@ -196,23 +191,10 @@ func quantizeOne(m, q, r float64) uint64 {
 }
 
 // encodeInt runs the integer traversal; (q, planes) must satisfy
-// intPathEligible. With entropy set the same decision sequence goes
-// through the adaptive range coder (SPECK-AC) instead of the raw writer;
-// entropy excludes size-bounded mode (enforced by encode).
-func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, planes int, maxMag float64, entropy bool, s *Scratch) *Result {
+// intPathEligible.
+func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, planes int, maxMag float64, s *Scratch) *Result {
 	n := dims.Len()
-	e := &intEncoder{dims: dims, q: q, budget: maxBits}
-	if entropy {
-		e.ac = s.acSinkReset()
-	} else {
-		if s.w == nil {
-			s.w = bits.NewWriter(n / 2)
-			s.Grows++
-		} else {
-			s.w.Reset()
-		}
-		e.w = s.w
-	}
+	e := &intEncoder{dims: dims, q: q, w: s.writer(n), budget: maxBits}
 	if maxBits == 0 {
 		e.budget = math.MaxUint64
 	}
@@ -223,19 +205,7 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 	// pixI and lspI now describe this encode; untruncated, they replay it.
 	s.intEnc, s.canReplay = true, maxBits == 0
 	s.encQ, s.encN, s.encPlanes = q, n, planes
-	var stream []byte
-	var bitsUsed uint64
-	if entropy {
-		stream, bitsUsed = e.ac.finish()
-	} else {
-		stream, bitsUsed = s.w.Close(), s.w.Len()
-	}
-	if maxBits > 0 && bitsUsed > maxBits {
-		bitsUsed = maxBits
-	}
-	if need := int((bitsUsed + 7) / 8); need < len(stream) {
-		stream = stream[:need]
-	}
+	stream, bitsUsed := finish(e.w, maxBits)
 	return &Result{
 		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag,
 		PlaneBits: e.planeBits,
@@ -250,9 +220,7 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 // entry or chain the fast decoder itself uses — so the result is
 // bit-identical to an actual decode. It reports ok=false — and the caller
 // must fall back to a real decode — when the preceding encode did not take
-// the integer path, was size-truncated, or does not match (dims, q). The
-// reconstruction depends only on the decision sequence, not on how the
-// bits were entropy-coded, so replay covers SPECK-AC encodes too.
+// the integer path, was size-truncated, or does not match (dims, q).
 //
 // This is what makes the encoder-side outlier-location stage cheap: the
 // pipeline needs "exactly what the decoder will see" and gets it here
@@ -338,15 +306,6 @@ func (e *intEncoder) ensureDepth(d int) {
 	}
 }
 
-// bits returns the exact output position in decision bits (raw mode) or
-// the byte-granular compressed size (AC mode, budget checks unused there).
-func (e *intEncoder) bits() uint64 {
-	if e.ac != nil {
-		return e.ac.bits()
-	}
-	return e.w.Len()
-}
-
 func (e *intEncoder) run(planes int) {
 	e.tree.fillTops(e.tops)
 	// The root top == planes always: NumPlanes picks the nmax with
@@ -360,102 +319,84 @@ func (e *intEncoder) run(planes int) {
 	for n := planes - 1; n >= 0; n-- {
 		n0 := len(e.lsp) // LSP size before this plane's discoveries
 		e.sortingPass(n)
-		if e.bits() >= e.budget {
+		if e.w.Len() >= e.budget {
 			return
 		}
 		e.gatherNew(n, n0)
 		e.refinementPass(n, n0)
-		e.planeBits = append(e.planeBits, e.bits())
-		if e.bits() >= e.budget {
+		e.planeBits = append(e.planeBits, e.w.Len())
+		if e.w.Len() >= e.budget {
 			return
 		}
 	}
 }
 
-// sortingPass dispatches to the raw-specialized or AC traversal; the two
-// emit the identical decision sequence, differing only in the bit layer.
-// In raw mode runs of insignificant entries — the common case on every
-// plane — are emitted as batched zero bits, and a bucket's untouched
-// prefix is kept in place rather than recopied.
+// sortingPass emits one plane's LIS significance tests. Runs of
+// insignificant entries — the common case on every plane — are emitted as
+// batched zero bits, and a bucket's untouched prefix is kept in place
+// rather than recopied.
 func (e *intEncoder) sortingPass(n int) {
 	p1 := uint8(n + 1) // tops value of a set significant at this plane
 	for depth := e.nd - 1; depth >= 0; depth-- {
-		if e.bits() >= e.budget {
+		if e.w.Len() >= e.budget {
 			return
 		}
 		bucket := e.lis[depth]
 		bt := e.lisT[depth]
-		if e.ac == nil {
-			// Scan the flat top-byte array, not tops[bucket[i]]: the bytes
-			// travel with the entries, so the per-plane sweep is one
-			// vectorized IndexByte per significant entry instead of a random
-			// load per entry.
-			m := len(bucket)
-			i := bytes.IndexByte(bt[:m], p1)
-			if i < 0 {
-				e.w.WriteZeros(m)
-				continue // nothing significant: bucket unchanged
+		// Scan the flat top-byte array, not tops[bucket[i]]: the bytes
+		// travel with the entries, so the per-plane sweep is one
+		// vectorized IndexByte per significant entry instead of a random
+		// load per entry.
+		m := len(bucket)
+		i := bytes.IndexByte(bt[:m], p1)
+		if i < 0 {
+			e.w.WriteZeros(m)
+			continue // nothing significant: bucket unchanged
+		}
+		kept := bucket[:i]
+		keptT := bt[:i]
+		run := i // zeros pending before the next significance 1-bit
+		for {
+			// The pending zero run and the 1-bit in a single write.
+			if run <= 63 {
+				e.w.WriteBits(1<<uint(run), uint(run+1))
+			} else {
+				e.w.WriteZeros(run)
+				e.w.WriteBit(true)
 			}
-			kept := bucket[:i]
-			keptT := bt[:i]
-			run := i // zeros pending before the next significance 1-bit
-			for {
-				// The pending zero run and the 1-bit in a single write.
-				if run <= 63 {
-					e.w.WriteBits(1<<uint(run), uint(run+1))
-				} else {
-					e.w.WriteZeros(run)
-					e.w.WriteBit(true)
-				}
-				node := bucket[i]
-				i++
-				e.descend(node, depth, p1)
-				// Dense planes mostly have run length 0-2 between
-				// significant entries, where IndexByte's call overhead
-				// loses to inline compares; probe a couple of bytes first
-				// and vector-scan only genuinely long runs.
-				j := m
-				for t := i; t < m; t++ {
-					if bt[t] == p1 {
-						j = t
-						break
-					}
-					if t-i == 2 {
-						if off := bytes.IndexByte(bt[t+1:m], p1); off >= 0 {
-							j = t + 1 + off
-						}
-						break
-					}
-				}
-				if j > i {
-					kept = append(kept, bucket[i:j]...)
-					keptT = append(keptT, bt[i:j]...)
-				}
-				if j == m {
-					e.w.WriteZeros(m - i)
+			node := bucket[i]
+			i++
+			e.descend(node, depth, p1)
+			// Dense planes mostly have run length 0-2 between
+			// significant entries, where IndexByte's call overhead
+			// loses to inline compares; probe a couple of bytes first
+			// and vector-scan only genuinely long runs.
+			j := m
+			for t := i; t < m; t++ {
+				if bt[t] == p1 {
+					j = t
 					break
 				}
-				run = j - i
-				i = j
-			}
-			e.lis[depth] = kept
-			e.lisT[depth] = keptT
-		} else {
-			kept := bucket[:0]
-			keptT := bt[:0]
-			for bi, node := range bucket {
-				if bt[bi] == p1 {
-					e.ac.put(sigCtx(depth), true)
-					e.descendAC(node, depth, p1)
-				} else {
-					e.ac.put(sigCtx(depth), false)
-					kept = append(kept, node)
-					keptT = append(keptT, bt[bi])
+				if t-i == 2 {
+					if off := bytes.IndexByte(bt[t+1:m], p1); off >= 0 {
+						j = t + 1 + off
+					}
+					break
 				}
 			}
-			e.lis[depth] = kept
-			e.lisT[depth] = keptT
+			if j > i {
+				kept = append(kept, bucket[i:j]...)
+				keptT = append(keptT, bt[i:j]...)
+			}
+			if j == m {
+				e.w.WriteZeros(m - i)
+				break
+			}
+			run = j - i
+			i = j
 		}
+		e.lis[depth] = kept
+		e.lisT[depth] = keptT
 	}
 }
 
@@ -502,10 +443,9 @@ func childMask(tops []uint8, first int32, k int, p1 uint8) uint32 {
 	return mask
 }
 
-// descend is the raw-mode traversal: decision bits go straight to the bit
-// writer with no per-bit mode checks. A child is significant exactly when
-// its top equals p1 — it cannot exceed the parent's, which is p1 — so a
-// whole brood's significance is one SWAR byte-compare mask: runs of
+// descend codes a set just found significant. A child is significant
+// exactly when its top equals p1 — it cannot exceed the parent's, which is
+// p1 — so a whole brood's significance is one SWAR byte-compare mask: runs of
 // insignificant children become batched zero bits and bulk LIS appends,
 // and both the implied-significance shortcut (sole significant last
 // child, whose bit the stream omits) and a significant last child iterate
@@ -605,52 +545,13 @@ func (e *intEncoder) gatherNew(tp, n0 int) {
 	}
 }
 
-// descendAC mirrors descend with decisions routed through the range
-// coder's contexts (SPECK-AC).
-func (e *intEncoder) descendAC(node int32, depth int, p1 uint8) {
-	t := e.tree
-	nd := t.nod[node]
-	if nd.leaf() {
-		e.ac.put(ctxSign, e.tops[node]&0x80 != 0)
-		e.lsp = append(e.lsp, nd.pos())
-		return
-	}
-	first, k := nd.kids()
-	childDepth := depth + 1
-	e.ensureDepth(childDepth)
-	anySig := false
-	for i := 0; i < k; i++ {
-		c := first + int32(i)
-		sig := e.tops[c]&0x7f == p1
-		if i == k-1 && !anySig {
-			e.descendAC(c, childDepth, p1)
-			return
-		}
-		if sig {
-			anySig = true
-			e.ac.put(sigCtx(childDepth), true)
-			e.descendAC(c, childDepth, p1)
-		} else {
-			e.ac.put(sigCtx(childDepth), false)
-			e.lis[childDepth] = append(e.lis[childDepth], c)
-			e.lisT[childDepth] = append(e.lisT[childDepth], e.tops[c]&0x7f)
-		}
-	}
-}
-
 // refinementPass emits bit n of the first n0 significant magnitudes —
 // the ones discovered on earlier planes; this plane's discoveries sit
 // past n0 and get their first refinement next plane — which is the first
-// n0 bits of plane n's slice, whole words at a time in raw mode. The float
-// path checks no budget mid-pass, so neither do we.
+// n0 bits of plane n's slice, whole words at a time. The float path
+// checks no budget mid-pass, so neither do we.
 func (e *intEncoder) refinementPass(n, n0 int) {
 	words := e.ref[n*e.stride:]
-	if e.ac != nil {
-		for i := 0; i < n0; i++ {
-			e.ac.put(ctxRefine, words[i>>6]>>uint(i&63)&1 != 0)
-		}
-		return
-	}
 	for i := 0; i < n0; i += 64 {
 		e.w.WriteBits(words[i>>6], uint(min(64, n0-i)))
 	}

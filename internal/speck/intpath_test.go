@@ -56,8 +56,8 @@ func TestIntPathMatchesFloatPath(t *testing.T) {
 		}
 
 		var sf, si Scratch
-		ref := encodeFloat(coeffs, tc.dims, tc.q, tc.bits, false, maxMag, planes, &sf)
-		got := encodeInt(coeffs, tc.dims, tc.q, tc.bits, planes, maxMag, false, &si)
+		ref := encodeFloat(coeffs, tc.dims, tc.q, tc.bits, maxMag, planes, &sf)
+		got := encodeInt(coeffs, tc.dims, tc.q, tc.bits, planes, maxMag, &si)
 		// The float path records plane errors inline; the integer path
 		// derives them on demand. Both come through the same call.
 		refErr2, gotErr2 := PlaneErr2Scratch(&sf), PlaneErr2Scratch(&si)

@@ -51,9 +51,9 @@ func sweepField(n, planes int, q float64, seed int64) []float64 {
 // TestReconstructPlaneCounts: fast == general == replay at every plane
 // count that changes which lanes reconstruct uses (byte lanes for planes
 // 0-7 and 8-15, the per-bit path from 16 up, past the integer encoder at
-// 53, the last fast-decoder row at 64), raw and SPECK-AC, at the full
-// stream, at every plane boundary (floor > 0) and at its +-1/+-7
-// neighbours, which cut a pass short and must fall back.
+// 53, the last fast-decoder row at 64), at the full stream, at every plane
+// boundary (floor > 0) and at its +-1/+-7 neighbours, which cut a pass
+// short and must fall back.
 func TestReconstructPlaneCounts(t *testing.T) {
 	dims := grid.D3(12, 11, 9)
 	const q = 1.0
@@ -66,7 +66,7 @@ func TestReconstructPlaneCounts(t *testing.T) {
 		}
 		stream := append([]byte(nil), res.Stream...)
 		bounds := append([]uint64(nil), res.PlaneBits...)
-		full := decodeGeneralRef(stream, res.Bits, dims, q, planes, false)
+		full := decodeGeneralRef(stream, res.Bits, dims, q, planes)
 		replay, ok := ReplayScratch(dims, q, &s)
 		if ok != (planes <= 52) {
 			t.Fatalf("planes=%d: replay ok=%v", planes, ok)
@@ -77,11 +77,11 @@ func TestReconstructPlaneCounts(t *testing.T) {
 		prev := uint64(0)
 		for pi, pb := range bounds {
 			var sd Scratch
-			if _, ok := decodeFast(stream, pb, dims, q, planes, false, &sd); !ok {
+			if _, ok := decodeFast(stream, pb, dims, q, planes, &sd); !ok {
 				t.Fatalf("planes=%d: cut at plane boundary %d fell back", planes, pi)
 			}
 			if pb-1 > prev {
-				if _, ok := decodeFast(stream, pb-1, dims, q, planes, false, &sd); ok {
+				if _, ok := decodeFast(stream, pb-1, dims, q, planes, &sd); ok {
 					t.Fatalf("planes=%d: mid-pass cut %d did not fall back", planes, pb-1)
 				}
 			}
@@ -92,20 +92,15 @@ func TestReconstructPlaneCounts(t *testing.T) {
 					continue
 				}
 				got := DecodeScratch(stream, cut, dims, q, planes, &sd)
-				want := decodeGeneralRef(stream, cut, dims, q, planes, false)
+				want := decodeGeneralRef(stream, cut, dims, q, planes)
 				sameBits(t, fmt.Sprintf("planes=%d cut=%d (boundary %d%+d)", planes, cut, pi, d), got, want)
 			}
 		}
-		ac := EncodeEntropy(coeffs, dims, q)
-		sameBits(t, fmt.Sprintf("planes=%d SPECK-AC", planes),
-			DecodeEntropy(ac.Stream, dims, q, planes),
-			decodeGeneralRef(ac.Stream, 0, dims, q, planes, true))
 	}
 }
 
 // TestReconstructListSizes pins the block edges: discovery lists of 1,
-// 63, 64, 65 and 64k+-1 pixels, raw and SPECK-AC, full and cut at a plane
-// boundary.
+// 63, 64, 65 and 64k+-1 pixels, full and cut at a plane boundary.
 func TestReconstructListSizes(t *testing.T) {
 	dims := grid.D3(48, 40, 36)
 	const q, planes = 1e-3, 17
@@ -133,21 +128,17 @@ func TestReconstructListSizes(t *testing.T) {
 			t.Fatalf("npix=%d: %d significant pixels", npix, sig)
 		}
 		for ci, cut := range cuts {
-			want := decodeGeneralRef(stream, cut, dims, q, res.NumPlanes, false)
+			want := decodeGeneralRef(stream, cut, dims, q, res.NumPlanes)
 			if ci == 0 {
 				sameBits(t, fmt.Sprintf("npix=%d replay", npix), replay, want)
 			}
 			var sd Scratch
-			got, ok := decodeFast(stream, cut, dims, q, res.NumPlanes, false, &sd)
+			got, ok := decodeFast(stream, cut, dims, q, res.NumPlanes, &sd)
 			if !ok {
 				t.Fatalf("npix=%d cut=%d: fast decoder fell back", npix, cut)
 			}
 			sameBits(t, fmt.Sprintf("npix=%d cut=%d", npix, cut), got, want)
 		}
-		ac := EncodeEntropy(coeffs, dims, q)
-		want := decodeGeneralRef(ac.Stream, 0, dims, q, ac.NumPlanes, true)
-		got := DecodeEntropyScratch(ac.Stream, dims, q, ac.NumPlanes, &Scratch{})
-		sameBits(t, fmt.Sprintf("npix=%d SPECK-AC", npix), got, want)
 	}
 }
 
@@ -183,12 +174,12 @@ func TestReconstructStreamTail(t *testing.T) {
 			default:
 				continue
 			}
-			got, ok := decodeFast(res.Stream, res.Bits, dims, q, res.NumPlanes, false, &Scratch{})
+			got, ok := decodeFast(res.Stream, res.Bits, dims, q, res.NumPlanes, &Scratch{})
 			if !ok {
 				t.Fatalf("extra=%d refined=%d: fast decoder fell back", extra, refined)
 			}
 			sameBits(t, fmt.Sprintf("extra=%d refined=%d", extra, refined), got,
-				decodeGeneralRef(res.Stream, res.Bits, dims, q, res.NumPlanes, false))
+				decodeGeneralRef(res.Stream, res.Bits, dims, q, res.NumPlanes))
 		}
 	}
 	if !flush || !cross {
@@ -224,22 +215,21 @@ func TestRawCursorLoad(t *testing.T) {
 }
 
 // TestScratchSteadyStateMixed: one warmed scratch serves alternating
-// encode / plane-record / replay / decode / truncated decode / SPECK-AC
-// calls at two quantization steps without growing, and every result
-// equals a fresh scratch's — in particular the cached reconstruction
-// table is rebuilt on each change of q or floor (decode at q1, replay at
-// q2, decode at q1 cut to floor 3 would each read the previous call's
-// table otherwise).
+// encode / plane-record / replay / decode / truncated decode calls at two
+// quantization steps without growing, and every result equals a fresh
+// scratch's — in particular the cached reconstruction table is rebuilt on
+// each change of q or floor (decode at q1, replay at q2, decode at q1 cut
+// to floor 3 would each read the previous call's table otherwise).
 func TestScratchSteadyStateMixed(t *testing.T) {
 	dims := grid.D3(24, 17, 9)
 	coeffs := parTestField(dims, 5)
 	type ref struct {
-		q                float64
-		stream, ac       []byte
-		bits, cut        uint64
-		planes, acPlanes int
-		full, trunc      []float64
-		err2             []float64
+		q           float64
+		stream      []byte
+		bits, cut   uint64
+		planes      int
+		full, trunc []float64
+		err2        []float64
 	}
 	var refs []ref
 	for _, q := range []float64{1e-4, 3e-3} {
@@ -248,10 +238,8 @@ func TestScratchSteadyStateMixed(t *testing.T) {
 		r := ref{q: q, stream: append([]byte(nil), res.Stream...), bits: res.Bits, planes: res.NumPlanes}
 		r.cut = res.PlaneBits[res.NumPlanes-4] // planes 0-2 dropped: floor = 3
 		r.err2 = append([]float64(nil), PlaneErr2Scratch(&s)...)
-		r.full = decodeGeneralRef(r.stream, r.bits, dims, q, r.planes, false)
-		r.trunc = decodeGeneralRef(r.stream, r.cut, dims, q, r.planes, false)
-		ac := EncodeEntropy(coeffs, dims, q)
-		r.ac, r.acPlanes = append([]byte(nil), ac.Stream...), ac.NumPlanes
+		r.full = decodeGeneralRef(r.stream, r.bits, dims, q, r.planes)
+		r.trunc = decodeGeneralRef(r.stream, r.cut, dims, q, r.planes)
 		refs = append(refs, r)
 	}
 	var s Scratch
@@ -269,10 +257,8 @@ func TestScratchSteadyStateMixed(t *testing.T) {
 			}
 			sameBits(t, what+" replay at the other q", replay, other.full)
 			sameBits(t, what+" truncated decode", DecodeScratch(r.stream, r.cut, dims, r.q, r.planes, &s), r.trunc)
-			sameBits(t, what+" SPECK-AC decode", DecodeEntropyScratch(r.ac, dims, r.q, r.acPlanes, &s), r.full)
-			res := EncodeEntropyScratch(coeffs, dims, r.q, &s)
-			if !bytes.Equal(res.Stream, r.ac) {
-				t.Fatalf("%s: SPECK-AC stream differs on the warmed scratch", what)
+			if res := EncodeScratch(coeffs, dims, r.q, 0, &s); !bytes.Equal(res.Stream, r.stream) {
+				t.Fatalf("%s: stream differs on the warmed scratch", what)
 			}
 		}
 		if round == 1 {

@@ -102,18 +102,14 @@ type Scratch struct {
 	planeErr2 []float64
 	out       []float64
 	// Integer-path pools (see intpath.go, intdec.go).
-	pixI    []cpix
-	lisI    [][]int32
-	lisTI   [][]uint8
-	lspI    []int32
-	refI    []uint64 // encoder: refinement bit-plane slices
-	refBits []byte   // SPECK-AC decoder: range-decoded refinement bits
-	trees   []*octree
-	topsT   []uint8
-	recon   reconTab
-	// Pooled arithmetic-coder endpoints (see entropy.go).
-	acs   *acSink
-	acsrc *acSource
+	pixI  []cpix
+	lisI  [][]int32
+	lisTI [][]uint8
+	lspI  []int32
+	refI  []uint64 // encoder: refinement bit-plane slices
+	trees []*octree
+	topsT []uint8
+	recon reconTab
 	// The last encode, if it took the integer path and nothing has reused
 	// pixI/lspI since (intEnc), and whether its stream was untruncated
 	// (canReplay); see ReplayScratch and PlaneErr2Scratch.
@@ -153,14 +149,14 @@ func (s *Scratch) resetLIS() [][]set {
 // (size-bounded mode); otherwise every bitplane down to threshold q is
 // emitted (quality-bounded mode, max coefficient error q/2 plus dead zone).
 func Encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64) *Result {
-	return encode(coeffs, dims, q, maxBits, false, nil)
+	return encode(coeffs, dims, q, maxBits, nil)
 }
 
 // EncodeScratch is Encode with pooled buffers. The returned Result aliases
 // s (stream, plane records) and is valid until the next use of s. Output
 // is byte-identical to Encode's.
 func EncodeScratch(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, s *Scratch) *Result {
-	return encode(coeffs, dims, q, maxBits, false, s)
+	return encode(coeffs, dims, q, maxBits, s)
 }
 
 // EncodeScratchWorkers is EncodeScratch; workers is ignored. It remains
@@ -170,13 +166,10 @@ func EncodeScratchWorkers(coeffs []float64, dims grid.Dims, q float64, maxBits u
 	return EncodeScratch(coeffs, dims, q, maxBits, s)
 }
 
-func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy bool, s *Scratch) *Result {
+func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, s *Scratch) *Result {
 	n := dims.Len()
 	if len(coeffs) != n {
 		panic("speck: coefficient count does not match dims")
-	}
-	if entropy && maxBits > 0 {
-		panic("speck: entropy coding does not support size-bounded mode")
 	}
 	if s == nil {
 		s = &Scratch{}
@@ -190,33 +183,46 @@ func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy
 	}
 	planes := NumPlanes(maxMag, q)
 	if intPathEligible(q, planes) && dims.Len() <= maxOctreeLen {
-		return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, entropy, s)
+		return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, s)
 	}
-	return encodeFloat(coeffs, dims, q, maxBits, entropy, maxMag, planes, s)
+	return encodeFloat(coeffs, dims, q, maxBits, maxMag, planes, s)
+}
+
+// writer returns the scratch's pooled bit writer, reset.
+func (s *Scratch) writer(n int) *bits.Writer {
+	if s.w == nil {
+		s.w = bits.NewWriter(n / 2)
+		s.Grows++
+	} else {
+		s.w.Reset()
+	}
+	return s.w
+}
+
+// finish returns the writer's stream cut to the budget. The stream is the
+// writer's internal buffer, not a copy: it stays valid until the writer is
+// Reset (scratch reuse copies it into the chunk payload before then).
+func finish(w *bits.Writer, maxBits uint64) ([]byte, uint64) {
+	stream, bitsUsed := w.Close(), w.Len()
+	if maxBits > 0 && bitsUsed > maxBits {
+		bitsUsed = maxBits
+	}
+	if need := int((bitsUsed + 7) / 8); need < len(stream) {
+		stream = stream[:need]
+	}
+	return stream, bitsUsed
 }
 
 // encodeFloat is the reference float-residual traversal. encode reaches
 // it only when the integer path cannot run: planes == 0 (everything in the
 // dead zone), planes > 52 or subnormal q (intPathEligible's exactness
 // preconditions), or a volume above maxOctreeLen. It is also the oracle
-// the integer path is tested against, in raw and SPECK-AC mode alike.
-func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, entropy bool, maxMag float64, planes int, s *Scratch) *Result {
+// the integer path is tested against.
+func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, maxMag float64, planes int, s *Scratch) *Result {
 	n := dims.Len()
-	var snk sink
-	if entropy {
-		snk = newACSink()
-	} else {
-		if s.w == nil {
-			s.w = bits.NewWriter(n / 2)
-			s.Grows++
-		} else {
-			s.w.Reset()
-		}
-		snk = &rawSink{w: s.w}
-	}
 	e := &encoder{
 		dims: dims,
-		snk:  snk,
+		w:    s.writer(n),
 		budget: func() uint64 {
 			if maxBits == 0 {
 				return math.MaxUint64
@@ -233,13 +239,7 @@ func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, en
 		e.run(q, planes)
 	}
 	e.save(s)
-	stream, bitsUsed := snk.finish()
-	if maxBits > 0 && bitsUsed > maxBits {
-		bitsUsed = maxBits
-	}
-	if need := int((bitsUsed + 7) / 8); need < len(stream) {
-		stream = stream[:need]
-	}
+	stream, bitsUsed := finish(e.w, maxBits)
 	return &Result{
 		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag,
 		PlaneBits: e.planeBits,
@@ -250,7 +250,7 @@ type encoder struct {
 	dims   grid.Dims
 	mags   []float64
 	neg    []bool
-	snk    sink
+	w      *bits.Writer
 	budget uint64
 
 	lis    [][]set // buckets indexed by split depth; deeper = smaller sets
@@ -308,12 +308,12 @@ func (e *encoder) run(q float64, planes int) {
 	for n := planes - 1; n >= 0; n-- {
 		thr := q * math.Pow(2, float64(n))
 		e.sortingPass(thr)
-		if e.snk.bits() >= e.budget {
+		if e.w.Len() >= e.budget {
 			return // embedded stream: the prefix up to budget is valid
 		}
 		e.refinementPass(thr)
 		e.recordPlane(thr)
-		if e.snk.bits() >= e.budget {
+		if e.w.Len() >= e.budget {
 			return
 		}
 	}
@@ -331,7 +331,7 @@ func (e *encoder) recordPlane(thr float64) {
 		r := e.lsp[i].val - half
 		err2 += r * r
 	}
-	e.planeBits = append(e.planeBits, e.snk.bits())
+	e.planeBits = append(e.planeBits, e.w.Len())
 	e.planeErr2 = append(e.planeErr2, err2)
 }
 
@@ -358,7 +358,7 @@ func (e *encoder) boxMax(s *set) float64 {
 // recursion, so they are tested exactly once per pass.
 func (e *encoder) sortingPass(thr float64) {
 	for depth := e.nd - 1; depth >= 0; depth-- {
-		if e.snk.bits() >= e.budget {
+		if e.w.Len() >= e.budget {
 			return // everything past the budget is truncated anyway
 		}
 		bucket := e.lis[depth]
@@ -369,7 +369,7 @@ func (e *encoder) sortingPass(thr float64) {
 				e.processSignificant(&s, depth, thr)
 				// significant: removed from LIS (not kept)
 			} else {
-				e.snk.put(sigCtx(depth), false)
+				e.w.WriteBit(false)
 				kept = append(kept, s)
 			}
 		}
@@ -380,7 +380,7 @@ func (e *encoder) sortingPass(thr float64) {
 // processSignificant emits the significance bit for s (known true on the
 // encoder side) and descends.
 func (e *encoder) processSignificant(s *set, depth int, thr float64) {
-	e.snk.put(sigCtx(depth), true)
+	e.w.WriteBit(true)
 	e.descend(s, depth, thr)
 }
 
@@ -390,7 +390,7 @@ func (e *encoder) processSignificant(s *set, depth int, thr float64) {
 func (e *encoder) descend(s *set, depth int, thr float64) {
 	if s.single() {
 		pos := int32(e.dims.Index(int(s.x), int(s.y), int(s.z)))
-		e.snk.put(ctxSign, e.neg[pos])
+		e.w.WriteBit(e.neg[pos])
 		e.lspNew = append(e.lspNew, pixel{pos: pos, val: e.mags[pos] - thr})
 		e.insigE2 -= e.mags[pos] * e.mags[pos]
 		return
@@ -423,7 +423,7 @@ func (e *encoder) code(s *set, depth int, thr float64) {
 			anySig = true
 			e.processSignificant(c, childDepth, thr)
 		} else {
-			e.snk.put(sigCtx(childDepth), false)
+			e.w.WriteBit(false)
 			e.lis[childDepth] = append(e.lis[childDepth], *c)
 		}
 	}
@@ -433,10 +433,10 @@ func (e *encoder) refinementPass(thr float64) {
 	for i := range e.lsp {
 		p := &e.lsp[i]
 		if p.val >= thr {
-			e.snk.put(ctxRefine, true)
+			e.w.WriteBit(true)
 			p.val -= thr
 		} else {
-			e.snk.put(ctxRefine, false)
+			e.w.WriteBit(false)
 		}
 	}
 	e.lsp = append(e.lsp, e.lspNew...)
@@ -489,13 +489,13 @@ func splitAxis(o, n int32, dst *[2][2]int32) int {
 // progressive reconstruction of a truncated stream); planes must equal the
 // encoder's Result.NumPlanes. The returned slice has dims.Len() entries.
 func Decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int) []float64 {
-	return decode(stream, bitsAvail, dims, q, planes, false, nil)
+	return decode(stream, bitsAvail, dims, q, planes, nil)
 }
 
 // DecodeScratch is Decode with pooled buffers. The returned slice aliases
 // s and is valid until the next use of s.
 func DecodeScratch(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) []float64 {
-	return decode(stream, bitsAvail, dims, q, planes, false, s)
+	return decode(stream, bitsAvail, dims, q, planes, s)
 }
 
 // DecodeScratchWorkers is DecodeScratch; workers is ignored. It remains
@@ -505,7 +505,7 @@ func DecodeScratchWorkers(stream []byte, bitsAvail uint64, dims grid.Dims, q flo
 	return DecodeScratch(stream, bitsAvail, dims, q, planes, s)
 }
 
-func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, entropy bool, s *Scratch) []float64 {
+func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) []float64 {
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -516,20 +516,14 @@ func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes i
 		// above maxOctreeLen, and streams that run out mid-pass (size-bounded
 		// chunks, DecompressPartial, corrupt input), whose half-applied
 		// plane the fast path cannot represent.
-		if out, ok := decodeFast(stream, bitsAvail, dims, q, planes, entropy, s); ok {
+		if out, ok := decodeFast(stream, bitsAvail, dims, q, planes, s); ok {
 			return out
 		}
 	}
-	var src source
-	if entropy {
-		src = newACSource(stream)
-	} else {
-		s.r.Reset(stream, bitsAvail)
-		src = &rawSource{r: &s.r}
-	}
+	s.r.Reset(stream, bitsAvail)
 	d := &decoder{
 		dims: dims,
-		src:  src,
+		r:    &s.r,
 	}
 	d.lis = s.resetLIS()
 	d.nd = 1
@@ -568,7 +562,7 @@ func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes i
 
 type decoder struct {
 	dims grid.Dims
-	src  source
+	r    *bits.Reader
 
 	lis    [][]set
 	nd     int // number of active buckets (depths) in lis
@@ -608,8 +602,8 @@ func (d *decoder) sortingPass(thr float64) bool {
 		kept := bucket[:0]
 		for i := range bucket {
 			s := bucket[i]
-			sig := d.src.get(sigCtx(depth))
-			if d.src.exhausted() {
+			sig := d.r.ReadBit()
+			if d.r.Exhausted() {
 				// Keep the remaining entries untouched so state stays sane.
 				kept = append(kept, bucket[i:]...)
 				d.lis[depth] = kept
@@ -634,8 +628,8 @@ func (d *decoder) sortingPass(thr float64) bool {
 // last child of an otherwise-insignificant brood.
 func (d *decoder) descend(s *set, depth int, thr float64) bool {
 	if s.single() {
-		neg := d.src.get(ctxSign)
-		if d.src.exhausted() {
+		neg := d.r.ReadBit()
+		if d.r.Exhausted() {
 			return false
 		}
 		pos := int32(d.dims.Index(int(s.x), int(s.y), int(s.z)))
@@ -653,8 +647,8 @@ func (d *decoder) descend(s *set, depth int, thr float64) bool {
 			// Implied significant: the encoder emitted no bit.
 			return d.descend(c, childDepth, thr)
 		}
-		sig := d.src.get(sigCtx(childDepth))
-		if d.src.exhausted() {
+		sig := d.r.ReadBit()
+		if d.r.Exhausted() {
 			// Remaining children were never coded this pass; keep them in
 			// LIS so their values stay zero.
 			for j := i; j < k; j++ {
@@ -679,13 +673,13 @@ func (d *decoder) descend(s *set, depth int, thr float64) bool {
 
 func (d *decoder) refinementPass(thr float64) bool {
 	half := thr / 2
-	if rs, ok := d.src.(*rawSource); ok && rs.r.Remaining() >= uint64(len(d.lsp)) {
+	if d.r.Remaining() >= uint64(len(d.lsp)) {
 		// The whole pass fits the budget: read refinement bits a word at a
 		// time. Per-pixel updates are unchanged, so reconstruction values
 		// are identical to the per-bit path.
 		i := 0
 		for ; i+64 <= len(d.lsp); i += 64 {
-			word := rs.r.ReadBits(64)
+			word := d.r.ReadBits(64)
 			for j := 0; j < 64; j++ {
 				p := &d.lsp[i+j]
 				if word&1 != 0 {
@@ -697,7 +691,7 @@ func (d *decoder) refinementPass(thr float64) bool {
 			}
 		}
 		if rem := len(d.lsp) - i; rem > 0 {
-			word := rs.r.ReadBits(uint(rem))
+			word := d.r.ReadBits(uint(rem))
 			for j := 0; j < rem; j++ {
 				p := &d.lsp[i+j]
 				if word&1 != 0 {
@@ -712,9 +706,11 @@ func (d *decoder) refinementPass(thr float64) bool {
 		d.lspNew = d.lspNew[:0]
 		return true
 	}
+	// A truncated stream ends inside this pass: read bit by bit up to the
+	// cut.
 	for i := range d.lsp {
-		b := d.src.get(ctxRefine)
-		if d.src.exhausted() {
+		b := d.r.ReadBit()
+		if d.r.Exhausted() {
 			return false
 		}
 		p := &d.lsp[i]

@@ -80,11 +80,10 @@ type Meta struct {
 	Bytes int64 `json:"bytes"`
 	// Version is the container format version (1 or 2).
 	Version int `json:"version"`
-	// Mode, Tolerance and Entropy are the coding contract shared by every
-	// chunk of the container.
+	// Mode and Tolerance are the coding contract shared by every chunk of
+	// the container.
 	Mode      string  `json:"mode"`
 	Tolerance float64 `json:"tolerance,omitempty"`
-	Entropy   bool    `json:"entropy,omitempty"`
 	// Dims is the volume extent; ChunkDims the chunk tiling bound.
 	Dims      [3]int `json:"dims"`
 	ChunkDims [3]int `json:"chunk_dims"`
@@ -117,10 +116,12 @@ func (m *Meta) OwnsChunk(ci int) bool {
 
 // paramsTag renders the compression contract as a canonical string; it is
 // folded into the content address so "same bytes, different declared
-// contract" can never collide.
+// contract" can never collide. The literal "entropy=false" is what the tag
+// carried for every raw-bit stream while the retired SPECK-AC layer
+// existed; it stays so that no stored volume's address moves.
 func paramsTag(info *sperr.StreamInfo) string {
-	return fmt.Sprintf("v%d|%s|tol=%.17g|entropy=%t|dims=%d,%d,%d|chunk=%d,%d,%d",
-		info.Version, info.Mode, info.Tolerance, info.Entropy,
+	return fmt.Sprintf("v%d|%s|tol=%.17g|entropy=false|dims=%d,%d,%d|chunk=%d,%d,%d",
+		info.Version, info.Mode, info.Tolerance,
 		info.Dims[0], info.Dims[1], info.Dims[2],
 		info.ChunkDims[0], info.ChunkDims[1], info.ChunkDims[2])
 }
@@ -450,7 +451,6 @@ func (s *Store) commit(id string, container []byte, sum [sha256.Size]byte, info 
 		Version:   info.Version,
 		Mode:      info.Mode,
 		Tolerance: info.Tolerance,
-		Entropy:   info.Entropy,
 		Dims:      info.Dims,
 		ChunkDims: info.ChunkDims,
 		NumChunks: info.NumChunks,

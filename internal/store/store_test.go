@@ -125,6 +125,29 @@ func TestContentAddressSeparatesParams(t *testing.T) {
 	}
 }
 
+// TestAddressesPinned: the content address folds in paramsTag, so any
+// change to the tag's text moves the address of every stored volume. The
+// three fixtures' addresses are pinned as the store has always named them.
+func TestAddressesPinned(t *testing.T) {
+	for name, want := range map[string]string{
+		"golden_pwe_24x17x9.sperr":          "1459c63faaf23254fc5f6bb0b8a267694b7bf0f3e20af3355ab69aa554c093d0",
+		"golden_pwe_24x17x9_v2.sperr":       "58879feef4f5337de3f72226239bef17c751466816b0058f16f2d842ef778e56",
+		"golden_adaptive_48x32x32_v3.sperr": "c30a4e16c30add2ccab6bf217d29f3d8b93ae7b7be20a7c26e8b88750d1a59b2",
+	} {
+		c, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := AddressOf(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if id != want {
+			t.Errorf("%s: address %s, want %s", name, id, want)
+		}
+	}
+}
+
 func TestPutRejectsCorrupt(t *testing.T) {
 	s := openTestStore(t, Options{})
 	c := makeContainer(t, [3]int{24, 17, 9}, [3]int{8, 8, 8}, 1e-4, 2)

@@ -27,40 +27,6 @@ func floatHash(v []float64) [32]byte {
 	return out
 }
 
-// TestEntropyModeOnGoldenVolume is the SPECK-AC acceptance check on the
-// golden input: the AC stream must round-trip inside the PWE bound and
-// come out measurably smaller than the raw-bit stream at the same
-// tolerance, while the raw-bit encoder keeps producing the pinned fixture
-// bytes (TestGoldenStream) — old containers are untouched by the mode.
-func TestEntropyModeOnGoldenVolume(t *testing.T) {
-	data, dims := goldenInput()
-	raw, _, err := CompressPWE(data, dims, goldenTol, goldenOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acOpts := *goldenOpts
-	acOpts.Entropy = true
-	ac, _, err := CompressPWE(data, dims, goldenTol, &acOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ac) >= len(raw) {
-		t.Errorf("SPECK-AC stream not smaller: %d vs %d raw bytes", len(ac), len(raw))
-	}
-	rec, recDims, err := Decompress(ac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recDims != [3]int{24, 17, 9} {
-		t.Fatalf("dims %v", recDims)
-	}
-	for i := range data {
-		if d := math.Abs(rec[i] - data[i]); d > goldenTol*(1+1e-12) {
-			t.Fatalf("point %d: error %g exceeds tolerance %g", i, d, goldenTol)
-		}
-	}
-}
-
 func TestParallelCoderMatchesSerialGolden(t *testing.T) {
 	data, dims := goldenInput()
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_pwe_24x17x9_v2.sperr"))

@@ -62,12 +62,6 @@ type Options struct {
 	QFactor float64
 	// DisableLossless skips the final lossless (DEFLATE) stage.
 	DisableLossless bool
-	// Entropy enables the arithmetic-coded SPECK variant (SPECK-AC) for
-	// the coefficient stream, typically saving a few percent of rate in
-	// exchange for slower coding and the loss of progressive (partial)
-	// decoding. PWE mode only. The paper's SPERR uses the raw-bit layer,
-	// which remains the default.
-	Entropy bool
 	// Codec selects the coding backend for every chunk: "sperr" (or "",
 	// the default), "sz", "zfp", "tthresh", or "mgard". Any value other
 	// than SPERR requires PWE mode and writes a container-v3 stream whose
@@ -118,7 +112,6 @@ func (o *Options) chunkOpts(p codec.Params) chunk.Options {
 		co.Workers = o.Workers
 		co.Params.QFactor = o.QFactor
 		co.Params.DisableLossless = o.DisableLossless
-		co.Params.Entropy = o.Entropy
 		if o.Codec != "" && p.Mode != codec.ModeAdaptive {
 			id, ok := codec.ParseCodecName(o.Codec)
 			if !ok {
@@ -409,8 +402,6 @@ type StreamInfo struct {
 	CodecCounts map[string]int
 	// Tolerance is the point-wise error bound in PWE mode (0 otherwise).
 	Tolerance float64
-	// Entropy reports the arithmetic-coded bit layer.
-	Entropy bool
 	// SpeckBits and OutlierBits total the embedded stream sizes across
 	// chunks (pre-lossless).
 	SpeckBits, OutlierBits uint64
@@ -446,7 +437,6 @@ func Describe(stream []byte) (*StreamInfo, error) {
 		NumChunks:       info.NumChunks,
 		CompressedBytes: info.TotalBytes,
 		FrameBytes:      make([]int, 0, len(info.Chunks)),
-		Entropy:         info.Entropy,
 		SpeckBits:       info.SpeckBits,
 		OutlierBits:     info.OutlierBits,
 		CodecCounts:     info.CodecCounts,
