@@ -60,7 +60,9 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-kernel micro-benchmarks: fused-lifting wavelet passes, integer
+# Hot-kernel micro-benchmarks: fused-lifting wavelet passes (vector lanes
+# where the CPU has them, and the ...GoRows twins with the portable Go
+# rows forced; these and the outlier rows at -cpu 1, as recorded), integer
 # bit-plane SPECK (rows at two steps — 6.5 bit/pt, and the ...Tight rows
 # at 16.5 bit/pt, where refinement bits dominate — and SpeckReplay), the
 # outlier coder at production density (a 64^3 chunk with 10% and 2.5%
@@ -78,9 +80,9 @@ bench:
 # BENCH_KERNELS.json records host and method.
 bench-kernels:
 	$(GO) test -run='TestParallelCoderMatchesSerialGolden' -count=1 .
-	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchmem ./internal/wavelet/
+	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchmem -cpu 1 ./internal/wavelet/
 	$(GO) test -run='^$$' -bench='SpeckEncode|SpeckDecode|SpeckReplay' -benchmem ./internal/speck/
-	$(GO) test -run='^$$' -bench='OutlierEncode|OutlierDecode|OutlierApply' -benchmem ./internal/outlier/
+	$(GO) test -run='^$$' -bench='OutlierEncode|OutlierDecode|OutlierApply' -benchmem -cpu 1 ./internal/outlier/
 	$(GO) test -run='^$$' -bench='BitsReadWrite' -benchmem ./internal/bits/
 	$(GO) test -run='^$$' -bench='CompressPWE64|Decompress64' -benchmem .
 	$(GO) test -run='^$$' -bench='StreamCompress|StreamDecompress' -benchmem .
@@ -113,7 +115,7 @@ profile-kernels:
 	$(GO) test -run='^$$' -bench='SpeckEncode$$|SpeckDecode$$' -benchtime=5x \
 		-cpuprofile=profiles/speck.cpu.pprof -memprofile=profiles/speck.mem.pprof \
 		-o profiles/speck.test ./internal/speck/
-	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchtime=5x \
+	$(GO) test -run='^$$' -bench='WaveletForward3D|WaveletInverse3D' -benchtime=5x -cpu 1 \
 		-cpuprofile=profiles/wavelet.cpu.pprof -memprofile=profiles/wavelet.mem.pprof \
 		-o profiles/wavelet.test ./internal/wavelet/
 

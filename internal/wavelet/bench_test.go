@@ -35,19 +35,7 @@ var benchCubes = []int{64, 100, 128}
 // transform — the chunk pipeline's stage 1 (paper Figure 6).
 func BenchmarkWaveletForward3D(b *testing.B) {
 	for _, n := range benchCubes {
-		b.Run(fmt.Sprintf("%dcube", n), func(b *testing.B) {
-			dims := grid.D3(n, n, n)
-			src := benchField(dims)
-			data := make([]float64, len(src))
-			plan := NewPlan(dims)
-			var s Scratch
-			b.SetBytes(int64(len(src) * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(data, src)
-				plan.ForwardScratch(data, &s)
-			}
-		})
+		b.Run(fmt.Sprintf("%dcube", n), func(b *testing.B) { benchForward(b, n) })
 	}
 }
 
@@ -55,19 +43,50 @@ func BenchmarkWaveletForward3D(b *testing.B) {
 // by both the decoder and the encoder's outlier-locate stage.
 func BenchmarkWaveletInverse3D(b *testing.B) {
 	for _, n := range benchCubes {
-		b.Run(fmt.Sprintf("%dcube", n), func(b *testing.B) {
-			dims := grid.D3(n, n, n)
-			src := benchField(dims)
-			plan := NewPlan(dims)
-			var s Scratch
-			plan.ForwardScratch(src, &s)
-			data := make([]float64, len(src))
-			b.SetBytes(int64(len(src) * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(data, src)
-				plan.InverseScratch(data, &s)
-			}
-		})
+		b.Run(fmt.Sprintf("%dcube", n), func(b *testing.B) { benchInverse(b, n) })
+	}
+}
+
+// BenchmarkWaveletForward3DGoRows and BenchmarkWaveletInverse3DGoRows are
+// the 64-cube rows with the vector lanes off: the portable Go rows' cost,
+// on any host.
+func BenchmarkWaveletForward3DGoRows(b *testing.B) {
+	defer func(saved bool) { useLanes = saved }(useLanes)
+	useLanes = false
+	b.Run("64cube", func(b *testing.B) { benchForward(b, 64) })
+}
+
+func BenchmarkWaveletInverse3DGoRows(b *testing.B) {
+	defer func(saved bool) { useLanes = saved }(useLanes)
+	useLanes = false
+	b.Run("64cube", func(b *testing.B) { benchInverse(b, 64) })
+}
+
+func benchForward(b *testing.B, n int) {
+	dims := grid.D3(n, n, n)
+	src := benchField(dims)
+	data := make([]float64, len(src))
+	plan := NewPlan(dims)
+	var s Scratch
+	b.SetBytes(int64(len(src) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(data, src)
+		plan.ForwardScratch(data, &s)
+	}
+}
+
+func benchInverse(b *testing.B, n int) {
+	dims := grid.D3(n, n, n)
+	src := benchField(dims)
+	plan := NewPlan(dims)
+	var s Scratch
+	plan.ForwardScratch(src, &s)
+	data := make([]float64, len(src))
+	b.SetBytes(int64(len(src) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(data, src)
+		plan.InverseScratch(data, &s)
 	}
 }

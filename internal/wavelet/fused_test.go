@@ -83,19 +83,24 @@ func TestLineKernelsMatch1D(t *testing.T) {
 // length and width, inside a wider array (offset base, row stride > w)
 // whose cells outside the tile are guards: the reference leaves them as
 // they were, so the comparison fails if the kernel writes one. The
-// signals go through w columns at a time.
+// signals go through w columns at a time, so every signal reaches both
+// the vector prefix and the scalar tail of the rows.
 func TestTileKernelsMatch1D(t *testing.T) {
+	eachKernel(t, testTileKernelsMatch1D)
+}
+
+func testTileKernelsMatch1D(t *testing.T) {
 	const base, pad = 5, 3
 	kernels := []struct {
 		name   string
-		tile   func(data []float64, base, stride, n, w int, state *[panelW]lift, side []float64)
+		tile   func(data []float64, base, stride, n, w int, st *lift, side []float64)
 		scalar func(s, scratch []float64)
 	}{{"forwardTile", forwardTile, Forward1D}, {"inverseTile", inverseTile, Inverse1D}}
 	for n := 8; n <= 67; n++ {
 		sigs := kernelSignals(n)
 		for w := 1; w <= panelW; w++ {
 			stride := w + pad
-			var state [panelW]lift
+			var state lift
 			side := make([]float64, (n+1)/2*w)
 			for g := 0; g < len(sigs); g += w {
 				orig := kernelField(base+n*stride+pad, uint64(n*131+w))
@@ -113,6 +118,42 @@ func TestTileKernelsMatch1D(t *testing.T) {
 					k.tile(got, base, stride, n, w, &state, side)
 					assertBitIdentical(t, got, want, fmt.Sprintf("%s n=%d w=%d group %d", k.name, n, w, g))
 				}
+			}
+		}
+	}
+}
+
+// The four-line kernels of the X pass against Forward1D/Inverse1D per
+// line, at every length through both parities of a few dozen pairs, the
+// lines a stride apart inside a wider array whose other cells are guards.
+func TestLineLanesMatch1D(t *testing.T) {
+	if !haveLanes {
+		t.Skip("no vector lanes: not amd64, or the CPU or OS lacks AVX2/YMM state")
+	}
+	const base, pad = 3, 2
+	kernels := []struct {
+		name   string
+		lines  func(data []float64, off, ls, n int, st *lift, side []float64)
+		scalar func(s, scratch []float64)
+	}{{"forwardLines", forwardLines, Forward1D}, {"inverseLines", inverseLines, Inverse1D}}
+	for n := 8; n <= 67; n++ {
+		sigs := kernelSignals(n)
+		ls := n + pad
+		side := make([]float64, (n+1)/2*4)
+		var st lift
+		for g := 0; g < len(sigs); g += 4 {
+			orig := kernelField(base+4*ls, uint64(n*131+g))
+			for j := 0; j < 4; j++ {
+				copy(orig[base+j*ls:], sigs[(g+j)%len(sigs)])
+			}
+			for _, k := range kernels {
+				want := append([]float64(nil), orig...)
+				for j := 0; j < 4; j++ {
+					k.scalar(want[base+j*ls:][:n], nil)
+				}
+				got := append([]float64(nil), orig...)
+				k.lines(got, base, ls, n, &st, side)
+				assertBitIdentical(t, got, want, fmt.Sprintf("%s n=%d group %d", k.name, n, g))
 			}
 		}
 	}

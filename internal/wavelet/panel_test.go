@@ -29,6 +29,11 @@ var panelTestDims = []grid.Dims{
 	{NX: 19, NY: 24, NZ: 10},
 	{NX: 130, NY: 9, NZ: 8},
 	{NX: 100, NY: 100, NZ: 100},
+	// Tile widths that are not multiples of 4 at several levels (22/11/6
+	// and 38/19/10 columns), so the vector rows' scalar tails run deep in
+	// the hierarchy too.
+	{NX: 22, NY: 40, NZ: 12},
+	{NX: 38, NY: 26, NZ: 21},
 }
 
 func panelTestField(d grid.Dims, seed uint64) []float64 {
@@ -44,9 +49,33 @@ func assertBitIdentical(t *testing.T, got, want []float64, what string) {
 	}
 }
 
+// eachKernel runs test once with the vector lanes and once with the Go
+// kernels alone. Where the CPU or GOARCH has no lanes, the first is
+// skipped.
+func eachKernel(t *testing.T, test func(t *testing.T)) {
+	defer func(saved bool) { useLanes = saved }(useLanes)
+	for _, lanes := range []bool{true, false} {
+		name := "go"
+		if lanes {
+			name = "lanes"
+		}
+		t.Run(name, func(t *testing.T) {
+			if lanes && !haveLanes {
+				t.Skip("no vector lanes: not amd64, or the CPU or OS lacks AVX2/YMM state")
+			}
+			useLanes = lanes
+			test(t)
+		})
+	}
+}
+
 // The fused passes must reproduce the scalar gather/scatter reference
 // bit-for-bit on every shape, forward and at every inverse depth.
 func TestBlockedMatchesScalarReference(t *testing.T) {
+	eachKernel(t, testBlockedMatchesScalarReference)
+}
+
+func testBlockedMatchesScalarReference(t *testing.T) {
 	for _, d := range panelTestDims {
 		p := NewPlan(d)
 		orig := panelTestField(d, uint64(d.NX*1000003+d.NY*1009+d.NZ))
@@ -73,11 +102,15 @@ func TestBlockedMatchesScalarReference(t *testing.T) {
 // scatter of magnitudes around MaxFloat64/2, beyond which the mirrored
 // boundary form c*(x+x) overflows where 2*c*x does not (the kernel tests
 // place such a value at every boundary position; here they cross levels
-// and axes).
+// and axes). The shapes' tile widths leave every remainder mod 4.
 func TestEdgeValuesMatchScalarReference(t *testing.T) {
+	eachKernel(t, testEdgeValuesMatchScalarReference)
+}
+
+func testEdgeValuesMatchScalarReference(t *testing.T) {
 	small := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, -0x1p-1030, 1, -1}
 	huge := []float64{math.MaxFloat64 / 2, -math.MaxFloat64 / 2, math.MaxFloat64 * 0.6, -math.MaxFloat64 * 0.3}
-	for _, d := range []grid.Dims{{NX: 19, NY: 24, NZ: 10}, {NX: 16, NY: 9, NZ: 8}} {
+	for _, d := range []grid.Dims{{NX: 19, NY: 24, NZ: 10}, {NX: 16, NY: 9, NZ: 8}, {NX: 22, NY: 40, NZ: 12}, {NX: 29, NY: 17, NZ: 13}} {
 		p := NewPlan(d)
 		orig := make([]float64, d.Len())
 		s := uint64(d.NX)

@@ -69,7 +69,7 @@ func (p *Plan) NumLevels() int { return len(p.steps) }
 // concurrent use — give each worker its own. Plans stay immutable and
 // shareable.
 type Scratch struct {
-	state [panelW]lift
+	state lift
 	side  []float64
 	// Grows counts how many times this scratch's buffers had to be
 	// (re)allocated; a warmed-up steady state stops growing.
@@ -77,8 +77,8 @@ type Scratch struct {
 }
 
 // sideRows returns the side buffer for lines of up to n samples: the half
-// of a tile (or, at its front, of one contiguous X line) that a kernel
-// must set aside.
+// of a tile (or, at its front, of one or four contiguous X lines) that a
+// kernel must set aside.
 func (s *Scratch) sideRows(n int) []float64 {
 	need := (n + 1) / 2 * panelW
 	if cap(s.side) < need {
@@ -229,15 +229,26 @@ func maxLine(d grid.Dims) int {
 }
 
 // passX transforms every x-line of the approximation box; lines are
-// contiguous in memory, so the fused line kernel runs on them in place.
+// contiguous in memory, so the fused line kernels run on them in place,
+// four adjacent lines of a z-plane at a time where the lanes are in use.
 func (p *Plan) passX(data []float64, st step, fwd bool, s *Scratch) {
 	side := s.sideRows(maxLine(p.dims))
-	for li := 0; li < st.nz*st.ny; li++ {
-		off := (li/st.ny*p.dims.NY + li%st.ny) * p.dims.NX
-		if line := data[off : off+st.nx : off+st.nx]; fwd {
-			forwardLine(line, side)
-		} else {
-			inverseLine(line, side)
+	for z := 0; z < st.nz; z++ {
+		y := 0
+		for ; useLanes && y+4 <= st.ny; y += 4 {
+			if off := (z*p.dims.NY + y) * p.dims.NX; fwd {
+				forwardLines(data, off, p.dims.NX, st.nx, &s.state, side)
+			} else {
+				inverseLines(data, off, p.dims.NX, st.nx, &s.state, side)
+			}
+		}
+		for ; y < st.ny; y++ {
+			off := (z*p.dims.NY + y) * p.dims.NX
+			if line := data[off : off+st.nx : off+st.nx]; fwd {
+				forwardLine(line, side)
+			} else {
+				inverseLine(line, side)
+			}
 		}
 	}
 }
