@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race faultinject fuzz bench bench-kernels bench-check bench-e2e profile-kernels cover experiments examples serve-smoke cluster-smoke chaos-smoke clean
+.PHONY: all build vet fmt-check format-owner-check test test-race faultinject fuzz bench bench-kernels bench-check bench-e2e profile-kernels cover experiments examples serve-smoke cluster-smoke chaos-smoke clean
 
 all: build vet fmt-check test
 
@@ -16,6 +16,14 @@ vet:
 # edit it, so its formatting is fixed only by a benchmark PR.
 fmt-check:
 	test -z "$$(gofmt -l . | grep -v '^bench/')"
+
+# The container format has one owner: no non-test Go file outside
+# internal/chunk/ may name a container or index magic (SPRRGO*, SPRRIX*),
+# so every other package reads containers through the chunk layer.
+format-owner-check:
+	@bad="$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/chunk/*' ! -path './.bench_build/*' \
+		-exec grep -l -e SPRRGO -e SPRRIX {} +)"; \
+	if [ -n "$$bad" ]; then echo "container magic outside internal/chunk/:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -78,6 +78,9 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not a container at all"), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	// The retired container v1 fixture: refused everywhere but repair,
+	// which upgrades it.
+	v1 := filepath.Join("..", "..", "testdata", "golden_pwe_24x17x9.sperr")
 
 	cases := []struct {
 		name string
@@ -95,6 +98,10 @@ func TestExitCodes(t *testing.T) {
 		{"info-garbage", []string{"-info", "-in", garbage}, 3, "describe"},
 		{"decompress-damaged", []string{"-d", "-in", damaged, "-out", filepath.Join(dir, "r.f64")}, 3, "checksum mismatch"},
 		{"decompress-missing", []string{"-d", "-in", filepath.Join(dir, "nope"), "-out", filepath.Join(dir, "r.f64")}, 1, "read"},
+		{"fsck-v1", []string{"fsck", v1}, 3, "sperr repair"},
+		{"info-v1", []string{"-info", "-in", v1}, 3, "sperr repair"},
+		{"decompress-v1", []string{"-d", "-in", v1, "-out", filepath.Join(dir, "v1.f64")}, 3, "sperr repair"},
+		{"repair-v1", []string{"repair", v1, filepath.Join(dir, "v1up.sperr")}, 0, "upgraded from v1 to v2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

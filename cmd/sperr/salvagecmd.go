@@ -31,11 +31,10 @@ func runFsck(args []string) {
 }
 
 // fsckCorrupt decides the exit status: any lost chunk or unattributable
-// byte range is damage, and so is a v2 footer that failed to parse even
+// byte range is damage, and so is a footer that failed to parse even
 // when every frame survived (the container still wants a repair).
 func fsckCorrupt(rep *sperr.SalvageReport) bool {
-	return rep.Degraded() || len(rep.LostRanges) > 0 ||
-		(rep.Version >= 2 && !rep.IndexIntact)
+	return rep.Degraded() || len(rep.LostRanges) > 0 || !rep.IndexIntact
 }
 
 func printDamageMap(name string, rep *sperr.SalvageReport) {
@@ -52,12 +51,9 @@ func printDamageMap(name string, rep *sperr.SalvageReport) {
 		}
 		fmt.Printf("  frame %-4d %-28s %s\n", i, loc, status)
 	}
-	switch {
-	case rep.Version < 2:
-		fmt.Println("  index      none (v1 container)")
-	case rep.IndexIntact:
+	if rep.IndexIntact {
 		fmt.Println("  index      intact")
-	default:
+	} else {
 		fmt.Println("  index      DAMAGED (frames located by scan)")
 	}
 	for _, lr := range rep.LostRanges {
@@ -86,6 +82,11 @@ func runRepair(args []string) {
 	}
 	if err := os.WriteFile(args[1], out, 0o644); err != nil {
 		fatal("write %s: %v", args[1], err)
+	}
+	if info, err := sperr.Describe(out); err == nil && info.Version != rep.Version {
+		fmt.Printf("%s: upgraded from v%d to v%d, %d chunks -> %s\n",
+			args[0], rep.Version, info.Version, rep.NumChunks, args[1])
+		return
 	}
 	fmt.Printf("%s: kept %d of %d chunks (%d replaced by zero-fill placeholders) -> %s\n",
 		args[0], rep.Recovered, rep.NumChunks, rep.Skipped, args[1])

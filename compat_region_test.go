@@ -1,18 +1,20 @@
 package sperr
 
-// Frozen-fixture coverage for the seekable access paths: Describe and
-// DecompressRegion must keep working against the v1 compat fixture
-// (testdata/golden_pwe_24x17x9.sperr, never regenerated) — reporting the
-// pinned geometry, cutting regions that match the pinned reconstruction
-// exactly, and failing cleanly with ErrCorrupt on damage. Also pins
+// Frozen-fixture coverage for the retired container v1: every public
+// reader refuses testdata/golden_pwe_24x17x9.sperr (never regenerated) as
+// ErrCorrupt naming `sperr repair`, and Repair upgrades it to a v2
+// container whose Describe reports the pinned geometry and whose regions
+// match the pinned reconstruction exactly. Also pins
 // DecompressFloat32Workers parity: every worker count must produce the
 // same float32 volume.
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -25,16 +27,63 @@ func readV1Fixture(t *testing.T) []byte {
 	return b
 }
 
-// TestV1FixtureDescribe: the compat path must report the fixture's full
-// geometry, not just mode/tolerance — chunk tiling included.
+// upgradedV1Fixture is the v1 fixture as Repair upgrades it: every chunk
+// kept, the report naming the input's version.
+func upgradedV1Fixture(t *testing.T) []byte {
+	t.Helper()
+	up, rep, err := Repair(readV1Fixture(t))
+	if err != nil {
+		t.Fatalf("Repair(v1): %v", err)
+	}
+	if rep.Version != 1 || rep.Recovered != 4 || rep.Skipped != 0 {
+		t.Fatalf("Repair(v1) report %+v", rep)
+	}
+	return up
+}
+
+// v1Refusals runs every public reader over stream and returns each one's
+// error by name.
+func v1Refusals(stream []byte) map[string]error {
+	errs := map[string]error{}
+	box := [3]int{4, 4, 2}
+	_, _, errs["Decompress"] = Decompress(stream)
+	_, _, errs["DecompressWorkers"] = DecompressWorkers(stream, 2)
+	_, _, errs["DecompressFloat32"] = DecompressFloat32(stream)
+	_, _, errs["DecompressFloat32Workers"] = DecompressFloat32Workers(stream, 2)
+	_, errs["DecompressRegion"] = DecompressRegion(stream, [3]int{}, box)
+	_, errs["DecompressRegionWorkers"] = DecompressRegionWorkers(stream, [3]int{}, box, 2)
+	_, _, errs["DecompressPartial"] = DecompressPartial(stream, 0.5)
+	_, _, errs["DecompressLowRes"] = DecompressLowRes(stream, 1)
+	_, errs["Describe"] = Describe(stream)
+	if dec, err := NewDecoder(bytes.NewReader(stream)); err != nil {
+		errs["NewDecoder"] = err
+	} else {
+		errs["NewDecoder"] = dec.ForEachChunk(func(DecodedChunk) error { return nil })
+	}
+	_, _, _, errs["DecompressSalvage"] = DecompressSalvage(stream)
+	_, errs["Audit"] = Audit(stream)
+	_, errs["SliceShard"] = SliceShard(stream, func(int) bool { return true })
+	_, errs["MergeShards"] = MergeShards(stream, stream)
+	_, errs["OwnedChunks"] = OwnedChunks(stream)
+	return errs
+}
+
+// TestV1FixtureDescribe: every public reader refuses the v1 fixture as
+// ErrCorrupt naming the upgrade command, and the upgrade reports the
+// fixture's full geometry — chunk tiling included.
 func TestV1FixtureDescribe(t *testing.T) {
-	stream := readV1Fixture(t)
+	for name, err := range v1Refusals(readV1Fixture(t)) {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "sperr repair") {
+			t.Errorf("%s(v1) = %v, want ErrCorrupt naming sperr repair", name, err)
+		}
+	}
+	stream := upgradedV1Fixture(t)
 	info, err := Describe(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 1 {
-		t.Fatalf("Version = %d, want 1", info.Version)
+	if info.Version != 2 {
+		t.Fatalf("Version = %d, want 2", info.Version)
 	}
 	if info.Dims != [3]int{24, 17, 9} {
 		t.Fatalf("Dims = %v, want 24x17x9", info.Dims)
@@ -67,11 +116,12 @@ func cutout(full []float64, vd, origin, dims [3]int) []float64 {
 	return out
 }
 
-// TestV1FixtureRegion: regions cut from the v1 fixture must match the
-// pinned full reconstruction bit-for-bit, at every worker count,
-// including cuts that cross chunk boundaries and hug remainder chunks.
+// TestV1FixtureRegion: regions cut from the upgraded v1 fixture must
+// match the pinned full reconstruction bit-for-bit, at every worker
+// count, including cuts that cross chunk boundaries and hug remainder
+// chunks.
 func TestV1FixtureRegion(t *testing.T) {
-	stream := readV1Fixture(t)
+	stream := upgradedV1Fixture(t)
 	full, vd, err := Decompress(stream)
 	if err != nil {
 		t.Fatal(err)
@@ -126,24 +176,28 @@ func TestV1FixtureRegion(t *testing.T) {
 	}
 }
 
-// TestV1FixtureRegionCorrupt: structural damage to the v1 container must
-// surface as ErrCorrupt from the seekable paths — never a panic. (v1
-// frames carry no checksum, so only structural damage is detectable;
-// bit flips deep in a SPECK payload may decode to different samples,
-// which is exactly why v2 added CRC-32C frames.)
+// TestV1FixtureRegionCorrupt: structural damage to the v1 container
+// surfaces as ErrCorrupt from the seekable paths — never a panic — and
+// Repair refuses to upgrade it rather than salvaging around it. (v1
+// frames carry no checksum, so only damage that breaks the framing, a
+// chunk header or a decode is detectable; that is why v1 is retired.)
 func TestV1FixtureRegionCorrupt(t *testing.T) {
 	stream := readV1Fixture(t)
 	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
-		"header-flip": func(b []byte) []byte { b[9] ^= 0xff; return b },
-		"empty":       func(b []byte) []byte { return nil },
+		"truncated":     func(b []byte) []byte { return b[:len(b)/2] },
+		"header-flip":   func(b []byte) []byte { b[9] ^= 0xff; return b },
+		"trailing-byte": func(b []byte) []byte { return append(b, 0) },
+		"empty":         func(b []byte) []byte { return nil },
 	} {
 		mut := mutate(append([]byte(nil), stream...))
 		if _, err := DecompressRegion(mut, [3]int{0, 0, 0}, [3]int{4, 4, 2}); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecompressRegion returned %v, want ErrCorrupt", name, err)
 		}
-		if _, err := Describe(mut); err == nil && name != "header-flip" {
-			t.Errorf("%s: Describe accepted a damaged container", name)
+		if _, err := Describe(mut); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Describe returned %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := Repair(mut); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Repair returned %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -12,9 +12,10 @@ import (
 // every one of these inputs once mapped to a panic or an unbounded
 // allocation class, and must now fail with a clean error.
 
-// header builds a container header with the given seven u32 fields.
+// containerHeader builds a v2 container header with the given seven u32
+// fields. (A v1 magic would be refused before any field is read.)
 func containerHeader(fields ...uint32) []byte {
-	return containerHeaderMagic("SPRRGO01", fields...)
+	return containerHeaderMagic("SPRRGO02", fields...)
 }
 
 func containerHeaderMagic(magic string, fields ...uint32) []byte {
@@ -44,12 +45,24 @@ func TestCorruptStreamsErrorNotPanic(t *testing.T) {
 		// Chunk count disagrees with the declared geometry.
 		"wrong chunk count":     append(containerHeader(16, 16, 16, 8, 8, 8, 3), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 		"truncated first frame": valid[:8+4*7+2],
-		"truncated payload":     valid[:len(valid)-3],
+		// The retired v1 magic is refused before its fields are read.
+		"retired v1 magic":  append([]byte("SPRRGO01"), valid[8:]...),
+		"truncated payload": valid[:len(valid)-3],
 		// v2-specific header damage: right magic, hostile fields.
 		"v2 bare header":       append(containerHeaderMagic("SPRRGO02", 16, 16, 16, 8, 8, 8, 8), 0, 0, 0, 0),
 		"v2 overflowing dims":  append(containerHeaderMagic("SPRRGO02", 0xFFFFFFF0, 0xFFFFFFF0, 0xFFFFFFF0, 1, 1, 1, 1), 0, 0, 0, 0),
 		"v2 wrong chunk count": append(containerHeaderMagic("SPRRGO02", 16, 16, 16, 8, 8, 8, 3), make([]byte, 256)...),
 		"v2 zeroed tail":       append(append([]byte(nil), valid[:len(valid)-20]...), make([]byte, 20)...),
+	}
+	// The header cases must fail at the check their comment names, not
+	// earlier at the magic; Describe runs every check the strict parser
+	// has.
+	reaches := map[string]string{
+		"overflowing dims":          "overflow",
+		"capped volume":             "decode cap",
+		"chunk count beyond stream": "exceeds stream capacity",
+		"wrong chunk count":         "does not match geometry",
+		"retired v1 magic":          "sperr repair",
 	}
 	old := chunk.MaxDecodePoints
 	chunk.MaxDecodePoints = 1 << 22
@@ -60,6 +73,8 @@ func TestCorruptStreamsErrorNotPanic(t *testing.T) {
 		}
 		if _, err := Describe(in); err == nil {
 			t.Errorf("%s: Describe accepted corrupt input", name)
+		} else if want := reaches[name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Describe failed with %q, want it to reach %q", name, err, want)
 		}
 		if _, _, err := DecompressPartial(in, 0.5); err == nil {
 			t.Errorf("%s: DecompressPartial accepted corrupt input", name)

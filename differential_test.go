@@ -1,8 +1,9 @@
 package sperr
 
 // Differential read-path test (the chunk-layer slice of ROADMAP item 7).
-// One set of containers — the frozen v1, v2 and v3 fixtures plus freshly
-// compressed odd-dimension volumes in every mode and fixed backend — goes
+// One set of containers — the frozen v2 and v3 fixtures, the frozen v1
+// fixture as Repair upgrades it, plus freshly compressed odd-dimension
+// volumes in every mode and fixed backend — goes
 // through every way this package can read a container: one-shot decode at
 // several worker counts, the streaming Decoder, region decode, salvage and
 // audit of the undamaged stream, repair, and shard slice/merge round
@@ -30,9 +31,8 @@ type diffCase struct {
 // thousand points) so that adaptive selection and five backends stay cheap.
 func diffCases(t *testing.T) []diffCase {
 	t.Helper()
-	var cases []diffCase
+	cases := []diffCase{{"golden_pwe_24x17x9.sperr", upgradedV1Fixture(t)}} // retired v1, upgraded
 	for _, name := range []string{
-		"golden_pwe_24x17x9.sperr",          // v1
 		"golden_pwe_24x17x9_v2.sperr",       // v2
 		"golden_adaptive_48x32x32_v3.sperr", // v3
 	} {
@@ -96,8 +96,8 @@ func allRecovered(t *testing.T, what string, rep *SalvageReport, version int) {
 		rep.Degraded() || len(rep.LostRanges) != 0 || rep.Resynced {
 		t.Fatalf("%s: undamaged stream reported %+v", what, rep)
 	}
-	if rep.IndexIntact != (version >= 2) {
-		t.Fatalf("%s: IndexIntact = %v on a v%d container", what, rep.IndexIntact, version)
+	if !rep.IndexIntact {
+		t.Fatalf("%s: IndexIntact = false on a v%d container", what, version)
 	}
 	for _, c := range rep.Chunks {
 		if !c.Recovered || c.Reason != "" || c.Offset < 0 {
@@ -224,51 +224,19 @@ func TestReadPathsAgree(t *testing.T) {
 				allRecovered(t, "tolerant DecodeAll", dec.SalvageReport(), info.Version)
 			}
 
-			// Repair of the undamaged stream: v2/v3 come back byte for byte;
-			// v1 upgrades to v2 and decodes to the same samples.
+			// Repair of the undamaged stream gives it back byte for byte.
 			fixed, rep, err := Repair(stream)
 			if err != nil {
 				t.Fatalf("Repair: %v", err)
 			}
 			allRecovered(t, "Repair", rep, info.Version)
-			if info.Version >= 2 {
-				if !bytes.Equal(fixed, stream) {
-					t.Fatalf("Repair changed an undamaged v%d container", info.Version)
-				}
-			} else {
-				finfo, err := Describe(fixed)
-				if err != nil || finfo.Version != 2 {
-					t.Fatalf("Repair(v1): Describe %+v err %v", finfo, err)
-				}
-				if finfo.Dims != info.Dims || finfo.ChunkDims != info.ChunkDims ||
-					finfo.Mode != info.Mode || finfo.Tolerance != info.Tolerance ||
-					finfo.SpeckBits != info.SpeckBits || finfo.OutlierBits != info.OutlierBits ||
-					!reflect.DeepEqual(finfo.FrameBytes, info.FrameBytes) ||
-					!reflect.DeepEqual(finfo.Chunks, info.Chunks) {
-					t.Fatalf("Repair(v1): Describe moved:\n got %+v\nwant %+v", finfo, info)
-				}
-				got, _, err := Decompress(fixed)
-				if err != nil {
-					t.Fatalf("Decompress(Repair(v1)): %v", err)
-				}
-				sameBits(t, "Decompress(Repair(v1))", got, want)
+			if !bytes.Equal(fixed, stream) {
+				t.Fatalf("Repair changed an undamaged v%d container", info.Version)
 			}
 
-			// Shard slice/merge round trips. v1 has no footer to slice.
+			// Shard slice/merge round trips.
 			even := func(i int) bool { return i%2 == 0 }
 			odd := func(i int) bool { return i%2 == 1 }
-			if info.Version < 2 {
-				if _, err := SliceShard(stream, even); err == nil {
-					t.Fatalf("SliceShard accepted a v1 container")
-				}
-				if _, err := MergeShards(stream, stream); err == nil {
-					t.Fatalf("MergeShards accepted v1 containers")
-				}
-				if _, err := OwnedChunks(stream); err == nil {
-					t.Fatalf("OwnedChunks accepted a v1 container")
-				}
-				return
-			}
 			all, err := SliceShard(stream, func(int) bool { return true })
 			if err != nil || !bytes.Equal(all, stream) {
 				t.Fatalf("SliceShard(keep all) is not the identity (err %v)", err)

@@ -136,8 +136,9 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte("SPRRGO01garbage"))
 	f.Add([]byte("SPRRGO02garbage"))
 	f.Add([]byte("SPRRGO03garbage"))
-	// The frozen v1 fixture keeps the compatibility decode path in the
-	// fuzz corpus even though the encoder now emits v2.
+	// The frozen v1 fixture: every reader refuses it at the magic, and
+	// Repair upgrades it (or refuses a damaged one) — the upgrade path
+	// stays in the fuzz corpus.
 	if v1, err := os.ReadFile(filepath.Join("testdata", "golden_pwe_24x17x9.sperr")); err == nil {
 		f.Add(v1)
 		f.Add(v1[:len(v1)/2])
@@ -185,7 +186,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(mutated)
 	// A header that declares an enormous volume in 45 bytes: must be
 	// rejected by the decode cap, not allocated.
-	huge := []byte("SPRRGO01")
+	huge := []byte("SPRRGO02")
 	for _, v := range []uint32{0xFFFFFFF0, 0xFFFFFFF0, 0xFFFFFFF0, 1, 1, 1, 1} {
 		huge = binary.LittleEndian.AppendUint32(huge, v)
 	}

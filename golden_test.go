@@ -15,10 +15,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -93,10 +95,13 @@ func TestGoldenStream(t *testing.T) {
 
 // goldenV1ReconSHA256 pins the exact reconstruction of the checked-in v1
 // fixture (little-endian float64 bytes of the decode), captured on the
-// tree that wrote the fixture. The container-v2 refactor must keep
-// decoding v1 streams to these exact samples through the compatibility
-// path.
+// tree that wrote the fixture. Container v1 is retired, so the fixture
+// now reaches these samples only through its upgrade (Repair).
 const goldenV1ReconSHA256 = "dc9c7a53fd9714c20e98a1ff32067fbafb24e6ca6f2886bc7e152511884d9408"
+
+// goldenV1UpgradeSHA256 pins the v2 container Repair upgrades the v1
+// fixture to, the same bytes the v1 repair path has always written.
+const goldenV1UpgradeSHA256 = "82c27a6df4783d930f226731f006cae537834f1b9d6f6c1e6fdfb52acf550c4b"
 
 func reconDigest(data []float64) string {
 	raw := make([]byte, 8*len(data))
@@ -107,19 +112,24 @@ func reconDigest(data []float64) string {
 	return hex.EncodeToString(h[:])
 }
 
-// TestGoldenV1Compat: the frozen v1 fixture must keep decoding
-// byte-identically — through the one-shot wrapper and through the
-// streaming Decoder — and keep describing correctly.
+// TestGoldenV1Compat: the frozen v1 fixture is refused by the readers
+// and upgraded by Repair to a pinned v2 container that decodes to the
+// pinned reconstruction — through the one-shot wrapper and through the
+// streaming Decoder — and describes as the v1 stream always did.
 func TestGoldenV1Compat(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_pwe_24x17x9.sperr"))
-	if err != nil {
-		t.Fatalf("missing v1 fixture (must never be regenerated): %v", err)
+	v1 := readV1Fixture(t)
+	if _, _, err := Decompress(v1); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "sperr repair") {
+		t.Fatalf("Decompress(v1) = %v, want ErrCorrupt naming sperr repair", err)
+	}
+	up := upgradedV1Fixture(t)
+	if h := sha256.Sum256(up); hex.EncodeToString(h[:]) != goldenV1UpgradeSHA256 {
+		t.Fatalf("v1 upgrade drifted: sha256 %x, want %s", h, goldenV1UpgradeSHA256)
 	}
 	_, dims := goldenInput()
 
-	rec, rdims, err := Decompress(want)
+	rec, rdims, err := Decompress(up)
 	if err != nil {
-		t.Fatalf("v1 fixture no longer decodes: %v", err)
+		t.Fatalf("upgraded v1 fixture does not decode: %v", err)
 	}
 	if rdims != dims {
 		t.Fatalf("v1 dims %v, want %v", rdims, dims)
@@ -128,26 +138,30 @@ func TestGoldenV1Compat(t *testing.T) {
 		t.Fatalf("v1 reconstruction drifted: sha256 %s, want %s", got, goldenV1ReconSHA256)
 	}
 
-	dec, err := NewDecoder(bytes.NewReader(want))
+	dec, err := NewDecoder(bytes.NewReader(up))
 	if err != nil {
-		t.Fatalf("streaming Decoder rejects v1: %v", err)
+		t.Fatalf("streaming Decoder rejects the upgrade: %v", err)
 	}
-	if v := dec.FormatVersion(); v != 1 {
-		t.Fatalf("v1 fixture reports version %d", v)
+	if v := dec.FormatVersion(); v != 2 {
+		t.Fatalf("upgraded v1 fixture reports version %d", v)
 	}
 	srec, sdims, err := dec.DecodeAll()
 	if err != nil {
-		t.Fatalf("streaming decode of v1: %v", err)
+		t.Fatalf("streaming decode of the upgrade: %v", err)
 	}
 	if sdims != dims || reconDigest(srec) != goldenV1ReconSHA256 {
-		t.Fatalf("streaming v1 decode differs from pinned reconstruction")
+		t.Fatalf("streaming decode of the upgrade differs from pinned reconstruction")
 	}
 
-	info, err := Describe(want)
+	// What Describe reported for the v1 stream itself before the
+	// retirement.
+	info, err := Describe(up)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 1 || info.Dims != dims || info.Mode != "pwe" || info.Tolerance != goldenTol {
-		t.Fatalf("v1 Describe drifted: %+v", info)
+	if info.Version != 2 || info.Dims != dims || info.ChunkDims != [3]int{16, 16, 16} ||
+		info.Mode != "pwe" || info.Tolerance != goldenTol ||
+		info.SpeckBits != 45520 || info.OutlierBits != 1038 {
+		t.Fatalf("v1 upgrade Describe drifted: %+v", info)
 	}
 }

@@ -8,19 +8,19 @@ import (
 	"sperr/internal/grid"
 )
 
-// container is a parsed SPERR-Go container stream of any generation. On
-// indexed layouts, payload checksums are deferred to payload(): parse
-// walks only the header and index footer, so random-access consumers
-// (Describe, DecompressRegion) never touch the frames they skip.
+// container is a parsed SPERR-Go container stream of any generation.
+// Payload checksums are deferred to payload(): parse walks only the header
+// and index footer, so random-access consumers (Describe,
+// DecompressRegion) never touch the frames they skip.
 type container struct {
 	layout
 	volDims   grid.Dims
 	chunkDims grid.Dims
 	chunks    []grid.Chunk
 	payloads  [][]byte        // one compressed stream per chunk, aliasing the input
-	crcs      []uint32        // indexed: expected payload crc32c, verified lazily
+	crcs      []uint32        // expected payload crc32c, verified lazily
 	codecs    []codec.CodecID // tagged: per-chunk codec map from the footer
-	agg       aggregates      // indexed: the footer's aggregates
+	agg       aggregates      // the footer's aggregates
 }
 
 // MaxDecodePoints, when positive, bounds the number of points a container
@@ -71,6 +71,10 @@ func validateGeometry(volDims, chunkDims grid.Dims, nchunks int) ([]grid.Chunk, 
 	return grid.SplitChunks(volDims, chunkDims), nil
 }
 
+// errRetiredV1 is every reader's answer to a format v1 stream (see
+// retiredV1). Repair recognizes it and upgrades the stream instead.
+var errRetiredV1 = fmt.Errorf("%w: container v1 is retired (its frames carry no checksums); upgrade it with `sperr repair IN OUT`", ErrCorrupt)
+
 // parseFixedHeader decodes and validates the 36-byte fixed header every
 // generation shares, returning the generation's layout, the declared
 // geometry and the chunk split. It is the common entry of the strict
@@ -80,19 +84,33 @@ func parseFixedHeader(stream []byte) (l layout, volDims, chunkDims grid.Dims, ch
 	if len(stream) < fixedHeaderSize {
 		return l, volDims, chunkDims, nil, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
-	l, ok := layoutOfMagic([8]byte(stream[:8]))
+	magic := [8]byte(stream[:8])
+	if magic == retiredV1.magic {
+		return l, volDims, chunkDims, nil, errRetiredV1
+	}
+	l, ok := layoutOfMagic(magic)
 	if !ok {
 		return l, volDims, chunkDims, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
+	volDims, chunkDims, chunks, err = parseGeometry(stream)
+	return l, volDims, chunkDims, chunks, err
+}
+
+// parseGeometry decodes the fixed header's seven u32 geometry fields,
+// identical in every generation, and validates them. stream holds at
+// least the fixed header.
+func parseGeometry(stream []byte) (volDims, chunkDims grid.Dims, chunks []grid.Chunk, err error) {
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(stream[off:])) }
 	volDims = grid.Dims{NX: u32(8), NY: u32(12), NZ: u32(16)}
 	chunkDims = grid.Dims{NX: u32(20), NY: u32(24), NZ: u32(28)}
 	chunks, err = validateGeometry(volDims, chunkDims, u32(32))
-	return l, volDims, chunkDims, chunks, err
+	return volDims, chunkDims, chunks, err
 }
 
 // parseContainer validates and indexes a container stream without
-// decoding (or, on indexed layouts, even checksumming) any chunk payloads.
+// decoding, or even checksumming, any chunk payload. The frames are
+// located by the index footer's entries, not by walking length prefixes,
+// so this is O(nchunks) in the footer and touches no frame bytes.
 func parseContainer(stream []byte) (*container, error) {
 	if len(stream) < fixedHeaderSize {
 		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
@@ -109,58 +127,30 @@ func parseContainer(stream []byte) (*container, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &container{layout: l, volDims: volDims, chunkDims: chunkDims, chunks: chunks}
-	if c.indexed {
-		return c, c.parseIndexed(stream)
-	}
-	c.payloads = make([][]byte, nchunks)
-	off := fixedHeaderSize
-	for i := 0; i < nchunks; i++ {
-		if off+4 > len(stream) {
-			return nil, fmt.Errorf("%w: truncated at chunk %d", ErrCorrupt, i)
-		}
-		n := int(binary.LittleEndian.Uint32(stream[off:]))
-		off += 4
-		if n < 0 || off+n > len(stream) {
-			return nil, fmt.Errorf("%w: chunk %d payload truncated", ErrCorrupt, i)
-		}
-		c.payloads[i] = stream[off : off+n]
-		off += n
-	}
-	return c, nil
-}
-
-// parseIndexed indexes the stream from its footer alone: the frames are
-// located by the index entries, not by walking length prefixes, so this
-// is O(nchunks) in the footer and touches no frame bytes.
-func (c *container) parseIndexed(stream []byte) error {
-	entries, codecs, agg, err := readIndex(stream, c.layout, len(c.chunks))
+	entries, codecs, agg, err := readIndex(stream, l, len(chunks))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.agg, c.codecs = agg, codecs
-	c.payloads = make([][]byte, len(entries))
-	c.crcs = make([]uint32, len(entries))
+	c := &container{layout: l, volDims: volDims, chunkDims: chunkDims, chunks: chunks,
+		payloads: make([][]byte, len(entries)), crcs: make([]uint32, len(entries)),
+		codecs: codecs, agg: agg}
 	for i, e := range entries {
-		// parseIndex proved offset+overhead+length <= indexOffset <= len(stream).
+		// parseIndex proved offset+frameOverhead+length <= indexOffset <= len(stream).
 		start := int(e.offset) + 4
 		c.payloads[i] = stream[start : start+int(e.length)]
 		c.crcs[i] = e.crc
 	}
-	return nil
+	return c, nil
 }
 
 // payload returns chunk i's compressed stream, verifying its checksum
-// first on indexed containers. Verification happens here — at access time
-// — rather than at parse time, so consumers pay only for the frames they
-// actually open. On tagged layouts the returned bytes include the leading
-// codec tag.
+// first. Verification happens here — at access time — rather than at
+// parse time, so consumers pay only for the frames they actually open. On
+// tagged layouts the returned bytes include the leading codec tag.
 func (c *container) payload(i int) ([]byte, error) {
 	p := c.payloads[i]
-	if c.crcs != nil {
-		if got := frameCRC(p); got != c.crcs[i] {
-			return nil, fmt.Errorf("%w: chunk %d checksum mismatch", ErrCorrupt, i)
-		}
+	if got := frameCRC(p); got != c.crcs[i] {
+		return nil, fmt.Errorf("%w: chunk %d checksum mismatch", ErrCorrupt, i)
 	}
 	return p, nil
 }

@@ -37,9 +37,7 @@ import (
 //	        indexCRC u32 (crc32c of entries + aggregates) | indexOffset u64 | magic "SPRRIX02"
 //
 // frameOffset addresses the frame's payloadLen field from the start of
-// the container. Format v1 ("SPRRGO01") is the same fixed header followed
-// by bare { payloadLen u32 | payload } frames with no checksums and no
-// footer; it remains fully decodable.
+// the container.
 //
 // Format v3 ("SPRRGO03") carries the multi-backend container: each frame
 // payload is a one-byte codec tag followed by the backend stream (the
@@ -60,21 +58,25 @@ import (
 // layout is everything that differs between the container generations.
 // This file is the only one that names a generation: parseFixedHeader
 // turns the magic into a layout, and the rest of the package asks it
-// indexed / tagged / overhead or calls its methods, never a number.
+// tagged or calls its methods, never a number.
 type layout struct {
-	version  int
-	magic    [8]byte // opens the fixed header
-	ixMagic  [8]byte // closes the index footer (indexed generations only)
-	overhead int     // frame bytes beyond the payload: the length prefix, plus the CRC when indexed
-	indexed  bool    // frames end in their CRC-32C and the stream ends in an index footer
-	tagged   bool    // payloads lead with a codec tag byte and the footer carries the codec map
+	version int
+	magic   [8]byte // opens the fixed header
+	ixMagic [8]byte // closes the index footer
+	tagged  bool    // payloads lead with a codec tag byte and the footer carries the codec map
 }
 
 var layouts = [...]layout{
-	{version: 1, magic: magicOf("SPRRGO01"), overhead: 4},
-	{version: 2, magic: magicOf("SPRRGO02"), ixMagic: magicOf("SPRRIX02"), overhead: 8, indexed: true},
-	{version: 3, magic: magicOf("SPRRGO03"), ixMagic: magicOf("SPRRIX03"), overhead: 8, indexed: true, tagged: true},
+	{version: 2, magic: magicOf("SPRRGO02"), ixMagic: magicOf("SPRRIX02")},
+	{version: 3, magic: magicOf("SPRRGO03"), ixMagic: magicOf("SPRRIX03"), tagged: true},
 }
+
+// retiredV1 is format v1: the same fixed header followed by bare
+// { payloadLen u32 | payload } frames, with no checksums and no footer, so
+// damage to its bytes decodes as wrong samples instead of failing. It is
+// not in layouts: every reader refuses its magic (parseFixedHeader), and
+// Repair alone reads it, once, to upgrade it to v2 (upgradeV1).
+var retiredV1 = layout{version: 1, magic: magicOf("SPRRGO01")}
 
 func magicOf(s string) [8]byte { return [8]byte([]byte(s)) }
 
@@ -90,13 +92,12 @@ func layoutOfMagic(magic [8]byte) (layout, bool) {
 
 // writeLayout returns the generation new containers are written in: v3
 // exists for streams whose frames need codec tags; everything else keeps
-// emitting v2 byte-for-byte. v1 is read-only, so a rewrite of a v1
-// container (Repair) upgrades it to v2.
+// emitting v2 byte-for-byte.
 func writeLayout(tagged bool) layout {
 	if tagged {
-		return layouts[2]
+		return layouts[1]
 	}
-	return layouts[1]
+	return layouts[0]
 }
 
 // indexSize returns the exact footer size for nchunks chunks; the codec
@@ -168,14 +169,17 @@ const (
 	// tailSize is the fixed footer tail: indexCRC u32, indexOffset u64,
 	// end magic.
 	tailSize = 4 + 8 + 8
+	// frameOverhead is a frame's bytes beyond its payload: the u32 length
+	// prefix and the trailing CRC-32C.
+	frameOverhead = 4 + 4
 )
 
 // castagnoli is the CRC-32C polynomial table used for frame and index
 // checksums (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameCRC is the checksum stored after each indexed frame's payload and
-// in the matching index entry.
+// frameCRC is the checksum stored after each frame's payload and in the
+// matching index entry.
 func frameCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
 // indexEntry locates one chunk's frame within the container.
@@ -233,8 +237,7 @@ func appendIndex(dst []byte, l layout, entries []indexEntry, codecs []codec.Code
 	return append(dst, l.ixMagic[:]...)
 }
 
-// parseIndex validates and decodes the footer region of an indexed
-// container. indexBytes must span [indexOffset, end) of the stream;
+// parseIndex validates and decodes the footer region of a container. indexBytes must span [indexOffset, end) of the stream;
 // streamLen is the total container length, used to bound the entries. The
 // returned codec map is non-nil exactly for tagged layouts.
 func parseIndex(indexBytes []byte, l layout, nchunks int, indexOffset uint64, streamLen int) ([]indexEntry, []codec.CodecID, aggregates, error) {
@@ -268,7 +271,7 @@ func parseIndex(indexBytes []byte, l layout, nchunks int, indexOffset uint64, st
 		if e.offset != next {
 			return nil, nil, agg, fmt.Errorf("%w: frame %d at offset %d, want %d", ErrCorrupt, i, e.offset, next)
 		}
-		end := e.offset + uint64(l.overhead) + uint64(e.length)
+		end := e.offset + frameOverhead + uint64(e.length)
 		if end > indexOffset || end > uint64(streamLen) {
 			return nil, nil, agg, fmt.Errorf("%w: frame %d overruns index", ErrCorrupt, i)
 		}
@@ -312,8 +315,8 @@ func parseIndex(indexBytes []byte, l layout, nchunks int, indexOffset uint64, st
 	return entries, codecs, agg, nil
 }
 
-// locateIndex reads the fixed tail of an indexed stream and returns the
-// index footer's offset.
+// locateIndex reads the fixed tail of a stream and returns the index
+// footer's offset.
 func locateIndex(stream []byte, l layout) (uint64, error) {
 	if len(stream) < fixedHeaderSize+tailSize {
 		return 0, fmt.Errorf("%w: stream too short for index tail", ErrCorrupt)
@@ -329,8 +332,8 @@ func locateIndex(stream []byte, l layout) (uint64, error) {
 	return off, nil
 }
 
-// readIndex locates and parses the index footer of a whole indexed
-// container held in memory — the random-access entry every seekable
+// readIndex locates and parses the index footer of a whole container
+// held in memory — the random-access entry every seekable
 // consumer (strict parse, salvage, repair) shares.
 func readIndex(stream []byte, l layout, nchunks int) ([]indexEntry, []codec.CodecID, aggregates, error) {
 	off, err := locateIndex(stream, l)
@@ -342,8 +345,7 @@ func readIndex(stream []byte, l layout, nchunks int) ([]indexEntry, []codec.Code
 
 // frameWriter is the one emitter of container bytes: the fixed header on
 // construction, then one length|payload|crc frame per chunk in container
-// order, then the index footer. It only writes indexed generations (see
-// writeLayout).
+// order, then the index footer.
 type frameWriter struct {
 	layout
 	w       io.Writer
@@ -374,7 +376,7 @@ func (fw *frameWriter) frame(payload []byte, crc uint32) error {
 		}
 	}
 	fw.entries[fw.next] = indexEntry{offset: fw.off, length: uint32(len(payload)), crc: crc}
-	fw.off += uint64(fw.overhead + len(payload))
+	fw.off += uint64(frameOverhead + len(payload))
 	fw.next++
 	return nil
 }

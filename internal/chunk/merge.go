@@ -38,9 +38,9 @@ func classifyFrame(c *container, i int) frameState {
 // MergeShards combines two shards of the same volume into one container
 // holding, for each chunk, the first intact frame found in (a, b) order;
 // chunks intact in neither input stay (or become) stubs. Both inputs
-// must be v2+ containers describing the same geometry, version, and
-// codec map — shards of different volumes, or of the same volume under
-// different contracts, refuse to merge. Merging a shard with itself, or
+// must describe the same geometry, version, and codec map — shards of
+// different volumes, or of the same volume under different contracts,
+// refuse to merge. Merging a shard with itself, or
 // with a subset of itself, reproduces it byte for byte.
 //
 // A damaged frame (real length, bad checksum) is tolerated in either
@@ -56,9 +56,6 @@ func MergeShards(a, b []byte) ([]byte, error) {
 	cb, err := parseContainer(b)
 	if err != nil {
 		return nil, fmt.Errorf("merge: second shard: %w", err)
-	}
-	if !ca.indexed || !cb.indexed {
-		return nil, fmt.Errorf("chunk: cannot merge v1 containers (no index footer)")
 	}
 	if ca.version != cb.version || ca.volDims != cb.volDims ||
 		ca.chunkDims != cb.chunkDims || len(ca.chunks) != len(cb.chunks) {
@@ -86,7 +83,7 @@ func MergeShards(a, b []byte) ([]byte, error) {
 	return ca.rebuild(pick), nil
 }
 
-// OwnedChunks scans a v2+ container and returns the sorted indices of
+// OwnedChunks scans a container and returns the sorted indices of
 // the chunks whose frames are real and intact — the shard's owned set as
 // evidenced by the bytes themselves, not a manifest. Damaged frames and
 // stubs are both excluded.
@@ -94,9 +91,6 @@ func OwnedChunks(shard []byte) ([]int, error) {
 	c, err := parseContainer(shard)
 	if err != nil {
 		return nil, err
-	}
-	if !c.indexed {
-		return nil, fmt.Errorf("chunk: v1 containers carry no ownership evidence")
 	}
 	owned := make([]int, 0, len(c.chunks))
 	for i := range c.chunks {

@@ -34,8 +34,8 @@ func maxFrameBytes(chunks []grid.Chunk) int {
 const readChunkMax = 1 << 20
 
 // Reader is the streaming decoder engine: it reads container frames
-// sequentially from any io.Reader (formats v1, v2, and v3), decodes chunks on
-// a worker pool, and hands each decoded chunk to a callback. Peak decoded
+// sequentially from any io.Reader (formats v2 and v3), decodes chunks on a
+// worker pool, and hands each decoded chunk to a callback. Peak decoded
 // data in flight is bounded by workers x chunk size — never the volume.
 type Reader struct {
 	layout
@@ -96,7 +96,7 @@ func (d *Reader) ChunkDims() grid.Dims { return d.chunkDims }
 // NumChunks returns the number of chunks in the container.
 func (d *Reader) NumChunks() int { return len(d.chunks) }
 
-// Version reports the container format version (1, 2, or 3).
+// Version reports the container format version (2 or 3).
 func (d *Reader) Version() int { return d.version }
 
 // SetWorkers adjusts the decode worker budget before ForEach (<= 0 means
@@ -268,9 +268,8 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 	}
 
 	// Producer: read frames sequentially, recording what the index footer
-	// must later corroborate (indexed layouts): entries always, and on
-	// tagged layouts the frame codec tags the footer's codec map must
-	// mirror.
+	// must later corroborate: entries always, and on tagged layouts the
+	// frame codec tags the footer's codec map must mirror.
 	entries := make([]indexEntry, len(d.chunks))
 	var tags []codec.CodecID
 	var tagSeen []bool
@@ -306,7 +305,7 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 			break
 		}
 		entries[i] = indexEntry{offset: off, length: uint32(len(payload)), crc: crc}
-		off += uint64(d.overhead + len(payload))
+		off += uint64(frameOverhead + len(payload))
 		if err != nil {
 			d.report.Chunks[i].Reason = ReasonBadCRC
 			if d.policy == PolicyFill {
@@ -331,53 +330,50 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		return firstErr
 	}
 
-	if d.indexed {
-		// Consume and corroborate the index footer: every entry must match
-		// the frames just decoded. Under a tolerant policy a damaged or
-		// unreachable footer is recorded, not fatal — the frames already
-		// vouched for themselves via their own CRCs. A frame that failed
-		// its own checksum is matched on offset and length only: which of
-		// its payload and its two recorded CRCs is the damaged one cannot
-		// be told, and the verdict here is on the footer, not the frame.
-		corroborate := func() error {
-			if framingLost {
-				return fmt.Errorf("%w: footer unreachable after framing loss", ErrCorrupt)
-			}
-			idxLen := d.indexSize(len(d.chunks))
-			idx := make([]byte, idxLen)
-			if _, err := io.ReadFull(d.r, idx); err != nil {
-				return fmt.Errorf("%w: truncated index footer: %v", ErrCorrupt, err)
-			}
-			got, codecs, _, err := parseIndex(idx, d.layout, len(d.chunks), off, int(off)+idxLen)
-			if err != nil {
-				return err
-			}
-			for i := range got {
-				// Only a tolerant run gets here past a bad frame, and no
-				// worker rewrites the reason of a frame it was never given.
-				if tolerant && d.report.Chunks[i].Reason == ReasonBadCRC {
-					got[i].crc = entries[i].crc
-				}
-				if got[i] != entries[i] {
-					return fmt.Errorf("%w: index entry %d disagrees with frame", ErrCorrupt, i)
-				}
-			}
-			for i := range codecs {
-				if tagSeen[i] && tags[i] != codecs[i] {
-					return fmt.Errorf("%w: index codec %s disagrees with frame %d tag %d",
-						ErrCorrupt, codecs[i], i, tags[i])
-				}
-			}
-			return nil
+	// Consume and corroborate the index footer: every entry must match
+	// the frames just decoded. Under a tolerant policy a damaged or
+	// unreachable footer is recorded, not fatal — the frames already
+	// vouched for themselves via their own CRCs. A frame that failed
+	// its own checksum is matched on offset and length only: which of
+	// its payload and its two recorded CRCs is the damaged one cannot
+	// be told, and the verdict here is on the footer, not the frame.
+	corroborate := func() error {
+		if framingLost {
+			return fmt.Errorf("%w: footer unreachable after framing loss", ErrCorrupt)
 		}
-		err := corroborate()
-		if tolerant {
-			d.report.IndexIntact = err == nil
-		} else if err != nil {
+		idxLen := d.indexSize(len(d.chunks))
+		idx := make([]byte, idxLen)
+		if _, err := io.ReadFull(d.r, idx); err != nil {
+			return fmt.Errorf("%w: truncated index footer: %v", ErrCorrupt, err)
+		}
+		got, codecs, _, err := parseIndex(idx, d.layout, len(d.chunks), off, int(off)+idxLen)
+		if err != nil {
 			return err
 		}
+		for i := range got {
+			// Only a tolerant run gets here past a bad frame, and no
+			// worker rewrites the reason of a frame it was never given.
+			if tolerant && d.report.Chunks[i].Reason == ReasonBadCRC {
+				got[i].crc = entries[i].crc
+			}
+			if got[i] != entries[i] {
+				return fmt.Errorf("%w: index entry %d disagrees with frame", ErrCorrupt, i)
+			}
+		}
+		for i := range codecs {
+			if tagSeen[i] && tags[i] != codecs[i] {
+				return fmt.Errorf("%w: index codec %s disagrees with frame %d tag %d",
+					ErrCorrupt, codecs[i], i, tags[i])
+			}
+		}
+		return nil
 	}
-	return nil
+	err := corroborate()
+	if tolerant {
+		d.report.IndexIntact = err == nil
+		return nil
+	}
+	return err
 }
 
 // raisePeak lifts the running-maximum counter to cur if it exceeds the
@@ -392,8 +388,7 @@ func raisePeak(peak *atomic.Int64, cur int64) {
 }
 
 // nextFrame reads the next frame from the input into buf (grown as
-// needed): length prefix, payload, and on indexed layouts the trailing
-// checksum. On failure reason classifies the damage for the salvage
+// needed): length prefix, payload, and the trailing checksum. On failure reason classifies the damage for the salvage
 // report, and payload is non-nil exactly when the payload bytes were all
 // read — framing survived at least that far. A checksum mismatch returns
 // the payload's actual CRC alongside ReasonBadCRC.
@@ -422,9 +417,6 @@ func (d *Reader) nextFrame(buf []byte, maxFrame int) (payload []byte, crc uint32
 		return nil, 0, ReasonTruncated, fmt.Errorf("payload: %v", err)
 	}
 	took(n)
-	if !d.indexed {
-		return payload, 0, "", nil
-	}
 	crc = frameCRC(payload)
 	if _, err := io.ReadFull(d.r, word); err != nil {
 		return payload, crc, ReasonTruncated, fmt.Errorf("checksum truncated: %v", err)

@@ -3,6 +3,7 @@ package chunk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"sperr/internal/codec"
@@ -17,7 +18,9 @@ import (
 // exploits that: it locates frames through the index footer when the
 // footer is intact, falls back to a resynchronizing scan when it is not,
 // validates every candidate frame against its checksum and header, and
-// reconstructs a usable frame table from the intact frames alone.
+// reconstructs a usable frame table from the intact frames alone. Format
+// v1 had no checksums, so nothing here can salvage it: Repair upgrades an
+// intact v1 stream to v2 or refuses it (upgradeV1).
 
 // Policy selects how a decode reacts to damaged frames.
 type Policy int
@@ -68,7 +71,8 @@ type ChunkOutcome struct {
 // recovered, which were lost and why, and which byte ranges of the
 // container could not be attributed to any verified frame.
 type SalvageReport struct {
-	// Version is the container format version (1, 2, or 3).
+	// Version is the input's container format version: 2 or 3, or 1 on
+	// the report of a Repair that upgraded a retired v1 stream.
 	Version int
 	// NumChunks is the container's declared chunk count; Recovered +
 	// Skipped always equals it.
@@ -77,8 +81,8 @@ type SalvageReport struct {
 	Skipped   int
 	// Chunks holds one outcome per chunk, in container order.
 	Chunks []ChunkOutcome
-	// IndexIntact reports whether the v2 index footer parsed and was used
-	// to locate frames (always false for v1, which has no footer).
+	// IndexIntact reports whether the index footer parsed and was used to
+	// locate frames (false for an upgraded v1 stream, which has none).
 	IndexIntact bool
 	// Resynced reports that the frame scan had to skip bytes to find the
 	// next frame — the stream's framing itself was damaged.
@@ -146,20 +150,18 @@ type scannedFrame struct {
 
 // frameValidAt reports whether a verified frame starts at off, returning
 // its payload and recorded sample count. Validity means: a plausible
-// length prefix, in-bounds payload, a matching CRC-32C (indexed layouts),
-// and a chunk header that parses. v1 frames carry no checksum, so the
-// header parse is the only self-check — decode failures catch what it
-// cannot.
+// length prefix, in-bounds payload, a matching CRC-32C, and a chunk
+// header that parses.
 func frameValidAt(stream []byte, off, maxFrame int, l layout) (payload []byte, points int, ok bool) {
-	if off+l.overhead > len(stream) {
+	if off+frameOverhead > len(stream) {
 		return nil, 0, false
 	}
 	n := int(binary.LittleEndian.Uint32(stream[off:]))
-	if n <= 0 || n > maxFrame || off+l.overhead+n > len(stream) {
+	if n <= 0 || n > maxFrame || off+frameOverhead+n > len(stream) {
 		return nil, 0, false
 	}
 	payload = stream[off+4 : off+4+n]
-	if l.indexed && frameCRC(payload) != binary.LittleEndian.Uint32(stream[off+4+n:]) {
+	if frameCRC(payload) != binary.LittleEndian.Uint32(stream[off+4+n:]) {
 		return nil, 0, false
 	}
 	meta, err := l.describe(payload)
@@ -172,10 +174,9 @@ func frameValidAt(stream []byte, off, maxFrame int, l layout) (payload []byte, p
 // scanFrames walks the byte range after the fixed header looking for
 // verified frames, resynchronizing byte-by-byte after damage. It returns
 // the frames in stream order plus the byte ranges no verified frame
-// accounted for. For v2 the CRC makes a false resync accept essentially
+// accounted for. The CRC makes a false resync accept essentially
 // impossible (the index footer's bytes, scanned when the footer itself is
-// damaged, never checksum as frames); for v1 the chunk-header parse is the
-// filter and the decode stage backstops it.
+// damaged, never checksum as frames).
 func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, lost [][2]int64, resynced bool) {
 	off := fixedHeaderSize
 	lostStart := int64(-1)
@@ -190,7 +191,7 @@ func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, l
 		if ok {
 			flush(int64(off))
 			frames = append(frames, scannedFrame{off: int64(off), payload: payload, points: points})
-			off += l.overhead + len(payload)
+			off += frameOverhead + len(payload)
 			continue
 		}
 		if lostStart < 0 {
@@ -209,7 +210,7 @@ func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, l
 // matches the frame header's recorded points (older streams without the
 // field claim the cursor position directly). Frames matching no remaining
 // chunk are unattributable and their bytes counted lost.
-func assignFrames(frames []scannedFrame, chunks []grid.Chunk, l layout, rep *SalvageReport) [][]byte {
+func assignFrames(frames []scannedFrame, chunks []grid.Chunk, rep *SalvageReport) [][]byte {
 	payloads := make([][]byte, len(chunks))
 	cursor := 0
 	for fi := range frames {
@@ -227,7 +228,7 @@ func assignFrames(frames []scannedFrame, chunks []grid.Chunk, l layout, rep *Sal
 		}
 		if idx < 0 {
 			rep.LostRanges = append(rep.LostRanges,
-				[2]int64{fr.off, fr.off + int64(l.overhead+len(fr.payload))})
+				[2]int64{fr.off, fr.off + int64(frameOverhead+len(fr.payload))})
 			continue
 		}
 		payloads[idx] = fr.payload
@@ -240,49 +241,47 @@ func assignFrames(frames []scannedFrame, chunks []grid.Chunk, l layout, rep *Sal
 }
 
 // locateFrames finds each chunk's candidate frame payload: through the
-// index footer when the layout has one and it is intact (frames then
-// verify individually against their indexed CRC), otherwise through the
-// resynchronizing scan. Chunks without a verified candidate keep their
-// seeded "missing frame" reason; chunks whose indexed frame fails
-// verification get a specific reason. The returned slice holds one
-// payload per chunk, nil where none verified; the aggregates are the
-// footer's, meaningful only when rep.IndexIntact.
+// index footer when it is intact (frames then verify individually against
+// their indexed CRC), otherwise through the resynchronizing scan. Chunks
+// without a verified candidate keep their seeded "missing frame" reason;
+// chunks whose indexed frame fails verification get a specific reason.
+// The returned slice holds one payload per chunk, nil where none
+// verified; the aggregates are the footer's, meaningful only when
+// rep.IndexIntact.
 func locateFrames(stream []byte, l layout, chunks []grid.Chunk, rep *SalvageReport) ([][]byte, aggregates) {
-	if l.indexed {
-		if entries, codecIDs, agg, err := readIndex(stream, l, len(chunks)); err == nil {
-			rep.IndexIntact = true
-			payloads := make([][]byte, len(chunks))
-			for i, e := range entries {
-				p := stream[e.offset+4 : e.offset+4+uint64(e.length)]
-				rep.Chunks[i].Offset = int64(e.offset)
-				rep.Chunks[i].Length = int(e.length)
-				lostRange := [2]int64{int64(e.offset), int64(e.offset) + int64(l.overhead) + int64(e.length)}
-				if frameCRC(p) != e.crc {
-					rep.Chunks[i].Reason = ReasonBadCRC
-					rep.LostRanges = append(rep.LostRanges, lostRange)
-					continue
-				}
-				meta, err := l.describe(p)
-				if err != nil || (meta.Points != 0 && meta.Points != chunks[i].Dims.Len()) ||
-					(codecIDs != nil && (len(p) < 1 || codec.CodecID(p[0]) != codecIDs[i])) {
-					rep.Chunks[i].Reason = ReasonBadHeader
-					rep.LostRanges = append(rep.LostRanges, lostRange)
-					continue
-				}
-				payloads[i] = p
-				rep.Chunks[i].Reason = ""
+	if entries, codecIDs, agg, err := readIndex(stream, l, len(chunks)); err == nil {
+		rep.IndexIntact = true
+		payloads := make([][]byte, len(chunks))
+		for i, e := range entries {
+			p := stream[e.offset+4 : e.offset+4+uint64(e.length)]
+			rep.Chunks[i].Offset = int64(e.offset)
+			rep.Chunks[i].Length = int(e.length)
+			lostRange := [2]int64{int64(e.offset), int64(e.offset) + frameOverhead + int64(e.length)}
+			if frameCRC(p) != e.crc {
+				rep.Chunks[i].Reason = ReasonBadCRC
+				rep.LostRanges = append(rep.LostRanges, lostRange)
+				continue
 			}
-			return payloads, agg
+			meta, err := l.describe(p)
+			if err != nil || (meta.Points != 0 && meta.Points != chunks[i].Dims.Len()) ||
+				(codecIDs != nil && (len(p) < 1 || codec.CodecID(p[0]) != codecIDs[i])) {
+				rep.Chunks[i].Reason = ReasonBadHeader
+				rep.LostRanges = append(rep.LostRanges, lostRange)
+				continue
+			}
+			payloads[i] = p
+			rep.Chunks[i].Reason = ""
 		}
+		return payloads, agg
 	}
 	frames, lost, resynced := scanFrames(stream, l, maxFrameBytes(chunks))
 	rep.LostRanges = append(rep.LostRanges, lost...)
 	rep.Resynced = resynced
-	return assignFrames(frames, chunks, l, rep), aggregates{}
+	return assignFrames(frames, chunks, rep), aggregates{}
 }
 
 // Audit verifies a container without decoding any samples: every frame is
-// checked against its CRC (v2+) and its chunk header cross-checked against
+// checked against its CRC and its chunk header cross-checked against
 // the geometry, through the index footer or — when the footer or framing
 // is damaged — the resynchronizing scan. In the returned report,
 // Recovered means "verified recoverable"; the fsck tool prints it as a
@@ -345,36 +344,23 @@ func Salvage(stream []byte, fill float64, workers int) (*grid.Volume, *SalvageRe
 // Repair rewrites a damaged container as a clean stream: verified frames
 // are kept byte-for-byte (so their chunks later decode bit-identically),
 // unrecoverable chunks are replaced by placeholder frames encoding
-// all-zero samples, and the index footer is regenerated from scratch. v1
-// input is upgraded to v2 in the process; v3 input stays v3, its frame
-// codec tags preserved and placeholders SPERR-coded. The report describes
-// the input's damage (Recovered = frames kept verbatim). Repair fails
-// only when the fixed header is unusable or no frame at all verified
-// (there is nothing to anchor the coding parameters to).
+// all-zero samples, and the index footer is regenerated from scratch. v3
+// input stays v3, its frame codec tags preserved and placeholders
+// SPERR-coded. A retired v1 stream is upgraded to v2 instead (upgradeV1).
+// The report describes the input's damage (Recovered = frames kept
+// verbatim). Repair fails only when the fixed header is unusable, when no
+// frame at all verified (there is nothing to anchor the coding parameters
+// to), or when a v1 upgrade meets a bad chunk.
 func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 	l, volDims, chunkDims, chunks, err := parseFixedHeader(stream)
+	if errors.Is(err, errRetiredV1) {
+		return upgradeV1(stream)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := newSalvageReport(l.version, chunks)
 	payloads, agg := locateFrames(stream, l, chunks, rep)
-
-	// Unchecksummed frames can carry undetectably damaged bytes past the
-	// header-level checks. A repaired container must strict-decode, so
-	// prove each kept frame by decoding it; failures become placeholders
-	// like any other lost chunk.
-	if !l.indexed {
-		scratch := codec.NewScratch()
-		for i := range payloads {
-			if payloads[i] == nil {
-				continue
-			}
-			if _, err := l.decode(payloads[i], chunks[i].Dims, scratch); err != nil {
-				payloads[i] = nil
-				rep.Chunks[i].Reason = ReasonDecode
-			}
-		}
-	}
 
 	// Anchor the container-wide coding parameters: the intact footer's
 	// aggregates when available, else the first verified frame's header.
@@ -416,11 +402,10 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 		}
 	}
 
-	out := writeLayout(l.tagged)
 	buf := bytes.NewBuffer(make([]byte, 0, len(stream)))
 	// Writes to a bytes.Buffer cannot fail, so the emitter's errors are
 	// unreachable here.
-	fw, _ := newFrameWriter(buf, out, volDims, chunkDims, len(chunks))
+	fw, _ := newFrameWriter(buf, l, volDims, chunkDims, len(chunks))
 	codecIDs := make([]codec.CodecID, len(chunks))
 	agg.speckBits, agg.outlierBits = 0, 0
 	for i, ch := range chunks {
@@ -431,14 +416,14 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 			if err != nil {
 				return nil, rep, fmt.Errorf("chunk: repair placeholder %d: %w", i, err)
 			}
-			payload = append(out.stub(codec.CodecSPERR), sperr...)
+			payload = append(l.stub(codec.CodecSPERR), sperr...)
 		} else {
 			rep.Chunks[i].Recovered = true
 		}
-		if out.tagged {
+		if l.tagged {
 			codecIDs[i] = codec.CodecID(payload[0])
 		}
-		if meta, err := out.describe(payload); err == nil {
+		if meta, err := l.describe(payload); err == nil {
 			agg.speckBits += meta.SpeckBits
 			agg.outlierBits += meta.OutlierBits
 		}
@@ -447,4 +432,77 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 	_, _ = fw.finish(codecIDs, agg)
 	rep.tally()
 	return buf.Bytes(), rep, nil
+}
+
+// upgradeV1 rewrites a retired v1 stream (see retiredV1) as v2, Repair's
+// one way in to v1 bytes. Without checksums nothing tells damage from
+// data, so it salvages nothing: the first frame adoptV1Frame refuses fails
+// the upgrade as ErrCorrupt. The frames are re-emitted verbatim with their
+// CRCs, under a footer whose aggregates are summed from the chunk headers.
+func upgradeV1(stream []byte) ([]byte, *SalvageReport, error) {
+	volDims, chunkDims, chunks, err := parseGeometry(stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep := newSalvageReport(retiredV1.version, chunks)
+	c := &container{layout: writeLayout(false), volDims: volDims, chunkDims: chunkDims, chunks: chunks,
+		payloads: make([][]byte, len(chunks)), crcs: make([]uint32, len(chunks))}
+	scratch := codec.NewScratch()
+	maxFrame := maxFrameBytes(chunks)
+	off := fixedHeaderSize
+	for i := range chunks {
+		n, err := c.adoptV1Frame(stream, off, i, maxFrame, scratch)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: v1 chunk %d: %v", ErrCorrupt, i, err)
+		}
+		rep.Chunks[i].Recovered, rep.Chunks[i].Reason = true, ""
+		rep.Chunks[i].Offset, rep.Chunks[i].Length = int64(off), n
+		off += 4 + n
+	}
+	if off != len(stream) {
+		return nil, nil, fmt.Errorf("%w: %d bytes after the last v1 frame", ErrCorrupt, len(stream)-off)
+	}
+	pick := make([]*container, len(chunks))
+	for i := range pick {
+		pick[i] = c
+	}
+	rep.tally()
+	return c.rebuild(pick), rep, nil
+}
+
+// adoptV1Frame checks the v1 frame at off as chunk i and takes its
+// payload, a bare SPERR stream, into c, returning the payload length. The
+// upgraded container must strict-decode, so the payload must fit the
+// streaming Reader's frame bound, its chunk header must parse and match
+// the chunk's geometry and chunk 0's mode and tolerance, and it must
+// decode. A payload flip that still decodes cannot be seen and is carried
+// into the upgrade.
+func (c *container) adoptV1Frame(stream []byte, off, i, maxFrame int, s *codec.Scratch) (int, error) {
+	if len(stream)-off < 4 {
+		return 0, errors.New("truncated length prefix")
+	}
+	n := int(binary.LittleEndian.Uint32(stream[off:]))
+	if n > len(stream)-off-4 || n > maxFrame {
+		return 0, fmt.Errorf("payload of %d bytes overruns the stream or the frame bound %d", n, maxFrame)
+	}
+	p := stream[off+4 : off+4+n]
+	meta, err := codec.DescribeChunk(p)
+	if err != nil {
+		return 0, err
+	}
+	dims := c.chunks[i].Dims
+	if meta.Points != 0 && meta.Points != dims.Len() {
+		return 0, fmt.Errorf("header records %d samples, geometry says %d", meta.Points, dims.Len())
+	}
+	if i > 0 && (meta.Mode != c.agg.mode || meta.Tol != c.agg.tol) {
+		return 0, fmt.Errorf("coded %v/%g, chunk 0 %v/%g", meta.Mode, meta.Tol, c.agg.mode, c.agg.tol)
+	}
+	if _, err := codec.DecodeChunkScratch(p, dims, s); err != nil {
+		return 0, err
+	}
+	c.agg.mode, c.agg.tol = meta.Mode, meta.Tol
+	c.agg.speckBits += meta.SpeckBits
+	c.agg.outlierBits += meta.OutlierBits
+	c.payloads[i], c.crcs[i] = p, frameCRC(p)
+	return n, nil
 }

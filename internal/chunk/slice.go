@@ -23,7 +23,7 @@ import (
 // payload is longer than this is corruption, not slicing.
 const StubFrameMaxLen = 1
 
-// SliceShard rebuilds a v2/v3 container keeping only the frames of the
+// SliceShard rebuilds a container keeping only the frames of the
 // chunks for which keep returns true. Kept frames are copied verbatim
 // (payload bytes and checksum unchanged, so their chunks later decode
 // bit-identically); every other frame shrinks to a stub. The index
@@ -31,16 +31,10 @@ const StubFrameMaxLen = 1
 // map and the container-wide aggregates, so Describe on a shard reports
 // the full volume's geometry and contract. Keeping every chunk
 // reproduces the input byte for byte.
-//
-// v1 containers have no index footer to slice against and no frame
-// checksums to carry ownership evidence; they are rejected.
 func SliceShard(stream []byte, keep func(int) bool) ([]byte, error) {
 	c, err := parseContainer(stream)
 	if err != nil {
 		return nil, err
-	}
-	if !c.indexed {
-		return nil, fmt.Errorf("chunk: cannot slice a v1 container (no index footer); repair upgrades it to v2")
 	}
 	pick := make([]*container, len(c.chunks))
 	for i := range pick {
@@ -83,7 +77,7 @@ func (c *container) rebuild(pick []*container) []byte {
 			payloads[i] = c.stub(id)
 			crcs[i] = frameCRC(payloads[i])
 		}
-		size += c.overhead + len(payloads[i])
+		size += frameOverhead + len(payloads[i])
 	}
 	// Writes to a bytes.Buffer cannot fail, so the emitter's errors are
 	// unreachable here.

@@ -138,10 +138,19 @@ func TestSliceShardOwnedChunksDecodeIdentically(t *testing.T) {
 	}
 }
 
+// TestSliceShardRejectsV1: a retired v1 container stops at its magic,
+// like on every other reader, and its upgrade slices like any v2.
 func TestSliceShardRejectsV1(t *testing.T) {
 	stream := readFixtureFile(t, filepath.Join("..", "..", "testdata", "golden_pwe_24x17x9.sperr"))
-	if _, err := SliceShard(stream, func(int) bool { return true }); err == nil {
-		t.Fatal("slicing a v1 container succeeded; want error")
+	if _, err := SliceShard(stream, func(int) bool { return true }); !errors.Is(err, errRetiredV1) {
+		t.Fatalf("slicing a v1 container: %v, want the retirement error", err)
+	}
+	up, _, err := Repair(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all, err := SliceShard(up, func(int) bool { return true }); err != nil || !bytes.Equal(all, up) {
+		t.Fatalf("slicing the v1 upgrade: err %v, identity %v", err, bytes.Equal(all, up))
 	}
 }
 

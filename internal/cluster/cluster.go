@@ -189,11 +189,6 @@ func (c *Cluster) Ingest(ctx context.Context, container []byte) (*store.Meta, bo
 	if err != nil {
 		return nil, false, err
 	}
-	if info.Version < 2 {
-		// Unshardable input is the client's to fix (422), like any other
-		// container the store cannot vouch for.
-		return nil, false, fmt.Errorf("%w: cannot shard a v%d container (no index footer); repack with a current encoder", store.ErrCorrupt, info.Version)
-	}
 	placement := c.ring.PlacementReplicas(id, info.NumChunks, c.replicas)
 
 	var (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -612,7 +613,8 @@ func TestIngestRejectsV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := clusters[0].Ingest(context.Background(), v1); err == nil {
-		t.Fatal("v1 container accepted for sharding")
+	_, _, err = clusters[0].Ingest(context.Background(), v1)
+	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "sperr repair") {
+		t.Fatalf("v1 ingest: %v, want store.ErrCorrupt naming sperr repair", err)
 	}
 }

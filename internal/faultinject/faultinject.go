@@ -10,9 +10,10 @@ package faultinject
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"sperr/internal/chunk"
 )
 
 // Mutant is one deterministic corruption of a container stream.
@@ -30,71 +31,45 @@ type Mutant struct {
 	HeaderIntact bool
 	// IntactChunks lists the chunks whose complete frame byte range
 	// (length prefix through trailing CRC) is present and byte-identical
-	// in Data. Salvage must recover at least this set (v2, intact header).
+	// in Data. Salvage must recover at least this set (intact header).
 	IntactChunks []int
 	// PayloadIntact lists the chunks whose payload bytes are present and
 	// byte-identical, regardless of damage to the length prefix or the
 	// trailing CRC — such a chunk may still verify through the index
 	// footer's copy of its checksum. Salvage must never recover a chunk
-	// outside this set (v2): that would mean delivering damaged samples
-	// as good. IntactChunks is always a subset.
+	// outside this set: that would mean delivering damaged samples as
+	// good. IntactChunks is always a subset.
 	PayloadIntact []int
-	// PrefixIntact lists the chunks for which every frame up to and
-	// including their own is intact — the guarantee a sequential v1
-	// decode (no checksums, resync by header parse only) can honor.
-	PrefixIntact []int
 }
 
-// layout is the byte map of a container, derived from the stream itself.
+// layout is the byte map of a container.
 type layout struct {
-	version int
-	size    int
+	size int
 	// frames[i] is the [start, end) byte range of chunk i's full frame:
-	// length prefix, payload, and (v2) trailing CRC.
+	// length prefix, payload, and trailing CRC.
 	frames [][2]int
-	// footer is the [start, end) range after the last frame: the v2 index
-	// footer, or empty for v1.
+	// footer is the [start, end) range of the index footer, after the
+	// last frame.
 	footer [2]int
 }
 
-// describe walks an intact container's frames by their length prefixes.
+// describe maps an intact container's frames from its index footer, as
+// chunk.Describe reports them: a frame is its u32 length prefix, the
+// payload and the u32 CRC, and frames are contiguous up to the footer.
 // The input must be undamaged — campaigns mutate copies of a golden
-// stream, so the walk is trusted.
+// stream.
 func describe(stream []byte) (*layout, error) {
-	if len(stream) < 36 {
-		return nil, fmt.Errorf("faultinject: stream too short (%d bytes)", len(stream))
+	info, err := chunk.Describe(stream)
+	if err != nil {
+		return nil, fmt.Errorf("faultinject: %w", err)
 	}
-	var version int
-	switch string(stream[:8]) {
-	case "SPRRGO01":
-		version = 1
-	case "SPRRGO02":
-		version = 2
-	case "SPRRGO03":
-		version = 3
-	default:
-		return nil, fmt.Errorf("faultinject: bad magic %q", stream[:8])
+	l := &layout{size: len(stream)}
+	end := 0
+	for _, c := range info.Chunks {
+		end = c.Offset + 4 + c.CompressedBytes + 4
+		l.frames = append(l.frames, [2]int{c.Offset, end})
 	}
-	nchunks := int(binary.LittleEndian.Uint32(stream[32:]))
-	l := &layout{version: version, size: len(stream)}
-	overhead := 4
-	if version >= 2 {
-		overhead = 8
-	}
-	off := 36
-	for i := 0; i < nchunks; i++ {
-		if off+4 > len(stream) {
-			return nil, fmt.Errorf("faultinject: frame %d out of bounds", i)
-		}
-		n := int(binary.LittleEndian.Uint32(stream[off:]))
-		end := off + overhead + n
-		if end > len(stream) {
-			return nil, fmt.Errorf("faultinject: frame %d overruns stream", i)
-		}
-		l.frames = append(l.frames, [2]int{off, end})
-		off = end
-	}
-	l.footer = [2]int{off, len(stream)}
+	l.footer = [2]int{end, len(stream)}
 	return l, nil
 }
 
@@ -115,14 +90,8 @@ func Campaign(stream []byte) ([]Mutant, error) {
 		for i, fr := range l.frames {
 			if fr[1] <= len(m.Data) && bytes.Equal(m.Data[fr[0]:fr[1]], stream[fr[0]:fr[1]]) {
 				m.IntactChunks = append(m.IntactChunks, i)
-				if len(m.PrefixIntact) == i {
-					m.PrefixIntact = append(m.PrefixIntact, i)
-				}
 			}
-			pEnd := fr[1]
-			if l.version >= 2 {
-				pEnd -= 4
-			}
+			pEnd := fr[1] - 4 // the payload ends where the CRC starts
 			if pEnd <= len(m.Data) && bytes.Equal(m.Data[fr[0]+4:pEnd], stream[fr[0]+4:pEnd]) {
 				m.PayloadIntact = append(m.PayloadIntact, i)
 			}
@@ -135,18 +104,14 @@ func Campaign(stream []byte) ([]Mutant, error) {
 	// degenerate boundary cases.
 	cutSet := map[int]bool{0: true, 1: true, 8: true, 20: true, 35: true}
 	for _, fr := range l.frames {
-		cutSet[fr[0]] = true                // before the frame
-		cutSet[fr[0]+4] = true              // after its length prefix
-		cutSet[(fr[0]+fr[1])/2] = true      // mid-payload
-		cutSet[fr[1]] = true                // after the frame
-		if l.version >= 2 && fr[1]-1 >= 0 { // inside the trailing CRC
-			cutSet[fr[1]-2] = true
-		}
+		cutSet[fr[0]] = true           // before the frame
+		cutSet[fr[0]+4] = true         // after its length prefix
+		cutSet[(fr[0]+fr[1])/2] = true // mid-payload
+		cutSet[fr[1]] = true           // after the frame
+		cutSet[fr[1]-2] = true         // inside the trailing CRC
 	}
-	if l.footer[1] > l.footer[0] {
-		cutSet[(l.footer[0]+l.footer[1])/2] = true
-		cutSet[l.size-1] = true
-	}
+	cutSet[(l.footer[0]+l.footer[1])/2] = true
+	cutSet[l.size-1] = true
 	cuts := make([]int, 0, len(cutSet))
 	for c := range cutSet {
 		if c >= 0 && c < l.size {
@@ -176,21 +141,15 @@ func Campaign(stream []byte) ([]Mutant, error) {
 		flips = append(flips, pos{fr[0], "frame"})     // length prefix
 		flips = append(flips, pos{fr[0] + 4, "frame"}) // first payload byte
 		flips = append(flips, pos{(fr[0] + fr[1]) / 2, "frame"})
-		if l.version >= 2 {
-			flips = append(flips, pos{fr[1] - 5, "frame"}) // last payload byte
-			flips = append(flips, pos{fr[1] - 3, "frame"}) // inside the CRC
-		} else {
-			flips = append(flips, pos{fr[1] - 1, "frame"})
-		}
+		flips = append(flips, pos{fr[1] - 5, "frame"}) // last payload byte
+		flips = append(flips, pos{fr[1] - 3, "frame"}) // inside the CRC
 	}
-	if l.footer[1] > l.footer[0] {
-		fo := l.footer[0]
-		flips = append(flips, pos{fo, "footer"})                     // first index entry
-		flips = append(flips, pos{(fo + l.footer[1]) / 2, "footer"}) // aggregates region
-		flips = append(flips, pos{l.size - 20, "footer"})            // tail CRC
-		flips = append(flips, pos{l.size - 16, "footer"})            // tail indexOffset
-		flips = append(flips, pos{l.size - 4, "footer"})             // tail magic
-	}
+	fo := l.footer[0]
+	flips = append(flips, pos{fo, "footer"})                     // first index entry
+	flips = append(flips, pos{(fo + l.footer[1]) / 2, "footer"}) // aggregates region
+	flips = append(flips, pos{l.size - 20, "footer"})            // tail CRC
+	flips = append(flips, pos{l.size - 16, "footer"})            // tail indexOffset
+	flips = append(flips, pos{l.size - 4, "footer"})             // tail magic
 	for _, p := range flips {
 		for _, mask := range []byte{0x01, 0x80} {
 			data := bytes.Clone(stream)
@@ -214,10 +173,8 @@ func Campaign(stream []byte) ([]Mutant, error) {
 	for _, fr := range l.frames {
 		runs = append(runs, run{(fr[0] + fr[1]) / 2, "frame"})
 	}
-	if l.footer[1] > l.footer[0] {
-		runs = append(runs, run{l.footer[0], "footer"})
-		runs = append(runs, run{l.size - 20, "footer"})
-	}
+	runs = append(runs, run{l.footer[0], "footer"})
+	runs = append(runs, run{l.size - 20, "footer"})
 	for _, r := range runs {
 		n := 8
 		if r.off+n > l.size {

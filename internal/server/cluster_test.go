@@ -69,7 +69,7 @@ func newClusterNodes(t testing.TB, n int, mutate func(i int, cfg *Config)) []*cl
 	return nodes
 }
 
-// clusterFixtures: the sliceable goldens (v1 has no footer to shard).
+// clusterFixtures: the v2 and v3 goldens.
 var clusterFixtures = []struct{ name, path string }{
 	{"v2", "../../testdata/golden_pwe_24x17x9_v2.sperr"},
 	{"v3", "../../testdata/golden_adaptive_48x32x32_v3.sperr"},
@@ -414,15 +414,15 @@ func TestClusterDeleteFansOut(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsUnshardable pins config and input validation: a v1
-// container cannot be sharded (422), and cluster mode without a store
-// or node id refuses to start.
+// TestClusterRejectsUnshardable pins config and input validation: a
+// retired v1 container is refused (422, naming its upgrade), and cluster
+// mode without a store or node id refuses to start.
 func TestClusterRejectsUnshardable(t *testing.T) {
 	nodes := newClusterNodes(t, 2, nil)
-	v1 := readFixture(t, "../../testdata/golden_pwe_24x17x9.sperr")
+	v1 := readFixture(t, v1FixturePath)
 	res, body := do(t, "PUT", nodes[0].url+"/v1/volumes", v1)
-	if res.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("v1 cluster ingest: %d (%s), want 422", res.StatusCode, body)
+	if res.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "sperr repair") {
+		t.Fatalf("v1 cluster ingest: %d (%s), want 422 naming sperr repair", res.StatusCode, body)
 	}
 
 	if _, err := New(Config{Peers: []string{"a=http://x", "b=http://y"}, NodeID: "a"}); err == nil {

@@ -22,11 +22,32 @@ import (
 	"sperr/internal/store"
 )
 
-// goldenFixtures are the pinned containers (one v1, one v2) of the same
-// 24x17x9 volume — the cache-equivalence tier runs over both.
+// goldenFixtures are the pinned containers of the same 24x17x9 volume —
+// the cache-equivalence tier runs over both. "v1" is the retired
+// container v1 fixture, served as the v2 container `sperr repair`
+// upgrades it to (see loadGolden).
 var goldenFixtures = []struct{ name, path string }{
-	{"v1", "../../testdata/golden_pwe_24x17x9.sperr"},
+	{"v1", v1FixturePath},
 	{"v2", "../../testdata/golden_pwe_24x17x9_v2.sperr"},
+}
+
+// v1FixturePath is the retired container v1 fixture, which every read
+// surface must refuse.
+const v1FixturePath = "../../testdata/golden_pwe_24x17x9.sperr"
+
+// loadGolden reads a golden fixture, upgrading the retired v1 one
+// through Repair: no endpoint serves v1 bytes any more.
+func loadGolden(t *testing.T, path string) []byte {
+	t.Helper()
+	c := readFixture(t, path)
+	if path != v1FixturePath {
+		return c
+	}
+	up, _, err := sperr.Repair(c)
+	if err != nil {
+		t.Fatalf("upgrade v1 fixture: %v", err)
+	}
+	return up
 }
 
 // goldenSamples is the fixture volume's total sample count; the 16^3
@@ -124,7 +145,7 @@ func TestCacheEquivalenceGolden(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			s, ts := newStoreServer(t, Config{})
-			container := readFixture(t, fx.path)
+			container := loadGolden(t, fx.path)
 			id := ingest(t, ts, container, http.StatusCreated)
 
 			regions := []struct{ origin, dims [3]int }{
@@ -238,7 +259,7 @@ func TestCacheEquivalenceAfterEviction(t *testing.T) {
 	}
 	vols := make([]vol, len(goldenFixtures))
 	for i, fx := range goldenFixtures {
-		c := readFixture(t, fx.path)
+		c := loadGolden(t, fx.path)
 		vols[i] = vol{
 			id:   ingest(t, ts, c, http.StatusCreated),
 			want: uncachedRegion(t, ts, c, origin, dims),
@@ -382,12 +403,33 @@ func TestIngestRefusesSPECKAC(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesRetiredV1: container v1 is refused on every endpoint
+// that takes a container body — ingest with 422 naming the upgrade
+// command, the stateless decode paths with a 4xx — and never served.
+func TestIngestRefusesRetiredV1(t *testing.T) {
+	s, ts := newStoreServer(t, Config{})
+	v1 := readFixture(t, v1FixturePath)
+	res, body := do(t, "PUT", ts.URL+"/v1/volumes", v1)
+	if res.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "sperr repair") {
+		t.Fatalf("v1 ingest: %d (%s), want 422 naming sperr repair", res.StatusCode, body)
+	}
+	if s.Store().Len() != 0 {
+		t.Fatal("refused ingest left a resident volume")
+	}
+	for _, path := range []string{"/v1/decompress", "/v1/describe", "/v1/region?region=0,0,0,4,4,4"} {
+		res, body := postRaw(t, ts.URL+path, v1)
+		if res.StatusCode < 400 || res.StatusCode >= 500 {
+			t.Errorf("POST %s with v1: %d (%s), want 4xx", path, res.StatusCode, body)
+		}
+	}
+}
+
 // TestVolumeLifecycleAndErrors: delete frees the volume, and every
 // endpoint 404s on unknown or deleted addresses; a server without
 // -store-dir refuses the family with 503.
 func TestVolumeLifecycleAndErrors(t *testing.T) {
 	_, ts := newStoreServer(t, Config{})
-	container := readFixture(t, goldenFixtures[0].path)
+	container := loadGolden(t, goldenFixtures[0].path)
 	id := ingest(t, ts, container, http.StatusCreated)
 
 	if res, _ := do(t, "DELETE", ts.URL+"/v1/volumes/"+id, nil); res.StatusCode != http.StatusNoContent {

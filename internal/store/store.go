@@ -3,13 +3,13 @@
 // over, so instead of re-streaming and re-decoding on every request, the
 // daemon ingests containers once and serves regions from two tiers.
 //
-// The compressed tier is on disk: each ingested container v2 (or legacy
-// v1) stream lives under <dir>/volumes/<id>.sperr, where the id is a
+// The compressed tier is on disk: each ingested container (v2 or v3)
+// stream lives under <dir>/volumes/<id>.sperr, where the id is a
 // content address — SHA-256 over the container bytes folded with a
 // canonical compression-parameter tag, so the same volume compressed
 // under the same contract always lands at the same address and an ingest
 // is idempotent. Ingest is verified: every frame checksum is re-computed
-// and cross-checked against the v2 index footer's copy (sperr.Audit)
+// and cross-checked against the index footer's copy (sperr.Audit)
 // before a byte is admitted, so the store never vouches for a container
 // it could not prove intact. A MANIFEST.json records every resident
 // volume (geometry, params, size, SHA-256, per-chunk boxes); manifest
@@ -78,7 +78,7 @@ type Meta struct {
 	SHA256 string `json:"sha256"`
 	// Bytes is the container size on disk.
 	Bytes int64 `json:"bytes"`
-	// Version is the container format version (1 or 2).
+	// Version is the container format version (2 or 3).
 	Version int `json:"version"`
 	// Mode and Tolerance are the coding contract shared by every chunk of
 	// the container.
@@ -286,8 +286,8 @@ func (s *Store) blobPath(id string) string {
 }
 
 // verify runs the ingest-time integrity gate: the container must
-// describe, every frame must checksum clean, and on v2 the index footer
-// must corroborate the frames (Audit's footer fast path re-computes each
+// describe, every frame must checksum clean, and the index footer must
+// corroborate the frames (Audit's footer fast path re-computes each
 // payload CRC against the index's copy).
 func verify(container []byte) (*sperr.StreamInfo, error) {
 	info, err := sperr.Describe(container)
@@ -304,7 +304,7 @@ func verify(container []byte) (*sperr.StreamInfo, error) {
 	if rep.Resynced {
 		return nil, fmt.Errorf("%w: frame boundaries damaged", ErrCorrupt)
 	}
-	if info.Version >= 2 && !rep.IndexIntact {
+	if !rep.IndexIntact {
 		return nil, fmt.Errorf("%w: index footer does not corroborate frames", ErrCorrupt)
 	}
 	return info, nil
@@ -343,7 +343,7 @@ func (s *Store) Put(container []byte) (*Meta, bool, error) {
 }
 
 // verifyShard is the relaxed integrity gate for cluster shards: the
-// container must describe, carry an intact v2+ index footer with clean
+// container must describe, carry an intact index footer with clean
 // framing, and every chunk must either checksum clean (an owned frame)
 // or be a deliberate stub no longer than StubFrameMaxLen. Anything
 // between — a non-stub frame that fails its checksum — is damage and is
@@ -352,9 +352,6 @@ func verifyShard(shard []byte) (*sperr.StreamInfo, []int, error) {
 	info, err := sperr.Describe(shard)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if info.Version < 2 {
-		return nil, nil, fmt.Errorf("%w: shard must be a v2+ container", ErrCorrupt)
 	}
 	rep, err := sperr.Audit(shard)
 	if err != nil {

@@ -45,12 +45,16 @@ func TestParallelCoderMatchesSerialGolden(t *testing.T) {
 			t.Fatalf("workers=%d: compressed stream hash diverged from the serial/golden bytes", workers)
 		}
 	}
-	// Decoder side, on both checked-in fixtures (v1 and v2 containers):
-	// the reconstruction hash must not depend on the worker count either.
+	// Decoder side, on both checked-in 24x17x9 fixtures (the retired v1
+	// one as Repair upgrades it, and v2): the reconstruction hash must not
+	// depend on the worker count either.
 	for _, name := range []string{"golden_pwe_24x17x9.sperr", "golden_pwe_24x17x9_v2.sperr"} {
 		stream, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatalf("missing golden fixture %s: %v", name, err)
+		}
+		if name == "golden_pwe_24x17x9.sperr" {
+			stream = upgradedV1Fixture(t)
 		}
 		ref, refDims, err := DecompressWorkers(stream, 1)
 		if err != nil {

@@ -57,7 +57,7 @@ func DecompressSalvageWorkers(stream []byte, fill float64, workers int) ([]float
 }
 
 // Audit verifies a stream's integrity without decoding any samples: every
-// frame is checked against its CRC-32C (container v2) and its chunk
+// frame is checked against its CRC-32C and its chunk
 // header cross-checked against the geometry. In the returned report,
 // Recovered means "verified recoverable". The `sperr fsck` command is a
 // thin wrapper over this.
@@ -65,13 +65,17 @@ func Audit(stream []byte) (*SalvageReport, error) {
 	return chunk.Audit(stream)
 }
 
-// Repair rewrites a damaged stream as a clean container v2: frames that
-// verify are kept byte-for-byte (their chunks later decompress
-// bit-identically), lost chunks are replaced by placeholder frames
-// encoding all-zero samples, and the index footer is regenerated. v1
-// input is upgraded to v2. The report describes the input's damage.
-// Repair fails when the fixed header is unusable or no frame at all
-// verified. The `sperr repair` command wraps this.
+// Repair rewrites a damaged stream as a clean container of its own
+// version: frames that verify are kept byte-for-byte (their chunks later
+// decompress bit-identically), lost chunks are replaced by placeholder
+// frames encoding all-zero samples, and the index footer is regenerated.
+// Repair is also the only reader of the retired container v1: it upgrades
+// an intact v1 stream to v2, decoding every frame to prove it, and fails
+// with ErrCorrupt naming the first bad chunk rather than salvaging around
+// it (v1 frames carry no checksums, so damage cannot be told from data).
+// The report describes the input's damage. Repair fails when the fixed
+// header is unusable or no frame at all verified. The `sperr repair`
+// command wraps this.
 func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 	return chunk.Repair(stream)
 }

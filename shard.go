@@ -8,15 +8,14 @@ import "sperr/internal/chunk"
 // slicing — the shard store uses the bound to tell the two apart.
 const StubFrameMaxLen = chunk.StubFrameMaxLen
 
-// SliceShard rebuilds a v2/v3 container keeping only the frames of the
+// SliceShard rebuilds a container keeping only the frames of the
 // chunks for which keep returns true; every other frame shrinks to a
 // checksummed stub and the index footer is regenerated around the new
 // offsets. The shard is a valid container describing the full volume's
 // geometry, its kept chunks decode bit-identically to the original, and
 // keeping every chunk reproduces the input byte for byte. This is the
 // unit of placement for a sperrd cluster: each peer receives the shard
-// holding exactly the frames it owns. v1 containers have no index
-// footer to slice and are rejected.
+// holding exactly the frames it owns.
 func SliceShard(stream []byte, keep func(int) bool) ([]byte, error) {
 	return chunk.SliceShard(stream, keep)
 }
@@ -35,7 +34,7 @@ func MergeShards(a, b []byte) ([]byte, error) {
 }
 
 // OwnedChunks returns the sorted indices of the chunks whose frames in a
-// v2/v3 container are real and checksum-intact — a shard's owned set as
+// container are real and checksum-intact — a shard's owned set as
 // evidenced by its bytes, independent of any manifest. Stubs and damaged
 // frames are both excluded.
 func OwnedChunks(shard []byte) ([]int, error) {

@@ -383,7 +383,7 @@ func DecompressRegionWorkers(stream []byte, origin, dims [3]int, workers int) ([
 
 // StreamInfo summarizes a compressed stream without decoding its data.
 type StreamInfo struct {
-	// Version is the container format version (1, 2, or 3).
+	// Version is the container format version (2 or 3).
 	Version int
 	// Dims is the volume extent; ChunkDims the chunk tiling.
 	Dims, ChunkDims [3]int
@@ -422,9 +422,9 @@ type ChunkBox struct {
 
 // Describe inspects a compressed stream — volume geometry, mode,
 // tolerance, per-coder bit budgets, frame sizes — without reconstructing
-// data. On container v2 it reads only the fixed header and the index
-// footer; on v1 it parses each chunk's header through a bounded prefix
-// inflate. Cost is independent of the data volume either way.
+// data. It reads only the fixed header and the index footer, so its cost
+// is independent of the data volume. A retired container v1 stream fails
+// with ErrCorrupt naming `sperr repair`, which upgrades it.
 func Describe(stream []byte) (*StreamInfo, error) {
 	info, err := chunk.Describe(stream)
 	if err != nil {

@@ -143,7 +143,7 @@ type DecodedChunk struct {
 }
 
 // Decoder is the streaming decompression engine: it reads container
-// frames sequentially from any io.Reader (formats v1, v2, and v3), decodes
+// frames sequentially from any io.Reader (formats v2 and v3), decodes
 // chunks on a worker pool, and delivers each to a callback. Peak decoded
 // data in flight is bounded by O(workers x chunk size), never the volume.
 type Decoder struct {
@@ -176,7 +176,7 @@ func (d *Decoder) ChunkDims() [3]int {
 // NumChunks returns the number of chunks in the container.
 func (d *Decoder) NumChunks() int { return d.r.NumChunks() }
 
-// FormatVersion reports the container format version (1, 2, or 3).
+// FormatVersion reports the container format version (2 or 3).
 func (d *Decoder) FormatVersion() int { return d.r.Version() }
 
 // SetWorkers adjusts the decode worker budget before ForEachChunk (<= 0
