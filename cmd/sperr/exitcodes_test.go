@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"os/exec"
@@ -78,6 +79,16 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not a container at all"), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	// An 8^3 field of 1e10*sin(0.37 i): ulp(1e10) is 2^-19, so a 1e-50
+	// tolerance is far below what the data resolves.
+	raw := filepath.Join(dir, "sin.f64")
+	sinField := make([]byte, 8*8*8*8)
+	for i := 0; i < 8*8*8; i++ {
+		binary.LittleEndian.PutUint64(sinField[8*i:], math.Float64bits(1e10*math.Sin(0.37*float64(i))))
+	}
+	if err := os.WriteFile(raw, sinField, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	// The retired container v1 fixture: refused everywhere but repair,
 	// which upgrades it.
 	v1 := filepath.Join("..", "..", "testdata", "golden_pwe_24x17x9.sperr")
@@ -102,6 +113,8 @@ func TestExitCodes(t *testing.T) {
 		{"info-v1", []string{"-info", "-in", v1}, 3, "sperr repair"},
 		{"decompress-v1", []string{"-d", "-in", v1, "-out", filepath.Join(dir, "v1.f64")}, 3, "sperr repair"},
 		{"repair-v1", []string{"repair", v1, filepath.Join(dir, "v1up.sperr")}, 0, "upgraded from v1 to v2"},
+		{"compress-below-resolution", []string{"-c", "-in", raw, "-dims", "8,8,8", "-tol", "1e-50", "-out", filepath.Join(dir, "sin.sperr")}, 2,
+			"tolerance 1e-50 is below 1.9073486328125e-06"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -264,6 +264,17 @@ func fatalStream(context string, err error) {
 	os.Exit(exitIO)
 }
 
+// fatalCompress reports a failed compression. A tolerance below the
+// data's float64 resolution is a usage error (exit 2); anything else is
+// I/O (exit 1).
+func fatalCompress(err error) {
+	fmt.Fprintf(os.Stderr, "sperr: compress: %v\n", err)
+	if errors.Is(err, sperr.ErrToleranceBelowResolution) {
+		os.Exit(exitUsage)
+	}
+	os.Exit(exitIO)
+}
+
 // usageFatal reports a bad flag combination and exits non-zero with a
 // pointer at the usage text, before any I/O has happened.
 func usageFatal(format string, args ...interface{}) {
@@ -363,7 +374,7 @@ func runCompress(c compressSpec) {
 		enc, err = sperr.NewEncoderRMSE(bw, dims, rng/math.Pow(10, c.psnr/20), opts)
 	}
 	if err != nil {
-		fatal("compress: %v", err)
+		fatalCompress(err)
 	}
 	fr, err := rawio.NewFloatReader(bufio.NewReaderSize(inF, 1<<20), width)
 	if err != nil {
@@ -374,7 +385,7 @@ func runCompress(c compressSpec) {
 		k, rerr := fr.Read(batch[:minInt(len(batch), n-fed)])
 		if k > 0 {
 			if _, werr := enc.Write(batch[:k]); werr != nil {
-				fatal("compress: %v", werr)
+				fatalCompress(werr)
 			}
 			fed += k
 		}
@@ -386,7 +397,7 @@ func runCompress(c compressSpec) {
 		}
 	}
 	if err := enc.Close(); err != nil {
-		fatal("compress: %v", err)
+		fatalCompress(err)
 	}
 	if err := bw.Flush(); err != nil {
 		fatal("write %s: %v", c.out, err)

@@ -8,6 +8,7 @@ package sperr
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -229,9 +230,13 @@ func FuzzDecompress(f *testing.F) {
 
 func FuzzCompressDecompress(f *testing.F) {
 	// Round-trip invariant on arbitrary (finite) inputs: the PWE bound
-	// must hold for whatever bytes the fuzzer interprets as floats.
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2))
-	f.Fuzz(func(t *testing.T, raw []byte, side uint8) {
+	// must hold for whatever bytes the fuzzer interprets as floats, at
+	// tolerances 1e-1 ... 1e-300 (tolExp picks the exponent), or encode
+	// must refuse a tolerance below the data's float64 resolution.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint16(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint16(14))
+	f.Add([]byte{0x80, 0x7f, 3, 0}, uint8(4), uint16(299))
+	f.Fuzz(func(t *testing.T, raw []byte, side uint8, tolExp uint16) {
 		n := int(side%6) + 2 // 2..7 per axis
 		need := n * n * n
 		data := make([]float64, need)
@@ -242,10 +247,13 @@ func FuzzCompressDecompress(f *testing.F) {
 			}
 			data[i] = v
 		}
-		tol := 0.01
+		tol := math.Pow(10, -float64(1+tolExp%300))
 		stream, _, err := CompressPWE(data, [3]int{n, n, n}, tol, nil)
+		if errors.Is(err, ErrToleranceBelowResolution) {
+			return
+		}
 		if err != nil {
-			t.Fatalf("compress: %v", err)
+			t.Fatalf("compress at tol %g: %v", tol, err)
 		}
 		rec, dims, err := Decompress(stream)
 		if err != nil {

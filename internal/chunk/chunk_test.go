@@ -279,3 +279,27 @@ func BenchmarkCompressChunked(b *testing.B) {
 		}
 	}
 }
+
+// A chunk may hold at most codec.MaxChunkPoints samples (the SPECK
+// encoder's octree limit): larger chunk dims are refused when the Writer
+// starts, before the header is written or a sample is read.
+func TestWriterRefusesOversizeChunks(t *testing.T) {
+	var out countWriter
+	p := codec.Params{Mode: codec.ModePWE, Tol: 1e-3}
+	_, err := NewWriter(&out, grid.D3(1024, 1024, 256), Options{ChunkDims: grid.D3(1024, 1024, 256), Params: p})
+	if !errors.Is(err, codec.ErrDims) || out != 0 {
+		t.Fatalf("2^28-sample chunks: err %v, %d bytes written; want ErrDims before any output", err, out)
+	}
+	w, err := NewWriter(&out, grid.D3(1024, 1024, 128), Options{ChunkDims: grid.D3(1024, 1024, 128), Params: p})
+	if err != nil {
+		t.Fatalf("2^27-sample chunks: %v", err)
+	}
+	w.Close() // the volume was never fed; only the start matters here
+}
+
+type countWriter int
+
+func (c *countWriter) Write(b []byte) (int, error) {
+	*c += countWriter(len(b))
+	return len(b), nil
+}

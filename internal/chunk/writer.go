@@ -207,6 +207,9 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 		NY: clampTile(opts.chunkDims().NY, volDims.NY),
 		NZ: clampTile(opts.chunkDims().NZ, volDims.NZ),
 	}
+	if cd := cw.chunkDims; float64(cd.NX)*float64(cd.NY)*float64(cd.NZ) > codec.MaxChunkPoints {
+		return fmt.Errorf("%w: chunk dims %v exceed the %d-sample chunk limit", codec.ErrDims, cd, codec.MaxChunkPoints)
+	}
 	cw.chunks = grid.SplitChunks(volDims, cw.chunkDims)
 	cw.perSlab = ceilDiv(volDims.NX, cw.chunkDims.NX) * ceilDiv(volDims.NY, cw.chunkDims.NY)
 	cw.fed = 0

@@ -51,7 +51,7 @@ func Analyze(data []float64, dims grid.Dims, tol, q float64) (*Analysis, error) 
 	plan := wavelet.NewPlan(dims)
 	plan.Forward(coeffs)
 	sres := speck.Encode(coeffs, dims, q, 0)
-	recon := speck.Decode(sres.Stream, sres.Bits, dims, q, sres.NumPlanes)
+	recon := speck.Decode(sres.Stream, sres.Bits, dims, sres.Q, sres.NumPlanes)
 	plan.Inverse(recon)
 	var outs []outlier.Outlier
 	for i := range data {

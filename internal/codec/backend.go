@@ -158,15 +158,42 @@ func baselineValidate(name string, p Params) error {
 	return nil
 }
 
-// checkFinite rejects non-finite samples, which would void every backend's
-// point-wise error contract (NaN compares false against any bound).
-func checkFinite(data []float64) error {
+// checkChunk is the one per-chunk input gate every backend's encode and
+// EncodeAdaptive pass through. It rejects non-finite samples, which would
+// void every backend's point-wise error contract (NaN compares false
+// against any bound), and, in the same pass, finds max|x|: a point-wise
+// tolerance below ulp(max|x|) is refused with ErrToleranceBelowResolution,
+// because no correction can land that finely (DESIGN.md section 4, "The
+// resolution floor").
+func checkChunk(data []float64, p Params) error {
+	var maxAbs float64
 	for i, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		a := math.Abs(v)
+		if !(a <= math.MaxFloat64) {
 			return fmt.Errorf("codec: non-finite value %g at index %d", v, i)
 		}
+		if a > maxAbs {
+			maxAbs = a
+		}
+	}
+	if p.Mode != ModePWE && p.Mode != ModeAdaptive {
+		return nil
+	}
+	if u := ulp(maxAbs); p.Tol < u {
+		return fmt.Errorf("%w: tolerance %g is below %g, the float64 spacing at the chunk's largest magnitude %g",
+			ErrToleranceBelowResolution, p.Tol, u, maxAbs)
 	}
 	return nil
+}
+
+// ulp returns the float64 spacing at x >= 0: the gap from x to the next
+// float64 away from zero.
+func ulp(x float64) float64 {
+	if x == 0 {
+		return math.SmallestNonzeroFloat64
+	}
+	_, e := math.Frexp(x)
+	return math.Ldexp(1, max(e-53, -1074))
 }
 
 // baselineStats is the Stats a non-SPERR backend can honestly report: the

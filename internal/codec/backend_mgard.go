@@ -31,7 +31,7 @@ func (mgardBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratch)
 	if err := baselineValidate("mgard", p); err != nil {
 		return nil, nil, err
 	}
-	if err := checkFinite(data); err != nil {
+	if err := checkChunk(data, p); err != nil {
 		return nil, nil, err
 	}
 	stream, err := mgard.Compress(data, dims, mgard.Params{Tol: p.Tol})

@@ -31,7 +31,7 @@ func (szBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratch) ([
 	if err := baselineValidate("sz", p); err != nil {
 		return nil, nil, err
 	}
-	if err := checkFinite(data); err != nil {
+	if err := checkChunk(data, p); err != nil {
 		return nil, nil, err
 	}
 	stream, err := sz.Compress(data, dims, sz.Params{Tol: p.Tol})

@@ -47,7 +47,7 @@ func (tthreshBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratc
 	if err := baselineValidate("tthresh", p); err != nil {
 		return nil, nil, err
 	}
-	if err := checkFinite(data); err != nil {
+	if err := checkChunk(data, p); err != nil {
 		return nil, nil, err
 	}
 	if int64(len(data)) > int64(^uint32(0)) {
@@ -83,9 +83,12 @@ func (tthreshBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratc
 	if err != nil {
 		return nil, nil, fmt.Errorf("codec: tthresh self-decode failed: %v", err)
 	}
+	// A sample tthresh reconstructs as NaN (its float64 arithmetic
+	// overflows on magnitudes near MaxFloat64) compares false against any
+	// bound, so the test is written to correct it too.
 	var ncorr int
 	for i := range data {
-		if math.Abs(dec[i]-data[i]) > p.Tol {
+		if !(math.Abs(dec[i]-data[i]) <= p.Tol) {
 			ncorr++
 		}
 	}
@@ -96,7 +99,7 @@ func (tthreshBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratc
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(inner)))
 	out = append(out, inner...)
 	for i := range data {
-		if math.Abs(dec[i]-data[i]) > p.Tol {
+		if !(math.Abs(dec[i]-data[i]) <= p.Tol) {
 			out = binary.LittleEndian.AppendUint32(out, uint32(i))
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(data[i]))
 		}

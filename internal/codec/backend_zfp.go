@@ -30,7 +30,7 @@ func (zfpBackend) Encode(data []float64, dims grid.Dims, p Params, _ *Scratch) (
 	if err := baselineValidate("zfp", p); err != nil {
 		return nil, nil, err
 	}
-	if err := checkFinite(data); err != nil {
+	if err := checkChunk(data, p); err != nil {
 		return nil, nil, err
 	}
 	stream, err := zfp.Compress(data, dims, zfp.Params{Mode: zfp.ModeFixedAccuracy, Tol: p.Tol})

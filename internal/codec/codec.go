@@ -87,8 +87,21 @@ type Params struct {
 
 // Validate checks that the mode and its controlling knob are coherent,
 // so pipeline front-ends can reject bad parameters before any samples
-// flow. EncodeChunkScratch performs the same checks per chunk.
+// flow. EncodeChunkScratch performs the same checks per chunk. Every knob
+// must be finite, and so must the PWE step q: a stream whose header holds
+// a non-finite step or tolerance is one parseHeader refuses.
 func (p Params) Validate() error {
+	for _, k := range [...]struct {
+		name string
+		v    float64
+	}{{"Tol", p.Tol}, {"TargetRMSE", p.TargetRMSE}, {"BitsPerPoint", p.BitsPerPoint}, {"QFactor", p.QFactor}, {"Q", p.Q}} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return fmt.Errorf("codec: %s is %g; it must be finite", k.name, k.v)
+		}
+	}
+	if (p.Mode == ModePWE || p.Mode == ModeAdaptive) && math.IsInf(p.q(), 0) {
+		return fmt.Errorf("codec: the quantization step for Tol %g overflows; lower Tol or QFactor", p.Tol)
+	}
 	switch p.Mode {
 	case ModePWE:
 		if !(p.Tol > 0) {
@@ -188,9 +201,19 @@ const headerSize = 40
 var (
 	// ErrCorrupt reports an undecodable chunk stream.
 	ErrCorrupt = errors.New("codec: corrupt chunk stream")
-	// ErrDims reports a data/dims mismatch.
+	// ErrDims reports a data/dims mismatch, or a chunk above MaxChunkPoints.
 	ErrDims = errors.New("codec: data length does not match dims")
+	// ErrToleranceBelowResolution reports a point-wise tolerance below the
+	// float64 spacing (ulp) of the chunk's largest magnitude. No backend
+	// can place a correction that finely, so encode refuses rather than
+	// ship samples that miss the bound; such a tolerance asks for lossless
+	// coding, which no backend here promises.
+	ErrToleranceBelowResolution = errors.New("codec: tolerance below the data's float64 resolution")
 )
+
+// MaxChunkPoints is the largest chunk a SPERR encode takes: the SPECK
+// encoder's octree limit, 2^27 samples (a 512^3 chunk).
+const MaxChunkPoints = 1 << 27
 
 type header struct {
 	mode        Mode
@@ -287,17 +310,16 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 	if len(data) != dims.Len() {
 		return nil, nil, fmt.Errorf("%w: %d values for %v", ErrDims, len(data), dims)
 	}
+	if len(data) > MaxChunkPoints {
+		return nil, nil, fmt.Errorf("%w: %v holds %d samples, above the %d-sample chunk limit", ErrDims, dims, len(data), MaxChunkPoints)
+	}
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if p.Mode == ModeAdaptive || p.Codec != CodecSPERR {
 		return nil, nil, errors.New("codec: EncodeChunkScratch codes SPERR streams only; use EncodeAdaptive or the backend registry")
 	}
-	// Non-finite values cannot be transform-coded and would silently void
-	// the error guarantee (NaN compares false against every threshold, so
-	// the outlier stage would never correct it). Reject them up front, as
-	// the reference implementation requires finite input.
-	if err := checkFinite(data); err != nil {
+	if err := checkChunk(data, p); err != nil {
 		return nil, nil, err
 	}
 	if s == nil {
@@ -333,8 +355,8 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 				maxMag = a
 			}
 		}
-		if maxMag == 0 {
-			maxMag = 1
+		if maxMag == 0 || math.IsInf(maxMag, 1) {
+			maxMag = 1 // nothing to code, or an overflowed transform SPECK skips
 		}
 		q = maxMag * math.Exp2(-48)
 		budget := p.BitsPerPoint * float64(dims.Len())
@@ -345,12 +367,11 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 			maxBits = 1
 		}
 	}
+	// SPECK may raise q to stay within float64 resolution (at most 52
+	// planes); the header records the step it used, and under ModePWE the
+	// outlier stage absorbs the coarser coefficients.
 	sres := speck.EncodeScratch(coeffs, dims, q, maxBits, &s.speck)
-	// The header stores the plane and outlier-pass counts in one byte each;
-	// a wrapped count would decode to garbage without an error.
-	if sres.NumPlanes > math.MaxUint8 {
-		return nil, nil, fmt.Errorf("codec: %d SPECK bitplanes exceed the chunk header's limit of %d; the tolerance is too fine for the data's range", sres.NumPlanes, math.MaxUint8)
-	}
+	q = sres.Q
 	if p.Mode == ModeRMSE {
 		// Truncate the embedded stream at the first plane boundary whose
 		// coefficient-domain error estimate meets the target (a 0.9
@@ -383,17 +404,12 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 		// Stage 3: locate outliers — reconstruct exactly what the decoder
 		// will see (SPECK decode + inverse transform) and compare.
 		t0 = time.Now()
-		var recon []float64
-		if r, ok := speck.ReplayScratch(dims, q, &s.speck); ok {
-			// Integer-path encode: the decoder's reconstruction is
-			// synthesized bit-identically from the quantized magnitudes,
-			// skipping the decode traversal entirely.
-			recon = r
-		} else {
-			// The SPECK scratch is shared between the encode above and this
-			// decode: the decoder resets only the list state, leaving the
-			// encoder's finished stream (aliased by sres) untouched.
-			recon = speck.DecodeScratch(sres.Stream, sres.Bits, dims, q, sres.NumPlanes, &s.speck)
+		// The decoder's reconstruction, synthesized bit-identically from
+		// the quantized magnitudes without the decode traversal. An
+		// untruncated encode always replays.
+		recon, ok := speck.ReplayScratch(dims, q, &s.speck)
+		if !ok {
+			return nil, nil, errors.New("codec: SPECK declined to replay its own untruncated encode")
 		}
 		plan.InverseScratch(recon, &s.wav)
 		outs := s.scanOutliers(data, recon, p.Tol)
@@ -403,8 +419,23 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 		// Stage 4: outlier coding.
 		t0 = time.Now()
 		ores = outlier.EncodeScratch(dims.Len(), p.Tol, outs, &s.outl)
+		// The header stores the pass count in one byte; a wrapped count
+		// would decode to garbage without an error.
 		if ores.NumPasses > math.MaxUint8 {
 			return nil, nil, fmt.Errorf("codec: %d outlier passes exceed the chunk header's limit of %d; the tolerance is too fine for the data's range", ores.NumPasses, math.MaxUint8)
+		}
+		if !(sres.MaxMag <= math.MaxFloat64) {
+			// The forward transform overflowed, so SPECK coded nothing and
+			// the outlier coder carries whole samples, rounding once per
+			// pass at their magnitude: check the decoder's result instead
+			// of trusting the bound.
+			outlier.ApplyScratch(recon, ores.Stream, ores.Bits, p.Tol, ores.NumPasses, &outlier.Scratch{})
+			for i, x := range data {
+				if !(math.Abs(recon[i]-x) <= p.Tol) {
+					return nil, nil, fmt.Errorf("%w: tolerance %g misses sample %g, whose magnitude overflows the wavelet transform and leaves only the outlier coder's float64 precision",
+						ErrToleranceBelowResolution, p.Tol, x)
+				}
+			}
 		}
 		st.OutlierBits = ores.Bits
 		st.OutlierTime = time.Since(t0)

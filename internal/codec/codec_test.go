@@ -302,28 +302,33 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestPWELocateWithoutReplay covers the outlier-locate branch that real
-// decodes the SPECK stream because the encode could not take the integer
-// path (speck.ReplayScratch refuses): a field wholly inside the dead zone
-// (planes == 0), a tolerance so tight the coefficients need more than 52
-// planes, and a subnormal q. The PWE bound must hold on that branch too.
+// TestPWELocateWithoutReplay covers the three inputs that once took a
+// locate branch decoding the SPECK stream because the encode could not
+// replay: a field wholly inside the dead zone (planes == 0), a tolerance so
+// tight the coefficients would need more than 52 planes, and a subnormal
+// q. That branch is gone: SPECK's one encoder writes the empty stream,
+// clamps to 52 planes, and raises the subnormal step, and every PWE encode
+// replays. Each row pins the step the header records and the PWE bound.
 func TestPWELocateWithoutReplay(t *testing.T) {
 	d := grid.D3(17, 23, 9)
 	for _, tc := range []struct {
-		name  string
-		scale float64 // multiplies smoothField's ~150-amplitude field
-		tol   float64
+		name   string
+		scale  float64 // multiplies smoothField's ~150-amplitude field
+		tol    float64
+		planes int // expected header plane count; -1 = any up to 52
+		clamp  bool
 	}{
-		{"dead zone", 1e-5, 1},
-		{"over 52 planes", 1, 1e-13},
-		{"subnormal q", 0x1p-1000, 0x1p-1030},
+		{"dead zone", 1e-5, 1, 0, false},
+		{"over 52 planes", 1, 1e-13, 52, true},
+		{"subnormal q", 0x1p-1000, 0x1p-1030, -1, true},
 	} {
 		data := smoothField(d, 5)
 		for i := range data {
 			data[i] *= tc.scale
 		}
 		s := NewScratch()
-		stream, st, err := EncodeChunkScratch(data, d, Params{Mode: ModePWE, Tol: tc.tol}, s)
+		p := Params{Mode: ModePWE, Tol: tc.tol}
+		stream, st, err := EncodeChunkScratch(data, d, p, s)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -331,10 +336,16 @@ func TestPWELocateWithoutReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		// The SPECK scratch still holds the encode's replay state unless
-		// the locate stage had to decode through it.
-		if _, ok := speck.ReplayScratch(d, meta.Q, &s.speck); ok {
-			t.Fatalf("%s: encode took the replay branch (planes=%d q=%g)", tc.name, meta.Planes, meta.Q)
+		if tc.planes >= 0 && meta.Planes != tc.planes || meta.Planes > 52 {
+			t.Fatalf("%s: %d planes, want %d", tc.name, meta.Planes, tc.planes)
+		}
+		if clamped := meta.Q != p.q(); clamped != tc.clamp || meta.Q < 0x1p-1022 {
+			t.Fatalf("%s: header step %g for q %g", tc.name, meta.Q, p.q())
+		}
+		// The SPECK scratch still holds the encode's replay state at the
+		// step the header records.
+		if _, ok := speck.ReplayScratch(d, meta.Q, &s.speck); !ok {
+			t.Fatalf("%s: the encode does not replay at its header step (planes=%d q=%g)", tc.name, meta.Planes, meta.Q)
 		}
 		rec, err := DecodeChunk(stream, d)
 		if err != nil {
@@ -385,6 +396,51 @@ func BenchmarkDecodePWE32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeChunk(stream, d); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Params.Validate refuses every knob a reader would refuse: a non-finite
+// Tol, TargetRMSE, BitsPerPoint, QFactor or Q, and a PWE step q that
+// overflows, as parseHeader refuses a non-finite step or tolerance. Each
+// refused row once encoded a stream no Decompress could open (or, for
+// BPP, one that decoded only by an accident of the float-to-int
+// conversion).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	inf, nan, huge := math.Inf(1), math.NaN(), math.MaxFloat64
+	for _, tc := range []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"PWE Tol=+Inf", Params{Mode: ModePWE, Tol: inf}, false},
+		{"PWE Tol=NaN", Params{Mode: ModePWE, Tol: nan}, false},
+		{"PWE Tol=MaxFloat64 (q overflows)", Params{Mode: ModePWE, Tol: huge}, false},
+		{"PWE QFactor overflows q", Params{Mode: ModePWE, Tol: 1e300, QFactor: 1e10}, false},
+		{"PWE QFactor=+Inf", Params{Mode: ModePWE, Tol: 1, QFactor: inf}, false},
+		{"PWE QFactor=NaN", Params{Mode: ModePWE, Tol: 1, QFactor: nan}, false},
+		{"PWE Q=+Inf", Params{Mode: ModePWE, Tol: 1, Q: inf}, false},
+		{"PWE Q=NaN", Params{Mode: ModePWE, Tol: 1, Q: nan}, false},
+		{"adaptive Tol=+Inf", Params{Mode: ModeAdaptive, Tol: inf}, false},
+		{"adaptive Tol=MaxFloat64", Params{Mode: ModeAdaptive, Tol: huge}, false},
+		{"RMSE TargetRMSE=+Inf", Params{Mode: ModeRMSE, TargetRMSE: inf}, false},
+		{"RMSE TargetRMSE=NaN", Params{Mode: ModeRMSE, TargetRMSE: nan}, false},
+		{"BPP BitsPerPoint=+Inf", Params{Mode: ModeBPP, BitsPerPoint: inf}, false},
+		{"BPP BitsPerPoint=NaN", Params{Mode: ModeBPP, BitsPerPoint: nan}, false},
+		{"sz Tol=+Inf", Params{Mode: ModePWE, Tol: inf, Codec: CodecSZ}, false},
+		{"PWE Tol=MaxFloat64/2", Params{Mode: ModePWE, Tol: huge / 2}, true},
+		{"PWE Q finite beside a huge Tol", Params{Mode: ModePWE, Tol: huge, Q: 1}, true},
+		{"RMSE TargetRMSE=MaxFloat64", Params{Mode: ModeRMSE, TargetRMSE: huge}, true},
+		{"BPP BitsPerPoint=64", Params{Mode: ModeBPP, BitsPerPoint: 64}, true},
+	} {
+		err := tc.p.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil {
+			if _, _, eerr := EncodeChunk(make([]float64, 8), grid.D3(2, 2, 2), tc.p); eerr == nil {
+				t.Errorf("%s: Validate refuses but EncodeChunk succeeds", tc.name)
+			}
 		}
 	}
 }

@@ -99,56 +99,69 @@ func TestForgedEntropyMode(t *testing.T) {
 }
 
 // TestHeaderCountLimit: the chunk header stores the SPECK plane count and
-// the outlier pass count in one byte each. A tolerance so fine that either
-// count passes 255 must fail at encode; a wrapped count used to decode to
-// garbage with no error.
+// the outlier pass count in one byte each, and a wrapped count used to
+// decode to garbage with no error. Neither count can pass 255 now. A PWE
+// tolerance that once needed over 200 planes is below the data's float64
+// resolution and is refused; an RMSE target that fine codes SPECK's
+// ceiling of 52 planes and keeps the full stream; and at the finest
+// tolerance the floor admits, ulp(max|x|), the outlier passes fit the
+// byte and the bound holds.
 func TestHeaderCountLimit(t *testing.T) {
 	d := grid.D3(8, 8, 8)
 	data := make([]float64, d.Len())
+	var maxAbs float64
 	for i := range data {
 		data[i] = 1e10 * math.Sin(0.37*float64(i))
+		maxAbs = math.Max(maxAbs, math.Abs(data[i]))
 	}
-	for _, p := range []codec.Params{
-		{Mode: codec.ModePWE, Tol: 1e-70},
-		{Mode: codec.ModeRMSE, TargetRMSE: 1e-70},
-	} {
-		stream, _, err := codec.EncodeChunk(data, d, p)
-		if err == nil {
-			rec, derr := codec.DecodeChunk(stream, d)
-			worst := math.NaN()
-			if derr == nil {
-				worst = 0
-				for i := range data {
-					worst = math.Max(worst, math.Abs(rec[i]-data[i]))
-				}
-			}
-			t.Errorf("mode %d: encode succeeded (decode err %v, worst error %g); want an error naming the header limit", p.Mode, derr, worst)
-		} else if !strings.Contains(err.Error(), "255") {
-			t.Errorf("mode %d: error %q does not name the limit", p.Mode, err)
+	maxErr := func(rec []float64) (worst float64) {
+		for i := range data {
+			worst = math.Max(worst, math.Abs(rec[i]-data[i]))
+		}
+		return worst
+	}
+	for _, tol := range []float64{1e-70, 1e-65} {
+		_, _, err := codec.EncodeChunk(data, d, codec.Params{Mode: codec.ModePWE, Tol: tol})
+		if !errors.Is(err, codec.ErrToleranceBelowResolution) {
+			t.Errorf("PWE tol %g: err %v, want ErrToleranceBelowResolution", tol, err)
 		}
 	}
-	// Just inside the limit the count fits and the planes decode: the
-	// worst error is nowhere near the field's range. (It is above the
-	// tolerance, for a float-precision reason unrelated to the header.)
-	tol := 1e-65
-	stream, _, err := codec.EncodeChunk(data, d, codec.Params{Mode: codec.ModePWE, Tol: tol})
+
+	stream, _, err := codec.EncodeChunk(data, d, codec.Params{Mode: codec.ModeRMSE, TargetRMSE: 1e-70})
 	if err != nil {
-		t.Fatalf("tol %g: %v", tol, err)
+		t.Fatalf("RMSE 1e-70: %v", err)
 	}
 	meta, err := codec.DescribeChunk(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Planes < 200 || meta.Planes > 255 {
-		t.Fatalf("tol %g: %d planes, want a count near the limit", tol, meta.Planes)
+	if meta.Planes != 52 {
+		t.Fatalf("RMSE 1e-70: %d planes, want the 52-plane ceiling", meta.Planes)
 	}
 	rec, err := codec.DecodeChunk(stream, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range data {
-		if e := math.Abs(rec[i] - data[i]); e > 1 {
-			t.Fatalf("tol %g: error %g at %d", tol, e, i)
-		}
+	// 52 planes resolve the largest coefficient to about two of its ulps.
+	if e := maxErr(rec); e > 1e-3 {
+		t.Fatalf("RMSE 1e-70: worst error %g", e)
+	}
+
+	tol := math.Nextafter(maxAbs, math.Inf(1)) - maxAbs
+	stream, st, err := codec.EncodeChunk(data, d, codec.Params{Mode: codec.ModePWE, Tol: tol})
+	if err != nil {
+		t.Fatalf("PWE at ulp(max|x|) = %g: %v", tol, err)
+	}
+	if meta, err = codec.DescribeChunk(stream); err != nil {
+		t.Fatal(err)
+	}
+	if meta.Planes > 52 || meta.OutlierPasses > 255 {
+		t.Fatalf("PWE tol %g: %d planes, %d outlier passes", tol, meta.Planes, meta.OutlierPasses)
+	}
+	if rec, err = codec.DecodeChunk(stream, d); err != nil {
+		t.Fatal(err)
+	}
+	if e := maxErr(rec); e > tol {
+		t.Fatalf("PWE tol %g: worst error %g (%d outliers)", tol, e, st.NumOutliers)
 	}
 }

@@ -138,7 +138,7 @@ func EncodeAdaptive(data []float64, dims grid.Dims, p Params, s *Scratch) (Codec
 	if err := p.Validate(); err != nil {
 		return 0, nil, nil, err
 	}
-	if err := checkFinite(data); err != nil {
+	if err := checkChunk(data, p); err != nil {
 		return 0, nil, nil, err
 	}
 	prof := ProfileChunk(data, dims)

@@ -117,3 +117,46 @@ func TestCompressCodecParam(t *testing.T) {
 		t.Errorf("entropy=1: status %d %s, want 400 naming SPECK-AC", res.StatusCode, body)
 	}
 }
+
+// A tolerance below a chunk's float64 resolution is refused, never served
+// as a complete stream: when the first chunk is refused the status line
+// is still unsent and the answer is a 400 naming both numbers; when a
+// later chunk is refused after earlier frames went out, the 200 ends with
+// an error trailer instead of "ok".
+func TestCompressRefusesToleranceBelowResolution(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const nx, ny, nz, tol = 128, 64, 32, 1e-12
+	// One chunk of noise in [0, 1), which resolves tol (ulp(1) = 2^-52)
+	// and codes to over 256 KiB, so its frame flushes the response; one of
+	// 1e10*sin, whose spacing 2^-19 is far above tol.
+	noise, big := field(nx/2, ny, nz, 3), make([]float64, nx/2*ny*nz)
+	for i := range noise {
+		noise[i] = math.Mod(noise[i]*1e6, 1)
+		big[i] = 1e10 * math.Sin(0.37*float64(i))
+	}
+	volume := func(first, second []float64) []byte {
+		data := make([]float64, 0, nx*ny*nz)
+		for r := 0; r < ny*nz; r++ {
+			data = append(data, first[r*nx/2:(r+1)*nx/2]...)
+			data = append(data, second[r*nx/2:(r+1)*nx/2]...)
+		}
+		raw, _ := rawio.EncodeFloats(data, 8)
+		return raw
+	}
+	url := fmt.Sprintf("%s/v1/compress?dims=%d,%d,%d&tol=%g&chunk=%d,%d,%d&workers=1",
+		ts.URL, nx, ny, nz, tol, nx/2, ny, nz)
+
+	res, body := postRaw(t, url, volume(big, noise))
+	if res.StatusCode != 400 || !strings.Contains(string(body), "tolerance 1e-12 is below 1.9073486328125e-06") {
+		t.Errorf("first chunk refused: status %d %q, want 400 naming both numbers", res.StatusCode, body)
+	}
+
+	res, body = postRaw(t, url, volume(noise, big))
+	status := res.Trailer.Get("X-Sperr-Status")
+	if res.StatusCode != 200 || !strings.Contains(status, "tolerance 1e-12 is below") {
+		t.Errorf("second chunk refused: status %d, trailer %q, want 200 with an error trailer", res.StatusCode, status)
+	}
+	if _, _, err := sperr.Decompress(body); err == nil {
+		t.Error("the refused compression's body decodes as a complete stream")
+	}
+}

@@ -24,10 +24,11 @@ import (
 // (gatherNew); a refinement pass then copies its slice's prefix to the
 // writer a word at a time and no per-pixel array is swept per plane.
 //
-// The streams are bit-identical to the float path's. In the float
-// path every residual subtraction val -= thr happens when val is in [thr,
-// 2*thr), so by Sterbenz's lemma it is exact, and the thresholds q*2^n are
-// exact power-of-two scalings of q; the float path therefore computes
+// The streams are bit-identical to the float-residual traversal's, which
+// oracle_test.go keeps as the test oracle. There every residual
+// subtraction val -= thr happens when val is in [thr, 2*thr), so by
+// Sterbenz's lemma it is exact, and the thresholds q*2^n are exact
+// power-of-two scalings of q; the float traversal therefore computes
 // exact real arithmetic throughout, and its significance and refinement
 // decisions are exactly the binary digits of floor(|c|/q). The integer
 // path computes those digits directly, with u = floor(|c|/q) obtained
@@ -35,21 +36,15 @@ import (
 // fl(|c|/q) is within 0.5 of the real quotient when the quotient is below
 // 2^52, so the truncated value is off by at most one, and the sign of
 // |c| - q*v is computed exactly by FMA because the real value — a
-// multiple of 2^-1074 when q is normal — never rounds across zero.
-// Eligibility therefore requires planes <= 52 and normal q; anything else
-// falls back to the float path, which doubles as the test oracle.
+// multiple of 2^-1074 when q is normal — never rounds across zero. That
+// needs planes <= maxPlanes and a normal q, which encode's clamp
+// guarantees.
 //
 // The traversal keeps no residuals and no error ledger: only ModeRMSE
 // reads the per-plane error record, so PlaneErr2Scratch derives it after
 // the fact from the pixel records and the discovery list, with the float
-// path's additions in the float path's order — plane records, and with
-// them ModeRMSE truncation points, match bitwise.
-
-// intPathEligible reports whether the integer path reproduces the float
-// path exactly for this (q, planes) pair.
-func intPathEligible(q float64, planes int) bool {
-	return planes > 0 && planes <= 52 && q >= 0x1p-1022
-}
+// traversal's additions in its order — plane records, and with them
+// ModeRMSE truncation points, match bitwise.
 
 // cpix is one coefficient's per-pixel record for the integer path: the
 // signed coefficient and its quantized magnitude floor(|c|/q), packed
@@ -170,8 +165,8 @@ func quantizeRecip(q float64) float64 {
 // quantizeOne computes floor(m/q) exactly: the rounded quotient guess —
 // one multiply by the precomputed normal reciprocal, or a division when
 // r is the zero sentinel — is off by at most one (the real quotient is
-// below 2^52 under intPathEligible, so two roundings move it less than
-// one), and the FMA residual sign test corrects it.
+// below 2^52 within maxPlanes, so two roundings move it less than one),
+// and the FMA residual sign test corrects it.
 func quantizeOne(m, q, r float64) uint64 {
 	var u uint64
 	if r != 0 {
@@ -190,8 +185,7 @@ func quantizeOne(m, q, r float64) uint64 {
 	return u
 }
 
-// encodeInt runs the integer traversal; (q, planes) must satisfy
-// intPathEligible.
+// encodeInt runs the integer traversal: 1 <= planes <= maxPlanes, q normal.
 func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, planes int, maxMag float64, s *Scratch) *Result {
 	n := dims.Len()
 	e := &intEncoder{dims: dims, q: q, w: s.writer(n), budget: maxBits}
@@ -207,7 +201,7 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 	s.encQ, s.encN, s.encPlanes = q, n, planes
 	stream, bitsUsed := finish(e.w, maxBits)
 	return &Result{
-		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag,
+		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag, Q: q,
 		PlaneBits: e.planeBits,
 	}
 }
@@ -218,9 +212,9 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 // stream: every pixel with u = floor(|c|/q) > 0 is exactly the set the
 // decoder discovers, and its value is the decoder's val(u) — the reconTab
 // entry or chain the fast decoder itself uses — so the result is
-// bit-identical to an actual decode. It reports ok=false — and the caller
-// must fall back to a real decode — when the preceding encode did not take
-// the integer path, was size-truncated, or does not match (dims, q).
+// bit-identical to an actual decode. It reports ok=false when the scratch
+// has been used since that encode, when the encode was size-truncated, or
+// when it does not match (dims, q): q must be the Result's Q.
 //
 // This is what makes the encoder-side outlier-location stage cheap: the
 // pipeline needs "exactly what the decoder will see" and gets it here
@@ -232,6 +226,10 @@ func ReplayScratch(dims grid.Dims, q float64, s *Scratch) ([]float64, bool) {
 	}
 	s.out = pooled(s.out, n, &s.Grows)
 	out := s.out
+	if s.encPlanes == 0 {
+		clear(out) // an empty stream: pixI was never filled
+		return out, true
+	}
 	rc := s.reconFor(q, 0, s.encPlanes, n)
 	tab := rc.tab
 	for i, px := range s.pixI[:n] {
@@ -250,18 +248,21 @@ func ReplayScratch(dims grid.Dims, q float64, s *Scratch) ([]float64, bool) {
 // PlaneErr2Scratch returns the plane-error record of the immediately
 // preceding encode on s: entry i is the summed squared coefficient-domain
 // error of the reconstruction a decoder would produce from the prefix
-// ending at PlaneBits[i]. The float traversal records it inline; the
-// integer path derives it here, on demand, with the float path's additions
-// in the float path's order — the index-order sum of m*m less each
-// discovery's m*m in discovery order is a plane's insignificant energy,
-// then every pixel found so far adds r*r in discovery order — so the two
-// agree bitwise (pixel-major keeps that order within each plane's
-// accumulator). A pixel's residual at plane p is m - q*(u>>p<<p); the
-// float path reaches it by Sterbenz-exact subtractions, so it is
-// representable and one FMA yields it exactly.
+// ending at PlaneBits[i]; nil when the scratch has been used since. It is
+// derived here, on demand, with the float traversal's additions in its
+// order — the index-order sum of m*m less each discovery's m*m in
+// discovery order is a plane's insignificant energy, then every pixel
+// found so far adds r*r in discovery order — so the two agree bitwise
+// (pixel-major keeps that order within each plane's accumulator). A
+// pixel's residual at plane p is m - q*(u>>p<<p); the float traversal
+// reaches it by Sterbenz-exact subtractions, so it is representable and
+// one FMA yields it exactly.
 func PlaneErr2Scratch(s *Scratch) []float64 {
 	k := len(s.planeBits)
-	if !s.intEnc || len(s.planeErr2) == k {
+	if !s.intEnc {
+		return nil
+	}
+	if len(s.planeErr2) == k {
 		return s.planeErr2
 	}
 	s.planeErr2 = pooled(s.planeErr2, k, &s.Grows)
@@ -420,7 +421,7 @@ func appendSeqT(dst []uint8, tops []uint8, first int32, n int) []uint8 {
 
 // childMask returns a bitmask of which of the k contiguous children
 // starting at first have tops equal to p1. Tops values never exceed 53
-// (intPathEligible caps planes at 52), so the eight-byte compare is a
+// (planes <= maxPlanes = 52), so the eight-byte compare is a
 // carry-free SWAR: equal bytes are exactly the ones that do not carry
 // into bit 7 under +0x7f, and the multiply gathers the eight marker bits
 // into the top byte (exact for all 256 patterns: every product term is a
@@ -548,7 +549,7 @@ func (e *intEncoder) gatherNew(tp, n0 int) {
 // refinementPass emits bit n of the first n0 significant magnitudes —
 // the ones discovered on earlier planes; this plane's discoveries sit
 // past n0 and get their first refinement next plane — which is the first
-// n0 bits of plane n's slice, whole words at a time. The float path
+// n0 bits of plane n's slice, whole words at a time. The float traversal
 // checks no budget mid-pass, so neither do we.
 func (e *intEncoder) refinementPass(n, n0 int) {
 	words := e.ref[n*e.stride:]

@@ -23,9 +23,9 @@ func intTestField(n int, seed uint64, scale float64) []float64 {
 	return data
 }
 
-// The integer bit-plane path must produce streams bit-identical to the
-// float reference path, along with identical plane records, across shapes,
-// step sizes, and size budgets.
+// The integer encoder must produce streams bit-identical to the float
+// oracle's, along with identical plane records, across shapes, step sizes,
+// and size budgets.
 func TestIntPathMatchesFloatPath(t *testing.T) {
 	cases := []struct {
 		dims  grid.Dims
@@ -50,19 +50,21 @@ func TestIntPathMatchesFloatPath(t *testing.T) {
 				maxMag = m
 			}
 		}
-		planes := NumPlanes(maxMag, tc.q)
-		if !intPathEligible(tc.q, planes) {
-			t.Fatalf("case %d: expected int-path eligibility (planes=%d)", ci, planes)
+		if planes := NumPlanes(maxMag, tc.q); planes < 1 || planes > maxPlanes {
+			t.Fatalf("case %d: %d planes, want 1..%d (no clamp)", ci, planes, maxPlanes)
 		}
 
-		var sf, si Scratch
-		ref := encodeFloat(coeffs, tc.dims, tc.q, tc.bits, maxMag, planes, &sf)
-		got := encodeInt(coeffs, tc.dims, tc.q, tc.bits, planes, maxMag, &si)
-		// The float path records plane errors inline; the integer path
-		// derives them on demand. Both come through the same call.
-		refErr2, gotErr2 := PlaneErr2Scratch(&sf), PlaneErr2Scratch(&si)
+		var si Scratch
+		ref, refErr2 := encodeFloat(coeffs, tc.dims, tc.q, tc.bits)
+		got := EncodeScratch(coeffs, tc.dims, tc.q, tc.bits, &si)
+		// The oracle records plane errors inline; the encoder derives them
+		// on demand.
+		gotErr2 := PlaneErr2Scratch(&si)
 		if len(refErr2) != len(ref.PlaneBits) || len(gotErr2) != len(got.PlaneBits) {
 			t.Fatalf("case %d: %d/%d error records for %d/%d planes", ci, len(refErr2), len(gotErr2), len(ref.PlaneBits), len(got.PlaneBits))
+		}
+		if got.Q != tc.q {
+			t.Fatalf("case %d: coded at step %g, asked for %g", ci, got.Q, tc.q)
 		}
 
 		if got.Bits != ref.Bits || got.NumPlanes != ref.NumPlanes || got.MaxMag != ref.MaxMag {
@@ -225,7 +227,7 @@ func TestIntPathDecodeRoundTrip(t *testing.T) {
 			d := part[i] - coeffs[i]
 			err2 += d * d
 		}
-		// PlaneErr2 is bit-identical to the float path (tested separately);
+		// PlaneErr2 is bit-identical to the float oracle (tested separately);
 		// against a freshly summed err2 the encoder's running subtraction
 		// accumulates cancellation error proportional to the field energy.
 		if err2 > planeErr2[pi]*(1+1e-6)+1e-9*totalE2 {

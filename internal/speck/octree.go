@@ -26,8 +26,8 @@ type onode uint32
 // maxOctreeLen caps the volume size taking the octree-table paths: a
 // volume of n coefficients yields under n + n/6 + 16 nodes, so 2^27
 // coefficients stay comfortably inside onode's 28-bit child index.
-// Larger volumes use the float/general paths, which split boxes
-// recursively and need no node table.
+// Encode refuses larger volumes; the general decoder, which splits boxes
+// recursively and needs no node table, still reads them.
 const maxOctreeLen = 1 << 27
 
 func leafNode(pos int32) onode        { return onode(1<<31 | uint32(pos)) }

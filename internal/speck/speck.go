@@ -25,42 +25,37 @@ import (
 )
 
 // set is a rectangular box of coefficients taking part in significance
-// tests. A set whose extent is 1x1x1 is a single coefficient. max caches
-// the maximum magnitude inside the box (encoder side only) so that
-// per-bitplane significance tests are O(1).
+// tests. A set whose extent is 1x1x1 is a single coefficient.
 type set struct {
 	x, y, z    int32
 	nx, ny, nz int32
-	max        float64
 }
 
 func (s *set) single() bool { return s.nx == 1 && s.ny == 1 && s.nz == 1 }
 
-// pixel is one significant coefficient being progressively refined.
+// pixel is one significant coefficient the general decoder is refining.
 type pixel struct {
 	pos int32
-	val float64 // encoder: remaining residual; decoder: reconstruction value
-	neg bool    // decoder: sign
+	val float64 // reconstruction magnitude
+	neg bool
 }
 
 // NumPlanes returns the number of bitplanes (nmax+1) that the coder will
 // emit for the given base step q and maximum coefficient magnitude: nmax is
 // the largest n >= 0 with q*2^n <= maxMag. It returns 0 when every
-// coefficient lies inside the dead zone (maxMag < q).
+// coefficient lies inside the dead zone (maxMag < q), and when maxMag is
+// not finite: a transform that overflowed leaves nothing to code.
 func NumPlanes(maxMag, q float64) int {
-	if maxMag < q || q <= 0 {
+	if !(maxMag >= q) || !(q > 0) || math.IsInf(maxMag, 1) {
 		return 0
 	}
-	n := int(math.Floor(math.Log2(maxMag / q)))
-	// Guard against floating-point edge cases near exact powers of two.
-	for q*math.Pow(2, float64(n+1)) <= maxMag {
+	// maxMag/q lies in (2^(em-eq-1), 2^(em-eq+1)), and each q*2^n is exact
+	// or overflows to +Inf, so at most two compares settle nmax.
+	_, em := math.Frexp(maxMag)
+	_, eq := math.Frexp(q)
+	n := max(em-eq-1, 0)
+	for math.Ldexp(q, n+1) <= maxMag {
 		n++
-	}
-	for n >= 0 && q*math.Pow(2, float64(n)) > maxMag {
-		n--
-	}
-	if n < 0 {
-		return 0
 	}
 	return n + 1
 }
@@ -71,6 +66,9 @@ type Result struct {
 	Bits      uint64 // exact number of meaningful bits in Stream
 	NumPlanes int    // bitplanes encoded (decoder needs this to align)
 	MaxMag    float64
+	// Q is the step the stream is coded at, which the decoder needs: the
+	// requested q, or q raised by Encode's resolution clamp.
+	Q float64
 
 	// PlaneBits[i] is the bit position after plane i completed;
 	// PlaneErr2Scratch gives the summed squared coefficient-domain error
@@ -81,9 +79,9 @@ type Result struct {
 	PlaneBits []uint64
 }
 
-// Scratch pools the reusable per-call state of SPECK encoders and
-// decoders: magnitude/sign maps, LIS buckets, LSP slices, the raw bit
-// writer and reader, and the decoder's output buffer. A zero Scratch is
+// Scratch pools the reusable per-call state of the SPECK encoder and
+// decoders: pixel records, LIS buckets, LSP slices, the raw bit writer and
+// reader, and the decoder's output buffer. A zero Scratch is
 // ready to use; buffers grow on demand and are retained across calls so a
 // worker that codes many chunks reaches a steady state with no per-chunk
 // heap allocation. A Scratch is not safe for concurrent use.
@@ -91,8 +89,6 @@ type Result struct {
 // Results returned by EncodeScratch and slices returned by DecodeScratch
 // alias the scratch and stay valid only until its next use.
 type Scratch struct {
-	mags      []float64
-	neg       []bool
 	lis       [][]set
 	lsp       []pixel
 	lspNew    []pixel
@@ -110,9 +106,9 @@ type Scratch struct {
 	trees []*octree
 	topsT []uint8
 	recon reconTab
-	// The last encode, if it took the integer path and nothing has reused
-	// pixI/lspI since (intEnc), and whether its stream was untruncated
-	// (canReplay); see ReplayScratch and PlaneErr2Scratch.
+	// Whether the last call on the scratch was an encode whose pixI/lspI
+	// nothing has reused since (intEnc), and whether its stream was
+	// untruncated (canReplay); see ReplayScratch and PlaneErr2Scratch.
 	intEnc, canReplay bool
 	encQ              float64
 	encN, encPlanes   int
@@ -144,10 +140,18 @@ func (s *Scratch) resetLIS() [][]set {
 	return s.lis
 }
 
-// Encode codes coeffs (row-major, extent dims) with base quantization step
-// q > 0. If maxBits > 0 the stream is truncated to at most maxBits bits
-// (size-bounded mode); otherwise every bitplane down to threshold q is
-// emitted (quality-bounded mode, max coefficient error q/2 plus dead zone).
+// Encode codes coeffs (row-major, extent dims, at most maxOctreeLen of
+// them) with base quantization step q > 0. If maxBits > 0 the stream is
+// truncated to at most maxBits bits (size-bounded mode); otherwise every
+// bitplane down to threshold q is emitted (quality-bounded mode, max
+// coefficient error q/2 plus dead zone).
+//
+// The step is clamped to float64 resolution: a subnormal q is raised to
+// the smallest normal, and a q that would need more than maxPlanes planes
+// is raised by the power of two that leaves exactly maxPlanes, so the
+// thresholds are the top maxPlanes of q's own. Result.Q reports the step
+// used; a caller that bounds a point-wise error downstream (the codec's
+// outlier stage) absorbs the coarser coefficients.
 func Encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64) *Result {
 	return encode(coeffs, dims, q, maxBits, nil)
 }
@@ -166,26 +170,43 @@ func EncodeScratchWorkers(coeffs []float64, dims grid.Dims, q float64, maxBits u
 	return EncodeScratch(coeffs, dims, q, maxBits, s)
 }
 
+// maxPlanes is the deepest stream Encode writes: every quantized magnitude
+// floor(|c|/q) stays below 2^52, where intpath.go's quotient is exact, and
+// the step is already within two float64 ulps of the largest coefficient.
+const maxPlanes = 52
+
 func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, s *Scratch) *Result {
 	n := dims.Len()
 	if len(coeffs) != n {
 		panic("speck: coefficient count does not match dims")
 	}
+	if n > maxOctreeLen {
+		panic("speck: volume exceeds maxOctreeLen coefficients")
+	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	s.intEnc, s.canReplay = false, false
 	var maxMag float64
 	for _, c := range coeffs {
-		if m := math.Abs(c); m > maxMag {
+		if m := math.Abs(c); m > maxMag || m != m {
 			maxMag = m
 		}
 	}
+	q = max(q, 0x1p-1022)
 	planes := NumPlanes(maxMag, q)
-	if intPathEligible(q, planes) && dims.Len() <= maxOctreeLen {
-		return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, s)
+	if planes > maxPlanes {
+		q = math.Ldexp(q, planes-maxPlanes)
+		planes = maxPlanes
 	}
-	return encodeFloat(coeffs, dims, q, maxBits, maxMag, planes, s)
+	if planes == 0 {
+		// Every coefficient lies in the dead zone, or the transform
+		// overflowed: the stream is empty and decodes (and replays) to zeros.
+		s.planeBits, s.planeErr2 = s.planeBits[:0], s.planeErr2[:0]
+		s.intEnc, s.canReplay = true, true
+		s.encQ, s.encN, s.encPlanes = q, n, 0
+		return &Result{MaxMag: maxMag, Q: q}
+	}
+	return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, s)
 }
 
 // writer returns the scratch's pooled bit writer, reset.
@@ -211,236 +232,6 @@ func finish(w *bits.Writer, maxBits uint64) ([]byte, uint64) {
 		stream = stream[:need]
 	}
 	return stream, bitsUsed
-}
-
-// encodeFloat is the reference float-residual traversal. encode reaches
-// it only when the integer path cannot run: planes == 0 (everything in the
-// dead zone), planes > 52 or subnormal q (intPathEligible's exactness
-// preconditions), or a volume above maxOctreeLen. It is also the oracle
-// the integer path is tested against.
-func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, maxMag float64, planes int, s *Scratch) *Result {
-	n := dims.Len()
-	e := &encoder{
-		dims: dims,
-		w:    s.writer(n),
-		budget: func() uint64 {
-			if maxBits == 0 {
-				return math.MaxUint64
-			}
-			return maxBits
-		}(),
-	}
-	e.setup(s, n)
-	for i, c := range coeffs {
-		e.mags[i] = math.Abs(c)
-		e.neg[i] = math.Signbit(c)
-	}
-	if planes > 0 {
-		e.run(q, planes)
-	}
-	e.save(s)
-	stream, bitsUsed := finish(e.w, maxBits)
-	return &Result{
-		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag,
-		PlaneBits: e.planeBits,
-	}
-}
-
-type encoder struct {
-	dims   grid.Dims
-	mags   []float64
-	neg    []bool
-	w      *bits.Writer
-	budget uint64
-
-	lis    [][]set // buckets indexed by split depth; deeper = smaller sets
-	nd     int     // number of active buckets (depths) in lis
-	lsp    []pixel
-	lspNew []pixel
-
-	insigE2   float64 // summed v^2 of not-yet-significant coefficients
-	planeBits []uint64
-	planeErr2 []float64
-}
-
-// setup wires the encoder to pooled buffers from s.
-func (e *encoder) setup(s *Scratch, n int) {
-	if cap(s.mags) < n {
-		s.mags = make([]float64, n)
-		s.neg = make([]bool, n)
-		s.Grows++
-	}
-	e.mags, e.neg = s.mags[:n], s.neg[:n]
-	e.lis = s.resetLIS()
-	e.nd = 1
-	e.lsp = s.lsp[:0]
-	e.lspNew = s.lspNew[:0]
-	e.planeBits = s.planeBits[:0]
-	e.planeErr2 = s.planeErr2[:0]
-}
-
-// save hands grown buffers back to the scratch for the next call.
-func (e *encoder) save(s *Scratch) {
-	s.lis = e.lis
-	s.lsp = e.lsp
-	s.lspNew = e.lspNew
-	s.planeBits = e.planeBits
-	s.planeErr2 = e.planeErr2
-}
-
-// ensureDepth makes bucket d usable, reusing pooled bucket arrays.
-func (e *encoder) ensureDepth(d int) {
-	for len(e.lis) <= d {
-		e.lis = append(e.lis, nil)
-	}
-	if e.nd <= d {
-		e.nd = d + 1
-	}
-}
-
-func (e *encoder) run(q float64, planes int) {
-	root := set{nx: int32(e.dims.NX), ny: int32(e.dims.NY), nz: int32(e.dims.NZ)}
-	root.max = e.boxMax(&root)
-	e.lis[0] = append(e.lis[0], root)
-	for _, v := range e.mags {
-		e.insigE2 += v * v
-	}
-	for n := planes - 1; n >= 0; n-- {
-		thr := q * math.Pow(2, float64(n))
-		e.sortingPass(thr)
-		if e.w.Len() >= e.budget {
-			return // embedded stream: the prefix up to budget is valid
-		}
-		e.refinementPass(thr)
-		e.recordPlane(thr)
-		if e.w.Len() >= e.budget {
-			return
-		}
-	}
-}
-
-// recordPlane captures the bit offset and the exact coefficient-domain
-// squared error of the reconstruction a decoder would produce from the
-// stream prefix ending at this plane boundary.
-func (e *encoder) recordPlane(thr float64) {
-	err2 := e.insigE2
-	half := thr / 2
-	for i := range e.lsp {
-		// After refinement at thr, the residual lies in [0, thr) and the
-		// decoder sits at the interval midpoint.
-		r := e.lsp[i].val - half
-		err2 += r * r
-	}
-	e.planeBits = append(e.planeBits, e.w.Len())
-	e.planeErr2 = append(e.planeErr2, err2)
-}
-
-func (e *encoder) boxMax(s *set) float64 {
-	d := e.dims
-	m := 0.0
-	for z := s.z; z < s.z+s.nz; z++ {
-		for y := s.y; y < s.y+s.ny; y++ {
-			off := (int(z)*d.NY + int(y)) * d.NX
-			row := e.mags[off+int(s.x) : off+int(s.x)+int(s.nx)]
-			for _, v := range row {
-				if v > m {
-					m = v
-				}
-			}
-		}
-	}
-	return m
-}
-
-// sortingPass processes LIS buckets from smallest sets to largest
-// ("increasing order of their sizes"). Children created by splitting are
-// placed in deeper (already visited) buckets and processed immediately by
-// recursion, so they are tested exactly once per pass.
-func (e *encoder) sortingPass(thr float64) {
-	for depth := e.nd - 1; depth >= 0; depth-- {
-		if e.w.Len() >= e.budget {
-			return // everything past the budget is truncated anyway
-		}
-		bucket := e.lis[depth]
-		kept := bucket[:0]
-		for i := range bucket {
-			s := bucket[i]
-			if s.max >= thr {
-				e.processSignificant(&s, depth, thr)
-				// significant: removed from LIS (not kept)
-			} else {
-				e.w.WriteBit(false)
-				kept = append(kept, s)
-			}
-		}
-		e.lis[depth] = kept
-	}
-}
-
-// processSignificant emits the significance bit for s (known true on the
-// encoder side) and descends.
-func (e *encoder) processSignificant(s *set, depth int, thr float64) {
-	e.w.WriteBit(true)
-	e.descend(s, depth, thr)
-}
-
-// descend handles a set established as significant (bit already emitted or
-// implied): a single coefficient joins the significant list, a larger set
-// is partitioned.
-func (e *encoder) descend(s *set, depth int, thr float64) {
-	if s.single() {
-		pos := int32(e.dims.Index(int(s.x), int(s.y), int(s.z)))
-		e.w.WriteBit(e.neg[pos])
-		e.lspNew = append(e.lspNew, pixel{pos: pos, val: e.mags[pos] - thr})
-		e.insigE2 -= e.mags[pos] * e.mags[pos]
-		return
-	}
-	e.code(s, depth, thr)
-}
-
-// code splits s into up to 8 children at the dyadic subband boundaries and
-// processes each immediately; insignificant children enter LIS. A
-// significant parent must have at least one significant child, so when
-// every earlier sibling was insignificant the last child's significance is
-// implied and its bit omitted (the classic Said-Pearlman saving, also in
-// the reference SPERR implementation).
-func (e *encoder) code(s *set, depth int, thr float64) {
-	var children [8]set
-	k := splitSet(s, &children)
-	childDepth := depth + 1
-	e.ensureDepth(childDepth)
-	anySig := false
-	for i := 0; i < k; i++ {
-		c := &children[i]
-		c.max = e.boxMax(c)
-		sig := c.max >= thr
-		if i == k-1 && !anySig {
-			// Implied significant: no bit.
-			e.descend(c, childDepth, thr)
-			return
-		}
-		if sig {
-			anySig = true
-			e.processSignificant(c, childDepth, thr)
-		} else {
-			e.w.WriteBit(false)
-			e.lis[childDepth] = append(e.lis[childDepth], *c)
-		}
-	}
-}
-
-func (e *encoder) refinementPass(thr float64) {
-	for i := range e.lsp {
-		p := &e.lsp[i]
-		if p.val >= thr {
-			e.w.WriteBit(true)
-			p.val -= thr
-		} else {
-			e.w.WriteBit(false)
-		}
-	}
-	e.lsp = append(e.lsp, e.lspNew...)
-	e.lspNew = e.lspNew[:0]
 }
 
 // splitSet divides a box into children by splitting every axis longer than

@@ -32,6 +32,10 @@ func TestNumPlanes(t *testing.T) {
 		{1024, 1, 11}, //
 		{3, 1.5, 2},   // q=1.5: 1.5*2=3 <= 3
 		{2.9, 1.5, 1},
+		{0x1p1000, 0x1p-1000, 2001}, // maxMag/q overflows float64
+		{0x1p-1070, 0x1p-1074, 5},   // subnormal step
+		{math.Inf(1), 1, 0},         // an overflowed transform codes nothing
+		{math.NaN(), 1, 0},
 	}
 	for _, c := range cases {
 		if got := NumPlanes(c.maxMag, c.q); got != c.want {

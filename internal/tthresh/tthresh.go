@@ -105,9 +105,10 @@ func Compress(data []float64, dims grid.Dims, p Params) ([]byte, error) {
 		}
 	}
 	scale := 1.0
-	if maxAbs > 0 {
-		scale = math.Ldexp(1, corePrecision) / maxAbs / 2
-	}
+	if s := math.Ldexp(1, corePrecision) / maxAbs / 2; maxAbs > 0 && s <= math.MaxFloat64 {
+		scale = s
+	} // else a zero or subnormal core: it quantizes to zero
+
 	ints := make([]int64, len(core))
 	neg := make([]bool, len(core))
 	for i, v := range core {

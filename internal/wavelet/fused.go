@@ -41,7 +41,7 @@ package wavelet
 // epilogue never overlap.
 //
 // Vector lanes. Every kernel advances independent lines through the same
-// operation sequence, so on amd64 CPUs with AVX2 (haveLanes, detected once
+// operation sequence, so on amd64 CPUs with AVX (haveLanes, detected once
 // at init) the steady-state loops run four lines per 256-bit vector in
 // lanes_amd64.s: the tile kernels' 4-aligned column prefix (forwardTileLanes,
 // inverseTileLanes; the Go rows forwardRow/inverseRow take the w mod 4

@@ -128,7 +128,7 @@ func testTileKernelsMatch1D(t *testing.T) {
 // lines a stride apart inside a wider array whose other cells are guards.
 func TestLineLanesMatch1D(t *testing.T) {
 	if !haveLanes {
-		t.Skip("no vector lanes: not amd64, or the CPU or OS lacks AVX2/YMM state")
+		t.Skip("no vector lanes: not amd64, or the CPU or OS lacks AVX/YMM state")
 	}
 	const base, pad = 3, 2
 	kernels := []struct {

@@ -8,25 +8,19 @@ package wavelet
 // the offsets lanes_amd64.s names: α, β, γ, δ, ε, -ε.
 var liftConsts = [6]float64{alpha, beta, gamma, delta, epsilon, -epsilon}
 
-// haveLanes reports whether this CPU runs the vector kernels: it has
-// AVX and AVX2, and the operating system saves the YMM registers across
-// context switches (OSXSAVE set, XCR0 enabling SSE and AVX state).
+// haveLanes reports whether this CPU runs the vector kernels: it has AVX
+// (lanes_amd64.s uses no AVX2 instruction; TestLanesAVXOnly keeps it so),
+// and the operating system saves the YMM registers across context switches
+// (OSXSAVE set, XCR0 enabling SSE and AVX state).
 var haveLanes = detectLanes()
 
 func detectLanes() bool {
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return false
-	}
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
 		return false
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6
 }
 
 // cpuid executes CPUID with EAX = eaxArg and ECX = ecxArg.

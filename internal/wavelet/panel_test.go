@@ -61,7 +61,7 @@ func eachKernel(t *testing.T, test func(t *testing.T)) {
 		}
 		t.Run(name, func(t *testing.T) {
 			if lanes && !haveLanes {
-				t.Skip("no vector lanes: not amd64, or the CPU or OS lacks AVX2/YMM state")
+				t.Skip("no vector lanes: not amd64, or the CPU or OS lacks AVX/YMM state")
 			}
 			useLanes = lanes
 			test(t)

@@ -353,11 +353,12 @@ func encodeBlock(w *bits.Writer, block []int64, nb []uint64, nd, size int, perm 
 	} else {
 		w.WriteBit(true)
 		w.WriteBits(uint64(uint16(int16(emax))), 16)
-		// Quantize to a common scale.
-		scale := math.Ldexp(1, 62-emax-2) // two transform guard bits
+		// Quantize to a common scale, two transform guard bits below 2^62.
+		// Ldexp, not a multiply by 2^(60-emax): on subnormal blocks that
+		// factor overflows.
 		ints := make([]int64, size)
 		for i, v := range block {
-			ints[i] = int64(math.Float64frombits(uint64(v)) * scale)
+			ints[i] = int64(math.Ldexp(math.Float64frombits(uint64(v)), 62-emax-2))
 		}
 		// Decorrelate along each axis.
 		liftBlock(ints, nd, true)
@@ -616,9 +617,8 @@ func decodeBlock(r *bits.Reader, block []float64, nb []uint64, nd, size int, per
 			ints[dst] = nb2int(nb[i])
 		}
 		liftBlock(ints, nd, false)
-		scale := math.Ldexp(1, -(62 - emax - 2))
 		for i, v := range ints {
-			block[i] = float64(v) * scale
+			block[i] = math.Ldexp(float64(v), -(62 - emax - 2))
 		}
 	}
 	if p.Mode == ModeFixedRate {

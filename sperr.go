@@ -211,7 +211,9 @@ func makeVolume(data []float64, dims [3]int) (*grid.Volume, error) {
 
 // CompressPWE compresses data (row-major, x fastest, extent dims; use
 // dims[2] = 1 for 2D slices) so that every reconstructed value is within
-// tol of the original. opts may be nil for defaults.
+// tol of the original. A tol below the float64 spacing of a chunk's
+// largest magnitude fails with ErrToleranceBelowResolution. opts may be
+// nil for defaults.
 func CompressPWE(data []float64, dims [3]int, tol float64, opts *Options) ([]byte, *Stats, error) {
 	if !(tol > 0) {
 		return nil, nil, errors.New("sperr: tolerance must be positive")
@@ -253,7 +255,8 @@ func CompressBPP(data []float64, dims [3]int, bitsPerPoint float64, opts *Option
 // coded by whichever backend won. The output is a container-v3 stream
 // whose chunks record their codec; it decodes with Decompress like any
 // other stream. Every reconstructed value is within tol of the original
-// regardless of the backend chosen. opts may be nil for defaults;
+// regardless of the backend chosen, or the compression fails with
+// ErrToleranceBelowResolution as CompressPWE does. opts may be nil for defaults;
 // Options.Codec is ignored (selection owns the choice).
 func CompressAdaptive(data []float64, dims [3]int, tol float64, opts *Options) ([]byte, *Stats, error) {
 	if !(tol > 0) {

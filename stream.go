@@ -15,6 +15,13 @@ import (
 // footer. Test with errors.Is.
 var ErrCorrupt = chunk.ErrCorrupt
 
+// ErrToleranceBelowResolution reports a point-wise tolerance below the
+// float64 spacing (ulp) of a chunk's largest magnitude: no coder can place
+// a correction that finely, so compression refuses rather than return
+// samples that miss the bound. The error names both numbers. Test with
+// errors.Is.
+var ErrToleranceBelowResolution = codec.ErrToleranceBelowResolution
+
 // Encoder is the streaming compression engine: it accepts a volume's
 // samples incrementally in row-major order (x fastest, any Write
 // granularity) and writes container-v2 frames to the underlying io.Writer
