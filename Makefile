@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzCompressDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzOutlierDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/outlier/
+	$(GO) test -fuzz=FuzzDecodeMatchesOracle -fuzztime=$(FUZZTIME) -run=^$$ ./internal/speck/
 	$(GO) test -fuzz=FuzzChunkFrames -fuzztime=$(FUZZTIME) -run=^$$ ./internal/cluster/
 	$(GO) test -fuzz=FuzzMergeShards -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run=^$$ ./internal/chunk/
 
@@ -92,7 +93,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='SpeckEncode|SpeckDecode|SpeckReplay' -benchmem ./internal/speck/
 	$(GO) test -run='^$$' -bench='OutlierEncode|OutlierDecode|OutlierApply' -benchmem -cpu 1 ./internal/outlier/
 	$(GO) test -run='^$$' -bench='BitsReadWrite' -benchmem ./internal/bits/
-	$(GO) test -run='^$$' -bench='CompressPWE64|Decompress64' -benchmem .
+	$(GO) test -run='^$$' -bench='CompressPWE64|Decompress64|DecompressBPP64|DecompressPartial64' -benchmem .
 	$(GO) test -run='^$$' -bench='StreamCompress|StreamDecompress' -benchmem .
 	$(GO) test -run='^$$' -bench='RegionCached|RegionUncached' -benchmem ./internal/store/
 	$(GO) test -run='^$$' -bench='RegionColdSkewed' -benchtime=200x -benchmem ./internal/store/

@@ -197,6 +197,24 @@ func BenchmarkDecompressMultiChunk(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompressBPP64 decodes a size-bounded stream: 4 bit/pt ends
+// the SPECK stream mid-plane, so the decoder finishes a partial plane.
+func BenchmarkDecompressBPP64(b *testing.B) {
+	const n = 64
+	data := benchVolume(n)
+	stream, _, err := CompressBPP(data, [3]int{n, n, n}, 4, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Decompress(stream); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDecompressPartial64(b *testing.B) {
 	const n = 64
 	data := benchVolume(n)

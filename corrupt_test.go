@@ -1,7 +1,9 @@
 package sperr
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -103,6 +105,54 @@ func TestBitFlippedPayloadsNoPanic(t *testing.T) {
 				strings.Contains(err.Error(), "panic") {
 				t.Fatalf("flip @%d/%#x: %v", pos, mask, err)
 			}
+		}
+	}
+}
+
+// TestDeepPlaneHeaders: a chunk header's plane count reaches SPECK, so a
+// checksum-valid container may carry any byte there. 64 planes with an
+// empty SPECK stream once indexed the decoder's 64-entry threshold table
+// at 64 and panicked on a chunk-reader worker goroutine, where no caller
+// can recover; it must decode (to zeros: no bit was coded) on every read
+// surface. 65 planes and more are past what the decoder reads and are
+// refused as ErrCorrupt naming the resolution floor.
+func TestDeepPlaneHeaders(t *testing.T) {
+	raw, _, err := CompressPWE(demoField(6, 5, 4, 3), [3]int{6, 5, 4}, 1e-3, &Options{DisableLossless: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPlanes := func(planes byte) []byte {
+		return reforge(t, raw, func(h []byte) {
+			h[1] = planes
+			h[2] = 0                                 // no outlier passes
+			binary.LittleEndian.PutUint64(h[20:], 0) // SPECK bits
+			binary.LittleEndian.PutUint64(h[28:], 0) // outlier bits
+		}, nil)
+	}
+	deep := withPlanes(64)
+	got, _, err := Decompress(deep)
+	if err != nil {
+		t.Fatalf("64 planes, empty stream: %v", err)
+	}
+	for i, v := range got {
+		if v != 0 {
+			t.Fatalf("64 planes, empty stream: sample %d decodes to %g", i, v)
+		}
+	}
+	if _, _, err := DecompressPartial(deep, 0.5); err != nil {
+		t.Fatalf("64 planes, empty stream, partial: %v", err)
+	}
+	dec, err := NewDecoder(bytes.NewReader(deep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dec.DecodeAll(); err != nil {
+		t.Fatalf("64 planes, empty stream, streaming decoder: %v", err)
+	}
+	for _, planes := range []byte{65, 255} {
+		_, _, err := Decompress(withPlanes(planes))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "float64 resolution") {
+			t.Errorf("%d planes: got %v, want ErrCorrupt naming the resolution floor", planes, err)
 		}
 	}
 }

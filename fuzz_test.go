@@ -54,7 +54,7 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add(bpp)
 	// Stream-resident refinement coverage: a 17-plane chunk (one plane past
-	// the fast decoder's two byte lanes, so the per-bit lane runs), and an
+	// the decoder's two byte lanes, so the per-bit lane runs), and an
 	// RMSE-mode stream, which is cut exactly at a plane boundary and so
 	// reconstructs with a floor above plane 0.
 	p17, _, err := CompressPWE(multiData, [3]int{20, 13, 9}, 1e-3, nil)

@@ -273,6 +273,15 @@ func parseHeader(b []byte) (*header, error) {
 	if h.mode == ModePWE && (!(h.tol > 0) || math.IsInf(h.tol, 0)) {
 		return nil, fmt.Errorf("%w: invalid tolerance %g", ErrCorrupt, h.tol)
 	}
+	// The SPECK decoder reads at most 64 planes. Only encodes before the
+	// 52-plane clamp wrote more, and only at a step below the float64
+	// resolution of the data (DESIGN.md 4h), so such a chunk is refused.
+	if h.planes > 64 {
+		return nil, fmt.Errorf("%w: %d SPECK bit planes, more than the 64 a decoder reads; only a tolerance below the data's float64 resolution (the ulp of its largest magnitude) writes such a stream", ErrCorrupt, h.planes)
+	}
+	if h.planes > 0 && math.IsInf(math.Ldexp(h.q, int(h.planes)-1), 1) {
+		return nil, fmt.Errorf("%w: step %g over %d bit planes overflows float64", ErrCorrupt, h.q, h.planes)
+	}
 	return h, nil
 }
 

@@ -12,10 +12,15 @@ import (
 // openChunk undoes the lossless layer (or strips the raw marker) of a
 // chunk stream, parses and validates its header against dims, and returns
 // the header, the body after it, and the byte length of the SPECK stream
-// at the front of the body. An inflated body lives in the arena s.
+// at the front of the body. An inflated body lives in the arena s. What
+// it passes meets speck.Decode's preconditions: a chunk of at most
+// MaxChunkPoints samples, at most 64 planes, a finite top threshold.
 func openChunk(stream []byte, dims grid.Dims, s *Scratch) (h *header, body []byte, speckBytes int, err error) {
 	if len(stream) < 1 {
 		return nil, nil, 0, fmt.Errorf("%w: empty stream", ErrCorrupt)
+	}
+	if dims.Len() > MaxChunkPoints {
+		return nil, nil, 0, fmt.Errorf("%w: %v holds %d samples, above the %d-sample chunk limit", ErrCorrupt, dims, dims.Len(), MaxChunkPoints)
 	}
 	payload := stream[1:]
 	if stream[0] != 0xFF {

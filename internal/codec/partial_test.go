@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"sperr/internal/grid"
@@ -250,4 +252,49 @@ func TestProgressiveDecodeOnArena(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOpenChunkRefusesUndecodableHeaders: openChunk hands SPECK only what
+// speck.Decode's preconditions admit. A header of at most 64 planes
+// decodes — 64 planes with an empty SPECK stream (the 41-byte chunk below)
+// once panicked in the decoder's value table — while more planes (67 is
+// what the clamp-free float encoder writes for TestDispatchBoundaries'
+// deepest row), a top threshold past float64 range, or an extent above
+// MaxChunkPoints fail as ErrCorrupt; the plane refusal names the
+// resolution floor.
+func TestOpenChunkRefusesUndecodableHeaders(t *testing.T) {
+	d := grid.D3(5, 4, 3)
+	chunk := func(planes uint8, q float64) []byte {
+		h := header{mode: ModePWE, planes: planes, q: q, tol: 1, points: uint32(d.Len())}
+		return h.appendTo([]byte{0xFF})
+	}
+	empty := chunk(64, 1)
+	if len(empty) != 41 {
+		t.Fatalf("chunk is %d bytes", len(empty))
+	}
+	for _, frac := range []float64{1, 0.5} {
+		got, err := DecodeChunkPartial(empty, d, frac, nil)
+		if err != nil {
+			t.Fatalf("64 planes, fraction %g: %v", frac, err)
+		}
+		for i, v := range got {
+			if v != 0 {
+				t.Fatalf("64 planes, fraction %g: sample %d decodes to %g", frac, i, v)
+			}
+		}
+	}
+	refused := func(what, want string, stream []byte, dims grid.Dims) {
+		t.Helper()
+		if _, err := DecodeChunk(stream, dims); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: DecodeChunk got %v, want ErrCorrupt naming %q", what, err, want)
+		}
+	}
+	for _, planes := range []uint8{65, 67, 255} {
+		refused("deep planes", "float64 resolution", chunk(planes, 1), d)
+		if _, err := DescribeChunk(chunk(planes, 1)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d planes: DescribeChunk got %v, want ErrCorrupt", planes, err)
+		}
+	}
+	refused("overflowing threshold", "overflows float64", chunk(30, 1e300), d)
+	refused("huge chunk", "chunk limit", chunk(1, 1), grid.D3(1<<10, 1<<10, 1<<8))
 }

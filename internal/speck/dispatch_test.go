@@ -9,21 +9,23 @@ import (
 )
 
 // TestDispatchBoundaries drives the public Encode/Decode pair across every
-// edge of the encoder's resolution clamp and the decoder dispatch (DESIGN.md
-// 4h, "SPECK paths: which one runs when"). The one encoder codes 1..52
-// planes at a normal step, writes an empty stream for planes = 0, and
-// raises any other step: a subnormal q to the smallest normal, a q needing
-// more than 52 planes by the power of two that leaves 52. The fast decoder
-// needs 1 <= planes <= 64; everything else reaches the general decoder.
-// Each row pins (a) the step and plane count the encoder reports, (b) that
-// every untruncated encode replays, (c) that the stream is the float
-// oracle's byte for byte at the reported step, (d) that Decode equals the
-// reference list decoder bitwise, and (e) the dead-zone / mid-riser error
-// bound at the reported step. Rows the clamp moved also decode the
-// oracle's unclamped stream, which the general decoder must still read:
-// streams of more than 52 and more than 64 planes were written before the
-// clamp. Dropping the clamp, or widening the fast decoder's range, fails a
-// row here.
+// edge of the encoder's resolution clamp and of Decode's preconditions
+// (DESIGN.md 4h, "SPECK paths: which one runs when"). The one encoder
+// codes 1..52 planes at a normal step, writes an empty stream for planes
+// = 0, and raises any other step: a subnormal q to the smallest normal, a
+// q needing more than 52 planes by the power of two that leaves 52. The
+// one decoder reads 0 <= planes <= 64. Each row pins (a) the step and
+// plane count the encoder reports, (b) that every untruncated encode
+// replays, (c) that the stream is the float oracle's byte for byte at the
+// reported step, (d) that Decode equals the oracle decoder bitwise, and
+// (e) the dead-zone / mid-riser error bound at the reported step. Rows the
+// clamp moved also try the oracle's unclamped stream, written the way
+// builds before the clamp wrote it: the 53-plane one must still decode;
+// the 67-plane one is past Decode's 64-plane precondition, so the row
+// asserts that Decode refuses it with a panic — the codec refuses such a
+// chunk header as ErrCorrupt before it reaches SPECK
+// (codec.TestOpenChunkRefusesUndecodableHeaders). Dropping the clamp, or
+// moving either limit, fails a row here.
 func TestDispatchBoundaries(t *testing.T) {
 	dims := grid.D3(9, 8, 7)
 	for _, tc := range []struct {
@@ -84,21 +86,34 @@ func TestDispatchBoundaries(t *testing.T) {
 			if unc.NumPlanes != asked {
 				t.Fatalf("%s: oracle coded %d planes, want %d", tc.name, unc.NumPlanes, asked)
 			}
+			if asked > 64 {
+				if !decodePanics(unc.Stream, unc.Bits, dims, tc.q, asked) {
+					t.Fatalf("%s: Decode took a %d-plane stream", tc.name, asked)
+				}
+				continue
+			}
 			checkDecode(t, tc.name+" (unclamped oracle stream)", coeffs, dims, unc.Stream, unc.Bits, tc.q, asked, nil)
 		}
 	}
 }
 
-// checkDecode asserts that Decode equals the reference decoder bitwise,
+// decodePanics reports whether Decode refuses its arguments.
+func decodePanics(stream []byte, nbits uint64, dims grid.Dims, q float64, planes int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	Decode(stream, nbits, dims, q, planes)
+	return false
+}
+
+// checkDecode asserts that Decode equals the oracle decoder bitwise,
 // that replay (if given) equals Decode, and the dead-zone / mid-riser
 // error bound at step q.
 func checkDecode(t *testing.T, name string, coeffs []float64, dims grid.Dims, stream []byte, nbits uint64, q float64, planes int, replay []float64) {
 	t.Helper()
 	got := Decode(stream, nbits, dims, q, planes)
-	want := decodeGeneralRef(stream, nbits, dims, q, planes)
+	want := decodeOracle(stream, nbits, dims, q, planes)
 	for i, c := range coeffs {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: Decode[%d]=%x, reference decoder %x", name, i, got[i], want[i])
+			t.Fatalf("%s: Decode[%d]=%x, oracle decoder %x", name, i, got[i], want[i])
 		}
 		if replay != nil && math.Float64bits(replay[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("%s: replay[%d]=%x, Decode %x", name, i, replay[i], got[i])

@@ -8,26 +8,23 @@ import (
 	"sperr/internal/grid"
 )
 
-// Fast phase-separated decoder. The general decoder (speck.go) interleaves
-// float reconstruction updates with bit reads; this path runs the sorting
-// passes alone — one list of discovered positions and signs — and leaves
-// every refinement bit where it lies. A refinement pass at plane p carries
-// one bit per pixel discovered on an earlier plane, in discovery order, so
+// The SPECK decoder, phase-separated. It runs the sorting passes alone —
+// one list of discovered positions and signs — and leaves every
+// refinement bit where it lies. A refinement pass at plane p carries one
+// bit per pixel discovered on an earlier plane, in discovery order, so
 // pixel i of the list owns stream bit refStart[p]+i, and plane p's
 // discoveries are the index range [cnt[p+1], cnt[p]) of post-sorting list
 // sizes. A refinement pass is therefore a budget check, two recorded
-// numbers and a skip. reconstruct then rebuilds the quantized
-// magnitudes 64 pixels at a time from those bits and takes the float
-// values from reconTab — the very values the general decoder's per-bit
-// updates produce — so the result is bit-identical, and no per-pixel
-// array is swept once per plane (DESIGN.md 4h).
+// numbers and a skip. reconstruct then rebuilds the quantized magnitudes
+// 64 pixels at a time from those bits and takes the float values from
+// reconTab — the values a per-bit decoder's float updates produce — so
+// no per-pixel array is swept once per plane (DESIGN.md 4h).
 //
-// The path covers complete streams and streams truncated exactly at a
-// plane boundary (quality-bounded and ModeRMSE chunks). A stream that
-// runs out mid-pass (arbitrary bit budgets, corrupt input) aborts and the
-// caller re-runs the general decoder, whose partial-plane semantics are
-// the contract and have no place in this layout; so do streams of more
-// than 64 planes, which exceed uint64 magnitudes.
+// A stream that ends inside plane p (a size-bounded chunk, a partial
+// decode, a corrupt length) is the complete planes above p, reconstructed
+// with floor p+1, plus finishPlane: plane p's discoveries whose sign was
+// read, and the refinement bits of p that arrived. The list-based decoder
+// in oracle_test.go is the per-bit reference every cut is held to.
 
 type intDecoder struct {
 	tree *octree
@@ -101,12 +98,15 @@ func (c *rawCursor) load(pos uint64, nb uint) uint64 {
 	return v
 }
 
-// decodeFast reconstructs from the stream with the phase-separated path.
-// It reports ok=false — with scratch state safe to reuse — when the
-// stream requires the general decoder's partial-pass semantics.
-func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) ([]float64, bool) {
+// decodeFast reconstructs from the first bitsAvail bits of the stream,
+// whatever bit they end on; its arguments meet Decode's preconditions.
+func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) []float64 {
 	n := dims.Len()
-	d := &intDecoder{dims: dims, tree: s.octreeFor(dims)}
+	d := &intDecoder{dims: dims}
+	if planes <= 0 {
+		return d.reconstruct(n, q, 0, planes, s) // an empty stream: zeros
+	}
+	d.tree = s.octreeFor(dims)
 	max := uint64(len(stream)) * 8
 	if bitsAvail > max {
 		bitsAvail = max
@@ -116,24 +116,31 @@ func decodeFast(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, plan
 	d.nd = 1
 	d.lspPos = s.lspI[:0]
 	d.lis[0] = append(d.lis[0], 0)
-	floor := 0
+	floor, cut := 0, -1
+	var refined uint64
 	for p := planes - 1; p >= 0; p-- {
 		if d.r.pos >= d.r.budget {
 			// The stream ended exactly at a plane boundary: every decoded
-			// plane is complete, so u-reconstruction with this floor equals
-			// the general decoder's truncated result.
+			// plane is complete.
 			floor = p + 1
 			break
 		}
 		n0 := len(d.lspPos)
-		if !d.sortingPass() || !d.refinementPass(p, n0) {
-			d.save(s)
-			return nil, false
+		if !d.sortingPass() {
+			floor, cut = p+1, p
+			break
+		}
+		if !d.refinementPass(p, n0) {
+			floor, cut, refined = p+1, p, d.r.budget-d.refStart[p]
+			break
 		}
 	}
 	out := d.reconstruct(n, q, floor, planes, s)
+	if cut >= 0 {
+		d.finishPlane(out, q, cut, refined)
+	}
 	d.save(s)
-	return out, true
+	return out
 }
 
 func (d *intDecoder) save(s *Scratch) {
@@ -151,10 +158,10 @@ func (d *intDecoder) ensureDepth(depth int) {
 }
 
 // sortingPass reads one plane's LIS significance tests. On exhaustion it
-// reports false with state discarded: the caller reruns the general
-// decoder for partial-pass semantics. Runs of zero decisions — the common
-// case on every plane — are consumed a word-peek at a time: trailing-zero
-// counts turn per-bit reads into bulk keeps.
+// reports false; the discoveries whose sign bit arrived stay on the list.
+// Runs of zero decisions — the common case on every plane — are consumed
+// a word-peek at a time: trailing-zero counts turn per-bit reads into
+// bulk keeps.
 func (d *intDecoder) sortingPass() bool {
 	for depth := d.nd - 1; depth >= 0; depth-- {
 		bucket := d.lis[depth]
@@ -290,29 +297,61 @@ func (d *intDecoder) leaf(nd onode, next uint64) bool {
 
 // refinementPass closes plane p's sorting pass (cnt) and locates its n0
 // refinement bits without applying them: it records where they start and
-// skips them. A pass the budget cuts short is general-decoder territory.
+// skips them. It reports false when the budget cuts the pass short.
 func (d *intDecoder) refinementPass(p, n0 int) bool {
 	d.cnt[p] = int32(len(d.lspPos))
+	d.refStart[p] = d.r.pos
 	if d.r.budget-d.r.pos < uint64(n0) {
 		return false
 	}
-	d.refStart[p] = d.r.pos
 	d.r.pos += uint64(n0)
 	return true
+}
+
+// finishPlane applies what the stream holds of plane p, the plane the
+// budget ended inside, over reconstruct's values at floor p+1. Each plane-p
+// discovery whose sign was read is +-1.5*thr, and the first refined
+// pixels of the discovery list take one more +-thr/2 — the very addition
+// a per-bit decoder makes next — so the result stays bit-identical to the
+// oracle at every cut.
+func (d *intDecoder) finishPlane(out []float64, q float64, p int, refined uint64) {
+	thr := q * math.Pow(2, float64(p))
+	vb := math.Float64bits(1.5 * thr)
+	for _, pe := range d.lspPos[d.cnt[p+1]:] {
+		out[pe&0x7fffffff] = math.Float64frombits(vb | uint64(uint32(pe)>>31)<<63)
+	}
+	half := thr / 2
+	for b := uint64(0); b < refined; b += 64 {
+		w := d.r.load(d.refStart[p]+b, uint(min(64, refined-b)))
+		for _, pe := range d.lspPos[b:min(b+64, refined)] {
+			i := pe & 0x7fffffff
+			m := math.Abs(out[i])
+			if w&1 != 0 {
+				m += half
+			} else {
+				m -= half
+			}
+			w >>= 1
+			out[i] = math.Float64frombits(math.Float64bits(m) | uint64(uint32(pe)>>31)<<63)
+		}
+	}
 }
 
 // reconTab turns a quantized magnitude u into the decoder's float value
 // for one (q, floor): the per-plane thresholds and a table of the values'
 // bit patterns for small u. val(u) — 1.5*thr at u's top plane, then
-// +-thr/2 per lower plane down to floor, the general decoder's update
+// +-thr/2 per lower plane down to floor, the oracle decoder's update
 // sequence — depends only on u's bits and obeys
 // val(u) = fl(2*val(u>>1) +- halfs[floor]): doubling every intermediate of
 // the shorter chain is exact and commutes with each addition's rounding as
-// long as no intermediate at either scale is subnormal, so a table entry
-// is bit-identical to the scalar chain. A table over u < 2^min(planes,16)
-// covers almost every pixel with one load; the few larger magnitudes take
-// chain. It is built only when the deepest half-scale chain stays normal
-// (values stay above halfs[floor]*2^-17 through 16 halvings) and is kept
+// long as no intermediate at either scale is subnormal or overflows, so a
+// table entry is bit-identical to the scalar chain. A table over
+// u < 2^min(planes,16) covers almost every pixel with one load; the few
+// larger magnitudes take chain. It is built only when every chain it
+// holds stays normal and finite (values stay above halfs[floor]*2^-17
+// through 16 halvings, and below q*2^16, which q <= 2^1000 keeps under
+// MaxFloat64; past it the chain overflows exactly where the oracle
+// does, and the doubled shorter chain may not) and is kept
 // on the Scratch: it depends on nothing but (q, floor), so decode and
 // ReplayScratch share it and a worker coding many chunks at one q fills it
 // once. tab[0] is +0: an insignificant pixel.
@@ -336,7 +375,7 @@ func (s *Scratch) reconFor(q float64, floor, planes, npix int) *reconTab {
 	}
 	size := 1 << uint(min(planes, 16, mbits.Len(uint(npix))+3))
 	hb := rc.halfs[floor]
-	if hb < 0x1p-1000 || size <= len(rc.tab) {
+	if hb < 0x1p-1000 || q > 0x1p1000 || size <= len(rc.tab) {
 		return rc
 	}
 	if cap(rc.tab) < size {
@@ -360,7 +399,7 @@ func (s *Scratch) reconFor(q float64, floor, planes, npix int) *reconTab {
 	return rc
 }
 
-// chain is val(u) by the general decoder's own update sequence.
+// chain is val(u) by the oracle decoder's own update sequence.
 func (rc *reconTab) chain(u uint64) float64 {
 	if u == 0 {
 		return 0
@@ -391,8 +430,11 @@ func (d *intDecoder) reconstruct(n int, q float64, floor, planes int, s *Scratch
 	s.out = pooled(s.out, n, &s.Grows)
 	out := s.out
 	clear(out)
-	npix := int(d.cnt[floor])
-	d.reconBlocks(out, s.reconFor(q, floor, planes, npix), 0, npix, planes)
+	// No pixel below the floor: nothing to look up, and floor may be
+	// planes, past the value table's thresholds when planes is 64.
+	if npix := int(d.cnt[floor]); npix > 0 {
+		d.reconBlocks(out, s.reconFor(q, floor, planes, npix), 0, npix, planes)
+	}
 	return out
 }
 

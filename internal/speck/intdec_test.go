@@ -3,6 +3,7 @@ package speck
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sperr/internal/grid"
@@ -26,63 +27,49 @@ func parTestField(dims grid.Dims, seed int64) []float64 {
 	return v
 }
 
-// decodeGeneralRef runs the reference list-based decoder — the general
-// path decode() falls back to — directly, bypassing decodeFast's
-// dispatch, so the fast path has an in-package oracle at any truncation
-// point.
-func decodeGeneralRef(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int) []float64 {
-	s := &Scratch{}
-	s.r.Reset(stream, bitsAvail)
-	d := &decoder{dims: dims, r: &s.r}
-	d.lis = s.resetLIS()
-	d.nd = 1
-	d.lsp = s.lsp[:0]
-	d.lspNew = s.lspNew[:0]
-	out := make([]float64, dims.Len())
-	if planes <= 0 {
-		return out
-	}
-	d.run(q, planes)
-	for _, p := range d.lsp {
-		v := p.val
-		if p.neg {
-			v = -v
-		}
-		out[p.pos] = v
-	}
-	for _, p := range d.lspNew {
-		v := p.val
-		if p.neg {
-			v = -v
-		}
-		out[p.pos] = v
-	}
-	return out
-}
-
 // TestFastDecodeMatchesGeneral sweeps truncation points — plane
 // boundaries, their neighbors, mid-pass cuts, and the degenerate 0/1-bit
-// prefixes — asserting the phase-separated fast decoder reconstructs
-// bit-identically to the reference traversal at every one. The small
-// streams are cut at every bit 0..Bits, so some cut falls between each
-// significant leaf's 1-bit and its sign bit: there the fast decoder must
-// decline exactly as a per-bit read would.
+// prefixes — asserting the decoder reconstructs bit-identically to the
+// per-bit oracle at every one. The small streams are cut at every bit
+// 0..Bits, so some cut falls inside every sorting and refinement pass and
+// between each significant leaf's 1-bit and its sign bit, which a per-bit
+// read leaves undiscovered. Three rows are cut everywhere on streams of
+// another kind: a size-bounded encode (the stream itself ends mid-plane),
+// a 1-plane stream, and a 64-plane oracle stream, whose cut at bit 0
+// leaves the floor at 64.
 func TestFastDecodeMatchesGeneral(t *testing.T) {
 	for _, tc := range []struct {
-		dims  grid.Dims
-		q     float64
-		every bool
+		dims    grid.Dims
+		q       float64
+		every   bool
+		maxBits uint64 // > 0: a size-bounded encode
+		planes  int    // > 0: sweepField with exactly this many planes
 	}{
-		{grid.D3(16, 16, 16), 1e-3, false},
-		{grid.D3(24, 17, 9), 1e-4, false},
-		{grid.D2(31, 13), 1e-3, false},
-		{grid.D3(8, 8, 8), 1e-2, true},
-		{grid.D3(8, 8, 8), 1e-3, true},
-		{grid.D3(5, 3, 2), 1e-2, true},
-		{grid.D3(5, 3, 2), 1e-3, true},
+		{grid.D3(16, 16, 16), 1e-3, false, 0, 0},
+		{grid.D3(24, 17, 9), 1e-4, false, 0, 0},
+		{grid.D2(31, 13), 1e-3, false, 0, 0},
+		{grid.D3(8, 8, 8), 1e-2, true, 0, 0},
+		{grid.D3(8, 8, 8), 1e-3, true, 0, 0},
+		{grid.D3(5, 3, 2), 1e-2, true, 0, 0},
+		{grid.D3(5, 3, 2), 1e-3, true, 0, 0},
+		{grid.D3(9, 8, 7), 1e-5, true, 3001, 0},
+		{grid.D3(8, 8, 8), 1, true, 0, 1},
+		{grid.D3(5, 4, 3), 1, true, 0, 64},
 	} {
 		coeffs := parTestField(tc.dims, 11)
-		res := Encode(coeffs, tc.dims, tc.q, 0)
+		if tc.planes > 0 {
+			coeffs = sweepField(tc.dims.Len(), tc.planes, tc.q, 3)
+		}
+		res := Encode(coeffs, tc.dims, tc.q, tc.maxBits)
+		if tc.planes > maxPlanes {
+			res, _ = encodeFloat(coeffs, tc.dims, tc.q, 0)
+		}
+		if tc.planes > 0 && res.NumPlanes != tc.planes {
+			t.Fatalf("%v: %d planes, row wants %d", tc.dims, res.NumPlanes, tc.planes)
+		}
+		if tc.maxBits > 0 && (res.Bits != tc.maxBits || slices.Contains(res.PlaneBits, res.Bits)) {
+			t.Fatalf("%v: size-bounded stream of %d bits does not end mid-plane", tc.dims, res.Bits)
+		}
 		cuts := map[uint64]bool{0: true, 1: true, res.Bits: true}
 		for _, pb := range res.PlaneBits {
 			for _, d := range []int64{-7, -1, 0, 1, 7} {
@@ -100,7 +87,7 @@ func TestFastDecodeMatchesGeneral(t *testing.T) {
 		}
 		for cut := range cuts {
 			got := Decode(res.Stream, cut, tc.dims, tc.q, res.NumPlanes)
-			want := decodeGeneralRef(res.Stream, cut, tc.dims, tc.q, res.NumPlanes)
+			want := decodeOracle(res.Stream, cut, tc.dims, tc.q, res.NumPlanes)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%v q=%g cut=%d of %d: out[%d]=%x, want %x", tc.dims, tc.q, cut, res.Bits, i, got[i], want[i])

@@ -211,7 +211,7 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 // immediately preceding EncodeScratch call on s, without touching the
 // stream: every pixel with u = floor(|c|/q) > 0 is exactly the set the
 // decoder discovers, and its value is the decoder's val(u) — the reconTab
-// entry or chain the fast decoder itself uses — so the result is
+// entry or chain the decoder itself uses — so the result is
 // bit-identical to an actual decode. It reports ok=false when the scratch
 // has been used since that encode, when the encode was size-truncated, or
 // when it does not match (dims, q): q must be the Result's Q.

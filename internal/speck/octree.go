@@ -26,8 +26,8 @@ type onode uint32
 // maxOctreeLen caps the volume size taking the octree-table paths: a
 // volume of n coefficients yields under n + n/6 + 16 nodes, so 2^27
 // coefficients stay comfortably inside onode's 28-bit child index.
-// Encode refuses larger volumes; the general decoder, which splits boxes
-// recursively and needs no node table, still reads them.
+// Encode and Decode refuse larger volumes (a precondition panic; the
+// codec refuses such chunks first).
 const maxOctreeLen = 1 << 27
 
 func leafNode(pos int32) onode        { return onode(1<<31 | uint32(pos)) }

@@ -7,11 +7,23 @@ import (
 	"sperr/internal/grid"
 )
 
-// encodeFloat is the reference float-residual traversal, the oracle the
+// The reference traversals: encodeFloat, the float-residual encoder the
 // integer encoder is held to byte for byte (intpath.go argues why they
-// agree). It codes at q as given, with no resolution clamp, so it also
+// agree), and decodeOracle, the list-based per-bit decoder the
+// phase-separated one is held to bitwise at every cut.
+
+// pixel is one significant coefficient of the reference traversals: the
+// encoder's remaining residual, or the decoder's reconstruction
+// magnitude.
+type pixel struct {
+	pos int32
+	val float64
+	neg bool
+}
+
+// encodeFloat codes at q as given, with no resolution clamp, so it also
 // writes the >52-plane and subnormal-step streams Encode no longer
-// produces, which the general decoder must still read. It returns the
+// produces, which Decode must still read up to 64 planes. It returns the
 // Result and the per-plane squared-error record it keeps inline, which
 // PlaneErr2Scratch must reproduce bitwise.
 func encodeFloat(coeffs []float64, dims grid.Dims, q float64, maxBits uint64) (*Result, []float64) {
@@ -207,4 +219,152 @@ func (e *encoder) refinementPass(thr float64) {
 	}
 	e.lsp = append(e.lsp, e.lspNew...)
 	e.lspNew = e.lspNew[:0]
+}
+
+// decodeOracle is the reference decoder: it interleaves the float value
+// updates with per-bit reads, so where the budget ends is where its state
+// stops — a plane's discoveries carry 1.5*thr, and a refinement pass cut
+// short has refined a prefix of the list. Decode must equal it bitwise
+// at every bitsAvail.
+func decodeOracle(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int) []float64 {
+	d := &decoder{dims: dims, r: bits.NewReaderBits(stream, bitsAvail), lis: make([][]set, 1), nd: 1}
+	out := make([]float64, dims.Len())
+	if planes <= 0 {
+		return out
+	}
+	d.run(q, planes)
+	// Pixels discovered but never refined still carry their initial
+	// estimate; lspNew is non-empty when the stream ended mid-plane.
+	for _, p := range append(d.lsp, d.lspNew...) {
+		v := p.val
+		if p.neg {
+			v = -v
+		}
+		out[p.pos] = v
+	}
+	return out
+}
+
+type decoder struct {
+	dims grid.Dims
+	r    *bits.Reader
+
+	lis    [][]set
+	nd     int // number of active buckets (depths) in lis
+	lsp    []pixel
+	lspNew []pixel
+}
+
+// ensureDepth mirrors the encoder's bucket management.
+func (d *decoder) ensureDepth(depth int) {
+	for len(d.lis) <= depth {
+		d.lis = append(d.lis, nil)
+	}
+	if d.nd <= depth {
+		d.nd = depth + 1
+	}
+}
+
+func (d *decoder) run(q float64, planes int) {
+	root := set{nx: int32(d.dims.NX), ny: int32(d.dims.NY), nz: int32(d.dims.NZ)}
+	d.lis[0] = append(d.lis[0], root)
+	for n := planes - 1; n >= 0; n-- {
+		thr := q * math.Pow(2, float64(n))
+		if !d.sortingPass(thr) || !d.refinementPass(thr) {
+			return
+		}
+	}
+}
+
+// sortingPass mirrors the encoder's traversal, with significance decisions
+// read from the stream. It returns false when the stream is exhausted.
+func (d *decoder) sortingPass(thr float64) bool {
+	for depth := d.nd - 1; depth >= 0; depth-- {
+		bucket := d.lis[depth]
+		kept := bucket[:0]
+		for i := range bucket {
+			s := bucket[i]
+			sig := d.r.ReadBit()
+			if d.r.Exhausted() {
+				// Keep the remaining entries untouched so state stays sane.
+				kept = append(kept, bucket[i:]...)
+				d.lis[depth] = kept
+				return false
+			}
+			if sig {
+				if !d.descend(&s, depth, thr) {
+					d.lis[depth] = append(kept, bucket[i+1:]...)
+					return false
+				}
+			} else {
+				kept = append(kept, s)
+			}
+		}
+		d.lis[depth] = kept
+	}
+	return true
+}
+
+// descend handles a set just established as significant, mirroring the
+// encoder's traversal including the implied-significance saving for the
+// last child of an otherwise-insignificant brood.
+func (d *decoder) descend(s *set, depth int, thr float64) bool {
+	if s.single() {
+		neg := d.r.ReadBit()
+		if d.r.Exhausted() {
+			return false
+		}
+		pos := int32(d.dims.Index(int(s.x), int(s.y), int(s.z)))
+		d.lspNew = append(d.lspNew, pixel{pos: pos, val: 1.5 * thr, neg: neg})
+		return true
+	}
+	var children [8]set
+	k := splitSet(s, &children)
+	childDepth := depth + 1
+	d.ensureDepth(childDepth)
+	anySig := false
+	for i := 0; i < k; i++ {
+		c := &children[i]
+		if i == k-1 && !anySig {
+			// Implied significant: the encoder emitted no bit.
+			return d.descend(c, childDepth, thr)
+		}
+		sig := d.r.ReadBit()
+		if d.r.Exhausted() {
+			// Remaining children were never coded this pass; keep them in
+			// LIS so their values stay zero.
+			d.lis[childDepth] = append(d.lis[childDepth], children[i:k]...)
+			return false
+		}
+		if sig {
+			anySig = true
+			if !d.descend(c, childDepth, thr) {
+				d.lis[childDepth] = append(d.lis[childDepth], children[i+1:k]...)
+				return false
+			}
+		} else {
+			d.lis[childDepth] = append(d.lis[childDepth], *c)
+		}
+	}
+	return true
+}
+
+// refinementPass reads one bit per pixel found on an earlier plane, bit by
+// bit, and stops where the stream does.
+func (d *decoder) refinementPass(thr float64) bool {
+	half := thr / 2
+	for i := range d.lsp {
+		b := d.r.ReadBit()
+		if d.r.Exhausted() {
+			return false
+		}
+		if b {
+			d.lsp[i].val += half
+		} else {
+			d.lsp[i].val -= half
+		}
+	}
+	d.lsp = append(d.lsp, d.lspNew...)
+	d.lspNew = d.lspNew[:0]
+	return true
 }

@@ -10,8 +10,8 @@ import (
 	"sperr/internal/grid"
 )
 
-// Tests of the stream-resident refinement layout: the fast decoder's
-// block-transposed reconstruct, ReplayScratch and the general decoder
+// Tests of the stream-resident refinement layout: the decoder's
+// block-transposed reconstruct, ReplayScratch and the oracle decoder
 // must agree bit for bit wherever more than one of them applies.
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -48,13 +48,13 @@ func sweepField(n, planes int, q float64, seed int64) []float64 {
 	return v
 }
 
-// TestReconstructPlaneCounts: fast == general == replay at every plane
+// TestReconstructPlaneCounts: decode == oracle == replay at every plane
 // count that changes which lanes reconstruct uses (byte lanes for planes
 // 0-7 and 8-15, the per-bit path from 16 up, the encoder's last row at 52,
-// the last fast-decoder row at 64, which only the float oracle writes now
+// the decoder's last row at 64, which only the float oracle writes now
 // that Encode clamps), at the full stream, at every plane
 // boundary (floor > 0) and at its +-1/+-7 neighbours, which cut a pass
-// short and must fall back.
+// short and leave finishPlane a partial plane.
 func TestReconstructPlaneCounts(t *testing.T) {
 	dims := grid.D3(12, 11, 9)
 	const q = 1.0
@@ -72,7 +72,7 @@ func TestReconstructPlaneCounts(t *testing.T) {
 		}
 		stream := append([]byte(nil), res.Stream...)
 		bounds := append([]uint64(nil), res.PlaneBits...)
-		full := decodeGeneralRef(stream, res.Bits, dims, q, planes)
+		full := decodeOracle(stream, res.Bits, dims, q, planes)
 		replay, ok := ReplayScratch(dims, q, &s)
 		if ok != (planes <= 52) {
 			t.Fatalf("planes=%d: replay ok=%v", planes, ok)
@@ -80,25 +80,15 @@ func TestReconstructPlaneCounts(t *testing.T) {
 		if ok {
 			sameBits(t, fmt.Sprintf("planes=%d replay", planes), replay, full)
 		}
-		prev := uint64(0)
 		for pi, pb := range bounds {
 			var sd Scratch
-			if _, ok := decodeFast(stream, pb, dims, q, planes, &sd); !ok {
-				t.Fatalf("planes=%d: cut at plane boundary %d fell back", planes, pi)
-			}
-			if pb-1 > prev {
-				if _, ok := decodeFast(stream, pb-1, dims, q, planes, &sd); ok {
-					t.Fatalf("planes=%d: mid-pass cut %d did not fall back", planes, pb-1)
-				}
-			}
-			prev = pb
 			for _, d := range []int64{-7, -1, 0, 1, 7} {
 				cut := uint64(int64(pb) + d)
 				if int64(pb)+d < 0 || cut > res.Bits {
 					continue
 				}
 				got := DecodeScratch(stream, cut, dims, q, planes, &sd)
-				want := decodeGeneralRef(stream, cut, dims, q, planes)
+				want := decodeOracle(stream, cut, dims, q, planes)
 				sameBits(t, fmt.Sprintf("planes=%d cut=%d (boundary %d%+d)", planes, cut, pi, d), got, want)
 			}
 		}
@@ -134,15 +124,11 @@ func TestReconstructListSizes(t *testing.T) {
 			t.Fatalf("npix=%d: %d significant pixels", npix, sig)
 		}
 		for ci, cut := range cuts {
-			want := decodeGeneralRef(stream, cut, dims, q, res.NumPlanes)
+			want := decodeOracle(stream, cut, dims, q, res.NumPlanes)
 			if ci == 0 {
 				sameBits(t, fmt.Sprintf("npix=%d replay", npix), replay, want)
 			}
-			var sd Scratch
-			got, ok := decodeFast(stream, cut, dims, q, res.NumPlanes, &sd)
-			if !ok {
-				t.Fatalf("npix=%d cut=%d: fast decoder fell back", npix, cut)
-			}
+			got := decodeFast(stream, cut, dims, q, res.NumPlanes, &Scratch{})
 			sameBits(t, fmt.Sprintf("npix=%d cut=%d", npix, cut), got, want)
 		}
 	}
@@ -180,12 +166,9 @@ func TestReconstructStreamTail(t *testing.T) {
 			default:
 				continue
 			}
-			got, ok := decodeFast(res.Stream, res.Bits, dims, q, res.NumPlanes, &Scratch{})
-			if !ok {
-				t.Fatalf("extra=%d refined=%d: fast decoder fell back", extra, refined)
-			}
+			got := decodeFast(res.Stream, res.Bits, dims, q, res.NumPlanes, &Scratch{})
 			sameBits(t, fmt.Sprintf("extra=%d refined=%d", extra, refined), got,
-				decodeGeneralRef(res.Stream, res.Bits, dims, q, res.NumPlanes))
+				decodeOracle(res.Stream, res.Bits, dims, q, res.NumPlanes))
 		}
 	}
 	if !flush || !cross {
@@ -244,8 +227,8 @@ func TestScratchSteadyStateMixed(t *testing.T) {
 		r := ref{q: q, stream: append([]byte(nil), res.Stream...), bits: res.Bits, planes: res.NumPlanes}
 		r.cut = res.PlaneBits[res.NumPlanes-4] // planes 0-2 dropped: floor = 3
 		r.err2 = append([]float64(nil), PlaneErr2Scratch(&s)...)
-		r.full = decodeGeneralRef(r.stream, r.bits, dims, q, r.planes)
-		r.trunc = decodeGeneralRef(r.stream, r.cut, dims, q, r.planes)
+		r.full = decodeOracle(r.stream, r.bits, dims, q, r.planes)
+		r.trunc = decodeOracle(r.stream, r.cut, dims, q, r.planes)
 		refs = append(refs, r)
 	}
 	var s Scratch

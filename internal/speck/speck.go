@@ -33,13 +33,6 @@ type set struct {
 
 func (s *set) single() bool { return s.nx == 1 && s.ny == 1 && s.nz == 1 }
 
-// pixel is one significant coefficient the general decoder is refining.
-type pixel struct {
-	pos int32
-	val float64 // reconstruction magnitude
-	neg bool
-}
-
 // NumPlanes returns the number of bitplanes (nmax+1) that the coder will
 // emit for the given base step q and maximum coefficient magnitude: nmax is
 // the largest n >= 0 with q*2^n <= maxMag. It returns 0 when every
@@ -80,8 +73,8 @@ type Result struct {
 }
 
 // Scratch pools the reusable per-call state of the SPECK encoder and
-// decoders: pixel records, LIS buckets, LSP slices, the raw bit writer and
-// reader, and the decoder's output buffer. A zero Scratch is
+// decoder: pixel records, LIS buckets, the discovery list, the bit writer,
+// the value table and the decoder's output buffer. A zero Scratch is
 // ready to use; buffers grow on demand and are retained across calls so a
 // worker that codes many chunks reaches a steady state with no per-chunk
 // heap allocation. A Scratch is not safe for concurrent use.
@@ -89,11 +82,7 @@ type Result struct {
 // Results returned by EncodeScratch and slices returned by DecodeScratch
 // alias the scratch and stay valid only until its next use.
 type Scratch struct {
-	lis       [][]set
-	lsp       []pixel
-	lspNew    []pixel
 	w         *bits.Writer
-	r         bits.Reader
 	planeBits []uint64
 	planeErr2 []float64
 	out       []float64
@@ -125,19 +114,6 @@ func pooled[T any](buf []T, n int, grows *int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// resetLIS truncates every pooled LIS bucket, keeping capacity, and
-// guarantees at least one bucket exists.
-func (s *Scratch) resetLIS() [][]set {
-	for i := range s.lis {
-		s.lis[i] = s.lis[i][:0]
-	}
-	if len(s.lis) == 0 {
-		s.lis = make([][]set, 1, 16)
-		s.Grows++
-	}
-	return s.lis
 }
 
 // Encode codes coeffs (row-major, extent dims, at most maxOctreeLen of
@@ -276,9 +252,17 @@ func splitAxis(o, n int32, dst *[2][2]int32) int {
 }
 
 // Decode reconstructs coefficients from a SPECK bitstream. bitsAvail limits
-// how many bits are consumed (pass res.Bits for a full decode, or fewer for
-// progressive reconstruction of a truncated stream); planes must equal the
-// encoder's Result.NumPlanes. The returned slice has dims.Len() entries.
+// how many bits are consumed: pass res.Bits for a full decode, or fewer
+// for the coarser reconstruction of a prefix — any prefix, cut at any bit
+// (the stream is embedded). planes must equal the encoder's
+// Result.NumPlanes. The returned slice has dims.Len() entries.
+//
+// Three preconditions, which the codec checks on every chunk header before
+// it calls here, panic when violated: at most 64 planes (the decoder's
+// magnitudes are uint64; Encode writes at most maxPlanes), a finite top
+// threshold q*2^(planes-1) (Encode's never exceeds the largest
+// coefficient), and at most maxOctreeLen coefficients, the limit Encode
+// has too.
 func Decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int) []float64 {
 	return decode(stream, bitsAvail, dims, q, planes, nil)
 }
@@ -297,221 +281,18 @@ func DecodeScratchWorkers(stream []byte, bitsAvail uint64, dims grid.Dims, q flo
 }
 
 func decode(stream []byte, bitsAvail uint64, dims grid.Dims, q float64, planes int, s *Scratch) []float64 {
+	if planes > 64 {
+		panic("speck: stream has more than 64 bit planes")
+	}
+	if planes > 0 && math.IsInf(math.Ldexp(q, planes-1), 1) {
+		panic("speck: top threshold overflows float64")
+	}
+	if dims.Len() > maxOctreeLen {
+		panic("speck: volume exceeds maxOctreeLen coefficients")
+	}
 	if s == nil {
 		s = &Scratch{}
 	}
 	s.intEnc, s.canReplay = false, false // lspI and the out buffer are being repurposed
-	if planes > 0 && planes <= 64 && dims.Len() <= maxOctreeLen {
-		// Phase-separated fast path (intdec.go). The general decoder below
-		// is the only path for planes <= 0, more than 64 planes, volumes
-		// above maxOctreeLen, and streams that run out mid-pass (size-bounded
-		// chunks, DecompressPartial, corrupt input), whose half-applied
-		// plane the fast path cannot represent.
-		if out, ok := decodeFast(stream, bitsAvail, dims, q, planes, s); ok {
-			return out
-		}
-	}
-	s.r.Reset(stream, bitsAvail)
-	d := &decoder{
-		dims: dims,
-		r:    &s.r,
-	}
-	d.lis = s.resetLIS()
-	d.nd = 1
-	d.lsp = s.lsp[:0]
-	d.lspNew = s.lspNew[:0]
-	s.out = pooled(s.out, dims.Len(), &s.Grows)
-	out := s.out
-	clear(out)
-	defer func() {
-		s.lis = d.lis
-		s.lsp = d.lsp
-		s.lspNew = d.lspNew
-	}()
-	if planes <= 0 {
-		return out
-	}
-	d.run(q, planes)
-	for _, p := range d.lsp {
-		v := p.val
-		if p.neg {
-			v = -v
-		}
-		out[p.pos] = v
-	}
-	// Pixels discovered but never refined still carry their initial
-	// estimate; lspNew may be non-empty if the stream ended mid-pass.
-	for _, p := range d.lspNew {
-		v := p.val
-		if p.neg {
-			v = -v
-		}
-		out[p.pos] = v
-	}
-	return out
-}
-
-type decoder struct {
-	dims grid.Dims
-	r    *bits.Reader
-
-	lis    [][]set
-	nd     int // number of active buckets (depths) in lis
-	lsp    []pixel
-	lspNew []pixel
-}
-
-// ensureDepth mirrors the encoder's bucket management.
-func (d *decoder) ensureDepth(depth int) {
-	for len(d.lis) <= depth {
-		d.lis = append(d.lis, nil)
-	}
-	if d.nd <= depth {
-		d.nd = depth + 1
-	}
-}
-
-func (d *decoder) run(q float64, planes int) {
-	root := set{nx: int32(d.dims.NX), ny: int32(d.dims.NY), nz: int32(d.dims.NZ)}
-	d.lis[0] = append(d.lis[0], root)
-	for n := planes - 1; n >= 0; n-- {
-		thr := q * math.Pow(2, float64(n))
-		if !d.sortingPass(thr) {
-			return
-		}
-		if !d.refinementPass(thr) {
-			return
-		}
-	}
-}
-
-// sortingPass mirrors the encoder's traversal, with significance decisions
-// read from the stream. It returns false when the stream is exhausted.
-func (d *decoder) sortingPass(thr float64) bool {
-	for depth := d.nd - 1; depth >= 0; depth-- {
-		bucket := d.lis[depth]
-		kept := bucket[:0]
-		for i := range bucket {
-			s := bucket[i]
-			sig := d.r.ReadBit()
-			if d.r.Exhausted() {
-				// Keep the remaining entries untouched so state stays sane.
-				kept = append(kept, bucket[i:]...)
-				d.lis[depth] = kept
-				return false
-			}
-			if sig {
-				if !d.descend(&s, depth, thr) {
-					d.lis[depth] = append(kept, bucket[i+1:]...)
-					return false
-				}
-			} else {
-				kept = append(kept, s)
-			}
-		}
-		d.lis[depth] = kept
-	}
-	return true
-}
-
-// descend handles a set just established as significant, mirroring the
-// encoder's traversal including the implied-significance saving for the
-// last child of an otherwise-insignificant brood.
-func (d *decoder) descend(s *set, depth int, thr float64) bool {
-	if s.single() {
-		neg := d.r.ReadBit()
-		if d.r.Exhausted() {
-			return false
-		}
-		pos := int32(d.dims.Index(int(s.x), int(s.y), int(s.z)))
-		d.lspNew = append(d.lspNew, pixel{pos: pos, val: 1.5 * thr, neg: neg})
-		return true
-	}
-	var children [8]set
-	k := splitSet(s, &children)
-	childDepth := depth + 1
-	d.ensureDepth(childDepth)
-	anySig := false
-	for i := 0; i < k; i++ {
-		c := &children[i]
-		if i == k-1 && !anySig {
-			// Implied significant: the encoder emitted no bit.
-			return d.descend(c, childDepth, thr)
-		}
-		sig := d.r.ReadBit()
-		if d.r.Exhausted() {
-			// Remaining children were never coded this pass; keep them in
-			// LIS so their values stay zero.
-			for j := i; j < k; j++ {
-				d.lis[childDepth] = append(d.lis[childDepth], children[j])
-			}
-			return false
-		}
-		if sig {
-			anySig = true
-			if !d.descend(c, childDepth, thr) {
-				for j := i + 1; j < k; j++ {
-					d.lis[childDepth] = append(d.lis[childDepth], children[j])
-				}
-				return false
-			}
-		} else {
-			d.lis[childDepth] = append(d.lis[childDepth], *c)
-		}
-	}
-	return true
-}
-
-func (d *decoder) refinementPass(thr float64) bool {
-	half := thr / 2
-	if d.r.Remaining() >= uint64(len(d.lsp)) {
-		// The whole pass fits the budget: read refinement bits a word at a
-		// time. Per-pixel updates are unchanged, so reconstruction values
-		// are identical to the per-bit path.
-		i := 0
-		for ; i+64 <= len(d.lsp); i += 64 {
-			word := d.r.ReadBits(64)
-			for j := 0; j < 64; j++ {
-				p := &d.lsp[i+j]
-				if word&1 != 0 {
-					p.val += half
-				} else {
-					p.val -= half
-				}
-				word >>= 1
-			}
-		}
-		if rem := len(d.lsp) - i; rem > 0 {
-			word := d.r.ReadBits(uint(rem))
-			for j := 0; j < rem; j++ {
-				p := &d.lsp[i+j]
-				if word&1 != 0 {
-					p.val += half
-				} else {
-					p.val -= half
-				}
-				word >>= 1
-			}
-		}
-		d.lsp = append(d.lsp, d.lspNew...)
-		d.lspNew = d.lspNew[:0]
-		return true
-	}
-	// A truncated stream ends inside this pass: read bit by bit up to the
-	// cut.
-	for i := range d.lsp {
-		b := d.r.ReadBit()
-		if d.r.Exhausted() {
-			return false
-		}
-		p := &d.lsp[i]
-		if b {
-			p.val += half
-		} else {
-			p.val -= half
-		}
-	}
-	d.lsp = append(d.lsp, d.lspNew...)
-	d.lspNew = d.lspNew[:0]
-	return true
+	return decodeFast(stream, bitsAvail, dims, q, planes, s)
 }

@@ -8,18 +8,33 @@ import (
 	"testing"
 )
 
-// forgeLayer returns a copy of a v2 container written with
-// DisableLossless (so each chunk header sits at a fixed offset in its
-// frame) with the retired bit-layer byte set to 1 in every chunk header
-// (inHeaders) and/or in the index footer's aggregates (inFooter), every
-// checksum recomputed. Both set is the shape of the SPECK-AC containers
-// older builds wrote.
+// forgeLayer returns a copy of a v2 container with the retired bit-layer
+// byte set to 1 in every chunk header (inHeaders) and/or in the index
+// footer's aggregates (inFooter), every checksum recomputed. Both set is
+// the shape of the SPECK-AC containers older builds wrote.
 func forgeLayer(tb testing.TB, stream []byte, inHeaders, inFooter bool) []byte {
+	tb.Helper()
+	var header, aggregates func([]byte)
+	if inHeaders {
+		header = func(h []byte) { h[3] = 1 }
+	}
+	if inFooter {
+		aggregates = func(a []byte) { a[1] = 1 } // mode u8 | layer u8 | ...
+	}
+	return reforge(tb, stream, header, aggregates)
+}
+
+// reforge returns a copy of a v2 container written with DisableLossless
+// (so each chunk header sits at a fixed offset in its frame) after header
+// has edited every chunk's 40-byte header and aggregates the index
+// footer's 32-byte aggregates (either may be nil), every checksum
+// recomputed.
+func reforge(tb testing.TB, stream []byte, header, aggregates func([]byte)) []byte {
 	tb.Helper()
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	out := append([]byte(nil), stream...)
 	if string(out[:8]) != "SPRRGO02" {
-		tb.Fatalf("forgeLayer needs a v2 container, got magic %q", out[:8])
+		tb.Fatalf("reforge needs a v2 container, got magic %q", out[:8])
 	}
 	tail := out[len(out)-20:]
 	nchunks := int(binary.LittleEndian.Uint32(out[32:]))
@@ -28,18 +43,18 @@ func forgeLayer(tb testing.TB, stream []byte, inHeaders, inFooter bool) []byte {
 		entry := index[16*i:]
 		off := int(binary.LittleEndian.Uint64(entry)) + 4
 		payload := out[off : off+int(binary.LittleEndian.Uint32(entry[8:]))]
-		if inHeaders {
+		if header != nil {
 			if payload[0] != 0xFF {
-				tb.Fatal("forgeLayer needs chunk payloads stored raw (DisableLossless)")
+				tb.Fatal("reforge needs chunk payloads stored raw (DisableLossless)")
 			}
-			payload[1+3] = 1 // raw marker, then chunk-header byte 3
+			header(payload[1:41]) // after the raw marker
 		}
 		crc := crc32.Checksum(payload, castagnoli)
 		binary.LittleEndian.PutUint32(out[off+len(payload):], crc)
 		binary.LittleEndian.PutUint32(entry[12:], crc)
 	}
-	if inFooter {
-		index[len(index)-32+1] = 1 // the 32-byte aggregates: mode u8 | layer u8 | ...
+	if aggregates != nil {
+		aggregates(index[len(index)-32:])
 	}
 	binary.LittleEndian.PutUint32(tail, crc32.Checksum(index, castagnoli))
 	return out
