@@ -115,6 +115,8 @@ func TestExitCodes(t *testing.T) {
 		{"repair-v1", []string{"repair", v1, filepath.Join(dir, "v1up.sperr")}, 0, "upgraded from v1 to v2"},
 		{"compress-below-resolution", []string{"-c", "-in", raw, "-dims", "8,8,8", "-tol", "1e-50", "-out", filepath.Join(dir, "sin.sperr")}, 2,
 			"tolerance 1e-50 is below 1.9073486328125e-06"},
+		{"compress-negative-q", []string{"-c", "-in", raw, "-dims", "8,8,8", "-tol", "1e-3", "-q", "-3", "-out", filepath.Join(dir, "q.sperr")}, 2,
+			"-q must not be negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

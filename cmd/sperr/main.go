@@ -118,6 +118,9 @@ func main() {
 		if *partial != 0 || *lowres != 0 || *region != "" {
 			usageFatal("-partial, -lowres and -region apply only to -d")
 		}
+		if *qfactor < 0 {
+			usageFatal("-q must not be negative (0 means the default %g), got %g", sperr.DefaultQFactor, *qfactor)
+		}
 		switch *codecName {
 		case "", "sperr", "sz", "zfp", "tthresh", "mgard", "adaptive":
 		default:

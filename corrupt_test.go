@@ -117,12 +117,12 @@ func TestBitFlippedPayloadsNoPanic(t *testing.T) {
 // surface. 65 planes and more are past what the decoder reads and are
 // refused as ErrCorrupt naming the resolution floor.
 func TestDeepPlaneHeaders(t *testing.T) {
-	raw, _, err := CompressPWE(demoField(6, 5, 4, 3), [3]int{6, 5, 4}, 1e-3, &Options{DisableLossless: true})
+	clean, _, err := CompressPWE(demoField(6, 5, 4, 3), [3]int{6, 5, 4}, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withPlanes := func(planes byte) []byte {
-		return reforge(t, raw, func(h []byte) {
+		return reforge(t, clean, func(h []byte) {
 			h[1] = planes
 			h[2] = 0                                 // no outlier passes
 			binary.LittleEndian.PutUint64(h[20:], 0) // SPECK bits

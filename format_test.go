@@ -57,29 +57,32 @@ func TestStreamDeterminism(t *testing.T) {
 
 // TestStreamSelfConsistency pins the full decode of a just-produced stream
 // so that any accidental format change is caught by decode failure or an
-// error-bound violation rather than silently shifting bytes.
+// error-bound violation rather than silently shifting bytes. Each stream
+// is decoded twice: as written, and with its chunks re-wrapped behind the
+// 0xFF raw marker that no encoder writes any more but readers still open.
 func TestStreamSelfConsistency(t *testing.T) {
 	data, dims := goldenField()
 	for _, opts := range []*Options{
 		nil,
 		{ChunkDims: [3]int{8, 8, 8}},
 		{QFactor: 2.0},
-		{DisableLossless: true},
 	} {
 		stream, _, err := CompressPWE(data, dims, 1e-5, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, gotDims, err := Decompress(stream)
-		if err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
-		if gotDims != dims {
-			t.Fatalf("opts %+v: dims %v", opts, gotDims)
-		}
-		for i := range data {
-			if math.Abs(rec[i]-data[i]) > 1e-5*(1+1e-9) {
-				t.Fatalf("opts %+v: tolerance violated at %d", opts, i)
+		for _, stream := range [][]byte{stream, rawFrames(t, stream)} {
+			rec, gotDims, err := Decompress(stream)
+			if err != nil {
+				t.Fatalf("opts %+v: %v", opts, err)
+			}
+			if gotDims != dims {
+				t.Fatalf("opts %+v: dims %v", opts, gotDims)
+			}
+			for i := range data {
+				if math.Abs(rec[i]-data[i]) > 1e-5*(1+1e-9) {
+					t.Fatalf("opts %+v: tolerance violated at %d", opts, i)
+				}
 			}
 		}
 	}

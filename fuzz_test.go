@@ -72,11 +72,11 @@ func FuzzDecompress(f *testing.F) {
 	// index footer, checksums intact), its truncations, and flips in the
 	// chunk-header region where the layer byte lives (offset 44). A set
 	// layer byte must fail as ErrCorrupt, never decode as raw bits.
-	raw, _, err := CompressPWE(multiData, [3]int{20, 13, 9}, 1e-4, &Options{DisableLossless: true})
+	clean, _, err := CompressPWE(multiData, [3]int{20, 13, 9}, 1e-4, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	ac := forgeLayer(f, raw, true, true)
+	ac := forgeLayer(f, clean, true, true)
 	f.Add(ac)
 	for _, cut := range []int{len(ac) - 1, len(ac) - 3, len(ac) * 3 / 4, len(ac) / 2} {
 		if cut > 0 && cut < len(ac) {

@@ -124,7 +124,7 @@ func New(cfg Config, st *store.Store) (*Cluster, error) {
 		c.order = append(c.order, id)
 	}
 	sort.Strings(c.order)
-	ring, err := NewRing(c.order, 0)
+	ring, err := NewRing(c.order)
 	if err != nil {
 		return nil, err
 	}

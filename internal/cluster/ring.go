@@ -18,10 +18,10 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the number of ring points per peer. 64 points
-// keeps the per-peer load imbalance within a few percent for small
-// rosters while the ring stays tiny (a 16-peer ring is 1024 points).
-const DefaultVirtualNodes = 64
+// virtualNodes is the number of ring points per peer. 64 points keeps
+// the per-peer load imbalance within a few percent for small rosters
+// while the ring stays tiny (a 16-peer ring is 1024 points).
+const virtualNodes = 64
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -66,19 +66,16 @@ type Ring struct {
 	points []ringPoint
 }
 
-// NewRing builds a ring with vnodes virtual nodes per peer (0 means
-// DefaultVirtualNodes). Peer IDs must be unique and non-empty.
-func NewRing(peers []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring with virtualNodes points per peer. Peer IDs must
+// be unique and non-empty.
+func NewRing(peers []string) (*Ring, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one peer")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	seen := make(map[string]struct{}, len(peers))
 	r := &Ring{
 		peers:  append([]string(nil), peers...),
-		points: make([]ringPoint, 0, len(peers)*vnodes),
+		points: make([]ringPoint, 0, len(peers)*virtualNodes),
 	}
 	for pi, id := range r.peers {
 		if id == "" {
@@ -88,7 +85,7 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer id %q", id)
 		}
 		seen[id] = struct{}{}
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: fnv64(fmt.Sprintf("%s#%d", id, v)),
 				peer: pi,

@@ -10,20 +10,20 @@ import (
 )
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty roster accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Fatal("empty peer id accepted")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate peer id accepted")
 	}
 }
 
 func TestRingBalance(t *testing.T) {
 	peers := []string{"node-a", "node-b", "node-c"}
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestRingBalance(t *testing.T) {
 func TestRingStabilityOnPeerRemoval(t *testing.T) {
 	// Removing one peer of three must only move keys that the removed
 	// peer owned — that is the point of consistent hashing.
-	full, err := NewRing([]string{"node-a", "node-b", "node-c"}, 0)
+	full, err := NewRing([]string{"node-a", "node-b", "node-c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"node-a", "node-c"}, 0)
+	reduced, err := NewRing([]string{"node-a", "node-c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestRingStabilityOnPeerRemoval(t *testing.T) {
 }
 
 func TestRingDeterministicAcrossRosterOrder(t *testing.T) {
-	a, err := NewRing([]string{"n1", "n2", "n3"}, 16)
+	a, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3", "n1", "n2"}, 16)
+	b, err := NewRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestOwnersProperties(t *testing.T) {
 		{"n1", "n2", "n3", "n4", "n5"},
 	}
 	for _, roster := range rosters {
-		r, err := NewRing(roster, 0)
+		r, err := NewRing(roster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestOwnersProperties(t *testing.T) {
 
 	// Churn: removing a peer that is NOT in a key's replica set leaves
 	// the set unchanged (consistent hashing extended to replica lists).
-	full, err := NewRing([]string{"node-a", "node-b", "node-c", "node-d"}, 0)
+	full, err := NewRing([]string{"node-a", "node-b", "node-c", "node-d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestOwnersProperties(t *testing.T) {
 				rest = append(rest, p)
 			}
 		}
-		without[gone], err = NewRing(rest, 0)
+		without[gone], err = NewRing(rest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestOwnersProperties(t *testing.T) {
 // with a sequential lookup on the same ring.
 func TestRingConcurrentChurnHammer(t *testing.T) {
 	base := []string{"node-a", "node-b", "node-c", "node-d", "node-e"}
-	shared, err := NewRing(base, 0)
+	shared, err := NewRing(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRingConcurrentChurnHammer(t *testing.T) {
 				default:
 				}
 				roster := append([]string(nil), base[:2+(g+round)%4]...)
-				r, err := NewRing(roster, 16)
+				r, err := NewRing(roster)
 				if err != nil {
 					t.Error(err)
 					return
@@ -264,7 +264,7 @@ func TestRingConcurrentChurnHammer(t *testing.T) {
 }
 
 func TestPlacementCoversAllChunks(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c"}, 0)
+	r, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestPlacementCoversAllChunks(t *testing.T) {
 // in the same order, and PlacementReplicas lists the same chunks per peer
 // — and with room in dst it allocates nothing.
 func TestChunkOwnersMatchesStringKey(t *testing.T) {
-	r, err := NewRing([]string{"node-a", "node-b", "node-c", "node-d", "node-e"}, 0)
+	r, err := NewRing([]string{"node-a", "node-b", "node-c", "node-d", "node-e"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,22 +61,15 @@ type Params struct {
 
 	// Tol is the point-wise error tolerance (ModePWE).
 	Tol float64
-	// QFactor sets q = QFactor*Tol; zero means DefaultQFactor. Figures 2-4
-	// of the paper sweep this knob.
+	// QFactor sets q = QFactor*Tol; zero means DefaultQFactor, and a
+	// negative value is refused. Figures 2-4 of the paper sweep this knob.
 	QFactor float64
-	// Q overrides the SPECK base step directly when nonzero (used by
-	// experiments that decouple q from t).
-	Q float64
 
 	// BitsPerPoint is the target rate (ModeBPP).
 	BitsPerPoint float64
 
 	// TargetRMSE is the requested root-mean-square error (ModeRMSE).
 	TargetRMSE float64
-
-	// DisableLossless skips the final DEFLATE stage (for experiments that
-	// measure raw coder output).
-	DisableLossless bool
 
 	// Codec pins every chunk to one backend (see backend.go). The zero
 	// value is CodecSPERR, the pipeline this package implements; any other
@@ -89,15 +82,19 @@ type Params struct {
 // so pipeline front-ends can reject bad parameters before any samples
 // flow. EncodeChunkScratch performs the same checks per chunk. Every knob
 // must be finite, and so must the PWE step q: a stream whose header holds
-// a non-finite step or tolerance is one parseHeader refuses.
+// a non-finite step or tolerance is one parseHeader refuses. QFactor must
+// not be negative: zero is the only value that means the default.
 func (p Params) Validate() error {
 	for _, k := range [...]struct {
 		name string
 		v    float64
-	}{{"Tol", p.Tol}, {"TargetRMSE", p.TargetRMSE}, {"BitsPerPoint", p.BitsPerPoint}, {"QFactor", p.QFactor}, {"Q", p.Q}} {
+	}{{"Tol", p.Tol}, {"TargetRMSE", p.TargetRMSE}, {"BitsPerPoint", p.BitsPerPoint}, {"QFactor", p.QFactor}} {
 		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
 			return fmt.Errorf("codec: %s is %g; it must be finite", k.name, k.v)
 		}
+	}
+	if p.QFactor < 0 {
+		return fmt.Errorf("codec: QFactor is %g; it must be positive, or zero for the default %g", p.QFactor, DefaultQFactor)
 	}
 	if (p.Mode == ModePWE || p.Mode == ModeAdaptive) && math.IsInf(p.q(), 0) {
 		return fmt.Errorf("codec: the quantization step for Tol %g overflows; lower Tol or QFactor", p.Tol)
@@ -136,11 +133,8 @@ func (p Params) Validate() error {
 }
 
 func (p Params) q() float64 {
-	if p.Q > 0 {
-		return p.Q
-	}
 	qf := p.QFactor
-	if qf <= 0 {
+	if qf == 0 {
 		qf = DefaultQFactor
 	}
 	return qf * p.Tol
@@ -460,12 +454,7 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 	}
 	s.payload = payload
 	st.HeaderBits = headerSize * 8
-	var out []byte
-	if p.DisableLossless {
-		out = append([]byte{0xFF}, payload...) // raw marker
-	} else {
-		out = lossless.Compress(payload)
-	}
+	out := lossless.Compress(payload)
 	st.TotalBytes = len(out)
 	return out, st, nil
 }

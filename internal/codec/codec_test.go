@@ -6,8 +6,25 @@ import (
 	"testing"
 
 	"sperr/internal/grid"
+	"sperr/internal/lossless"
+	"sperr/internal/outlier"
 	"sperr/internal/speck"
 )
+
+// rawFrame re-wraps an encoded chunk behind the 0xFF raw marker: the form
+// no encoder writes any more but every reader still opens. The header then
+// sits at byte 1, and the frame's size is the coders' own output.
+func rawFrame(tb testing.TB, stream []byte) []byte {
+	tb.Helper()
+	payload, err := lossless.Decompress(stream)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append([]byte{0xFF}, payload...)
+}
+
+// RawFrame exports rawFrame to the external test package.
+var RawFrame = rawFrame
 
 // smoothField builds a realistic smooth-plus-noise scientific field.
 func smoothField(d grid.Dims, seed int64) []float64 {
@@ -96,12 +113,11 @@ func TestBPPModeRespectsBudget(t *testing.T) {
 	d := grid.D3(32, 32, 32)
 	data := smoothField(d, 5)
 	for _, bpp := range []float64{0.5, 1, 2, 4} {
-		stream, st, err := EncodeChunk(data, d, Params{
-			Mode: ModeBPP, BitsPerPoint: bpp, DisableLossless: true,
-		})
+		stream, st, err := EncodeChunk(data, d, Params{Mode: ModeBPP, BitsPerPoint: bpp})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stream = rawFrame(t, stream)
 		got := float64(len(stream)*8) / float64(d.Len())
 		if got > bpp*1.05+0.1 {
 			t.Errorf("bpp=%g: achieved %g bits/point", bpp, got)
@@ -200,6 +216,32 @@ func TestQControlsOutliers(t *testing.T) {
 	if stHigh.SpeckBits >= stLow.SpeckBits {
 		t.Errorf("q=3t used %d SPECK bits, q=1t used %d; expected fewer at larger q",
 			stHigh.SpeckBits, stLow.SpeckBits)
+	}
+}
+
+// Scratch.Outliers hands out the list the PWE encode coded: the stats
+// count it, every entry misses the tolerance, positions ascend, and
+// coding it again costs the encode's outlier bits.
+func TestScratchOutliers(t *testing.T) {
+	d := grid.D3(24, 24, 24)
+	data := smoothField(d, 31)
+	const tol = 0.05
+	s := NewScratch()
+	_, st, err := EncodeChunkScratch(data, d, Params{Mode: ModePWE, Tol: tol, QFactor: 2}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := s.Outliers()
+	if len(outs) == 0 || len(outs) != st.NumOutliers {
+		t.Fatalf("%d outliers listed, stats count %d", len(outs), st.NumOutliers)
+	}
+	for i, o := range outs {
+		if !(math.Abs(o.Corr) > tol) || i > 0 && o.Pos <= outs[i-1].Pos {
+			t.Fatalf("outlier %d: %+v", i, o)
+		}
+	}
+	if bits := outlier.Encode(d.Len(), tol, outs).Bits; bits != st.OutlierBits {
+		t.Fatalf("the list codes to %d bits, the encode to %d", bits, st.OutlierBits)
 	}
 }
 
@@ -401,11 +443,11 @@ func BenchmarkDecodePWE32(b *testing.B) {
 }
 
 // Params.Validate refuses every knob a reader would refuse: a non-finite
-// Tol, TargetRMSE, BitsPerPoint, QFactor or Q, and a PWE step q that
+// Tol, TargetRMSE, BitsPerPoint or QFactor, and a PWE step q that
 // overflows, as parseHeader refuses a non-finite step or tolerance. Each
 // refused row once encoded a stream no Decompress could open (or, for
 // BPP, one that decoded only by an accident of the float-to-int
-// conversion).
+// conversion). A negative QFactor once coded silently at the default 1.5.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	inf, nan, huge := math.Inf(1), math.NaN(), math.MaxFloat64
 	for _, tc := range []struct {
@@ -419,8 +461,11 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"PWE QFactor overflows q", Params{Mode: ModePWE, Tol: 1e300, QFactor: 1e10}, false},
 		{"PWE QFactor=+Inf", Params{Mode: ModePWE, Tol: 1, QFactor: inf}, false},
 		{"PWE QFactor=NaN", Params{Mode: ModePWE, Tol: 1, QFactor: nan}, false},
-		{"PWE Q=+Inf", Params{Mode: ModePWE, Tol: 1, Q: inf}, false},
-		{"PWE Q=NaN", Params{Mode: ModePWE, Tol: 1, Q: nan}, false},
+		{"PWE QFactor=-3", Params{Mode: ModePWE, Tol: 1, QFactor: -3}, false},
+		{"PWE QFactor=-Inf", Params{Mode: ModePWE, Tol: 1, QFactor: -inf}, false},
+		{"adaptive QFactor=-1", Params{Mode: ModeAdaptive, Tol: 1, QFactor: -1}, false},
+		{"BPP QFactor=-1", Params{Mode: ModeBPP, BitsPerPoint: 2, QFactor: -1}, false},
+		{"PWE QFactor=0.1", Params{Mode: ModePWE, Tol: 1, QFactor: 0.1}, true},
 		{"adaptive Tol=+Inf", Params{Mode: ModeAdaptive, Tol: inf}, false},
 		{"adaptive Tol=MaxFloat64", Params{Mode: ModeAdaptive, Tol: huge}, false},
 		{"RMSE TargetRMSE=+Inf", Params{Mode: ModeRMSE, TargetRMSE: inf}, false},
@@ -429,7 +474,6 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"BPP BitsPerPoint=NaN", Params{Mode: ModeBPP, BitsPerPoint: nan}, false},
 		{"sz Tol=+Inf", Params{Mode: ModePWE, Tol: inf, Codec: CodecSZ}, false},
 		{"PWE Tol=MaxFloat64/2", Params{Mode: ModePWE, Tol: huge / 2}, true},
-		{"PWE Q finite beside a huge Tol", Params{Mode: ModePWE, Tol: huge, Q: 1}, true},
 		{"RMSE TargetRMSE=MaxFloat64", Params{Mode: ModeRMSE, TargetRMSE: huge}, true},
 		{"BPP BitsPerPoint=64", Params{Mode: ModeBPP, BitsPerPoint: 64}, true},
 	} {

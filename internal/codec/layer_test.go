@@ -40,7 +40,7 @@ func TestForgedEntropyMode(t *testing.T) {
 			t.Errorf("%s: got %v, want %v naming SPECK-AC", what, err, want)
 		}
 	}
-	// DisableLossless keeps the chunk header addressable at a fixed offset:
+	// A raw frame keeps the chunk header addressable at a fixed offset:
 	// stream[0] is the raw marker, the header starts at 1, and the layer
 	// byte is header byte 3.
 	const layerOff = 1 + 3
@@ -49,13 +49,19 @@ func TestForgedEntropyMode(t *testing.T) {
 		{Mode: codec.ModeBPP, BitsPerPoint: 2},
 		{Mode: codec.ModeRMSE, TargetRMSE: 0.01},
 	} {
-		p.DisableLossless = true
 		stream, _, err := codec.EncodeChunk(data, d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		stream = codec.RawFrame(t, stream)
 		if stream[layerOff] != 0 {
 			t.Fatalf("mode %d: encoder wrote layer byte %d, want 0", p.Mode, stream[layerOff])
+		}
+		if _, err := codec.DescribeChunk(stream); err != nil {
+			t.Fatalf("mode %d: the unforged raw frame does not describe: %v", p.Mode, err)
+		}
+		if _, err := codec.DecodeChunk(stream, d); err != nil {
+			t.Fatalf("mode %d: the unforged raw frame does not decode: %v", p.Mode, err)
 		}
 		for _, b := range forged {
 			mut := append([]byte(nil), stream...)

@@ -9,11 +9,12 @@ import (
 	"sperr/internal/speck"
 )
 
-// openChunk undoes the lossless layer (or strips the raw marker) of a
-// chunk stream, parses and validates its header against dims, and returns
-// the header, the body after it, and the byte length of the SPECK stream
-// at the front of the body. An inflated body lives in the arena s. What
-// it passes meets speck.Decode's preconditions: a chunk of at most
+// openChunk undoes the lossless layer of a chunk stream (or strips the
+// 0xFF raw marker, which no encoder writes any more but older or outside
+// streams may carry), parses and validates its header against dims, and
+// returns the header, the body after it, and the byte length of the SPECK
+// stream at the front of the body. An inflated body lives in the arena s.
+// What it passes meets speck.Decode's preconditions: a chunk of at most
 // MaxChunkPoints samples, at most 64 planes, a finite top threshold.
 func openChunk(stream []byte, dims grid.Dims, s *Scratch) (h *header, body []byte, speckBytes int, err error) {
 	if len(stream) < 1 {

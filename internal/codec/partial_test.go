@@ -210,16 +210,20 @@ func TestDecodeChunkLowResRamp(t *testing.T) {
 func TestProgressiveDecodeOnArena(t *testing.T) {
 	s := NewScratch()
 	for _, tc := range []struct {
-		d grid.Dims
-		p Params
+		d   grid.Dims
+		p   Params
+		raw bool // re-wrapped behind the 0xFF raw marker
 	}{
-		{grid.D3(24, 17, 9), Params{Mode: ModePWE, Tol: 1e-4}},
-		{grid.D3(8, 17, 30), Params{Mode: ModeBPP, BitsPerPoint: 3}},
-		{grid.D3(24, 17, 9), Params{Mode: ModePWE, Tol: 1e-3, DisableLossless: true}},
+		{grid.D3(24, 17, 9), Params{Mode: ModePWE, Tol: 1e-4}, false},
+		{grid.D3(8, 17, 30), Params{Mode: ModeBPP, BitsPerPoint: 3}, false},
+		{grid.D3(24, 17, 9), Params{Mode: ModePWE, Tol: 1e-3}, true},
 	} {
 		stream, _, err := EncodeChunk(smoothField(tc.d, 7), tc.d, tc.p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.raw {
+			stream = rawFrame(t, stream)
 		}
 		for _, frac := range []float64{0.3, 1} {
 			want, err := DecodeChunkPartial(stream, tc.d, frac, nil)

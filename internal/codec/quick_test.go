@@ -78,13 +78,11 @@ func TestQuickBPPBudget(t *testing.T) {
 			data[i] = r.NormFloat64() * 100
 		}
 		bpp := 0.5 + float64(rate8%16)
-		stream, _, err := EncodeChunk(data, d, Params{
-			Mode: ModeBPP, BitsPerPoint: bpp, DisableLossless: true,
-		})
+		stream, _, err := EncodeChunk(data, d, Params{Mode: ModeBPP, BitsPerPoint: bpp})
 		if err != nil {
 			return false
 		}
-		achieved := float64(len(stream)*8) / float64(d.Len())
+		achieved := float64(len(rawFrame(t, stream))*8) / float64(d.Len())
 		// Header amortization slack for tiny chunks.
 		return achieved <= bpp+float64((headerSize+2)*8)/float64(d.Len())+1
 	}

@@ -69,6 +69,11 @@ func (s *Scratch) scanOutliers(data, recon []float64, tol float64) []outlier.Out
 	return outs
 }
 
+// Outliers returns the outlier list of the last ModePWE encode on s: every
+// point whose reconstruction missed the tolerance, with its correction.
+// It aliases the arena and is valid only until the next encode on s.
+func (s *Scratch) Outliers() []outlier.Outlier { return s.outs }
+
 // Grows reports the cumulative number of buffer (re)allocation events
 // across every pooled buffer in the arena — the pipeline's allocation
 // counter. A warmed-up arena stops growing; instrumentation surfaces the

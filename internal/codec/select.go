@@ -110,14 +110,12 @@ func trialBlock(data []float64, dims grid.Dims) ([]float64, grid.Dims, bool) {
 }
 
 // trialParams maps the adaptive Params onto one candidate backend: every
-// candidate runs ModePWE at the same tolerance; SPERR-specific knobs pass
-// through to the SPERR candidate only.
+// candidate runs ModePWE at the same tolerance; the SPERR-specific QFactor
+// passes through to the SPERR candidate only.
 func trialParams(id CodecID, p Params) Params {
 	q := Params{Mode: ModePWE, Tol: p.Tol}
 	if id == CodecSPERR {
 		q.QFactor = p.QFactor
-		q.Q = p.Q
-		q.DisableLossless = p.DisableLossless
 	}
 	return q
 }

@@ -36,19 +36,13 @@ func AblationLossless(cfg Config) *Result {
 	for _, e := range figure9Entries(cfg.Quick) {
 		f := fieldByName(e.field, cfg.dims(), cfg.seed())
 		tol := f.tol(e.idx)
-		with, _, err := codec.EncodeChunk(f.vol.Data, f.vol.Dims,
-			codec.Params{Mode: codec.ModePWE, Tol: tol})
-		if err != nil {
-			panic(err)
-		}
-		without, _, err := codec.EncodeChunk(f.vol.Data, f.vol.Dims,
-			codec.Params{Mode: codec.ModePWE, Tol: tol, DisableLossless: true})
-		if err != nil {
-			panic(err)
-		}
+		st, _ := encodePWE(f.vol.Data, f.vol.Dims, tol, 0)
+		// Without the lossless stage a chunk would be a one-byte marker,
+		// the header and the two coders' byte-padded streams.
+		without := 1 + st.HeaderBits/8 + (st.SpeckBits+7)/8 + (st.OutlierBits+7)/8
 		n := float64(f.vol.Dims.Len())
-		bw := float64(len(with)*8) / n
-		bo := float64(len(without)*8) / n
+		bw := float64(st.TotalBytes*8) / n
+		bo := float64(without*8) / n
 		r.AddRow(e.abbrev, f3(bw), f3(bo), f2(100*(bo-bw)/bo))
 	}
 	return r
@@ -73,23 +67,20 @@ func AblationOutlierCoder(cfg Config) *Result {
 	for _, e := range figure9Entries(cfg.Quick) {
 		f := fieldByName(e.field, cfg.dims(), cfg.seed())
 		tol := f.tol(e.idx)
-		an, err := codec.Analyze(f.vol.Data, f.vol.Dims, tol, 0)
-		if err != nil {
-			panic(err)
-		}
-		k := len(an.Outliers)
+		st, outs := encodePWE(f.vol.Data, f.vol.Dims, tol, 0)
+		k := len(outs)
 		if k == 0 {
 			r.AddRow(e.abbrev, "0", "-", "-", "-", "-")
 			continue
 		}
 		n := f.vol.Dims.Len()
-		bins := sz.QuantizeOutliers(n, tol, an.Outliers)
+		bins := sz.QuantizeOutliers(n, tol, outs)
 		szBits := float64(len(sz.CompressQuantBins(bins)) * 8)
-		gammaBits := float64(len(outlier.EncodeGamma(n, tol, an.Outliers)) * 8)
-		csrBits := float64(len(outlier.EncodeCSR(n, tol, an.Outliers)) * 8)
-		bmpBits := float64(len(outlier.EncodeBitmap(n, tol, an.Outliers)) * 8)
+		gammaBits := float64(len(outlier.EncodeGamma(n, tol, outs)) * 8)
+		csrBits := float64(len(outlier.EncodeCSR(n, tol, outs)) * 8)
+		bmpBits := float64(len(outlier.EncodeBitmap(n, tol, outs)) * 8)
 		r.AddRow(e.abbrev, fmt.Sprintf("%d", k),
-			f2(an.BitsPerOutlier()), f2(szBits/float64(k)), f2(gammaBits/float64(k)),
+			f2(st.BitsPerOutlier()), f2(szBits/float64(k)), f2(gammaBits/float64(k)),
 			f2(csrBits/float64(k)), f2(bmpBits/float64(k)))
 	}
 	return r

@@ -10,6 +10,7 @@ import (
 	"sperr/internal/codec"
 	"sperr/internal/grid"
 	"sperr/internal/metrics"
+	"sperr/internal/outlier"
 	"sperr/internal/plot"
 	"sperr/internal/synth"
 )
@@ -99,25 +100,34 @@ func Figure1(cfg Config) *Result {
 		},
 	}
 	for _, qf := range []float64{1.3, 1.5, 1.7} {
-		an, err := codec.Analyze(img.Data, img.Dims, tol, qf*tol)
-		if err != nil {
-			panic(err)
-		}
-		mask := outlierMask(an, img.Dims)
+		st, outs := encodePWE(img.Data, img.Dims, tol, qf)
+		mask := outlierMask(outs, img.Dims)
 		ratio := clusterRatio(mask, img.Dims)
-		r.AddRow(f2(qf), fmt.Sprintf("%d", len(an.Outliers)),
-			f3(an.OutlierPercent()), f2(ratio))
+		r.AddRow(f2(qf), fmt.Sprintf("%d", len(outs)),
+			f3(st.OutlierPercent()), f2(ratio))
 		r.Rasters = append(r.Rasters, plot.Raster(
-			fmt.Sprintf("fig1: outlier positions at q = %.1ft (%.2f%%)", qf, an.OutlierPercent()),
+			fmt.Sprintf("fig1: outlier positions at q = %.1ft (%.2f%%)", qf, st.OutlierPercent()),
 			mask, d.NX, d.NY, 72, 20))
 	}
 	return r
 }
 
+// encodePWE codes one chunk with the production encoder at tolerance tol
+// and step q = qf*tol (qf 0 is the default 1.5) and returns its stats and
+// the outlier list the coefficient coding left behind.
+func encodePWE(data []float64, d grid.Dims, tol, qf float64) (*codec.Stats, []outlier.Outlier) {
+	s := codec.NewScratch()
+	_, st, err := codec.EncodeChunkScratch(data, d, codec.Params{Mode: codec.ModePWE, Tol: tol, QFactor: qf}, s)
+	if err != nil {
+		panic(err)
+	}
+	return st, s.Outliers()
+}
+
 // outlierMask rasterizes the outlier list.
-func outlierMask(a *codec.Analysis, d grid.Dims) []bool {
+func outlierMask(outs []outlier.Outlier, d grid.Dims) []bool {
 	mask := make([]bool, d.Len())
-	for _, o := range a.Outliers {
+	for _, o := range outs {
 		mask[o.Pos] = true
 	}
 	return mask
@@ -174,13 +184,10 @@ func Figure2(cfg Config) *Result {
 	n := float64(f.vol.Dims.Len())
 	var qs, totals []float64
 	for _, qf := range qSweep(cfg.Quick) {
-		an, err := codec.Analyze(f.vol.Data, f.vol.Dims, tol, qf*tol)
-		if err != nil {
-			panic(err)
-		}
-		cb := float64(an.SpeckBits) / n
-		ob := float64(an.OutlierBits) / n
-		r.AddRow(f2(qf), f3(cb), f3(ob), f3(cb+ob), f3(an.OutlierPercent()))
+		st, _ := encodePWE(f.vol.Data, f.vol.Dims, tol, qf)
+		cb := float64(st.SpeckBits) / n
+		ob := float64(st.OutlierBits) / n
+		r.AddRow(f2(qf), f3(cb), f3(ob), f3(cb+ob), f3(st.OutlierPercent()))
 		qs = append(qs, qf)
 		totals = append(totals, cb+ob)
 	}
@@ -230,7 +237,7 @@ func Figure3(cfg Config) *Result {
 			psnrs := make([]float64, len(qs))
 			for i, qf := range qs {
 				stream, _, err := codec.EncodeChunk(f.vol.Data, f.vol.Dims,
-					codec.Params{Mode: codec.ModePWE, Tol: tol, Q: qf * tol})
+					codec.Params{Mode: codec.ModePWE, Tol: tol, QFactor: qf})
 				if err != nil {
 					panic(err)
 				}
@@ -286,12 +293,9 @@ func Figure4(cfg Config) *Result {
 		label := fmt.Sprintf("%s-%d", abbrevOf(c.name), c.idx)
 		var qs, bpos []float64
 		for _, qf := range qSweep(cfg.Quick) {
-			an, err := codec.Analyze(f.vol.Data, f.vol.Dims, tol, qf*tol)
-			if err != nil {
-				panic(err)
-			}
-			bpo := an.BitsPerOutlier()
-			r.AddRow(label, f2(qf), f2(bpo), f3(an.OutlierPercent()))
+			st, _ := encodePWE(f.vol.Data, f.vol.Dims, tol, qf)
+			bpo := st.BitsPerOutlier()
+			r.AddRow(label, f2(qf), f2(bpo), f3(st.OutlierPercent()))
 			qs = append(qs, qf)
 			bpos = append(bpos, bpo)
 		}

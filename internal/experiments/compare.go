@@ -254,21 +254,18 @@ func Figure11(cfg Config) *Result {
 	for _, e := range figure9Entries(cfg.Quick) {
 		f := fieldByName(e.field, cfg.dims(), cfg.seed())
 		tol := f.tol(e.idx)
-		an, err := codec.Analyze(f.vol.Data, f.vol.Dims, tol, 0)
-		if err != nil {
-			panic(err)
-		}
-		if len(an.Outliers) == 0 {
+		st, outs := encodePWE(f.vol.Data, f.vol.Dims, tol, 0)
+		if len(outs) == 0 {
 			r.AddRow(e.abbrev, "0", "-", "-")
 			continue
 		}
-		bins := sz.QuantizeOutliers(f.vol.Dims.Len(), tol, an.Outliers)
+		bins := sz.QuantizeOutliers(f.vol.Dims.Len(), tol, outs)
 		szStream := sz.CompressQuantBins(bins)
-		szBPO := float64(len(szStream)*8) / float64(len(an.Outliers))
-		r.AddRow(e.abbrev, fmt.Sprintf("%d", len(an.Outliers)),
-			f2(an.BitsPerOutlier()), f2(szBPO))
+		szBPO := float64(len(szStream)*8) / float64(len(outs))
+		r.AddRow(e.abbrev, fmt.Sprintf("%d", len(outs)),
+			f2(st.BitsPerOutlier()), f2(szBPO))
 		labels11 = append(labels11, e.abbrev)
-		sperrBPO = append(sperrBPO, an.BitsPerOutlier())
+		sperrBPO = append(sperrBPO, st.BitsPerOutlier())
 		szBPOs = append(szBPOs, szBPO)
 	}
 	r.Bars = []BarData{

@@ -110,9 +110,16 @@ func TestCompressCodecParam(t *testing.T) {
 		}
 	}
 
+	// A negative quantization factor is refused, never coded at the
+	// default step behind the client's back.
+	res, body := postRaw(t, fmt.Sprintf("%s/v1/compress?dims=24,8,8&tol=1e-3&q=-3", ts.URL), raw)
+	if res.StatusCode != 400 || !strings.Contains(string(body), "QFactor is -3") {
+		t.Errorf("q=-3: status %d %s, want 400 naming QFactor", res.StatusCode, body)
+	}
+
 	// The retired SPECK-AC layer: asking for it is a 400 naming the
 	// retirement, never a silently raw-coded stream.
-	res, body := postRaw(t, fmt.Sprintf("%s/v1/compress?dims=24,8,8&tol=1e-3&entropy=1", ts.URL), raw)
+	res, body = postRaw(t, fmt.Sprintf("%s/v1/compress?dims=24,8,8&tol=1e-3&entropy=1", ts.URL), raw)
 	if res.StatusCode != 400 || !strings.Contains(string(body), "SPECK-AC") {
 		t.Errorf("entropy=1: status %d %s, want 400 naming SPECK-AC", res.StatusCode, body)
 	}

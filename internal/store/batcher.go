@@ -16,38 +16,34 @@ type manifestOp struct {
 // batcher is the manifest's batched flush loop: submitters enqueue ops
 // and block until the batch containing their op has been applied and the
 // manifest durably rewritten. A flush triggers when maxBatch ops are
-// pending or `every` after the first op of a batch — so a burst of
+// pending or flushEvery after the first op of a batch — so a burst of
 // concurrent ingests pays one manifest rewrite, not one per volume,
 // while a lone ingest still lands within one flush interval. This is the
 // blocking group-commit shape of write-ahead batchers in audit-log
 // systems: amortize the fsync, never acknowledge before it.
 type batcher struct {
-	ops  chan manifestOp
-	quit chan struct{}
-	done chan struct{}
-
-	maxBatch int
-	every    time.Duration
-	apply    func([]manifestOp) error
+	ops   chan manifestOp
+	quit  chan struct{}
+	done  chan struct{}
+	apply func([]manifestOp) error
 
 	mu     sync.Mutex
 	closed bool
 }
 
-func newBatcher(maxBatch int, every time.Duration, apply func([]manifestOp) error) *batcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	if every <= 0 {
-		every = 5 * time.Millisecond
-	}
+// The batcher's cadence: a flush is at most maxBatch ops, and a lone op
+// waits at most flushEvery for company.
+const (
+	maxBatch   = 64
+	flushEvery = 5 * time.Millisecond
+)
+
+func newBatcher(apply func([]manifestOp) error) *batcher {
 	b := &batcher{
-		ops:      make(chan manifestOp, 4*maxBatch),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-		maxBatch: maxBatch,
-		every:    every,
-		apply:    apply,
+		ops:   make(chan manifestOp, 4*maxBatch),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+		apply: apply,
 	}
 	go b.loop()
 	return b
@@ -85,7 +81,7 @@ func (b *batcher) close() {
 func (b *batcher) loop() {
 	defer close(b.done)
 	var batch []manifestOp
-	timer := time.NewTimer(b.every)
+	timer := time.NewTimer(flushEvery)
 	if !timer.Stop() {
 		<-timer.C
 	}
@@ -112,10 +108,10 @@ func (b *batcher) loop() {
 		case op := <-b.ops:
 			if len(batch) == 0 {
 				stopTimer()
-				timer.Reset(b.every)
+				timer.Reset(flushEvery)
 			}
 			batch = append(batch, op)
-			if len(batch) >= b.maxBatch {
+			if len(batch) >= maxBatch {
 				stopTimer()
 				flush()
 			}
@@ -127,7 +123,7 @@ func (b *batcher) loop() {
 				select {
 				case op := <-b.ops:
 					batch = append(batch, op)
-					if len(batch) >= b.maxBatch {
+					if len(batch) >= maxBatch {
 						flush()
 					}
 				default:

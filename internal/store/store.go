@@ -163,8 +163,7 @@ type Hooks struct {
 	OnResident func(samples int64)
 }
 
-// Options tunes a Store. The zero value works: caching disabled, default
-// batcher cadence.
+// Options tunes a Store. The zero value works: caching disabled.
 type Options struct {
 	// CacheSamples caps the decoded-slab cache residency in samples
 	// (float64 values; x8 for bytes). <= 0 disables the decoded tier.
@@ -175,11 +174,6 @@ type Options struct {
 	// CacheSamples alone.
 	Charge  func(samples int64) bool
 	Release func(samples int64)
-	// FlushEvery and MaxBatch tune the manifest batcher: a flush happens
-	// when MaxBatch ops are pending or FlushEvery after the first op of a
-	// batch, whichever comes first. Zero values default to 5ms / 64.
-	FlushEvery time.Duration
-	MaxBatch   int
 	// Hooks observes store events (metrics).
 	Hooks Hooks
 }
@@ -247,7 +241,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	s.bat = newBatcher(opts.MaxBatch, opts.FlushEvery, s.applyBatch)
+	s.bat = newBatcher(s.applyBatch)
 	return s, nil
 }
 

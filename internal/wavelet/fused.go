@@ -1,8 +1,9 @@
 package wavelet
 
 // Single-sweep fused lifting kernels. One level of the CDF 9/7 transform
-// is four lifting stages plus the ±epsilon scaling; forwardEven/forwardOdd
-// in cdf97.go run them as five sweeps over the line. Here they are
+// is four lifting stages plus the ±epsilon scaling; the test oracle's
+// forwardEven/forwardOdd (oracle_test.go) run them as five sweeps over the
+// line. Here they are
 // software-pipelined into one: pair k is the samples (2k, 2k+1), and each
 // stage of pair k needs only its neighbours' previous-stage values, so one
 // iteration per pair carries three values of state and touches every
@@ -30,8 +31,8 @@ package wavelet
 // first. Symmetric extension turns the first and last pairs' missing
 // neighbour into 2·c·x, peeled out of the loops.
 //
-// Every expression has the operands, order and shape of the one in cdf97.go
-// that it replaces (2*c*x is not rewritten c*(x+x), which differs at
+// Every expression has the operands, order and shape of the one in the
+// oracle that it replaces (2*c*x is not rewritten c*(x+x), which differs at
 // overflow; the division stays a division, x/ε ≠ x·(1/ε) in the last bit),
 // so results are bit-identical to Forward1D/Inverse1D — also where the
 // compiler contracts x*y+z into a fused multiply-add, because a product

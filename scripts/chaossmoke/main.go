@@ -127,7 +127,7 @@ func run() error {
 	// The placement ring is a pure function of roster + content address,
 	// so the harness can compute every chunk's replica set exactly as
 	// the daemons do.
-	ring, err := cluster.NewRing(nodeIDs, 0)
+	ring, err := cluster.NewRing(nodeIDs)
 	if err != nil {
 		return err
 	}

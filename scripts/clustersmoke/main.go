@@ -170,7 +170,7 @@ func run() error {
 	// victim is a non-coordinator owner of at least one v3 chunk,
 	// computed from the same ring the daemons use (placement is a pure
 	// function of roster + content address).
-	ring, err := cluster.NewRing(nodeIDs, 0)
+	ring, err := cluster.NewRing(nodeIDs)
 	if err != nil {
 		return err
 	}

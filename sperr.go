@@ -57,11 +57,10 @@ type Options struct {
 	// byte-identical at every value.
 	Workers int
 	// QFactor sets the SPECK quantization step to QFactor*Tol in PWE mode;
-	// zero means DefaultQFactor. Larger values shift storage from
-	// coefficient coding to outlier coding (paper Section IV-D).
+	// zero means DefaultQFactor, and a negative value is refused. Larger
+	// values shift storage from coefficient coding to outlier coding
+	// (paper Section IV-D).
 	QFactor float64
-	// DisableLossless skips the final lossless (DEFLATE) stage.
-	DisableLossless bool
 	// Codec selects the coding backend for every chunk: "sperr" (or "",
 	// the default), "sz", "zfp", "tthresh", or "mgard". Any value other
 	// than SPERR requires PWE mode and writes a container-v3 stream whose
@@ -111,7 +110,6 @@ func (o *Options) chunkOpts(p codec.Params) chunk.Options {
 		co.ChunkDims = grid.Dims{NX: o.ChunkDims[0], NY: o.ChunkDims[1], NZ: o.ChunkDims[2]}
 		co.Workers = o.Workers
 		co.Params.QFactor = o.QFactor
-		co.Params.DisableLossless = o.DisableLossless
 		if o.Codec != "" && p.Mode != codec.ModeAdaptive {
 			id, ok := codec.ParseCodecName(o.Codec)
 			if !ok {
