@@ -76,7 +76,10 @@ bench:
 # at 16.5 bit/pt, where refinement bits dominate — and SpeckReplay), the
 # outlier coder at production density (a 64^3 chunk with 10% and 2.5%
 # outliers), word-batched bit I/O, the end-to-end one-chunk pipeline
-# (CompressPWE64, Decompress64), the streaming engine (which also reports
+# (CompressPWE64, Decompress64), one chunk of the codec workloads' own
+# field on a warm arena (EncodeChunkMiranda, -cpu 1: a 64^3 cut of
+# MirandaPressure realization 1 at range*1e-6 and 1e-2), the streaming
+# engine (which also reports
 # peak-inflight-bytes, its bounded-memory witness), and the hot cluster
 # read (ClusterRegionHot: three in-process peers, two replicas, warm
 # caches, 48^3 boxes of a 128^3 volume — B/op is its allocation guard,
@@ -100,6 +103,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='ClusterRegionHot|StoreRegionHot' -benchmem ./internal/server/
 	$(GO) test -run='^$$' -bench='AdaptiveSelect' -benchmem .
 	$(GO) test -run='^$$' -bench='ProfileChunk' -benchmem ./internal/codec/
+	$(GO) test -run='^$$' -bench='EncodeChunkMiranda' -benchmem -cpu 1 ./internal/codec/
 
 # The end-to-end benchmark is its own module (bench/, which imports this
 # one through a replace), so `go build ./...` at the root never compiles

@@ -382,7 +382,7 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 		// CDF 9/7 basis).
 		want := 0.9 * p.TargetRMSE
 		limit := want * want * float64(dims.Len())
-		for i, err2 := range speck.PlaneErr2Scratch(&s.speck) {
+		for i, err2 := range speck.PlaneErr2Scratch(coeffs, &s.speck) {
 			if err2 <= limit {
 				sres.Bits = sres.PlaneBits[i]
 				sres.Stream = sres.Stream[:(sres.Bits+7)/8]

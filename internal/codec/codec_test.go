@@ -9,6 +9,7 @@ import (
 	"sperr/internal/lossless"
 	"sperr/internal/outlier"
 	"sperr/internal/speck"
+	"sperr/internal/synth"
 )
 
 // rawFrame re-wraps an encoded chunk behind the 0xFF raw marker: the form
@@ -486,5 +487,34 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 				t.Errorf("%s: Validate refuses but EncodeChunk succeeds", tc.name)
 			}
 		}
+	}
+}
+
+// BenchmarkEncodeChunkMiranda is one chunk of the end-to-end benchmark's
+// codec workloads on a warm arena: a 64^3 cut of the 128^3
+// synth.MirandaPressure realization 1 those workloads compress, at the
+// codec_tight and codec_loose tolerances (the full field's range times
+// 1e-6 and 1e-2). Its SPECK share is what the codec_tight workload's
+// write throughput follows.
+func BenchmarkEncodeChunkMiranda(b *testing.B) {
+	field := synth.MirandaPressure(grid.D3(128, 128, 128), 1)
+	lo, hi := field.Range()
+	d := grid.D3(64, 64, 64)
+	data := field.Cutout(0, 0, 0, d).Data
+	for _, tc := range []struct {
+		name    string
+		tolFrac float64
+	}{{"tight", 1e-6}, {"loose", 1e-2}} {
+		b.Run(tc.name, func(b *testing.B) {
+			p := Params{Mode: ModePWE, Tol: (hi - lo) * tc.tolFrac}
+			s := NewScratch()
+			b.SetBytes(int64(d.Len() * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := EncodeChunkScratch(data, d, p, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

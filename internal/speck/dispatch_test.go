@@ -18,7 +18,8 @@ import (
 // plane count the encoder reports, (b) that every untruncated encode
 // replays, (c) that the stream is the float oracle's byte for byte at the
 // reported step, (d) that Decode equals the oracle decoder bitwise, and
-// (e) the dead-zone / mid-riser error bound at the reported step. Rows the
+// (e) the dead-zone / mid-riser error bound at the reported step, also
+// where values approach MaxFloat64. Rows the
 // clamp moved also try the oracle's unclamped stream, written the way
 // builds before the clamp wrote it: the 53-plane one must still decode;
 // the 67-plane one is past Decode's 64-plane precondition, so the row
@@ -43,6 +44,9 @@ func TestDispatchBoundaries(t *testing.T) {
 		{"planes=67 (clamped to 52)", 1e-10, 1e3, 1e10, 67, 1e-10 * 0x1p15},
 		{"q=smallest normal", 0x1p-1022, 0x1p-1002, 0, -1, 0x1p-1022},
 		{"q subnormal (raised to the smallest normal)", 0x1p-1030, 0x1p-1010, 0, -1, 0x1p-1022},
+		// Values near MaxFloat64, past replay's doubling range
+		// (reconTab.extend): replay still equals the decode.
+		{"q=2^990 (values near the float64 top)", 0x1p990, 0x1p1000, 0x1.ep1022, 33, 0x1p990},
 	} {
 		coeffs := intTestField(dims.Len(), 0xD15BA7C4, tc.scale)
 		if tc.peak != 0 {

@@ -320,7 +320,9 @@ func (d *intDecoder) finishPlane(out []float64, q float64, p int, refined uint64
 	for _, pe := range d.lspPos[d.cnt[p+1]:] {
 		out[pe&0x7fffffff] = math.Float64frombits(vb | uint64(uint32(pe)>>31)<<63)
 	}
-	half := thr / 2
+	// The conversion keeps m +- half two roundings on every GOARCH: a
+	// compiler may turn thr/2 into thr*0.5 and fuse it into the addition.
+	half := float64(thr / 2)
 	for b := uint64(0); b < refined; b += 64 {
 		w := d.r.load(d.refStart[p]+b, uint(min(64, refined-b)))
 		for _, pe := range d.lspPos[b:min(b+64, refined)] {
@@ -408,7 +410,7 @@ func (rc *reconTab) chain(u uint64) float64 {
 	val := 1.5 * rc.thrs[top]
 	sign := [2]float64{-1, 1} // exact +-1 multipliers: branch-free refinement
 	for p := top - 1; p >= rc.floor; p-- {
-		val += rc.halfs[p] * sign[(u>>uint(p))&1]
+		val += float64(rc.halfs[p] * sign[(u>>uint(p))&1]) // no fused multiply-add
 	}
 	return val
 }

@@ -42,32 +42,34 @@ import (
 //
 // The traversal keeps no residuals and no error ledger: only ModeRMSE
 // reads the per-plane error record, so PlaneErr2Scratch derives it after
-// the fact from the pixel records and the discovery list, with the float
-// traversal's additions in its order — plane records, and with them
-// ModeRMSE truncation points, match bitwise.
-
-// cpix is one coefficient's per-pixel record for the integer path: the
-// signed coefficient and its quantized magnitude floor(|c|/q), packed
-// side by side so pixel discovery reads one cache line instead of
-// gathering from three parallel arrays. The sign lives in c's sign bit.
-type cpix struct {
-	c float64
-	u uint64
-}
+// the fact from the coefficients, the magnitudes and the discovery list,
+// with the float traversal's additions in its order — plane records, and
+// with them ModeRMSE truncation points, match bitwise.
+//
+// Per-pixel state is stored in octree order, the order the traversal
+// walks. quantize scatters each u into un, indexed by the pixel's leaf
+// node (less the tree's first leaf id, leaf0), beside the leaf's tops
+// byte, whose bit 7 already holds the sign; the coefficients themselves
+// are not kept. The discovery list holds leaf node ids, so gatherNew
+// reads one brood's magnitudes from one cache line (siblings are
+// contiguous ids) and ReplayScratch walks the leaves in node order,
+// scattering into the output. Every float expression here and in
+// intdec.go that meets a product is written so that no GOARCH may fuse
+// it (TestSpeckNoImplicitFMA).
 
 type intEncoder struct {
 	dims   grid.Dims
 	q      float64
 	tree   *octree
-	tops   []uint8 // per-node significance tops (octree.fillTops)
-	pix    []cpix
+	tops   []uint8  // per-node significance tops (octree.fillTops)
+	un     []uint64 // floor(|c|/q) by leaf node id - tree.leaf0
 	w      *bits.Writer
 	budget uint64
 
 	lis  [][]int32 // LIS buckets of octree node ids, indexed by depth
 	lisT [][]uint8 // per-entry top bytes parallel to lis (sequential scans)
 	nd   int
-	lsp  []int32 // positions of significant pixels, in discovery order
+	lsp  []int32 // leaf node ids of significant pixels, in discovery order
 	// ref holds the refinement bits as bit-plane slices: bit i of the
 	// stride words at ref[p*stride:] is bit p of pixel lsp[i]'s magnitude,
 	// filled by gatherNew after each sorting pass.
@@ -97,11 +99,11 @@ func (s *Scratch) resetLISI() ([][]int32, [][]uint8) {
 }
 
 func (e *intEncoder) setup(s *Scratch, n, planes int) {
-	s.pixI = pooled(s.pixI, n, &s.Grows)
-	e.pix = s.pixI
 	e.tree = s.octreeFor(e.dims)
 	s.topsT = pooled(s.topsT, e.tree.nodes(), &s.Grows)
 	e.tops = s.topsT
+	s.unI = pooled(s.unI, e.tree.nodes()-int(e.tree.leaf0), &s.Grows)
+	e.un = s.unI
 	e.lis, e.lisT = s.resetLISI()
 	e.nd = 1
 	e.lsp = s.lspI[:0]
@@ -121,23 +123,18 @@ func (e *intEncoder) save(s *Scratch) {
 	s.planeBits = e.planeBits
 }
 
-// quantize fills the pixel records from coeffs. It also scatters each
-// coefficient's leaf top byte (bits.Len64 of u, sign in bit 7) through
-// tree.leafOf while the value is in registers — stores retire without
-// stalling, where a separate leaf pass would take a cache miss per
-// gather.
+// quantize scatters each coefficient's magnitude u and its leaf top byte
+// (bits.Len64 of u, sign in bit 7) through tree.leafOf while the value is
+// in registers — stores retire without stalling, where a separate leaf
+// pass would take a cache miss per gather.
 func (e *intEncoder) quantize(coeffs []float64) {
 	q, r := e.q, quantizeRecip(e.q)
-	var leafOf []int32
-	if e.tree != nil {
-		leafOf = e.tree.leafOf
-	}
+	leafOf, base := e.tree.leafOf[:len(coeffs)], e.tree.leaf0
 	for i, c := range coeffs {
 		u := quantizeOne(math.Abs(c), q, r)
-		e.pix[i] = cpix{c: c, u: u}
-		if leafOf != nil {
-			e.tops[leafOf[i]] = leafTop(c, u)
-		}
+		id := leafOf[i]
+		e.un[id-base] = u
+		e.tops[id] = leafTop(c, u)
 	}
 }
 
@@ -170,7 +167,7 @@ func quantizeRecip(q float64) float64 {
 func quantizeOne(m, q, r float64) uint64 {
 	var u uint64
 	if r != 0 {
-		u = uint64(m * r)
+		u = uint64(float64(m * r)) // no fused m*r - 2^63 in the conversion
 	} else {
 		u = uint64(m / q)
 	}
@@ -196,9 +193,10 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 	e.quantize(coeffs)
 	e.run(planes)
 	e.save(s)
-	// pixI and lspI now describe this encode; untruncated, they replay it.
+	// unI, topsT and lspI now describe this encode; untruncated, they
+	// replay it.
 	s.intEnc, s.canReplay = true, maxBits == 0
-	s.encQ, s.encN, s.encPlanes = q, n, planes
+	s.encQ, s.encDims, s.encPlanes = q, dims, planes
 	stream, bitsUsed := finish(e.w, maxBits)
 	return &Result{
 		Stream: stream, Bits: bitsUsed, NumPlanes: planes, MaxMag: maxMag, Q: q,
@@ -220,46 +218,81 @@ func encodeInt(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, plan
 // pipeline needs "exactly what the decoder will see" and gets it here
 // without re-running the set-partitioning traversal or the bit reads.
 func ReplayScratch(dims grid.Dims, q float64, s *Scratch) ([]float64, bool) {
-	n := dims.Len()
-	if !s.canReplay || s.encQ != q || s.encN != n {
+	if !s.canReplay || s.encQ != q || s.encDims != dims {
 		return nil, false
 	}
+	n := dims.Len()
 	s.out = pooled(s.out, n, &s.Grows)
 	out := s.out
 	if s.encPlanes == 0 {
-		clear(out) // an empty stream: pixI was never filled
+		clear(out) // an empty stream: nothing was quantized
 		return out, true
 	}
 	rc := s.reconFor(q, 0, s.encPlanes, n)
 	tab := rc.tab
-	for i, px := range s.pixI[:n] {
-		var vb uint64
-		if px.u < uint64(len(tab)) {
-			vb = tab[px.u]
-		} else {
-			vb = math.Float64bits(rc.chain(px.u))
+	// Leaves in node order, so un, tops and the node records stream; each
+	// position is one leaf's, so every output sample is written once.
+	t := s.octreeFor(dims)
+	nod := t.nod[t.leaf0:]
+	tops := s.topsT[t.leaf0:len(t.nod)]
+	un := s.unI[:len(nod)]
+	for k, nd := range nod {
+		if !nd.leaf() {
+			continue
 		}
-		// c's sign bit, masked off where u == 0 (vb == 0): those are +0.
-		out[i] = math.Float64frombits(vb | (math.Float64bits(px.c)&-vb)>>63<<63)
+		u := un[k]
+		var vb uint64
+		if u < uint64(len(tab)) {
+			vb = tab[u]
+		} else {
+			vb = math.Float64bits(rc.extend(u))
+		}
+		// The sign from bit 7 of the tops byte, masked off where u == 0
+		// (vb == 0): those are +0.
+		out[nd.pos()] = math.Float64frombits(vb | uint64(tops[k]&0x80)<<56&-vb)
 	}
 	return out, true
 }
 
+// extend is val(u) for a u past the value table of floor 0, replay's
+// floor. While the table's recurrence val(u) = fl(2*val(u>>1) +- halfs[0])
+// stays normal and finite — the table exists, so halfs[0] >= 2^-1000, and
+// every value and its double stay below q*2^54, which q <= 2^960 keeps
+// finite — it continues from the table entry of u's top bits, one step per
+// bit below them, instead of chain's step per bit below the top.
+func (rc *reconTab) extend(u uint64) float64 {
+	if len(rc.tab) < 2 || rc.q > 0x1p960 {
+		return rc.chain(u)
+	}
+	s := mbits.Len64(u) - mbits.Len64(uint64(len(rc.tab)-1))
+	v, h := math.Float64frombits(rc.tab[u>>uint(s)]), rc.halfs[0]
+	for p := s - 1; p >= 0; p-- {
+		if u>>uint(p)&1 != 0 {
+			v = float64(2*v) + h
+		} else {
+			v = float64(2*v) - h
+		}
+	}
+	return v
+}
+
 // PlaneErr2Scratch returns the plane-error record of the immediately
-// preceding encode on s: entry i is the summed squared coefficient-domain
-// error of the reconstruction a decoder would produce from the prefix
-// ending at PlaneBits[i]; nil when the scratch has been used since. It is
-// derived here, on demand, with the float traversal's additions in its
-// order — the index-order sum of m*m less each discovery's m*m in
+// preceding encode on s, whose coefficients coeffs must be: entry i is the
+// summed squared coefficient-domain error of the reconstruction a decoder
+// would produce from the prefix ending at PlaneBits[i]; nil when the
+// scratch has been used since, or when coeffs is not that encode's length.
+// It is derived here, on demand, with the float traversal's additions in
+// its order — the index-order sum of m*m less each discovery's m*m in
 // discovery order is a plane's insignificant energy, then every pixel
 // found so far adds r*r in discovery order — so the two agree bitwise
 // (pixel-major keeps that order within each plane's accumulator). A
 // pixel's residual at plane p is m - q*(u>>p<<p); the float traversal
 // reaches it by Sterbenz-exact subtractions, so it is representable and
-// one FMA yields it exactly.
-func PlaneErr2Scratch(s *Scratch) []float64 {
+// one FMA yields it exactly. The squares are rounded before they are
+// summed, so no GOARCH fuses them into the sums.
+func PlaneErr2Scratch(coeffs []float64, s *Scratch) []float64 {
 	k := len(s.planeBits)
-	if !s.intEnc {
+	if !s.intEnc || len(coeffs) != s.encDims.Len() {
 		return nil
 	}
 	if len(s.planeErr2) == k {
@@ -267,19 +300,21 @@ func PlaneErr2Scratch(s *Scratch) []float64 {
 	}
 	s.planeErr2 = pooled(s.planeErr2, k, &s.Grows)
 	acc := s.planeErr2
-	q, planes, pix := s.encQ, s.encPlanes, s.pixI[:s.encN]
+	q, planes := s.encQ, s.encPlanes
+	t := s.octreeFor(s.encDims)
+	un, base := s.unI, t.leaf0
 	var e2 float64
-	for i := range pix {
-		m := math.Abs(pix[i].c)
-		e2 += m * m
+	for _, c := range coeffs {
+		m := math.Abs(c)
+		e2 += float64(m * m)
 	}
 	// Recorded planes are planes-1 down to planes-k; a pixel discovered
 	// below them (a size-truncated encode) is in no record.
 	npix := 0
 	for p := planes - 1; p >= planes-k; p-- {
-		for ; npix < len(s.lspI) && mbits.Len64(pix[s.lspI[npix]].u) == p+1; npix++ {
-			m := math.Abs(pix[s.lspI[npix]].c)
-			e2 -= m * m
+		for ; npix < len(s.lspI) && mbits.Len64(un[s.lspI[npix]-base]) == p+1; npix++ {
+			m := math.Abs(coeffs[t.nod[s.lspI[npix]].pos()])
+			e2 -= float64(m * m)
 		}
 		acc[planes-1-p] = e2
 	}
@@ -287,11 +322,11 @@ func PlaneErr2Scratch(s *Scratch) []float64 {
 	for p := range halfs {
 		halfs[p] = q * math.Pow(2, float64(p)) / 2
 	}
-	for _, pos := range s.lspI[:npix] {
-		m, u := math.Abs(pix[pos].c), pix[pos].u
+	for _, id := range s.lspI[:npix] {
+		m, u := math.Abs(coeffs[t.nod[id].pos()]), un[id-base]
 		for p := mbits.Len64(u) - 1; p >= planes-k; p-- {
 			r := math.FMA(-q, float64(u>>uint(p)<<uint(p)), m) - halfs[p]
-			acc[planes-1-p] += r * r
+			acc[planes-1-p] += float64(r * r)
 		}
 	}
 	return acc
@@ -335,7 +370,8 @@ func (e *intEncoder) run(planes int) {
 // sortingPass emits one plane's LIS significance tests. Runs of
 // insignificant entries — the common case on every plane — are emitted as
 // batched zero bits, and a bucket's untouched prefix is kept in place
-// rather than recopied.
+// rather than recopied. A significant leaf is coded inline: its zero run,
+// 1-bit and sign go out in one write, with no descend call.
 func (e *intEncoder) sortingPass(n int) {
 	p1 := uint8(n + 1) // tops value of a set significant at this plane
 	for depth := e.nd - 1; depth >= 0; depth-- {
@@ -358,16 +394,26 @@ func (e *intEncoder) sortingPass(n int) {
 		keptT := bt[:i]
 		run := i // zeros pending before the next significance 1-bit
 		for {
-			// The pending zero run and the 1-bit in a single write.
-			if run <= 63 {
-				e.w.WriteBits(1<<uint(run), uint(run+1))
-			} else {
-				e.w.WriteZeros(run)
-				e.w.WriteBit(true)
-			}
 			node := bucket[i]
 			i++
-			e.descend(node, depth, p1)
+			// The pending zero run and the 1-bit (and a leaf's sign) in a
+			// single write.
+			nd := e.tree.nod[node]
+			v, nb := uint64(1), 1
+			if nd.leaf() {
+				v, nb = 1+2*uint64(e.tops[node]>>7), 2
+			}
+			if run+nb <= 64 {
+				e.w.WriteBits(v<<uint(run), uint(run+nb))
+			} else {
+				e.w.WriteZeros(run)
+				e.w.WriteBits(v, uint(nb))
+			}
+			if nd.leaf() {
+				e.lsp = append(e.lsp, node)
+			} else {
+				e.descend(node, depth, p1)
+			}
 			// Dense planes mostly have run length 0-2 between
 			// significant entries, where IndexByte's call overhead
 			// loses to inline compares; probe a couple of bytes first
@@ -496,7 +542,7 @@ outer:
 				// Zero run, 1-bit, and the leaf's sign bit in one write;
 				// no recursive call for the densest (deepest) level.
 				e.w.WriteBits((1+2*uint64(e.tops[c]>>7))<<uint(z), uint(z+2))
-				e.lsp = append(e.lsp, cn.pos())
+				e.lsp = append(e.lsp, c)
 			} else {
 				e.w.WriteBits(1<<uint(z), uint(z+1))
 				e.descend(c, depth, p1)
@@ -506,9 +552,9 @@ outer:
 	}
 	// Leaf: the sign rides in the (already hot) tops byte, and everything
 	// else about the pixel is deferred to gatherNew after the pass — the
-	// traversal never waits on a pixel-record load.
+	// traversal never waits on a magnitude load.
 	e.w.WriteBit(e.tops[node]&0x80 != 0)
-	e.lsp = append(e.lsp, nd.pos())
+	e.lsp = append(e.lsp, node)
 }
 
 // gatherNew transposes the magnitudes of the pixels plane tp's sorting
@@ -521,14 +567,16 @@ outer:
 // the eight marker bits in the top byte (the partial products land on
 // distinct bits, so nothing carries). Planes >= 16 take the few early
 // discoveries bit by bit. As a dependence-free batch loop the random
-// pixel-record loads overlap instead of stalling the traversal one miss at
-// a time; plane 0's discoveries are never refined and cost nothing.
+// magnitude loads overlap instead of stalling the traversal one miss at a
+// time; plane 0's discoveries are never refined and cost nothing. Siblings
+// are contiguous node ids, so a brood's magnitudes share a cache line.
 func (e *intEncoder) gatherNew(tp, n0 int) {
+	base := e.tree.leaf0
 	for i := n0; tp > 0 && i < len(e.lsp); {
 		blk := i >> 6
 		var lanes [16]uint64
 		for end := min(len(e.lsp), (blk+1)<<6); i < end; i++ {
-			u := e.pix[e.lsp[i]].u
+			u := e.un[e.lsp[i]-base]
 			j := uint(i & 63)
 			lanes[j>>3] |= (u & 0xff) << (j & 7 * 8)
 			lanes[8+j>>3] |= (u >> 8 & 0xff) << (j & 7 * 8)

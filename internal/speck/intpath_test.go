@@ -59,7 +59,7 @@ func TestIntPathMatchesFloatPath(t *testing.T) {
 		got := EncodeScratch(coeffs, tc.dims, tc.q, tc.bits, &si)
 		// The oracle records plane errors inline; the encoder derives them
 		// on demand.
-		gotErr2 := PlaneErr2Scratch(&si)
+		gotErr2 := PlaneErr2Scratch(coeffs, &si)
 		if len(refErr2) != len(ref.PlaneBits) || len(gotErr2) != len(got.PlaneBits) {
 			t.Fatalf("case %d: %d/%d error records for %d/%d planes", ci, len(refErr2), len(gotErr2), len(ref.PlaneBits), len(got.PlaneBits))
 		}
@@ -105,7 +105,6 @@ func TestIntQuantizeExactFloor(t *testing.T) {
 		return s
 	}
 	for _, q := range qs {
-		e := &intEncoder{q: q}
 		var coeffs []float64
 		for i := 0; i < 2000; i++ {
 			u := next() % (1 << 30)
@@ -120,11 +119,12 @@ func TestIntQuantizeExactFloor(t *testing.T) {
 				coeffs = append(coeffs, float64(int64(next()))/float64(1<<40)*q*1e6)
 			}
 		}
-		e.pix = make([]cpix, len(coeffs))
+		e := &intEncoder{q: q, dims: grid.D3(len(coeffs), 1, 1)}
+		e.setup(&Scratch{}, len(coeffs), 1)
 		e.quantize(coeffs)
 		for i, c := range coeffs {
 			m := math.Abs(c)
-			u := e.pix[i].u
+			u := e.un[e.tree.leafOf[i]-e.tree.leaf0]
 			// Defining property of the exact floor: q*u <= m < q*(u+1),
 			// tested with exact big-float arithmetic.
 			if big := new(bigProd).set(q, u); big.gt(m) {
@@ -170,6 +170,10 @@ func TestReplayMatchesDecode(t *testing.T) {
 		{grid.Dims{NX: 5, NY: 7, NZ: 3}, 0.125, 4.0},
 		{grid.Dims{NX: 24, NY: 17, NZ: 9}, 1e-6, 1.0},
 	}
+	// Replay walks the nodes from the first leaf on and skips internal
+	// ones; a shape whose leaves sit on two or more BFS levels interleaves
+	// the two, so at least one case must have such a shape.
+	mixed := false
 	for ci, tc := range cases {
 		coeffs := intTestField(tc.dims.Len(), uint64(ci)*7919+3, tc.scale)
 		s := &Scratch{}
@@ -180,10 +184,17 @@ func TestReplayMatchesDecode(t *testing.T) {
 		}
 		want := Decode(res.Stream, res.Bits, tc.dims, tc.q, res.NumPlanes)
 		for i := range want {
-			if replay[i] != want[i] {
+			if math.Float64bits(replay[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("case %d: replay[%d] = %x, decode = %x", ci, i, replay[i], want[i])
 			}
 		}
+		tr := buildOctree(tc.dims)
+		if lastLevel := tr.levels[len(tr.levels)-2]; tr.leaf0 < lastLevel {
+			mixed = true
+		}
+	}
+	if !mixed {
+		t.Fatal("no case has leaves above the deepest BFS level")
 	}
 	// Size-truncated encodes must refuse replay.
 	dims := grid.Dims{NX: 16, NY: 16, NZ: 16}
@@ -198,6 +209,20 @@ func TestReplayMatchesDecode(t *testing.T) {
 	if _, ok := ReplayScratch(dims, 2e-3, s); ok {
 		t.Fatal("replay accepted a mismatched q")
 	}
+	// So must other dims with the same sample count, after a coded encode
+	// and after an empty one.
+	if _, ok := ReplayScratch(grid.D3(64, 8, 8), 1e-3, s); ok {
+		t.Fatal("replay accepted 64x8x8 after a 16x16x16 encode")
+	}
+	if res := EncodeScratch(make([]float64, dims.Len()), dims, 1e-3, 0, s); res.NumPlanes != 0 {
+		t.Fatalf("an all-zero field coded %d planes", res.NumPlanes)
+	}
+	if _, ok := ReplayScratch(grid.D3(64, 8, 8), 1e-3, s); ok {
+		t.Fatal("replay accepted 64x8x8 after an empty 16x16x16 encode")
+	}
+	if _, ok := ReplayScratch(dims, 1e-3, s); !ok {
+		t.Fatal("replay refused the empty encode's own dims")
+	}
 }
 
 // Integer-path streams must decode to the same reconstruction as before,
@@ -208,7 +233,7 @@ func TestIntPathDecodeRoundTrip(t *testing.T) {
 	q := 1e-4
 	var s Scratch
 	res := EncodeScratch(coeffs, dims, q, 0, &s)
-	planeErr2 := PlaneErr2Scratch(&s)
+	planeErr2 := PlaneErr2Scratch(coeffs, &s)
 	var totalE2 float64
 	for _, c := range coeffs {
 		totalE2 += c * c

@@ -51,6 +51,9 @@ type octree struct {
 	// the coefficients (stores don't stall; the gathers a separate leaf
 	// pass would do miss all the way down).
 	leafOf []int32
+	// leaf0 is the smallest leaf node id: the encoder's magnitudes are
+	// indexed by leaf id - leaf0, which spares the internal levels above.
+	leaf0 int32
 }
 
 // buildOctree materializes the set-partitioning topology for dims by
@@ -62,6 +65,7 @@ func buildOctree(dims grid.Dims) *octree {
 	t := &octree{dims: dims}
 	t.nod = make([]onode, 1, est)
 	t.leafOf = make([]int32, n)
+	t.leaf0 = -1
 	boxes := make([]set, 1, est)
 	boxes[0] = set{nx: int32(dims.NX), ny: int32(dims.NY), nz: int32(dims.NZ)}
 	t.levels = append(t.levels, 0, 1)
@@ -76,6 +80,9 @@ func buildOctree(dims grid.Dims) *octree {
 			pos := int32(dims.Index(int(b.x), int(b.y), int(b.z)))
 			t.nod[head] = leafNode(pos)
 			t.leafOf[pos] = int32(head)
+			if t.leaf0 < 0 {
+				t.leaf0 = int32(head)
+			}
 			continue
 		}
 		var ch [8]set
@@ -101,7 +108,7 @@ func (t *octree) nodes() int { return len(t.nod) }
 // node's entry is just the max of its children's (already filled) bytes.
 // Leaf bytes additionally carry the coefficient's sign in bit 7 (tops
 // values stop at 53), so discovery can emit the sign bit without touching
-// the pixel record; consumers mask with 0x7f. One byte per node instead
+// the magnitudes; consumers mask with 0x7f. One byte per node instead
 // of the full 8-byte maxima keeps the whole table cache-resident during
 // traversal, and significance at plane p collapses to the equality
 // tops[node]&0x7f == p+1: an LIS entry was insignificant at every earlier

@@ -18,7 +18,7 @@ func TestPlaneStatsMatchDecode(t *testing.T) {
 	q := 0.05
 	var s Scratch
 	res := EncodeScratch(coeffs, d, q, 0, &s)
-	planeErr2 := append([]float64(nil), PlaneErr2Scratch(&s)...)
+	planeErr2 := append([]float64(nil), PlaneErr2Scratch(coeffs, &s)...)
 	if len(res.PlaneBits) != res.NumPlanes || len(planeErr2) != res.NumPlanes {
 		t.Fatalf("PlaneBits has %d entries for %d planes", len(res.PlaneBits), res.NumPlanes)
 	}
@@ -45,7 +45,7 @@ func TestPlaneStatsMonotone(t *testing.T) {
 	coeffs := randCoeffs(rng, d.Len())
 	var s Scratch
 	res := EncodeScratch(coeffs, d, 0.01, 0, &s)
-	planeErr2 := PlaneErr2Scratch(&s)
+	planeErr2 := PlaneErr2Scratch(coeffs, &s)
 	for i := 1; i < len(res.PlaneBits); i++ {
 		if res.PlaneBits[i] <= res.PlaneBits[i-1] {
 			t.Errorf("plane %d: bits %d not increasing", i, res.PlaneBits[i])

@@ -204,15 +204,18 @@ func TestRawCursorLoad(t *testing.T) {
 }
 
 // TestScratchSteadyStateMixed: one warmed scratch serves alternating
-// encode / plane-record / replay / decode / truncated decode calls at two
-// quantization steps without growing, and every result equals a fresh
-// scratch's — in particular the cached reconstruction table is rebuilt on
-// each change of q or floor (decode at q1, replay at q2, decode at q1 cut
-// to floor 3 would each read the previous call's table otherwise).
+// encode / plane-record / replay / decode / truncated decode calls on two
+// shapes at two quantization steps without growing, and every result
+// equals a fresh scratch's — in particular the cached reconstruction table
+// is rebuilt on each change of q or floor (decode at q1, replay at q2,
+// decode at q1 cut to floor 3 would each read the previous call's table
+// otherwise), and the magnitudes and tree of one shape never leak into the
+// other's plane record or replay. A plane record asked for with the other
+// shape's coefficients is refused.
 func TestScratchSteadyStateMixed(t *testing.T) {
-	dims := grid.D3(24, 17, 9)
-	coeffs := parTestField(dims, 5)
 	type ref struct {
+		dims        grid.Dims
+		coeffs      []float64
 		q           float64
 		stream      []byte
 		bits, cut   uint64
@@ -220,15 +223,19 @@ func TestScratchSteadyStateMixed(t *testing.T) {
 		full, trunc []float64
 		err2        []float64
 	}
-	var refs []ref
-	for _, q := range []float64{1e-4, 3e-3} {
+	var refs []*ref
+	for _, c := range []struct {
+		dims grid.Dims
+		q    float64
+	}{{grid.D3(24, 17, 9), 1e-4}, {grid.D3(13, 20, 11), 3e-3}} {
+		r := &ref{dims: c.dims, coeffs: parTestField(c.dims, 5), q: c.q}
 		var s Scratch
-		res := EncodeScratch(coeffs, dims, q, 0, &s)
-		r := ref{q: q, stream: append([]byte(nil), res.Stream...), bits: res.Bits, planes: res.NumPlanes}
+		res := EncodeScratch(r.coeffs, r.dims, r.q, 0, &s)
+		r.stream, r.bits, r.planes = append([]byte(nil), res.Stream...), res.Bits, res.NumPlanes
 		r.cut = res.PlaneBits[res.NumPlanes-4] // planes 0-2 dropped: floor = 3
-		r.err2 = append([]float64(nil), PlaneErr2Scratch(&s)...)
-		r.full = decodeOracle(r.stream, r.bits, dims, q, r.planes)
-		r.trunc = decodeOracle(r.stream, r.cut, dims, q, r.planes)
+		r.err2 = append([]float64(nil), PlaneErr2Scratch(r.coeffs, &s)...)
+		r.full = decodeOracle(r.stream, r.bits, r.dims, r.q, r.planes)
+		r.trunc = decodeOracle(r.stream, r.cut, r.dims, r.q, r.planes)
 		refs = append(refs, r)
 	}
 	var s Scratch
@@ -236,17 +243,23 @@ func TestScratchSteadyStateMixed(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for ri, r := range refs {
 			other := refs[1-ri]
-			what := fmt.Sprintf("round %d q=%g", round, r.q)
-			sameBits(t, what+" decode", DecodeScratch(r.stream, r.bits, dims, r.q, r.planes, &s), r.full)
-			EncodeScratch(coeffs, dims, other.q, 0, &s)
-			sameBits(t, what+" plane record", PlaneErr2Scratch(&s), other.err2)
-			replay, ok := ReplayScratch(dims, other.q, &s)
+			what := fmt.Sprintf("round %d %v q=%g", round, r.dims, r.q)
+			sameBits(t, what+" decode", DecodeScratch(r.stream, r.bits, r.dims, r.q, r.planes, &s), r.full)
+			EncodeScratch(other.coeffs, other.dims, other.q, 0, &s)
+			if got := PlaneErr2Scratch(r.coeffs, &s); got != nil {
+				t.Fatalf("%s: plane record for %d coefficients after a %d-coefficient encode", what, len(r.coeffs), len(other.coeffs))
+			}
+			sameBits(t, what+" plane record", PlaneErr2Scratch(other.coeffs, &s), other.err2)
+			if _, ok := ReplayScratch(r.dims, other.q, &s); ok {
+				t.Fatalf("%s: replay accepted the other shape", what)
+			}
+			replay, ok := ReplayScratch(other.dims, other.q, &s)
 			if !ok {
 				t.Fatalf("%s: replay declined", what)
 			}
-			sameBits(t, what+" replay at the other q", replay, other.full)
-			sameBits(t, what+" truncated decode", DecodeScratch(r.stream, r.cut, dims, r.q, r.planes, &s), r.trunc)
-			if res := EncodeScratch(coeffs, dims, r.q, 0, &s); !bytes.Equal(res.Stream, r.stream) {
+			sameBits(t, what+" replay of the other shape", replay, other.full)
+			sameBits(t, what+" truncated decode", DecodeScratch(r.stream, r.cut, r.dims, r.q, r.planes, &s), r.trunc)
+			if res := EncodeScratch(r.coeffs, r.dims, r.q, 0, &s); !bytes.Equal(res.Stream, r.stream) {
 				t.Fatalf("%s: stream differs on the warmed scratch", what)
 			}
 		}

@@ -73,7 +73,7 @@ type Result struct {
 }
 
 // Scratch pools the reusable per-call state of the SPECK encoder and
-// decoder: pixel records, LIS buckets, the discovery list, the bit writer,
+// decoder: magnitudes, LIS buckets, the discovery list, the bit writer,
 // the value table and the decoder's output buffer. A zero Scratch is
 // ready to use; buffers grow on demand and are retained across calls so a
 // worker that codes many chunks reaches a steady state with no per-chunk
@@ -87,20 +87,24 @@ type Scratch struct {
 	planeErr2 []float64
 	out       []float64
 	// Integer-path pools (see intpath.go, intdec.go).
-	pixI  []cpix
+	unI   []uint64 // encoder: magnitudes by leaf node id - leaf0
 	lisI  [][]int32
 	lisTI [][]uint8
+	// lspI is the discovery list: leaf node ids after an encode, packed
+	// pos|sign<<31 after a decode.
 	lspI  []int32
 	refI  []uint64 // encoder: refinement bit-plane slices
 	trees []*octree
 	topsT []uint8
 	recon reconTab
-	// Whether the last call on the scratch was an encode whose pixI/lspI
-	// nothing has reused since (intEnc), and whether its stream was
-	// untruncated (canReplay); see ReplayScratch and PlaneErr2Scratch.
+	// Whether the last call on the scratch was an encode whose unI, topsT
+	// and lspI nothing has reused since (intEnc), and whether its stream
+	// was untruncated (canReplay); the encode's step, shape and plane
+	// count. See ReplayScratch and PlaneErr2Scratch.
 	intEnc, canReplay bool
 	encQ              float64
-	encN, encPlanes   int
+	encDims           grid.Dims
+	encPlanes         int
 	// Grows counts buffer (re)allocations; a warmed-up scratch stops
 	// growing.
 	Grows int
@@ -179,7 +183,7 @@ func encode(coeffs []float64, dims grid.Dims, q float64, maxBits uint64, s *Scra
 		// overflowed: the stream is empty and decodes (and replays) to zeros.
 		s.planeBits, s.planeErr2 = s.planeBits[:0], s.planeErr2[:0]
 		s.intEnc, s.canReplay = true, true
-		s.encQ, s.encN, s.encPlanes = q, n, 0
+		s.encQ, s.encDims, s.encPlanes = q, dims, 0
 		return &Result{MaxMag: maxMag, Q: q}
 	}
 	return encodeInt(coeffs, dims, q, maxBits, planes, maxMag, s)
