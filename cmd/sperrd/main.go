@@ -87,7 +87,7 @@ func main() {
 		queueWait    = flag.Duration("queue-wait", 10*time.Second, "max time a request may wait for admission before 429")
 		workers      = flag.Int("workers", 0, "per-request engine worker cap (default GOMAXPROCS)")
 		chunkStr     = flag.String("chunk", "", "compress-side chunk extent cx,cy,cz (default 256,256,256)")
-		maxContainer = flag.Int64("max-container-mb", 1024, "max buffered container size for describe/region, MiB")
+		maxContainer = flag.Int64("max-container-mb", 1024, "max buffered container size for describe, region and salvage=1 decompress, MiB")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		quiet        = flag.Bool("quiet", false, "suppress per-request logs")
 		storeDir     = flag.String("store-dir", "", "content-addressed volume store directory (empty disables /v1/volumes)")

@@ -209,21 +209,6 @@ func TestReadPathsAgree(t *testing.T) {
 			}
 			allRecovered(t, "Audit", rep, info.Version)
 
-			// Tolerant streaming decode of the undamaged stream.
-			for _, pol := range []ErrorPolicy{SkipChunk, FillChunk} {
-				dec, err := NewDecoder(bytes.NewReader(stream))
-				if err != nil {
-					t.Fatalf("NewDecoder: %v", err)
-				}
-				dec.SetErrorPolicy(pol)
-				got, _, err := dec.DecodeAll()
-				if err != nil {
-					t.Fatalf("tolerant DecodeAll: %v", err)
-				}
-				sameBits(t, "tolerant DecodeAll", got, want)
-				allRecovered(t, "tolerant DecodeAll", dec.SalvageReport(), info.Version)
-			}
-
 			// Repair of the undamaged stream gives it back byte for byte.
 			fixed, rep, err := Repair(stream)
 			if err != nil {

@@ -22,22 +22,6 @@ import (
 // v1 had no checksums, so nothing here can salvage it: Repair upgrades an
 // intact v1 stream to v2 or refuses it (upgradeV1).
 
-// Policy selects how a decode reacts to damaged frames.
-type Policy int
-
-const (
-	// PolicyFailFast aborts the decode on the first damaged byte — the
-	// historical behavior and the default everywhere.
-	PolicyFailFast Policy = iota
-	// PolicySkip drops damaged chunks: intact chunks decode normally,
-	// damaged ones are recorded in the report and never delivered.
-	PolicySkip
-	// PolicyFill synthesizes fill-valued samples for damaged chunks, so a
-	// consumer still observes every chunk exactly once and the assembled
-	// volume keeps its full extent.
-	PolicyFill
-)
-
 // Damage reasons recorded in ChunkOutcome.Reason. One chunk carries at
 // most one reason; recovered chunks carry none.
 const (
@@ -45,8 +29,6 @@ const (
 	ReasonBadCRC       = "frame checksum mismatch"
 	ReasonBadHeader    = "frame header mismatch"
 	ReasonDecode       = "decode failed"
-	ReasonTruncated    = "truncated"
-	ReasonFramingLost  = "framing lost"
 )
 
 // ChunkOutcome reports the fate of one chunk in a salvage decode.
@@ -204,38 +186,77 @@ func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, l
 	return frames, lost, resynced
 }
 
-// assignFrames maps scanned frames to chunk indices. Frames appear in
-// container (chunk) order, so a cursor walks forward; each frame claims
-// the first unassigned chunk at or past the cursor whose sample count
-// matches the frame header's recorded points (older streams without the
-// field claim the cursor position directly). Frames matching no remaining
-// chunk are unattributable and their bytes counted lost.
-func assignFrames(frames []scannedFrame, chunks []grid.Chunk, rep *SalvageReport) [][]byte {
-	payloads := make([][]byte, len(chunks))
-	cursor := 0
-	for fi := range frames {
-		fr := &frames[fi]
-		idx := -1
-		if fr.points > 0 {
-			for j := cursor; j < len(chunks); j++ {
-				if chunks[j].Dims.Len() == fr.points {
-					idx = j
-					break
-				}
-			}
-		} else if cursor < len(chunks) {
-			idx = cursor
+// assignFrames maps scanned frames to chunk indices. A frame is
+// attributed only where its position is certain:
+//   - frames contiguous from the fixed header are chunks 0, 1, ...;
+//   - when the tail locates the footer (indexOff > 0), frames contiguous
+//     back from it are chunks n-1, n-2, ...;
+//   - any other frame lies between two attributed ones, and is attributed
+//     only by a sample count that no other chunk between them shares.
+//
+// Past a lost byte range, sample count alone would shift every later frame
+// of an equal-sized chunk one slot early. A frame no rule places, or whose
+// recorded count contradicts its place, is counted lost, and its chunk
+// keeps "missing frame".
+func assignFrames(frames []scannedFrame, chunks []grid.Chunk, indexOff int64, rep *SalvageReport) [][]byte {
+	n := len(chunks)
+	end := func(f int) int64 { return frames[f].off + frameOverhead + int64(len(frames[f].payload)) }
+	fits := func(f, c int) bool { p := frames[f].points; return p == 0 || p == chunks[c].Dims.Len() }
+	owner := make([]int, len(frames))
+	for f := range owner {
+		owner[f] = -1
+	}
+	head := 0
+	for at := int64(fixedHeaderSize); head < len(frames) && head < n && frames[head].off == at && fits(head, head); head++ {
+		owner[head], at = head, end(head)
+	}
+	if indexOff > 0 {
+		f := len(frames) - 1
+		for f >= head && frames[f].off >= indexOff {
+			f--
 		}
-		if idx < 0 {
-			rep.LostRanges = append(rep.LostRanges,
-				[2]int64{fr.off, fr.off + int64(frameOverhead+len(fr.payload))})
+		for c, at := n-1, indexOff; f >= head && c >= head && end(f) == at && fits(f, c); f, c = f-1, c-1 {
+			owner[f], at = c, frames[f].off
+		}
+	}
+	lo := head - 1
+	for f := head; f < len(frames); f++ {
+		if owner[f] >= 0 {
+			lo = owner[f]
 			continue
 		}
-		payloads[idx] = fr.payload
-		rep.Chunks[idx].Offset = fr.off
-		rep.Chunks[idx].Length = len(fr.payload)
-		rep.Chunks[idx].Reason = ""
-		cursor = idx + 1
+		hi := n
+		for g := f + 1; g < len(frames); g++ {
+			if owner[g] >= 0 {
+				hi = owner[g]
+				break
+			}
+		}
+		for c := lo + 1; c < hi && frames[f].points > 0; c++ {
+			if chunks[c].Dims.Len() != frames[f].points {
+				continue
+			}
+			if owner[f] >= 0 {
+				owner[f] = -1 // shared: the count does not tell
+				break
+			}
+			owner[f] = c
+		}
+		if owner[f] >= 0 {
+			lo = owner[f]
+		}
+	}
+	payloads := make([][]byte, n)
+	for f, c := range owner {
+		fr := &frames[f]
+		if c < 0 {
+			rep.LostRanges = append(rep.LostRanges, [2]int64{fr.off, end(f)})
+			continue
+		}
+		payloads[c] = fr.payload
+		rep.Chunks[c].Offset = fr.off
+		rep.Chunks[c].Length = len(fr.payload)
+		rep.Chunks[c].Reason = ""
 	}
 	return payloads
 }
@@ -277,7 +298,13 @@ func locateFrames(stream []byte, l layout, chunks []grid.Chunk, rep *SalvageRepo
 	frames, lost, resynced := scanFrames(stream, l, maxFrameBytes(chunks))
 	rep.LostRanges = append(rep.LostRanges, lost...)
 	rep.Resynced = resynced
-	return assignFrames(frames, chunks, rep), aggregates{}
+	// The tail alone still places the footer when its magic and offset
+	// check out and the footer it points at has this geometry's exact size.
+	indexOff := int64(-1)
+	if off, err := locateIndex(stream, l); err == nil && len(stream)-int(off) == l.indexSize(len(chunks)) {
+		indexOff = int64(off)
+	}
+	return assignFrames(frames, chunks, indexOff, rep), aggregates{}
 }
 
 // Audit verifies a container without decoding any samples: every frame is
@@ -303,42 +330,39 @@ func Audit(stream []byte) (*SalvageReport, error) {
 	return rep, nil
 }
 
-// Salvage reconstructs as much of the volume as the stream's intact
-// frames allow. Chunks whose frames are damaged or missing hold fill in
-// the returned volume (every sample of the chunk), and the report says
-// exactly which chunks those are and why. The error is non-nil only when
-// the fixed header is unusable; all frame- and footer-level damage is
-// absorbed into the report.
-func Salvage(stream []byte, fill float64, workers int) (*grid.Volume, *SalvageReport, error) {
-	l, volDims, _, chunks, err := parseFixedHeader(stream)
+// Salvage decodes as much of the container as the stream's intact frames
+// allow and delivers every chunk to fn exactly once: its decoded samples
+// when its frame verified and decoded, fill-valued samples otherwise. fn
+// runs concurrently on worker goroutines and must not keep data. The
+// report says exactly which chunks were lost and why. The error is the
+// fixed header's when it is unusable, else the first fn error; all frame-
+// and footer-level damage is absorbed into the report.
+func Salvage(stream []byte, fill float64, workers int, fn func(index int, ch grid.Chunk, data []float64) error) (*SalvageReport, error) {
+	l, _, _, chunks, err := parseFixedHeader(stream)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep := newSalvageReport(l.version, chunks)
 	payloads, _ := locateFrames(stream, l, chunks, rep)
-
-	vol := grid.NewVolume(volDims)
-	for i := range vol.Data {
-		vol.Data[i] = fill
-	}
-	// Decode the candidates in parallel. Outcome slots are per-index, so
-	// workers write disjoint report entries and disjoint volume regions.
-	_ = forEachChunkScratch(len(chunks), workers, func(i int, ws *workerScratch) error {
-		if payloads[i] == nil {
-			return nil
-		}
+	// Outcome slots are per-index, so workers write disjoint report entries.
+	err = forEachChunkScratch(len(chunks), workers, func(i int, ws *workerScratch) error {
 		ch := chunks[i]
-		data, err := l.decode(payloads[i], ch.Dims, ws.codec)
-		if err != nil {
+		if payloads[i] != nil {
+			data, err := l.decode(payloads[i], ch.Dims, ws.codec)
+			if err == nil {
+				rep.Chunks[i].Recovered = true
+				return fn(i, ch, data)
+			}
 			rep.Chunks[i].Reason = ReasonDecode
-			return nil
 		}
-		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
-		rep.Chunks[i].Recovered = true
-		return nil
+		data := make([]float64, ch.Dims.Len())
+		for j := range data {
+			data[j] = fill
+		}
+		return fn(i, ch, data)
 	})
 	rep.tally()
-	return vol, rep, nil
+	return rep, err
 }
 
 // Repair rewrites a damaged container as a clean stream: verified frames

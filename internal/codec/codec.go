@@ -362,7 +362,7 @@ func EncodeChunkScratch(data []float64, dims grid.Dims, p Params, s *Scratch) ([
 			maxMag = 1 // nothing to code, or an overflowed transform SPECK skips
 		}
 		q = maxMag * math.Exp2(-48)
-		budget := p.BitsPerPoint * float64(dims.Len())
+		budget := float64(p.BitsPerPoint * float64(dims.Len())) // no fused budget - overhead
 		overhead := float64(headerSize*8) + 8
 		if budget > overhead {
 			maxBits = uint64(budget - overhead)

@@ -1,4 +1,4 @@
-package speck
+package codec
 
 import (
 	"bufio"
@@ -11,18 +11,19 @@ import (
 	"testing"
 )
 
-// TestSpeckNoImplicitFMA holds the package to one arithmetic on every
-// architecture. The Go spec lets a compiler fuse x*y + z into one rounding;
-// amd64 never does, but arm64, ppc64le, s390x and riscv64 do, and a fused
-// sum of squares moves ModeRMSE truncation points, a fused reconstruction
-// step a decoded value. An explicit float64(...) around the product
-// forbids the fusion. The test compiles the package for those four
-// GOARCHes with -S and fails on any fused multiply-add instruction whose
-// source line is not an explicit math.FMA call, which rounds once
-// everywhere by definition.
-func TestSpeckNoImplicitFMA(t *testing.T) {
+// TestNoImplicitFMA holds the codec stack (speck, outlier and codec) to one
+// arithmetic on every architecture. The Go spec lets a compiler fuse
+// x*y + z into one rounding; amd64 never does, but arm64, ppc64le, s390x
+// and riscv64 do, and a fused sum of squares moves ModeRMSE truncation
+// points, a fused reconstruction step a decoded value. An explicit
+// float64(...) around the product forbids the fusion. The test compiles
+// the packages for those four GOARCHes with -S and fails on any fused
+// multiply-add instruction whose source line is not an explicit math.FMA
+// call, which rounds once everywhere by definition. internal/wavelet is
+// not held to it yet.
+func TestNoImplicitFMA(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles the package four times; skipped under -short")
+		t.Skip("cross-compiles the packages four times; skipped under -short")
 	}
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -48,7 +49,8 @@ func TestSpeckNoImplicitFMA(t *testing.T) {
 		return lines[line-1]
 	}
 	for _, arch := range []string{"arm64", "ppc64le", "s390x", "riscv64"} {
-		cmd := exec.Command(goBin, "build", "-gcflags=-S", ".")
+		cmd := exec.Command(goBin, "build", "-gcflags=-S",
+			"sperr/internal/speck", "sperr/internal/outlier", "sperr/internal/codec")
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0",
 			"GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
 		out, err := cmd.CombinedOutput()
@@ -75,7 +77,7 @@ func TestSpeckNoImplicitFMA(t *testing.T) {
 			}
 			explicit++
 		}
-		// The explicit math.FMA sites (quantizeOne, PlaneErr2Scratch)
+		// The explicit math.FMA sites (speck's quantizeOne, PlaneErr2Scratch)
 		// compile to the same mnemonics, so finding none means the
 		// pattern no longer matches the listing.
 		if insns < 1000 || explicit == 0 {

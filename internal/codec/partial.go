@@ -70,7 +70,7 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64, s *Scra
 	if err != nil {
 		return nil, err
 	}
-	useBits := uint64(float64(h.speckBits) * fraction)
+	useBits := uint64(float64(float64(h.speckBits) * fraction)) // no fused product - 2^63 in the conversion
 	coeffs := speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
 	s.planFor(dims).InverseScratch(coeffs, &s.wav)
 	if fraction == 1 && h.mode == ModePWE && h.outlierBits > 0 {

@@ -55,10 +55,10 @@ func ProfileChunk(data []float64, dims grid.Dims) ChunkProfile {
 		p.Samples++
 		delta := v - mean
 		mean += delta / float64(p.Samples)
-		m2 += delta * (v - mean)
+		m2 += float64(delta * (v - mean)) // no fused multiply-add
 		if i+1 < n {
 			d := data[i+1] - v
-			sumd2 += d * d
+			sumd2 += float64(d * d) // no fused multiply-add
 			pairs++
 		}
 	}

@@ -1,11 +1,12 @@
 // Package faultinject generates deterministic corruption campaigns over
 // SPERR container streams: every frame-boundary truncation plus a
 // stratified sweep of single-byte flips and zeroed runs across the fixed
-// header, each frame body, and the index footer. The campaign is pure —
-// no randomness, no clock — so a mutant that fails reproduces forever,
-// and each mutant carries the ground truth the salvage tests assert
-// against: which chunks' frames the mutation left byte-identical and
-// fully present.
+// header, each frame body, and the index footer, and two-site flips that
+// damage an interior frame and the index body at once. The campaign is
+// pure — no randomness, no clock — so a mutant that fails reproduces
+// forever, and each mutant carries the ground truth the salvage tests
+// assert against: which chunks' frames the mutation left byte-identical
+// and fully present.
 package faultinject
 
 import (
@@ -22,7 +23,8 @@ type Mutant struct {
 	// across runs: "truncate@120", "flip@57&80", "zero@200+8".
 	Name string
 	// Region classifies where the damage landed: "header", "frame",
-	// "footer", or "cut" for truncations.
+	// "footer", "frame+footer" for two-site mutants, or "cut" for
+	// truncations.
 	Region string
 	// Data is the mutated stream (an independent copy).
 	Data []byte
@@ -157,6 +159,25 @@ func Campaign(stream []byte) ([]Mutant, error) {
 			add(Mutant{
 				Name:   fmt.Sprintf("flip@%d&%02x", p.off, mask),
 				Region: p.region,
+				Data:   data,
+			})
+		}
+	}
+
+	// Two-site mutants: a mid-payload flip in an interior frame while the
+	// index body is damaged too (its first entry, or the aggregates
+	// region) and the tail stays intact. The footer is then unusable, so
+	// salvage must place the frames after the lost one by position, not
+	// by sample count.
+	for i := 1; i+1 < len(l.frames); i++ {
+		mid := (l.frames[i][0] + l.frames[i][1]) / 2
+		for _, fo := range []int{l.footer[0], (l.footer[0] + l.footer[1]) / 2} {
+			data := bytes.Clone(stream)
+			data[mid] ^= 0x01
+			data[fo] ^= 0x80
+			add(Mutant{
+				Name:   fmt.Sprintf("flip@%d&01+flip@%d&80", mid, fo),
+				Region: "frame+footer",
 				Data:   data,
 			})
 		}

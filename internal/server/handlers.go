@@ -2,16 +2,18 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"sperr"
+	"sperr/internal/chunk"
+	"sperr/internal/grid"
 	"sperr/internal/obs"
 	"sperr/internal/rawio"
 )
@@ -281,11 +283,14 @@ func (s *Server) chunkInstrument(dir string) func(sperr.ChunkEvent) {
 // row-major order. Parameters: f32, workers, salvage, fill.
 //
 // With salvage=1 (query or X-Sperr-salvage header) the client opts into
-// degraded decompression: damaged chunks are delivered filled (NaN, or
-// the fill parameter: "zero" or any float) instead of failing the stream,
-// and the X-Sperr-Status trailer reports "degraded: skipped i,j,..."
-// naming the lost chunks. The response body keeps its full declared
-// extent either way — a degraded volume is the same shape, with holes.
+// degraded decompression: the body is buffered (bounded by
+// MaxContainerBytes, as for describe and region) and read by the salvage
+// path, which locates frames through the index footer or a resync scan.
+// Lost chunks are delivered filled (NaN, or the fill parameter: "zero" or
+// any float) instead of failing the stream, and the X-Sperr-Status
+// trailer reports "degraded: skipped i,j,..." naming them. The response
+// body keeps its full declared extent either way — a degraded volume is
+// the same shape, with holes.
 func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats) {
 	workersReq, err := paramInt(r, "workers")
 	if err != nil {
@@ -293,24 +298,28 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 		return
 	}
 	salvage := paramBool(r, "salvage")
-	dec, err := sperr.NewDecoder(bufio.NewReaderSize(r.Body, 256<<10))
-	if err != nil {
-		badRequest(w, st, err)
-		return
-	}
+	var (
+		src  io.Reader
+		body []byte
+		fill float64
+	)
 	if salvage {
-		// The slab assembler needs every chunk delivered to keep the
-		// response body well-formed, so degraded serving always fills —
-		// skip-chunk would leave holes in the byte stream itself.
-		dec.SetErrorPolicy(sperr.FillChunk)
-		fill, err := parseFill(r)
-		if err != nil {
+		if fill, err = parseFill(r); err != nil {
 			badRequest(w, st, err)
 			return
 		}
-		if !math.IsNaN(fill) { // the decoder's default fill is NaN
-			dec.SetFillValue(fill)
+		var ok bool
+		if body, ok = s.readContainer(w, r, st); !ok {
+			return
 		}
+		src = bytes.NewReader(body)
+	} else {
+		src = bufio.NewReaderSize(r.Body, 256<<10)
+	}
+	dec, err := sperr.NewDecoder(src)
+	if err != nil {
+		badRequest(w, st, err)
+		return
 	}
 	dims := dec.Dims()
 	chunkDims := dec.ChunkDims()
@@ -332,9 +341,19 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 
 	out := bufio.NewWriterSize(w, 256<<10)
 	ra := newRegionAssembler(out, [3]int{}, dims, dims, chunkDims, width)
-	err = dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
-		return ra.add(ch.Origin, ch.Dims, ch.Data)
-	})
+	var rep *chunk.SalvageReport
+	if salvage {
+		rep, err = chunk.Salvage(body, fill, workers, func(_ int, ch grid.Chunk, data []float64) error {
+			if err := r.Context().Err(); err != nil {
+				return err
+			}
+			return ra.add([3]int{ch.X0, ch.Y0, ch.Z0}, [3]int{ch.Dims.NX, ch.Dims.NY, ch.Dims.NZ}, data)
+		})
+	} else {
+		err = dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
+			return ra.add(ch.Origin, ch.Dims, ch.Data)
+		})
+	}
 	if err == nil {
 		err = ra.done()
 	}
@@ -347,15 +366,12 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 	}
 	if salvage {
 		s.reg.Counter("sperrd_salvage_requests_total").Inc()
-		if rep := dec.SalvageReport(); rep != nil {
-			s.reg.Counter("sperrd_salvage_chunks_recovered_total").Add(int64(rep.Recovered))
-			s.reg.Counter("sperrd_salvage_chunks_lost_total").Add(int64(rep.Skipped))
-			if rep.Degraded() {
-				s.reg.Counter("sperrd_salvage_degraded_total").Inc()
-				w.Header().Set("X-Sperr-Status", "degraded: skipped "+intList(rep.SkippedIndices()))
-				s.reg.Gauge("sperrd_engine_peak_inflight_samples").RaiseTo(int64(dec.PeakInFlightSamples()))
-				return
-			}
+		s.reg.Counter("sperrd_salvage_chunks_recovered_total").Add(int64(rep.Recovered))
+		s.reg.Counter("sperrd_salvage_chunks_lost_total").Add(int64(rep.Skipped))
+		if rep.Degraded() {
+			s.reg.Counter("sperrd_salvage_degraded_total").Inc()
+			w.Header().Set("X-Sperr-Status", "degraded: skipped "+intList(rep.SkippedIndices()))
+			return
 		}
 	}
 	finish(nil)

@@ -196,3 +196,58 @@ func TestDegradedFillZero(t *testing.T) {
 		t.Fatalf("covered %d fill samples, want %d", zeros, c.Dims.NX*c.Dims.NY*c.Dims.NZ)
 	}
 }
+
+// TestDegradedLengthPrefixFlip: a flipped byte in frame 1's length prefix
+// leaves every payload and the index footer intact, so salvage=1 locates
+// all four frames through the footer and answers the clean decode with no
+// chunk skipped. (A sequential reader loses its framing there and, read
+// tolerantly, used to drop chunks 1, 2 and 3.)
+func TestDegradedLengthPrefixFlip(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	dims := [3]int{64, 16, 16}
+	stream, _, err := sperr.CompressPWE(field(dims[0], dims[1], dims[2], 23), dims, testTol,
+		&sperr.Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sperr.Describe(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NumChunks != 4 {
+		t.Fatalf("fixture has %d chunks, want 4", info.NumChunks)
+	}
+	_, want := postRaw(t, ts.URL+"/v1/decompress", stream)
+	prefix := 36 + 4 + info.FrameBytes[0] + 4 // frame 1's length prefix
+	for _, mask := range []byte{0x01, 0x80} {
+		mut := bytes.Clone(stream)
+		mut[prefix] ^= mask
+		res, body := postRaw(t, ts.URL+"/v1/decompress?salvage=1", mut)
+		if res.StatusCode != 200 {
+			t.Fatalf("mask %#02x: status %d: %s", mask, res.StatusCode, body)
+		}
+		if got := res.Trailer.Get("X-Sperr-Status"); got != "ok" {
+			t.Fatalf("mask %#02x: trailer %q, want ok", mask, got)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("mask %#02x: body differs from the clean decode", mask)
+		}
+	}
+}
+
+// TestDegradedBodyCap: salvage=1 buffers the container, so a body above
+// MaxContainerBytes is refused with 413 as /v1/describe and /v1/region are.
+func TestDegradedBodyCap(t *testing.T) {
+	dims := [3]int{24, 17, 9}
+	stream, _, err := sperr.CompressPWE(field(dims[0], dims[1], dims[2], 24), dims, testTol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{MaxContainerBytes: int64(len(stream) - 1)})
+	if res, body := postRaw(t, ts.URL+"/v1/decompress?salvage=1", stream); res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d with %d body bytes, want 413", res.StatusCode, len(body))
+	}
+	if res, _ := postRaw(t, ts.URL+"/v1/decompress", stream); res.StatusCode != 200 || res.Trailer.Get("X-Sperr-Status") != "ok" {
+		t.Fatalf("streaming decompress under the cap: status %d trailer %q", res.StatusCode, res.Trailer.Get("X-Sperr-Status"))
+	}
+}

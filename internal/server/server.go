@@ -50,9 +50,9 @@ type Config struct {
 	// ChunkDims is the compress-side chunk tiling bound (zero components
 	// default to the engine's 256).
 	ChunkDims [3]int
-	// MaxContainerBytes caps the buffered container body of /v1/describe
-	// and /v1/region (those need random access to the index footer, so
-	// they cannot stream). <= 0 defaults to 1 GiB.
+	// MaxContainerBytes caps the buffered container body of /v1/describe,
+	// /v1/region and /v1/decompress?salvage=1 (those need random access to
+	// the index footer, so they cannot stream). <= 0 defaults to 1 GiB.
 	MaxContainerBytes int64
 	// LogWriter receives one structured (JSON) log line per request.
 	// nil discards logs.

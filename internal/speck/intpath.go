@@ -55,7 +55,7 @@ import (
 // contiguous ids) and ReplayScratch walks the leaves in node order,
 // scattering into the output. Every float expression here and in
 // intdec.go that meets a product is written so that no GOARCH may fuse
-// it (TestSpeckNoImplicitFMA).
+// it (TestNoImplicitFMA in internal/codec).
 
 type intEncoder struct {
 	dims   grid.Dims

@@ -1,24 +1,11 @@
 package sperr
 
 import (
+	"bytes"
 	"math"
 
 	"sperr/internal/chunk"
-)
-
-// ErrorPolicy selects how a decode reacts to damaged frames. The default
-// everywhere is fail-fast, the historical behavior: the first damaged
-// byte aborts the decode with ErrCorrupt.
-type ErrorPolicy = chunk.Policy
-
-const (
-	// FailFast aborts the decode on the first damaged byte.
-	FailFast = chunk.PolicyFailFast
-	// SkipChunk drops damaged chunks and keeps decoding the intact ones.
-	SkipChunk = chunk.PolicySkip
-	// FillChunk delivers fill-valued samples (NaN unless overridden) for
-	// damaged chunks, preserving the volume's full extent.
-	FillChunk = chunk.PolicyFill
+	"sperr/internal/grid"
 )
 
 // SalvageReport describes the outcome of a fault-tolerant decode: one
@@ -49,7 +36,15 @@ func DecompressSalvage(stream []byte) ([]float64, [3]int, *SalvageReport, error)
 // value for lost chunks' samples and a worker budget (<= 0 means
 // GOMAXPROCS).
 func DecompressSalvageWorkers(stream []byte, fill float64, workers int) ([]float64, [3]int, *SalvageReport, error) {
-	vol, rep, err := chunk.Salvage(stream, fill, workers)
+	hdr, err := chunk.NewReader(bytes.NewReader(stream), 0) // parses the fixed header only
+	if err != nil {
+		return nil, [3]int{}, nil, err
+	}
+	vol := grid.NewVolume(hdr.VolumeDims())
+	rep, err := chunk.Salvage(stream, fill, workers, func(_ int, ch grid.Chunk, data []float64) error {
+		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
+		return nil
+	})
 	if err != nil {
 		return nil, [3]int{}, nil, err
 	}

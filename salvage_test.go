@@ -2,13 +2,8 @@ package sperr
 
 import (
 	"bytes"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"sperr/internal/chunk"
 )
 
 // Property: salvage never reports a chunk recovered when its frame's
@@ -138,90 +133,85 @@ func TestSalvageTrailerCRCDamageRecoversThroughFooter(t *testing.T) {
 	}
 }
 
-// TestStreamingAndSalvageReportsAgree pins that the two fault-tolerant
-// read paths tell the same story about the same bytes: the sequential
-// Decoder under either tolerant policy and the random-access
-// DecompressSalvage agree on every chunk the sequential walk could still
-// frame, and — when the footer's own bytes are untouched — on whether the
-// index footer is intact. A damaged frame must never be blamed on the
-// footer.
-func TestStreamingAndSalvageReportsAgree(t *testing.T) {
-	type input struct {
-		name         string
-		data, origin []byte // origin: the undamaged container data derives from
+// TestSalvageAttributesByPosition: a payload flip in frame 1 plus a flip in
+// the index body sends salvage to the resync scan, which finds frames 0, 2
+// and 3 of four equal-sized chunks. Attributed by sample count alone, frame
+// 2 would land in chunk 1's box and frame 3 in chunk 2's, both reported
+// recovered. Every chunk reported recovered must instead hold its own
+// samples, through DecompressSalvage, Audit and Repair alike.
+func TestSalvageAttributesByPosition(t *testing.T) {
+	dims := [3]int{64, 16, 16}
+	stream, _, err := CompressPWE(demoField(dims[0], dims[1], dims[2], 5), dims, 1e-2,
+		&Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	readFixture := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	clean, _, err := Decompress(stream)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var inputs []input
-	v2 := readFixture("golden_pwe_24x17x9_v2.sperr")
-	mutants, err := filepath.Glob(filepath.Join("testdata", "mutant_*.sperr"))
-	if err != nil || len(mutants) == 0 {
-		t.Fatalf("no mutant fixtures (err %v)", err)
+	frames := frameRanges(t, stream)
+	if len(frames) != 4 {
+		t.Fatalf("fixture has %d frames, want 4", len(frames))
 	}
-	for _, path := range mutants {
-		inputs = append(inputs, input{filepath.Base(path), readFixture(filepath.Base(path)), v2})
-	}
-	for _, name := range []string{"golden_pwe_24x17x9_v2.sperr", "golden_adaptive_48x32x32_v3.sperr"} {
-		clean := readFixture(name)
-		for i, fr := range frameRanges(t, clean) {
-			flipped := append([]byte(nil), clean...)
-			flipped[(fr[0]+4+fr[1]-4)/2] ^= 0x20 // mid-payload
-			inputs = append(inputs, input{fmt.Sprintf("%s/flip-frame-%d", name, i), flipped, clean})
-		}
-	}
+	for _, site := range []struct {
+		name string
+		off  int
+	}{{"first index entry", frames[3][1]}, {"aggregates", frames[3][1] + 4*16 + 8}} {
+		mut := bytes.Clone(stream)
+		mut[(frames[1][0]+frames[1][1])/2] ^= 0x01
+		mut[site.off] ^= 0x80
 
-	compared := 0
-	for _, in := range inputs {
-		_, _, sal, err := DecompressSalvage(in.data)
-		if err != nil {
-			continue // fixed header unusable: nothing to compare
-		}
-		info, err := Describe(in.origin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := frameRanges(t, in.origin)
-		footerStart := frames[info.NumChunks-1][1]
-		footerUntouched := len(in.data) == len(in.origin) && bytes.Equal(in.data[footerStart:], in.origin[footerStart:])
-		for _, pol := range []ErrorPolicy{SkipChunk, FillChunk} {
-			dec, err := NewDecoder(bytes.NewReader(in.data))
-			if err != nil {
-				continue
-			}
-			dec.SetErrorPolicy(pol)
-			if _, _, err := dec.DecodeAll(); err != nil {
-				t.Fatalf("%s: tolerant decode failed: %v", in.name, err)
-			}
-			str := dec.SalvageReport()
-			compared++
-			framed := true
-			for i, c := range str.Chunks {
-				// Framing survived for chunk i when the sequential walk read
-				// the whole frame exactly where the undamaged container has
-				// it; past a damaged length prefix it attributes bytes to
-				// the wrong chunks and only the footer could know better.
-				if c.Reason == chunk.ReasonTruncated || c.Reason == chunk.ReasonFramingLost ||
-					c.Offset != int64(frames[i][0]) || c.Length != frames[i][1]-frames[i][0]-8 {
-					framed = false
+		// ownBox fails unless every recovered chunk of rep holds clean's
+		// samples in its own box.
+		ownBox := func(what string, data []float64, rep *SalvageReport) {
+			t.Helper()
+			for _, c := range rep.Chunks {
+				if !c.Recovered {
 					continue
 				}
-				if c.Recovered != sal.Chunks[i].Recovered || c.Reason != sal.Chunks[i].Reason {
-					t.Errorf("%s policy %d chunk %d: streaming says recovered=%v %q, salvage says recovered=%v %q",
-						in.name, pol, i, c.Recovered, c.Reason, sal.Chunks[i].Recovered, sal.Chunks[i].Reason)
+				for z := 0; z < c.Dims.NZ; z++ {
+					for y := 0; y < c.Dims.NY; y++ {
+						for x := 0; x < c.Dims.NX; x++ {
+							i := ((c.Origin[2]+z)*dims[1]+c.Origin[1]+y)*dims[0] + c.Origin[0] + x
+							if math.Float64bits(data[i]) != math.Float64bits(clean[i]) {
+								t.Fatalf("%s, %s: chunk %d reported recovered holds other samples at (%d,%d,%d)",
+									site.name, what, c.Index, x, y, z)
+							}
+						}
+					}
 				}
 			}
-			if footerUntouched && framed && str.IndexIntact != sal.IndexIntact {
-				t.Errorf("%s policy %d: streaming IndexIntact=%v, salvage IndexIntact=%v on an untouched footer",
-					in.name, pol, str.IndexIntact, sal.IndexIntact)
-			}
 		}
-	}
-	if compared < len(mutants) {
-		t.Fatalf("only %d comparisons ran", compared)
+
+		data, _, rep, err := DecompressSalvage(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.IndexIntact {
+			t.Fatalf("%s: index footer reported intact", site.name)
+		}
+		if got := rep.SkippedIndices(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s: DecompressSalvage skipped %v, want [1]", site.name, got)
+		}
+		ownBox("DecompressSalvage", data, rep)
+
+		arep, err := Audit(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := arep.SkippedIndices(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s: Audit skipped %v, want [1]", site.name, got)
+		}
+
+		fixed, rrep, err := Repair(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rdata, _, err := Decompress(fixed)
+		if err != nil {
+			t.Fatalf("%s: strict decode of the repair: %v", site.name, err)
+		}
+		ownBox("Repair", rdata, rrep)
 	}
 }

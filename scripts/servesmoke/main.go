@@ -3,7 +3,9 @@
 // trips a small volume over HTTP (compress -> decompress, PWE bound
 // verified), ingests the container into the content-addressed store and
 // reads a region through the decoded cache twice (second read must be a
-// hit with the chunk-decode counter flat), checks /metrics and /healthz,
+// hit with the chunk-decode counter flat), decompresses a copy with one
+// payload byte flipped under salvage=1 (chunk 1 alone must be lost),
+// checks /metrics and /healthz,
 // then sends SIGTERM and requires a clean graceful-shutdown exit. Exit
 // status 0 means the daemon serves, caches, measures, and drains.
 package main
@@ -11,6 +13,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -123,6 +126,9 @@ func run() error {
 	if !bytes.Contains(desc, []byte(`"Mode": "pwe"`)) {
 		return fmt.Errorf("describe response missing mode: %s", desc)
 	}
+	if err := salvage(base, stream, desc, recon); err != nil {
+		return fmt.Errorf("salvage: %w", err)
+	}
 
 	// Content-addressed serving: ingest the container, then read the same
 	// region twice. The first read decodes and warms the cache; the repeat
@@ -197,6 +203,54 @@ func run() error {
 		return fmt.Errorf("daemon did not exit within 15s of SIGTERM")
 	}
 	fmt.Println("serve-smoke: graceful shutdown ok")
+	return nil
+}
+
+// salvage flips one byte in the middle of frame 1's payload and requires
+// /v1/decompress?salvage=1 to answer 200 with the full extent, the
+// trailer "degraded: skipped 1", NaN over chunk 1's box and the intact
+// decode's bytes everywhere else. desc is the container's /v1/describe
+// answer, recon its intact decode.
+func salvage(base string, stream, desc, recon []byte) error {
+	var info struct {
+		FrameBytes []int
+		Chunks     []struct{ Origin, Dims [3]int }
+	}
+	if err := json.Unmarshal(desc, &info); err != nil || len(info.FrameBytes) < 2 {
+		return fmt.Errorf("describe: %d frames, err %v", len(info.FrameBytes), err)
+	}
+	// Frames follow the 36-byte fixed header: length prefix, payload, CRC.
+	mut := bytes.Clone(stream)
+	mut[36+4+info.FrameBytes[0]+4+4+info.FrameBytes[1]/2] ^= 0x10
+	res, err := http.Post(base+"/v1/decompress?salvage=1", "application/octet-stream", bytes.NewReader(mut))
+	if err != nil {
+		return err
+	}
+	defer res.Body.Close()
+	out, err := io.ReadAll(res.Body)
+	if err != nil {
+		return err
+	}
+	if res.StatusCode != 200 {
+		return fmt.Errorf("status %d: %s", res.StatusCode, out)
+	}
+	if ts := res.Trailer.Get("X-Sperr-Status"); ts != "degraded: skipped 1" {
+		return fmt.Errorf("trailer %q, want %q", ts, "degraded: skipped 1")
+	}
+	if len(out) != len(recon) {
+		return fmt.Errorf("degraded body has %d bytes, want the full %d", len(out), len(recon))
+	}
+	o, d := info.Chunks[1].Origin, info.Chunks[1].Dims
+	for i := 0; i < len(out)/8; i++ {
+		x, y, z := i%dimX, i/dimX%dimY, i/(dimX*dimY)
+		lost := x >= o[0] && x < o[0]+d[0] && y >= o[1] && y < o[1]+d[1] && z >= o[2] && z < o[2]+d[2]
+		got := out[i*8 : i*8+8]
+		if lost && !math.IsNaN(math.Float64frombits(binary.LittleEndian.Uint64(got))) ||
+			!lost && !bytes.Equal(got, recon[i*8:i*8+8]) {
+			return fmt.Errorf("sample (%d,%d,%d) = %x, lost chunk %v", x, y, z, got, lost)
+		}
+	}
+	fmt.Println("serve-smoke: salvage=1 ok (degraded: skipped 1, full extent)")
 	return nil
 }
 

@@ -197,29 +197,12 @@ func (d *Decoder) SetWorkers(n int) { d.r.SetWorkers(n) }
 // it before ForEachChunk.
 func (d *Decoder) SetContext(ctx context.Context) { d.r.SetContext(ctx) }
 
-// SetErrorPolicy selects how the streaming decode reacts to damaged
-// frames (default FailFast). Under SkipChunk, intact chunks are delivered
-// and damaged ones recorded in SalvageReport; under FillChunk, damaged
-// chunks are delivered with fill-valued samples (see SetFillValue) so the
-// callback still observes every chunk exactly once. With a tolerant
-// policy, frame-level damage no longer makes ForEachChunk return an error
-// — consult SalvageReport afterwards. Context cancellation and callback
-// errors always fail. Call before ForEachChunk.
-func (d *Decoder) SetErrorPolicy(p ErrorPolicy) { d.r.SetPolicy(p) }
-
-// SetFillValue sets the sample value synthesized for damaged chunks under
-// FillChunk (default NaN). Call before ForEachChunk.
-func (d *Decoder) SetFillValue(v float64) { d.r.SetFill(v) }
-
-// SalvageReport returns the per-chunk outcomes of a decode run under
-// SkipChunk or FillChunk: nil before ForEachChunk completes and under
-// FailFast.
-func (d *Decoder) SalvageReport() *SalvageReport { return d.r.Report() }
-
 // ForEachChunk streams every chunk through fn. fn runs concurrently on
 // worker goroutines (chunks are disjoint, so concurrent writes to
 // disjoint regions of a shared destination are safe); chunk order is not
-// guaranteed. It consumes the Decoder and can be called once.
+// guaranteed. The first damaged byte fails the decode with ErrCorrupt;
+// DecompressSalvage reads a damaged stream. It consumes the Decoder and
+// can be called once.
 func (d *Decoder) ForEachChunk(fn func(DecodedChunk) error) error {
 	return d.r.ForEach(func(i int, ch grid.Chunk, data []float64) error {
 		return fn(DecodedChunk{
