@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"sperr/internal/codec"
 	"sperr/internal/grid"
@@ -71,7 +72,7 @@ type SalvageReport struct {
 	Resynced bool
 	// LostRanges lists [start, end) byte ranges of the container that
 	// could not be attributed to a verified frame, the fixed header, or an
-	// intact footer.
+	// intact footer, sorted by start; touching ranges are merged.
 	LostRanges [][2]int64
 }
 
@@ -268,8 +269,9 @@ func assignFrames(frames []scannedFrame, chunks []grid.Chunk, indexOff int64, re
 // chunks whose indexed frame fails verification get a specific reason.
 // The returned slice holds one payload per chunk, nil where none
 // verified; the aggregates are the footer's, meaningful only when
-// rep.IndexIntact.
+// rep.IndexIntact. rep.LostRanges comes out sorted and merged.
 func locateFrames(stream []byte, l layout, chunks []grid.Chunk, rep *SalvageReport) ([][]byte, aggregates) {
+	defer func() { rep.LostRanges = mergeRanges(rep.LostRanges) }()
 	if entries, codecIDs, agg, err := readIndex(stream, l, len(chunks)); err == nil {
 		rep.IndexIntact = true
 		payloads := make([][]byte, len(chunks))
@@ -305,6 +307,21 @@ func locateFrames(stream []byte, l layout, chunks []grid.Chunk, rep *SalvageRepo
 		indexOff = int64(off)
 	}
 	return assignFrames(frames, chunks, indexOff, rep), aggregates{}
+}
+
+// mergeRanges sorts byte ranges by start and folds overlapping or touching
+// ones together, so a damage map reads in file order.
+func mergeRanges(rs [][2]int64) [][2]int64 {
+	sort.Slice(rs, func(i, j int) bool { return rs[i][0] < rs[j][0] })
+	out := rs[:0]
+	for _, r := range rs {
+		if n := len(out); n > 0 && r[0] <= out[n-1][1] {
+			out[n-1][1] = max(out[n-1][1], r[1])
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // Audit verifies a container without decoding any samples: every frame is

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -291,27 +293,18 @@ func TestRegionDegradesWhenPeerDies(t *testing.T) {
 	// contract (fill value, never an error) that still holds when a chunk
 	// has no surviving copy anywhere.
 	clusters, peers := testClusterR(t, 3, 1)
-	c := clusters[0]
-	meta, _, err := c.Ingest(context.Background(), container)
+	meta, _, err := clusters[0].Ingest(context.Background(), container)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Find a peer that owns at least one chunk and is not the
-	// coordinator, then kill it.
-	victim := -1
-	for ni := 1; ni < 3; ni++ {
-		idn := fmt.Sprintf("node-%c", 'a'+ni)
-		for ci := 0; ci < meta.NumChunks; ci++ {
-			if c.Owner(meta.ID, ci) == idn {
-				victim = ni
-			}
-		}
-	}
-	if victim < 0 {
-		t.Skip("placement put every chunk on the coordinator")
-	}
+	// Kill the owner of chunk 0 and read through another node: the
+	// victim is chosen first, so the test does not depend on how the
+	// ring spreads chunks over the peers.
+	victimID := clusters[0].Owner(meta.ID, 0)
+	victim := peerIndex(victimID)
 	peers[victim].srv.Close()
+	c := clusters[(victim+1)%len(clusters)]
 
 	fill := math.NaN()
 	got, rep := gather(t, c, meta.ID, [3]int{0, 0, 0}, dims, fill)
@@ -325,6 +318,9 @@ func TestRegionDegradesWhenPeerDies(t *testing.T) {
 	}
 	skipped := make(map[int]bool)
 	for _, ci := range rep.Skipped {
+		if owner := c.Owner(meta.ID, ci); owner != victimID {
+			t.Fatalf("skipped chunk %d is owned by %s, not the killed peer %s", ci, owner, victimID)
+		}
 		skipped[ci] = true
 	}
 	for k := range want {
@@ -386,8 +382,7 @@ func TestRegionFailoverSurvivesPeerDeath(t *testing.T) {
 	dims := [3]int{24, 17, 9}
 	container := makeContainer(t, dims, [3]int{8, 8, 4}, 11)
 	clusters, peers := testClusterR(t, 3, 2)
-	c := clusters[0]
-	meta, _, err := c.Ingest(context.Background(), container)
+	meta, _, err := clusters[0].Ingest(context.Background(), container)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +400,7 @@ func TestRegionFailoverSurvivesPeerDeath(t *testing.T) {
 		}
 	}
 
-	victim := killPrimary(t, c, meta, peers)
+	victim, c := killPrimary(clusters, meta, peers)
 
 	want, err := sperr.DecompressRegionWorkers(container, [3]int{0, 0, 0}, dims, 1)
 	if err != nil {
@@ -435,22 +430,19 @@ func TestRegionFailoverSurvivesPeerDeath(t *testing.T) {
 	}
 }
 
-// killPrimary stops a peer other than the coordinator c (node-a) that is
-// the primary owner of at least one chunk, so that a read through c must
-// fail over, and returns its index.
-func killPrimary(t *testing.T, c *Cluster, meta *store.Meta, peers []*fakePeer) int {
-	t.Helper()
-	for ci := 0; ci < meta.NumChunks; ci++ {
-		for ni := 1; ni < len(peers); ni++ {
-			if c.Owner(meta.ID, ci) == fmt.Sprintf("node-%c", 'a'+ni) {
-				peers[ni].srv.Close()
-				return ni
-			}
-		}
-	}
-	t.Skip("placement made the coordinator primary for every chunk")
-	return -1
+// killPrimary stops the primary owner of chunk 0 and returns its index
+// and a coordinator on another node, so that a read through it must fail
+// over. The victim is chosen first, so the test does not depend on how
+// the ring spreads primaries.
+func killPrimary(clusters []*Cluster, meta *store.Meta, peers []*fakePeer) (int, *Cluster) {
+	victim := peerIndex(clusters[0].Owner(meta.ID, 0))
+	peers[victim].srv.Close()
+	return victim, clusters[(victim+1)%len(clusters)]
 }
+
+// peerIndex maps a roster name "node-x" to its index in testCluster's
+// slices.
+func peerIndex(id string) int { return int(id[len("node-")] - 'a') }
 
 // A read whose replica sweep delivered every chunk is complete: the
 // replica ranks are the only second chance a chunk gets, so a dead
@@ -459,36 +451,46 @@ func TestRegionFailoverNeedsNoRetry(t *testing.T) {
 	dims := [3]int{24, 17, 9}
 	container := makeContainer(t, dims, [3]int{8, 8, 4}, 11)
 	clusters, peers := testClusterR(t, 3, 2)
-	c := clusters[0]
-	meta, _, err := c.Ingest(context.Background(), container)
+	meta, _, err := clusters[0].Ingest(context.Background(), container)
 	if err != nil {
 		t.Fatal(err)
 	}
-	killPrimary(t, c, meta, peers)
+	_, c := killPrimary(clusters, meta, peers)
 	_, rep := gather(t, c, meta.ID, [3]int{0, 0, 0}, dims, math.NaN())
 	if rep.FailedOver == 0 || len(rep.Skipped) != 0 {
 		t.Fatalf("FailedOver = %d, Skipped = %v: the read did not fail over cleanly", rep.FailedOver, rep.Skipped)
 	}
 }
 
-// corruptOwnedFrame flips bytes inside the payload region of a shard
-// blob on disk (between the fixed header and the index footer), i.e.
-// bit rot in an owned frame, and returns true if the file changed.
-func corruptOwnedFrame(t *testing.T, st *store.Store, id string) {
+// corruptOwnedFrame is bit rot in an owned frame: it flips two bytes of
+// a shard blob on disk at the first offset where sperr.OwnedChunks proves
+// an owned frame stopped verifying, and returns the chunks lost.
+func corruptOwnedFrame(t *testing.T, st *store.Store, id string) []int {
 	t.Helper()
 	path := filepath.Join(st.Dir(), "volumes", id+".sperr")
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stay clear of the 36-byte header and the index footer at the tail;
-	// the bulk of the middle is compressed frame payload.
-	off := len(blob) / 2
-	blob[off] ^= 0xff
-	blob[off+1] ^= 0xff
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	before, err := sperr.OwnedChunks(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for off := 40; off+2 < len(blob)-8; off += 64 {
+		mod := bytes.Clone(blob)
+		mod[off] ^= 0xff
+		mod[off+1] ^= 0xff
+		after, err := sperr.OwnedChunks(mod)
+		if err != nil || len(after) >= len(before) {
+			continue
+		}
+		if err := os.WriteFile(path, mod, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return slices.DeleteFunc(before, func(ci int) bool { return slices.Contains(after, ci) })
+	}
+	t.Fatal("no two-byte flip unseated an owned frame")
+	return nil
 }
 
 // TestScrubHealsBitRot: corrupt an owned frame in one peer's shard blob
@@ -517,25 +519,16 @@ func TestScrubHealsBitRot(t *testing.T) {
 	}
 	desired := clusters[victim].desiredChunks(meta.ID, meta.NumChunks)
 
-	corruptOwnedFrame(t, peers[victim].st, meta.ID)
-
-	// The corruption is visible before the scrub...
-	_, blob, err := peers[victim].st.Get(meta.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preOwned, preErr := sperr.OwnedChunks(blob)
-	if preErr == nil && len(preOwned) == len(desired) {
-		t.Skip("corruption landed outside every owned frame")
-	}
+	lost := corruptOwnedFrame(t, peers[victim].st, meta.ID)
 
 	rep := clusters[victim].ScrubOnce(context.Background())
-	if rep.Damaged == 0 || rep.Repaired == 0 {
-		t.Fatalf("scrub pass: damaged=%d repaired=%d errors=%v, want both > 0", rep.Damaged, rep.Repaired, rep.Errors)
+	if rep.Damaged < len(lost) || rep.Repaired < len(lost) {
+		t.Fatalf("scrub pass: damaged=%d repaired=%d errors=%v, want both >= %d (lost %v)",
+			rep.Damaged, rep.Repaired, rep.Errors, len(lost), lost)
 	}
 
-	// ...and gone after: the blob proves every ring-owned chunk intact.
-	_, blob, err = peers[victim].st.Get(meta.ID)
+	// The blob proves every ring-owned chunk intact.
+	_, blob, err := peers[victim].st.Get(meta.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

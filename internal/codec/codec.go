@@ -470,6 +470,15 @@ func DecodeChunk(stream []byte, dims grid.Dims) ([]float64, error) {
 // returned slice aliases the arena and is valid only until its next use —
 // copy out (e.g. into the destination volume) before reusing s.
 func DecodeChunkScratch(stream []byte, dims grid.Dims, s *Scratch) ([]float64, error) {
+	return decodeChunk(stream, dims, 1, s)
+}
+
+// decodeChunk is the one chunk decode behind DecodeChunkScratch and
+// DecodeChunkPartial: open the stream, SPECK-decode the first fraction of
+// its coded bits, invert the transform and, on a full PWE decode, apply
+// the outlier corrections (they are relative to the complete SPECK
+// decode).
+func decodeChunk(stream []byte, dims grid.Dims, fraction float64, s *Scratch) ([]float64, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -477,10 +486,14 @@ func DecodeChunkScratch(stream []byte, dims grid.Dims, s *Scratch) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	coeffs := speck.DecodeScratch(body[:speckBytes], h.speckBits, dims, h.q, int(h.planes), &s.speck)
+	useBits := h.speckBits
+	if fraction < 1 {
+		useBits = uint64(float64(float64(h.speckBits) * fraction)) // no fused product - 2^63 in the conversion
+	}
+	coeffs := speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
 	s.planFor(dims).InverseScratch(coeffs, &s.wav)
 
-	if h.mode == ModePWE && h.outlierBits > 0 {
+	if fraction == 1 && h.mode == ModePWE && h.outlierBits > 0 {
 		obytes := body[speckBytes:]
 		if h.outlierBits > uint64(len(obytes))*8 {
 			return nil, fmt.Errorf("%w: outlier stream truncated", ErrCorrupt)

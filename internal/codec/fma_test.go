@@ -11,16 +11,15 @@ import (
 	"testing"
 )
 
-// TestNoImplicitFMA holds the codec stack (speck, outlier and codec) to one
-// arithmetic on every architecture. The Go spec lets a compiler fuse
-// x*y + z into one rounding; amd64 never does, but arm64, ppc64le, s390x
-// and riscv64 do, and a fused sum of squares moves ModeRMSE truncation
-// points, a fused reconstruction step a decoded value. An explicit
-// float64(...) around the product forbids the fusion. The test compiles
-// the packages for those four GOARCHes with -S and fails on any fused
-// multiply-add instruction whose source line is not an explicit math.FMA
-// call, which rounds once everywhere by definition. internal/wavelet is
-// not held to it yet.
+// TestNoImplicitFMA holds the codec stack (wavelet, speck, outlier and
+// codec) to one arithmetic on every architecture. The Go spec lets a
+// compiler fuse x*y + z into one rounding; amd64 never does, but arm64,
+// ppc64le, s390x and riscv64 do, and a fused sum of squares moves
+// ModeRMSE truncation points, a fused lifting or reconstruction step a
+// decoded value. An explicit float64(...) around the product forbids the
+// fusion. The test compiles the packages for those four GOARCHes with -S
+// and fails on any fused multiply-add instruction whose source line is not
+// an explicit math.FMA call, which rounds once everywhere by definition.
 func TestNoImplicitFMA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-compiles the packages four times; skipped under -short")
@@ -50,7 +49,7 @@ func TestNoImplicitFMA(t *testing.T) {
 	}
 	for _, arch := range []string{"arm64", "ppc64le", "s390x", "riscv64"} {
 		cmd := exec.Command(goBin, "build", "-gcflags=-S",
-			"sperr/internal/speck", "sperr/internal/outlier", "sperr/internal/codec")
+			"sperr/internal/wavelet", "sperr/internal/speck", "sperr/internal/outlier", "sperr/internal/codec")
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0",
 			"GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
 		out, err := cmd.CombinedOutput()

@@ -5,7 +5,6 @@ import (
 
 	"sperr/internal/grid"
 	"sperr/internal/lossless"
-	"sperr/internal/outlier"
 	"sperr/internal/speck"
 )
 
@@ -63,24 +62,7 @@ func DecodeChunkPartial(stream []byte, dims grid.Dims, fraction float64, s *Scra
 	if !(fraction > 0 && fraction <= 1) {
 		return nil, fmt.Errorf("codec: fraction must be in (0, 1], got %g", fraction)
 	}
-	if s == nil {
-		s = &Scratch{}
-	}
-	h, body, speckBytes, err := openChunk(stream, dims, s)
-	if err != nil {
-		return nil, err
-	}
-	useBits := uint64(float64(float64(h.speckBits) * fraction)) // no fused product - 2^63 in the conversion
-	coeffs := speck.DecodeScratch(body[:speckBytes], useBits, dims, h.q, int(h.planes), &s.speck)
-	s.planFor(dims).InverseScratch(coeffs, &s.wav)
-	if fraction == 1 && h.mode == ModePWE && h.outlierBits > 0 {
-		obytes := body[speckBytes:]
-		if h.outlierBits > uint64(len(obytes))*8 {
-			return nil, fmt.Errorf("%w: outlier stream truncated", ErrCorrupt)
-		}
-		outlier.ApplyScratch(coeffs, obytes, h.outlierBits, h.tol, int(h.opasses), &s.outl)
-	}
-	return coeffs, nil
+	return decodeChunk(stream, dims, fraction, s)
 }
 
 // DecodeChunkLowRes reconstructs a coarsened version of a chunk by

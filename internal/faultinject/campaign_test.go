@@ -195,6 +195,14 @@ func checkMutant(m Mutant, baseline []float64, dims [3]int) error {
 			return fmt.Errorf("audit and salvage disagree on chunk %d", i)
 		}
 	}
+	// The damage map reads in file order: sorted, non-empty, disjoint.
+	for _, lr := range [][][2]int64{rep.LostRanges, arep.LostRanges} {
+		for i, g := range lr {
+			if g[0] >= g[1] || i > 0 && g[0] < lr[i-1][1] {
+				return fmt.Errorf("lost ranges %v not sorted and non-overlapping", lr)
+			}
+		}
+	}
 
 	// Repair round-trip: when anything survived, the repaired container
 	// must pass a normal strict decode, with survivors bit-identical to

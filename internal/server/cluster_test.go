@@ -2,15 +2,24 @@ package server
 
 // 3-node cluster e2e: real sperrd instances on real sockets, sharded
 // ingest, scatter-gather reads pinned bit-identical to the single-node
-// decode path, and peer-death degradation pinned to the fill policy
-// (200 + degraded trailer, never a 500).
+// decode path, peer-death degradation pinned to the fill policy (200 +
+// degraded trailer, never a 500), replica failover, and scrub-driven
+// healing of a wiped copy and of bit rot, witnessed on /metrics. What
+// needs a real process (flags, SIGKILL, SIGTERM drain) is left to
+// scripts/servesmoke.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -319,8 +328,8 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 		!strings.Contains(m, `sperrd_cluster_requests_total{peer="`+nodes[victim].id+`",outcome="timeout"}`) {
 		t.Fatal("metrics missing failed-peer outcome counter")
 	}
-	if !strings.Contains(m, "sperrd_cluster_filled_chunks_total") {
-		t.Fatal("metrics missing filled-chunks counter")
+	if v := scrapeMetric(t, nodes[0].url, "sperrd_cluster_filled_chunks_total"); v < float64(len(skipped)) {
+		t.Fatalf("sperrd_cluster_filled_chunks_total %g, want >= %d skipped chunks", v, len(skipped))
 	}
 }
 
@@ -434,4 +443,177 @@ func TestClusterRejectsUnshardable(t *testing.T) {
 	if _, err := New(Config{Peers: []string{"bogus"}, NodeID: "a", StoreDir: t.TempDir()}); err == nil {
 		t.Fatal("malformed peer entry accepted")
 	}
+}
+
+// TestClusterScrubHeals is the self-healing pin at the server level, where
+// the scrub counters live. With two replicas per chunk, one peer loses its
+// whole copy of a volume (a replacement node with an empty disk) and,
+// once that has healed, an owned frame on another peer's disk rots. Scrub
+// passes, driven through Cluster().ScrubOnce rather than a timer, must
+// bring every peer back to an intact copy of its ring share each time;
+// then every coordinator serves the full volume non-degraded and
+// bit-identical, and /metrics accounts for the passes, the damage and the
+// repairs.
+func TestClusterScrubHeals(t *testing.T) {
+	nodes := newClusterNodes(t, 3, func(i int, cfg *Config) {
+		cfg.PeerTimeout = 500 * time.Millisecond
+		cfg.ScrubInterval = -1 // passes are driven below
+	})
+	container := readFixture(t, "../../testdata/golden_adaptive_48x32x32_v3.sperr")
+	info, err := sperr.Describe(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ingest(t, nodes[0].ts, container, http.StatusCreated)
+
+	// share lists node's ring share; missing, the part of it that node's
+	// blob on disk does not prove intact.
+	cl := nodes[0].s.Cluster()
+	share := func(node *clusterNode) []int {
+		var out []int
+		for ci := 0; ci < info.NumChunks; ci++ {
+			if slices.Contains(cl.Owners(id, ci), node.id) {
+				out = append(out, ci)
+			}
+		}
+		return out
+	}
+	missing := func(node *clusterNode) []int {
+		var owned []int
+		if _, blob, err := node.s.Store().Get(id); err == nil {
+			owned, _ = sperr.OwnedChunks(blob)
+		}
+		return slices.DeleteFunc(share(node), func(ci int) bool { return slices.Contains(owned, ci) })
+	}
+	// converge runs one scrub pass on every peer per round, and requires
+	// every ring share intact within two rounds.
+	converge := func(what string) {
+		t.Helper()
+		for round := 0; round < 2; round++ {
+			for _, node := range nodes {
+				node.s.Cluster().ScrubOnce(context.Background())
+			}
+			done := true
+			for _, node := range nodes {
+				done = done && len(missing(node)) == 0
+			}
+			if done {
+				return
+			}
+		}
+		for _, node := range nodes {
+			if m := missing(node); len(m) > 0 {
+				t.Fatalf("%s: %s still misses chunks %v after two scrub rounds", what, node.id, m)
+			}
+		}
+	}
+
+	// The peers with the two largest ring shares: each owns chunks.
+	ranked := slices.Clone(nodes)
+	slices.SortStableFunc(ranked, func(a, b *clusterNode) int { return len(share(b)) - len(share(a)) })
+	wiped, rotted := ranked[0], ranked[1]
+
+	if err := wiped.s.Store().Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if len(missing(wiped)) == 0 {
+		t.Fatalf("%s holds its share after the wipe", wiped.id)
+	}
+	converge("rejoin of " + wiped.id)
+
+	lost := rotOwnedFrame(t, rotted, id)
+	if len(missing(rotted)) == 0 {
+		t.Fatalf("%s holds its share after the flip", rotted.id)
+	}
+	converge("bit rot on " + rotted.id)
+
+	want, err := sperr.DecompressRegionWorkers(container, [3]int{0, 0, 0}, info.Dims, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := rawio.EncodeFloats(want, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fmt.Sprintf("0,0,0,%d,%d,%d", info.Dims[0], info.Dims[1], info.Dims[2])
+	for _, node := range nodes {
+		res, body := getClusterRegion(t, node, id, spec, "&workers=2")
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("post-heal read via %s: %d (%s)", node.id, res.StatusCode, body)
+		}
+		if tr := res.Trailer.Get("X-Sperr-Status"); tr != "ok" {
+			t.Fatalf("post-heal read via %s: trailer %q, want ok", node.id, tr)
+		}
+		if string(body) != string(wantRaw) {
+			t.Fatalf("post-heal read via %s differs from single-node decode", node.id)
+		}
+		if runs := scrapeMetric(t, node.url, "sperrd_scrub_runs_total"); runs < 2 {
+			t.Fatalf("%s: sperrd_scrub_runs_total %g, want >= 2", node.id, runs)
+		}
+	}
+	for _, name := range []string{"sperrd_scrub_damaged_chunks_total", "sperrd_scrub_repaired_chunks_total"} {
+		if v := scrapeMetric(t, rotted.url, name); v < float64(len(lost)) {
+			t.Fatalf("%s: %s %g, want >= %d (chunks %v rotted)", rotted.id, name, v, len(lost), lost)
+		}
+	}
+}
+
+// TestClusterScrubberRunsOnInterval: Config.ScrubInterval > 0 starts the
+// background loop, whose passes show on /metrics with no call driving them.
+func TestClusterScrubberRunsOnInterval(t *testing.T) {
+	nodes := newClusterNodes(t, 2, func(i int, cfg *Config) {
+		cfg.ScrubInterval = 10 * time.Millisecond
+	})
+	waitFor(t, "a timed scrub pass", func() bool {
+		return scrapeMetric(t, nodes[0].url, "sperrd_scrub_runs_total") >= 1
+	})
+}
+
+// rotOwnedFrame is bit rot in an owned frame: it flips two bytes of node's
+// shard blob on disk at the first offset where sperr.OwnedChunks proves an
+// owned frame stopped verifying, and returns the chunks lost.
+func rotOwnedFrame(t *testing.T, node *clusterNode, id string) []int {
+	t.Helper()
+	path := filepath.Join(node.s.Store().Dir(), "volumes", id+".sperr")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sperr.OwnedChunks(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 40; off+2 < len(blob)-8; off += 64 {
+		mod := bytes.Clone(blob)
+		mod[off] ^= 0xff
+		mod[off+1] ^= 0xff
+		after, err := sperr.OwnedChunks(mod)
+		if err != nil || len(after) >= len(before) {
+			continue
+		}
+		if err := os.WriteFile(path, mod, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return slices.DeleteFunc(before, func(ci int) bool { return slices.Contains(after, ci) })
+	}
+	t.Fatalf("no two-byte flip unseated an owned frame of %s", node.id)
+	return nil
+}
+
+// scrapeMetric reads one series from base's /metrics; an absent series
+// fails the test, so a renamed counter is not mistaken for one at zero.
+func scrapeMetric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	_, body := do(t, "GET", base+"/metrics", nil)
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("%s: %s has value %q", base, name, f[1])
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s: /metrics has no %s", base, name)
+	return 0
 }

@@ -271,7 +271,7 @@ func (s *Server) storeHooks() store.Hooks {
 
 // clusterHooks wires cluster peer traffic into the metrics registry.
 // Every counter is created here at startup so it reports 0 before its
-// first event — the chaos harness polls some of these as witnesses.
+// first event — servesmoke and TestClusterScrubHeals read them.
 func (s *Server) clusterHooks() cluster.Hooks {
 	s.reg.Counter("sperrd_cluster_degraded_total")
 	filled := s.reg.Counter("sperrd_cluster_filled_chunks_total")

@@ -239,6 +239,13 @@ func TestCacheEquivalenceGolden(t *testing.T) {
 					cache = "hit"
 				}
 			}
+
+			// The hits and the resident slabs show on /metrics.
+			for _, series := range []string{"sperrd_cache_hits_total", "sperrd_cache_resident_samples"} {
+				if v := scrapeMetric(t, ts.URL, series); v <= 0 {
+					t.Fatalf("%s is %g after cache hits", series, v)
+				}
+			}
 		})
 	}
 }

@@ -34,12 +34,12 @@ package wavelet
 // Every expression has the operands, order and shape of the one in the
 // oracle that it replaces (2*c*x is not rewritten c*(x+x), which differs at
 // overflow; the division stays a division, x/ε ≠ x·(1/ε) in the last bit),
-// so results are bit-identical to Forward1D/Inverse1D — also where the
-// compiler contracts x*y+z into a fused multiply-add, because a product
-// feeds an addition here only where it does there. The one product that
-// would newly meet an addition, high·-ε, is rounded by an explicit
-// conversion. Lengths are >= 8 (see NewPlan), so prologue, loop and
-// epilogue never overlap.
+// so results are bit-identical to Forward1D/Inverse1D. Every product that
+// meets a sum is rounded by an explicit float64(...) conversion, here and
+// in the oracle, so no GOARCH contracts x*y+z into a fused multiply-add
+// and the coefficients are the same on every architecture
+// (TestNoImplicitFMA). Lengths are >= 8 (see NewPlan), so prologue, loop
+// and epilogue never overlap.
 //
 // Vector lanes. Every kernel advances independent lines through the same
 // operation sequence, so on amd64 CPUs with AVX (haveLanes, detected once
@@ -70,10 +70,10 @@ func forwardLine(s, side []float64) {
 	x0 := s[4]
 	for k := 2; k < nl-1; k++ {
 		x1, x2 := s[2*k+1], s[2*k+2]
-		a := x1 + alpha*(x0+x2)
-		b := x0 + beta*(a+d1)
-		c := d1 + gamma*(s1+b)
-		s[k-1] = epsilon * (s1 + delta*(c+d2))
+		a := x1 + float64(alpha*(x0+x2))
+		b := x0 + float64(beta*(a+d1))
+		c := d1 + float64(gamma*(s1+b))
+		s[k-1] = epsilon * (s1 + float64(delta*(c+d2)))
 		hi[k-1] = c / -epsilon
 		d1, s1, d2, x0 = a, b, c, x2
 	}
@@ -84,12 +84,12 @@ func forwardLine(s, side []float64) {
 // forwardHead runs forwardLine's prologue, iterations 0 and 1: it writes
 // low 0 and high 0 and returns the state entering iteration 2.
 func forwardHead(s, hi []float64) (d1, s1, d2 float64) {
-	p := s[1] + alpha*(s[0]+s[2])
-	q := s[0] + 2*beta*p
-	a := s[3] + alpha*(s[2]+s[4])
-	b := s[2] + beta*(a+p)
-	c := p + gamma*(q+b)
-	s[0] = epsilon * (q + 2*delta*c)
+	p := s[1] + float64(alpha*(s[0]+s[2]))
+	q := s[0] + float64(2*beta*p)
+	a := s[3] + float64(alpha*(s[2]+s[4]))
+	b := s[2] + float64(beta*(a+p))
+	c := p + float64(gamma*(q+b))
+	s[0] = epsilon * (q + float64(2*delta*c))
 	hi[0] = c / -epsilon
 	return a, b, c
 }
@@ -101,20 +101,20 @@ func forwardTail(s, hi []float64, d1, s1, d2 float64) {
 	nl, nh := (n+1)/2, n/2
 	x0 := s[2*nl-2]
 	if n%2 == 0 {
-		a := s[n-1] + 2*alpha*x0
-		b := x0 + beta*(a+d1)
-		c := d1 + gamma*(s1+b)
-		e := a + 2*gamma*b
-		s[nh-2] = epsilon * (s1 + delta*(c+d2))
+		a := s[n-1] + float64(2*alpha*x0)
+		b := x0 + float64(beta*(a+d1))
+		c := d1 + float64(gamma*(s1+b))
+		e := a + float64(2*gamma*b)
+		s[nh-2] = epsilon * (s1 + float64(delta*(c+d2)))
 		hi[nh-2] = c / -epsilon
-		s[nh-1] = epsilon * (b + delta*(e+c))
+		s[nh-1] = epsilon * (b + float64(delta*(e+c)))
 		hi[nh-1] = e / -epsilon
 	} else {
-		b := x0 + 2*beta*d1
-		c := d1 + gamma*(s1+b)
-		s[nh-1] = epsilon * (s1 + delta*(c+d2))
+		b := x0 + float64(2*beta*d1)
+		c := d1 + float64(gamma*(s1+b))
+		s[nh-1] = epsilon * (s1 + float64(delta*(c+d2)))
 		hi[nh-1] = c / -epsilon
-		s[nh] = epsilon * (b + 2*delta*c)
+		s[nh] = epsilon * (b + float64(2*delta*c))
 	}
 }
 
@@ -128,10 +128,10 @@ func inverseLine(s, side []float64) {
 	x0 := s[0]
 	for k := 2; k < nh; k++ {
 		a := float64(hi[k] * -epsilon)
-		b := lo[k]/epsilon - delta*(a+d2)
-		c := d2 - gamma*(s1+b)
-		x2 := s1 - beta*(c+d1)
-		s[2*k-3] = d1 - alpha*(x0+x2)
+		b := lo[k]/epsilon - float64(delta*(a+d2))
+		c := d2 - float64(gamma*(s1+b))
+		x2 := s1 - float64(beta*(c+d1))
+		s[2*k-3] = d1 - float64(alpha*(x0+x2))
 		s[2*k-2] = x2
 		d2, s1, d1, x0 = a, b, c, x2
 	}
@@ -144,11 +144,11 @@ func inverseLine(s, side []float64) {
 func inverseHead(s, lo []float64) (d2, s1, d1 float64) {
 	hi := s[(len(s)+1)/2:]
 	p := float64(hi[0] * -epsilon)
-	q := lo[0]/epsilon - 2*delta*p
+	q := lo[0]/epsilon - float64(2*delta*p)
 	a := float64(hi[1] * -epsilon)
-	b := lo[1]/epsilon - delta*(a+p)
-	c := p - gamma*(q+b)
-	s[0] = q - 2*beta*c
+	b := lo[1]/epsilon - float64(delta*(a+p))
+	c := p - float64(gamma*(q+b))
+	s[0] = q - float64(2*beta*c)
 	return a, b, c
 }
 
@@ -159,19 +159,19 @@ func inverseTail(s, lo []float64, d2, s1, d1 float64) {
 	nh := n / 2
 	x0 := s[2*nh-4]
 	if n%2 == 0 {
-		c := d2 - 2*gamma*s1
-		x2 := s1 - beta*(c+d1)
-		s[n-3] = d1 - alpha*(x0+x2)
+		c := d2 - float64(2*gamma*s1)
+		x2 := s1 - float64(beta*(c+d1))
+		s[n-3] = d1 - float64(alpha*(x0+x2))
 		s[n-2] = x2
-		s[n-1] = c - 2*alpha*x2
+		s[n-1] = c - float64(2*alpha*x2)
 	} else {
-		b := lo[nh]/epsilon - 2*delta*d2
-		c := d2 - gamma*(s1+b)
-		x2 := s1 - beta*(c+d1)
-		x4 := b - 2*beta*c
-		s[n-4] = d1 - alpha*(x0+x2)
+		b := lo[nh]/epsilon - float64(2*delta*d2)
+		c := d2 - float64(gamma*(s1+b))
+		x2 := s1 - float64(beta*(c+d1))
+		x4 := b - float64(2*beta*c)
+		s[n-4] = d1 - float64(alpha*(x0+x2))
 		s[n-3] = x2
-		s[n-2] = c - alpha*(x2+x4)
+		s[n-2] = c - float64(alpha*(x2+x4))
 		s[n-1] = x4
 	}
 }
@@ -229,12 +229,12 @@ func forwardTile(data []float64, base, stride, n, w int, st *lift, side []float6
 
 	r0, r1, r2, r3, r4, hi := row(0), row(1), row(2), row(3), row(4), high(0)
 	for t := range r0 {
-		p := r1[t] + alpha*(r0[t]+r2[t])
-		q := r0[t] + 2*beta*p
-		a := r3[t] + alpha*(r2[t]+r4[t])
-		b := r2[t] + beta*(a+p)
-		c := p + gamma*(q+b)
-		r0[t] = epsilon * (q + 2*delta*c)
+		p := r1[t] + float64(alpha*(r0[t]+r2[t]))
+		q := r0[t] + float64(2*beta*p)
+		a := r3[t] + float64(alpha*(r2[t]+r4[t]))
+		b := r2[t] + float64(beta*(a+p))
+		c := p + float64(gamma*(q+b))
+		r0[t] = epsilon * (q + float64(2*delta*c))
 		hi[t] = c / -epsilon
 		st.d[t], st.s[t], st.e[t] = a, b, c
 	}
@@ -253,24 +253,24 @@ func forwardTile(data []float64, base, stride, n, w int, st *lift, side []float6
 		x0, x1, lo, hi, lo2, hi2 := row(n-2), row(n-1), row(nh-2), high(nh-2), row(nh-1), high(nh-1)
 		for t := range x0 {
 			d, s, e := st.d[t], st.s[t], st.e[t]
-			a := x1[t] + 2*alpha*x0[t]
-			b := x0[t] + beta*(a+d)
-			c := d + gamma*(s+b)
-			f := a + 2*gamma*b
-			lo[t] = epsilon * (s + delta*(c+e))
+			a := x1[t] + float64(2*alpha*x0[t])
+			b := x0[t] + float64(beta*(a+d))
+			c := d + float64(gamma*(s+b))
+			f := a + float64(2*gamma*b)
+			lo[t] = epsilon * (s + float64(delta*(c+e)))
 			hi[t] = c / -epsilon
-			lo2[t] = epsilon * (b + delta*(f+c))
+			lo2[t] = epsilon * (b + float64(delta*(f+c)))
 			hi2[t] = f / -epsilon
 		}
 	} else {
 		x0, lo, hi, lo2 := row(n-1), row(nh-1), high(nh-1), row(nh)
 		for t := range x0 {
 			d, s, e := st.d[t], st.s[t], st.e[t]
-			b := x0[t] + 2*beta*d
-			c := d + gamma*(s+b)
-			lo[t] = epsilon * (s + delta*(c+e))
+			b := x0[t] + float64(2*beta*d)
+			c := d + float64(gamma*(s+b))
+			lo[t] = epsilon * (s + float64(delta*(c+e)))
 			hi[t] = c / -epsilon
-			lo2[t] = epsilon * (b + 2*delta*c)
+			lo2[t] = epsilon * (b + float64(2*delta*c))
 		}
 	}
 	for k := 0; k < nh; k++ {
@@ -290,10 +290,10 @@ func forwardRow(st *lift, t int, x0, x1, x2, lo, hi []float64) {
 	x1, x2, lo, hi = x1[:w], x2[:w], lo[:w], hi[:w]
 	d, s, e := st.d[:w], st.s[:w], st.e[:w]
 	for ; t < w; t++ {
-		a := x1[t] + alpha*(x0[t]+x2[t])
-		b := x0[t] + beta*(a+d[t])
-		c := d[t] + gamma*(s[t]+b)
-		lo[t] = epsilon * (s[t] + delta*(c+e[t]))
+		a := x1[t] + float64(alpha*(x0[t]+x2[t]))
+		b := x0[t] + float64(beta*(a+d[t]))
+		c := d[t] + float64(gamma*(s[t]+b))
+		lo[t] = epsilon * (s[t] + float64(delta*(c+e[t])))
 		hi[t] = c / -epsilon
 		d[t], s[t], e[t] = a, b, c
 	}
@@ -308,10 +308,10 @@ func inverseRow(st *lift, t int, lo, hi, x0, o1, o2 []float64) {
 	d, s, e := st.d[:w], st.s[:w], st.e[:w]
 	for ; t < w; t++ {
 		a := float64(hi[t] * -epsilon)
-		b := lo[t]/epsilon - delta*(a+d[t])
-		c := d[t] - gamma*(s[t]+b)
-		x2 := s[t] - beta*(c+e[t])
-		o1[t] = e[t] - alpha*(x0[t]+x2)
+		b := lo[t]/epsilon - float64(delta*(a+d[t]))
+		c := d[t] - float64(gamma*(s[t]+b))
+		x2 := s[t] - float64(beta*(c+e[t]))
+		o1[t] = e[t] - float64(alpha*(x0[t]+x2))
 		o2[t] = x2
 		d[t], s[t], e[t] = a, b, c
 	}
@@ -329,11 +329,11 @@ func inverseTile(data []float64, base, stride, n, w int, st *lift, side []float6
 	l0, l1, h0, h1, out := low(0), low(1), row(nl), row(nl+1), row(0)
 	for t := range out {
 		p := float64(h0[t] * -epsilon)
-		q := l0[t]/epsilon - 2*delta*p
+		q := l0[t]/epsilon - float64(2*delta*p)
 		a := float64(h1[t] * -epsilon)
-		b := l1[t]/epsilon - delta*(a+p)
-		c := p - gamma*(q+b)
-		out[t] = q - 2*beta*c
+		b := l1[t]/epsilon - float64(delta*(a+p))
+		c := p - float64(gamma*(q+b))
+		out[t] = q - float64(2*beta*c)
 		st.d[t], st.s[t], st.e[t] = a, b, c
 	}
 	t0 := 0
@@ -351,23 +351,23 @@ func inverseTile(data []float64, base, stride, n, w int, st *lift, side []float6
 		x0, o1, o2, o3 := row(n-4), row(n-3), row(n-2), row(n-1)
 		for t := range x0 {
 			d, s, e := st.d[t], st.s[t], st.e[t]
-			c := d - 2*gamma*s
-			x2 := s - beta*(c+e)
-			o1[t] = e - alpha*(x0[t]+x2)
+			c := d - float64(2*gamma*s)
+			x2 := s - float64(beta*(c+e))
+			o1[t] = e - float64(alpha*(x0[t]+x2))
 			o2[t] = x2
-			o3[t] = c - 2*alpha*x2
+			o3[t] = c - float64(2*alpha*x2)
 		}
 	} else {
 		lo, x0, o1, o2, o3, o4 := low(nh), row(n-5), row(n-4), row(n-3), row(n-2), row(n-1)
 		for t := range x0 {
 			d, s, e := st.d[t], st.s[t], st.e[t]
-			b := lo[t]/epsilon - 2*delta*d
-			c := d - gamma*(s+b)
-			x2 := s - beta*(c+e)
-			x4 := b - 2*beta*c
-			o1[t] = e - alpha*(x0[t]+x2)
+			b := lo[t]/epsilon - float64(2*delta*d)
+			c := d - float64(gamma*(s+b))
+			x2 := s - float64(beta*(c+e))
+			x4 := b - float64(2*beta*c)
+			o1[t] = e - float64(alpha*(x0[t]+x2))
 			o2[t] = x2
-			o3[t] = c - alpha*(x2+x4)
+			o3[t] = c - float64(alpha*(x2+x4))
 			o4[t] = x4
 		}
 	}

@@ -81,23 +81,23 @@ func (p *Plan) passZScalar(data []float64, st step, kernel func(s, scratch []flo
 func forwardEven(s []float64) {
 	n := len(s)
 	for i := 1; i < n-2; i += 2 {
-		s[i] += alpha * (s[i-1] + s[i+1])
+		s[i] += float64(alpha * (s[i-1] + s[i+1]))
 	}
-	s[n-1] += 2 * alpha * s[n-2]
+	s[n-1] += float64(2 * alpha * s[n-2])
 
-	s[0] += 2 * beta * s[1]
+	s[0] += float64(2 * beta * s[1])
 	for i := 2; i < n; i += 2 {
-		s[i] += beta * (s[i+1] + s[i-1])
+		s[i] += float64(beta * (s[i+1] + s[i-1]))
 	}
 
 	for i := 1; i < n-2; i += 2 {
-		s[i] += gamma * (s[i-1] + s[i+1])
+		s[i] += float64(gamma * (s[i-1] + s[i+1]))
 	}
-	s[n-1] += 2 * gamma * s[n-2]
+	s[n-1] += float64(2 * gamma * s[n-2])
 
-	s[0] = epsilon * (s[0] + 2*delta*s[1])
+	s[0] = epsilon * (s[0] + float64(2*delta*s[1]))
 	for i := 2; i < n; i += 2 {
-		s[i] = epsilon * (s[i] + delta*(s[i+1]+s[i-1]))
+		s[i] = epsilon * (s[i] + float64(delta*(s[i+1]+s[i-1])))
 	}
 
 	for i := 1; i < n; i += 2 {
@@ -112,25 +112,25 @@ func inverseEven(s []float64) {
 		s[i] *= -epsilon
 	}
 
-	s[0] = s[0]/epsilon - 2*delta*s[1]
+	s[0] = s[0]/epsilon - float64(2*delta*s[1])
 	for i := 2; i < n; i += 2 {
-		s[i] = s[i]/epsilon - delta*(s[i+1]+s[i-1])
+		s[i] = s[i]/epsilon - float64(delta*(s[i+1]+s[i-1]))
 	}
 
 	for i := 1; i < n-2; i += 2 {
-		s[i] -= gamma * (s[i-1] + s[i+1])
+		s[i] -= float64(gamma * (s[i-1] + s[i+1]))
 	}
-	s[n-1] -= 2 * gamma * s[n-2]
+	s[n-1] -= float64(2 * gamma * s[n-2])
 
-	s[0] -= 2 * beta * s[1]
+	s[0] -= float64(2 * beta * s[1])
 	for i := 2; i < n; i += 2 {
-		s[i] -= beta * (s[i+1] + s[i-1])
+		s[i] -= float64(beta * (s[i+1] + s[i-1]))
 	}
 
 	for i := 1; i < n-2; i += 2 {
-		s[i] -= alpha * (s[i-1] + s[i+1])
+		s[i] -= float64(alpha * (s[i-1] + s[i+1]))
 	}
-	s[n-1] -= 2 * alpha * s[n-2]
+	s[n-1] -= float64(2 * alpha * s[n-2])
 }
 
 // forwardOdd runs the analysis lifting on an odd-length signal. Both
@@ -138,24 +138,24 @@ func inverseEven(s []float64) {
 func forwardOdd(s []float64) {
 	n := len(s)
 	for i := 1; i < n-1; i += 2 {
-		s[i] += alpha * (s[i-1] + s[i+1])
+		s[i] += float64(alpha * (s[i-1] + s[i+1]))
 	}
 
-	s[0] += 2 * beta * s[1]
+	s[0] += float64(2 * beta * s[1])
 	for i := 2; i < n-2; i += 2 {
-		s[i] += beta * (s[i+1] + s[i-1])
+		s[i] += float64(beta * (s[i+1] + s[i-1]))
 	}
-	s[n-1] += 2 * beta * s[n-2]
+	s[n-1] += float64(2 * beta * s[n-2])
 
 	for i := 1; i < n-1; i += 2 {
-		s[i] += gamma * (s[i-1] + s[i+1])
+		s[i] += float64(gamma * (s[i-1] + s[i+1]))
 	}
 
-	s[0] = epsilon * (s[0] + 2*delta*s[1])
+	s[0] = epsilon * (s[0] + float64(2*delta*s[1]))
 	for i := 2; i < n-2; i += 2 {
-		s[i] = epsilon * (s[i] + delta*(s[i+1]+s[i-1]))
+		s[i] = epsilon * (s[i] + float64(delta*(s[i+1]+s[i-1])))
 	}
-	s[n-1] = epsilon * (s[n-1] + 2*delta*s[n-2])
+	s[n-1] = epsilon * (s[n-1] + float64(2*delta*s[n-2]))
 
 	for i := 1; i < n-1; i += 2 {
 		s[i] /= -epsilon
@@ -169,24 +169,24 @@ func inverseOdd(s []float64) {
 		s[i] *= -epsilon
 	}
 
-	s[0] = s[0]/epsilon - 2*delta*s[1]
+	s[0] = s[0]/epsilon - float64(2*delta*s[1])
 	for i := 2; i < n-2; i += 2 {
-		s[i] = s[i]/epsilon - delta*(s[i+1]+s[i-1])
+		s[i] = s[i]/epsilon - float64(delta*(s[i+1]+s[i-1]))
 	}
-	s[n-1] = s[n-1]/epsilon - 2*delta*s[n-2]
+	s[n-1] = s[n-1]/epsilon - float64(2*delta*s[n-2])
 
 	for i := 1; i < n-1; i += 2 {
-		s[i] -= gamma * (s[i-1] + s[i+1])
+		s[i] -= float64(gamma * (s[i-1] + s[i+1]))
 	}
 
-	s[0] -= 2 * beta * s[1]
+	s[0] -= float64(2 * beta * s[1])
 	for i := 2; i < n-2; i += 2 {
-		s[i] -= beta * (s[i+1] + s[i-1])
+		s[i] -= float64(beta * (s[i+1] + s[i-1]))
 	}
-	s[n-1] -= 2 * beta * s[n-2]
+	s[n-1] -= float64(2 * beta * s[n-2])
 
 	for i := 1; i < n-1; i += 2 {
-		s[i] -= alpha * (s[i-1] + s[i+1])
+		s[i] -= float64(alpha * (s[i-1] + s[i+1]))
 	}
 }
 

@@ -215,3 +215,60 @@ func TestSalvageAttributesByPosition(t *testing.T) {
 		ownBox("Repair", rdata, rrep)
 	}
 }
+
+// TestSalvageLostRangesInOrder: a payload flip in frame 1 plus a flip of the
+// tail magic removes both the index and its tail anchor, so the resync scan
+// reports the damage as scan gaps and unplaced frames together. The damage
+// map must read in file order, merged, through DecompressSalvage and Audit
+// alike, and no lost range may cover a frame reported recovered.
+func TestSalvageLostRangesInOrder(t *testing.T) {
+	dims := [3]int{64, 16, 16}
+	stream, _, err := CompressPWE(demoField(dims[0], dims[1], dims[2], 5), dims, 1e-2,
+		&Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := frameRanges(t, stream)
+	if len(frames) != 4 {
+		t.Fatalf("fixture has %d frames, want 4", len(frames))
+	}
+	mut := bytes.Clone(stream)
+	mut[(frames[1][0]+frames[1][1])/2] ^= 0x01
+	mut[len(mut)-1] ^= 0x80
+
+	_, _, rep, err := DecompressSalvage(mut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arep, err := Audit(mut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		what string
+		rep  *SalvageReport
+	}{{"DecompressSalvage", rep}, {"Audit", arep}} {
+		lr := r.rep.LostRanges
+		if r.rep.IndexIntact || len(lr) == 0 {
+			t.Fatalf("%s: index intact %v, lost ranges %v", r.what, r.rep.IndexIntact, lr)
+		}
+		for i, g := range lr {
+			if g[0] >= g[1] || i > 0 && g[0] <= lr[i-1][1] {
+				t.Fatalf("%s: lost ranges %v not sorted, merged and non-empty", r.what, lr)
+			}
+		}
+		for _, c := range r.rep.Chunks {
+			if !c.Recovered {
+				continue
+			}
+			for _, g := range lr {
+				if c.Offset < g[1] && g[0] < c.Offset+int64(c.Length)+8 {
+					t.Fatalf("%s: lost range %v covers recovered chunk %d's frame at %d", r.what, g, c.Index, c.Offset)
+				}
+			}
+		}
+	}
+	if got := rep.SkippedIndices(); len(got) == 0 || got[0] != 1 {
+		t.Fatalf("skipped %v, want chunk 1 first", got)
+	}
+}

@@ -1,8 +1,9 @@
-// Package smoke is what the process-level smoke harnesses (servesmoke,
-// clustersmoke, chaossmoke) share: forking sperrd peers on reserved
-// localhost ports, waiting for them to answer, and the handful of HTTP
-// calls every scenario makes — ingest, region read, metrics scrape. The
-// scenarios and their assertions stay in each harness's main.go.
+// Package smoke holds the process plumbing of the servesmoke harness:
+// building and forking sperrd peers on reserved localhost ports, waiting
+// for them to answer, draining them, and the HTTP calls the scenario makes
+// (ingest, reads, metrics scrape). The scenario and its assertions stay in
+// scripts/servesmoke; what needs no real process is tested in-process in
+// internal/server.
 package smoke
 
 import (
@@ -20,12 +21,10 @@ import (
 
 // Node is one forked sperrd peer.
 type Node struct {
-	ID       string
-	Addr     string
-	URL      string
-	StoreDir string
-	Cmd      *exec.Cmd
-	Done     chan error // receives Cmd.Wait's result, once
+	ID   string
+	URL  string
+	Cmd  *exec.Cmd
+	Done chan error // receives Cmd.Wait's result, once
 }
 
 // BuildDaemon compiles cmd/sperrd to bin, which the harness then forks.
@@ -44,41 +43,26 @@ func BuildDaemon(bin string) error {
 // acceptable in a smoke harness.
 func ReservePorts(n int) ([]string, error) {
 	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		lns[i] = ln
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
 	}
 	return addrs, nil
 }
 
-// StartNode forks one cluster peer with the flags every harness uses;
-// extra carries what differs between them (replication, scrubbing).
-// The caller owns the process: kill or Drain it.
-func StartNode(bin, id, addr, storeDir, peers string, extra ...string) (*Node, error) {
-	args := append([]string{
-		"-addr", addr,
-		"-store-dir", storeDir,
-		"-node-id", id,
-		"-peers", peers,
-		"-peer-timeout", "2s",
-		"-budget-mb", "64",
-		"-quiet",
-	}, extra...)
-	cmd := exec.Command(bin, args...)
+// StartNode forks bin listening on addr with the given flags. The caller
+// owns the process: kill or Drain it.
+func StartNode(bin, id, addr string, flags ...string) (*Node, error) {
+	cmd := exec.Command(bin, append([]string{"-addr", addr}, flags...)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("start %s: %w", id, err)
 	}
-	n := &Node{ID: id, Addr: addr, URL: "http://" + addr, StoreDir: storeDir,
-		Cmd: cmd, Done: make(chan error, 1)}
+	n := &Node{ID: id, URL: "http://" + addr, Cmd: cmd, Done: make(chan error, 1)}
 	go func() { n.Done <- cmd.Wait() }()
 	return n, nil
 }
@@ -93,12 +77,8 @@ func WaitHealthy(n *Node) error {
 			return fmt.Errorf("%s exited before healthy: %v", n.ID, err)
 		default:
 		}
-		res, err := http.Get(n.URL + "/healthz")
-		if err == nil {
-			res.Body.Close()
-			if res.StatusCode == 200 {
-				return nil
-			}
+		if _, err := Do("GET", n.URL+"/healthz", nil); err == nil {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%s never became healthy", n.ID)
@@ -123,40 +103,21 @@ func Drain(n *Node) error {
 	}
 }
 
-// Ingest PUTs a container into the volume store behind base and returns
-// its content address.
-func Ingest(base string, container []byte) (string, error) {
-	req, err := http.NewRequest("PUT", base+"/v1/volumes", bytes.NewReader(container))
+// Reply is a 2xx answer, read in full.
+type Reply struct {
+	Body   []byte
+	Header http.Header
+	Status string // X-Sperr-Status, trailer or header; "" when absent
+}
+
+// Do makes one request. A status outside 2xx, or an X-Sperr-Status other
+// than "ok" (a degraded or failed stream), is an error.
+func Do(method, url string, body []byte) (*Reply, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer res.Body.Close()
-	out, _ := io.ReadAll(res.Body)
-	if res.StatusCode != 201 && res.StatusCode != 200 {
-		return "", fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	id := res.Header.Get("X-Sperr-Volume-Id")
-	if id == "" {
-		return "", fmt.Errorf("missing X-Sperr-Volume-Id header")
-	}
-	return id, nil
-}
-
-// Region is a 200 answer to a region read.
-type Region struct {
-	Body   []byte
-	Status string // X-Sperr-Status, trailer or header: "ok" or "degraded: ..."
-	Node   string // X-Sperr-Node, the coordinator that answered
-	Cache  string // X-Sperr-Cache, the single-node store's hit/miss outcome
-}
-
-// GetRegion fetches a region URL; any status but 200 is an error.
-func GetRegion(url string) (*Region, error) {
-	res, err := http.Get(url)
 	if err != nil {
 		return nil, err
 	}
@@ -165,48 +126,49 @@ func GetRegion(url string) (*Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.StatusCode != 200 {
-		return nil, fmt.Errorf("status %d: %s", res.StatusCode, out)
+	if res.StatusCode/100 != 2 {
+		return nil, fmt.Errorf("%s %s: status %d: %s", method, url, res.StatusCode, out)
 	}
 	status := res.Trailer.Get("X-Sperr-Status")
 	if status == "" {
 		status = res.Header.Get("X-Sperr-Status")
 	}
-	return &Region{Body: out, Status: status,
-		Node: res.Header.Get("X-Sperr-Node"), Cache: res.Header.Get("X-Sperr-Cache")}, nil
+	if status != "" && status != "ok" {
+		return nil, fmt.Errorf("%s %s: X-Sperr-Status %q", method, url, status)
+	}
+	return &Reply{Body: out, Header: res.Header, Status: status}, nil
 }
 
-// Scrape returns the text of base's /metrics.
-func Scrape(base string) (string, error) {
-	res, err := http.Get(base + "/metrics")
+// Ingest PUTs a container into the volume store behind base and returns
+// its content address.
+func Ingest(base string, container []byte) (string, error) {
+	r, err := Do("PUT", base+"/v1/volumes", container)
 	if err != nil {
 		return "", err
 	}
-	defer res.Body.Close()
-	text, err := io.ReadAll(res.Body)
-	return string(text), err
+	id := r.Header.Get("X-Sperr-Volume-Id")
+	if id == "" {
+		return "", fmt.Errorf("ingest: missing X-Sperr-Volume-Id header")
+	}
+	return id, nil
 }
 
-// LookupMetric extracts one series' value from scraped metrics text; a
-// series that is absent or does not parse is an error, so a renamed
-// counter is not mistaken for one that stayed at zero.
-func LookupMetric(metrics, name string) (float64, error) {
-	for _, line := range strings.Split(metrics, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
+// Metric scrapes base's /metrics and returns one series' value; a series
+// that is absent or does not parse is an error, so a renamed counter is
+// not mistaken for one that stayed at zero.
+func Metric(base, name string) (float64, error) {
+	r, err := Do("GET", base+"/metrics", nil)
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(r.Body), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
 			var v float64
-			if _, err := fmt.Sscanf(fields[1], "%g", &v); err != nil {
-				return 0, fmt.Errorf("metric %s: bad value %q", name, fields[1])
+			if _, err := fmt.Sscanf(f[1], "%g", &v); err != nil {
+				return 0, fmt.Errorf("metric %s: bad value %q", name, f[1])
 			}
 			return v, nil
 		}
 	}
 	return 0, fmt.Errorf("metric %s not found in /metrics", name)
-}
-
-// MetricValue is LookupMetric for counters a daemon only exports once
-// they have moved: zero when absent.
-func MetricValue(metrics, name string) float64 {
-	v, _ := LookupMetric(metrics, name)
-	return v
 }

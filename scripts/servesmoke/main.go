@@ -1,44 +1,58 @@
-// Command servesmoke is the `make serve-smoke` harness: it builds the
-// sperrd binary, starts it on a kernel-assigned localhost port, round
-// trips a small volume over HTTP (compress -> decompress, PWE bound
-// verified), ingests the container into the content-addressed store and
-// reads a region through the decoded cache twice (second read must be a
-// hit with the chunk-decode counter flat), decompresses a copy with one
-// payload byte flipped under salvage=1 (chunk 1 alone must be lost),
-// checks /metrics and /healthz,
-// then sends SIGTERM and requires a clean graceful-shutdown exit. Exit
-// status 0 means the daemon serves, caches, measures, and drains.
+// Command servesmoke is the `make serve-smoke` harness, the one check that
+// forks real sperrd processes. It builds the binary and boots a three-peer
+// cluster with two replicas per chunk, then checks what only a real
+// process shows:
+//
+//  1. the flags: every peer boots from its command line and answers
+//     /healthz;
+//  2. one HTTP compress -> decompress round trip within tol;
+//  3. the golden v3 fixture, ingested once, reads back in full through
+//     every coordinator with an "ok" trailer and the bytes of
+//     sperr.DecompressRegion;
+//  4. SIGKILL of the primary owner of chunk 0 with four reads in flight
+//     through another peer: every read, during and after the kill, is 200,
+//     "ok" and bit-identical, sperrd_replica_failover_chunks_total records
+//     the reroute and sperrd_cluster_degraded_total stays 0;
+//  5. SIGTERM: each survivor drains and exits 0.
+//
+// Degradation, scrub healing and the single-node surfaces (salvage,
+// caching, describe, metrics) are tested in-process in internal/server.
+// Exit status 0 means the daemon boots, serves, fails over and drains.
 package main
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
+	"sync"
 	"time"
 
+	"sperr"
+	"sperr/internal/cluster"
+	"sperr/internal/rawio"
 	"sperr/scripts/internal/smoke"
 )
 
 const (
 	dimX, dimY, dimZ = 48, 33, 17
 	tol              = 1e-4
+	replicas         = 2
+	golden           = "testdata/golden_adaptive_48x32x32_v3.sperr"
 )
 
+var nodeIDs = []string{"node-a", "node-b", "node-c"}
+
 func main() {
+	start := time.Now()
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "serve-smoke: FAIL: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("serve-smoke: OK")
+	fmt.Printf("serve-smoke: OK in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 func run() error {
@@ -48,284 +62,185 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 	bin := filepath.Join(tmp, "sperrd")
-
 	fmt.Println("serve-smoke: building sperrd")
 	if err := smoke.BuildDaemon(bin); err != nil {
 		return err
 	}
 
-	addrFile := filepath.Join(tmp, "addr")
-	daemon := exec.Command(bin,
-		"-addr", "127.0.0.1:0",
-		"-addr-file", addrFile,
-		"-budget-mb", "64",
-		"-chunk", "16,16,16",
-		"-store-dir", filepath.Join(tmp, "store"),
-		"-cache-mb", "8",
-		"-quiet")
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		return fmt.Errorf("start sperrd: %w", err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- daemon.Wait() }()
-	defer daemon.Process.Kill()
-
-	addr, err := waitAddr(addrFile, exited)
+	// 1. Boot the cluster; the roster must be known before any peer boots.
+	addrs, err := smoke.ReservePorts(len(nodeIDs))
 	if err != nil {
 		return err
 	}
-	base := "http://" + addr
-	fmt.Println("serve-smoke: daemon up at", base)
+	roster := make([]string, len(nodeIDs))
+	for i, id := range nodeIDs {
+		roster[i] = id + "=http://" + addrs[i]
+	}
+	nodes := make([]*smoke.Node, len(nodeIDs))
+	for i, id := range nodeIDs {
+		n, err := smoke.StartNode(bin, id, addrs[i],
+			"-store-dir", filepath.Join(tmp, "store-"+id),
+			"-node-id", id,
+			"-peers", strings.Join(roster, ","),
+			"-replicas", fmt.Sprint(replicas),
+			"-peer-timeout", "2s",
+			"-chunk", "16,16,16",
+			"-budget-mb", "64",
+			"-cache-mb", "8",
+			"-quiet")
+		if err != nil {
+			return err
+		}
+		nodes[i] = n
+		defer n.Cmd.Process.Kill()
+	}
+	for _, n := range nodes {
+		if err := smoke.WaitHealthy(n); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("serve-smoke: %d peers up, %d replicas per chunk\n", len(nodes), replicas)
 
-	if err := get(base+"/healthz", "ok"); err != nil {
-		return fmt.Errorf("healthz: %w", err)
+	// 2. One compress -> decompress round trip within tol.
+	if err := roundTrip(nodes[0].URL); err != nil {
+		return err
 	}
 
-	// Round trip a synthetic volume.
-	data := makeField()
-	raw := make([]byte, len(data)*8)
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-	}
-	curl := fmt.Sprintf("%s/v1/compress?dims=%d,%d,%d&tol=%g", base, dimX, dimY, dimZ, tol)
-	stream, err := post(curl, raw)
+	// 3. Ingest the golden once; read it in full through every coordinator.
+	container, err := os.ReadFile(golden)
 	if err != nil {
-		return fmt.Errorf("compress: %w", err)
+		return err
 	}
-	if len(stream) == 0 || len(stream) >= len(raw) {
-		return fmt.Errorf("compress returned %d bytes for %d input bytes", len(stream), len(raw))
-	}
-	fmt.Printf("serve-smoke: compressed %d -> %d bytes (%.1fx)\n",
-		len(raw), len(stream), float64(len(raw))/float64(len(stream)))
-
-	recon, err := post(base+"/v1/decompress", stream)
+	info, err := sperr.Describe(container)
 	if err != nil {
-		return fmt.Errorf("decompress: %w", err)
+		return err
 	}
-	if len(recon) != len(raw) {
-		return fmt.Errorf("decompress returned %d bytes, want %d", len(recon), len(raw))
+	want, err := sperr.DecompressRegion(container, [3]int{}, info.Dims)
+	if err != nil {
+		return err
+	}
+	wantRaw, err := rawio.EncodeFloats(want, 8)
+	if err != nil {
+		return err
+	}
+	id, err := smoke.Ingest(nodes[0].URL, container)
+	if err != nil {
+		return err
+	}
+	read := func(n *smoke.Node) error {
+		url := fmt.Sprintf("%s/v1/volumes/%s/region?region=0,0,0,%d,%d,%d",
+			n.URL, id, info.Dims[0], info.Dims[1], info.Dims[2])
+		r, err := smoke.Do("GET", url, nil)
+		switch {
+		case err != nil:
+			return fmt.Errorf("read via %s: %w", n.ID, err)
+		case r.Status != "ok":
+			return fmt.Errorf("read via %s: no ok trailer", n.ID)
+		case !bytes.Equal(r.Body, wantRaw):
+			return fmt.Errorf("read via %s: bytes differ from sperr.DecompressRegion", n.ID)
+		}
+		return nil
+	}
+	for _, n := range nodes {
+		if err := read(n); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("serve-smoke: %s (%d chunks) reads bit-identical through all %d coordinators\n",
+		filepath.Base(golden), info.NumChunks, len(nodes))
+
+	// 4. SIGKILL the primary of chunk 0 with four reads in flight through
+	// another peer; placement is a pure function of roster and address.
+	ring, err := cluster.NewRing(nodeIDs)
+	if err != nil {
+		return err
+	}
+	primary := ring.Owners(cluster.ChunkKey(id, 0), replicas)[0]
+	victim := 0
+	for nodes[victim].ID != primary {
+		victim++
+	}
+	coord := nodes[(victim+1)%len(nodes)]
+	t0 := time.Now()
+	var wg sync.WaitGroup
+	errs := make(chan error, 5)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs <- read(coord) }()
+	}
+	time.Sleep(10 * time.Millisecond)
+	if err := nodes[victim].Cmd.Process.Kill(); err != nil {
+		return fmt.Errorf("kill %s: %w", primary, err)
+	}
+	<-nodes[victim].Done
+	wg.Wait()
+	errs <- read(coord)
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			return fmt.Errorf("after SIGKILL of %s: %w", primary, err)
+		}
+	}
+	failover, err := smoke.Metric(coord.URL, "sperrd_replica_failover_chunks_total")
+	if err != nil {
+		return err
+	}
+	degraded, err := smoke.Metric(coord.URL, "sperrd_cluster_degraded_total")
+	if err != nil {
+		return err
+	}
+	if failover < 1 || degraded != 0 {
+		return fmt.Errorf("%s: %g chunks failed over (want >= 1), %g reads degraded (want 0)",
+			coord.ID, failover, degraded)
+	}
+	fmt.Printf("serve-smoke: SIGKILL %s mid-read: 5 reads via %s ok and bit-identical, %g chunks failed over, in %v\n",
+		primary, coord.ID, failover, time.Since(t0).Round(time.Millisecond))
+
+	// 5. The survivors drain on SIGTERM and exit 0.
+	for i, n := range nodes {
+		if i == victim {
+			continue
+		}
+		if err := smoke.Drain(n); err != nil {
+			return err
+		}
+	}
+	fmt.Println("serve-smoke: survivors drained, exit 0")
+	return nil
+}
+
+// roundTrip compresses a smooth field over HTTP, decompresses the stream
+// and requires every sample within tol.
+func roundTrip(base string) error {
+	raw := make([]byte, dimX*dimY*dimZ*8)
+	data := make([]float64, dimX*dimY*dimZ)
+	for i := range data {
+		x, y, z := i%dimX, i/dimX%dimY, i/(dimX*dimY)
+		data[i] = math.Sin(0.17*float64(x)) * math.Cos(0.13*float64(y)) * (1 + 0.2*math.Sin(0.11*float64(z)))
+		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(data[i]))
+	}
+	stream, err := smoke.Do("POST", fmt.Sprintf("%s/v1/compress?dims=%d,%d,%d&tol=%g", base, dimX, dimY, dimZ, tol), raw)
+	if err != nil {
+		return err
+	}
+	if len(stream.Body) == 0 || len(stream.Body) >= len(raw) {
+		return fmt.Errorf("compress returned %d bytes for %d input bytes", len(stream.Body), len(raw))
+	}
+	recon, err := smoke.Do("POST", base+"/v1/decompress", stream.Body)
+	if err != nil {
+		return err
+	}
+	if len(recon.Body) != len(raw) {
+		return fmt.Errorf("decompress returned %d bytes, want %d", len(recon.Body), len(raw))
 	}
 	worst := 0.0
-	for i := range data {
-		got := math.Float64frombits(binary.LittleEndian.Uint64(recon[i*8:]))
-		if d := math.Abs(got - data[i]); d > worst {
-			worst = d
-		}
+	for i, v := range data {
+		worst = math.Max(worst, math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(recon.Body[i*8:]))-v))
 	}
-	if worst > tol*(1+1e-9) {
-		return fmt.Errorf("PWE bound violated over HTTP: max err %g > tol %g", worst, tol)
+	if !(worst <= tol) { // a NaN sample fails too
+		return fmt.Errorf("round trip: max point-wise error %g > tol %g", worst, tol)
 	}
-	fmt.Printf("serve-smoke: round trip ok, max point-wise error %.3g (tol %g)\n", worst, tol)
-
-	// Describe must answer JSON mentioning the geometry.
-	desc, err := post(fmt.Sprintf("%s/v1/describe", base), stream)
-	if err != nil {
-		return fmt.Errorf("describe: %w", err)
-	}
-	if !bytes.Contains(desc, []byte(`"Mode": "pwe"`)) {
-		return fmt.Errorf("describe response missing mode: %s", desc)
-	}
-	if err := salvage(base, stream, desc, recon); err != nil {
-		return fmt.Errorf("salvage: %w", err)
-	}
-
-	// Content-addressed serving: ingest the container, then read the same
-	// region twice. The first read decodes and warms the cache; the repeat
-	// must be a full hit that moves no decode work.
-	id, err := smoke.Ingest(base, stream)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	fmt.Println("serve-smoke: ingested volume", id[:12])
-	regionURL := fmt.Sprintf("%s/v1/volumes/%s/region?region=4,3,2,24,16,8", base, id)
-	cold, err := smoke.GetRegion(regionURL)
-	if err != nil {
-		return fmt.Errorf("cold region: %w", err)
-	}
-	decodesAfterCold, err := metricValue(base, "sperrd_store_chunk_decodes_total")
-	if err != nil {
-		return err
-	}
-	warm, err := smoke.GetRegion(regionURL)
-	if err != nil {
-		return fmt.Errorf("warm region: %w", err)
-	}
-	decodesAfterWarm, err := metricValue(base, "sperrd_store_chunk_decodes_total")
-	if err != nil {
-		return err
-	}
-	if warm.Cache != "hit" {
-		return fmt.Errorf("repeat region read was %q, want hit (first was %q)", warm.Cache, cold.Cache)
-	}
-	if decodesAfterWarm != decodesAfterCold {
-		return fmt.Errorf("chunk decode counter moved %g -> %g across a cache hit",
-			decodesAfterCold, decodesAfterWarm)
-	}
-	if !bytes.Equal(cold.Body, warm.Body) {
-		return fmt.Errorf("cached region bytes differ from the decoded read")
-	}
-	if decodesAfterCold == 0 {
-		return fmt.Errorf("cold region read decoded nothing")
-	}
-	hits, err := metricValue(base, "sperrd_cache_hits_total")
-	if err != nil {
-		return err
-	}
-	if hits == 0 {
-		return fmt.Errorf("sperrd_cache_hits_total stayed zero after a hit")
-	}
-	fmt.Printf("serve-smoke: cached region ok (%s then %s, %g decodes, %g slab hits)\n",
-		cold.Cache, warm.Cache, decodesAfterCold, hits)
-
-	// Metrics must be non-empty and carry the request counters.
-	mt, err := smoke.Scrape(base)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	if !strings.Contains(mt, "sperrd_requests_total") ||
-		!strings.Contains(mt, "sperrd_admission_inuse_samples") ||
-		!strings.Contains(mt, "sperrd_cache_resident_samples") {
-		return fmt.Errorf("/metrics missing expected series:\n%s", mt)
-	}
-	fmt.Printf("serve-smoke: /metrics ok (%d bytes)\n", len(mt))
-
-	// Graceful shutdown: SIGTERM must drain and exit zero.
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("signal: %w", err)
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		return fmt.Errorf("daemon did not exit within 15s of SIGTERM")
-	}
-	fmt.Println("serve-smoke: graceful shutdown ok")
+	fmt.Printf("serve-smoke: round trip %d -> %d bytes, max point-wise error %.3g (tol %g)\n",
+		len(raw), len(stream.Body), worst, tol)
 	return nil
-}
-
-// salvage flips one byte in the middle of frame 1's payload and requires
-// /v1/decompress?salvage=1 to answer 200 with the full extent, the
-// trailer "degraded: skipped 1", NaN over chunk 1's box and the intact
-// decode's bytes everywhere else. desc is the container's /v1/describe
-// answer, recon its intact decode.
-func salvage(base string, stream, desc, recon []byte) error {
-	var info struct {
-		FrameBytes []int
-		Chunks     []struct{ Origin, Dims [3]int }
-	}
-	if err := json.Unmarshal(desc, &info); err != nil || len(info.FrameBytes) < 2 {
-		return fmt.Errorf("describe: %d frames, err %v", len(info.FrameBytes), err)
-	}
-	// Frames follow the 36-byte fixed header: length prefix, payload, CRC.
-	mut := bytes.Clone(stream)
-	mut[36+4+info.FrameBytes[0]+4+4+info.FrameBytes[1]/2] ^= 0x10
-	res, err := http.Post(base+"/v1/decompress?salvage=1", "application/octet-stream", bytes.NewReader(mut))
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	out, err := io.ReadAll(res.Body)
-	if err != nil {
-		return err
-	}
-	if res.StatusCode != 200 {
-		return fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	if ts := res.Trailer.Get("X-Sperr-Status"); ts != "degraded: skipped 1" {
-		return fmt.Errorf("trailer %q, want %q", ts, "degraded: skipped 1")
-	}
-	if len(out) != len(recon) {
-		return fmt.Errorf("degraded body has %d bytes, want the full %d", len(out), len(recon))
-	}
-	o, d := info.Chunks[1].Origin, info.Chunks[1].Dims
-	for i := 0; i < len(out)/8; i++ {
-		x, y, z := i%dimX, i/dimX%dimY, i/(dimX*dimY)
-		lost := x >= o[0] && x < o[0]+d[0] && y >= o[1] && y < o[1]+d[1] && z >= o[2] && z < o[2]+d[2]
-		got := out[i*8 : i*8+8]
-		if lost && !math.IsNaN(math.Float64frombits(binary.LittleEndian.Uint64(got))) ||
-			!lost && !bytes.Equal(got, recon[i*8:i*8+8]) {
-			return fmt.Errorf("sample (%d,%d,%d) = %x, lost chunk %v", x, y, z, got, lost)
-		}
-	}
-	fmt.Println("serve-smoke: salvage=1 ok (degraded: skipped 1, full extent)")
-	return nil
-}
-
-func makeField() []float64 {
-	data := make([]float64, dimX*dimY*dimZ)
-	for z := 0; z < dimZ; z++ {
-		for y := 0; y < dimY; y++ {
-			for x := 0; x < dimX; x++ {
-				data[(z*dimY+y)*dimX+x] = math.Sin(0.17*float64(x)) *
-					math.Cos(0.13*float64(y)) * (1 + 0.2*math.Sin(0.11*float64(z)))
-			}
-		}
-	}
-	return data
-}
-
-func waitAddr(path string, exited <-chan error) (string, error) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case err := <-exited:
-			return "", fmt.Errorf("daemon exited before listening: %v", err)
-		default:
-		}
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return strings.TrimSpace(string(b)), nil
-		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("daemon never wrote its address file")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func get(url, want string) error {
-	res, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	out, _ := io.ReadAll(res.Body)
-	if res.StatusCode != 200 {
-		return fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	if want != "" && !strings.Contains(string(out), want) {
-		return fmt.Errorf("body %q missing %q", out, want)
-	}
-	return nil
-}
-
-// metricValue scrapes one series from /metrics; an absent or unparsable
-// series is an error.
-func metricValue(base, name string) (float64, error) {
-	text, err := smoke.Scrape(base)
-	if err != nil {
-		return 0, err
-	}
-	return smoke.LookupMetric(text, name)
-}
-
-func post(url string, body []byte) ([]byte, error) {
-	res, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	out, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode != 200 {
-		return nil, fmt.Errorf("status %d: %s", res.StatusCode, out)
-	}
-	if ts := res.Trailer.Get("X-Sperr-Status"); ts != "" && ts != "ok" {
-		return nil, fmt.Errorf("stream trailer: %s", ts)
-	}
-	return out, nil
 }
