@@ -189,7 +189,10 @@ func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, l
 
 // assignFrames maps scanned frames to chunk indices. A frame is
 // attributed only where its position is certain:
-//   - frames contiguous from the fixed header are chunks 0, 1, ...;
+//   - frames contiguous from the fixed header are chunks 0, 1, ...; a
+//     frame that fails verification does not break that chain when its
+//     length prefix spans exactly to the next verified frame, which then
+//     is the chunk after it;
 //   - when the tail locates the footer (indexOff > 0), frames contiguous
 //     back from it are chunks n-1, n-2, ...;
 //   - any other frame lies between two attributed ones, and is attributed
@@ -199,7 +202,7 @@ func scanFrames(stream []byte, l layout, maxFrame int) (frames []scannedFrame, l
 // of an equal-sized chunk one slot early. A frame no rule places, or whose
 // recorded count contradicts its place, is counted lost, and its chunk
 // keeps "missing frame".
-func assignFrames(frames []scannedFrame, chunks []grid.Chunk, indexOff int64, rep *SalvageReport) [][]byte {
+func assignFrames(stream []byte, frames []scannedFrame, chunks []grid.Chunk, indexOff int64, rep *SalvageReport) [][]byte {
 	n := len(chunks)
 	end := func(f int) int64 { return frames[f].off + frameOverhead + int64(len(frames[f].payload)) }
 	fits := func(f, c int) bool { p := frames[f].points; return p == 0 || p == chunks[c].Dims.Len() }
@@ -207,20 +210,34 @@ func assignFrames(frames []scannedFrame, chunks []grid.Chunk, indexOff int64, re
 	for f := range owner {
 		owner[f] = -1
 	}
-	head := 0
-	for at := int64(fixedHeaderSize); head < len(frames) && head < n && frames[head].off == at && fits(head, head); head++ {
-		owner[head], at = head, end(head)
+	// The front chain places frames[:head] and decides chunks[:next]; at
+	// is where chunk next's frame starts.
+	head, next := 0, 0
+	for at := int64(fixedHeaderSize); head < len(frames) && next < n; next++ {
+		if f := frames[head].off; f != at {
+			// Chunk next's frame is damaged; its prefix may still bridge it.
+			if at+frameOverhead > f || at+frameOverhead+int64(binary.LittleEndian.Uint32(stream[at:])) != f {
+				break
+			}
+			at = f
+			continue
+		}
+		if !fits(head, next) {
+			break
+		}
+		owner[head], at = next, end(head)
+		head++
 	}
 	if indexOff > 0 {
 		f := len(frames) - 1
 		for f >= head && frames[f].off >= indexOff {
 			f--
 		}
-		for c, at := n-1, indexOff; f >= head && c >= head && end(f) == at && fits(f, c); f, c = f-1, c-1 {
+		for c, at := n-1, indexOff; f >= head && c >= next && end(f) == at && fits(f, c); f, c = f-1, c-1 {
 			owner[f], at = c, frames[f].off
 		}
 	}
-	lo := head - 1
+	lo := next - 1
 	for f := head; f < len(frames); f++ {
 		if owner[f] >= 0 {
 			lo = owner[f]
@@ -306,7 +323,7 @@ func locateFrames(stream []byte, l layout, chunks []grid.Chunk, rep *SalvageRepo
 	if off, err := locateIndex(stream, l); err == nil && len(stream)-int(off) == l.indexSize(len(chunks)) {
 		indexOff = int64(off)
 	}
-	return assignFrames(frames, chunks, indexOff, rep), aggregates{}
+	return assignFrames(stream, frames, chunks, indexOff, rep), aggregates{}
 }
 
 // mergeRanges sorts byte ranges by start and folds overlapping or touching

@@ -2,7 +2,8 @@
 // SPERR container streams: every frame-boundary truncation plus a
 // stratified sweep of single-byte flips and zeroed runs across the fixed
 // header, each frame body, and the index footer, and two-site flips that
-// damage an interior frame and the index body at once. The campaign is
+// damage an interior frame and the index body, or an interior frame and
+// the footer's tail, at once. The campaign is
 // pure — no randomness, no clock — so a mutant that fails reproduces
 // forever, and each mutant carries the ground truth the salvage tests
 // assert against: which chunks' frames the mutation left byte-identical
@@ -177,6 +178,24 @@ func Campaign(stream []byte) ([]Mutant, error) {
 			data[fo] ^= 0x80
 			add(Mutant{
 				Name:   fmt.Sprintf("flip@%d&01+flip@%d&80", mid, fo),
+				Region: "frame+footer",
+				Data:   data,
+			})
+		}
+	}
+
+	// Two-site mutants that lose the tail instead: the same payload flip
+	// plus a flip of the tail's index offset or of its magic. Neither the
+	// index nor its anchor is left, so only the lost frame's surviving
+	// length prefix can place the frames after it.
+	for i := 1; i+1 < len(l.frames); i++ {
+		mid := (l.frames[i][0] + l.frames[i][1]) / 2
+		for _, to := range []int{l.size - 16, l.size - 4} {
+			data := bytes.Clone(stream)
+			data[mid] ^= 0x01
+			data[to] ^= 0x80
+			add(Mutant{
+				Name:   fmt.Sprintf("flip@%d&01+flip@%d&80", mid, to),
 				Region: "frame+footer",
 				Data:   data,
 			})

@@ -32,15 +32,8 @@ func DecodeFloats(raw []byte, width int) ([]float64, error) {
 	if len(raw)%width != 0 {
 		return nil, fmt.Errorf("rawio: %d bytes is not a multiple of %d", len(raw), width)
 	}
-	n := len(raw) / width
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if width == 4 {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
-		} else {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
-	}
+	out := make([]float64, len(raw)/width)
+	GetFloats(out, raw, width)
 	return out, nil
 }
 
@@ -51,13 +44,7 @@ func EncodeFloats(data []float64, width int) ([]byte, error) {
 		return nil, fmt.Errorf("rawio: width must be 4 or 8, got %d", width)
 	}
 	raw := make([]byte, len(data)*width)
-	for i, v := range data {
-		if width == 4 {
-			binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(float32(v)))
-		} else {
-			binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-		}
-	}
+	PutFloats(raw, data, width)
 	return raw, nil
 }
 
@@ -105,13 +92,7 @@ func (fr *FloatReader) Read(dst []float64) (int, error) {
 	n, err := io.ReadFull(fr.r, fr.buf[fr.have:])
 	total := fr.have + n
 	vals := total / fr.width
-	for i := 0; i < vals; i++ {
-		if fr.width == 4 {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(fr.buf[i*4:])))
-		} else {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(fr.buf[i*8:]))
-		}
-	}
+	GetFloats(dst[:vals], fr.buf, fr.width)
 	rem := total - vals*fr.width
 	copy(fr.buf, fr.buf[total-rem:total])
 	fr.have = rem
@@ -136,13 +117,50 @@ func WriteFloatsAt(w io.WriterAt, vals []float64, width int, off int64, buf []by
 		buf = make([]byte, need)
 	}
 	buf = buf[:need]
-	for i, v := range vals {
-		if width == 4 {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(float32(v)))
-		} else {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-	}
+	PutFloats(buf, vals, width)
 	_, err := w.WriteAt(buf, off)
 	return buf, err
+}
+
+// PutFloats serializes vals into dst as little-endian floats of the given
+// width, 8 or 4 (4 narrows to float32); dst must hold len(vals)·width
+// bytes. It is the one float serializer: files, peer frames and region
+// responses all go through it, four samples per step.
+func PutFloats(dst []byte, vals []float64, width int) {
+	le := binary.LittleEndian
+	if width == 4 {
+		for ; len(vals) >= 4; vals, dst = vals[4:], dst[16:] {
+			d := dst[:16:16]
+			le.PutUint32(d[0:], math.Float32bits(float32(vals[0])))
+			le.PutUint32(d[4:], math.Float32bits(float32(vals[1])))
+			le.PutUint32(d[8:], math.Float32bits(float32(vals[2])))
+			le.PutUint32(d[12:], math.Float32bits(float32(vals[3])))
+		}
+		for i, v := range vals {
+			le.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
+		}
+		return
+	}
+	for ; len(vals) >= 4; vals, dst = vals[4:], dst[32:] {
+		d := dst[:32:32]
+		le.PutUint64(d[0:], math.Float64bits(vals[0]))
+		le.PutUint64(d[8:], math.Float64bits(vals[1]))
+		le.PutUint64(d[16:], math.Float64bits(vals[2]))
+		le.PutUint64(d[24:], math.Float64bits(vals[3]))
+	}
+	for i, v := range vals {
+		le.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// GetFloats is PutFloats' inverse: it fills dst from len(dst)·width
+// little-endian bytes of src, widening float32 when width is 4.
+func GetFloats(dst []float64, src []byte, width int) {
+	for i := range dst {
+		if width == 4 {
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:])))
+		} else {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+		}
+	}
 }

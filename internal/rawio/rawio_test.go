@@ -1,6 +1,8 @@
 package rawio
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -117,5 +119,39 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPutFloatsPerSample: the four-wide serializer writes, at every length
+// around its step and at both widths, exactly the bytes a one-sample-at-a-
+// time loop writes, and nothing past them; GetFloats reads them back.
+func TestPutFloatsPerSample(t *testing.T) {
+	vals := []float64{math.Pi, -0.0, 1e300, math.Inf(-1), math.NaN(), 5e-324, -2.5, 1.0 / 3, 7, 1e-40}
+	for _, width := range []int{8, 4} {
+		for n := 0; n <= len(vals); n++ {
+			want := make([]byte, n*width+width)
+			for i, v := range vals[:n] {
+				if width == 4 {
+					binary.LittleEndian.PutUint32(want[4*i:], math.Float32bits(float32(v)))
+				} else {
+					binary.LittleEndian.PutUint64(want[8*i:], math.Float64bits(v))
+				}
+			}
+			got := make([]byte, len(want))
+			PutFloats(got, vals[:n], width)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("width %d, %d samples: % x, want % x", width, n, got, want)
+			}
+			back := make([]float64, n)
+			GetFloats(back, got, width)
+			for i, v := range vals[:n] {
+				if width == 4 {
+					v = float64(float32(v))
+				}
+				if math.Float64bits(back[i]) != math.Float64bits(v) && !math.IsNaN(v) {
+					t.Fatalf("width %d, %d samples: sample %d read back %v, want %v", width, n, i, back[i], v)
+				}
+			}
+		}
 	}
 }

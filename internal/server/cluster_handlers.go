@@ -25,6 +25,7 @@ import (
 	"sperr"
 	"sperr/internal/cluster"
 	"sperr/internal/grid"
+	"sperr/internal/rawio"
 	"sperr/internal/store"
 )
 
@@ -139,6 +140,26 @@ func getStreamWriter(w io.Writer) *bufio.Writer {
 func putStreamWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
 	streamWriters.Put(bw)
+}
+
+// writeFloats serializes vals at width straight into bw's free buffer
+// space, flushing as it fills, so each sample's bytes are written once.
+func writeFloats(bw *bufio.Writer, vals []float64, width int) error {
+	for len(vals) > 0 {
+		if bw.Available() < width {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		n := min(len(vals), bw.Available()/width)
+		b := bw.AvailableBuffer()[:n*width]
+		rawio.PutFloats(b, vals[:n], width)
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
 }
 
 // pieceSink lands a scatter-gather read's pieces in the response bands:
@@ -270,14 +291,13 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 	w.Header().Set("Content-Type", "application/octet-stream")
 	out := getStreamWriter(w)
 	defer putStreamWriter(out)
-	row := make([]byte, 8*meta.ChunkDims[0]) // no chunk has longer rows
 	err = l.Read(r.Context(), 1, func(ci int, slab []float64, err error) error {
 		if err != nil {
 			return nil // unservable chunk (stub or damage): omit its frame
 		}
 		cg := meta.Chunks[ci]
 		o, d, _ := grid.Intersect(origin, rdims, cg.Origin, cg.Dims)
-		return writeChunkFrame(out, ci, o, d, cg.Origin, cg.Dims, slab, row)
+		return writeChunkFrame(out, ci, o, d, cg.Origin, cg.Dims, slab)
 	})
 	if err == nil {
 		err = out.Flush()
@@ -291,21 +311,19 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 
 // writeChunkFrame writes one peer-protocol frame: chunk index ci, the
 // sample count of the box o+d, then that box's samples read out of the
-// slab so+sd and serialised one row at a time through row (at least 8·d[0]
-// bytes). The slab is only read.
-func writeChunkFrame(out *bufio.Writer, ci int, o, d, so, sd [3]int, slab []float64, row []byte) error {
+// slab so+sd and serialised one row at a time into out. The slab is only
+// read.
+func writeChunkFrame(out *bufio.Writer, ci int, o, d, so, sd [3]int, slab []float64) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ci))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(d[0]*d[1]*d[2]))
 	if _, err := out.Write(hdr[:]); err != nil {
 		return err
 	}
-	row = row[:8*d[0]]
 	for z := o[2] - so[2]; z < o[2]-so[2]+d[2]; z++ {
 		for y := o[1] - so[1]; y < o[1]-so[1]+d[1]; y++ {
 			src := (z*sd[1]+y)*sd[0] + o[0] - so[0]
-			putRow(row, slab[src:src+d[0]], 8)
-			if _, err := out.Write(row); err != nil {
+			if err := writeFloats(out, slab[src:src+d[0]], 8); err != nil {
 				return err
 			}
 		}

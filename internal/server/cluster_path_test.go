@@ -102,11 +102,14 @@ func BenchmarkClusterRegionHot(b *testing.B) {
 }
 
 // TestClusterHotReadAllocBudget pins the one-pass data path by its
-// allocation bill: a hot cluster read may allocate the response once (the
-// band buffers) and change; the intermediate per-chunk sample slices, byte
-// slices and per-request stream buffers it used to build — about six times
-// the response — are gone. Everything in the process counts: coordinator,
-// peers and this test's HTTP client.
+// allocation bill: a hot cluster read writes its samples into recycled band
+// buffers, so it may allocate a quarter of the response at most (it reads
+// about 0.03×). A read that draws a fresh band per request costs about
+// one response, and the per-chunk sample slices, byte slices and
+// per-request stream buffers of older paths cost about six. Everything in
+// the process counts: coordinator, peers and this test's HTTP client.
+// Under -race, whose runtime drops pooled buffers, the pre-pool budget of
+// 2× applies.
 func TestClusterHotReadAllocBudget(t *testing.T) {
 	const edge, chunk, box, reads = 64, 32, 48, 24
 	nodes, read := hotCluster(t, edge, chunk, box)
@@ -122,8 +125,12 @@ func TestClusterHotReadAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("%d hot reads: %d bytes allocated for %d response bytes (%.2fx)", reads, allocated, body, float64(allocated)/float64(body))
-	if allocated > 2*body {
-		t.Fatalf("hot cluster reads allocated %d bytes for %d response bytes: more than 2x", allocated, body)
+	budget, share := body/4, "0.25x"
+	if raceEnabled {
+		budget, share = 2*body, "2x"
+	}
+	if allocated > budget {
+		t.Fatalf("hot cluster reads allocated %d bytes for %d response bytes: more than %s", allocated, body, share)
 	}
 }
 

@@ -487,17 +487,15 @@ func (s *Server) handleRegion(w *statusWriter, r *http.Request, st *reqStats) {
 		badRequest(w, st, err)
 		return
 	}
-	raw, err := rawio.EncodeFloats(data, width)
-	if err != nil {
-		badRequest(w, st, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)*width))
 	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rdims[0], rdims[1], rdims[2]))
-	if _, err := w.Write(raw); err != nil {
-		st.err = err
+	out := getStreamWriter(w)
+	defer putStreamWriter(out)
+	if err = writeFloats(out, data, width); err == nil {
+		err = out.Flush()
 	}
+	st.err = err
 }
 
 // handleMetrics serves the registry in the Prometheus text format.

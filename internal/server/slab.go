@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
+
+	"sperr/internal/rawio"
 )
 
 // regionAssembler turns out-of-order chunk-piece deliveries into an
@@ -25,6 +25,11 @@ import (
 // add is safe for concurrent use; the float narrowing/serialization
 // into the band buffer runs outside the lock, in parallel, on disjoint
 // byte ranges.
+//
+// Band buffers come from bandPool and go back to it the moment they are
+// written out, uncleared: a band flushes only once each of its pieces has
+// written every one of its bytes, so no byte of an earlier response can
+// reach the socket.
 type regionAssembler struct {
 	w      io.Writer
 	origin [3]int // region box, volume coordinates
@@ -34,12 +39,30 @@ type regionAssembler struct {
 	width  int // output bytes per sample (4 or 8)
 
 	perBand int // chunk pieces per band (constant for a box region)
-	nBands  int
 
-	mu   sync.Mutex
-	next int // next band index to flush
-	bufs map[int][]byte
-	left map[int]int
+	mu    sync.Mutex
+	next  int       // next band index to flush
+	bufs  []*[]byte // band b's buffer, nil until its first piece
+	wrote []int     // pieces of band b written
+}
+
+// bandPool recycles band buffers (*[]byte) of up to maxPooledBand bytes
+// across requests. The cap holds the f64 band of a 90² cutout in 64-high
+// chunks; larger bands are rare enough to allocate.
+var bandPool sync.Pool
+
+const maxPooledBand = 4 << 20
+
+// getBand returns a buffer of n bytes with stale contents.
+func getBand(n int) *[]byte {
+	if n <= maxPooledBand {
+		if p, ok := bandPool.Get().(*[]byte); ok && cap(*p) >= n {
+			*p = (*p)[:n]
+			return p
+		}
+	}
+	b := make([]byte, n)
+	return &b
 }
 
 // newRegionAssembler assembles the box origin+dims of a volume tiled by
@@ -57,6 +80,7 @@ func newRegionAssembler(w io.Writer, origin, dims, volDims, chunkDims [3]int, wi
 	perBand := (cell(0, origin[0]+dims[0]-1) - cell(0, origin[0]) + 1) *
 		(cell(1, origin[1]+dims[1]-1) - cell(1, origin[1]) + 1)
 	gz0 := cell(2, origin[2])
+	nBands := cell(2, origin[2]+dims[2]-1) - gz0 + 1
 	return &regionAssembler{
 		w:       w,
 		origin:  origin,
@@ -65,9 +89,8 @@ func newRegionAssembler(w io.Writer, origin, dims, volDims, chunkDims [3]int, wi
 		gz0:     gz0,
 		width:   width,
 		perBand: perBand,
-		nBands:  cell(2, origin[2]+dims[2]-1) - gz0 + 1,
-		bufs:    make(map[int][]byte),
-		left:    make(map[int]int),
+		bufs:    make([]*[]byte, nBands),
+		wrote:   make([]int, nBands),
 	}
 }
 
@@ -100,7 +123,7 @@ func (ra *regionAssembler) addSlab(o, d, so, sd [3]int, slab []float64) error {
 	for z := 0; z < d[2]; z++ {
 		for y := 0; y < d[1]; y++ {
 			src := ((o[2]-so[2]+z)*sd[1]+o[1]-so[1]+y)*sd[0] + o[0] - so[0]
-			putRow(buf[(z*ra.dims[1]+y)*line:], slab[src:src+d[0]], ra.width)
+			rawio.PutFloats(buf[(z*ra.dims[1]+y)*line:], slab[src:src+d[0]], ra.width)
 		}
 	}
 	return ra.pieceDone(b)
@@ -116,8 +139,9 @@ func (ra *regionAssembler) addWire(o, d [3]int, r io.Reader) error {
 	b, buf := ra.band(o)
 	line := ra.dims[0] * ra.width
 	var row []byte
+	var vals []float64
 	if ra.width == 4 {
-		row = make([]byte, 8*d[0])
+		row, vals = make([]byte, 8*d[0]), make([]float64, d[0])
 	}
 	for z := 0; z < d[2]; z++ {
 		for y := 0; y < d[1]; y++ {
@@ -131,47 +155,46 @@ func (ra *regionAssembler) addWire(o, d [3]int, r io.Reader) error {
 			if _, err := io.ReadFull(r, row); err != nil {
 				return err
 			}
-			for x := 0; x < d[0]; x++ {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(row[8*x:]))
-				binary.LittleEndian.PutUint32(buf[off+4*x:], math.Float32bits(float32(v)))
-			}
+			rawio.GetFloats(vals, row, 8)
+			rawio.PutFloats(buf[off:], vals, 4)
 		}
 	}
 	return ra.pieceDone(b)
 }
 
 // band returns the index of the band a piece at origin o belongs to and
-// the band's buffer from the piece's first sample on, allocating the
-// buffer on the band's first piece.
+// the band's buffer from the piece's first sample on, drawing the buffer
+// on the band's first piece.
 func (ra *regionAssembler) band(o [3]int) (int, []byte) {
 	b := o[2]/ra.cz - ra.gz0
 	zlo, zhi := ra.bandBounds(b)
 	ra.mu.Lock()
-	buf, ok := ra.bufs[b]
-	if !ok {
-		buf = make([]byte, ra.dims[0]*ra.dims[1]*(zhi-zlo)*ra.width)
-		ra.bufs[b] = buf
-		ra.left[b] = ra.perBand
+	p := ra.bufs[b]
+	if p == nil {
+		p = getBand(ra.dims[0] * ra.dims[1] * min(ra.cz, ra.dims[2]) * ra.width) // the tallest band
+		*p = (*p)[:ra.dims[0]*ra.dims[1]*(zhi-zlo)*ra.width]
+		ra.bufs[b] = p
 	}
 	ra.mu.Unlock()
-	return b, buf[(((o[2]-zlo)*ra.dims[1]+o[1]-ra.origin[1])*ra.dims[0]+o[0]-ra.origin[0])*ra.width:]
+	return b, (*p)[(((o[2]-zlo)*ra.dims[1]+o[1]-ra.origin[1])*ra.dims[0]+o[0]-ra.origin[0])*ra.width:]
 }
 
 // pieceDone counts one completed piece of band b and flushes every band
-// that is now contiguous with the output cursor.
+// that is now contiguous with the output cursor, recycling each buffer
+// once it is written.
 func (ra *regionAssembler) pieceDone(b int) error {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
-	ra.left[b]--
-	for ra.next < ra.nBands && ra.left[ra.next] == 0 {
-		if _, ok := ra.bufs[ra.next]; !ok {
-			break // zero count but never allocated: not this band yet
-		}
-		if _, err := ra.w.Write(ra.bufs[ra.next]); err != nil {
+	ra.wrote[b]++
+	for ra.next < len(ra.bufs) && ra.wrote[ra.next] == ra.perBand {
+		p := ra.bufs[ra.next]
+		if _, err := ra.w.Write(*p); err != nil {
 			return err
 		}
-		delete(ra.bufs, ra.next)
-		delete(ra.left, ra.next)
+		ra.bufs[ra.next] = nil
+		if cap(*p) <= maxPooledBand {
+			bandPool.Put(p) // nothing touches p after
+		}
 		ra.next++
 	}
 	return nil
@@ -181,22 +204,8 @@ func (ra *regionAssembler) pieceDone(b int) error {
 func (ra *regionAssembler) done() error {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
-	if ra.next != ra.nBands {
-		return fmt.Errorf("server: %d of %d output bands unflushed", ra.nBands-ra.next, ra.nBands)
+	if n := len(ra.bufs); ra.next != n {
+		return fmt.Errorf("server: %d of %d output bands unflushed", n-ra.next, n)
 	}
 	return nil
-}
-
-// putRow serializes a row of samples as little-endian floats of the given
-// width (4 narrows to float32).
-func putRow(dst []byte, vals []float64, width int) {
-	if width == 4 {
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(float32(v)))
-		}
-		return
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-	}
 }

@@ -314,7 +314,7 @@ func TestChunkFrameGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	out := bufio.NewWriter(&buf)
-	if err := writeChunkFrame(out, 7, [3]int{1, 0, 0}, [3]int{2, 2, 2}, [3]int{}, [3]int{3, 2, 2}, slab, make([]byte, 64)); err != nil {
+	if err := writeChunkFrame(out, 7, [3]int{1, 0, 0}, [3]int{2, 2, 2}, [3]int{}, [3]int{3, 2, 2}, slab); err != nil {
 		t.Fatal(err)
 	}
 	if err := out.Flush(); err != nil {

@@ -2,7 +2,10 @@ package sperr
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -270,5 +273,95 @@ func TestSalvageLostRangesInOrder(t *testing.T) {
 	}
 	if got := rep.SkippedIndices(); len(got) == 0 || got[0] != 1 {
 		t.Fatalf("skipped %v, want chunk 1 first", got)
+	}
+}
+
+// TestSalvageBridgesLostFrame: a payload flip in frame 1 plus a flip of the
+// tail magic or of the tail's index offset leaves neither the index nor its
+// tail anchor, and frames 2 and 3 hold as many samples as frame 1. Frame
+// 1's length prefix survives and spans exactly to frame 2, so frames 2 and
+// 3 are chunks 2 and 3: DecompressSalvage, Audit and Repair skip only
+// chunk 1, and every other chunk is the clean decode. A prefix rewritten
+// to span to frame 3 instead bridges nothing: frames 2 and 3 are then
+// unplaced, never put in the wrong box.
+func TestSalvageBridgesLostFrame(t *testing.T) {
+	dims := [3]int{64, 16, 16}
+	stream, _, err := CompressPWE(demoField(dims[0], dims[1], dims[2], 5), dims, 1e-2,
+		&Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _, err := Decompress(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := frameRanges(t, stream)
+	if len(frames) != 4 {
+		t.Fatalf("fixture has %d frames, want 4", len(frames))
+	}
+	// ownBox fails unless every recovered chunk of rep holds clean's samples.
+	ownBox := func(what string, data []float64, rep *SalvageReport) {
+		t.Helper()
+		for _, c := range rep.Chunks {
+			for z := 0; c.Recovered && z < c.Dims.NZ; z++ {
+				for y := 0; y < c.Dims.NY; y++ {
+					for x := 0; x < c.Dims.NX; x++ {
+						i := ((c.Origin[2]+z)*dims[1]+c.Origin[1]+y)*dims[0] + c.Origin[0] + x
+						if math.Float64bits(data[i]) != math.Float64bits(clean[i]) {
+							t.Fatalf("%s: chunk %d reported recovered holds other samples at (%d,%d,%d)", what, c.Index, x, y, z)
+						}
+					}
+				}
+			}
+		}
+	}
+	skipped := func(what string, rep *SalvageReport, want []int) {
+		t.Helper()
+		if got := rep.SkippedIndices(); !slices.Equal(got, want) {
+			t.Fatalf("%s skipped %v, want %v", what, got, want)
+		}
+	}
+	for _, tail := range []struct {
+		name string
+		off  int
+	}{{"tail magic", len(stream) - 1}, {"tail index offset", len(stream) - 16}} {
+		for _, tamper := range []bool{false, true} {
+			mut := bytes.Clone(stream)
+			mut[(frames[1][0]+frames[1][1])/2] ^= 0x01
+			mut[tail.off] ^= 0x80
+			want := []int{1}
+			if tamper {
+				binary.LittleEndian.PutUint32(mut[frames[1][0]:], uint32(frames[3][0]-frames[1][0]-8))
+				want = []int{1, 2, 3}
+			}
+			what := fmt.Sprintf("%s, prefix tampered %v", tail.name, tamper)
+
+			data, _, rep, err := DecompressSalvage(mut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.IndexIntact {
+				t.Fatalf("%s: index footer reported intact", what)
+			}
+			skipped(what+": DecompressSalvage", rep, want)
+			ownBox(what+": DecompressSalvage", data, rep)
+
+			arep, err := Audit(mut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skipped(what+": Audit", arep, want)
+
+			fixed, rrep, err := Repair(mut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skipped(what+": Repair", rrep, want)
+			rdata, _, err := Decompress(fixed)
+			if err != nil {
+				t.Fatalf("%s: strict decode of the repair: %v", what, err)
+			}
+			ownBox(what+": Repair", rdata, rrep)
+		}
 	}
 }
