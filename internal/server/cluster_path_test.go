@@ -112,9 +112,10 @@ func BenchmarkClusterRegionHot(b *testing.B) {
 // 2× applies.
 func TestClusterHotReadAllocBudget(t *testing.T) {
 	const edge, chunk, box, reads = 64, 32, 48, 24
+	drainBandPool() // bands of other shapes, left by earlier tests, would be drawn and dropped
 	nodes, read := hotCluster(t, edge, chunk, box)
-	for i := 0; i < len(nodes); i++ { // fill connection and buffer pools
-		read(nodes[i], hotOrigin(i, edge, box))
+	for i := 0; i < reads; i++ { // fill connection and buffer pools, on every P
+		read(nodes[i%len(nodes)], hotOrigin(i, edge, box))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

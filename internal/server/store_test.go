@@ -560,8 +560,11 @@ func BenchmarkStoreRegionHot(b *testing.B) {
 // budget of 1.25× applies.
 func TestStoreHotReadAllocBudget(t *testing.T) {
 	const edge, chunk, box, reads = 64, 32, 48, 24
+	drainBandPool() // bands of other shapes, left by earlier tests, would be drawn and dropped
 	read := hotStore(t, edge, chunk, box)
-	read(hotOrigin(0, edge, box)) // fill connection and buffer pools
+	for i := 0; i < reads; i++ { // fill connection and buffer pools, on every P
+		read(hotOrigin(i, edge, box))
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var body int64
