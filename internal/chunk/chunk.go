@@ -10,6 +10,7 @@ package chunk
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -175,46 +176,49 @@ func Decompress(stream []byte, workers int) (*grid.Volume, error) {
 	return vol, nil
 }
 
-// forEachChunkScratch runs fn(i, arena) for i in [0, n) on up to workers
-// goroutines (<= 0 means GOMAXPROCS), each holding a pooled arena for the
-// duration of its run, and returns the first error.
-func forEachChunkScratch(n, workers int, fn func(i int, ws *workerScratch) error) error {
+// decodeEach is the package's one random-access decode loop: decode(k,
+// arena) for k in [0, n), at most workers at a time (<= 0: GOMAXPROCS),
+// each on a pooled arena, with each result handed to fn on the calling
+// goroutine, one at a time, before its arena is reused. An fn error stops
+// dispatch, and decodeEach returns it once the decodes in flight finish;
+// nil goes on, even past that chunk's error. A canceled ctx stops dispatch
+// too.
+func decodeEach(ctx context.Context, n, workers int,
+	decode func(k int, s *codec.Scratch) ([]float64, error),
+	fn func(k int, data []float64, err error) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	type decoded struct {
+		k    int
+		ws   *workerScratch
+		data []float64
+		err  error
 	}
-	errs := make([]error, n)
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := scratchPool.Get().(*workerScratch)
-			defer scratchPool.Put(ws)
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				if err := fn(i, ws); err != nil {
-					errs[i] = err
-					return
-				}
+	// A slot per decode in flight: a finished decode never waits on fn,
+	// which runs here, so fn does not escape.
+	done := make(chan decoded, min(workers, n))
+	var first error
+	next, inflight := 0, 0
+	for {
+		for ; first == nil && inflight < workers && next < n; next++ {
+			if first = ctx.Err(); first != nil {
+				break
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			inflight++
+			go func(k int, ws *workerScratch) {
+				data, err := decode(k, ws.codec)
+				done <- decoded{k, ws, data, err}
+			}(next, scratchPool.Get().(*workerScratch))
 		}
+		if inflight == 0 {
+			return first
+		}
+		d := <-done
+		inflight--
+		if first == nil {
+			first = fn(d.k, d.data, d.err)
+		}
+		scratchPool.Put(d.ws)
 	}
-	return nil
 }

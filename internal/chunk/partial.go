@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"context"
 	"fmt"
 
 	"sperr/internal/codec"
@@ -21,19 +22,22 @@ func DecompressPartial(stream []byte, fraction float64, workers int) (*grid.Volu
 		return nil, err
 	}
 	vol := grid.NewVolume(c.volDims)
-	err = forEachChunkScratch(len(c.chunks), workers, func(i int, ws *workerScratch) error {
-		ch := c.chunks[i]
+	err = decodeEach(context.TODO(), len(c.chunks), workers, func(i int, s *codec.Scratch) ([]float64, error) {
 		payload, err := c.sperrPayload(i)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		data, err := codec.DecodeChunkPartial(payload, ch.Dims, fraction, ws.codec)
+		data, err := codec.DecodeChunkPartial(payload, c.chunks[i].Dims, fraction, s)
 		if err != nil {
-			return fmt.Errorf("chunk %d: %w", i, err)
+			return nil, fmt.Errorf("chunk %d: %w", i, err)
 		}
-		// data aliases the worker's arena; the copy-out completes here.
-		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
-		return nil
+		return data, nil
+	}, func(i int, data []float64, err error) error {
+		if err == nil {
+			ch := c.chunks[i]
+			vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -82,20 +86,27 @@ func DecompressLowRes(stream []byte, drop, workers int) (*grid.Volume, error) {
 		NZ: coarseOrigin(c.volDims.NZ, clampTile(c.chunkDims.NZ, c.volDims.NZ), c.volDims.NZ),
 	}
 	vol := grid.NewVolume(coarseVol)
-	err = forEachChunkScratch(len(c.chunks), workers, func(i int, ws *workerScratch) error {
-		ch := c.chunks[i]
+	lows := make([]grid.Dims, len(c.chunks)) // per chunk, written by its decode
+	err = decodeEach(context.TODO(), len(c.chunks), workers, func(i int, s *codec.Scratch) ([]float64, error) {
 		payload, err := c.sperrPayload(i)
+		if err != nil {
+			return nil, err
+		}
+		data, low, err := codec.DecodeChunkLowRes(payload, c.chunks[i].Dims, drop, s)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d: %w", i, err)
+		}
+		lows[i] = low
+		return data, nil
+	}, func(i int, data []float64, err error) error {
 		if err != nil {
 			return err
 		}
-		data, low, err := codec.DecodeChunkLowRes(payload, ch.Dims, drop, ws.codec)
-		if err != nil {
-			return fmt.Errorf("chunk %d: %w", i, err)
-		}
+		ch := c.chunks[i]
 		x0 := coarseOrigin(ch.X0, clampTile(c.chunkDims.NX, c.volDims.NX), c.volDims.NX)
 		y0 := coarseOrigin(ch.Y0, clampTile(c.chunkDims.NY, c.volDims.NY), c.volDims.NY)
 		z0 := coarseOrigin(ch.Z0, clampTile(c.chunkDims.NZ, c.volDims.NZ), c.volDims.NZ)
-		vol.InsertSlice(data, low, x0, y0, z0)
+		vol.InsertSlice(data, lows[i], x0, y0, z0)
 		return nil
 	})
 	if err != nil {

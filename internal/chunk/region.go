@@ -1,8 +1,10 @@
 package chunk
 
 import (
+	"context"
 	"fmt"
 
+	"sperr/internal/codec"
 	"sperr/internal/grid"
 )
 
@@ -32,15 +34,19 @@ func decompressRegionCounted(stream []byte, x0, y0, z0 int, dims grid.Dims, work
 		return nil, 0, fmt.Errorf("chunk: %w", err)
 	}
 	hit := hitChunks(c.chunks, ro, rd)
-	out := grid.NewVolume(dims)
-	err = forEachChunkScratch(len(hit), workers, func(k int, ws *workerScratch) error {
-		i := hit[k]
-		ch := c.chunks[i]
-		data, err := c.decodeChunk(i, ch.Dims, ws.codec)
-		if err != nil {
-			return fmt.Errorf("chunk %d: %w", i, err)
+	// A shard's stub frames cannot decode: refuse them from the index
+	// before the output is allocated.
+	for _, i := range hit {
+		if len(c.payloads[i]) <= StubFrameMaxLen {
+			return nil, 0, fmt.Errorf("%w: chunk %d is a shard stub", ErrCorrupt, i)
 		}
-		co, cd := ch.Box()
+	}
+	out := grid.NewVolume(dims)
+	err = c.read(context.TODO(), hit, workers, func(i int, data []float64, err error) error {
+		if err != nil {
+			return err
+		}
+		co, cd := c.chunks[i].Box()
 		o, d, _ := grid.Intersect(ro, rd, co, cd)
 		grid.CopyBox(out.Data, ro, rd, data, co, cd, o, d)
 		return nil
@@ -49,6 +55,39 @@ func decompressRegionCounted(stream []byte, x0, y0, z0 int, dims grid.Dims, work
 		return nil, 0, err
 	}
 	return out, len(hit), nil
+}
+
+// ReadChunks parses stream once and decodes its chunks idx
+// (container-order indices) under decodeEach's contract: fn gets each
+// chunk's samples (x-fastest over the chunk's box, to be copied out before
+// fn returns) or its error, on the calling goroutine, and an fn error
+// stops the read. A stream that does not parse is every chunk's error.
+func ReadChunks(ctx context.Context, stream []byte, idx []int, workers int, fn func(i int, data []float64, err error) error) error {
+	c, err := parseContainer(stream)
+	if err != nil {
+		for _, i := range idx {
+			if err := fn(i, nil, err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return c.read(ctx, idx, workers, fn)
+}
+
+// read decodes c's chunks idx on decodeEach with the strict frame decoder.
+func (c *container) read(ctx context.Context, idx []int, workers int, fn func(i int, data []float64, err error) error) error {
+	return decodeEach(ctx, len(idx), workers, func(k int, s *codec.Scratch) ([]float64, error) {
+		i := idx[k]
+		if i < 0 || i >= len(c.chunks) {
+			return nil, fmt.Errorf("chunk: index %d outside %d chunks", i, len(c.chunks))
+		}
+		data, err := c.decodeChunk(i, c.chunks[i].Dims, s)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d: %w", i, err)
+		}
+		return data, nil
+	}, func(k int, data []float64, err error) error { return fn(idx[k], data, err) })
 }
 
 // hitChunks returns the indices of the chunks that intersect the box
@@ -62,15 +101,4 @@ func hitChunks(chunks []grid.Chunk, ro, rd [3]int) []int {
 		}
 	}
 	return hit
-}
-
-// TouchedChunks reports how many chunks a region decode would visit (for
-// access-cost accounting).
-func TouchedChunks(stream []byte, x0, y0, z0 int, dims grid.Dims) (touched, total int, err error) {
-	c, err := parseContainer(stream)
-	if err != nil {
-		return 0, 0, err
-	}
-	hit := hitChunks(c.chunks, [3]int{x0, y0, z0}, [3]int{dims.NX, dims.NY, dims.NZ})
-	return len(hit), len(c.chunks), nil
 }

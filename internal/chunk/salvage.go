@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -367,10 +368,11 @@ func Audit(stream []byte) (*SalvageReport, error) {
 // Salvage decodes as much of the container as the stream's intact frames
 // allow and delivers every chunk to fn exactly once: its decoded samples
 // when its frame verified and decoded, fill-valued samples otherwise. fn
-// runs concurrently on worker goroutines and must not keep data. The
-// report says exactly which chunks were lost and why. The error is the
-// fixed header's when it is unusable, else the first fn error; all frame-
-// and footer-level damage is absorbed into the report.
+// runs on the calling goroutine, one chunk at a time, and must not keep
+// data. The report says exactly which chunks were lost and why. The error
+// is the fixed header's when it is unusable, else the first fn error,
+// which stops the decode; all frame- and footer-level damage is absorbed
+// into the report.
 func Salvage(stream []byte, fill float64, workers int, fn func(index int, ch grid.Chunk, data []float64) error) (*SalvageReport, error) {
 	l, _, _, chunks, err := parseFixedHeader(stream)
 	if err != nil {
@@ -378,18 +380,21 @@ func Salvage(stream []byte, fill float64, workers int, fn func(index int, ch gri
 	}
 	rep := newSalvageReport(l.version, chunks)
 	payloads, _ := locateFrames(stream, l, chunks, rep)
-	// Outcome slots are per-index, so workers write disjoint report entries.
-	err = forEachChunkScratch(len(chunks), workers, func(i int, ws *workerScratch) error {
-		ch := chunks[i]
-		if payloads[i] != nil {
-			data, err := l.decode(payloads[i], ch.Dims, ws.codec)
-			if err == nil {
-				rep.Chunks[i].Recovered = true
-				return fn(i, ch, data)
-			}
-			rep.Chunks[i].Reason = ReasonDecode
+	err = decodeEach(context.TODO(), len(chunks), workers, func(i int, s *codec.Scratch) ([]float64, error) {
+		if payloads[i] == nil {
+			return nil, nil // lost: locateFrames has recorded why
 		}
-		data := make([]float64, ch.Dims.Len())
+		return l.decode(payloads[i], chunks[i].Dims, s)
+	}, func(i int, data []float64, err error) error {
+		ch := chunks[i]
+		switch {
+		case err != nil:
+			rep.Chunks[i].Reason = ReasonDecode
+		case payloads[i] != nil:
+			rep.Chunks[i].Recovered = true
+			return fn(i, ch, data)
+		}
+		data = make([]float64, ch.Dims.Len())
 		for j := range data {
 			data[j] = fill
 		}

@@ -108,7 +108,7 @@ func (s *Server) handleClusterRegion(w *statusWriter, r *http.Request, st *reqSt
 	}
 	defer release()
 
-	s.streamRegion(w, r, st, rq, func(ra *regionAssembler) (string, error) {
+	s.streamRegion(w, r, st, rq.origin, rq.dims, rq.meta.Dims, rq.meta.ChunkDims, func(ra *regionAssembler) (string, error) {
 		rep, err := s.cluster.RegionTo(r.Context(), rq.meta.ID, rq.origin, rq.dims,
 			cluster.RegionOptions{Workers: rq.workers, Fill: fill}, pieceSink{ra})
 		if err != nil || len(rep.Skipped) == 0 {

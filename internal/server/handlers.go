@@ -202,10 +202,10 @@ func (s *Server) handleCompress(w *statusWriter, r *http.Request, st *reqStats) 
 		badRequest(w, st, err)
 		return
 	}
-	batch := make([]float64, minInt(n, 1<<20))
+	batch := make([]float64, min(n, 1<<20))
 	fed := 0
 	for fed < n {
-		k, rerr := fr.Read(batch[:minInt(len(batch), n-fed)])
+		k, rerr := fr.Read(batch[:min(len(batch), n-fed)])
 		if k > 0 {
 			if _, werr := enc.Write(batch[:k]); werr != nil {
 				s.streamFail(w, r, st, finish, werr)
@@ -324,7 +324,6 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 	dims := dec.Dims()
 	chunkDims := dec.ChunkDims()
 	workers := s.effWorkers(workersReq)
-	width := widthOf(r)
 
 	release := s.admit(w, r, st, engineCost(dims, chunkDims, workers))
 	if release == nil {
@@ -334,48 +333,32 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 
 	dec.SetWorkers(workers)
 	dec.SetContext(r.Context())
-
-	finish := trailerStatus(w)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", dims[0], dims[1], dims[2]))
-
-	out := bufio.NewWriterSize(w, 256<<10)
-	ra := newRegionAssembler(out, [3]int{}, dims, dims, chunkDims, width)
-	var rep *chunk.SalvageReport
-	if salvage {
-		rep, err = chunk.Salvage(body, fill, workers, func(_ int, ch grid.Chunk, data []float64) error {
+	s.streamRegion(w, r, st, [3]int{}, dims, dims, chunkDims, func(ra *regionAssembler) (string, error) {
+		if !salvage {
+			err := dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
+				return ra.add(ch.Origin, ch.Dims, ch.Data)
+			})
+			s.reg.Gauge("sperrd_engine_peak_inflight_samples").RaiseTo(int64(dec.PeakInFlightSamples()))
+			return "", err
+		}
+		rep, err := chunk.Salvage(body, fill, workers, func(_ int, ch grid.Chunk, data []float64) error {
 			if err := r.Context().Err(); err != nil {
 				return err
 			}
 			return ra.add([3]int{ch.X0, ch.Y0, ch.Z0}, [3]int{ch.Dims.NX, ch.Dims.NY, ch.Dims.NZ}, data)
 		})
-	} else {
-		err = dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
-			return ra.add(ch.Origin, ch.Dims, ch.Data)
-		})
-	}
-	if err == nil {
-		err = ra.done()
-	}
-	if err == nil {
-		err = out.Flush()
-	}
-	if err != nil {
-		s.streamFail(w, r, st, finish, err)
-		return
-	}
-	if salvage {
+		if err != nil {
+			return "", err
+		}
 		s.reg.Counter("sperrd_salvage_requests_total").Inc()
 		s.reg.Counter("sperrd_salvage_chunks_recovered_total").Add(int64(rep.Recovered))
 		s.reg.Counter("sperrd_salvage_chunks_lost_total").Add(int64(rep.Skipped))
-		if rep.Degraded() {
-			s.reg.Counter("sperrd_salvage_degraded_total").Inc()
-			w.Header().Set("X-Sperr-Status", "degraded: skipped "+intList(rep.SkippedIndices()))
-			return
+		if !rep.Degraded() {
+			return "", nil
 		}
-	}
-	finish(nil)
-	s.reg.Gauge("sperrd_engine_peak_inflight_samples").RaiseTo(int64(dec.PeakInFlightSamples()))
+		s.reg.Counter("sperrd_salvage_degraded_total").Inc()
+		return "degraded: skipped " + intList(rep.SkippedIndices()), nil
+	})
 }
 
 // intList renders chunk indices as "1,3,7" for the degraded trailer.
@@ -391,10 +374,21 @@ func intList(xs []int) string {
 }
 
 // readContainer buffers a container body (describe/region need random
-// access to the index footer), bounded by MaxContainerBytes.
-func (s *Server) readContainer(w *statusWriter, r *http.Request, st *reqStats) ([]byte, bool) {
-	max := s.cfg.MaxContainerBytes
-	body, err := io.ReadAll(io.LimitReader(r.Body, max+1))
+// access to the index footer), bounded by MaxContainerBytes. A declared
+// Content-Length over the cap is refused before a byte is read, and one
+// under it is read into a buffer of exactly that size; a body of unknown
+// length is read up to the cap.
+func (s *Server) readContainer(w *statusWriter, r *http.Request, st *reqStats) (body []byte, ok bool) {
+	max, n := s.cfg.MaxContainerBytes, r.ContentLength
+	var err error
+	switch {
+	case n < 0:
+		body, err = io.ReadAll(io.LimitReader(r.Body, max+1))
+		n = int64(len(body))
+	case n <= max:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	}
 	if err != nil {
 		st.err = err
 		if r.Context().Err() != nil {
@@ -403,7 +397,7 @@ func (s *Server) readContainer(w *statusWriter, r *http.Request, st *reqStats) (
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
-	if int64(len(body)) > max {
+	if n > max {
 		st.err = fmt.Errorf("container exceeds %d-byte cap", max)
 		http.Error(w, st.err.Error(), http.StatusRequestEntityTooLarge)
 		return nil, false
@@ -449,8 +443,9 @@ func parseRegionSpec(spec string) (origin, dims [3]int, err error) {
 }
 
 // handleRegion decodes only the chunks intersecting the requested cutout
-// (region=x,y,z,nx,ny,nz) and returns the region as raw floats.
-// Parameters: region (required), f32, workers.
+// (region=x,y,z,nx,ny,nz) of the buffered container and streams the region
+// as raw floats through streamRegion, band by band, under the
+// X-Sperr-Status trailer. Parameters: region (required), f32, workers.
 func (s *Server) handleRegion(w *statusWriter, r *http.Request, st *reqStats) {
 	origin, rdims, err := parseRegionSpec(param(r, "region"))
 	if err != nil {
@@ -471,8 +466,11 @@ func (s *Server) handleRegion(w *statusWriter, r *http.Request, st *reqStats) {
 		badRequest(w, st, err)
 		return
 	}
+	if err := grid.CheckBox(origin, rdims, info.Dims); err != nil {
+		badRequest(w, st, err)
+		return
+	}
 	workers := s.effWorkers(workersReq)
-	width := widthOf(r)
 
 	release := s.admit(w, r, st, engineCost(info.Dims, info.ChunkDims, workers))
 	if release == nil {
@@ -480,22 +478,22 @@ func (s *Server) handleRegion(w *statusWriter, r *http.Request, st *reqStats) {
 	}
 	defer release()
 
-	// The float32 path rides the same workers-aware decode as float64:
-	// DecompressRegionWorkers under the hood, narrowed at serialization.
-	data, err := sperr.DecompressRegionWorkers(body, origin, rdims, workers)
-	if err != nil {
-		badRequest(w, st, err)
-		return
+	var hit []int
+	for i, cb := range info.Chunks {
+		if _, _, ok := grid.Intersect(origin, rdims, cb.Origin, cb.Dims); ok {
+			hit = append(hit, i)
+		}
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)*width))
-	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rdims[0], rdims[1], rdims[2]))
-	out := getStreamWriter(w)
-	defer putStreamWriter(out)
-	if err = writeFloats(out, data, width); err == nil {
-		err = out.Flush()
-	}
-	st.err = err
+	s.streamRegion(w, r, st, origin, rdims, info.Dims, info.ChunkDims, func(ra *regionAssembler) (string, error) {
+		return "", chunk.ReadChunks(r.Context(), body, hit, workers, func(i int, data []float64, err error) error {
+			if err != nil {
+				return err
+			}
+			cb := info.Chunks[i]
+			o, d, _ := grid.Intersect(origin, rdims, cb.Origin, cb.Dims)
+			return ra.addSlab(o, d, cb.Origin, cb.Dims, data)
+		})
+	})
 }
 
 // handleMetrics serves the registry in the Prometheus text format.
@@ -513,11 +511,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	io.WriteString(w, "ok\n")
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -172,7 +172,7 @@ func (s *Server) handleVolumeRegion(w *statusWriter, r *http.Request, st *reqSta
 		}
 		defer release()
 	}
-	s.streamRegion(w, r, st, rq, func(ra *regionAssembler) (string, error) {
+	s.streamRegion(w, r, st, origin, rdims, meta.Dims, meta.ChunkDims, func(ra *regionAssembler) (string, error) {
 		l, err := s.store.Lookup(meta.ID, rq.chunks)
 		if err != nil {
 			return "", err
@@ -196,20 +196,22 @@ func (s *Server) handleVolumeRegion(w *statusWriter, r *http.Request, st *reqSta
 	})
 }
 
-// streamRegion is the one volume-region response writer. It arms the
-// X-Sperr-Status trailer and runs read, which lands the region's pieces in
-// the assembler's z-bands; each band goes out as soon as it is complete,
-// so neither side holds the region. read returns the trailer's status
-// when the read completed degraded, "" when it completed whole. An error
+// streamRegion is the one region response writer: volume reads, cluster
+// reads, stateless region reads and decompressions all end here. It arms
+// the X-Sperr-Status trailer and runs read, which lands the pieces of the
+// box origin+dims of a volume of volDims tiled by chunkDims in the
+// assembler's z-bands; each band goes out as soon as it is complete, so
+// neither side holds the region. read returns the trailer's status when
+// the read completed degraded, "" when it completed whole. An error
 // before the first byte is a 4xx; after it, only the trailer carries it.
-func (s *Server) streamRegion(w *statusWriter, r *http.Request, st *reqStats, rq volumeRegion, read func(*regionAssembler) (string, error)) {
+func (s *Server) streamRegion(w *statusWriter, r *http.Request, st *reqStats, origin, dims, volDims, chunkDims [3]int, read func(*regionAssembler) (string, error)) {
 	finish := trailerStatus(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", rq.dims[0], rq.dims[1], rq.dims[2]))
+	w.Header().Set("X-Sperr-Dims", fmt.Sprintf("%d,%d,%d", dims[0], dims[1], dims[2]))
 
 	out := getStreamWriter(w)
 	defer putStreamWriter(out) // read returns only once nothing can write a piece any more
-	ra := newRegionAssembler(out, rq.origin, rq.dims, rq.meta.Dims, rq.meta.ChunkDims, widthOf(r))
+	ra := newRegionAssembler(out, origin, dims, volDims, chunkDims, widthOf(r))
 	status, err := read(ra)
 	if err == nil {
 		err = ra.done()

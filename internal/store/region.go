@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 
-	"sperr"
+	"sperr/internal/chunk"
 	"sperr/internal/grid"
 )
 
@@ -126,9 +125,9 @@ func (s *Store) Lookup(id string, chunks []int) (Lookup, error) {
 // chunk: its index and whole decoded slab (x-fastest over the chunk's own
 // box, which Describe's geometry gives), or that chunk's error. Held slabs
 // come first, with no decode. If anything missed, the blob is read once
-// and the misses are decoded through decodeChunk, up to workers at a time
-// (<= 0: GOMAXPROCS), each offered to the cache. fn runs on the calling
-// goroutine, one chunk at a time.
+// and the misses are decoded on chunk.ReadChunks, up to workers at a time
+// (<= 0: GOMAXPROCS), each kept in a slab of its own and offered to the
+// cache. fn runs on the calling goroutine, one chunk at a time.
 //
 // A slab may be the cache's own memory, shared with other readers, so fn
 // only reads it; it stays valid after eviction, because the cache drops
@@ -138,11 +137,11 @@ func (s *Store) Lookup(id string, chunks []int) (Lookup, error) {
 // next chunk, even after that chunk's error. A canceled ctx stops the
 // read the same way.
 func (l *Lookup) Read(ctx context.Context, workers int, fn func(ci int, slab []float64, err error) error) error {
+	misses := make([]int, 0, l.Misses)
 	for k, e := range l.held {
 		if e == nil {
-			continue
-		}
-		if err := fn(l.chunks[k], e.data, nil); err != nil {
+			misses = append(misses, l.chunks[k])
+		} else if err := fn(l.chunks[k], e.data, nil); err != nil {
 			return err
 		}
 	}
@@ -150,48 +149,30 @@ func (l *Lookup) Read(ctx context.Context, workers int, fn func(ci int, slab []f
 		return nil
 	}
 	s, m := l.s, l.m
-	blob, blobErr := os.ReadFile(s.blobPath(m.ID))
-	if blobErr != nil {
-		blobErr = fmt.Errorf("store: blob for %s: %w", shortID(m.ID), blobErr)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type decoded struct {
-		ci   int
-		data []float64
-		err  error
-	}
-	// A slot per decode in flight: a finished decode never waits on fn.
-	done := make(chan decoded, min(workers, l.Misses))
-	var first error
-	next, inflight := 0, 0 // next: the position to dispatch from
-	for {
-		for ; first == nil && inflight < workers && next < len(l.held); next++ {
-			if l.held[next] != nil {
-				continue
+	blob, err := os.ReadFile(s.blobPath(m.ID))
+	if err != nil {
+		err = fmt.Errorf("store: blob for %s: %w", shortID(m.ID), err)
+		for _, ci := range misses {
+			if err := fn(ci, nil, err); err != nil {
+				return err
 			}
-			if first = ctx.Err(); first != nil {
-				break
-			}
-			inflight++
-			go func(ci int) {
-				d := decoded{ci: ci, err: blobErr}
-				if blobErr == nil {
-					d.data, d.err = s.decodeChunk(blob, m, ci)
-				}
-				done <- d
-			}(l.chunks[next])
 		}
-		if inflight == 0 {
-			return first
-		}
-		d := <-done
-		inflight--
-		if first == nil {
-			first = fn(d.ci, d.data, d.err)
-		}
+		return nil
 	}
+	return chunk.ReadChunks(ctx, blob, misses, workers, func(ci int, data []float64, err error) error {
+		if err != nil {
+			return fn(ci, nil, fmt.Errorf("store: %s: %w", shortID(m.ID), err))
+		}
+		// The miss path: a slab of its own, counted and offered to the
+		// cache. Other readers may now share it, so it is read-only.
+		g, slab := m.Chunks[ci], append([]float64(nil), data...)
+		s.decodes.Add(1)
+		if s.opts.Hooks.OnDecode != nil {
+			s.opts.Hooks.OnDecode(1)
+		}
+		s.cache.Insert(&slabEntry{key: chunkKey{ID: m.ID, Chunk: ci}, origin: g.Origin, dims: g.Dims, data: slab})
+		return fn(ci, slab, nil)
+	})
 }
 
 // Region is the read step for callers that want the cutout of extent dims
@@ -226,31 +207,6 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		return nil, nil, err
 	}
 	return out, &RegionStats{Chunks: len(l.chunks), Hits: l.Hits, Misses: l.Misses, Decoded: l.Misses, Samples: len(out)}, nil
-}
-
-// decodeChunk is the one miss path: decode chunk ci of the volume's blob,
-// count it, and offer the slab to the cache. The returned slab may now be
-// shared with other readers, so it is read-only from here on.
-func (s *Store) decodeChunk(blob []byte, m *Meta, ci int) ([]float64, error) {
-	id, g := m.ID, m.Chunks[ci]
-	// A region equal to exactly one chunk's box decodes exactly that frame
-	// (chunks tile the volume disjointly), so the existing seekable region
-	// path is the single-chunk decoder.
-	data, err := sperr.DecompressRegionWorkers(blob, g.Origin, g.Dims, 1)
-	if err != nil {
-		return nil, fmt.Errorf("store: chunk %d of %s: %w", ci, shortID(id), err)
-	}
-	s.decodes.Add(1)
-	if s.opts.Hooks.OnDecode != nil {
-		s.opts.Hooks.OnDecode(1)
-	}
-	s.cache.Insert(&slabEntry{
-		key:    chunkKey{ID: id, Chunk: ci},
-		origin: g.Origin,
-		dims:   g.Dims,
-		data:   data,
-	})
-	return data, nil
 }
 
 // copyIntersect copies the overlap of the chunk box (cOrigin, cDims) into

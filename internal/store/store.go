@@ -21,8 +21,8 @@
 // decoded float64 slabs, LRU behind a frequency-gated admission rule.
 // Region reads assemble their cutout from cached
 // chunks and decode only the intersecting frames that are missing, via
-// the container's seekable index footer (sperr.DecompressRegion on
-// exactly one chunk's box). Cache residency is charged through the
+// the container's seekable index footer (chunk.ReadChunks, one container
+// parse per read). Cache residency is charged through the
 // Charge/Release hooks against the same sample-denominated admission
 // budget that bounds in-flight decodes, so cache memory and decode
 // memory share one ceiling; under admission pressure the cache sheds
