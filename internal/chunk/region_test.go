@@ -90,18 +90,18 @@ func TestTouchedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, touched, err := decompressRegionCounted(stream, 0, 0, 0, grid.D3(8, 8, 8), 0)
+	rg, err := OpenRegion(stream, [3]int{}, [3]int{8, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total := len(c.chunks); total != 8 || touched != 1 {
+	if total, touched := len(c.chunks), len(rg.hit); total != 8 || touched != 1 {
 		t.Fatalf("corner cutout touched %d/%d chunks, want 1/8", touched, total)
 	}
-	_, touched, err = decompressRegionCounted(stream, 8, 8, 8, grid.D3(16, 16, 16), 0)
+	rg, err = OpenRegion(stream, [3]int{8, 8, 8}, [3]int{16, 16, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if touched != 8 {
+	if touched := len(rg.hit); touched != 8 {
 		t.Fatalf("center cutout touched %d chunks, want 8", touched)
 	}
 }
@@ -150,11 +150,11 @@ func TestRegionDecodesMinimalChunks(t *testing.T) {
 		{14, 0, 0, grid.D3(4, 4, 4), 2},   // crosses one x boundary
 	}
 	for _, c := range cases {
-		_, decoded, err := decompressRegionCounted(stream, c.x0, c.y0, c.z0, c.d, 0)
+		rg, err := OpenRegion(stream, [3]int{c.x0, c.y0, c.z0}, [3]int{c.d.NX, c.d.NY, c.d.NZ})
 		if err != nil {
 			t.Fatalf("region %v@(%d,%d,%d): %v", c.d, c.x0, c.y0, c.z0, err)
 		}
-		if decoded != c.want {
+		if decoded := len(rg.hit); decoded != c.want {
 			t.Errorf("region %v@(%d,%d,%d): decoded %d chunks, want %d",
 				c.d, c.x0, c.y0, c.z0, decoded, c.want)
 		}

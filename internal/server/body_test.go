@@ -57,3 +57,33 @@ func TestContainerBodyAllocation(t *testing.T) {
 		t.Fatalf("unsized 2 MiB body: status %d, want 413", code)
 	}
 }
+
+// TestDeclaredBodyAllocatesAsItArrives: a Content-Length under the cap is
+// a claim, not bytes. A request that declares a 256 MiB body under a
+// 1 GiB cap and then sends 1 MiB of it allocates about bodyPrealloc plus
+// what arrived, not the declared length; allocating the declared length up
+// front let a stalled client pin the cap per connection.
+func TestDeclaredBodyAllocatesAsItArrives(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxContainerBytes: 1 << 30})
+	const declared, sent = 256 << 20, 1 << 20
+	junk := make([]byte, sent)
+	least := ^uint64(0)
+	for i := 0; i < 4; i++ {
+		req := httptest.NewRequest("POST", "/v1/describe", bytes.NewReader(junk))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body cut at %d of %d declared bytes: status %d, want 400", sent, declared, rec.Code)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a declared %d-byte body cut at %d bytes allocates %d bytes", declared, sent, least)
+	if !raceEnabled && least > bodyPrealloc+64<<10 {
+		t.Fatalf("a declared %d-byte body cut at %d bytes allocated %d bytes, want at most %d",
+			declared, sent, least, bodyPrealloc+64<<10)
+	}
+}

@@ -81,3 +81,46 @@ func TestEndpointDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestStatelessRegionRefusesStubs: a shard posted to /v1/region answers
+// the boxes inside its kept chunks, and refuses any box that reaches a
+// stub with a 400 and no samples. That holds even when the kept chunks
+// fill the region's first z-band, larger than the response buffer, and
+// decode first: the stubs are found in the index before the response
+// starts.
+func TestStatelessRegionRefusesStubs(t *testing.T) {
+	dims := [3]int{64, 64, 40}
+	container, _, err := sperr.CompressPWE(field(dims[0], dims[1], dims[2], 7), dims, testTol,
+		&sperr.Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 4x4x3 chunks in container order: the first 16 are the z = 0 band.
+	shard, err := sperr.SliceShard(container, func(i int) bool { return i < 16 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+
+	want, err := sperr.DecompressRegion(container, [3]int{}, [3]int{dims[0], dims[1], 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := rawio.EncodeFloats(want, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, body := postRaw(t, ts.URL+"/v1/region?region=0,0,0,64,64,16", shard)
+	if res.StatusCode != http.StatusOK || res.Trailer.Get("X-Sperr-Status") != "ok" || !bytes.Equal(body, wantRaw) {
+		t.Fatalf("box inside the kept chunks: status %d, trailer %q, %d bytes, want the library's %d",
+			res.StatusCode, res.Trailer.Get("X-Sperr-Status"), len(body), len(wantRaw))
+	}
+	for _, spec := range []string{"0,0,0,64,64,40", "20,20,20,1,1,1"} {
+		// One worker decodes the kept band before it reaches a stub.
+		res, body := postRaw(t, ts.URL+"/v1/region?workers=1&region="+spec, shard)
+		if res.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("stub")) {
+			t.Errorf("box %s over stubs: status %d, trailer %q, %d bytes, want 400 naming the stub",
+				spec, res.StatusCode, res.Trailer.Get("X-Sperr-Status"), len(body))
+		}
+	}
+}

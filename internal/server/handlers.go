@@ -375,35 +375,36 @@ func intList(xs []int) string {
 
 // readContainer buffers a container body (describe/region need random
 // access to the index footer), bounded by MaxContainerBytes. A declared
-// Content-Length over the cap is refused before a byte is read, and one
-// under it is read into a buffer of exactly that size; a body of unknown
-// length is read up to the cap.
-func (s *Server) readContainer(w *statusWriter, r *http.Request, st *reqStats) (body []byte, ok bool) {
-	max, n := s.cfg.MaxContainerBytes, r.ContentLength
-	var err error
-	switch {
-	case n < 0:
-		body, err = io.ReadAll(io.LimitReader(r.Body, max+1))
-		n = int64(len(body))
-	case n <= max:
-		body = make([]byte, n)
-		_, err = io.ReadFull(r.Body, body)
-	}
-	if err != nil {
-		st.err = err
-		if r.Context().Err() != nil {
-			st.canceled = true
+// Content-Length over the cap is refused before a byte is read. Of one
+// under it, up to bodyPrealloc is allocated up front, so a body of that
+// size lands in one buffer; the rest is allocated as it arrives, so a
+// header that declares the cap and stalls holds no more than that.
+func (s *Server) readContainer(w *statusWriter, r *http.Request, st *reqStats) ([]byte, bool) {
+	limit, n := s.cfg.MaxContainerBytes, r.ContentLength
+	var body bytes.Buffer
+	if n <= limit {
+		body.Grow(int(min(max(n, 0), bodyPrealloc)) + bytes.MinRead)
+		_, err := body.ReadFrom(io.LimitReader(r.Body, limit+1))
+		if err != nil {
+			st.err = err
+			if r.Context().Err() != nil {
+				st.canceled = true
+			}
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return nil, false
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
+		n = int64(body.Len())
 	}
-	if n > max {
-		st.err = fmt.Errorf("container exceeds %d-byte cap", max)
+	if n > limit {
+		st.err = fmt.Errorf("container exceeds %d-byte cap", limit)
 		http.Error(w, st.err.Error(), http.StatusRequestEntityTooLarge)
 		return nil, false
 	}
-	return body, true
+	return body.Bytes(), true
 }
+
+// bodyPrealloc is the most of a declared body allocated before it arrives.
+const bodyPrealloc = 4 << 20
 
 // handleDescribe returns the container's StreamInfo as JSON without
 // decoding any data (header + index footer only on v2).
@@ -445,7 +446,9 @@ func parseRegionSpec(spec string) (origin, dims [3]int, err error) {
 // handleRegion decodes only the chunks intersecting the requested cutout
 // (region=x,y,z,nx,ny,nz) of the buffered container and streams the region
 // as raw floats through streamRegion, band by band, under the
-// X-Sperr-Status trailer. Parameters: region (required), f32, workers.
+// X-Sperr-Status trailer. A bad box or a hit shard stub is refused with
+// 400 before the response starts. Parameters: region (required), f32,
+// workers.
 func (s *Server) handleRegion(w *statusWriter, r *http.Request, st *reqStats) {
 	origin, rdims, err := parseRegionSpec(param(r, "region"))
 	if err != nil {
@@ -461,38 +464,21 @@ func (s *Server) handleRegion(w *statusWriter, r *http.Request, st *reqStats) {
 	if !ok {
 		return
 	}
-	info, err := sperr.Describe(body)
+	rg, err := chunk.OpenRegion(body, origin, rdims)
 	if err != nil {
-		badRequest(w, st, err)
-		return
-	}
-	if err := grid.CheckBox(origin, rdims, info.Dims); err != nil {
 		badRequest(w, st, err)
 		return
 	}
 	workers := s.effWorkers(workersReq)
 
-	release := s.admit(w, r, st, engineCost(info.Dims, info.ChunkDims, workers))
+	release := s.admit(w, r, st, engineCost(rg.VolumeDims, rg.ChunkDims, workers))
 	if release == nil {
 		return
 	}
 	defer release()
 
-	var hit []int
-	for i, cb := range info.Chunks {
-		if _, _, ok := grid.Intersect(origin, rdims, cb.Origin, cb.Dims); ok {
-			hit = append(hit, i)
-		}
-	}
-	s.streamRegion(w, r, st, origin, rdims, info.Dims, info.ChunkDims, func(ra *regionAssembler) (string, error) {
-		return "", chunk.ReadChunks(r.Context(), body, hit, workers, func(i int, data []float64, err error) error {
-			if err != nil {
-				return err
-			}
-			cb := info.Chunks[i]
-			o, d, _ := grid.Intersect(origin, rdims, cb.Origin, cb.Dims)
-			return ra.addSlab(o, d, cb.Origin, cb.Dims, data)
-		})
+	s.streamRegion(w, r, st, origin, rdims, rg.VolumeDims, rg.ChunkDims, func(ra *regionAssembler) (string, error) {
+		return "", rg.Read(r.Context(), workers, ra.addSlab)
 	})
 }
 

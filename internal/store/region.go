@@ -199,7 +199,8 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 	err = l.Read(ctx, workers, func(ci int, slab []float64, err error) error {
 		if err == nil {
 			g := m.Chunks[ci]
-			copyIntersect(out, origin, dims, g.Origin, g.Dims, slab)
+			o, d, _ := grid.Intersect(origin, dims, g.Origin, g.Dims)
+			grid.CopyBox(out, origin, dims, slab, g.Origin, g.Dims, o, d)
 		}
 		return err
 	})
@@ -207,12 +208,4 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		return nil, nil, err
 	}
 	return out, &RegionStats{Chunks: len(l.chunks), Hits: l.Hits, Misses: l.Misses, Decoded: l.Misses, Samples: len(out)}, nil
-}
-
-// copyIntersect copies the overlap of the chunk box (cOrigin, cDims) into
-// the destination cutout (dOrigin, dDims), both in volume coordinates.
-func copyIntersect(dst []float64, dOrigin, dDims [3]int, cOrigin, cDims [3]int, src []float64) {
-	if o, d, ok := grid.Intersect(dOrigin, dDims, cOrigin, cDims); ok {
-		grid.CopyBox(dst, dOrigin, dDims, src, cOrigin, cDims, o, d)
-	}
 }
