@@ -38,15 +38,18 @@ test-log:
 # breakers) then run 25 more times: their races only show on some
 # schedules. So do the band pool and assembler tests and the endpoint
 # differential, 10 more times: a band recycled before its write went out
-# races only on some schedules. The decode loop and the store's read step
-# run 10 more times too: a decode dispatched after an error, or an arena
-# reused before its callback returned, shows only on some schedules.
+# races only on some schedules. The chunk pipe (the decode loop and the
+# streaming Writer on it), the streaming engines' cancellation, memory
+# and delivery tests and the store's read step run 10 more times too: a
+# job dispatched after an error, or an arena reused before its callback
+# returned, shows only on some schedules.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=25 -run 'Cut|Failover|Degrade|Repeated|Breaker|AfterReturn' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'BandPool|Recycles|Assembler|Differential' ./internal/server/
 	$(GO) test -race -count=10 -run 'ReadChunkErrorPolicy|RegionStops|Lookup' ./internal/store/
-	$(GO) test -race -count=10 -run 'DecodeLoop' ./internal/chunk/
+	$(GO) test -race -count=10 -run 'DecodeLoop|Pipe|Writer' ./internal/chunk/
+	$(GO) test -race -count=10 -run 'Context|BoundedMemory|ChunkDelivery|Abandoned|Serial' .
 
 # Deterministic corruption campaign over the golden fixtures: every
 # frame-boundary truncation plus stratified byte flips and zeroed runs,

@@ -519,10 +519,8 @@ func runStreamDecompress(in, out string, width, workers int, quiet bool) {
 	if err != nil {
 		fatal("write %s: %v", out, err)
 	}
+	var buf []byte // row scratch: callbacks run one at a time
 	err = dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
-		// One scratch per callback: callbacks run concurrently, one per
-		// worker, and chunk rows reuse it.
-		var buf []byte
 		nx := ch.Dims[0]
 		for z := 0; z < ch.Dims[2]; z++ {
 			for y := 0; y < ch.Dims[1]; y++ {

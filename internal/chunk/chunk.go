@@ -40,10 +40,11 @@ type Options struct {
 	Workers int
 	// Instrument, when non-nil, receives one Event per completed chunk.
 	// Events are delivered in chunk-index order regardless of Workers: a
-	// reorder buffer holds out-of-order completions until the preceding
-	// chunks finish. The callback runs on pipeline goroutines under the
-	// buffer's lock, so it must be fast and must not call back into this
-	// package.
+	// reorder map holds out-of-order completions until the preceding
+	// chunks finish. The callback runs on the goroutine that calls the
+	// Writer's Write or Close, one event at a time, and no chunk encode
+	// starts while it executes, so it must be fast and must not call the
+	// Writer.
 	Instrument func(Event)
 }
 
@@ -75,6 +76,7 @@ type Event struct {
 type workerScratch struct {
 	codec *codec.Scratch
 	slab  []float64
+	frame []byte // a Reader's frame payload, read before the decode starts
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -163,17 +165,18 @@ func Decompress(stream []byte, workers int) (*grid.Volume, error) {
 		return nil, err
 	}
 	vol := grid.NewVolume(d.VolumeDims())
-	// Chunks are disjoint, so concurrent InsertSlice calls touch disjoint
-	// regions of vol.Data. data aliases the worker's arena; the copy-out
-	// completes before the callback returns.
-	err = d.ForEach(func(i int, ch grid.Chunk, data []float64) error {
-		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
-		return nil
-	})
-	if err != nil {
+	if err := d.DecodeInto(vol); err != nil {
 		return nil, err
 	}
 	return vol, nil
+}
+
+// decoded is one chunk decode's result: the job's index, its samples
+// (aliasing the job's arena) or its error.
+type decoded struct {
+	k    int
+	data []float64
+	err  error
 }
 
 // decodeEach is the package's one random-access decode loop: decode(k,
@@ -186,39 +189,127 @@ func Decompress(stream []byte, workers int) (*grid.Volume, error) {
 func decodeEach(ctx context.Context, n, workers int,
 	decode func(k int, s *codec.Scratch) ([]float64, error),
 	fn func(k int, data []float64, err error) error) error {
+	p := newPipe(ctx, workers, n, func(d decoded) error { return fn(d.k, d.data, d.err) })
+	for k := 0; k < n; k++ {
+		ws := p.slot()
+		if ws == nil {
+			break
+		}
+		p.submit(ws, 0, func(ws *workerScratch) decoded {
+			data, err := decode(k, ws.codec)
+			return decoded{k, data, err}
+		})
+	}
+	return p.wait()
+}
+
+// pipe is the package's one dispatch loop, under every chunk encode and
+// decode: each job runs on its own goroutine with a pooled arena, at most
+// workers at a time, and each result is handed to fn on the goroutine
+// that calls slot and wait, one at a time, before its arena goes back to
+// the pool. An fn error or a done ctx stops dispatch; results still in
+// flight then drain unseen. Only the dispatching goroutine touches a
+// pipe's fields, and a finished job never blocks, so a pipe abandoned
+// between calls leaves nothing running.
+type pipe[R any] struct {
+	ctx     context.Context
+	workers int
+	fn      func(R) error
+	done    chan piped[R]
+	err     error // what stopped dispatch, sticky
+
+	inflight      int // jobs started and not yet delivered
+	samples, peak int // samples those jobs hold, and its running maximum
+
+	// free holds the arenas of delivered jobs for the next ones until wait.
+	// Put back in scratchPool at once, an arena lands in the pool slot of
+	// the P the dispatcher woke on, which no other P can take from, and a
+	// dispatcher woken on another P builds a fresh arena instead.
+	free []*workerScratch
+}
+
+// piped carries a finished job back to the dispatching goroutine.
+type piped[R any] struct {
+	ws      *workerScratch
+	samples int
+	r       R
+}
+
+// newPipe makes a pipe for at most n jobs, running up to workers of them
+// at once (<= 0: GOMAXPROCS).
+func newPipe[R any](ctx context.Context, workers, n int, fn func(R) error) *pipe[R] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type decoded struct {
-		k    int
-		ws   *workerScratch
-		data []float64
-		err  error
+	workers = max(1, min(workers, n))
+	// A slot per job in flight: a finished job never waits on fn.
+	return &pipe[R]{ctx: ctx, workers: workers, fn: fn, done: make(chan piped[R], workers)}
+}
+
+// stopped returns what stopped dispatch: fn's error or the ctx's, or nil.
+func (p *pipe[R]) stopped() error {
+	if p.err == nil {
+		p.err = p.ctx.Err()
 	}
-	// A slot per decode in flight: a finished decode never waits on fn,
-	// which runs here, so fn does not escape.
-	done := make(chan decoded, min(workers, n))
-	var first error
-	next, inflight := 0, 0
-	for {
-		for ; first == nil && inflight < workers && next < n; next++ {
-			if first = ctx.Err(); first != nil {
-				break
-			}
-			inflight++
-			go func(k int, ws *workerScratch) {
-				data, err := decode(k, ws.codec)
-				done <- decoded{k, ws, data, err}
-			}(next, scratchPool.Get().(*workerScratch))
-		}
-		if inflight == 0 {
-			return first
-		}
-		d := <-done
-		inflight--
-		if first == nil {
-			first = fn(d.k, d.data, d.err)
-		}
-		scratchPool.Put(d.ws)
+	return p.err
+}
+
+// slot waits, delivering finished results, until another job may start,
+// and returns a pooled arena for it; nil once dispatch has stopped.
+func (p *pipe[R]) slot() *workerScratch {
+	for p.stopped() == nil && p.inflight >= p.workers {
+		p.receive()
 	}
+	if p.err != nil {
+		return nil
+	}
+	if n := len(p.free); n > 0 {
+		ws := p.free[n-1]
+		p.free = p.free[:n-1]
+		return ws
+	}
+	return scratchPool.Get().(*workerScratch)
+}
+
+// submit starts job on ws, an arena from slot, on its own goroutine.
+// samples is what the job holds in flight, for PeakInFlightSamples.
+func (p *pipe[R]) submit(ws *workerScratch, samples int, job func(*workerScratch) R) {
+	p.inflight++
+	p.samples += samples
+	p.peak = max(p.peak, p.samples)
+	go func() { p.done <- piped[R]{ws, samples, job(ws)} }()
+}
+
+// abort stops dispatch with err, unless it has stopped already, and
+// takes back ws, an arena from slot that no job took.
+func (p *pipe[R]) abort(ws *workerScratch, err error) {
+	if p.err == nil {
+		p.err = err
+	}
+	p.free = append(p.free, ws)
+}
+
+// receive delivers one finished job's result, unless dispatch has
+// stopped, and keeps its arena for the next job.
+func (p *pipe[R]) receive() {
+	d := <-p.done
+	p.inflight--
+	p.samples -= d.samples
+	if p.err == nil {
+		p.err = p.fn(d.r)
+	}
+	p.free = append(p.free, d.ws)
+}
+
+// wait delivers the results of the jobs in flight, returns every arena to
+// the pool, and returns the error that stopped dispatch, if any.
+func (p *pipe[R]) wait() error {
+	for p.inflight > 0 {
+		p.receive()
+	}
+	for _, ws := range p.free {
+		scratchPool.Put(ws)
+	}
+	p.free = nil
+	return p.err
 }

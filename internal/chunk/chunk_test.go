@@ -180,7 +180,7 @@ func (w *failOnce) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// A frame write that fails while later frames wait in the reorder buffer
+// A frame write that fails while later frames wait in the reorder map
 // must stay failed: nothing more reaches the stream, and Close reports it
 // instead of writing a footer over a container with a hole in it.
 func TestWriterKeepsFrameWriteError(t *testing.T) {
@@ -191,16 +191,25 @@ func TestWriterKeepsFrameWriteError(t *testing.T) {
 	}
 	// Write 1 is the fixed header, 2 frame 0's prefix, 3 its payload.
 	w := &failOnce{n: 3}
-	cw, err := NewWriter(w, grid.Dims{NX: 24, NY: 8, NZ: 8}, opts)
+	serial := opts
+	serial.Workers = 1
+	cw, err := NewWriter(w, grid.Dims{NX: 24, NY: 8, NZ: 8}, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := encResult{frame: []byte{1, 2, 3}}
-	cw.em.deliver(2, res)
-	cw.em.deliver(1, res)
-	cw.em.deliver(0, res)
-	if err := cw.em.error(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("emitter error after the failed frame: %v", err)
+	// One encode at a time, so frames reach emit in the order they are
+	// submitted: 2 and 1 wait in the reorder map while 0's write fails.
+	for _, i := range []int{2, 1, 0} {
+		ws := cw.pipe.slot()
+		if ws == nil {
+			t.Fatalf("pipe stopped before chunk %d", i)
+		}
+		cw.pipe.submit(ws, 0, func(*workerScratch) encResult {
+			return encResult{Event: Event{Index: i}, frame: []byte{1, 2, 3}}
+		})
+	}
+	if err := cw.pipe.wait(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("pipe error after the failed frame: %v", err)
 	}
 	if w.calls != 3 {
 		t.Fatalf("%d Write calls, want 3: frames followed the failed one", w.calls)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sperr/internal/codec"
 	"sperr/internal/grid"
@@ -97,5 +98,80 @@ func TestRegionRefusesStubsBeforeAllocating(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("all-stub shard of %d bytes: refusing it allocated %d bytes", len(shard), grew)
+	}
+}
+
+// TestPipeBoundsJobsInFlight: the pipe runs at most workers jobs at once,
+// hands every result to its callback on the dispatching goroutine one at
+// a time, and counts the samples of the jobs in flight; a done ctx stops
+// dispatch and is wait's error.
+func TestPipeBoundsJobsInFlight(t *testing.T) {
+	const n, samples = 40, 7
+	for _, workers := range []int{1, 2, 4} {
+		var running, most atomic.Int64
+		seen := make([]bool, n)
+		inFn := false
+		p := newPipe(context.Background(), workers, n, func(k int) error {
+			if inFn {
+				t.Errorf("workers %d: callbacks overlap", workers)
+			}
+			inFn = true
+			defer func() { inFn = false }()
+			if seen[k] {
+				t.Errorf("workers %d: job %d delivered twice", workers, k)
+			}
+			seen[k] = true
+			return nil
+		})
+		for k := 0; k < n; k++ {
+			ws := p.slot()
+			if ws == nil {
+				t.Fatalf("workers %d: pipe stopped at job %d", workers, k)
+			}
+			p.submit(ws, samples, func(*workerScratch) int {
+				cur := running.Add(1)
+				for m := most.Load(); cur > m && !most.CompareAndSwap(m, cur); m = most.Load() {
+				}
+				time.Sleep(time.Millisecond)
+				running.Add(-1)
+				return k
+			})
+		}
+		if err := p.wait(); err != nil {
+			t.Fatal(err)
+		}
+		for k, ok := range seen {
+			if !ok {
+				t.Fatalf("workers %d: job %d never delivered", workers, k)
+			}
+		}
+		if got := most.Load(); got > int64(workers) {
+			t.Fatalf("workers %d: %d jobs ran at once", workers, got)
+		}
+		if p.peak == 0 || p.peak > workers*samples || p.samples != 0 {
+			t.Fatalf("workers %d: peak %d, %d left in flight; want 1..%d and 0",
+				workers, p.peak, p.samples, workers*samples)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	delivered := 0
+	p := newPipe(ctx, 2, n, func(int) error {
+		if delivered++; delivered == 3 {
+			cancel()
+		}
+		return nil
+	})
+	submitted := 0
+	for k := 0; k < n; k++ {
+		ws := p.slot()
+		if ws == nil {
+			break
+		}
+		submitted++
+		p.submit(ws, 0, func(*workerScratch) int { return k })
+	}
+	if err := p.wait(); !errors.Is(err, context.Canceled) || delivered != 3 || submitted > 4 {
+		t.Fatalf("cancelled at the third result: err %v, %d delivered, %d submitted", err, delivered, submitted)
 	}
 }

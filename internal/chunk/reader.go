@@ -6,9 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sperr/internal/codec"
 	"sperr/internal/grid"
@@ -33,9 +30,10 @@ func maxFrameBytes(chunks []grid.Chunk) int {
 const readChunkMax = 1 << 20
 
 // Reader is the streaming decoder engine: it reads container frames
-// sequentially from any io.Reader (formats v2 and v3), decodes chunks on a
-// worker pool, and hands each decoded chunk to a callback. Peak decoded
-// data in flight is bounded by workers x chunk size — never the volume.
+// sequentially from any io.Reader (formats v2 and v3), decodes chunks in
+// parallel on the package's pipe, and hands each decoded chunk to a
+// callback. Peak decoded data in flight is bounded by workers x chunk
+// size — never the volume.
 type Reader struct {
 	layout
 	r io.Reader
@@ -46,13 +44,13 @@ type Reader struct {
 	workers   int
 
 	consumed bool
-	ctx      context.Context // optional cancellation, see SetContext
+	ctx      context.Context // see SetContext
 
 	remain int64   // input bytes past the header when seekable, else -1
 	word   [4]byte // nextFrame's length-prefix / checksum read buffer
 
-	inFlight     atomic.Int64
-	peakInFlight atomic.Int64
+	peak int          // ForEach's most decoded samples in flight
+	into *grid.Volume // DecodeInto's destination
 }
 
 // NewReader parses the container's fixed header from r and prepares a
@@ -62,7 +60,7 @@ func NewReader(r io.Reader, workers int) (*Reader, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
-	d := &Reader{r: r, workers: workers, remain: -1}
+	d := &Reader{r: r, workers: workers, ctx: context.Background(), remain: -1}
 	// When the input can report its size, remember how many bytes remain
 	// past the header: a forged length prefix is then rejected before any
 	// allocation instead of after a bounded-step read fails.
@@ -100,97 +98,48 @@ func (d *Reader) Version() int { return d.version }
 func (d *Reader) SetWorkers(n int) { d.workers = n }
 
 // SetContext attaches a cancellation context to the Reader: once ctx is
-// done, the frame producer stops reading and workers stop picking up
-// queued decodes, so ForEach returns ctx's error promptly instead of
+// done, ForEach reads no further frame, starts no further decode and
+// delivers nothing more, and returns ctx's error promptly instead of
 // draining the container. Call it before ForEach. The zero state never
 // cancels.
 func (d *Reader) SetContext(ctx context.Context) { d.ctx = ctx }
 
-func (d *Reader) ctxErr() error {
-	if d.ctx == nil {
-		return nil
-	}
-	return d.ctx.Err()
-}
-
 // PeakInFlightSamples reports the maximum number of decoded samples alive
-// at any one time during ForEach — at most workers x chunk size.
-func (d *Reader) PeakInFlightSamples() int { return int(d.peakInFlight.Load()) }
+// at any one time during ForEach — at most workers x chunk size. It is
+// set when ForEach returns.
+func (d *Reader) PeakInFlightSamples() int { return d.peak }
 
-// decJob is one compressed frame payload awaiting decode.
-type decJob struct {
-	index   int
-	payload []byte
+// DecodeInto decodes every chunk into vol, which spans the container's
+// volume, as ForEach does. Chunks are disjoint, so each is copied into vol
+// on its decode's goroutine, where the copy keeps a decode slot busy; a
+// copy in a ForEach callback leaves the slot idle until it returns.
+func (d *Reader) DecodeInto(vol *grid.Volume) error {
+	d.into = vol
+	return d.ForEach(func(int, grid.Chunk, []float64) error { return nil })
 }
 
 // ForEach streams every chunk of the container through fn: frames are
-// read sequentially, decoded in parallel, and fn is invoked once per
-// chunk with its geometry and decoded samples. fn runs concurrently on
-// worker goroutines and data aliases a worker arena — copy out before
-// returning. The first damaged byte fails the whole decode with
-// ErrCorrupt; a damaged container is read through Salvage instead.
-// ForEach consumes the Reader; it can be called once.
+// read sequentially on the calling goroutine, decoded in parallel, and fn
+// is invoked once per chunk with its geometry and decoded samples. fn
+// runs on the calling goroutine, one chunk at a time, in no set order;
+// data aliases a decode arena — copy out before returning. An fn error
+// stops the decode and is returned. The first damaged byte fails the
+// whole decode with ErrCorrupt; a damaged container is read through
+// Salvage instead. ForEach consumes the Reader; it can be called once.
 func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error) error {
 	if d.consumed {
 		return fmt.Errorf("chunk: Reader already consumed")
 	}
 	d.consumed = true
-
-	workers := d.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(d.chunks))
 	maxFrame := maxFrameBytes(d.chunks)
-
-	var (
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	p := newPipe(d.ctx, d.workers, len(d.chunks), func(r decoded) error {
+		if r.err != nil {
+			return fmt.Errorf("chunk %d: %w", r.k, r.err)
 		}
-		mu.Unlock()
-		failed.Store(true)
-	}
+		return fn(r.k, d.chunks[r.k], r.data)
+	})
 
-	bufPool := sync.Pool{New: func() any { return new([]byte) }}
-	jobs := make(chan decJob, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := scratchPool.Get().(*workerScratch)
-			defer scratchPool.Put(ws)
-			for job := range jobs {
-				if err := d.ctxErr(); err != nil {
-					fail(err)
-				}
-				if !failed.Load() {
-					ch := d.chunks[job.index]
-					n := int64(ch.Dims.Len())
-					raisePeak(&d.peakInFlight, d.inFlight.Add(n))
-					data, err := d.decode(job.payload, ch.Dims, ws.codec)
-					if err != nil {
-						fail(fmt.Errorf("chunk %d: %w", job.index, err))
-					} else if !failed.Load() {
-						if err := fn(job.index, ch, data); err != nil {
-							fail(err)
-						}
-					}
-					d.inFlight.Add(-n)
-				}
-				buf := job.payload[:0]
-				bufPool.Put(&buf)
-			}
-		}()
-	}
-
-	// Producer: read frames sequentially, recording what the index footer
+	// Read frames sequentially, recording what the index footer
 	// must later corroborate: entries always, and on tagged layouts the
 	// frame codec tags the footer's codec map must mirror.
 	entries := make([]indexEntry, len(d.chunks))
@@ -199,30 +148,34 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		tags = make([]codec.CodecID, len(d.chunks))
 	}
 	off := uint64(fixedHeaderSize)
-	for i := range d.chunks {
-		if err := d.ctxErr(); err != nil {
-			fail(err)
-		}
-		if failed.Load() {
+	for i, ch := range d.chunks {
+		ws := p.slot()
+		if ws == nil {
 			break
 		}
-		bp := bufPool.Get().(*[]byte)
-		payload, crc, err := d.nextFrame(*bp, maxFrame)
+		payload, crc, err := d.nextFrame(ws.frame, maxFrame)
 		if err != nil {
-			fail(fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err))
+			p.abort(ws, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err))
 			break
 		}
+		ws.frame = payload
 		entries[i] = indexEntry{offset: off, length: uint32(len(payload)), crc: crc}
 		off += uint64(frameOverhead + len(payload))
 		if d.tagged && len(payload) > 0 {
 			tags[i] = codec.CodecID(payload[0])
 		}
-		jobs <- decJob{index: i, payload: payload}
+		p.submit(ws, ch.Dims.Len(), func(ws *workerScratch) decoded {
+			data, err := d.decode(ws.frame, ch.Dims, ws.codec)
+			if err == nil && d.into != nil {
+				d.into.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
+			}
+			return decoded{i, data, err}
+		})
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	err := p.wait()
+	d.peak = p.peak
+	if err != nil {
+		return err
 	}
 
 	// Consume and corroborate the index footer: every entry must match the
@@ -249,17 +202,6 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		}
 	}
 	return nil
-}
-
-// raisePeak lifts the running-maximum counter to cur if it exceeds the
-// recorded peak, racing correctly against concurrent raises.
-func raisePeak(peak *atomic.Int64, cur int64) {
-	for {
-		p := peak.Load()
-		if cur <= p || peak.CompareAndSwap(p, cur) {
-			return
-		}
-	}
 }
 
 // nextFrame reads the next frame from the input into buf (grown as

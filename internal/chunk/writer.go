@@ -5,36 +5,26 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sperr/internal/codec"
 	"sperr/internal/grid"
 )
 
-// ctxBox wraps a context.Context so it can sit behind an atomic.Pointer:
-// the producer goroutine publishes it once via SetContext while worker
-// goroutines (already launched) load it per job.
-type ctxBox struct{ ctx context.Context }
-
-func loadCtx(p *atomic.Pointer[ctxBox]) context.Context {
-	if b := p.Load(); b != nil {
-		return b.ctx
-	}
-	return context.Background()
-}
-
 // Writer is the streaming encoder engine: it accepts a volume's samples
 // incrementally in row-major order (x fastest, any Write granularity),
-// compresses chunks on a worker pool as soon as their samples are
-// complete, and emits container frames to the underlying io.Writer in
-// chunk-index order — out-of-order completions wait in a reorder buffer,
-// so the byte stream is identical at every worker count. Close writes the
-// index footer.
+// compresses chunks in parallel on the package's pipe as soon as their
+// samples are complete, and emits container frames to the underlying
+// io.Writer in chunk-index order — out-of-order completions wait in a
+// reorder map, so the byte stream is identical at every worker count.
+// Close writes the index footer.
 //
 // Peak memory is bounded by the in-flight chunk set, not the volume: at
 // most one accumulation slab (volume XY extent x chunk Z extent; none at
 // all when Write is handed whole slabs) plus one chunk slab per worker.
+// Frames are written, and Options.Instrument called, only on the
+// goroutine that calls Write and Close; no encode starts between those
+// calls.
 //
 // A Writer is not safe for concurrent use. After Close (or an error) it
 // can be rearmed with Reset, reusing its buffers and parameters.
@@ -47,133 +37,66 @@ type Writer struct {
 	chunkDims grid.Dims // clamped tiling actually used
 	chunks    []grid.Chunk
 	perSlab   int // chunks per z-slab of the tiling
-	workers   int
 
 	// Producer-side accumulation.
-	fed      int // samples received so far
-	slabBuf  []float64
-	slabFill int
+	fed     int       // samples received so far
+	slabBuf []float64 // the current z-slab's samples, when Write gets less
 
-	jobs chan encJob
-	wg   sync.WaitGroup
-	em   *frameEmitter
+	pipe *pipe[encResult]
 
-	inFlight     atomic.Int64 // samples held in worker chunk slabs
-	peakInFlight atomic.Int64
-
-	ctx atomic.Pointer[ctxBox] // optional cancellation, see SetContext
+	// Emission, by the pipe's callback emit.
+	fw      *frameWriter
+	next    int // the chunk whose frame is written next
+	pending map[int]encResult
+	codecs  []codec.CodecID // per-chunk winners, the tagged footer's codec map
+	cstats  []codec.Stats
+	maxWall time.Duration // the longest chunk, Stats.MaxChunkTime
+	grows   int           // arena growth over all chunks, Stats.ScratchGrows
 
 	stats  *Stats
 	closed bool
 	err    error
 }
 
-// encJob hands one chunk to a worker. The worker cuts the chunk's samples
-// out of src (origin translated by off) into its own arena, then signals
-// cutDone so the producer may reuse or release src.
-type encJob struct {
-	index   int
-	src     *grid.Volume
-	x0      int
-	y0      int
-	z0      int
-	dims    grid.Dims
-	cutDone *sync.WaitGroup
-}
-
-// encResult is one compressed chunk awaiting its turn in the emitter.
+// encResult is one compressed chunk, or its error, on its way to emit.
 type encResult struct {
+	Event
 	frame []byte // the frame payload: codec tag byte when tagged, then the backend stream
-	id    codec.CodecID
-	stats codec.Stats
-	wall  time.Duration
-	grows int
-	dims  grid.Dims
+	err   error
 }
 
-// frameEmitter sequences compressed chunks into the output stream in
-// index order, through the frameWriter that accumulates the index footer.
-type frameEmitter struct {
-	mu      sync.Mutex
-	fw      *frameWriter
-	next    int
-	pending map[int]encResult
-	codecs  []codec.CodecID // per-chunk winners, the tagged footer's codec map
-	stats   []codec.Stats
-	walls   []time.Duration
-	grows   []int
-	seq     func(Event) // optional ordered instrumentation callback
-	chunks  []grid.Chunk
-	err     error
-}
-
-func (em *frameEmitter) fail(err error) {
-	em.mu.Lock()
-	if em.err == nil {
-		em.err = err
+// emit is the Writer's pipe callback. It writes every frame whose turn has
+// come, in index order, holding earlier arrivals in pending. Its error, a
+// failed encode or frame write, stops the pipe for good: nothing may
+// follow a frame the stream is missing or holds half of.
+func (cw *Writer) emit(res encResult) error {
+	if res.err != nil {
+		return res.err
 	}
-	em.mu.Unlock()
-}
-
-func (em *frameEmitter) error() error {
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	return em.err
-}
-
-// deliver hands a completed chunk to the emitter; frames are written the
-// moment their turn arrives, under the emitter lock.
-func (em *frameEmitter) deliver(i int, res encResult) {
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	if em.err != nil {
-		return
-	}
-	if i != em.next {
-		em.pending[i] = res
-		return
-	}
-	em.writeLocked(i, res)
-	em.next++
-	// A failed write ends the run: em.err is sticky, and nothing may follow
-	// a frame the stream is missing or holds half of.
-	for em.err == nil {
-		res, ok := em.pending[em.next]
+	cw.pending[res.Index] = res
+	for {
+		res, ok := cw.pending[cw.next]
 		if !ok {
-			return
+			return nil
 		}
-		delete(em.pending, em.next)
-		em.writeLocked(em.next, res)
-		em.next++
-	}
-}
-
-func (em *frameEmitter) writeLocked(i int, res encResult) {
-	if err := em.fw.frame(res.frame, frameCRC(res.frame)); err != nil {
-		em.err = err
-		return
-	}
-	em.codecs[i] = res.id
-	em.stats[i] = res.stats
-	em.walls[i] = res.wall
-	em.grows[i] = res.grows
-	if em.seq != nil {
-		em.seq(Event{
-			Index:        i,
-			Dims:         res.dims,
-			BytesIn:      res.dims.Len() * 8,
-			BytesOut:     len(res.frame),
-			Codec:        res.id,
-			WallTime:     res.wall,
-			ScratchGrows: res.grows,
-			Stats:        res.stats,
-		})
+		delete(cw.pending, cw.next)
+		if err := cw.fw.frame(res.frame, frameCRC(res.frame)); err != nil {
+			return err
+		}
+		cw.next++
+		cw.codecs[res.Index] = res.Codec
+		cw.cstats[res.Index] = res.Stats
+		cw.maxWall = max(cw.maxWall, res.WallTime)
+		cw.grows += res.ScratchGrows
+		if cw.opts.Instrument != nil {
+			cw.opts.Instrument(res.Event)
+		}
 	}
 }
 
 // NewWriter starts a streaming compression of a volume with extent
-// volDims into w: it writes the container's fixed header immediately and
-// launches the worker pool. Feed the samples with Write, then Close.
+// volDims into w: it writes the container's fixed header immediately.
+// Feed the samples with Write, then Close.
 func NewWriter(w io.Writer, volDims grid.Dims, opts Options) (*Writer, error) {
 	cw := &Writer{}
 	if err := cw.init(w, volDims, opts); err != nil {
@@ -186,7 +109,7 @@ func NewWriter(w io.Writer, volDims grid.Dims, opts Options) (*Writer, error) {
 // Options, reusing its accumulation buffers. It must not be called on a
 // Writer that is still open.
 func (cw *Writer) Reset(w io.Writer, volDims grid.Dims) error {
-	if cw.jobs != nil && !cw.closed {
+	if cw.pipe != nil && !cw.closed {
 		return fmt.Errorf("chunk: Reset on an open Writer")
 	}
 	return cw.init(w, volDims, cw.opts)
@@ -213,85 +136,54 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 	cw.chunks = grid.SplitChunks(volDims, cw.chunkDims)
 	cw.perSlab = ceilDiv(volDims.NX, cw.chunkDims.NX) * ceilDiv(volDims.NY, cw.chunkDims.NY)
 	cw.fed = 0
-	cw.slabFill = 0
 	cw.closed = false
 	cw.err = nil
 	cw.stats = nil
 	cw.layout = writeLayout(opts.Params.Mode == codec.ModeAdaptive || opts.Params.Codec != codec.CodecSPERR)
-	cw.inFlight.Store(0)
-	cw.peakInFlight.Store(0)
-	cw.ctx.Store(nil)
 
-	// Workers beyond the chunk count would have nothing to encode.
-	cw.workers = min(cw.opts.workers(), len(cw.chunks))
-
-	var seq func(Event)
-	if hook := cw.opts.Instrument; hook != nil {
-		seq = hook
-	}
 	fw, err := newFrameWriter(w, cw.layout, volDims, cw.opts.chunkDims(), len(cw.chunks))
 	if err != nil {
 		return err
 	}
-	cw.em = &frameEmitter{
-		fw:      fw,
-		pending: make(map[int]encResult),
-		codecs:  make([]codec.CodecID, len(cw.chunks)),
-		stats:   make([]codec.Stats, len(cw.chunks)),
-		walls:   make([]time.Duration, len(cw.chunks)),
-		grows:   make([]int, len(cw.chunks)),
-		seq:     seq,
-		chunks:  cw.chunks,
-	}
-
-	cw.jobs = make(chan encJob, cw.workers)
-	cw.wg = sync.WaitGroup{}
-	for i := 0; i < cw.workers; i++ {
-		cw.wg.Add(1)
-		go cw.encodeWorker()
-	}
+	cw.fw = fw
+	cw.next = 0
+	cw.pending = make(map[int]encResult)
+	cw.codecs = make([]codec.CodecID, len(cw.chunks))
+	cw.cstats = make([]codec.Stats, len(cw.chunks))
+	cw.maxWall, cw.grows = 0, 0
+	cw.pipe = newPipe(context.Background(), cw.opts.workers(), len(cw.chunks), cw.emit)
 	return nil
 }
 
 // SetContext attaches a cancellation context to the Writer: once ctx is
-// done, workers stop picking up queued chunk encodes (in-flight chunks
-// finish), and Write/Close return ctx's error. Call it before the first
-// Write; a Reset clears it. The zero state never cancels.
-func (cw *Writer) SetContext(ctx context.Context) { cw.ctx.Store(&ctxBox{ctx: ctx}) }
+// done, no further chunk encode starts (in-flight chunks finish, unseen)
+// and Write/Close return ctx's error. Call it before the first Write; a
+// Reset clears it. The zero state never cancels.
+func (cw *Writer) SetContext(ctx context.Context) { cw.pipe.ctx = ctx }
 
-func (cw *Writer) encodeWorker() {
-	defer cw.wg.Done()
-	ws := scratchPool.Get().(*workerScratch)
-	defer scratchPool.Put(ws)
-	for job := range cw.jobs {
-		if err := loadCtx(&cw.ctx).Err(); err != nil {
-			cw.em.fail(err)
-		}
-		if cw.em.error() != nil {
-			job.cutDone.Done()
-			continue
-		}
-		t0 := time.Now()
-		g0 := ws.codec.Grows()
-		ws.slab = job.src.CutoutInto(ws.slab, job.x0, job.y0, job.z0, job.dims)
-		job.cutDone.Done()
-		n := int64(job.dims.Len())
-		raisePeak(&cw.peakInFlight, cw.inFlight.Add(n))
-		frame, id, st, err := cw.encodeChunk(ws.slab, job.dims, ws.codec)
-		cw.inFlight.Add(-n)
-		if err != nil {
-			cw.em.fail(fmt.Errorf("chunk %d %v: %w", job.index, job.dims, err))
-			continue
-		}
-		cw.em.deliver(job.index, encResult{
-			frame: frame,
-			id:    id,
-			stats: *st,
-			wall:  time.Since(t0),
-			grows: ws.codec.Grows() - g0,
-			dims:  job.dims,
-		})
+// encode is one chunk's job on the pipe: it copies chunk i out of src
+// (origin translated down by z0) into the arena, signals cut so the
+// producer may reuse src, and encodes the copy.
+func (cw *Writer) encode(ws *workerScratch, i int, src *grid.Volume, z0 int, cut *sync.WaitGroup) encResult {
+	ch := cw.chunks[i]
+	t0 := time.Now()
+	g0 := ws.codec.Grows()
+	ws.slab = src.CutoutInto(ws.slab, ch.X0, ch.Y0, ch.Z0-z0, ch.Dims)
+	cut.Done()
+	frame, id, st, err := cw.encodeChunk(ws.slab, ch.Dims, ws.codec)
+	if err != nil {
+		return encResult{err: fmt.Errorf("chunk %d %v: %w", i, ch.Dims, err)}
 	}
+	return encResult{frame: frame, Event: Event{
+		Index:        i,
+		Dims:         ch.Dims,
+		BytesIn:      ch.Dims.Len() * 8,
+		BytesOut:     len(frame),
+		Codec:        id,
+		WallTime:     time.Since(t0),
+		ScratchGrows: ws.codec.Grows() - g0,
+		Stats:        *st,
+	}}
 }
 
 // encodeChunk runs the layout-correct encode of one chunk: the SPERR
@@ -339,40 +231,34 @@ func (cw *Writer) slabRange(s int) (start, length int) {
 	return z0 * xy, nz * xy
 }
 
-// dispatchSlab enqueues every chunk of z-slab s, cutting from src (a
-// volume spanning exactly that slab), and waits until all workers have
-// copied their chunk out of src.
+// dispatchSlab submits every chunk of z-slab s to the pipe, cutting from
+// src (a volume spanning exactly that slab), and waits until each started
+// encode has copied its chunk out of src.
 func (cw *Writer) dispatchSlab(s int, src *grid.Volume) {
 	z0 := s * cw.chunkDims.NZ
 	var cut sync.WaitGroup
 	for i := s * cw.perSlab; i < (s+1)*cw.perSlab && i < len(cw.chunks); i++ {
-		ch := cw.chunks[i]
-		cut.Add(1)
-		cw.jobs <- encJob{
-			index:   i,
-			src:     src,
-			x0:      ch.X0,
-			y0:      ch.Y0,
-			z0:      ch.Z0 - z0,
-			dims:    ch.Dims,
-			cutDone: &cut,
+		ws := cw.pipe.slot()
+		if ws == nil {
+			break
 		}
+		cut.Add(1)
+		cw.pipe.submit(ws, cw.chunks[i].Dims.Len(), func(ws *workerScratch) encResult {
+			return cw.encode(ws, i, src, z0, &cut)
+		})
 	}
 	cut.Wait()
 }
 
 // Write feeds the next samples of the volume in row-major order. It
-// dispatches chunk compressions as z-slabs complete and may block while
-// workers drain. The sample count across all Writes must equal the volume
-// extent by Close time.
+// dispatches chunk compressions as z-slabs complete and may block, writing
+// finished frames, while encodes are in flight. The sample count across
+// all Writes must equal the volume extent by Close time.
 func (cw *Writer) Write(p []float64) (int, error) {
 	if cw.closed {
 		return 0, fmt.Errorf("chunk: Write after Close")
 	}
-	if err := loadCtx(&cw.ctx).Err(); err != nil {
-		cw.em.fail(err)
-	}
-	if err := cw.em.error(); err != nil {
+	if err := cw.pipe.stopped(); err != nil {
 		return 0, err
 	}
 	total := cw.volDims.Len()
@@ -384,32 +270,25 @@ func (cw *Writer) Write(p []float64) (int, error) {
 		s := cw.currentSlab()
 		start, length := cw.slabRange(s)
 		pos := cw.fed - start
-		if pos == 0 && cw.slabFill == 0 && len(p) >= length {
-			// The caller handed a whole slab: cut chunks straight from its
-			// buffer, no accumulation copy. dispatchSlab returns only after
-			// every chunk has been copied out, so p may be reused after
-			// Write.
-			src := grid.FromSlice(grid.Dims{NX: cw.volDims.NX, NY: cw.volDims.NY, NZ: length / (cw.volDims.NX * cw.volDims.NY)}, p[:length])
-			cw.dispatchSlab(s, src)
-			cw.fed += length
-			written += length
-			p = p[length:]
-		} else {
+		// A whole slab handed over is cut straight from the caller's
+		// buffer, with no accumulation copy: dispatchSlab returns only
+		// after every chunk has been copied out, so p may be reused after
+		// Write.
+		slab, n := p, length
+		if pos != 0 || len(p) < length {
 			if cap(cw.slabBuf) < length {
 				cw.slabBuf = make([]float64, length)
 			}
-			n := copy(cw.slabBuf[pos:length], p)
-			cw.slabFill = pos + n
-			cw.fed += n
-			written += n
-			p = p[n:]
-			if cw.slabFill == length {
-				src := grid.FromSlice(grid.Dims{NX: cw.volDims.NX, NY: cw.volDims.NY, NZ: length / (cw.volDims.NX * cw.volDims.NY)}, cw.slabBuf[:length])
-				cw.dispatchSlab(s, src)
-				cw.slabFill = 0
-			}
+			slab, n = cw.slabBuf, copy(cw.slabBuf[pos:length], p)
 		}
-		if err := cw.em.error(); err != nil {
+		cw.fed += n
+		written += n
+		p = p[n:]
+		if cw.fed == start+length {
+			xy := cw.volDims.NX * cw.volDims.NY
+			cw.dispatchSlab(s, grid.FromSlice(grid.Dims{NX: cw.volDims.NX, NY: cw.volDims.NY, NZ: length / xy}, slab[:length]))
+		}
+		if err := cw.pipe.stopped(); err != nil {
 			return written, err
 		}
 	}
@@ -431,12 +310,8 @@ func (cw *Writer) Close() error {
 	}
 	cw.closed = true
 	short := cw.fed != cw.volDims.Len()
-	close(cw.jobs)
-	cw.wg.Wait()
-	if err := loadCtx(&cw.ctx).Err(); err != nil {
-		cw.em.fail(err)
-	}
-	if err := cw.em.error(); err != nil {
+	cw.pipe.wait()
+	if err := cw.pipe.stopped(); err != nil {
 		cw.err = err
 		return err
 	}
@@ -446,36 +321,27 @@ func (cw *Writer) Close() error {
 		return cw.err
 	}
 
-	agg := aggregates{mode: cw.opts.Params.Mode, tol: cw.opts.Params.Tol}
-	for i := range cw.em.stats {
-		agg.speckBits += cw.em.stats[i].SpeckBits
-		agg.outlierBits += cw.em.stats[i].OutlierBits
+	st := &Stats{
+		Chunks:       cw.cstats,
+		NumPoints:    cw.volDims.Len(),
+		MaxChunkTime: cw.maxWall,
+		ScratchGrows: cw.grows,
+		CodecCounts:  make(map[string]int, 1),
 	}
-	total, err := cw.em.fw.finish(cw.em.codecs, agg)
+	for i := range cw.cstats {
+		st.NumOutliers += cw.cstats[i].NumOutliers
+		st.SpeckBits += cw.cstats[i].SpeckBits
+		st.OutlierBits += cw.cstats[i].OutlierBits
+		st.CodecCounts[cw.codecs[i].String()]++
+	}
+	total, err := cw.fw.finish(cw.codecs, aggregates{mode: cw.opts.Params.Mode, tol: cw.opts.Params.Tol,
+		speckBits: st.SpeckBits, outlierBits: st.OutlierBits})
 	if err != nil {
 		cw.err = err
 		return err
 	}
-
-	st := &Stats{
-		Chunks:      cw.em.stats,
-		WallTime:    time.Since(cw.start),
-		TotalBytes:  total,
-		NumPoints:   cw.volDims.Len(),
-		CodecCounts: make(map[string]int, 1),
-	}
-	for _, id := range cw.em.codecs {
-		st.CodecCounts[id.String()]++
-	}
-	for i := range cw.em.stats {
-		st.NumOutliers += cw.em.stats[i].NumOutliers
-		st.SpeckBits += cw.em.stats[i].SpeckBits
-		st.OutlierBits += cw.em.stats[i].OutlierBits
-		st.ScratchGrows += cw.em.grows[i]
-		if cw.em.walls[i] > st.MaxChunkTime {
-			st.MaxChunkTime = cw.em.walls[i]
-		}
-	}
+	st.TotalBytes = total
+	st.WallTime = time.Since(cw.start)
 	cw.stats = st
 	return nil
 }
@@ -487,7 +353,7 @@ func (cw *Writer) Stats() *Stats { return cw.stats }
 // NumChunks returns the number of chunks the volume tiles into.
 func (cw *Writer) NumChunks() int { return len(cw.chunks) }
 
-// PeakInFlightSamples reports the maximum number of chunk samples held in
-// worker arenas at any one time — the engine's bounded-memory witness
+// PeakInFlightSamples reports the maximum number of chunk samples held by
+// encodes in flight at any one time — the engine's bounded-memory witness
 // (at most workers x chunk size, on top of a single accumulation slab).
-func (cw *Writer) PeakInFlightSamples() int { return int(cw.peakInFlight.Load()) }
+func (cw *Writer) PeakInFlightSamples() int { return cw.pipe.peak }

@@ -1,12 +1,20 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
+
+	"sperr"
+	"sperr/internal/rawio"
 )
 
 // TestContainerBodyAllocation: a buffered container body costs its
@@ -85,5 +93,133 @@ func TestDeclaredBodyAllocatesAsItArrives(t *testing.T) {
 	if !raceEnabled && least > bodyPrealloc+64<<10 {
 		t.Fatalf("a declared %d-byte body cut at %d bytes allocated %d bytes, want at most %d",
 			declared, sent, least, bodyPrealloc+64<<10)
+	}
+}
+
+// TestStalledBodyTimesOut: a client that sends its headers and half its
+// body, then stalls, is answered 408 once the body has been idle for
+// bodyIdleTimeout, on a streamed compress and on a buffered container
+// read alike, and the compress gives back its admission charge. Without
+// the idle deadline such a client held its handler, its buffers and its
+// charge for as long as it kept the connection open.
+func TestStalledBodyTimesOut(t *testing.T) {
+	shortenBodyIdle(t, 200*time.Millisecond)
+	s, ts := newTestServer(t, Config{ChunkDims: [3]int{16, 16, 16}})
+	dims := [3]int{32, 32, 32}
+	raw, _ := rawio.EncodeFloats(field(dims[0], dims[1], dims[2], 5), 8)
+	for _, path := range []string{compressURL("", dims), "/v1/describe"} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(testDeadline))
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: sperrd\r\nContent-Length: %d\r\n\r\n", path, len(raw))
+		if _, err := conn.Write(raw[:len(raw)/2]); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusRequestTimeout {
+			t.Fatalf("%s: stalled body answered %d, want 408", path, res.StatusCode)
+		}
+		if waited := time.Since(start); waited > 10*bodyIdleTimeout {
+			t.Fatalf("%s: 408 after %v, idle deadline %v", path, waited, bodyIdleTimeout)
+		}
+		waitFor(t, "admission released", func() bool { return s.Admission().InUse() == 0 })
+	}
+}
+
+// shortenBodyIdle sets bodyIdleTimeout to d for one test. Called before
+// the test starts its server, it restores the old value only after the
+// server has closed and no handler can read it any more.
+func shortenBodyIdle(t *testing.T, d time.Duration) {
+	old := bodyIdleTimeout
+	bodyIdleTimeout = d
+	t.Cleanup(func() { bodyIdleTimeout = old })
+}
+
+// trickle is a request body that arrives in pieces, with a pause before
+// each.
+type trickle struct {
+	data  []byte
+	piece int
+	pause time.Duration
+}
+
+func (b *trickle) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, io.EOF
+	}
+	time.Sleep(b.pause)
+	n := copy(p[:min(len(p), b.piece)], b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+// TestTricklingBodySucceeds: the idle deadline is refreshed on every
+// read, so a body whose pieces each arrive well inside bodyIdleTimeout
+// compresses as usual, however long the whole body takes.
+func TestTricklingBodySucceeds(t *testing.T) {
+	shortenBodyIdle(t, 150*time.Millisecond)
+	_, ts := newTestServer(t, Config{})
+	dims := [3]int{24, 17, 9}
+	data := field(dims[0], dims[1], dims[2], 7)
+	raw, _ := rawio.EncodeFloats(data, 8)
+	want, _, err := sperr.CompressPWE(data, dims, testTol, &sperr.Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
+	defer cancel()
+	body := &trickle{data: raw, piece: len(raw)/12 + 1, pause: 25 * time.Millisecond}
+	req, err := http.NewRequestWithContext(ctx, "POST", compressURL(ts.URL, dims), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(raw))
+	start := time.Now()
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil || res.StatusCode != 200 || res.Trailer.Get("X-Sperr-Status") != "ok" {
+		t.Fatalf("trickled body: status %d, trailer %q, %v", res.StatusCode, res.Trailer.Get("X-Sperr-Status"), err)
+	}
+	if !bytes.Equal(stream, want) {
+		t.Fatal("trickled body: stream differs from the library's")
+	}
+	t.Logf("a body in %d-byte pieces took %v, idle deadline %v", body.piece, time.Since(start), bodyIdleTimeout)
+}
+
+// deadlineRecorder is a ResponseWriter that records read deadlines.
+type deadlineRecorder struct {
+	*httptest.ResponseRecorder
+	set []time.Time
+}
+
+func (w *deadlineRecorder) SetReadDeadline(d time.Time) error {
+	w.set = append(w.set, d)
+	return nil
+}
+
+// TestIdleBodyClearsDeadlineAtEnd: every body read arms the idle deadline
+// and the read that ends the body clears it. Left armed, it fired in the
+// server's background read of the connection once the body had ended and
+// canceled the request's context during a long encode.
+func TestIdleBodyClearsDeadlineAtEnd(t *testing.T) {
+	w := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
+	b := &idleBody{io.NopCloser(bytes.NewReader(make([]byte, 10))), http.NewResponseController(w), &reqStats{}}
+	if n, err := io.Copy(io.Discard, b); n != 10 || err != nil {
+		t.Fatalf("read %d bytes, %v", n, err)
+	}
+	if len(w.set) < 2 || w.set[0].IsZero() || !w.set[len(w.set)-1].IsZero() {
+		t.Fatalf("read deadlines %v: want armed ones, then cleared", w.set)
 	}
 }

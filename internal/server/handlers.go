@@ -76,9 +76,15 @@ func parseTriple(s string) ([3]int, error) {
 	return d, nil
 }
 
+// badRequest answers 400, or 408 when the request body stalled past
+// bodyIdleTimeout (see idleBody).
 func badRequest(w *statusWriter, st *reqStats, err error) {
 	st.err = err
-	http.Error(w, err.Error(), http.StatusBadRequest)
+	code := http.StatusBadRequest
+	if st.idle {
+		code = http.StatusRequestTimeout
+	}
+	http.Error(w, err.Error(), code)
 }
 
 // widthOf maps the f32 parameter to a sample byte width.
@@ -251,20 +257,20 @@ func (s *Server) handleCompress(w *statusWriter, r *http.Request, st *reqStats) 
 // streamFail records a mid-stream failure: if the status line is not out
 // yet it becomes a 4xx/5xx; otherwise only the trailer and log carry it.
 func (s *Server) streamFail(w *statusWriter, r *http.Request, st *reqStats, finish func(error), err error) {
-	if r.Context().Err() != nil {
+	// A stalled body's read error cancels the context too; it stays a 408.
+	if r.Context().Err() != nil && !st.idle {
 		st.canceled = true
 		err = r.Context().Err()
 	}
 	st.err = err
-	if w.status == 0 && w.bytes == 0 {
-		code := http.StatusBadRequest
-		if st.canceled {
-			code = 499 // client closed request (nginx convention)
-		}
-		http.Error(w, err.Error(), code)
-		return
+	switch {
+	case w.status != 0 || w.bytes != 0:
+		finish(err)
+	case st.canceled:
+		http.Error(w, err.Error(), 499) // client closed request (nginx convention)
+	default:
+		badRequest(w, st, err)
 	}
-	finish(err)
 }
 
 // chunkInstrument feeds the engine's ordered per-chunk events into the
@@ -386,11 +392,8 @@ func (s *Server) readContainer(w *statusWriter, r *http.Request, st *reqStats) (
 		body.Grow(int(min(max(n, 0), bodyPrealloc)) + bytes.MinRead)
 		_, err := body.ReadFrom(io.LimitReader(r.Body, limit+1))
 		if err != nil {
-			st.err = err
-			if r.Context().Err() != nil {
-				st.canceled = true
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			st.canceled = r.Context().Err() != nil && !st.idle
+			badRequest(w, st, err)
 			return nil, false
 		}
 		n = int64(body.Len())

@@ -17,6 +17,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -382,6 +383,41 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap lets http.ResponseController reach the connection.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// bodyIdle is how long a request body may go without delivering a byte
+// before its read fails and the request is answered 408.
+const bodyIdle = 30 * time.Second
+
+// bodyIdleTimeout is bodyIdle, shortened by tests.
+var bodyIdleTimeout = bodyIdle
+
+// idleBody gives every read of a request body an idle deadline, refreshed
+// on each read, so a client that stalls mid-body fails the read instead of
+// holding its handler goroutine, buffers and admission charge for as long
+// as it keeps the connection open. The deadline is cleared when the body
+// ends: left armed, it would fire in the server's background read of the
+// idle connection and cancel the request's context during a long encode.
+type idleBody struct {
+	io.ReadCloser
+	rc *http.ResponseController
+	st *reqStats
+}
+
+func (b *idleBody) Read(p []byte) (int, error) {
+	// A ResponseWriter that cannot set deadlines (an in-process recorder)
+	// reads without one; nothing else is lost.
+	_ = b.rc.SetReadDeadline(time.Now().Add(bodyIdleTimeout))
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		_ = b.rc.SetReadDeadline(time.Time{})
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		b.st.idle = true
+	}
+	return n, err
+}
+
 // countingReader counts body bytes in.
 type countingReader struct {
 	r io.Reader
@@ -400,6 +436,7 @@ type reqStats struct {
 	queueWait time.Duration
 	err       error
 	canceled  bool
+	idle      bool // the request body stalled past bodyIdleTimeout
 }
 
 type handlerFunc func(w *statusWriter, r *http.Request, st *reqStats)
@@ -421,7 +458,7 @@ func (s *Server) instrumented(endpoint string, h handlerFunc) http.HandlerFunc {
 			sw.Header().Set("X-Sperr-Node", s.cfg.NodeID)
 		}
 		inflight.Add(1)
-		cr := &countingReader{r: r.Body}
+		cr := &countingReader{r: &idleBody{r.Body, http.NewResponseController(sw), st}}
 		r.Body = struct {
 			io.Reader
 			io.Closer

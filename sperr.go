@@ -69,10 +69,11 @@ type Options struct {
 	Codec string
 	// Instrument, when non-nil, receives one ChunkEvent per compressed
 	// chunk. Events are delivered in chunk-index order regardless of
-	// Workers (out-of-order completions wait in a reorder buffer), so an
+	// Workers (out-of-order completions wait in a reorder map), so an
 	// instrumented run observes the same event sequence at any
-	// parallelism. The callback runs on pipeline goroutines and
-	// serializes them while it executes — keep it fast.
+	// parallelism. The callback runs on the goroutine that called the
+	// compression (or the Encoder's Write or Close), one event at a time,
+	// and no chunk encode starts while it executes — keep it fast.
 	Instrument func(ChunkEvent)
 }
 
@@ -99,7 +100,7 @@ type ChunkEvent struct {
 	// NumOutliers counts points the outlier coder corrected.
 	NumOutliers int
 	// ScratchGrows counts scratch-arena buffer (re)allocations during
-	// this chunk; zero once the worker pool is warm — the pipeline's
+	// this chunk; zero once the scratch pool is warm — the pipeline's
 	// per-chunk allocation counter.
 	ScratchGrows int
 }
@@ -483,9 +484,9 @@ func DecompressFloat32(stream []byte) ([]float32, [3]int, error) {
 
 // DecompressFloat32Workers is DecompressFloat32 with an explicit worker
 // budget (<= 0 means GOMAXPROCS) — the float32 twin of DecompressWorkers.
-// Chunks decode in parallel and narrow to float32 on the worker
-// goroutines as they complete, so the float64 intermediate is bounded by
-// the in-flight chunk set, never the volume.
+// Chunks decode in parallel and narrow to float32 as they complete, so
+// the float64 intermediate is bounded by the in-flight chunk set, never
+// the volume.
 func DecompressFloat32Workers(stream []byte, workers int) ([]float32, [3]int, error) {
 	dec, err := NewDecoder(bytes.NewReader(stream))
 	if err != nil {
@@ -495,8 +496,6 @@ func DecompressFloat32Workers(stream []byte, workers int) ([]float32, [3]int, er
 	dims := dec.Dims()
 	out := make([]float32, dims[0]*dims[1]*dims[2])
 	err = dec.ForEachChunk(func(ch DecodedChunk) error {
-		// Chunks are disjoint, so concurrent narrowing scatters write
-		// disjoint regions of out.
 		nx, ny := ch.Dims[0], ch.Dims[1]
 		for z := 0; z < ch.Dims[2]; z++ {
 			for y := 0; y < ny; y++ {

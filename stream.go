@@ -25,8 +25,8 @@ var ErrToleranceBelowResolution = codec.ErrToleranceBelowResolution
 // Encoder is the streaming compression engine: it accepts a volume's
 // samples incrementally in row-major order (x fastest, any Write
 // granularity) and writes container-v2 frames to the underlying io.Writer
-// as chunks complete. Chunks compress in parallel; an ordered emitter
-// sequences the output, so the byte stream is identical to the one-shot
+// as chunks complete. Chunks compress in parallel and their frames are
+// written in chunk order, so the byte stream is identical to the one-shot
 // Compress functions at every worker count.
 //
 // Peak memory is bounded by the in-flight chunk set — one accumulation
@@ -92,10 +92,11 @@ func NewEncoderRMSE(w io.Writer, dims [3]int, targetRMSE float64, opts *Options)
 }
 
 // SetContext attaches a cancellation context to the Encoder: once ctx is
-// done, queued chunk compressions are abandoned (in-flight chunks finish)
-// and Write/Close return ctx's error. This is the hook a serving layer
-// threads a per-request context through so a dropped client stops chunk
-// workers promptly. Call it before the first Write; Reset clears it.
+// done, no further chunk compression starts (those in flight finish and
+// are dropped) and Write/Close return ctx's error. This is the hook a
+// serving layer threads a per-request context through so a dropped
+// client stops chunk encodes promptly. Call it before the first Write;
+// Reset clears it.
 func (e *Encoder) SetContext(ctx context.Context) { e.w.SetContext(ctx) }
 
 // Write feeds the next samples of the volume in row-major order. The
@@ -134,8 +135,9 @@ func (e *Encoder) Stats() *Stats {
 // NumChunks returns the number of chunks the volume tiles into.
 func (e *Encoder) NumChunks() int { return e.w.NumChunks() }
 
-// PeakInFlightSamples reports the maximum number of chunk samples held in
-// worker arenas at any one time — the engine's bounded-memory witness.
+// PeakInFlightSamples reports the maximum number of chunk samples held by
+// compressions in flight at any one time — the engine's bounded-memory
+// witness, at most workers x chunk size.
 func (e *Encoder) PeakInFlightSamples() int { return e.w.PeakInFlightSamples() }
 
 // DecodedChunk is one decoded chunk delivered by Decoder.ForEachChunk.
@@ -145,13 +147,14 @@ type DecodedChunk struct {
 	// Origin is the chunk's anchor in the volume; Dims its extent.
 	Origin, Dims [3]int
 	// Data holds the chunk's samples in row-major order. It aliases a
-	// worker arena: copy out what you keep before the callback returns.
+	// decode arena that is reused once the callback returns: copy out
+	// what you keep.
 	Data []float64
 }
 
 // Decoder is the streaming decompression engine: it reads container
 // frames sequentially from any io.Reader (formats v2 and v3), decodes
-// chunks on a worker pool, and delivers each to a callback. Peak decoded
+// chunks in parallel, and delivers each to a callback. Peak decoded
 // data in flight is bounded by O(workers x chunk size), never the volume.
 type Decoder struct {
 	r *chunk.Reader
@@ -192,17 +195,17 @@ func (d *Decoder) FormatVersion() int { return d.r.Version() }
 func (d *Decoder) SetWorkers(n int) { d.r.SetWorkers(n) }
 
 // SetContext attaches a cancellation context to the Decoder: once ctx is
-// done, the frame producer stops reading and queued chunk decodes are
-// abandoned, so ForEachChunk/DecodeAll return ctx's error promptly. Call
-// it before ForEachChunk.
+// done, no further frame is read, no further chunk decode starts and no
+// further chunk is delivered, so ForEachChunk/DecodeAll return ctx's
+// error promptly. Call it before ForEachChunk.
 func (d *Decoder) SetContext(ctx context.Context) { d.r.SetContext(ctx) }
 
-// ForEachChunk streams every chunk through fn. fn runs concurrently on
-// worker goroutines (chunks are disjoint, so concurrent writes to
-// disjoint regions of a shared destination are safe); chunk order is not
-// guaranteed. The first damaged byte fails the decode with ErrCorrupt;
-// DecompressSalvage reads a damaged stream. It consumes the Decoder and
-// can be called once.
+// ForEachChunk streams every chunk through fn. Chunks decode in
+// parallel, but fn runs on the goroutine that called ForEachChunk, one
+// chunk at a time, so it needs no locking; chunk order is not
+// guaranteed. An fn error stops the decode and is returned. The first
+// damaged byte fails the decode with ErrCorrupt; DecompressSalvage reads
+// a damaged stream. It consumes the Decoder and can be called once.
 func (d *Decoder) ForEachChunk(fn func(DecodedChunk) error) error {
 	return d.r.ForEach(func(i int, ch grid.Chunk, data []float64) error {
 		return fn(DecodedChunk{
@@ -220,11 +223,7 @@ func (d *Decoder) ForEachChunk(fn func(DecodedChunk) error) error {
 func (d *Decoder) DecodeAll() ([]float64, [3]int, error) {
 	dims := d.Dims()
 	vol := grid.NewVolume(d.r.VolumeDims())
-	err := d.r.ForEach(func(i int, ch grid.Chunk, data []float64) error {
-		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
-		return nil
-	})
-	if err != nil {
+	if err := d.r.DecodeInto(vol); err != nil {
 		return nil, [3]int{}, err
 	}
 	return vol.Data, dims, nil
@@ -232,5 +231,5 @@ func (d *Decoder) DecodeAll() ([]float64, [3]int, error) {
 
 // PeakInFlightSamples reports the maximum number of decoded samples alive
 // at any one time during the streaming decode — at most workers x chunk
-// size.
+// size. It is set when ForEachChunk or DecodeAll returns.
 func (d *Decoder) PeakInFlightSamples() int { return d.r.PeakInFlightSamples() }

@@ -7,9 +7,14 @@ package sperr
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func streamTestInput() ([]float64, [3]int) {
@@ -369,5 +374,71 @@ func TestRegionDecodesOnDamagedV2(t *testing.T) {
 	// A region inside chunk 0 must hit the checksum.
 	if _, err := DecompressRegion(mut, [3]int{0, 0, 0}, [3]int{4, 4, 2}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("region in the damaged chunk returned %v, want ErrCorrupt", err)
+	}
+}
+
+// TestForEachChunkSerial: ForEachChunk calls its callback on the caller's
+// goroutine, one chunk at a time, at any worker count, so a callback may
+// use unguarded state. It sleeps to give overlapping calls time to show.
+func TestForEachChunkSerial(t *testing.T) {
+	data, dims := streamTestInput()
+	stream, _, err := CompressPWE(data, dims, 1e-3, &Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.SetWorkers(4)
+	caller := goroutineID()
+	var inFn atomic.Int64
+	calls := 0
+	err = dec.ForEachChunk(func(DecodedChunk) error {
+		if inFn.Add(1) != 1 {
+			t.Error("callbacks overlap")
+		}
+		defer inFn.Add(-1)
+		if id := goroutineID(); id != caller {
+			t.Errorf("callback on goroutine %s, ForEachChunk called on %s", id, caller)
+		}
+		calls++
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	if err != nil || calls != dec.NumChunks() {
+		t.Fatalf("err %v after %d of %d callbacks", err, calls, dec.NumChunks())
+	}
+}
+
+// goroutineID is the running goroutine's number, from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestAbandonedEncoderLeaksNothing: an Encoder fed part of its volume and
+// never closed leaves no goroutine behind once its chunk encodes finish,
+// so it pins no pooled arena either.
+func TestAbandonedEncoderLeaksNothing(t *testing.T) {
+	data, dims := streamTestInput()
+	slab := dims[0] * dims[1] * 16
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		enc, err := NewEncoderPWE(io.Discard, dims, 1e-3, &Options{ChunkDims: [3]int{16, 16, 16}, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := enc.Write(data[:slab]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before five abandoned encoders", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
