@@ -519,8 +519,10 @@ func runStreamDecompress(in, out string, width, workers int, quiet bool) {
 	if err != nil {
 		fatal("write %s: %v", out, err)
 	}
-	var buf []byte // row scratch: callbacks run one at a time
-	err = dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
+	err = dec.ForEachChunkParallel(func(ch sperr.DecodedChunk) error {
+		// Chunks are disjoint, so each writes its own rows on its decode
+		// goroutine; the row scratch is the call's own.
+		var buf []byte
 		nx := ch.Dims[0]
 		for z := 0; z < ch.Dims[2]; z++ {
 			for y := 0; y < ch.Dims[1]; y++ {

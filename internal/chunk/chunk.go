@@ -165,7 +165,11 @@ func Decompress(stream []byte, workers int) (*grid.Volume, error) {
 		return nil, err
 	}
 	vol := grid.NewVolume(d.VolumeDims())
-	if err := d.DecodeInto(vol); err != nil {
+	err = d.ForEachParallel(func(_ int, ch grid.Chunk, data []float64) error {
+		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return vol, nil
@@ -189,9 +193,10 @@ type decoded struct {
 func decodeEach(ctx context.Context, n, workers int,
 	decode func(k int, s *codec.Scratch) ([]float64, error),
 	fn func(k int, data []float64, err error) error) error {
-	p := newPipe(ctx, workers, n, func(d decoded) error { return fn(d.k, d.data, d.err) })
+	deliver := func(d decoded) error { return fn(d.k, d.data, d.err) }
+	p := newPipe[decoded](ctx, workers, n)
 	for k := 0; k < n; k++ {
-		ws := p.slot()
+		ws := p.slot(deliver)
 		if ws == nil {
 			break
 		}
@@ -200,21 +205,22 @@ func decodeEach(ctx context.Context, n, workers int,
 			return decoded{k, data, err}
 		})
 	}
-	return p.wait()
+	return p.wait(deliver)
 }
 
 // pipe is the package's one dispatch loop, under every chunk encode and
 // decode: each job runs on its own goroutine with a pooled arena, at most
-// workers at a time, and each result is handed to fn on the goroutine
-// that calls slot and wait, one at a time, before its arena goes back to
-// the pool. An fn error or a done ctx stops dispatch; results still in
-// flight then drain unseen. Only the dispatching goroutine touches a
-// pipe's fields, and a finished job never blocks, so a pipe abandoned
-// between calls leaves nothing running.
+// workers at a time, and each result is handed to fn, the callback slot
+// and wait take, on the goroutine that calls them, one at a time, before
+// its arena goes back to the pool. An fn error or a done ctx stops
+// dispatch; results still in flight then drain unseen. Only the
+// dispatching goroutine touches a pipe's fields, and a finished job never
+// blocks, so a pipe abandoned between calls leaves nothing running.
+// fn is an argument, not a field, so a closure over the caller's locals
+// stays on its stack (TestDecodeLoopKeepsCallbackOnStack).
 type pipe[R any] struct {
 	ctx     context.Context
 	workers int
-	fn      func(R) error
 	done    chan piped[R]
 	err     error // what stopped dispatch, sticky
 
@@ -237,13 +243,13 @@ type piped[R any] struct {
 
 // newPipe makes a pipe for at most n jobs, running up to workers of them
 // at once (<= 0: GOMAXPROCS).
-func newPipe[R any](ctx context.Context, workers, n int, fn func(R) error) *pipe[R] {
+func newPipe[R any](ctx context.Context, workers, n int) pipe[R] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, n))
 	// A slot per job in flight: a finished job never waits on fn.
-	return &pipe[R]{ctx: ctx, workers: workers, fn: fn, done: make(chan piped[R], workers)}
+	return pipe[R]{ctx: ctx, workers: workers, done: make(chan piped[R], workers)}
 }
 
 // stopped returns what stopped dispatch: fn's error or the ctx's, or nil.
@@ -254,11 +260,11 @@ func (p *pipe[R]) stopped() error {
 	return p.err
 }
 
-// slot waits, delivering finished results, until another job may start,
-// and returns a pooled arena for it; nil once dispatch has stopped.
-func (p *pipe[R]) slot() *workerScratch {
+// slot waits, delivering finished results to fn, until another job may
+// start, and returns a pooled arena for it; nil once dispatch has stopped.
+func (p *pipe[R]) slot(fn func(R) error) *workerScratch {
 	for p.stopped() == nil && p.inflight >= p.workers {
-		p.receive()
+		p.receive(fn)
 	}
 	if p.err != nil {
 		return nil
@@ -277,7 +283,8 @@ func (p *pipe[R]) submit(ws *workerScratch, samples int, job func(*workerScratch
 	p.inflight++
 	p.samples += samples
 	p.peak = max(p.peak, p.samples)
-	go func() { p.done <- piped[R]{ws, samples, job(ws)} }()
+	done := p.done
+	go func() { done <- piped[R]{ws, samples, job(ws)} }()
 }
 
 // abort stops dispatch with err, unless it has stopped already, and
@@ -289,23 +296,23 @@ func (p *pipe[R]) abort(ws *workerScratch, err error) {
 	p.free = append(p.free, ws)
 }
 
-// receive delivers one finished job's result, unless dispatch has
+// receive delivers one finished job's result to fn, unless dispatch has
 // stopped, and keeps its arena for the next job.
-func (p *pipe[R]) receive() {
+func (p *pipe[R]) receive(fn func(R) error) {
 	d := <-p.done
 	p.inflight--
 	p.samples -= d.samples
 	if p.err == nil {
-		p.err = p.fn(d.r)
+		p.err = fn(d.r)
 	}
 	p.free = append(p.free, d.ws)
 }
 
-// wait delivers the results of the jobs in flight, returns every arena to
-// the pool, and returns the error that stopped dispatch, if any.
-func (p *pipe[R]) wait() error {
+// wait delivers the results of the jobs in flight to fn, returns every
+// arena to the pool, and returns the error that stopped dispatch, if any.
+func (p *pipe[R]) wait(fn func(R) error) error {
 	for p.inflight > 0 {
-		p.receive()
+		p.receive(fn)
 	}
 	for _, ws := range p.free {
 		scratchPool.Put(ws)

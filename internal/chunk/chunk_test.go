@@ -200,7 +200,7 @@ func TestWriterKeepsFrameWriteError(t *testing.T) {
 	// One encode at a time, so frames reach emit in the order they are
 	// submitted: 2 and 1 wait in the reorder map while 0's write fails.
 	for _, i := range []int{2, 1, 0} {
-		ws := cw.pipe.slot()
+		ws := cw.pipe.slot(cw.emit)
 		if ws == nil {
 			t.Fatalf("pipe stopped before chunk %d", i)
 		}
@@ -208,7 +208,7 @@ func TestWriterKeepsFrameWriteError(t *testing.T) {
 			return encResult{Event: Event{Index: i}, frame: []byte{1, 2, 3}}
 		})
 	}
-	if err := cw.pipe.wait(); !errors.Is(err, errDiskFull) {
+	if err := cw.pipe.wait(cw.emit); !errors.Is(err, errDiskFull) {
 		t.Fatalf("pipe error after the failed frame: %v", err)
 	}
 	if w.calls != 3 {

@@ -101,6 +101,28 @@ func TestRegionRefusesStubsBeforeAllocating(t *testing.T) {
 	}
 }
 
+// TestDecodeLoopKeepsCallbackOnStack: decodeEach's callback does not
+// escape, so a caller's closure over its locals costs no allocation. A
+// pipe that stored its callback leaked it to the heap with the arenas it
+// hands on, which cost every hot sperrd store read one allocation: the
+// store's read closure reaches this loop. Zero chunks isolate the loop's
+// own bill, which a closure over a local must not add to.
+func TestDecodeLoopKeepsCallbackOnStack(t *testing.T) {
+	hits := 0
+	closure := testing.AllocsPerRun(100, func() {
+		_ = decodeEach(context.Background(), 0, 2, nil, func(int, []float64, error) error {
+			hits++
+			return nil
+		})
+	})
+	static := testing.AllocsPerRun(100, func() {
+		_ = decodeEach(context.Background(), 0, 2, nil, func(int, []float64, error) error { return nil })
+	})
+	if closure != static {
+		t.Fatalf("%v allocations per empty decode loop with a closure over a local, %v without", closure, static)
+	}
+}
+
 // TestPipeBoundsJobsInFlight: the pipe runs at most workers jobs at once,
 // hands every result to its callback on the dispatching goroutine one at
 // a time, and counts the samples of the jobs in flight; a done ctx stops
@@ -111,7 +133,8 @@ func TestPipeBoundsJobsInFlight(t *testing.T) {
 		var running, most atomic.Int64
 		seen := make([]bool, n)
 		inFn := false
-		p := newPipe(context.Background(), workers, n, func(k int) error {
+		p := newPipe[int](context.Background(), workers, n)
+		fn := func(k int) error {
 			if inFn {
 				t.Errorf("workers %d: callbacks overlap", workers)
 			}
@@ -122,9 +145,9 @@ func TestPipeBoundsJobsInFlight(t *testing.T) {
 			}
 			seen[k] = true
 			return nil
-		})
+		}
 		for k := 0; k < n; k++ {
-			ws := p.slot()
+			ws := p.slot(fn)
 			if ws == nil {
 				t.Fatalf("workers %d: pipe stopped at job %d", workers, k)
 			}
@@ -137,7 +160,7 @@ func TestPipeBoundsJobsInFlight(t *testing.T) {
 				return k
 			})
 		}
-		if err := p.wait(); err != nil {
+		if err := p.wait(fn); err != nil {
 			t.Fatal(err)
 		}
 		for k, ok := range seen {
@@ -156,22 +179,23 @@ func TestPipeBoundsJobsInFlight(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
-	p := newPipe(ctx, 2, n, func(int) error {
+	p := newPipe[int](ctx, 2, n)
+	fn := func(int) error {
 		if delivered++; delivered == 3 {
 			cancel()
 		}
 		return nil
-	})
+	}
 	submitted := 0
 	for k := 0; k < n; k++ {
-		ws := p.slot()
+		ws := p.slot(fn)
 		if ws == nil {
 			break
 		}
 		submitted++
 		p.submit(ws, 0, func(*workerScratch) int { return k })
 	}
-	if err := p.wait(); !errors.Is(err, context.Canceled) || delivered != 3 || submitted > 4 {
+	if err := p.wait(fn); !errors.Is(err, context.Canceled) || delivered != 3 || submitted > 4 {
 		t.Fatalf("cancelled at the third result: err %v, %d delivered, %d submitted", err, delivered, submitted)
 	}
 }

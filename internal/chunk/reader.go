@@ -49,8 +49,7 @@ type Reader struct {
 	remain int64   // input bytes past the header when seekable, else -1
 	word   [4]byte // nextFrame's length-prefix / checksum read buffer
 
-	peak int          // ForEach's most decoded samples in flight
-	into *grid.Volume // DecodeInto's destination
+	peak int // ForEach's most decoded samples in flight
 }
 
 // NewReader parses the container's fixed header from r and prepares a
@@ -109,15 +108,6 @@ func (d *Reader) SetContext(ctx context.Context) { d.ctx = ctx }
 // set when ForEach returns.
 func (d *Reader) PeakInFlightSamples() int { return d.peak }
 
-// DecodeInto decodes every chunk into vol, which spans the container's
-// volume, as ForEach does. Chunks are disjoint, so each is copied into vol
-// on its decode's goroutine, where the copy keeps a decode slot busy; a
-// copy in a ForEach callback leaves the slot idle until it returns.
-func (d *Reader) DecodeInto(vol *grid.Volume) error {
-	d.into = vol
-	return d.ForEach(func(int, grid.Chunk, []float64) error { return nil })
-}
-
 // ForEach streams every chunk of the container through fn: frames are
 // read sequentially on the calling goroutine, decoded in parallel, and fn
 // is invoked once per chunk with its geometry and decoded samples. fn
@@ -127,17 +117,32 @@ func (d *Reader) DecodeInto(vol *grid.Volume) error {
 // whole decode with ErrCorrupt; a damaged container is read through
 // Salvage instead. ForEach consumes the Reader; it can be called once.
 func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error) error {
+	return d.forEach(fn, false)
+}
+
+// ForEachParallel is ForEach with fn called by each decode as it finishes,
+// on its goroutine, up to workers at once: for callers that put each chunk
+// in a place of its own, where a copy in ForEach's fn idles a decode slot.
+// fn must be safe for concurrent use; after a failed call, decodes already
+// running may still call it, and after ctx is done none does.
+func (d *Reader) ForEachParallel(fn func(index int, ch grid.Chunk, data []float64) error) error {
+	return d.forEach(fn, true)
+}
+
+// forEach is ForEach, with fn on the decode goroutines when parallel.
+func (d *Reader) forEach(fn func(index int, ch grid.Chunk, data []float64) error, parallel bool) error {
 	if d.consumed {
 		return fmt.Errorf("chunk: Reader already consumed")
 	}
 	d.consumed = true
 	maxFrame := maxFrameBytes(d.chunks)
-	p := newPipe(d.ctx, d.workers, len(d.chunks), func(r decoded) error {
-		if r.err != nil {
-			return fmt.Errorf("chunk %d: %w", r.k, r.err)
+	deliver := func(r decoded) error {
+		if r.err != nil || parallel {
+			return r.err
 		}
 		return fn(r.k, d.chunks[r.k], r.data)
-	})
+	}
+	p := newPipe[decoded](d.ctx, d.workers, len(d.chunks))
 
 	// Read frames sequentially, recording what the index footer
 	// must later corroborate: entries always, and on tagged layouts the
@@ -149,7 +154,7 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 	}
 	off := uint64(fixedHeaderSize)
 	for i, ch := range d.chunks {
-		ws := p.slot()
+		ws := p.slot(deliver)
 		if ws == nil {
 			break
 		}
@@ -166,13 +171,18 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 		}
 		p.submit(ws, ch.Dims.Len(), func(ws *workerScratch) decoded {
 			data, err := d.decode(ws.frame, ch.Dims, ws.codec)
-			if err == nil && d.into != nil {
-				d.into.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
+			switch {
+			case err != nil:
+				err = fmt.Errorf("chunk %d: %w", i, err)
+			case parallel:
+				if err = d.ctx.Err(); err == nil {
+					err = fn(i, ch, data)
+				}
 			}
 			return decoded{i, data, err}
 		})
 	}
-	err := p.wait()
+	err := p.wait(deliver)
 	d.peak = p.peak
 	if err != nil {
 		return err
@@ -208,35 +218,30 @@ func (d *Reader) ForEach(fn func(index int, ch grid.Chunk, data []float64) error
 // needed): length prefix, payload, and the trailing checksum, which must
 // match. It returns the payload and its CRC.
 func (d *Reader) nextFrame(buf []byte, maxFrame int) (payload []byte, crc uint32, err error) {
-	took := func(n int) {
-		if d.remain >= 0 {
-			d.remain -= int64(n)
-		}
-	}
 	word := d.word[:]
 	if _, err := io.ReadFull(d.r, word); err != nil {
 		return nil, 0, fmt.Errorf("truncated length prefix: %v", err)
 	}
-	took(4)
 	n := int(binary.LittleEndian.Uint32(word))
 	if n > maxFrame {
 		return nil, 0, fmt.Errorf("claims %d bytes (cap %d)", n, maxFrame)
 	}
-	if d.remain >= 0 && int64(n) > d.remain {
-		// The input's size is known and the claim exceeds it: reject
-		// before allocating anything (a forged prefix must not drive a
-		// large up-front allocation just to fail the read).
-		return nil, 0, fmt.Errorf("claims %d bytes with %d remaining", n, d.remain)
+	if d.remain >= 0 {
+		// The input's size is known: a claim beyond it is rejected before
+		// anything is allocated (a forged prefix must not drive a large
+		// up-front allocation just to fail the read).
+		if d.remain -= 4; int64(n) > d.remain {
+			return nil, 0, fmt.Errorf("claims %d bytes with %d remaining", n, d.remain)
+		}
+		d.remain -= int64(n + 4)
 	}
 	if payload, err = readFrame(d.r, buf, n); err != nil {
 		return nil, 0, fmt.Errorf("payload: %v", err)
 	}
-	took(n)
 	crc = frameCRC(payload)
 	if _, err := io.ReadFull(d.r, word); err != nil {
 		return nil, 0, fmt.Errorf("checksum truncated: %v", err)
 	}
-	took(4)
 	if binary.LittleEndian.Uint32(word) != crc {
 		return nil, 0, errors.New("checksum mismatch")
 	}
@@ -249,10 +254,7 @@ func (d *Reader) nextFrame(buf []byte, maxFrame int) (payload []byte, crc uint32
 func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
 	buf = buf[:0]
 	for len(buf) < n {
-		step := n - len(buf)
-		if step > readChunkMax {
-			step = readChunkMax
-		}
+		step := min(n-len(buf), readChunkMax)
 		start := len(buf)
 		if cap(buf) < start+step {
 			grown := make([]byte, start, start+step)

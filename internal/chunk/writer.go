@@ -42,7 +42,7 @@ type Writer struct {
 	fed     int       // samples received so far
 	slabBuf []float64 // the current z-slab's samples, when Write gets less
 
-	pipe *pipe[encResult]
+	pipe pipe[encResult]
 
 	// Emission, by the pipe's callback emit.
 	fw      *frameWriter
@@ -109,7 +109,7 @@ func NewWriter(w io.Writer, volDims grid.Dims, opts Options) (*Writer, error) {
 // Options, reusing its accumulation buffers. It must not be called on a
 // Writer that is still open.
 func (cw *Writer) Reset(w io.Writer, volDims grid.Dims) error {
-	if cw.pipe != nil && !cw.closed {
+	if cw.fw != nil && !cw.closed {
 		return fmt.Errorf("chunk: Reset on an open Writer")
 	}
 	return cw.init(w, volDims, cw.opts)
@@ -151,7 +151,7 @@ func (cw *Writer) init(w io.Writer, volDims grid.Dims, opts Options) error {
 	cw.codecs = make([]codec.CodecID, len(cw.chunks))
 	cw.cstats = make([]codec.Stats, len(cw.chunks))
 	cw.maxWall, cw.grows = 0, 0
-	cw.pipe = newPipe(context.Background(), cw.opts.workers(), len(cw.chunks), cw.emit)
+	cw.pipe = newPipe[encResult](context.Background(), cw.opts.workers(), len(cw.chunks))
 	return nil
 }
 
@@ -224,11 +224,7 @@ func (cw *Writer) encodeChunk(data []float64, dims grid.Dims, s *codec.Scratch) 
 func (cw *Writer) slabRange(s int) (start, length int) {
 	xy := cw.volDims.NX * cw.volDims.NY
 	z0 := s * cw.chunkDims.NZ
-	nz := cw.chunkDims.NZ
-	if z0+nz > cw.volDims.NZ {
-		nz = cw.volDims.NZ - z0
-	}
-	return z0 * xy, nz * xy
+	return z0 * xy, (min(z0+cw.chunkDims.NZ, cw.volDims.NZ) - z0) * xy
 }
 
 // dispatchSlab submits every chunk of z-slab s to the pipe, cutting from
@@ -238,7 +234,7 @@ func (cw *Writer) dispatchSlab(s int, src *grid.Volume) {
 	z0 := s * cw.chunkDims.NZ
 	var cut sync.WaitGroup
 	for i := s * cw.perSlab; i < (s+1)*cw.perSlab && i < len(cw.chunks); i++ {
-		ws := cw.pipe.slot()
+		ws := cw.pipe.slot(cw.emit)
 		if ws == nil {
 			break
 		}
@@ -261,13 +257,13 @@ func (cw *Writer) Write(p []float64) (int, error) {
 	if err := cw.pipe.stopped(); err != nil {
 		return 0, err
 	}
-	total := cw.volDims.Len()
+	total, xy := cw.volDims.Len(), cw.volDims.NX*cw.volDims.NY
 	written := 0
 	for len(p) > 0 {
 		if cw.fed >= total {
 			return written, fmt.Errorf("chunk: %d samples beyond volume %v", len(p), cw.volDims)
 		}
-		s := cw.currentSlab()
+		s := cw.fed / xy / cw.chunkDims.NZ // the slab the next sample belongs to
 		start, length := cw.slabRange(s)
 		pos := cw.fed - start
 		// A whole slab handed over is cut straight from the caller's
@@ -285,7 +281,6 @@ func (cw *Writer) Write(p []float64) (int, error) {
 		written += n
 		p = p[n:]
 		if cw.fed == start+length {
-			xy := cw.volDims.NX * cw.volDims.NY
 			cw.dispatchSlab(s, grid.FromSlice(grid.Dims{NX: cw.volDims.NX, NY: cw.volDims.NY, NZ: length / xy}, slab[:length]))
 		}
 		if err := cw.pipe.stopped(); err != nil {
@@ -293,12 +288,6 @@ func (cw *Writer) Write(p []float64) (int, error) {
 		}
 	}
 	return written, nil
-}
-
-// currentSlab returns the z-slab the next incoming sample belongs to.
-func (cw *Writer) currentSlab() int {
-	xy := cw.volDims.NX * cw.volDims.NY
-	return (cw.fed / xy) / cw.chunkDims.NZ
 }
 
 // Close waits for all chunk compressions, writes the index footer, and
@@ -310,7 +299,7 @@ func (cw *Writer) Close() error {
 	}
 	cw.closed = true
 	short := cw.fed != cw.volDims.Len()
-	cw.pipe.wait()
+	cw.pipe.wait(cw.emit)
 	if err := cw.pipe.stopped(); err != nil {
 		cw.err = err
 		return err

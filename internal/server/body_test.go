@@ -223,3 +223,69 @@ func TestIdleBodyClearsDeadlineAtEnd(t *testing.T) {
 		t.Fatalf("read deadlines %v: want armed ones, then cleared", w.set)
 	}
 }
+
+// TestDecompressStreamsWhileBodyArrives: a streamed /v1/decompress writes
+// its first bands while the container is still arriving. Without full
+// duplex the HTTP/1 server closed the unread request body at the first
+// band, and a container of more than a few hundred KiB came back as a 200
+// whose trailer reported the closed body. The connection stays usable
+// after a full decode, a refused one and one sent chunked, whose last
+// bytes the decode never reads: left for net/http to drain after the
+// handler, they restarted its background read of the connection, and the
+// next request on it panicked with a concurrent Body.Read.
+func TestDecompressStreamsWhileBodyArrives(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	dims := [3]int{64, 64, 64}
+	data := field(dims[0], dims[1], dims[2], 5)
+	container, _, err := sperr.CompressPWE(data, dims, 1e-9, &sperr.Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(container) < 512<<10 {
+		t.Fatalf("container of %d bytes: the first band must go out before the body ends", len(container))
+	}
+	want, _, err := sperr.Decompress(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := rawio.EncodeFloats(want, 8)
+	// One connection, reused by every request.
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}, Timeout: testDeadline}
+	defer client.CloseIdleConnections()
+	post := func(path string, body io.Reader) (*http.Response, []byte) {
+		t.Helper()
+		res, err := client.Post(ts.URL+path, "application/octet-stream", body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer res.Body.Close()
+		out, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		return res, out
+	}
+	decodes := []struct {
+		name string
+		body func() io.Reader
+		ok   bool
+	}{
+		{"whole", func() io.Reader { return bytes.NewReader(container) }, true},
+		{"refused", func() io.Reader { return bytes.NewReader(append([]byte("not a container"), container[:64<<10]...)) }, false},
+		{"chunked", func() io.Reader { return io.MultiReader(bytes.NewReader(container)) }, true},
+	}
+	for _, d := range decodes {
+		res, body := post("/v1/decompress?workers=2", d.body())
+		switch {
+		case !d.ok && res.StatusCode != http.StatusBadRequest:
+			t.Fatalf("%s: status %d, want 400", d.name, res.StatusCode)
+		case d.ok && (res.StatusCode != http.StatusOK || res.Trailer.Get("X-Sperr-Status") != "ok"):
+			t.Fatalf("%s: status %d, trailer %q", d.name, res.StatusCode, res.Trailer.Get("X-Sperr-Status"))
+		case d.ok && !bytes.Equal(body, raw):
+			t.Fatalf("%s: streamed decode differs from the library's (%d bytes)", d.name, len(body))
+		}
+		if res, _ := post("/v1/describe", bytes.NewReader(container)); res.StatusCode != http.StatusOK {
+			t.Fatalf("describe after the %s decode: status %d", d.name, res.StatusCode)
+		}
+	}
+}

@@ -320,6 +320,14 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 		}
 		src = bytes.NewReader(body)
 	} else {
+		// The response streams while the body is still arriving. An
+		// HTTP/1 server otherwise closes an unread request body once the
+		// first band goes out, and the decode reads a closed body. The body
+		// is closed before the handler returns: closed after, its read to
+		// EOF would restart net/http's background read of the connection
+		// while the next request on it is being read.
+		_ = http.NewResponseController(w).EnableFullDuplex()
+		defer r.Body.Close()
 		src = bufio.NewReaderSize(r.Body, 256<<10)
 	}
 	dec, err := sperr.NewDecoder(src)
@@ -341,7 +349,9 @@ func (s *Server) handleDecompress(w *statusWriter, r *http.Request, st *reqStats
 	dec.SetContext(r.Context())
 	s.streamRegion(w, r, st, [3]int{}, dims, dims, chunkDims, func(ra *regionAssembler) (string, error) {
 		if !salvage {
-			err := dec.ForEachChunk(func(ch sperr.DecodedChunk) error {
+			// ra.add locks where pieces meet, so chunks go in on their
+			// decode goroutines.
+			err := dec.ForEachChunkParallel(func(ch sperr.DecodedChunk) error {
 				return ra.add(ch.Origin, ch.Dims, ch.Data)
 			})
 			s.reg.Gauge("sperrd_engine_peak_inflight_samples").RaiseTo(int64(dec.PeakInFlightSamples()))

@@ -458,7 +458,12 @@ func (s *Server) instrumented(endpoint string, h handlerFunc) http.HandlerFunc {
 			sw.Header().Set("X-Sperr-Node", s.cfg.NodeID)
 		}
 		inflight.Add(1)
-		cr := &countingReader{r: &idleBody{r.Body, http.NewResponseController(sw), st}}
+		cr := &countingReader{r: r.Body}
+		if r.Body != http.NoBody {
+			// Only a body that can deliver bytes needs a deadline; a
+			// bodiless read (every GET) pays no allocation for one.
+			cr.r = &idleBody{r.Body, http.NewResponseController(sw), st}
+		}
 		r.Body = struct {
 			io.Reader
 			io.Closer

@@ -484,9 +484,10 @@ func DecompressFloat32(stream []byte) ([]float32, [3]int, error) {
 
 // DecompressFloat32Workers is DecompressFloat32 with an explicit worker
 // budget (<= 0 means GOMAXPROCS) — the float32 twin of DecompressWorkers.
-// Chunks decode in parallel and narrow to float32 as they complete, so
-// the float64 intermediate is bounded by the in-flight chunk set, never
-// the volume.
+// Chunks decode in parallel and narrow to float32 on their decode
+// goroutines as they complete (chunks are disjoint, so the narrowing
+// copies never overlap), and the float64 intermediate is bounded by the
+// in-flight chunk set, never the volume.
 func DecompressFloat32Workers(stream []byte, workers int) ([]float32, [3]int, error) {
 	dec, err := NewDecoder(bytes.NewReader(stream))
 	if err != nil {
@@ -495,7 +496,7 @@ func DecompressFloat32Workers(stream []byte, workers int) ([]float32, [3]int, er
 	dec.SetWorkers(workers)
 	dims := dec.Dims()
 	out := make([]float32, dims[0]*dims[1]*dims[2])
-	err = dec.ForEachChunk(func(ch DecodedChunk) error {
+	err = dec.ForEachChunkParallel(func(ch DecodedChunk) error {
 		nx, ny := ch.Dims[0], ch.Dims[1]
 		for z := 0; z < ch.Dims[2]; z++ {
 			for y := 0; y < ny; y++ {

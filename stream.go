@@ -207,14 +207,31 @@ func (d *Decoder) SetContext(ctx context.Context) { d.r.SetContext(ctx) }
 // damaged byte fails the decode with ErrCorrupt; DecompressSalvage reads
 // a damaged stream. It consumes the Decoder and can be called once.
 func (d *Decoder) ForEachChunk(fn func(DecodedChunk) error) error {
-	return d.r.ForEach(func(i int, ch grid.Chunk, data []float64) error {
+	return d.r.ForEach(decodedChunk(fn))
+}
+
+// ForEachChunkParallel is ForEachChunk with fn run on the decode
+// goroutines, up to the worker budget at once, each as its chunk's decode
+// finishes. It is for callers that put each chunk in a place of its own
+// (chunks never overlap), such as a volume or a file at the chunk's
+// offsets: there a copy in ForEachChunk's fn leaves a decode slot idle
+// until it returns. fn must be safe for concurrent use. Once the context
+// is done no further call starts; once a call fails, decodes already
+// running may still call fn.
+func (d *Decoder) ForEachChunkParallel(fn func(DecodedChunk) error) error {
+	return d.r.ForEachParallel(decodedChunk(fn))
+}
+
+// decodedChunk adapts fn to the engine's per-chunk callback.
+func decodedChunk(fn func(DecodedChunk) error) func(int, grid.Chunk, []float64) error {
+	return func(i int, ch grid.Chunk, data []float64) error {
 		return fn(DecodedChunk{
 			Index:  i,
 			Origin: [3]int{ch.X0, ch.Y0, ch.Z0},
 			Dims:   [3]int{ch.Dims.NX, ch.Dims.NY, ch.Dims.NZ},
 			Data:   data,
 		})
-	})
+	}
 }
 
 // DecodeAll streams the remaining chunks into a freshly allocated volume
@@ -223,7 +240,11 @@ func (d *Decoder) ForEachChunk(fn func(DecodedChunk) error) error {
 func (d *Decoder) DecodeAll() ([]float64, [3]int, error) {
 	dims := d.Dims()
 	vol := grid.NewVolume(d.r.VolumeDims())
-	if err := d.r.DecodeInto(vol); err != nil {
+	err := d.r.ForEachParallel(func(_ int, ch grid.Chunk, data []float64) error {
+		vol.InsertSlice(data, ch.Dims, ch.X0, ch.Y0, ch.Z0)
+		return nil
+	})
+	if err != nil {
 		return nil, [3]int{}, err
 	}
 	return vol.Data, dims, nil
@@ -231,5 +252,6 @@ func (d *Decoder) DecodeAll() ([]float64, [3]int, error) {
 
 // PeakInFlightSamples reports the maximum number of decoded samples alive
 // at any one time during the streaming decode — at most workers x chunk
-// size. It is set when ForEachChunk or DecodeAll returns.
+// size. It is set when ForEachChunk, ForEachChunkParallel or DecodeAll
+// returns.
 func (d *Decoder) PeakInFlightSamples() int { return d.r.PeakInFlightSamples() }

@@ -411,6 +411,78 @@ func TestForEachChunkSerial(t *testing.T) {
 	}
 }
 
+// TestParallelChunkDelivery: ForEachChunkParallel visits every chunk once,
+// with the samples ForEachChunk delivers, and runs its callback on the
+// decode goroutines: never the caller's, overlapping, at most workers at
+// once. After a callback error no further call starts that was not
+// already decoding.
+func TestParallelChunkDelivery(t *testing.T) {
+	data, dims := streamTestInput()
+	stream, _, err := CompressPWE(data, dims, 1e-3, &Options{ChunkDims: [3]int{16, 16, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Decompress(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	dec, err := NewDecoder(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.SetWorkers(workers)
+	caller := goroutineID()
+	got := make([]float64, len(want))
+	var running, most, calls atomic.Int64
+	err = dec.ForEachChunkParallel(func(ch DecodedChunk) error {
+		cur := running.Add(1)
+		defer running.Add(-1)
+		for m := most.Load(); cur > m && !most.CompareAndSwap(m, cur); m = most.Load() {
+		}
+		if id := goroutineID(); id == caller {
+			t.Errorf("chunk %d delivered on the calling goroutine", ch.Index)
+		}
+		calls.Add(1)
+		nx, ny := ch.Dims[0], ch.Dims[1]
+		for z := 0; z < ch.Dims[2]; z++ {
+			for y := 0; y < ny; y++ {
+				off := ((ch.Origin[2]+z)*dims[1]+ch.Origin[1]+y)*dims[0] + ch.Origin[0]
+				copy(got[off:off+nx], ch.Data[(z*ny+y)*nx:(z*ny+y+1)*nx])
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
+	if err != nil || int(calls.Load()) != dec.NumChunks() {
+		t.Fatalf("err %v after %d of %d callbacks", err, calls.Load(), dec.NumChunks())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: %v, Decompress gives %v", i, got[i], want[i])
+		}
+	}
+	if m := most.Load(); m < 2 || m > workers {
+		t.Fatalf("%d callbacks ran at once, want 2..%d", m, workers)
+	}
+
+	dec, err = NewDecoder(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.SetWorkers(2)
+	stop := errors.New("stop")
+	calls.Store(0)
+	err = dec.ForEachChunkParallel(func(DecodedChunk) error {
+		calls.Add(1)
+		return stop
+	})
+	// The failing call and at most the one other decode in flight.
+	if !errors.Is(err, stop) || calls.Load() > 2 {
+		t.Fatalf("err %v after %d callbacks, want stop after at most 2", err, calls.Load())
+	}
+}
+
 // goroutineID is the running goroutine's number, from its stack header.
 func goroutineID() string {
 	buf := make([]byte, 64)
