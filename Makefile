@@ -40,14 +40,15 @@ test-log:
 # differential, 10 more times: a band recycled before its write went out
 # races only on some schedules. The chunk pipe (the decode loop and the
 # streaming Writer on it), the streaming engines' cancellation, memory
-# and delivery tests and the store's read step run 10 more times too: a
-# job dispatched after an error, or an arena reused before its callback
-# returned, shows only on some schedules.
+# and delivery tests, the store's read step and its slab cache run 10 more
+# times too: a job dispatched after an error, an arena reused before its
+# callback returned, or a registry gauge the cache updates under its lock
+# shows only on some schedules.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=25 -run 'Cut|Failover|Degrade|Repeated|Breaker|AfterReturn' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'BandPool|Recycles|Assembler|Differential' ./internal/server/
-	$(GO) test -race -count=10 -run 'ReadChunkErrorPolicy|RegionStops|Lookup' ./internal/store/
+	$(GO) test -race -count=10 -run 'ReadChunkErrorPolicy|RegionStops|Lookup|SlabCache' ./internal/store/
 	$(GO) test -race -count=10 -run 'DecodeLoop|Pipe|Writer' ./internal/chunk/
 	$(GO) test -race -count=10 -run 'Context|BoundedMemory|ChunkDelivery|Abandoned|Serial' .
 

@@ -383,9 +383,9 @@ func runCompress(c compressSpec) {
 	if err != nil {
 		fatal("read %s: %v", c.in, err)
 	}
-	batch := make([]float64, minInt(n, 1<<20))
+	batch := make([]float64, min(n, 1<<20))
 	for fed := 0; fed < n; {
-		k, rerr := fr.Read(batch[:minInt(len(batch), n-fed)])
+		k, rerr := fr.Read(batch[:min(len(batch), n-fed)])
 		if k > 0 {
 			if _, werr := enc.Write(batch[:k]); werr != nil {
 				fatalCompress(werr)
@@ -441,13 +441,6 @@ func scanRange(r io.Reader, width int) (float64, error) {
 			return 0, err
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func runDecompress(in, out string, f32 bool, partial float64, lowres int, region string, workers int, quiet bool) {

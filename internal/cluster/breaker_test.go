@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sperr/internal/obs"
 )
 
 // TestCanceledReadsKeepBreakersClosed: reads whose caller has already
@@ -21,19 +23,9 @@ import (
 func TestCanceledReadsKeepBreakersClosed(t *testing.T) {
 	dims := [3]int{24, 17, 9}
 	container := makeContainer(t, dims, [3]int{8, 8, 4}, 9)
-	var (
-		mu       sync.Mutex
-		outcomes = make(map[string]int)
-		opened   atomic.Int32
-	)
-	clusters, _ := testClusterHooks(t, 3, 1, Hooks{
-		OnPeerRequest: func(_, outcome string) {
-			mu.Lock()
-			outcomes[outcome]++
-			mu.Unlock()
-		},
-		OnBreakerOpen: func(string) { opened.Add(1) },
-	})
+	reg := obs.NewRegistry()
+	opened := reg.Counter("sperrd_cluster_breaker_opens_total")
+	clusters, _ := testClusterReg(t, 3, 1, reg)
 	c := clusters[1]
 	meta, _, err := c.Ingest(context.Background(), container)
 	if err != nil {
@@ -47,33 +39,41 @@ func TestCanceledReadsKeepBreakersClosed(t *testing.T) {
 			t.Fatalf("read %d with a canceled context: err %v", i, err)
 		}
 	}
-	mu.Lock()
-	if outcomes["error"]+outcomes["timeout"] != 0 {
-		t.Errorf("canceled reads labelled against the peers: %v", outcomes)
+	if got := peerOutcomes(reg); got["error"]+got["timeout"] != 0 {
+		t.Errorf("canceled reads labelled against the peers: %v", got)
 	}
-	mu.Unlock()
 	_, rep := gather(t, c, meta.ID, [3]int{}, dims, math.NaN())
-	if len(rep.Skipped) != 0 || len(rep.Unreachable) != 0 || opened.Load() != 0 {
+	if len(rep.Skipped) != 0 || len(rep.Unreachable) != 0 || opened.Value() != 0 {
 		t.Fatalf("after canceled reads: skipped %v, unreachable %v, %d breakers opened; want a clean read",
-			rep.Skipped, rep.Unreachable, opened.Load())
+			rep.Skipped, rep.Unreachable, opened.Value())
 	}
+}
+
+// peerOutcomes sums reg's sperrd_cluster_requests_total series by outcome,
+// over every peer.
+func peerOutcomes(reg *obs.Registry) map[string]int64 {
+	out := make(map[string]int64)
+	for name, v := range reg.Snapshot() {
+		if labels, ok := strings.CutPrefix(name, "sperrd_cluster_requests_total{"); ok {
+			_, outcome, _ := strings.Cut(labels, `outcome="`)
+			out[strings.TrimSuffix(outcome, `"}`)] += v.(int64)
+		}
+	}
+	return out
 }
 
 // slowPeer is a peer that answers chunk 0's one-sample frame, or, while
 // slow is set, holds the request until its caller gives up; c is a
-// coordinator whose only remote peer it is.
+// coordinator whose only remote peer it is, counting into reg.
 type slowPeer struct {
-	slow   atomic.Bool
-	calls  atomic.Int32
-	opened atomic.Int32
-	c      *Cluster
-
-	mu       sync.Mutex
-	outcomes []string
+	slow  atomic.Bool
+	calls atomic.Int32
+	c     *Cluster
+	reg   *obs.Registry
 }
 
 func newSlowPeer(t *testing.T) *slowPeer {
-	p := &slowPeer{}
+	p := &slowPeer{reg: obs.NewRegistry()}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p.calls.Add(1)
 		if p.slow.Load() {
@@ -84,17 +84,10 @@ func newSlowPeer(t *testing.T) *slowPeer {
 	}))
 	t.Cleanup(srv.Close)
 	c, err := New(Config{
-		Self:    "node-a",
-		Peers:   map[string]string{"node-a": "http://self.invalid", "node-b": srv.URL},
-		Timeout: 5 * time.Second,
-		Hooks: Hooks{
-			OnPeerRequest: func(_, outcome string) {
-				p.mu.Lock()
-				p.outcomes = append(p.outcomes, outcome)
-				p.mu.Unlock()
-			},
-			OnBreakerOpen: func(string) { p.opened.Add(1) },
-		},
+		Self:     "node-a",
+		Peers:    map[string]string{"node-a": "http://self.invalid", "node-b": srv.URL},
+		Timeout:  5 * time.Second,
+		Registry: p.reg,
 	}, newFakePeer(t).st)
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +101,10 @@ func (p *slowPeer) fetch(ctx context.Context) bool {
 	return p.c.fetchGuarded(ctx, "node-b", "vol", []Hit{{Index: 0, Dims: [3]int{1, 1, 1}}}, sink)
 }
 
-func (p *slowPeer) outcomeList() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fmt.Sprint(p.outcomes)
+// outcomes renders the coordinator's request counts by outcome, in key
+// order, alongside its breaker opens.
+func (p *slowPeer) outcomes() string {
+	return fmt.Sprintf("%v, %d breaker opens", peerOutcomes(p.reg), p.reg.Counter("sperrd_cluster_breaker_opens_total").Value())
 }
 
 // TestCallerCancelLeavesBreakerClosed: a fetch that ended because its
@@ -129,13 +122,16 @@ func TestCallerCancelLeavesBreakerClosed(t *testing.T) {
 			}
 			cancel()
 		}
+		if got := p.outcomes(); got != "map[canceled:3], 0 breaker opens" {
+			t.Fatalf("after %d caller deadlines: outcomes %s; want three canceled and nothing else", breakerThreshold, got)
+		}
 		p.slow.Store(false)
 		if !p.fetch(context.Background()) || p.calls.Load() != breakerThreshold+1 {
 			t.Fatalf("fetch after %d caller deadlines: %d calls reached the peer, outcomes %s",
-				breakerThreshold, p.calls.Load(), p.outcomeList())
+				breakerThreshold, p.calls.Load(), p.outcomes())
 		}
-		if got := p.outcomeList(); got != "[canceled canceled canceled ok]" || p.opened.Load() != 0 {
-			t.Fatalf("outcomes %s, %d breaker opens; want three canceled, then ok, and none", got, p.opened.Load())
+		if got := p.outcomes(); got != "map[canceled:3 ok:1], 0 breaker opens" {
+			t.Fatalf("outcomes %s; want three canceled, then one ok, and no breaker opens", got)
 		}
 	})
 	t.Run("half-open probe", func(t *testing.T) {
@@ -149,7 +145,7 @@ func TestCallerCancelLeavesBreakerClosed(t *testing.T) {
 			t.Fatal("a canceled probe succeeded")
 		}
 		if !p.fetch(context.Background()) {
-			t.Fatalf("the probe after a canceled one was refused: outcomes %s", p.outcomeList())
+			t.Fatalf("the probe after a canceled one was refused: outcomes %s", p.outcomes())
 		}
 		if br.fails != 0 {
 			t.Fatalf("breaker still counts %d failures after a successful probe", br.fails)

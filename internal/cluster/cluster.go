@@ -15,35 +15,9 @@ import (
 
 	"sperr"
 	"sperr/internal/grid"
+	"sperr/internal/obs"
 	"sperr/internal/store"
 )
-
-// Hooks observes cluster events for wiring into a metrics registry.
-// Every field may be nil; callbacks run on request goroutines.
-type Hooks struct {
-	// OnPeerRequest fires once per peer RPC attempt with the peer id and
-	// an outcome of "ok", "error", "timeout", "canceled" (the caller's
-	// context ended first: not the peer's fault) or "open" (refused by the
-	// peer's circuit breaker without an attempt).
-	OnPeerRequest func(peer, outcome string)
-	// OnFilled fires after a degraded region read with the number of
-	// chunks that had to be filled.
-	OnFilled func(chunks int)
-	// OnFailover fires when chunks are served by a replica other than
-	// their primary owner (the read survived a peer, but not unscathed).
-	OnFailover func(chunks int)
-	// OnBreakerOpen fires when a peer's circuit breaker opens after
-	// consecutive failures.
-	OnBreakerOpen func(peer string)
-	// OnScrubRun fires once per anti-entropy scrub pass.
-	OnScrubRun func()
-	// OnScrubDamaged fires per scrub pass with the number of owned chunks
-	// found missing or damaged locally.
-	OnScrubDamaged func(chunks int)
-	// OnScrubRepaired fires per scrub pass with the number of chunks
-	// re-fetched intact from replicas.
-	OnScrubRepaired func(chunks int)
-}
 
 // Config describes one node's view of the cluster. Every node runs with
 // the same roster; Self selects which entry is this process.
@@ -65,8 +39,10 @@ type Config struct {
 	// shared pooled transport; timeouts come from contexts, not the
 	// client).
 	Client *http.Client
-	// Hooks observes peer traffic (metrics).
-	Hooks Hooks
+	// Registry receives the cluster's metrics (nil = a registry of the
+	// cluster's own). Every counter but the per-peer request series is
+	// created in New, so it reports 0 before its first event.
+	Registry *obs.Registry
 }
 
 // DefaultReplicas is the replica count used when Config.Replicas is 0:
@@ -87,7 +63,13 @@ type Cluster struct {
 	client   *http.Client
 	timeout  time.Duration
 	replicas int
-	hooks    Hooks
+
+	// reg holds the lazily created per-peer request series,
+	// sperrd_cluster_requests_total{peer,outcome}: each appears at its
+	// first event. The other counters are created once, in New.
+	reg                                    *obs.Registry
+	filled, failover, breakerOpens         *obs.Counter
+	scrubRuns, scrubDamaged, scrubRepaired *obs.Counter
 
 	brMu     sync.Mutex
 	breakers map[string]*breaker
@@ -105,15 +87,28 @@ func New(cfg Config, st *store.Store) (*Cluster, error) {
 	if _, ok := cfg.Peers[cfg.Self]; !ok {
 		return nil, fmt.Errorf("cluster: self id %q not in peer roster", cfg.Self)
 	}
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	// The coordinator's response decides a degraded read, so the server
+	// bumps this one; it is created here with the rest.
+	reg.Counter("sperrd_cluster_degraded_total")
 	c := &Cluster{
-		self:     cfg.Self,
-		peers:    make(map[string]string, len(cfg.Peers)),
-		st:       st,
-		client:   cfg.Client,
-		timeout:  cfg.Timeout,
-		replicas: cfg.Replicas,
-		hooks:    cfg.Hooks,
-		breakers: make(map[string]*breaker),
+		self:          cfg.Self,
+		peers:         make(map[string]string, len(cfg.Peers)),
+		st:            st,
+		client:        cfg.Client,
+		timeout:       cfg.Timeout,
+		replicas:      cfg.Replicas,
+		reg:           reg,
+		filled:        reg.Counter("sperrd_cluster_filled_chunks_total"),
+		failover:      reg.Counter("sperrd_replica_failover_chunks_total"),
+		breakerOpens:  reg.Counter("sperrd_cluster_breaker_opens_total"),
+		scrubRuns:     reg.Counter("sperrd_scrub_runs_total"),
+		scrubDamaged:  reg.Counter("sperrd_scrub_damaged_chunks_total"),
+		scrubRepaired: reg.Counter("sperrd_scrub_repaired_chunks_total"),
+		breakers:      make(map[string]*breaker),
 	}
 	for id, u := range cfg.Peers {
 		u = strings.TrimRight(u, "/")
@@ -168,10 +163,12 @@ func (c *Cluster) Owners(id string, ci int) []string {
 // Replicas returns the effective per-chunk replica count.
 func (c *Cluster) Replicas() int { return c.replicas }
 
+// onPeerRequest counts one peer RPC attempt by peer id and outcome: "ok",
+// "error", "timeout", "canceled" (the caller's context ended first: not
+// the peer's fault) or "open" (refused by the peer's circuit breaker
+// without an attempt).
 func (c *Cluster) onPeerRequest(peer, outcome string) {
-	if c.hooks.OnPeerRequest != nil {
-		c.hooks.OnPeerRequest(peer, outcome)
-	}
+	c.reg.Counter(`sperrd_cluster_requests_total{peer="` + peer + `",outcome="` + outcome + `"}`).Inc()
 }
 
 // Ingest shards a complete container across the roster: verify and
@@ -493,9 +490,7 @@ func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, 
 		}
 	}
 	sort.Strings(rep.Unreachable)
-	if rep.FailedOver > 0 && c.hooks.OnFailover != nil {
-		c.hooks.OnFailover(rep.FailedOver)
-	}
+	c.failover.Add(int64(rep.FailedOver))
 
 	// Whatever is still missing degrades to the fill value — the cluster
 	// analogue of the salvage fill policy.
@@ -514,9 +509,7 @@ func (c *Cluster) RegionTo(ctx context.Context, id string, origin, dims [3]int, 
 		sink.slab(h, h.Origin, h.Dims, buf)
 	}
 	sort.Ints(rep.Skipped)
-	if len(rep.Skipped) > 0 && c.hooks.OnFilled != nil {
-		c.hooks.OnFilled(len(rep.Skipped))
-	}
+	c.filled.Add(int64(len(rep.Skipped)))
 	if err := sink.emitErr(); err != nil {
 		return nil, err
 	}
@@ -574,8 +567,8 @@ func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []Hit, s
 	}
 	if ctx.Err() != nil {
 		br.release()
-	} else if br.failure(time.Now()) && c.hooks.OnBreakerOpen != nil {
-		c.hooks.OnBreakerOpen(peer)
+	} else if br.failure(time.Now()) {
+		c.breakerOpens.Inc()
 	}
 	return false
 }

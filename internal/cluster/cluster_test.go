@@ -20,6 +20,7 @@ import (
 
 	"sperr"
 	"sperr/internal/grid"
+	"sperr/internal/obs"
 	"sperr/internal/store"
 )
 
@@ -174,11 +175,12 @@ func testCluster(t testing.TB, n int) ([]*Cluster, []*fakePeer) {
 
 // testClusterR is testCluster with an explicit replica count.
 func testClusterR(t testing.TB, n, replicas int) ([]*Cluster, []*fakePeer) {
-	return testClusterHooks(t, n, replicas, Hooks{})
+	return testClusterReg(t, n, replicas, nil)
 }
 
-// testClusterHooks is testClusterR with every node reporting to hooks.
-func testClusterHooks(t testing.TB, n, replicas int, hooks Hooks) ([]*Cluster, []*fakePeer) {
+// testClusterReg is testClusterR with every node counting into reg (nil:
+// a registry per node).
+func testClusterReg(t testing.TB, n, replicas int, reg *obs.Registry) ([]*Cluster, []*fakePeer) {
 	t.Helper()
 	peers := make([]*fakePeer, n)
 	roster := make(map[string]string, n)
@@ -193,7 +195,7 @@ func testClusterHooks(t testing.TB, n, replicas int, hooks Hooks) ([]*Cluster, [
 			Peers:    roster,
 			Timeout:  5 * time.Second,
 			Replicas: replicas,
-			Hooks:    hooks,
+			Registry: reg,
 		}, peers[i].st)
 		if err != nil {
 			t.Fatal(err)

@@ -53,9 +53,7 @@ type ScrubReport struct {
 // under its per-id lock.
 func (c *Cluster) ScrubOnce(ctx context.Context) *ScrubReport {
 	rep := &ScrubReport{}
-	if c.hooks.OnScrubRun != nil {
-		c.hooks.OnScrubRun()
-	}
+	c.scrubRuns.Inc()
 
 	c.discoverVolumes(ctx, rep)
 
@@ -70,12 +68,8 @@ func (c *Cluster) ScrubOnce(ctx context.Context) *ScrubReport {
 		c.scrubVolume(ctx, m.ID, m.NumChunks, rep)
 	}
 
-	if rep.Damaged > 0 && c.hooks.OnScrubDamaged != nil {
-		c.hooks.OnScrubDamaged(rep.Damaged)
-	}
-	if rep.Repaired > 0 && c.hooks.OnScrubRepaired != nil {
-		c.hooks.OnScrubRepaired(rep.Repaired)
-	}
+	c.scrubDamaged.Add(int64(rep.Damaged))
+	c.scrubRepaired.Add(int64(rep.Repaired))
 	return rep
 }
 

@@ -141,11 +141,13 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		reg: cfg.Registry,
 	}
-	logW := cfg.LogWriter
+	logW, level := cfg.LogWriter, slog.LevelInfo
 	if logW == nil {
-		logW = io.Discard
+		// A level above every one logged enables nothing, so no request
+		// builds or formats a line nobody reads.
+		logW, level = io.Discard, slog.LevelError+1
 	}
-	s.log = slog.New(slog.NewJSONHandler(logW, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	s.log = slog.New(slog.NewJSONHandler(logW, &slog.HandlerOptions{Level: level}))
 	s.adm = NewAdmission(cfg.BudgetSamples, cfg.MaxQueue)
 	inUse := s.reg.Gauge("sperrd_admission_inuse_samples")
 	peak := s.reg.Gauge("sperrd_admission_peak_samples")
@@ -161,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 			CacheSamples: cfg.CacheSamples,
 			Charge:       s.adm.TryAcquire,
 			Release:      s.adm.Release,
-			Hooks:        s.storeHooks(),
+			Registry:     s.reg,
 		})
 		if err != nil {
 			return nil, err
@@ -192,7 +194,7 @@ func New(cfg Config) (*Server, error) {
 			Peers:    roster,
 			Timeout:  cfg.PeerTimeout,
 			Replicas: cfg.Replicas,
-			Hooks:    s.clusterHooks(),
+			Registry: s.reg,
 		}, s.store)
 		if err != nil {
 			return nil, err
@@ -234,65 +236,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.reg.PublishExpvar("sperrd")
 	return s, nil
-}
-
-// storeHooks wires store and cache events into the metrics registry.
-func (s *Server) storeHooks() store.Hooks {
-	ingests := s.reg.Counter("sperrd_store_ingests_total")
-	rejected := s.reg.Counter("sperrd_store_ingest_rejected_total")
-	ingestBytes := s.reg.Histogram("sperrd_store_ingest_bytes", obs.DefBytesBuckets)
-	deletes := s.reg.Counter("sperrd_store_deletes_total")
-	hits := s.reg.Counter("sperrd_cache_hits_total")
-	misses := s.reg.Counter("sperrd_cache_misses_total")
-	decodes := s.reg.Counter("sperrd_store_chunk_decodes_total")
-	evictions := s.reg.Counter("sperrd_cache_evictions_total")
-	declined := s.reg.Counter("sperrd_cache_declined_total")
-	resident := s.reg.Gauge("sperrd_cache_resident_samples")
-	peak := s.reg.Gauge("sperrd_cache_peak_samples")
-	return store.Hooks{
-		OnIngest: func(bytes int64, created bool) {
-			ingests.Inc()
-			if created {
-				ingestBytes.Observe(float64(bytes))
-			}
-		},
-		OnReject:  func() { rejected.Inc() },
-		OnDelete:  func() { deletes.Inc() },
-		OnHit:     func(chunks int) { hits.Add(int64(chunks)) },
-		OnMiss:    func(chunks int) { misses.Add(int64(chunks)) },
-		OnDecode:  func(chunks int) { decodes.Add(int64(chunks)) },
-		OnEvict:   func(samples int64) { evictions.Inc() },
-		OnDecline: func(samples int64) { declined.Inc() },
-		OnResident: func(samples int64) {
-			resident.Set(samples)
-			peak.RaiseTo(samples)
-		},
-	}
-}
-
-// clusterHooks wires cluster peer traffic into the metrics registry.
-// Every counter is created here at startup so it reports 0 before its
-// first event — servesmoke and TestClusterScrubHeals read them.
-func (s *Server) clusterHooks() cluster.Hooks {
-	s.reg.Counter("sperrd_cluster_degraded_total")
-	filled := s.reg.Counter("sperrd_cluster_filled_chunks_total")
-	failover := s.reg.Counter("sperrd_replica_failover_chunks_total")
-	breakerOpens := s.reg.Counter("sperrd_cluster_breaker_opens_total")
-	scrubRuns := s.reg.Counter("sperrd_scrub_runs_total")
-	scrubDamaged := s.reg.Counter("sperrd_scrub_damaged_chunks_total")
-	scrubRepaired := s.reg.Counter("sperrd_scrub_repaired_chunks_total")
-	return cluster.Hooks{
-		OnPeerRequest: func(peer, outcome string) {
-			s.reg.Counter(`sperrd_cluster_requests_total{peer="` + peer +
-				`",outcome="` + outcome + `"}`).Inc()
-		},
-		OnFilled:        func(chunks int) { filled.Add(int64(chunks)) },
-		OnFailover:      func(chunks int) { failover.Add(int64(chunks)) },
-		OnBreakerOpen:   func(string) { breakerOpens.Inc() },
-		OnScrubRun:      func() { scrubRuns.Inc() },
-		OnScrubDamaged:  func(chunks int) { scrubDamaged.Add(int64(chunks)) },
-		OnScrubRepaired: func(chunks int) { scrubRepaired.Add(int64(chunks)) },
-	}
 }
 
 // Store exposes the content-addressed volume store (nil when disabled).
@@ -494,6 +437,13 @@ func (s *Server) instrumented(endpoint string, h handlerFunc) http.HandlerFunc {
 		s.reg.Counter(`sperrd_bytes_in_total{endpoint="` + endpoint + `"}`).Add(cr.n)
 		s.reg.Counter(`sperrd_bytes_out_total{endpoint="` + endpoint + `"}`).Add(sw.bytes)
 
+		level := slog.LevelInfo
+		if st.err != nil {
+			level = slog.LevelError
+		}
+		if !s.log.Enabled(r.Context(), level) {
+			return
+		}
 		attrs := []any{
 			"endpoint", endpoint,
 			"remote", r.RemoteAddr,
@@ -510,10 +460,8 @@ func (s *Server) instrumented(endpoint string, h handlerFunc) http.HandlerFunc {
 		}
 		if st.err != nil {
 			attrs = append(attrs, "err", st.err.Error())
-			s.log.Error("request", attrs...)
-		} else {
-			s.log.Info("request", attrs...)
 		}
+		s.log.Log(r.Context(), level, "request", attrs...)
 	}
 }
 

@@ -295,6 +295,20 @@ func TestCacheEquivalenceAfterEviction(t *testing.T) {
 	if res := s.Store().Cache().PeakResident(); res > goldenSamples+300 {
 		t.Fatalf("peak residency %d exceeds cap %d", res, goldenSamples+300)
 	}
+	// The accessors the benchmark reads and /metrics are one set of
+	// counters.
+	sc := s.Store().Cache()
+	for name, v := range map[string]int64{
+		"sperrd_cache_hits_total":          sc.Hits(),
+		"sperrd_cache_misses_total":        sc.Misses(),
+		"sperrd_cache_evictions_total":     sc.Evictions(),
+		"sperrd_store_chunk_decodes_total": s.Store().Decodes(),
+		"sperrd_cache_peak_samples":        sc.PeakResident(),
+	} {
+		if got := scrapeMetric(t, ts.URL, name); got != float64(v) {
+			t.Errorf("/metrics %s = %v, accessor reads %d", name, got, v)
+		}
+	}
 }
 
 // TestCacheDeclinedCounter: sperrd_cache_declined_total counts the decoded

@@ -4,7 +4,8 @@ import (
 	"container/list"
 	"math"
 	"sync"
-	"sync/atomic"
+
+	"sperr/internal/obs"
 )
 
 // chunkKey identifies one decoded slab: a volume's content address plus
@@ -63,37 +64,39 @@ func (e *slabEntry) samples() int64 { return int64(len(e.data)) }
 // Lock ordering: SlabCache.mu may be held while calling charge/release
 // (which take the admission lock); the admission controller only calls
 // back into the cache (Shed) with its own lock released.
+//
+// The cache counts straight into a metrics registry: its event counters
+// and its residency gauges are the sperrd_cache_* series /metrics
+// exposes, and Hits, Misses, Evictions, Declined and PeakResident read
+// them back.
 type SlabCache struct {
 	capSamples int64
 	charge     func(int64) bool
 	release    func(int64)
-	onEvict    func(int64)
-	onResident func(int64)
-	onDecline  func(int64)
 
 	mu       sync.Mutex
 	resident int64
-	peak     int64
 	ll       *list.List // front = most recently used
 	entries  map[chunkKey]*list.Element
 	freq     freqSketch
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	declined  atomic.Int64
+	hits, misses, evictions, declined *obs.Counter
+	residentGauge, peak               *obs.Gauge // set under mu
 }
 
-func newSlabCache(capSamples int64, charge func(int64) bool, release func(int64),
-	onEvict, onResident func(int64)) *SlabCache {
+func newSlabCache(capSamples int64, charge func(int64) bool, release func(int64), reg *obs.Registry) *SlabCache {
 	return &SlabCache{
-		capSamples: capSamples,
-		charge:     charge,
-		release:    release,
-		onEvict:    onEvict,
-		onResident: onResident,
-		ll:         list.New(),
-		entries:    make(map[chunkKey]*list.Element),
+		capSamples:    capSamples,
+		charge:        charge,
+		release:       release,
+		ll:            list.New(),
+		entries:       make(map[chunkKey]*list.Element),
+		hits:          reg.Counter("sperrd_cache_hits_total"),
+		misses:        reg.Counter("sperrd_cache_misses_total"),
+		evictions:     reg.Counter("sperrd_cache_evictions_total"),
+		declined:      reg.Counter("sperrd_cache_declined_total"),
+		residentGauge: reg.Gauge("sperrd_cache_resident_samples"),
+		peak:          reg.Gauge("sperrd_cache_peak_samples"),
 	}
 }
 
@@ -110,10 +113,10 @@ func (c *SlabCache) Get(k chunkKey) *slabEntry {
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
+		c.misses.Inc()
 		return nil
 	}
-	c.hits.Add(1)
+	c.hits.Inc()
 	return el.Value.(*slabEntry)
 }
 
@@ -144,7 +147,8 @@ func (c *SlabCache) Insert(e *slabEntry) bool {
 	c.freq.fit(c.capSamples / n)
 	for c.resident+n > c.capSamples {
 		if !c.evictForLocked(e) {
-			return c.declineLocked(n)
+			c.declined.Inc()
+			return false
 		}
 	}
 	if c.charge != nil {
@@ -153,18 +157,15 @@ func (c *SlabCache) Insert(e *slabEntry) bool {
 			// residents hold it): shed our own cold end and retry; if the
 			// cache is empty the budget is busy elsewhere — skip caching.
 			if !c.evictForLocked(e) {
-				return c.declineLocked(n)
+				c.declined.Inc()
+				return false
 			}
 		}
 	}
 	c.resident += n
-	if c.resident > c.peak {
-		c.peak = c.resident
-	}
+	c.residentGauge.Set(c.resident)
+	c.peak.RaiseTo(c.resident)
 	c.entries[e.key] = c.ll.PushFront(e)
-	if c.onResident != nil {
-		c.onResident(c.resident)
-	}
 	return true
 }
 
@@ -180,16 +181,6 @@ func (c *SlabCache) evictForLocked(e *slabEntry) bool {
 	}
 	c.removeLocked(el)
 	return true
-}
-
-// declineLocked counts an insert turned away by the gate or a busy budget
-// and returns false for Insert to pass on.
-func (c *SlabCache) declineLocked(n int64) bool {
-	c.declined.Add(1)
-	if c.onDecline != nil {
-		c.onDecline(n)
-	}
-	return false
 }
 
 // evictOldestLocked drops the least recently used slab, returning false
@@ -209,16 +200,11 @@ func (c *SlabCache) removeLocked(el *list.Element) {
 	delete(c.entries, e.key)
 	n := e.samples()
 	c.resident -= n
+	c.residentGauge.Set(c.resident)
 	if c.release != nil {
 		c.release(n)
 	}
-	c.evictions.Add(1)
-	if c.onEvict != nil {
-		c.onEvict(n)
-	}
-	if c.onResident != nil {
-		c.onResident(c.resident)
-	}
+	c.evictions.Inc()
 }
 
 // Shed evicts from the cold end until at least need samples have been
@@ -274,11 +260,7 @@ func (c *SlabCache) Resident() int64 {
 }
 
 // PeakResident returns the residency high-water mark.
-func (c *SlabCache) PeakResident() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peak
-}
+func (c *SlabCache) PeakResident() int64 { return c.peak.Value() }
 
 // Cap returns the configured residency cap (0 = caching disabled).
 func (c *SlabCache) Cap() int64 { return c.capSamples }
@@ -292,11 +274,12 @@ func (c *SlabCache) Len() int {
 
 // Hits, Misses, Evictions and Declined are cumulative event counters;
 // Declined counts inserts turned away by the admission gate or a busy
-// budget.
-func (c *SlabCache) Hits() int64      { return c.hits.Load() }
-func (c *SlabCache) Misses() int64    { return c.misses.Load() }
-func (c *SlabCache) Evictions() int64 { return c.evictions.Load() }
-func (c *SlabCache) Declined() int64  { return c.declined.Load() }
+// budget. Each reads its registry counter, so a registry shared by
+// several caches sums them.
+func (c *SlabCache) Hits() int64      { return c.hits.Value() }
+func (c *SlabCache) Misses() int64    { return c.misses.Value() }
+func (c *SlabCache) Evictions() int64 { return c.evictions.Value() }
+func (c *SlabCache) Declined() int64  { return c.declined.Value() }
 
 // freqSketch is TinyLFU's frequency estimator: a count-min sketch of
 // sketchRows rows of width byte counters that saturate at 255. A key's

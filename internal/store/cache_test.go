@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sperr"
+	"sperr/internal/obs"
 )
 
 func slab(id string, chunk, samples int) *slabEntry {
@@ -18,7 +19,7 @@ func slab(id string, chunk, samples int) *slabEntry {
 }
 
 func TestSlabCacheLRUOrder(t *testing.T) {
-	c := newSlabCache(300, nil, nil, nil, nil)
+	c := newSlabCache(300, nil, nil, obs.NewRegistry())
 	for i := 0; i < 3; i++ {
 		if !c.Insert(slab("v", i, 100)) {
 			t.Fatalf("insert %d refused", i)
@@ -51,9 +52,7 @@ func TestSlabCacheLRUOrder(t *testing.T) {
 // only scanned slabs.
 func TestSlabCacheScanResistant(t *testing.T) {
 	const hot, scan = 4, 12
-	var declined int64
-	c := newSlabCache(hot*100, nil, nil, nil, nil)
-	c.onDecline = func(n int64) { declined += n }
+	c := newSlabCache(hot*100, nil, nil, obs.NewRegistry())
 	read := func(chunk int) {
 		if c.Get(chunkKey{ID: "v", Chunk: chunk}) == nil {
 			c.Insert(slab("v", chunk, 100))
@@ -72,20 +71,20 @@ func TestSlabCacheScanResistant(t *testing.T) {
 			t.Fatalf("hot chunk %d flushed by a one-pass scan", i)
 		}
 	}
-	if c.Evictions() != 0 || c.Declined() != scan || declined != scan*100 {
-		t.Fatalf("evictions %d declined %d (%d samples), want 0 and %d", c.Evictions(), c.Declined(), declined, scan)
+	if c.Evictions() != 0 || c.Declined() != scan {
+		t.Fatalf("evictions %d declined %d, want 0 and %d", c.Evictions(), c.Declined(), scan)
 	}
 }
 
 func TestSlabCacheRejectsOversized(t *testing.T) {
-	c := newSlabCache(100, nil, nil, nil, nil)
+	c := newSlabCache(100, nil, nil, obs.NewRegistry())
 	if c.Insert(slab("v", 0, 101)) {
 		t.Fatal("entry larger than the cap was cached")
 	}
 	if c.Insert(slab("v", 1, 0)) {
 		t.Fatal("empty entry was cached")
 	}
-	disabled := newSlabCache(0, nil, nil, nil, nil)
+	disabled := newSlabCache(0, nil, nil, obs.NewRegistry())
 	if disabled.Insert(slab("v", 0, 1)) {
 		t.Fatal("zero-cap cache accepted an entry")
 	}
@@ -97,7 +96,7 @@ func TestSlabCacheChargeEvictsColdEnd(t *testing.T) {
 	// coldest resident rather than overspend.
 	var budget atomicBudget
 	budget.cap = 250
-	c := newSlabCache(1000, budget.tryCharge, budget.release, nil, nil)
+	c := newSlabCache(1000, budget.tryCharge, budget.release, obs.NewRegistry())
 	for i := 0; i < 2; i++ {
 		if !c.Insert(slab("v", i, 100)) {
 			t.Fatalf("insert %d refused", i)
@@ -124,7 +123,7 @@ func TestSlabCacheChargeEvictsColdEnd(t *testing.T) {
 func TestSlabCacheShedAndInvalidate(t *testing.T) {
 	var budget atomicBudget
 	budget.cap = 1 << 20
-	c := newSlabCache(1000, budget.tryCharge, budget.release, nil, nil)
+	c := newSlabCache(1000, budget.tryCharge, budget.release, obs.NewRegistry())
 	for i := 0; i < 5; i++ {
 		c.Insert(slab("a", i, 100))
 	}
@@ -181,14 +180,7 @@ func TestSlabCacheConcurrentHammer(t *testing.T) {
 	)
 	var budget atomicBudget
 	budget.cap = budgetCap
-
-	var peakViolation atomic.Bool
-	onResident := func(res int64) {
-		if res > budgetCap {
-			peakViolation.Store(true)
-		}
-	}
-	c := newSlabCache(budgetCap, budget.tryCharge, budget.release, nil, onResident)
+	c := newSlabCache(budgetCap, budget.tryCharge, budget.release, obs.NewRegistry())
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -231,9 +223,8 @@ func TestSlabCacheConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if peakViolation.Load() {
-		t.Fatal("residency callback observed a value above the budget")
-	}
+	// The peak gauge is raised under the cache lock on every insert, so
+	// it bounds every residency the hammer could have observed.
 	if c.PeakResident() > budgetCap {
 		t.Fatalf("peak residency %d exceeds budget %d", c.PeakResident(), budgetCap)
 	}

@@ -91,8 +91,8 @@ type Lookup struct {
 }
 
 // Lookup takes the cache pass for chunks (container-order indices) of
-// volume id: one Get per chunk, then OnHit and OnMiss once each with the
-// read's counts. Nothing is decoded yet. An unknown id is ErrNotFound; an
+// volume id: one Get per chunk, each counted a hit or a miss by the
+// cache. Nothing is decoded yet. An unknown id is ErrNotFound; an
 // index outside the volume is refused before the cache is touched.
 func (s *Store) Lookup(id string, chunks []int) (Lookup, error) {
 	m, ok := s.Describe(id)
@@ -111,12 +111,6 @@ func (s *Store) Lookup(id string, chunks []int) (Lookup, error) {
 		} else {
 			l.Misses++
 		}
-	}
-	if s.opts.Hooks.OnHit != nil && l.Hits > 0 {
-		s.opts.Hooks.OnHit(l.Hits)
-	}
-	if s.opts.Hooks.OnMiss != nil && l.Misses > 0 {
-		s.opts.Hooks.OnMiss(l.Misses)
 	}
 	return l, nil
 }
@@ -166,10 +160,7 @@ func (l *Lookup) Read(ctx context.Context, workers int, fn func(ci int, slab []f
 		// The miss path: a slab of its own, counted and offered to the
 		// cache. Other readers may now share it, so it is read-only.
 		g, slab := m.Chunks[ci], append([]float64(nil), data...)
-		s.decodes.Add(1)
-		if s.opts.Hooks.OnDecode != nil {
-			s.opts.Hooks.OnDecode(1)
-		}
+		s.decodes.Inc()
 		s.cache.Insert(&slabEntry{key: chunkKey{ID: m.ID, Chunk: ci}, origin: g.Origin, dims: g.Dims, data: slab})
 		return fn(ci, slab, nil)
 	})

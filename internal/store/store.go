@@ -41,10 +41,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sperr"
+	"sperr/internal/obs"
 )
 
 // Store errors. Handlers map them to HTTP statuses (404 for ErrNotFound,
@@ -136,33 +136,6 @@ func contentID(sum [sha256.Size]byte, tag string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Hooks observes store and cache events, for wiring into a metrics
-// registry. Every field may be nil. Callbacks run on request goroutines —
-// keep them fast (counter bumps).
-type Hooks struct {
-	// OnIngest fires after a successful Put (created reports whether the
-	// volume was new or an idempotent re-ingest).
-	OnIngest func(bytes int64, created bool)
-	// OnReject fires when an ingest fails integrity verification.
-	OnReject func()
-	// OnDelete fires after a successful Delete.
-	OnDelete func()
-	// OnHit / OnMiss count cache outcomes per chunk visited by Region.
-	OnHit  func(chunks int)
-	OnMiss func(chunks int)
-	// OnDecode counts chunk frames actually decoded (the hit path keeps
-	// this flat — the acceptance witness).
-	OnDecode func(chunks int)
-	// OnEvict fires per evicted slab with its sample count.
-	OnEvict func(samples int64)
-	// OnDecline fires per decoded slab the cache turned away (its
-	// admission gate kept the resident slabs, or the shared budget was
-	// busy), with its sample count; the read still serves the slab.
-	OnDecline func(samples int64)
-	// OnResident observes the cache residency gauge after every change.
-	OnResident func(samples int64)
-}
-
 // Options tunes a Store. The zero value works: caching disabled.
 type Options struct {
 	// CacheSamples caps the decoded-slab cache residency in samples
@@ -174,8 +147,10 @@ type Options struct {
 	// CacheSamples alone.
 	Charge  func(samples int64) bool
 	Release func(samples int64)
-	// Hooks observes store events (metrics).
-	Hooks Hooks
+	// Registry receives the store's sperrd_store_* and its cache's
+	// sperrd_cache_* metrics; the store counts into it directly. nil
+	// gives the store a registry of its own.
+	Registry *obs.Registry
 }
 
 // Store is a content-addressed volume store: a verified on-disk
@@ -183,7 +158,6 @@ type Options struct {
 // safe for concurrent use.
 type Store struct {
 	dir   string
-	opts  Options
 	cache *SlabCache
 	bat   *batcher
 
@@ -196,7 +170,11 @@ type Store struct {
 	// blob-file and manifest steps.
 	ids keyedMutex
 
-	decodes atomic.Int64
+	// Registry metrics: ingests counts every successful Put/PutShard,
+	// ingestBytes observes only the created ones; decodes counts chunk
+	// frames decoded on region misses (flat on a cache hit).
+	ingests, rejected, deletes, decodes *obs.Counter
+	ingestBytes                         *obs.Histogram
 }
 
 const (
@@ -216,14 +194,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, volumesDir), 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:  dir,
-		opts: opts,
-		vols: make(map[string]*Meta),
+	reg := opts.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	s.cache = newSlabCache(opts.CacheSamples, opts.Charge, opts.Release,
-		opts.Hooks.OnEvict, opts.Hooks.OnResident)
-	s.cache.onDecline = opts.Hooks.OnDecline
+	s := &Store{
+		dir:         dir,
+		vols:        make(map[string]*Meta),
+		cache:       newSlabCache(opts.CacheSamples, opts.Charge, opts.Release, reg),
+		ingests:     reg.Counter("sperrd_store_ingests_total"),
+		rejected:    reg.Counter("sperrd_store_ingest_rejected_total"),
+		deletes:     reg.Counter("sperrd_store_deletes_total"),
+		decodes:     reg.Counter("sperrd_store_chunk_decodes_total"),
+		ingestBytes: reg.Histogram("sperrd_store_ingest_bytes", obs.DefBytesBuckets),
+	}
 
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
@@ -253,8 +237,9 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Cache() *SlabCache { return s.cache }
 
 // Decodes returns the total number of chunk frames this store has decoded
-// on region misses — the flat-on-hit instrumentation counter.
-func (s *Store) Decodes() int64 { return s.decodes.Load() }
+// on region misses — the flat-on-hit instrumentation counter, read from
+// sperrd_store_chunk_decodes_total.
+func (s *Store) Decodes() int64 { return s.decodes.Value() }
 
 // Len returns the number of resident volumes.
 func (s *Store) Len() int {
@@ -327,9 +312,7 @@ func AddressOf(container []byte) (string, *sperr.StreamInfo, error) {
 func (s *Store) Put(container []byte) (*Meta, bool, error) {
 	info, err := verify(container)
 	if err != nil {
-		if s.opts.Hooks.OnReject != nil {
-			s.opts.Hooks.OnReject()
-		}
+		s.rejected.Inc()
 		return nil, false, err
 	}
 	sum := sha256.Sum256(container)
@@ -385,9 +368,7 @@ func (s *Store) PutShard(id string, shard []byte) (*Meta, bool, error) {
 	}
 	info, owned, err := verifyShard(shard)
 	if err != nil {
-		if s.opts.Hooks.OnReject != nil {
-			s.opts.Hooks.OnReject()
-		}
+		s.rejected.Inc()
 		return nil, false, err
 	}
 	sum := sha256.Sum256(shard)
@@ -425,10 +406,7 @@ func (s *Store) commit(id string, container []byte, sum [sha256.Size]byte, info 
 		}
 		// Complete volumes are immutable by address, and a shard arriving
 		// where the complete volume already lives adds nothing.
-		if s.opts.Hooks.OnIngest != nil {
-			s.opts.Hooks.OnIngest(existing.Bytes, false)
-		}
-		return existing, false, nil
+		return s.ingested(existing, false)
 	}
 
 	if err := writeFileAtomic(s.blobPath(id), container); err != nil {
@@ -458,10 +436,17 @@ func (s *Store) commit(id string, container []byte, sum [sha256.Size]byte, info 
 	if err := s.bat.submit(manifestOp{put: meta}); err != nil {
 		return nil, false, err
 	}
-	if s.opts.Hooks.OnIngest != nil {
-		s.opts.Hooks.OnIngest(meta.Bytes, true)
+	return s.ingested(meta, true)
+}
+
+// ingested counts a successful ingest and returns Put's results for it;
+// only a created volume's size is observed.
+func (s *Store) ingested(m *Meta, created bool) (*Meta, bool, error) {
+	s.ingests.Inc()
+	if created {
+		s.ingestBytes.Observe(float64(m.Bytes))
 	}
-	return meta, true, nil
+	return m, created, nil
 }
 
 // mergeShard folds an incoming (already verified) shard into the
@@ -473,13 +458,6 @@ func (s *Store) commit(id string, container []byte, sum [sha256.Size]byte, info 
 // that is the scrubber's bit-rot recovery path. Runs under the per-id
 // lock held by commit.
 func (s *Store) mergeShard(existing *Meta, shard []byte) (*Meta, bool, error) {
-	ingested := func(m *Meta) (*Meta, bool, error) {
-		if s.opts.Hooks.OnIngest != nil {
-			s.opts.Hooks.OnIngest(m.Bytes, false)
-		}
-		return m, false, nil
-	}
-
 	merged := shard
 	cur, rerr := os.ReadFile(s.blobPath(existing.ID))
 	if rerr == nil {
@@ -491,7 +469,7 @@ func (s *Store) mergeShard(existing *Meta, shard []byte) (*Meta, bool, error) {
 				return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 			if bytes.Equal(m, cur) {
-				return ingested(existing)
+				return s.ingested(existing, false)
 			}
 			merged = m
 		}
@@ -516,7 +494,7 @@ func (s *Store) mergeShard(existing *Meta, shard []byte) (*Meta, bool, error) {
 	}
 	// Drop any cached slabs decoded from frames the merge replaced.
 	s.cache.Invalidate(meta.ID)
-	return ingested(&meta)
+	return s.ingested(&meta, false)
 }
 
 // Get returns a volume's manifest entry and its container bytes.
@@ -576,9 +554,7 @@ func (s *Store) Delete(id string) error {
 		return err
 	}
 	s.cache.Invalidate(id)
-	if s.opts.Hooks.OnDelete != nil {
-		s.opts.Hooks.OnDelete()
-	}
+	s.deletes.Inc()
 	return nil
 }
 

@@ -9,10 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sperr"
+	"sperr/internal/obs"
 )
 
 // testField builds a small deterministic smooth-plus-noise volume.
@@ -361,23 +361,18 @@ func readOne(t *testing.T, s *Store, id string, ci int) []float64 {
 
 // TestLookupSharesTheCachedSlab: the read step is Region's cache without
 // the copy. A miss decodes through the same path (one decode, counted by
-// the same hooks, offered to the cache); a hit hands out the resident slab
-// itself; both are the chunk's box of the library decode; and with the
-// cache off every read decodes and still answers.
+// the same registry counters, offered to the cache); a hit hands out the
+// resident slab itself; both are the chunk's box of the library decode;
+// and with the cache off every read decodes and still answers.
 func TestLookupSharesTheCachedSlab(t *testing.T) {
-	var hits, misses, decodes atomic.Int64
-	hooks := Hooks{
-		OnHit:    func(n int) { hits.Add(int64(n)) },
-		OnMiss:   func(n int) { misses.Add(int64(n)) },
-		OnDecode: func(n int) { decodes.Add(int64(n)) },
-	}
 	dims := [3]int{24, 17, 9}
 	c := makeContainer(t, dims, [3]int{8, 8, 8}, 1e-4, 5)
 	for _, cacheSamples := range []int64{1 << 20, 0} {
-		hits.Store(0)
-		misses.Store(0)
-		decodes.Store(0)
-		s := openTestStore(t, Options{CacheSamples: cacheSamples, Hooks: hooks})
+		reg := obs.NewRegistry()
+		hits := reg.Counter("sperrd_cache_hits_total")
+		misses := reg.Counter("sperrd_cache_misses_total")
+		decodes := reg.Counter("sperrd_store_chunk_decodes_total")
+		s := openTestStore(t, Options{CacheSamples: cacheSamples, Registry: reg})
 		meta, _, err := s.Put(c)
 		if err != nil {
 			t.Fatal(err)
@@ -404,16 +399,16 @@ func TestLookupSharesTheCachedSlab(t *testing.T) {
 		if cacheSamples == 0 {
 			wantHits, wantDecodes = 0, 3*n
 		}
-		if hits.Load() != wantHits || misses.Load() != wantDecodes || decodes.Load() != wantDecodes || s.Decodes() != wantDecodes {
+		if hits.Value() != wantHits || misses.Value() != wantDecodes || decodes.Value() != wantDecodes || s.Decodes() != wantDecodes {
 			t.Fatalf("cache %d: hits %d misses %d decodes %d (store %d), want %d/%d/%d", cacheSamples,
-				hits.Load(), misses.Load(), decodes.Load(), s.Decodes(), wantHits, wantDecodes, wantDecodes)
+				hits.Value(), misses.Value(), decodes.Value(), s.Decodes(), wantHits, wantDecodes, wantDecodes)
 		}
 		for _, bad := range []int{len(meta.Chunks), -1} {
 			if _, err := s.Lookup(meta.ID, []int{0, bad}); err == nil {
 				t.Fatalf("chunk index %d accepted", bad)
 			}
 		}
-		if hits.Load() != wantHits || misses.Load() != wantDecodes {
+		if hits.Value() != wantHits || misses.Value() != wantDecodes {
 			t.Fatal("a refused lookup counted cache outcomes")
 		}
 		if _, err := s.Lookup("no-such-volume", []int{0}); !errors.Is(err, ErrNotFound) {
